@@ -219,12 +219,44 @@ let stats_tuple (s : Kflex_runtime.Vm.stats) =
    s.Kflex_runtime.Vm.helper_cost)
 
 (* Allocation gate: the compiled hook-free hot path must allocate zero
-   minor-heap words per retired instruction. A dedicated helper-free loop
-   (frame spill/reload, guarded heap store+load, ALU chain, conditional back
-   edge — every construct the compiler specializes) runs warmed at two
+   minor-heap words per retired instruction. Two loops run warmed at two
    iteration counts; the per-instruction rate is the words delta over the
-   insns delta, which cancels the constant per-exec cost (outcome
-   constructor, the one heap-base helper call). *)
+   insns delta, which cancels the constant per-exec cost.
+   - helper-free: frame spill/reload, guarded heap store+load, ALU chain,
+     conditional back edge — every construct the compiler specializes;
+   - helper-bearing: packet reads and writes, a hash-map lookup and update,
+     [kflex_malloc] + [kflex_free] of a recycled block and a
+     [kflex_spin_lock] pair every iteration — the direct helper ABI, the
+     unboxed map, allocator and ledger paths. *)
+let helper_gate_src iters =
+  Printf.sprintf
+    {|
+struct cell { a: u64; b: u64; }
+global lock: u64;
+
+fn prog(c: ctx) -> u64 {
+  var kbuf: bytes[8];
+  var vbuf: bytes[8];
+  var acc: u64 = 0;
+  var i: u64 = 0;
+  st64(&kbuf, 0, 5);
+  while (i < %d) {
+    acc = acc + pkt_read_u8(c, i & 7) + pkt_read_u64(c, 8);
+    pkt_write_u16(c, 20, i);
+    acc = acc + bpf_map_lookup(3, &kbuf, &vbuf);
+    st64(&vbuf, 0, i);
+    acc = acc + bpf_map_update(3, &kbuf, &vbuf);
+    var n: ptr<cell> = new cell;
+    if (n != null) { free n; }
+    var h: u64 = kflex_spin_lock(&lock);
+    kflex_spin_unlock(h);
+    i = i + 1;
+  }
+  return acc & 1;
+}
+|}
+    iters
+
 let alloc_gate_words_per_insn () =
   let open Kflex_bpf in
   let items iters =
@@ -249,6 +281,13 @@ let alloc_gate_words_per_insn () =
         exit_;
       ]
   in
+  let measure go stats =
+    go () (* first run compiles and warms the pooled state *);
+    let i0 = stats.Kflex_runtime.Vm.insns in
+    let w0 = Gc.minor_words () in
+    go ();
+    (Gc.minor_words () -. w0, stats.Kflex_runtime.Vm.insns - i0)
+  in
   let run iters =
     let prog = Asm.assemble ~name:"alloc_gate" (items iters) in
     let heap = Kflex_runtime.Heap.create ~size:65536L () in
@@ -268,20 +307,56 @@ let alloc_gate_words_per_insn () =
     let ext = Kflex_runtime.Vm.create ~heap ~quantum:max_int ~helpers:[] kie in
     let ctx = Bytes.make 64 '\000' in
     let stats = Kflex_runtime.Vm.fresh_stats () in
-    let go () =
-      match Kflex_runtime.Vm.exec ext ~ctx ~stats ~backend:`Compiled () with
-      | Kflex_runtime.Vm.Finished _ -> ()
-      | Kflex_runtime.Vm.Cancelled _ -> failwith "alloc gate: cancelled"
-    in
-    go () (* first run compiles and warms the pooled state *);
-    let i0 = stats.Kflex_runtime.Vm.insns in
-    let w0 = Gc.minor_words () in
-    go ();
-    (Gc.minor_words () -. w0, stats.Kflex_runtime.Vm.insns - i0)
+    measure
+      (fun () ->
+        match Kflex_runtime.Vm.exec ext ~ctx ~stats ~backend:`Compiled () with
+        | Kflex_runtime.Vm.Finished _ -> ()
+        | Kflex_runtime.Vm.Cancelled _ -> failwith "alloc gate: cancelled")
+      stats
   in
-  let w1, i1 = run 50_000 in
-  let w2, i2 = run 100_000 in
-  (w2 -. w1) /. float_of_int (i2 - i1)
+  let run_helpers iters =
+    let c =
+      Kflex_eclang.Compile.compile_string ~name:"alloc_gate_helpers"
+        (helper_gate_src iters)
+    in
+    let kernel = Kflex_kernel.Helpers.create () in
+    let m = Kflex_kernel.Map.create ~max_entries:64 () in
+    ignore (Kflex_kernel.Map.register (Kflex_kernel.Helpers.maps kernel) m : int64);
+    let loaded =
+      match
+        Kflex.load
+          ~heap:(Kflex_runtime.Heap.create ~size:65536L ())
+          ~globals_size:
+            c.Kflex_eclang.Compile.layout.Kflex_eclang.Compile.globals_size
+          ~quantum:max_int ~backend:`Compiled ~kernel ~hook:Kflex_kernel.Hook.Xdp
+          c.Kflex_eclang.Compile.prog
+      with
+      | Ok l -> l
+      | Error e ->
+          Format.kasprintf failwith "alloc gate: helpers: %a"
+            Kflex_verifier.Verify.pp_error e
+    in
+    let pkt =
+      Kflex_kernel.Packet.make ~proto:Kflex_kernel.Packet.Udp ~src_port:1
+        ~dst_port:2 (Bytes.make 64 '\001')
+    in
+    let ctx = Kflex_kernel.Hook.build_ctx pkt in
+    let stats = Kflex_runtime.Vm.fresh_stats () in
+    measure
+      (fun () ->
+        match
+          Kflex.run_packet_into loaded ~ctx ~cpu:0 ~stats ~backend:`Compiled pkt
+        with
+        | Kflex_runtime.Vm.Finished _ -> ()
+        | Kflex_runtime.Vm.Cancelled _ -> failwith "alloc gate: helpers cancelled")
+      stats
+  in
+  let rate run =
+    let w1, i1 = run 50_000 in
+    let w2, i2 = run 100_000 in
+    (w2 -. w1) /. float_of_int (i2 - i1)
+  in
+  (rate run, rate run_helpers)
 
 let jit_bench ~smoke =
   hr "VM backend: interpreter vs closure-compiled (insns/sec wall-clock)";
@@ -353,10 +428,11 @@ let jit_bench ~smoke =
   let minimum = List.fold_left min infinity speedups in
   pf "  fused speedup: min %.2fx, geomean %.2fx%s@." minimum geomean
     (if !mismatches = 0 then "" else "  (STATS MISMATCHES!)");
-  let gate_wpi = alloc_gate_words_per_insn () in
-  let gate_ok = gate_wpi = 0. in
-  pf "  alloc gate: %.6f minor words/insn on the hook-free compiled loop (%s)@."
-    gate_wpi
+  let gate_wpi, gate_helpers_wpi = alloc_gate_words_per_insn () in
+  let gate_ok = gate_wpi = 0. && gate_helpers_wpi = 0. in
+  pf "  alloc gate: %.6f minor words/insn on the hook-free compiled loop, \
+      %.6f on the helper-bearing loop (%s)@."
+    gate_wpi gate_helpers_wpi
     (if gate_ok then "PASS" else "FAIL — hot path allocates");
   (* machine-readable results *)
   let oc = open_out "BENCH_vm.json" in
@@ -389,8 +465,10 @@ let jit_bench ~smoke =
     rows;
   p "  ],\n  \"summary\": {\"min_speedup_fused\": %.3f, \
      \"geomean_speedup_fused\": %.3f, \"stats_identical\": %b, \
-     \"alloc_gate_minor_words_per_insn\": %.6f, \"alloc_gate_passed\": %b}\n}\n"
-    minimum geomean (!mismatches = 0) gate_wpi gate_ok;
+     \"alloc_gate_minor_words_per_insn\": %.6f, \
+     \"alloc_gate_helpers_minor_words_per_insn\": %.6f, \
+     \"alloc_gate_passed\": %b}\n}\n"
+    minimum geomean (!mismatches = 0) gate_wpi gate_helpers_wpi gate_ok;
   close_out oc;
   pf "  wrote BENCH_vm.json@.";
   if !mismatches > 0 || not gate_ok then exit 1
@@ -398,9 +476,9 @@ let jit_bench ~smoke =
 (* ---- Engine: multi-tenant scaling curve (BENCH_engine.json) ------------ *)
 
 (* Aggregate throughput of the multi-tenant engine as shards and chain
-   length grow, measured in DES virtual time (the container is single-core,
-   so the per-CPU scaling claim is about the simulated shard model, not
-   host parallelism): each shard serves its own FIFO of flow-hashed events,
+   length grow, measured in DES virtual time (the host these numbers came
+   from has 2 vCPUs, fewer than 4 shards, so the per-CPU scaling claim is
+   about the simulated shard model, not host parallelism): each shard serves its own FIFO of flow-hashed events,
    service time = the chain's charged cost through the calibrated model.
    Also checks the single-shard engine is observationally identical to the
    facade on every fuzz reproducer (the chain oracle run as a self-pair). *)
@@ -759,9 +837,9 @@ fn prog(c: ctx) -> u64 {
    - the offered-load/latency curve runs THREADED on the WALL CLOCK,
      calibrated against the host's measured capacity so the sweep crosses
      into genuine overload;
-   - shard scaling runs DETERMINISTIC in VIRTUAL time (the container is
-     single-core, so wall-clock 4-shard scaling measures the host's one
-     CPU, not the shard model — same convention as BENCH_engine.json);
+   - shard scaling runs DETERMINISTIC in VIRTUAL time (the measuring host
+     has 2 vCPUs, so wall-clock 4-shard scaling measures the host, not the
+     shard model — same convention as BENCH_engine.json);
    - the determinism gate runs the same seeded schedule twice and demands
      bit-equal verdict-stream digests with zero leaks. *)
 
@@ -873,8 +951,9 @@ let serve_bench ~smoke =
         (if i = List.length curve - 1 then "" else ","))
     curve;
   p "  ],\n  \"shard_scaling\": {\"mode\": \"virtual_time\", \"note\": \
-     \"deterministic open loop in deep overload; single-core container, \
-     same convention as BENCH_engine.json\", \"rows\": [\n";
+     \"deterministic open loop in deep overload; virtual time because the \
+     measuring host has 2 vCPUs (nproc 2), fewer than the shards; same \
+     convention as BENCH_engine.json\", \"rows\": [\n";
   List.iteri
     (fun i (sh, o) ->
       p "    {\"shards\": %d, \"achieved_rps\": %.0f, \"p999_us\": %.2f, \

@@ -246,11 +246,21 @@ let run_raw t ?cpu ?stats ?backend ~ctx () =
   ensure_backend t backend;
   Vm.exec t.ext ~ctx ?cpu ?stats ~backend ()
 
-let run_packet t ?cpu ?stats ?backend pkt =
+(* One packet through the extension, with the caller's context block —
+   the engine fills one reused block per shard per event. *)
+let run_packet_into t ~ctx ~cpu ~stats ~backend pkt =
+  Kflex_kernel.Helpers.set_packet t.kernel pkt;
+  match Vm.run t.ext ~ctx ~cpu ~stats ~backend with
+  | o ->
+      Kflex_kernel.Helpers.clear_packet t.kernel;
+      o
+  | exception e ->
+      Kflex_kernel.Helpers.clear_packet t.kernel;
+      raise e
+
+let run_packet t ?(cpu = 0) ?stats ?backend pkt =
   let backend = match backend with Some b -> b | None -> t.backend in
   ensure_backend t backend;
-  Kflex_kernel.Helpers.set_packet t.kernel (Some pkt);
-  let ctx = Kflex_kernel.Hook.build_ctx pkt in
-  let outcome = Vm.exec t.ext ~ctx ?cpu ?stats ~backend () in
-  Kflex_kernel.Helpers.set_packet t.kernel None;
-  outcome
+  let stats = match stats with Some s -> s | None -> Vm.fresh_stats () in
+  run_packet_into t ~ctx:(Kflex_kernel.Hook.build_ctx pkt) ~cpu ~stats ~backend
+    pkt

@@ -132,6 +132,19 @@ val run_packet :
     the kernel helper state, builds the hook context and executes.
     [backend] overrides the load-time default for this invocation. *)
 
+val run_packet_into :
+  loaded ->
+  ctx:Bytes.t ->
+  cpu:int ->
+  stats:Kflex_runtime.Vm.stats ->
+  backend:Kflex_runtime.Vm.backend ->
+  Kflex_kernel.Packet.t ->
+  Kflex_runtime.Vm.outcome
+(** {!run_packet} with a caller-filled context block
+    ({!Kflex_kernel.Hook.fill_ctx}) and no optional arguments — the
+    engine's allocation-free per-event entry. [backend] must already be
+    installed (it is when it is the load-time backend). *)
+
 val run_raw :
   loaded ->
   ?cpu:int ->

@@ -24,21 +24,28 @@ type run_result = {
   outcomes : Vm.outcome list;
 }
 
+type job = Hook.kind * Packet.t * (run_result -> unit) option
+
 type shard = {
   sid : int;
   prandom : Kflex_runtime.U64.cell; (* per-shard bpf_get_prandom_u32 stream *)
   clock : Kflex_runtime.U64.cell; (* per-shard bpf_ktime_get_ns virtual clock *)
   stats : Vm.stats; (* per-shard; only this shard writes it *)
+  ctx : Bytes.t; (* the hook context block, refilled per event *)
   mutable events : int;
   mutable cancelled : int;
   mutable leaked : int;
   verdicts : (int64, int) Hashtbl.t;
-  mutable vclock_ns : float; (* cost-derived timeline for the reaper *)
+  vclock : Float.Array.t;
+      (* one unboxed float: the cost-derived timeline (ns) for the reaper *)
   seen_gen : int Atomic.t; (* last registry generation this shard observed *)
-  (* threaded mode *)
-  queue : (Hook.kind * Packet.t * (run_result -> unit) option) Queue.t;
+  (* threaded mode; every mutable field below is guarded by [m] *)
+  queue : job Queue.t;
   m : Mutex.t;
-  cv : Condition.t;
+  cv : Condition.t; (* the worker sleeps here when [asleep] *)
+  idle_cv : Condition.t; (* drain/quiesce wait here; counted in [waiters] *)
+  mutable asleep : bool;
+  mutable waiters : int;
   mutable busy : bool;
   mutable domain : unit Domain.t option;
 }
@@ -55,6 +62,8 @@ type t = {
   mutable next_aid : int;
   running : bool Atomic.t;
   mutable reaper_domain : unit Domain.t option;
+  mutable reaper_wake : (Unix.file_descr * Unix.file_descr) option;
+      (* self-pipe: [shutdown] writes a byte to cut the reaper's wait short *)
   mutable shared : Map_.t list;
       (* engine-owned cross-shard maps, in share order; every subsequent
          attach registers them (fds 3, 4, …) before the tenant's own
@@ -75,15 +84,19 @@ let make_shard ~seed sid =
         (Int64.logor (mix64 (Int64.add seed (Int64.of_int (sid + 1)))) 1L);
     clock = Kflex_runtime.U64.cell 0L;
     stats = Vm.fresh_stats ();
+    ctx = Bytes.make Hook.ctx_size '\000';
     events = 0;
     cancelled = 0;
     leaked = 0;
     verdicts = Hashtbl.create 8;
-    vclock_ns = 0.0;
+    vclock = Float.Array.make 1 0.0;
     seen_gen = Atomic.make 0;
     queue = Queue.create ();
     m = Mutex.create ();
     cv = Condition.create ();
+    idle_cv = Condition.create ();
+    asleep = false;
+    waiters = 0;
     busy = false;
     domain = None;
   }
@@ -94,132 +107,174 @@ let record_verdict shard v =
   let n = try Hashtbl.find shard.verdicts v with Not_found -> 0 in
   Hashtbl.replace shard.verdicts v (n + 1)
 
-(* Run one chain entry on a shard, under whichever watchdog regime the
-   engine was built with. Deterministic + deadline: the shard itself polls
-   the reaper from the VM's cancellation-site hook, with "now" derived from
-   cost charged so far — byte-identical schedules across runs. Threaded +
-   deadline: the reaper domain scans on the wall clock and flips the
-   extension's cancel flag asynchronously, like a sibling CPU would. *)
+let finished = function Vm.Finished _ -> true | Vm.Cancelled _ -> false
+
+let run_plain shard (inst : Kflex.loaded) pkt =
+  Kflex.run_packet_into inst ~ctx:shard.ctx ~cpu:shard.sid ~stats:shard.stats
+    ~backend:inst.Kflex.backend pkt
+
+(* Deterministic watchdog: the shard itself polls the reaper at every
+   cancellation site, with "now" derived from the cost charged so far —
+   byte-identical schedules across runs. *)
+let run_polled t shard (inst : Kflex.loaded) pkt ~start_cost =
+  let vclock = Float.Array.get shard.vclock 0 in
+  let on_site () =
+    let spent = float_of_int (Vm.total_cost shard.stats - start_cost) in
+    Reaper.scan t.reaper ~now:(vclock +. (spent *. Cost.insn_ns));
+    Vm.cancelled inst.Kflex.ext
+  in
+  Helpers.set_packet inst.Kflex.kernel pkt;
+  let o =
+    Vm.exec inst.Kflex.ext ~ctx:shard.ctx ~cpu:shard.sid ~stats:shard.stats
+      ~on_site ()
+  in
+  Helpers.clear_packet inst.Kflex.kernel;
+  o
+
+(* Run one chain entry on a shard against its context block (filled once
+   per event). With a deadline the entry runs in the shard's reaper slot:
+   on the virtual clock, polled from the VM's cancellation-site hook, in
+   deterministic mode; on the wall clock in threaded mode, where the
+   reaper domain flips the extension's cancel flag asynchronously, like a
+   sibling CPU would. Outside the polled mode the entry allocates
+   nothing. *)
 let exec_entry t shard (inst : Kflex.loaded) pkt =
   let start_cost = Vm.total_cost shard.stats in
   let outcome =
-    match (t.deadline_ns, t.mode) with
-    | Some dl, `Deterministic ->
-        let hit = ref false in
-        let tok =
-          Reaper.start_exec t.reaper ~now:shard.vclock_ns ~deadline_ns:dl
-            ~cancel:(fun () -> hit := true)
+    match t.deadline_ns with
+    | None -> run_plain shard inst pkt
+    | Some dl -> (
+        let slot = Reaper.slot t.reaper shard.sid in
+        let polled = t.mode = `Deterministic in
+        let now =
+          if polled then Float.Array.get shard.vclock 0
+          else Unix.gettimeofday () *. 1e9
         in
-        let on_site () =
-          let spent =
-            float_of_int (Vm.total_cost shard.stats - start_cost)
-          in
-          Reaper.scan t.reaper ~now:(shard.vclock_ns +. (spent *. Cost.insn_ns));
-          !hit
-        in
-        Helpers.set_packet inst.Kflex.kernel (Some pkt);
-        let ctx = Hook.build_ctx pkt in
-        let o =
-          Vm.exec inst.Kflex.ext ~ctx ~cpu:shard.sid ~stats:shard.stats
-            ~on_site ()
-        in
-        Helpers.set_packet inst.Kflex.kernel None;
-        Reaper.end_exec t.reaper tok;
-        o
-    | Some dl, `Threaded ->
-        let tok =
-          Reaper.start_exec t.reaper
-            ~now:(Unix.gettimeofday () *. 1e9)
-            ~deadline_ns:dl
-            ~cancel:(fun () -> Vm.cancel inst.Kflex.ext)
-        in
-        let o = Kflex.run_packet inst ~cpu:shard.sid ~stats:shard.stats pkt in
-        Reaper.end_exec t.reaper tok;
-        o
-    | None, _ -> Kflex.run_packet inst ~cpu:shard.sid ~stats:shard.stats pkt
+        Reaper.arm slot inst.Kflex.ext ~deadline:(now +. dl);
+        match
+          if polled then run_polled t shard inst pkt ~start_cost
+          else run_plain shard inst pkt
+        with
+        | o ->
+            Reaper.disarm t.reaper slot ~finished:(finished o);
+            o
+        | exception e ->
+            Reaper.disarm t.reaper slot ~finished:true;
+            raise e)
   in
-  let cost = Vm.total_cost shard.stats - start_cost in
-  shard.vclock_ns <- shard.vclock_ns +. (float_of_int cost *. Cost.insn_ns);
-  (* Re-arm after any cancellation (the facade leaves the flag set and the
-     paper's runtime unloads the extension; a multi-tenant engine instead
-     treats cancellation as per-invocation). Also absorbs the benign race
-     where the threaded reaper fires just after an invocation completed. *)
+  Float.Array.set shard.vclock 0
+    (Float.Array.get shard.vclock 0
+    +. (float_of_int (Vm.total_cost shard.stats - start_cost) *. Cost.insn_ns));
+  (* Re-arm after a cancellation the VM raised itself (quantum, stall; the
+     reaper's own flag is cleared at disarm). The facade leaves the flag
+     set and the paper's runtime unloads the extension; a multi-tenant
+     engine instead treats cancellation as per-invocation. *)
   if Vm.cancelled inst.Kflex.ext then Vm.reset_cancel inst.Kflex.ext;
-  (outcome, cost)
+  outcome
 
-let exec_event t shard snap ~hook pkt =
-  let chain = Chain.get snap hook in
-  let verdict = ref (Hook.pass_verdict hook) in
-  let executed = ref 0 in
-  let cancelled = ref 0 in
-  let cost = ref 0 in
-  let outcomes = ref [] in
-  let n = Array.length chain in
-  let i = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !i < n do
-    let inst = chain.(!i).instances.(shard.sid) in
-    let outcome, c = exec_entry t shard inst pkt in
-    incr executed;
-    cost := !cost + c;
-    outcomes := outcome :: !outcomes;
-    (match outcome with
-    | Vm.Finished v -> verdict := v
-    | Vm.Cancelled { ledger_leaked; ret; _ } ->
-        incr cancelled;
+(* Event boundary = quiescent state: this shard holds no reference into
+   any shared RCU snapshot between events, so announce the epoch and let
+   the map reclaim retired versions every CPU has moved past. *)
+let rec quiesce_rcu sid = function
+  | [] -> ()
+  | m :: rest ->
+      if Map_.kind m = Map_.Rcu_shared then Map_.rcu_quiesce m ~cpu:sid;
+      quiesce_rcu sid rest
+
+let verdict_of = function
+  | Vm.Finished v -> v
+  | Vm.Cancelled { ret; _ } -> ret
+
+(* Entries from [i] on while the verdict says continue: their outcomes in
+   chain order, built front to back (no reversal). *)
+let rec run_chain t shard chain ~hook pkt i =
+  if i >= Array.length chain then []
+  else begin
+    let o = exec_entry t shard chain.(i).instances.(shard.sid) pkt in
+    (match o with
+    | Vm.Cancelled { ledger_leaked; _ } ->
         shard.cancelled <- shard.cancelled + 1;
-        shard.leaked <- shard.leaked + ledger_leaked;
-        verdict := ret);
-    continue_ := Chain.continue_on hook !verdict;
-    incr i
-  done;
+        shard.leaked <- shard.leaked + ledger_leaked
+    | Vm.Finished _ -> ());
+    o
+    ::
+    (if Chain.continue_on hook (verdict_of o) then
+       run_chain t shard chain ~hook pkt (i + 1)
+     else [])
+  end
+
+let rec last_verdict v = function
+  | [] -> v
+  | o :: rest -> last_verdict (verdict_of o) rest
+
+let rec count_cancelled n = function
+  | [] -> n
+  | Vm.Cancelled _ :: rest -> count_cancelled (n + 1) rest
+  | Vm.Finished _ :: rest -> count_cancelled n rest
+
+(* One event: the shard's context block is filled once and every entry
+   reads it. Per event this allocates the result record and its outcome
+   list, nothing else. *)
+let exec_event t shard snap ~hook pkt =
+  let start_cost = Vm.total_cost shard.stats in
+  Hook.fill_ctx shard.ctx pkt;
+  let outcomes = run_chain t shard (Chain.get snap hook) ~hook pkt 0 in
   shard.events <- shard.events + 1;
-  (* Event boundary = quiescent state: this shard holds no reference into
-     any shared RCU snapshot between events, so announce the epoch and let
-     the map reclaim retired versions every CPU has moved past. *)
-  List.iter
-    (fun m ->
-      if Map_.kind m = Map_.Rcu_shared then
-        Map_.rcu_quiesce m ~cpu:shard.sid)
-    t.shared;
-  record_verdict shard !verdict;
+  quiesce_rcu shard.sid t.shared;
+  let verdict = last_verdict (Hook.pass_verdict hook) outcomes in
+  record_verdict shard verdict;
   {
-    verdict = !verdict;
-    executed = !executed;
-    cancelled = !cancelled;
-    cost = !cost;
-    outcomes = List.rev !outcomes;
+    verdict;
+    executed = List.length outcomes;
+    cancelled = count_cancelled 0 outcomes;
+    cost = Vm.total_cost shard.stats - start_cost;
+    outcomes;
   }
 
 (* --- threaded workers --------------------------------------------------- *)
 
+(* One lock round trip per batch: the worker takes everything queued at
+   once ([Queue.transfer], O(1)), runs it unlocked, and only then
+   re-checks. Submitters signal [cv] only while the worker sleeps on it,
+   and the worker signals [idle_cv] only when a drain or quiesce is
+   waiting — at each batch boundary, where both conditions can change. *)
 let worker t shard =
+  let batch = Queue.create () in
   let rec loop () =
     Mutex.lock shard.m;
+    shard.busy <- false;
+    if shard.waiters > 0 then Condition.broadcast shard.idle_cv;
     while Queue.is_empty shard.queue && Atomic.get t.running do
-      Condition.wait shard.cv shard.m
+      shard.asleep <- true;
+      Condition.wait shard.cv shard.m;
+      shard.asleep <- false
     done;
-    match Queue.take_opt shard.queue with
-    | None ->
-        (* shutting down with an empty queue *)
-        Mutex.unlock shard.m
-    | Some (hook, pkt, on_done) ->
-        shard.busy <- true;
-        Mutex.unlock shard.m;
+    if Queue.is_empty shard.queue then Mutex.unlock shard.m (* shut down *)
+    else begin
+      Queue.transfer shard.queue batch;
+      shard.busy <- true;
+      Mutex.unlock shard.m;
+      while not (Queue.is_empty batch) do
+        let hook, pkt, on_done = Queue.take batch in
         let snap = Atomic.get t.snapshot in
         Atomic.set shard.seen_gen (Chain.generation snap);
         let r = exec_event t shard snap ~hook pkt in
-        (match on_done with Some f -> f r | None -> ());
-        Mutex.lock shard.m;
-        shard.busy <- false;
-        Mutex.unlock shard.m;
-        loop ()
+        match on_done with Some f -> f r | None -> ()
+      done;
+      loop ()
+    end
   in
   loop ()
 
-let reaper_loop t =
+let scan_period_s = 0.0005
+
+(* Scan every 500 us. The wait is a [select] on the self-pipe, so
+   [shutdown] ends it at once instead of sleeping it out. *)
+let reaper_loop t wake =
   while Atomic.get t.running do
-    Unix.sleepf 0.0005;
+    (match Unix.select [ wake ] [] [] scan_period_s with
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     Reaper.scan t.reaper ~now:(Unix.gettimeofday () *. 1e9)
   done
 
@@ -235,12 +290,13 @@ let create ?(shards = 1) ?(mode = `Deterministic) ?quantum ?deadline_ns
       quantum;
       deadline_ns;
       shards = Array.init shards (make_shard ~seed);
-      reaper = Reaper.create ();
+      reaper = Reaper.create ~slots:shards ();
       reg_m = Mutex.create ();
       snapshot = Atomic.make Chain.empty;
       next_aid = 0;
       running = Atomic.make true;
       reaper_domain = None;
+      reaper_wake = None;
       shared = [];
     }
   in
@@ -250,8 +306,11 @@ let create ?(shards = 1) ?(mode = `Deterministic) ?quantum ?deadline_ns
       Array.iter
         (fun s -> s.domain <- Some (Domain.spawn (fun () -> worker t s)))
         t.shards;
-      if deadline_ns <> None then
-        t.reaper_domain <- Some (Domain.spawn (fun () -> reaper_loop t)));
+      if deadline_ns <> None then begin
+        let r, w = Unix.pipe ~cloexec:true () in
+        t.reaper_wake <- Some (r, w);
+        t.reaper_domain <- Some (Domain.spawn (fun () -> reaper_loop t r))
+      end);
   t
 
 let shards t = t.nshards
@@ -271,6 +330,19 @@ let seed_shard t ~shard ?(vtime = 0L) prandom =
   Kflex_runtime.U64.cell_set s.prandom (Int64.logor prandom 1L);
   Kflex_runtime.U64.cell_set s.clock vtime
 
+(* Block on the shard's idle condition until [ready] holds. The worker
+   broadcasts it at every batch boundary while [waiters] is non-zero. *)
+let wait_shard s ready =
+  Mutex.lock s.m;
+  while not (ready s) do
+    s.waiters <- s.waiters + 1;
+    Condition.wait s.idle_cv s.m;
+    s.waiters <- s.waiters - 1
+  done;
+  Mutex.unlock s.m
+
+let idle s = Queue.is_empty s.queue && not s.busy
+
 (* Quiescence: an attach/detach/replace publishes generation [g]; an old
    snapshot can only be in use by a shard mid-event. Deterministic mode runs
    events synchronously inside run_packet/run_on, so publication alone is
@@ -283,22 +355,7 @@ let quiesce t g =
       Array.iter (fun s -> Atomic.set s.seen_gen g) t.shards
   | `Threaded ->
       Array.iter
-        (fun s ->
-          let rec wait () =
-            if Atomic.get s.seen_gen >= g then ()
-            else begin
-              let idle =
-                Mutex.protect s.m (fun () ->
-                    Queue.is_empty s.queue && not s.busy)
-              in
-              if idle then ()
-              else begin
-                Unix.sleepf 0.0002;
-                wait ()
-              end
-            end
-          in
-          wait ())
+        (fun s -> wait_shard s (fun s -> Atomic.get s.seen_gen >= g || idle s))
         t.shards);
   (* Registry quiescence doubles as an RCU grace period: once every shard
      has observed generation [g] (or is idle), no reader still holds a
@@ -430,27 +487,22 @@ let submit t ?(hook = Hook.Xdp) ?on_done pkt =
   if t.mode <> `Threaded then
     invalid_arg "Engine.submit: threaded mode only (use run_packet)";
   let s = t.shards.(shard_of t pkt) in
-  Mutex.protect s.m (fun () ->
-      Queue.push (hook, pkt, on_done) s.queue;
-      Condition.signal s.cv)
+  Mutex.lock s.m;
+  (* checked under the shard lock: [shutdown] flips [running] before it
+     wakes the workers under the same lock, so an accepted job is always
+     seen by a worker that has not exited *)
+  if not (Atomic.get t.running) then begin
+    Mutex.unlock s.m;
+    invalid_arg "Engine.submit: engine is shut down"
+  end;
+  Queue.push (hook, pkt, on_done) s.queue;
+  if s.asleep then Condition.signal s.cv;
+  Mutex.unlock s.m
 
 let drain t =
   match t.mode with
   | `Deterministic -> ()
-  | `Threaded ->
-      Array.iter
-        (fun s ->
-          let rec wait () =
-            let idle =
-              Mutex.protect s.m (fun () -> Queue.is_empty s.queue && not s.busy)
-            in
-            if not idle then begin
-              Unix.sleepf 0.0002;
-              wait ()
-            end
-          in
-          wait ())
-        t.shards
+  | `Threaded -> Array.iter (fun s -> wait_shard s idle) t.shards
 
 let shutdown t =
   if Atomic.get t.running then begin
@@ -465,11 +517,15 @@ let shutdown t =
             s.domain <- None
         | None -> ())
       t.shards;
-    match t.reaper_domain with
-    | Some d ->
+    match (t.reaper_domain, t.reaper_wake) with
+    | Some d, Some (r, w) ->
+        ignore (Unix.write_substring w "x" 0 1 : int);
         Domain.join d;
-        t.reaper_domain <- None
-    | None -> ()
+        Unix.close r;
+        Unix.close w;
+        t.reaper_domain <- None;
+        t.reaper_wake <- None
+    | _ -> ()
   end
 
 (* --- observation -------------------------------------------------------- *)

@@ -149,10 +149,14 @@ val submit :
 (** Threaded mode: enqueue an event on its flow shard. [on_done] runs on
     the shard's domain immediately after the chain executes — the
     open-loop server records per-request completion timestamps with it
-    (shard-local, so callbacks for one shard never race each other). *)
+    (shard-local, so callbacks for one shard never race each other). The
+    shard's worker takes its whole queue per lock round trip and is
+    signalled only when it sleeps.
+    @raise Invalid_argument after {!shutdown}: no worker would run it. *)
 
 val drain : t -> unit
-(** Block until every shard queue is empty and no event is executing. *)
+(** Block until every shard queue is empty and no event is executing —
+    on a per-shard idle condition, not by polling. *)
 
 val shutdown : t -> unit
 (** Drain, then stop and join worker/reaper domains. Idempotent; a

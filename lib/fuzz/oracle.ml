@@ -145,7 +145,7 @@ let build_env ?(helpers_shim = fun h -> h) cfg kie =
     Packet.make ~proto:Packet.Udp ~src_port:cfg.src_port ~dst_port:cfg.dst_port
       (Bytes.of_string cfg.payload)
   in
-  Helpers.set_packet kernel (Some pkt);
+  Helpers.set_packet kernel pkt;
   let ext =
     Vm.create ~heap ~alloc ~quantum:cfg.quantum
       ~default_ret:(Hook.default_ret Hook.Xdp)
@@ -897,9 +897,9 @@ let chain_equiv cfg prog1 prog2 =
       Vm.seed_prandom cfg.prandom;
       Vm.set_vtime 0L;
       let run_one env =
-        Helpers.set_packet env.kernel (Some pkt_f);
+        Helpers.set_packet env.kernel pkt_f;
         let o = Vm.exec env.ext ~ctx:(Hook.build_ctx pkt_f) ~stats:stats_f () in
-        Helpers.set_packet env.kernel None;
+        Helpers.clear_packet env.kernel;
         (* mirror the engine's per-invocation cancel re-arm *)
         if Vm.cancelled env.ext then Vm.reset_cancel env.ext;
         o

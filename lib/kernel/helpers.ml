@@ -3,93 +3,129 @@ open Kflex_runtime
 type t = {
   socks : Socket.t;
   map_reg : Map.registry;
-  mutable pkt : Packet.t option;
+  mutable pkt : Packet.t;  (* [Packet.none] between invocations *)
+  io : Map.io;  (* key/value words for the allocation-free map calls *)
 }
 
 let create () =
-  { socks = Socket.create (); map_reg = Map.registry (); pkt = None }
+  {
+    socks = Socket.create ();
+    map_reg = Map.registry ();
+    pkt = Packet.none;
+    io = Map.io ();
+  }
 
 let sockets t = t.socks
 let maps t = t.map_reg
 let set_packet t p = t.pkt <- p
-let packet t = t.pkt
+let clear_packet t = t.pkt <- Packet.none
+let packet t = if t.pkt == Packet.none then None else Some t.pkt
+
+(* Every helper reads its arguments from r1–r5 and VM memory through the
+   inlined {!Vm} accessors, and returns through r0 (cleared before the
+   call, so a miss needs no store). With no packet installed the packet
+   helpers see [Packet.none]: length 0, every read 0, every write
+   ignored. *)
 
 let sk_lookup t proto (c : Vm.call_ctx) =
-  c.Vm.charge 50;
+  Vm.charge c 50;
   (* the connection tuple sits on the extension stack: u16 port at offset 0 *)
-  let port = Int64.to_int (c.Vm.mem_read ~width:2 (Vm.arg c 1)) in
+  let port = Int64.to_int (Vm.read16 c (Vm.arg c 1)) in
   match Socket.lookup t.socks ~proto ~port with
   | Some handle ->
-      Ledger.acquire c.Vm.ledger ~handle ~destructor:"bpf_sk_release";
+      Ledger.acquire (Vm.ledger c) ~handle ~destructor:"bpf_sk_release";
       Vm.set_ret c handle
-  | None -> Vm.set_ret c 0L
+  | None -> ()
 
 let sk_release t (c : Vm.call_ctx) =
-  c.Vm.charge 30;
-  ignore (Socket.release t.socks (Vm.arg c 0));
-  ignore (Ledger.release c.Vm.ledger ~handle:(Vm.arg c 0));
-  Vm.set_ret c 0L
-
-(* the return slot is preset to 0L, so a missing packet needs no store *)
-let with_pkt t f = match t.pkt with None -> () | Some p -> f p
+  Vm.charge c 30;
+  ignore (Socket.release t.socks (Vm.arg c 0) : bool);
+  ignore (Ledger.release (Vm.ledger c) ~handle:(Vm.arg c 0) : bool)
 
 let pkt_len t (c : Vm.call_ctx) =
-  c.Vm.charge 2;
-  with_pkt t (fun p -> Vm.set_ret c (Int64.of_int (Packet.len p)))
+  Vm.charge c 2;
+  Vm.set_ret c (Int64.of_int (Packet.len t.pkt))
 
 (* Offsets arrive as full 64-bit scalars; [Int64.to_int] silently wraps the
    high bits, which would alias huge offsets onto valid ones. Map anything
    outside the (tiny) payload to [-1], which read/write treat as a miss. *)
-let pkt_off p v =
-  if Int64.compare v 0L < 0
-     || Int64.compare v (Int64.of_int (Packet.len p)) >= 0
-  then -1
-  else Int64.to_int v
+let[@inline always] pkt_off p (v : int64) =
+  if v < 0L || v >= Int64.of_int (Packet.len p) then -1 else Int64.to_int v
 
-let pkt_read t width (c : Vm.call_ctx) =
-  c.Vm.charge 3;
-  with_pkt t (fun p ->
-      Vm.set_ret c (Packet.read p ~width (pkt_off p (Vm.arg c 1))))
+(* One helper per width, each over its inlined accessor: a shared body
+   taking the accessor as an argument would call it through a closure
+   and box the value. *)
+let pkt_read8 t (c : Vm.call_ctx) =
+  Vm.charge c 3;
+  Vm.set_ret c (Packet.read8 t.pkt (pkt_off t.pkt (Vm.arg c 1)))
 
-let pkt_write t width (c : Vm.call_ctx) =
-  c.Vm.charge 3;
-  with_pkt t (fun p ->
-      Packet.write p ~width (pkt_off p (Vm.arg c 1)) (Vm.arg c 2))
+let pkt_read16 t (c : Vm.call_ctx) =
+  Vm.charge c 3;
+  Vm.set_ret c (Packet.read16 t.pkt (pkt_off t.pkt (Vm.arg c 1)))
 
-let map_of t (c : Vm.call_ctx) = Map.find t.map_reg (Vm.arg c 0)
+let pkt_read32 t (c : Vm.call_ctx) =
+  Vm.charge c 3;
+  Vm.set_ret c (Packet.read32 t.pkt (pkt_off t.pkt (Vm.arg c 1)))
+
+let pkt_read64 t (c : Vm.call_ctx) =
+  Vm.charge c 3;
+  Vm.set_ret c (Packet.read64 t.pkt (pkt_off t.pkt (Vm.arg c 1)))
+
+let pkt_write8 t (c : Vm.call_ctx) =
+  Vm.charge c 3;
+  Packet.write8 t.pkt (pkt_off t.pkt (Vm.arg c 1)) (Vm.arg c 2)
+
+let pkt_write16 t (c : Vm.call_ctx) =
+  Vm.charge c 3;
+  Packet.write16 t.pkt (pkt_off t.pkt (Vm.arg c 1)) (Vm.arg c 2)
+
+let pkt_write32 t (c : Vm.call_ctx) =
+  Vm.charge c 3;
+  Packet.write32 t.pkt (pkt_off t.pkt (Vm.arg c 1)) (Vm.arg c 2)
+
+let pkt_write64 t (c : Vm.call_ctx) =
+  Vm.charge c 3;
+  Packet.write64 t.pkt (pkt_off t.pkt (Vm.arg c 1)) (Vm.arg c 2)
 
 (* Helper charges dispatch on the map kind (explicit hit/miss/update costs
    per kind — see {!Cost.map_cost}); an unknown fd charges the Hash miss,
-   the probe that discovered the fd is stale. *)
+   the probe that discovered the fd is stale. The key (and, for updates,
+   the value) moves from VM memory into the kernel's [io] words, and a hit
+   moves back out, without ever being boxed. *)
+let stale_fd_cost = (Cost.map_cost Map.Hash).Cost.lookup_miss
+
 let map_lookup t (c : Vm.call_ctx) =
-  match map_of t c with
-  | None -> c.Vm.charge (Cost.map_cost Map.Hash).Cost.lookup_miss
-  | Some m -> (
-      let mc = Cost.map_cost (Map.kind m) in
-      let key = c.Vm.mem_read ~width:8 (Vm.arg c 1) in
-      match Map.lookup ~cpu:c.Vm.cpu m key with
-      | Some v ->
-          c.Vm.charge mc.Cost.lookup_hit;
-          c.Vm.mem_write ~width:8 (Vm.arg c 2) v;
-          Vm.set_ret c 1L
-      | None -> c.Vm.charge mc.Cost.lookup_miss)
+  let m = Map.get t.map_reg (Vm.arg c 0) in
+  if m == Map.absent then Vm.charge c stale_fd_cost
+  else begin
+    let mc = Cost.map_cost (Map.kind m) in
+    Kflex_runtime.U64.set t.io 0 (Vm.read64 c (Vm.arg c 1));
+    if Map.find_io m ~cpu:(Vm.cpu c) t.io then begin
+      Vm.charge c mc.Cost.lookup_hit;
+      Vm.write64 c (Vm.arg c 2) (Kflex_runtime.U64.get t.io 1);
+      Vm.set_ret c 1L
+    end
+    else Vm.charge c mc.Cost.lookup_miss
+  end
 
 let map_update t (c : Vm.call_ctx) =
-  match map_of t c with
-  | None -> c.Vm.charge (Cost.map_cost Map.Hash).Cost.lookup_miss
-  | Some m ->
-      c.Vm.charge (Cost.map_cost (Map.kind m)).Cost.update;
-      let key = c.Vm.mem_read ~width:8 (Vm.arg c 1) in
-      let v = c.Vm.mem_read ~width:8 (Vm.arg c 2) in
-      Vm.set_ret c (if Map.update ~cpu:c.Vm.cpu m key v then 1L else 0L)
+  let m = Map.get t.map_reg (Vm.arg c 0) in
+  if m == Map.absent then Vm.charge c stale_fd_cost
+  else begin
+    Vm.charge c (Cost.map_cost (Map.kind m)).Cost.update;
+    Kflex_runtime.U64.set t.io 0 (Vm.read64 c (Vm.arg c 1));
+    Kflex_runtime.U64.set t.io 1 (Vm.read64 c (Vm.arg c 2));
+    if Map.store_io m ~cpu:(Vm.cpu c) t.io then Vm.set_ret c 1L
+  end
 
 let map_delete t (c : Vm.call_ctx) =
-  match map_of t c with
-  | None -> c.Vm.charge (Cost.map_cost Map.Hash).Cost.lookup_miss
-  | Some m ->
-      c.Vm.charge (Cost.map_cost (Map.kind m)).Cost.delete;
-      let key = c.Vm.mem_read ~width:8 (Vm.arg c 1) in
-      Vm.set_ret c (if Map.delete ~cpu:c.Vm.cpu m key then 1L else 0L)
+  let m = Map.get t.map_reg (Vm.arg c 0) in
+  if m == Map.absent then Vm.charge c stale_fd_cost
+  else begin
+    Vm.charge c (Cost.map_cost (Map.kind m)).Cost.delete;
+    Kflex_runtime.U64.set t.io 0 (Vm.read64 c (Vm.arg c 1));
+    if Map.remove_io m ~cpu:(Vm.cpu c) t.io then Vm.set_ret c 1L
+  end
 
 (* ---- spin-locked map values -------------------------------------------
 
@@ -99,53 +135,52 @@ let map_delete t (c : Vm.call_ctx) =
    the map on its own. fds start at 3, ids at 1: a real handle is never
    0, which keeps the NULL-able return contract honest. *)
 
-let lock_handle ~fd ~id =
+let[@inline always] lock_handle ~fd ~id =
   Int64.logor (Int64.shift_left fd 32) (Int64.of_int (id land 0xffffffff))
 
-let lock_handle_fd h = Int64.shift_right_logical h 32
-let lock_handle_id h = Int64.to_int (Int64.logand h 0xffffffffL)
+let[@inline always] lock_handle_fd h = Int64.shift_right_logical h 32
+let[@inline always] lock_handle_id h = Int64.to_int (Int64.logand h 0xffffffffL)
 
 let map_lock t (c : Vm.call_ctx) =
-  c.Vm.charge Cost.map_lock_cost;
-  match map_of t c with
-  | None -> ()
-  | Some m -> (
-      let key = c.Vm.mem_read ~width:8 (Vm.arg c 1) in
-      match Map.try_lock ~cpu:c.Vm.cpu m key with
-      | Map.Acquired id ->
-          let handle = lock_handle ~fd:(Vm.arg c 0) ~id in
-          Ledger.acquire c.Vm.ledger ~handle ~destructor:"bpf_map_unlock";
-          Vm.set_ret c handle
-      | Map.Unavailable -> ()
-      | Map.Contended ->
-          (* Contention the bounded spin could not resolve (including a
-             self-deadlock) stalls the helper; the watchdog cancels and
-             the unwinder releases whatever the program already holds. *)
-          raise Vm.Helper_stall)
+  Vm.charge c Cost.map_lock_cost;
+  let m = Map.get t.map_reg (Vm.arg c 0) in
+  if m != Map.absent then begin
+    Kflex_runtime.U64.set t.io 0 (Vm.read64 c (Vm.arg c 1));
+    let id = Map.lock_io m ~cpu:(Vm.cpu c) t.io in
+    if id > 0 then begin
+      let handle = lock_handle ~fd:(Vm.arg c 0) ~id in
+      Ledger.acquire (Vm.ledger c) ~handle ~destructor:"bpf_map_unlock";
+      Vm.set_ret c handle
+    end
+    else if id < 0 then
+      (* Contention the bounded spin could not resolve (including a
+         self-deadlock) stalls the helper; the watchdog cancels and the
+         unwinder releases whatever the program already holds. *)
+      raise Vm.Helper_stall
+  end
 
 let map_unlock t (c : Vm.call_ctx) =
-  c.Vm.charge Cost.map_unlock_cost;
-  let handle = Vm.arg c 0 in
-  (match Map.find t.map_reg (lock_handle_fd handle) with
-  | Some m -> ignore (Map.unlock_id ~cpu:c.Vm.cpu m (lock_handle_id handle))
-  | None -> ());
-  ignore (Ledger.release c.Vm.ledger ~handle);
-  Vm.set_ret c 0L
+  Vm.charge c Cost.map_unlock_cost;
+  let m = Map.get t.map_reg (lock_handle_fd (Vm.arg c 0)) in
+  if m != Map.absent then
+    ignore
+      (Map.unlock_id ~cpu:(Vm.cpu c) m (lock_handle_id (Vm.arg c 0)) : bool);
+  ignore (Ledger.release (Vm.ledger c) ~handle:(Vm.arg c 0) : bool)
 
 let map_sum t (c : Vm.call_ctx) =
-  match map_of t c with
-  | None -> c.Vm.charge (Cost.map_cost Map.Hash).Cost.lookup_miss
-  | Some m -> (
-      c.Vm.charge
-        (match Map.kind m with
-        | Map.Percpu -> Cost.map_merge_cost ~cpus:(Map.cpus m)
-        | k -> (Cost.map_cost k).Cost.lookup_hit);
-      let key = c.Vm.mem_read ~width:8 (Vm.arg c 1) in
-      match Map.merged m key with
-      | Some v ->
-          c.Vm.mem_write ~width:8 (Vm.arg c 2) v;
-          Vm.set_ret c 1L
-      | None -> ())
+  let m = Map.get t.map_reg (Vm.arg c 0) in
+  if m == Map.absent then Vm.charge c stale_fd_cost
+  else begin
+    Vm.charge c
+      (match Map.kind m with
+      | Map.Percpu -> Cost.map_merge_cost ~cpus:(Map.cpus m)
+      | k -> (Cost.map_cost k).Cost.lookup_hit);
+    Kflex_runtime.U64.set t.io 0 (Vm.read64 c (Vm.arg c 1));
+    if Map.sum_io m t.io then begin
+      Vm.write64 c (Vm.arg c 2) (Kflex_runtime.U64.get t.io 1);
+      Vm.set_ret c 1L
+    end
+  end
 
 let implementations t =
   [
@@ -153,14 +188,14 @@ let implementations t =
     ("bpf_sk_lookup_tcp", sk_lookup t Packet.Tcp);
     ("bpf_sk_release", sk_release t);
     ("pkt_len", pkt_len t);
-    ("pkt_read_u8", pkt_read t 1);
-    ("pkt_read_u16", pkt_read t 2);
-    ("pkt_read_u32", pkt_read t 4);
-    ("pkt_read_u64", pkt_read t 8);
-    ("pkt_write_u8", pkt_write t 1);
-    ("pkt_write_u16", pkt_write t 2);
-    ("pkt_write_u32", pkt_write t 4);
-    ("pkt_write_u64", pkt_write t 8);
+    ("pkt_read_u8", pkt_read8 t);
+    ("pkt_read_u16", pkt_read16 t);
+    ("pkt_read_u32", pkt_read32 t);
+    ("pkt_read_u64", pkt_read64 t);
+    ("pkt_write_u8", pkt_write8 t);
+    ("pkt_write_u16", pkt_write16 t);
+    ("pkt_write_u32", pkt_write32 t);
+    ("pkt_write_u64", pkt_write64 t);
     ("bpf_map_lookup", map_lookup t);
     ("bpf_map_update", map_update t);
     ("bpf_map_delete", map_delete t);

@@ -14,8 +14,11 @@ val create : unit -> t
 val sockets : t -> Socket.t
 val maps : t -> Map.registry
 
-val set_packet : t -> Packet.t option -> unit
+val set_packet : t -> Packet.t -> unit
 (** Install the packet for the current hook invocation. *)
+
+val clear_packet : t -> unit
+(** Uninstall it: the packet helpers then see {!Packet.none}. *)
 
 val packet : t -> Packet.t option
 

@@ -2,12 +2,21 @@ type kind = Xdp | Sk_skb | Lsm
 
 let ctx_size = 64
 
-let build_ctx (p : Packet.t) =
+module U64 = Kflex_runtime.U64
+
+(* Only bytes 0–11 carry fields; a reused buffer keeps the rest zero. The
+   raw stores allocate nothing (the stdlib's [set_int32_le] takes a boxed
+   [int32]). *)
+let fill_ctx b (p : Packet.t) =
+  if Bytes.length b <> ctx_size then invalid_arg "Hook.fill_ctx: buffer size";
+  U64.set32 b 0 (Int32.of_int (Packet.len p));
+  U64.set32 b 4 (Int64.to_int32 (Packet.proto_code p.Packet.proto));
+  U64.set16 b 8 (p.Packet.src_port land 0xffff);
+  U64.set16 b 10 (p.Packet.dst_port land 0xffff)
+
+let build_ctx p =
   let b = Bytes.make ctx_size '\000' in
-  Bytes.set_int32_le b 0 (Int32.of_int (Packet.len p));
-  Bytes.set_int32_le b 4 (Int64.to_int32 (Packet.proto_code p.Packet.proto));
-  Bytes.set_uint16_le b 8 p.Packet.src_port;
-  Bytes.set_uint16_le b 10 p.Packet.dst_port;
+  fill_ctx b p;
   b
 
 let xdp_aborted = 0L

@@ -18,6 +18,11 @@ val ctx_size : int
     - remaining bytes reserved (zero). *)
 
 val build_ctx : Packet.t -> Bytes.t
+(** A fresh context block for the packet. *)
+
+val fill_ctx : Bytes.t -> Packet.t -> unit
+(** Write the packet's fields into a reused [ctx_size]-byte block whose
+    reserved bytes are zero ({!build_ctx} is a fresh block plus this). *)
 
 (** XDP return codes (the subset we use). *)
 

@@ -10,7 +10,7 @@
      [merged] walks every bank and sums.
    - Spinlock: each value carries a lock word (an [Atomic] owner).  The CAS
      on acquisition and the release store on unlock provide the
-     happens-before edges that make the plain [v] field race-free under the
+     happens-before edges that make the plain [v] cell race-free under the
      OCaml 5 memory model: a reader that won the CAS observes every write
      the previous holder published before its release store.
    - Rcu_shared: a purely functional map published through one [Atomic]
@@ -21,7 +21,107 @@
      stamp — the same quiescence idea the engine already uses for chain
      snapshots, pushed down into a data structure. *)
 
-module IM = Stdlib.Map.Make (Int64)
+module U64 = Kflex_runtime.U64
+module U64tbl = Kflex_runtime.U64tbl
+
+(* Every per-operation entry point below is allocation-free on a hit and on
+   a miss: Array, Hash and Percpu values live in unboxed banks
+   ({!U64tbl}), a Spinlock value in a one-word cell, and an Rcu_shared
+   snapshot is a persistent AVL whose lookup never boxes. Keys and values
+   cross the module boundary through a caller-owned two-word [io] bank
+   (slot 0 the key, slot 1 the value) — an [int64] argument or result of a
+   call that does not inline is boxed. Locks are taken and released
+   directly, never through [Fun.protect] (none of the critical sections
+   can raise). The option-returning [lookup]/[update]/… are thin wrappers
+   for tests and tools. *)
+
+(* Persistent int64 AVL map: the Rcu_shared snapshot. *)
+module Pmap = struct
+  type t = Empty | Node of { l : t; k : int64; v : int64; r : t; h : int }
+
+  let height = function Empty -> 0 | Node n -> n.h
+
+  let node l k v r =
+    let hl = height l and hr = height r in
+    Node { l; k; v; r; h = (if hl >= hr then hl + 1 else hr + 1) }
+
+  let bal l k v r =
+    let hl = height l and hr = height r in
+    if hl > hr + 2 then
+      match l with
+      | Node { l = ll; k = lk; v = lv; r = lr; _ } ->
+          if height ll >= height lr then node ll lk lv (node lr k v r)
+          else (
+            match lr with
+            | Node { l = lrl; k = lrk; v = lrv; r = lrr; _ } ->
+                node (node ll lk lv lrl) lrk lrv (node lrr k v r)
+            | Empty -> assert false)
+      | Empty -> assert false
+    else if hr > hl + 2 then
+      match r with
+      | Node { l = rl; k = rk; v = rv; r = rr; _ } ->
+          if height rr >= height rl then node (node l k v rl) rk rv rr
+          else (
+            match rl with
+            | Node { l = rll; k = rlk; v = rlv; r = rlr; _ } ->
+                node (node l k v rll) rlk rlv (node rlr rk rv rr)
+            | Empty -> assert false)
+      | Empty -> assert false
+    else node l k v r
+
+  let rec add k v = function
+    | Empty -> Node { l = Empty; k; v; r = Empty; h = 1 }
+    | Node n ->
+        let c = Int64.compare k n.k in
+        if c = 0 then Node { n with v }
+        else if c < 0 then bal (add k v n.l) n.k n.v n.r
+        else bal n.l n.k n.v (add k v n.r)
+
+  let rec min_binding = function
+    | Node { l = Empty; k; v; _ } -> (k, v)
+    | Node { l; _ } -> min_binding l
+    | Empty -> raise Not_found
+
+  let rec remove_min = function
+    | Node { l = Empty; r; _ } -> r
+    | Node { l; k; v; r; _ } -> bal (remove_min l) k v r
+    | Empty -> Empty
+
+  let rec remove k = function
+    | Empty -> Empty
+    | Node { l; k = nk; v; r; _ } ->
+        let c = Int64.compare k nk in
+        if c = 0 then
+          match (l, r) with
+          | Empty, t | t, Empty -> t
+          | _ ->
+              let mk, mv = min_binding r in
+              bal l mk mv (remove_min r)
+        else if c < 0 then bal (remove k l) nk v r
+        else bal l nk v (remove k r)
+
+  (* key in [io] slot 0; on a hit the value lands in slot 1 *)
+  let rec find_io io = function
+    | Empty -> false
+    | Node n ->
+        let k = U64.get io 0 in
+        if k = n.k then begin
+          U64.set io 1 n.v;
+          true
+        end
+        else find_io io (if k < n.k then n.l else n.r)
+
+  let rec mem k = function
+    | Empty -> false
+    | Node n -> k = n.k || mem k (if k < n.k then n.l else n.r)
+
+  let rec fold f t acc =
+    match t with
+    | Empty -> acc
+    | Node { l; k; v; r; _ } -> fold f l (f k v (fold f r acc))
+
+  let bindings t = fold (fun k v acc -> (k, v) :: acc) t []
+end
 
 type kind = Array | Hash | Percpu | Spinlock | Rcu_shared
 
@@ -35,15 +135,21 @@ let kind_name = function
 type spin_slot = {
   key : int64;
   id : int;  (** registry-stable lock id; encodes into the helper handle *)
-  mutable v : int64;  (** guarded by [owner] (see module comment) *)
+  v : U64.cell;  (** guarded by [owner] (see module comment) *)
   owner : int Atomic.t;  (** 0 = free, cpu+1 = held by that cpu *)
   mutable dead : bool;  (** deleted while (possibly) still held *)
 }
 
+(* the "no slot" answer of [spin_find] *)
+let no_slot =
+  { key = 0L; id = 0; v = U64.cell 0L; owner = Atomic.make (-1); dead = true }
+
+type snapshot = { snap : Pmap.t; ver : int; card : int }
+
 type rcu = {
-  root : (int64 IM.t * int) Atomic.t;  (** (snapshot, version) *)
+  root : snapshot Atomic.t;
   wm : Mutex.t;  (** writer serialization *)
-  mutable retired : (int * int64 IM.t * int array) list;
+  mutable retired : (int * Pmap.t * int array) list;
       (** (version, snapshot kept live, epoch vector at retirement) *)
   epochs : int Atomic.t array;
   mutable retired_total : int;
@@ -51,12 +157,12 @@ type rcu = {
 }
 
 type store =
-  | S_hash of (int64, int64) Hashtbl.t
-  | S_array of int64 array
-  | S_percpu of { banks : (int64, int64) Hashtbl.t array; ms : Mutex.t array }
+  | S_hash of U64tbl.t
+  | S_array of U64.bank
+  | S_percpu of { banks : U64tbl.t array; ms : Mutex.t array }
   | S_spin of {
       m : Mutex.t;
-      slots : (int64, spin_slot) Hashtbl.t;
+      index : U64tbl.t;  (** key -> lock id *)
       by_id : (int, spin_slot) Hashtbl.t;
       mutable next_id : int;
     }
@@ -68,26 +174,26 @@ let create ?(kind = Hash) ?(cpus = 1) ~max_entries () =
   let cpus = max 1 cpus in
   let store =
     match kind with
-    | Hash -> S_hash (Hashtbl.create max_entries)
-    | Array -> S_array (Stdlib.Array.make max_entries 0L)
+    | Hash -> S_hash (U64tbl.create max_entries)
+    | Array -> S_array (U64.create max_entries)
     | Percpu ->
         S_percpu
           {
-            banks = Stdlib.Array.init cpus (fun _ -> Hashtbl.create max_entries);
+            banks = Stdlib.Array.init cpus (fun _ -> U64tbl.create max_entries);
             ms = Stdlib.Array.init cpus (fun _ -> Mutex.create ());
           }
     | Spinlock ->
         S_spin
           {
             m = Mutex.create ();
-            slots = Hashtbl.create max_entries;
-            by_id = Hashtbl.create max_entries;
+            index = U64tbl.create max_entries;
+            by_id = Hashtbl.create (max 1 max_entries);
             next_id = 1;
           }
     | Rcu_shared ->
         S_rcu
           {
-            root = Atomic.make (IM.empty, 0);
+            root = Atomic.make { snap = Pmap.Empty; ver = 0; card = 0 };
             wm = Mutex.create ();
             retired = [];
             epochs = Stdlib.Array.init cpus (fun _ -> Atomic.make 0);
@@ -101,191 +207,237 @@ let kind t = t.k
 let cpus t = t.ncpus
 let max_entries t = t.max_entries
 
-let with_mutex m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+type io = U64.bank
+
+let io () : io = U64.create 2
 
 (* Hash-table semantics shared by Hash and Percpu banks: replace if
    present, insert unless full. *)
-let htbl_update tbl max k v =
-  if Hashtbl.mem tbl k then begin
-    Hashtbl.replace tbl k v;
+let[@inline always] tbl_find tbl io =
+  let i = U64tbl.find tbl (U64.get io 0) in
+  if i >= 0 then U64.set io 1 (U64tbl.value tbl i);
+  i >= 0
+
+let[@inline always] tbl_store tbl max io =
+  let i = U64tbl.find tbl (U64.get io 0) in
+  if i >= 0 then begin
+    U64tbl.set_value tbl i (U64.get io 1);
     true
   end
-  else if Hashtbl.length tbl >= max then false
+  else if U64tbl.length tbl >= max then false
   else begin
-    Hashtbl.replace tbl k v;
+    U64tbl.add tbl (U64.get io 0) (U64.get io 1);
     true
   end
 
-let htbl_delete tbl k =
-  if Hashtbl.mem tbl k then begin
-    Hashtbl.remove tbl k;
-    true
-  end
-  else false
+let[@inline always] tbl_remove tbl io =
+  let i = U64tbl.find tbl (U64.get io 0) in
+  if i >= 0 then U64tbl.remove_slot tbl i;
+  i >= 0
 
-let in_array t k = k >= 0L && k < Int64.of_int t.max_entries
+let[@inline always] bank_of t cpu = if cpu >= 0 && cpu < t.ncpus then cpu else 0
 
-let bank t (p : (int64, int64) Hashtbl.t array) cpu =
-  p.(if cpu >= 0 && cpu < Stdlib.Array.length p then cpu else 0)
+let[@inline always] array_index t io =
+  let k = U64.get io 0 in
+  if k >= 0L && k < Int64.of_int t.max_entries then Int64.to_int k else -1
 
-let spin_find_held s ~cpu k =
-  match Hashtbl.find_opt s k with
-  | Some slot when Atomic.get slot.owner = cpu + 1 -> Some slot
-  | _ -> None
+(* The key's spin slot, or [no_slot]; caller holds [m]. *)
+let[@inline always] spin_find index by_id (k : int64) =
+  let i = U64tbl.find index k in
+  if i < 0 then no_slot
+  else
+    match Hashtbl.find by_id (Int64.to_int (U64tbl.value index i)) with
+    | s -> s
+    | exception Not_found -> no_slot
 
-let lookup ?(cpu = 0) t k =
+(* Runtime lock discipline: reads and writes of a spin-locked value are
+   only visible to the holder; an unlocked probe is a miss. *)
+let[@inline always] held_by (s : spin_slot) cpu =
+  s != no_slot && Atomic.get s.owner = cpu + 1
+
+let find_io t ~cpu io =
   match t.store with
-  | S_hash tbl -> Hashtbl.find_opt tbl k
-  | S_array a -> if in_array t k then Some a.(Int64.to_int k) else None
-  | S_percpu { banks; ms } ->
-      let i = if cpu >= 0 && cpu < t.ncpus then cpu else 0 in
-      with_mutex ms.(i) (fun () -> Hashtbl.find_opt (bank t banks i) k)
-  | S_spin { m; slots; _ } ->
-      (* Runtime lock discipline: reads of a spin-locked value are only
-         visible to the holder; an unlocked probe is a miss. *)
-      with_mutex m (fun () ->
-          match spin_find_held slots ~cpu k with
-          | Some slot -> Some slot.v
-          | None -> None)
-  | S_rcu r ->
-      let snap, _ = Atomic.get r.root in
-      IM.find_opt k snap
-
-let update ?(cpu = 0) t k v =
-  match t.store with
-  | S_hash tbl -> htbl_update tbl t.max_entries k v
+  | S_hash tbl -> tbl_find tbl io
   | S_array a ->
-      if in_array t k then begin
-        a.(Int64.to_int k) <- v;
-        true
-      end
-      else false
+      let i = array_index t io in
+      if i >= 0 then U64.set io 1 (U64.get a i);
+      i >= 0
   | S_percpu { banks; ms } ->
-      let i = if cpu >= 0 && cpu < t.ncpus then cpu else 0 in
-      with_mutex ms.(i) (fun () ->
-          htbl_update (bank t banks i) t.max_entries k v)
-  | S_spin { m; slots; _ } ->
-      with_mutex m (fun () ->
-          match spin_find_held slots ~cpu k with
-          | Some slot ->
-              slot.v <- v;
-              true
-          | None -> false)
-  | S_rcu r ->
-      with_mutex r.wm (fun () ->
-          let snap, ver = Atomic.get r.root in
-          if (not (IM.mem k snap)) && IM.cardinal snap >= t.max_entries then
-            false
-          else begin
-            let snap' = IM.add k v snap in
-            Atomic.set r.root (snap', ver + 1);
-            let vec =
-              Stdlib.Array.map (fun e -> Atomic.get e) r.epochs
-            in
-            r.retired <- (ver, snap, vec) :: r.retired;
-            r.retired_total <- r.retired_total + 1;
-            true
-          end)
+      let b = bank_of t cpu in
+      Mutex.lock ms.(b);
+      let hit = tbl_find banks.(b) io in
+      Mutex.unlock ms.(b);
+      hit
+  | S_spin { m; index; by_id; _ } ->
+      Mutex.lock m;
+      let s = spin_find index by_id (U64.get io 0) in
+      let hit = held_by s cpu in
+      if hit then U64.set io 1 (U64.cell_get s.v);
+      Mutex.unlock m;
+      hit
+  | S_rcu r -> Pmap.find_io io (Atomic.get r.root).snap
 
-let delete ?(cpu = 0) t k =
+(* Publish [snap'] as the next version and retire the current one, stamped
+   with the epoch vector. Caller holds [wm]. *)
+let rcu_publish r (cur : snapshot) snap' card =
+  Atomic.set r.root { snap = snap'; ver = cur.ver + 1; card };
+  let vec = Stdlib.Array.map (fun e -> Atomic.get e) r.epochs in
+  r.retired <- (cur.ver, cur.snap, vec) :: r.retired;
+  r.retired_total <- r.retired_total + 1
+
+let store_io t ~cpu io =
   match t.store with
-  | S_hash tbl -> htbl_delete tbl k
+  | S_hash tbl -> tbl_store tbl t.max_entries io
+  | S_array a ->
+      let i = array_index t io in
+      if i >= 0 then U64.set a i (U64.get io 1);
+      i >= 0
+  | S_percpu { banks; ms } ->
+      let b = bank_of t cpu in
+      Mutex.lock ms.(b);
+      let ok = tbl_store banks.(b) t.max_entries io in
+      Mutex.unlock ms.(b);
+      ok
+  | S_spin { m; index; by_id; _ } ->
+      Mutex.lock m;
+      let s = spin_find index by_id (U64.get io 0) in
+      let ok = held_by s cpu in
+      if ok then U64.cell_set s.v (U64.get io 1);
+      Mutex.unlock m;
+      ok
+  | S_rcu r ->
+      (* copy-on-write: a publish allocates its new path by design *)
+      Mutex.lock r.wm;
+      let cur = Atomic.get r.root in
+      let k = U64.get io 0 in
+      let present = Pmap.mem k cur.snap in
+      let ok = present || cur.card < t.max_entries in
+      if ok then
+        rcu_publish r cur
+          (Pmap.add k (U64.get io 1) cur.snap)
+          (if present then cur.card else cur.card + 1);
+      Mutex.unlock r.wm;
+      ok
+
+let remove_io t ~cpu io =
+  match t.store with
+  | S_hash tbl -> tbl_remove tbl io
   | S_array _ -> false (* eBPF array maps have no delete *)
   | S_percpu { banks; ms } ->
-      let i = if cpu >= 0 && cpu < t.ncpus then cpu else 0 in
-      with_mutex ms.(i) (fun () -> htbl_delete (bank t banks i) k)
-  | S_spin { m; slots; _ } ->
-      with_mutex m (fun () ->
-          match spin_find_held slots ~cpu k with
-          | Some slot ->
-              slot.dead <- true;
-              Hashtbl.remove slots k;
-              true
-          | None -> false)
+      let b = bank_of t cpu in
+      Mutex.lock ms.(b);
+      let ok = tbl_remove banks.(b) io in
+      Mutex.unlock ms.(b);
+      ok
+  | S_spin { m; index; by_id; _ } ->
+      Mutex.lock m;
+      let s = spin_find index by_id (U64.get io 0) in
+      let ok = held_by s cpu in
+      if ok then begin
+        s.dead <- true;
+        U64tbl.remove_slot index (U64tbl.find index s.key)
+      end;
+      Mutex.unlock m;
+      ok
   | S_rcu r ->
-      with_mutex r.wm (fun () ->
-          let snap, ver = Atomic.get r.root in
-          if not (IM.mem k snap) then false
-          else begin
-            let snap' = IM.remove k snap in
-            Atomic.set r.root (snap', ver + 1);
-            let vec =
-              Stdlib.Array.map (fun e -> Atomic.get e) r.epochs
-            in
-            r.retired <- (ver, snap, vec) :: r.retired;
-            r.retired_total <- r.retired_total + 1;
-            true
-          end)
+      Mutex.lock r.wm;
+      let cur = Atomic.get r.root in
+      let k = U64.get io 0 in
+      let ok = Pmap.mem k cur.snap in
+      if ok then rcu_publish r cur (Pmap.remove k cur.snap) (cur.card - 1);
+      Mutex.unlock r.wm;
+      ok
 
 (* Merged read: for Percpu, the sum of every bank's value (the kernel's
    per-CPU map read-from-user behaviour); for every other kind, a plain
    lookup — the helper is total over kinds so programs can be generic. *)
-let merged t k =
+let sum_io t io =
   match t.store with
   | S_percpu { banks; ms } ->
       let hit = ref false and acc = ref 0L in
-      for i = 0 to t.ncpus - 1 do
-        with_mutex ms.(i) (fun () ->
-            match Hashtbl.find_opt banks.(i) k with
-            | Some v ->
-                hit := true;
-                acc := Int64.add !acc v
-            | None -> ())
+      for b = 0 to t.ncpus - 1 do
+        Mutex.lock ms.(b);
+        if tbl_find banks.(b) io then begin
+          hit := true;
+          acc := Int64.add !acc (U64.get io 1)
+        end;
+        Mutex.unlock ms.(b)
       done;
-      if !hit then Some !acc else None
-  | _ -> lookup ~cpu:0 t k
+      if !hit then U64.set io 1 !acc;
+      !hit
+  | _ -> find_io t ~cpu:0 io
+
+let with_io k f =
+  let io = io () in
+  U64.set io 0 k;
+  f io
+
+let lookup ?(cpu = 0) t k =
+  with_io k (fun io -> if find_io t ~cpu io then Some (U64.get io 1) else None)
+
+let update ?(cpu = 0) t k v =
+  with_io k (fun io ->
+      U64.set io 1 v;
+      store_io t ~cpu io)
+
+let delete ?(cpu = 0) t k = with_io k (remove_io t ~cpu)
+
+let merged t k =
+  with_io k (fun io -> if sum_io t io then Some (U64.get io 1) else None)
+
+let locked m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 let entries t =
   match t.store with
-  | S_hash tbl -> Hashtbl.length tbl
+  | S_hash tbl -> U64tbl.length tbl
   | S_array _ -> t.max_entries
   | S_percpu { banks; ms } ->
       let n = ref 0 in
       for i = 0 to t.ncpus - 1 do
-        with_mutex ms.(i) (fun () -> n := !n + Hashtbl.length banks.(i))
+        locked ms.(i) (fun () -> n := !n + U64tbl.length banks.(i))
       done;
       !n
-  | S_spin { m; slots; _ } -> with_mutex m (fun () -> Hashtbl.length slots)
-  | S_rcu r ->
-      let snap, _ = Atomic.get r.root in
-      IM.cardinal snap
+  | S_spin { m; index; _ } -> locked m (fun () -> U64tbl.length index)
+  | S_rcu r -> (Atomic.get r.root).card
 
 (* A stable dump for tests and the linearizability oracle: merged across
    banks for Percpu, sorted by key.  Array entries elide default-zero
    slots so dumps stay comparable with hash-backed kinds. *)
 let to_list t =
   let sorted l = List.sort (fun (a, _) (b, _) -> Int64.compare a b) l in
+  let pairs tbl = U64tbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
   match t.store with
-  | S_hash tbl -> sorted (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  | S_hash tbl -> sorted (pairs tbl)
   | S_array a ->
       let acc = ref [] in
       for i = t.max_entries - 1 downto 0 do
-        if a.(i) <> 0L then acc := (Int64.of_int i, a.(i)) :: !acc
+        if U64.get a i <> 0L then acc := (Int64.of_int i, U64.get a i) :: !acc
       done;
       !acc
   | S_percpu { banks; ms } ->
       let acc = Hashtbl.create 16 in
       for i = 0 to t.ncpus - 1 do
-        with_mutex ms.(i) (fun () ->
-            Hashtbl.iter
-              (fun k v ->
+        locked ms.(i) (fun () ->
+            List.iter
+              (fun (k, v) ->
                 let prev =
                   Option.value ~default:0L (Hashtbl.find_opt acc k)
                 in
                 Hashtbl.replace acc k (Int64.add prev v))
-              banks.(i))
+              (pairs banks.(i)))
       done;
       sorted (Hashtbl.fold (fun k v l -> (k, v) :: l) acc [])
-  | S_spin { m; slots; _ } ->
-      with_mutex m (fun () ->
+  | S_spin { m; index; by_id; _ } ->
+      locked m (fun () ->
           sorted
-            (Hashtbl.fold (fun k (s : spin_slot) acc -> (k, s.v) :: acc)
-               slots []))
-  | S_rcu r ->
-      let snap, _ = Atomic.get r.root in
-      IM.bindings snap
+            (U64tbl.fold
+               (fun k id acc ->
+                 let s = Hashtbl.find by_id (Int64.to_int id) in
+                 (k, U64.cell_get s.v) :: acc)
+               index []))
+  | S_rcu r -> Pmap.bindings (Atomic.get r.root).snap
 
 (* ---- spin-locked values ------------------------------------------------ *)
 
@@ -293,74 +445,74 @@ type lock_result = Acquired of int | Unavailable | Contended
 
 let spin_attempts = 64
 
-let try_lock ?(cpu = 0) t k =
+(* The lock id (> 0) of the key in [io] slot 0 once acquired, 0 when the
+   map is full or not a Spinlock map, -1 when the bounded spin gave up. *)
+let lock_io t ~cpu io =
   match t.store with
   | S_spin sp ->
-      let slot =
-        with_mutex sp.m (fun () ->
-            match Hashtbl.find_opt sp.slots k with
-            | Some s -> Some s
-            | None ->
-                if Hashtbl.length sp.slots >= t.max_entries then None
-                else begin
-                  let s =
-                    {
-                      key = k;
-                      id = sp.next_id;
-                      v = 0L;
-                      owner = Atomic.make 0;
-                      dead = false;
-                    }
-                  in
-                  sp.next_id <- sp.next_id + 1;
-                  Hashtbl.replace sp.slots k s;
-                  Hashtbl.replace sp.by_id s.id s;
-                  Some s
-                end)
-      in
-      (match slot with
-      | None -> Unavailable
-      | Some s ->
-          (* Bounded spin: a holder that never releases (including this
-             very cpu — a self-deadlock) surfaces as Contended, which the
-             helper maps to a stall and the watchdog to a cancellation. *)
-          let rec go n =
-            if n = 0 then Contended
-            else if Atomic.compare_and_set s.owner 0 (cpu + 1) then
-              Acquired s.id
-            else begin
-              Domain.cpu_relax ();
-              go (n - 1)
-            end
+      Mutex.lock sp.m;
+      let k = U64.get io 0 in
+      let s = spin_find sp.index sp.by_id k in
+      let s =
+        if s != no_slot then s
+        else if U64tbl.length sp.index >= t.max_entries then no_slot
+        else begin
+          let s =
+            {
+              key = k;
+              id = sp.next_id;
+              v = U64.cell 0L;
+              owner = Atomic.make 0;
+              dead = false;
+            }
           in
-          go spin_attempts)
-  | _ -> Unavailable
+          sp.next_id <- sp.next_id + 1;
+          U64tbl.add sp.index k (Int64.of_int s.id);
+          Hashtbl.replace sp.by_id s.id s;
+          s
+        end
+      in
+      Mutex.unlock sp.m;
+      if s == no_slot then 0
+      else begin
+        (* Bounded spin: a holder that never releases (including this
+           very cpu — a self-deadlock) surfaces as contention, which the
+           helper maps to a stall and the watchdog to a cancellation. *)
+        let n = ref spin_attempts in
+        while !n > 0 && not (Atomic.compare_and_set s.owner 0 (cpu + 1)) do
+          Domain.cpu_relax ();
+          decr n
+        done;
+        if !n > 0 then s.id else -1
+      end
+  | _ -> 0
+
+let try_lock ?(cpu = 0) t k =
+  match with_io k (lock_io t ~cpu) with
+  | 0 -> Unavailable
+  | -1 -> Contended
+  | id -> Acquired id
 
 let unlock_id ?(cpu = 0) t id =
   match t.store with
-  | S_spin sp -> (
-      let slot =
-        with_mutex sp.m (fun () -> Hashtbl.find_opt sp.by_id id)
-      in
-      match slot with
-      | None -> false
-      | Some s ->
-          if Atomic.get s.owner = cpu + 1 then begin
-            if s.dead then
-              with_mutex sp.m (fun () -> Hashtbl.remove sp.by_id id);
-            Atomic.set s.owner 0;
-            true
-          end
-          else false)
+  | S_spin sp ->
+      Mutex.lock sp.m;
+      let s = match Hashtbl.find sp.by_id id with s -> s | exception Not_found -> no_slot in
+      let ok = held_by s cpu in
+      if ok then begin
+        if s.dead then Hashtbl.remove sp.by_id id;
+        Atomic.set s.owner 0
+      end;
+      Mutex.unlock sp.m;
+      ok
   | _ -> false
 
 let lock_held t k =
   match t.store with
   | S_spin sp ->
-      with_mutex sp.m (fun () ->
-          match Hashtbl.find_opt sp.slots k with
-          | Some s -> Atomic.get s.owner <> 0
-          | None -> false)
+      locked sp.m (fun () ->
+          let s = spin_find sp.index sp.by_id k in
+          s != no_slot && Atomic.get s.owner <> 0)
   | _ -> false
 
 (* ---- RCU epochs -------------------------------------------------------- *)
@@ -380,18 +532,22 @@ let rcu_reclaim_locked r =
   r.retired <- keep;
   r.reclaimed_total <- r.reclaimed_total + List.length gone
 
+(* The writer lock is only taken when something is retired. [retired] is
+   read racily here: a writer's retirement missed by this check is seen by
+   the next quiescent state of this (or any) cpu. *)
 let rcu_quiesce t ~cpu =
   match t.store with
   | S_rcu r ->
-      if cpu >= 0 && cpu < t.ncpus then
-        Atomic.incr r.epochs.(cpu);
-      with_mutex r.wm (fun () -> rcu_reclaim_locked r)
+      if cpu >= 0 && cpu < t.ncpus then Atomic.incr r.epochs.(cpu);
+      (match r.retired with
+      | [] -> ()
+      | _ -> locked r.wm (fun () -> rcu_reclaim_locked r))
   | _ -> ()
 
 let rcu_synchronize t =
   match t.store with
   | S_rcu r ->
-      with_mutex r.wm (fun () ->
+      locked r.wm (fun () ->
           (* Attach/detach-style grace period: everything retired before
              this point is reclaimable once we advance every epoch. *)
           Stdlib.Array.iter (fun e -> Atomic.incr e) r.epochs;
@@ -403,34 +559,51 @@ let rcu_synchronize t =
 let rcu_stats t =
   match t.store with
   | S_rcu r ->
-      let _, version = Atomic.get r.root in
       Some
         {
-          version;
-          retired = with_mutex r.wm (fun () -> List.length r.retired);
+          version = (Atomic.get r.root).ver;
+          retired = locked r.wm (fun () -> List.length r.retired);
           reclaimed = r.reclaimed_total;
         }
   | _ -> None
 
 (* ---- registry ---------------------------------------------------------- *)
 
-type registry = { mutable next : int64; maps : (int64, t) Hashtbl.t }
+(* fds index an array directly (fd 3 is slot 0); unbound slots hold
+   [absent], so the helper-side lookup is one bounds test and one load. *)
+let absent = create ~max_entries:0 ()
 
-let registry () = { next = 3L; maps = Hashtbl.create 8 }
+type registry = { mutable next : int64; mutable maps : t array }
+
+let registry () = { next = 3L; maps = [||] }
 
 let register r m =
   let fd = r.next in
   (* fds are never reused: [next] is monotonic even across unregister, so
      a stale fd held by a program can only ever miss. *)
   r.next <- Int64.add r.next 1L;
-  Hashtbl.replace r.maps fd m;
+  let i = Int64.to_int fd - 3 in
+  if i >= Stdlib.Array.length r.maps then
+    r.maps <-
+      Stdlib.Array.append r.maps
+        (Stdlib.Array.make (max 4 (Stdlib.Array.length r.maps)) absent);
+  r.maps.(i) <- m;
   fd
 
-let find r fd = Hashtbl.find_opt r.maps fd
+let[@inline always] get r (fd : int64) =
+  let i = Int64.sub fd 3L in
+  if i >= 0L && i < Int64.of_int (Stdlib.Array.length r.maps) then
+    Stdlib.Array.unsafe_get r.maps (Int64.to_int i)
+  else absent
+
+let find r fd =
+  let m = get r fd in
+  if m == absent then None else Some m
 
 let unregister r fd =
-  if Hashtbl.mem r.maps fd then begin
-    Hashtbl.remove r.maps fd;
+  let m = get r fd in
+  if m == absent then false
+  else begin
+    r.maps.(Int64.to_int fd - 3) <- absent;
     true
   end
-  else false

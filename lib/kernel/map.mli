@@ -33,6 +33,38 @@ val create : ?kind:kind -> ?cpus:int -> max_entries:int -> unit -> t
 val kind : t -> kind
 val cpus : t -> int
 
+(** {2 Allocation-free operations}
+
+    Keys and values travel through a caller-owned [io] bank — slot 0 the
+    key, slot 1 the value — because an [int64] argument or result boxes at
+    every call that does not inline. None of these allocates on a hit or a
+    miss, and no update of an existing key allocates except on
+    [Rcu_shared], whose copy-on-write publish builds the new snapshot's
+    path by design. The option-returning operations further down wrap
+    them. *)
+
+type io = Kflex_runtime.U64.bank
+
+val io : unit -> io
+
+val find_io : t -> cpu:int -> io -> bool
+(** {!lookup}: on a hit the value lands in slot 1. *)
+
+val store_io : t -> cpu:int -> io -> bool
+(** {!update} of key slot 0 to value slot 1. *)
+
+val remove_io : t -> cpu:int -> io -> bool
+(** {!delete}. *)
+
+val sum_io : t -> io -> bool
+(** {!merged}: on a hit the merged value lands in slot 1. *)
+
+val lock_io : t -> cpu:int -> io -> int
+(** {!try_lock}: the lock id ([> 0]) when acquired, [0] for
+    [Unavailable], [-1] for [Contended]. *)
+
+(** {2 Option-returning operations} *)
+
 val lookup : ?cpu:int -> t -> int64 -> int64 option
 (** [cpu] selects the Percpu bank and identifies the holder for Spinlock
     maps (a non-holder's lookup is a miss); ignored by private kinds.
@@ -107,6 +139,13 @@ val register : registry -> t -> int64
 (** Returns the fd an extension passes as the helper's first argument.
     fds start at 3 and are monotonic — never reused, even after
     {!unregister} — so a stale fd can only ever miss. *)
+
+val absent : t
+(** The map {!get} answers for an unbound fd (compare with [==]). *)
+
+val get : registry -> int64 -> t
+(** The map bound to an fd, or {!absent}: fds index an array, so this is
+    one bounds test and one load. *)
 
 val find : registry -> int64 -> t option
 (** [None] for never-issued and unregistered (stale) fds alike. *)

@@ -24,6 +24,20 @@ val read : t -> width:int -> int -> int64
 val write : t -> width:int -> int -> int64 -> unit
 (** Little-endian write at a payload offset; ignored beyond the payload. *)
 
+val read8 : t -> int -> int64
+val read16 : t -> int -> int64
+val read32 : t -> int -> int64
+val read64 : t -> int -> int64
+(** {!read} at a fixed width; inlined, so nothing is boxed. *)
+
+val write8 : t -> int -> int64 -> unit
+val write16 : t -> int -> int64 -> unit
+val write32 : t -> int -> int64 -> unit
+val write64 : t -> int -> int64 -> unit
+
+val none : t
+(** The empty packet: every read is 0 and every write is ignored. *)
+
 val len : t -> int
 
 val proto_code : proto -> int64

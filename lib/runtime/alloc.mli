@@ -32,6 +32,13 @@ val free : t -> cpu:int -> int64 -> bool
     is not a currently live block (double free or wild pointer — the
     extension's problem, never the kernel's; the block is ignored). *)
 
+val alloc_off : t -> cpu:int -> int -> int
+(** The allocation-free form of {!alloc} (which wraps it): the payload
+    offset, or -1. *)
+
+val free_off : t -> cpu:int -> int -> bool
+(** The allocation-free form of {!free} (which wraps it). *)
+
 val live_blocks : t -> int
 (** Number of allocated-and-not-freed blocks (for tests and accounting). *)
 

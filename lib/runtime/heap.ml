@@ -219,6 +219,33 @@ let rec write_off h ~width off v =
         (Int64.shift_right_logical v (8 * i))
     done
 
+(* Allocation-free trusted stores for the allocator: an 8-byte word (the
+   block header) at a native-int offset, and zeroing a byte range. Both
+   populate pages exactly as [write_off] does; a header that straddles a
+   page takes the generic path. *)
+let[@inline always] set64_off h off v =
+  let inpage = off land (page_size - 1) in
+  match if inpage <= page_size - 8 then page_at h (off lsr page_shift) else None with
+  | Some p -> U64.set64 p inpage v
+  | None -> write_off h ~width:8 (Int64.of_int off) v
+
+let zero_off h ~off ~len =
+  let o = ref off and stop = off + len in
+  while !o < stop do
+    let idx = !o lsr page_shift in
+    let inpage = !o land (page_size - 1) in
+    let n = min (page_size - inpage) (stop - !o) in
+    let p =
+      match get_page h idx with
+      | Some p -> p
+      | None ->
+          populate h ~off:(Int64.of_int !o) ~len:(Int64.of_int n);
+          (match get_page h idx with Some p -> p | None -> assert false)
+    in
+    Bytes.unsafe_fill p inpage n '\000';
+    o := !o + n
+  done
+
 (* Untrusted (extension) access: faults on wild addresses, guard zones and
    unpopulated pages, in that order. The checked offset is non-negative and
    in-heap, so plain int arithmetic replaces the Int64 div/rem pair. *)

@@ -96,3 +96,11 @@ val write64 : t -> int64 -> int64 -> unit
 
 val read_off : t -> width:int -> int64 -> int64
 val write_off : t -> width:int -> int64 -> int64 -> unit
+
+val set64_off : t -> int -> int64 -> unit
+(** [write_off ~width:8] at a native-int offset, allocation-free when the
+    word sits inside one page. *)
+
+val zero_off : t -> off:int -> len:int -> unit
+(** Zero [len] bytes from offset [off], populating pages as {!write_off}
+    would. *)

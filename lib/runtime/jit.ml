@@ -915,24 +915,9 @@ let compile ?(fuse = true) prog =
               s.insns <- s.insns + 1;
               s.helper_calls <- s.helper_calls + 1;
               st.fault_pc <- pc;
-              let cc = st.call_ctx in
-              let regs = st.regs in
-              rset cc.args 0 (rget regs 1);
-              rset cc.args 1 (rget regs 2);
-              rset cc.args 2 (rget regs 3);
-              rset cc.args 3 (rget regs 4);
-              rset cc.args 4 (rget regs 5);
-              rset cc.args ret_slot 0L;
-              (try (Array.unsafe_get st.helpers idx) cc
-               with Helper_stall ->
-                 st.cancel := true;
-                 raise (Vm_fault Lock_stall));
-              rset regs 0 (rget cc.args ret_slot);
+              call_helper st (Array.unsafe_get st.helpers idx);
               next st
-        | Insn.Exit ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.ret <- rget st.regs 0)
+        | Insn.Exit -> fun st -> st.stats.insns <- st.stats.insns + 1)
   in
   (* Guard+access superinstructions. The fused closure must leave state and
      stats exactly as the two standalone closures would at every observation
@@ -1175,7 +1160,7 @@ let compile ?(fuse = true) prog =
         (* self-charging (upfront 0): the branch closure owns its +1 *)
         Some (jcond_op c a s (goto p (t + 1 + off)) (goto p (t + 1)), 1, 0)
     | Insn.Ja off -> Some (goto p (t + 1 + off), 1, 1)
-    | Insn.Exit -> Some ((fun st -> st.ret <- rget st.regs 0), 1, 1)
+    | Insn.Exit -> Some ((fun _ -> ()), 1, 1)
     | Insn.Checkpoint _ ->
         let check st =
           let s = st.stats in

@@ -31,45 +31,29 @@ type outcome =
       ledger_leaked : int;
     }
 
-(* Helper ABI: arguments r1–r5 and the return value travel through an
-   unboxed bank ([args] slots 0–4, return in slot 5) instead of a boxed
-   [int64 array] and an [H_ret of int64] sum — either of which allocates on
-   every call. A helper writes its result with [set_ret] (the dispatcher
-   pre-clears the slot to 0); a helper that cannot make progress (contended
-   lock) raises the constant [Helper_stall], which cancels the extension at
-   the call site exactly as the old [H_stall] arm did. *)
-type call_ctx = {
-  args : U64.bank;  (* slots 0-4: r1-r5; slot 5: the return value *)
-  mutable cpu : int;
-  heap : Heap.t option;
-  alloc : Alloc.t option;
-  ledger : Ledger.t;
-  mem_read : width:int -> int64 -> int64;
-  mem_write : width:int -> int64 -> int64 -> unit;
-  charge : int -> unit;
-}
-
-type helper = call_ctx -> unit
-
+(* Helpers are called the way the kernel calls them: directly, with their
+   arguments in r1–r5 of the live register bank and their result written
+   to r0 (the dispatcher clears r0 first, so a helper that returns nothing
+   returns 0). The context a helper receives is the execution state itself
+   ([call_ctx = state], below): VM memory, cost accounting, the ledger and
+   the cpu id are plain fields and inlined accessors, not closures — a
+   closure call boxes every [int64] that crosses it. A helper that cannot
+   make progress (contended lock) raises the constant [Helper_stall], which
+   cancels the extension at the call site. *)
 exception Helper_stall
-
-let ret_slot = 5
-
-let[@inline always] arg c i = U64.get c.args i
-let[@inline always] set_ret c v = U64.set c.args ret_slot v
-let[@inline always] get_ret c = U64.get c.args ret_slot
 
 exception Vm_fault of fault_reason
 
 let stack_base = 0x2000_0000_0000L
 let ctx_base = 0x1000_0000_0000L
 
-(* The reusable execution context: registers, stack, ledger and the helper
-   call environment are allocated once per extension and recycled across
+(* The reusable execution context: registers, stack, ledger and the
+   helper environment are allocated once per extension and recycled across
    invocations (reset below), instead of re-allocated per [Vm.exec]. Both
-   the interpreter and the compiled backend run against this record. The
-   register file is an unboxed [U64.bank]: register reads and writes are
-   single machine loads/stores, never a heap box. *)
+   the interpreter and the compiled backend run against this record, and
+   helpers receive it as their [call_ctx]. The register file is an unboxed
+   [U64.bank]: register reads and writes are single machine loads/stores,
+   never a heap box. An invocation's return value is r0 at [Exit]. *)
 type state = {
   regs : U64.bank;  (* r0-r10 *)
   reg_snap : int64 array;
@@ -81,16 +65,19 @@ type state = {
   mutable stats : stats;
   mutable start_cost : int;  (* total_cost at invocation entry *)
   mutable fault_pc : int;  (* instrumented pc of the faulting insn *)
-  mutable ret : int64;  (* the compiled backend's Exit value *)
+  mutable cpu : int;
   mutable helpers : helper array;  (* the jit's linked helper table *)
   heap : Heap.t option;
   alloc : Alloc.t option;
   quantum : int;
   cancel : bool ref;
   ledger : Ledger.t;
-  call_ctx : call_ctx;
   mutable in_use : bool;
 }
+
+and helper = state -> unit
+
+type call_ctx = state
 
 (* Window tests compare offsets, not [addr + width]: adding the width to an
    address near [Int64.max_int] wraps negative and would misclassify a wild
@@ -248,63 +235,77 @@ let[@inline always] write64 st addr v =
   end
 
 let create_state ?heap ?alloc ~quantum ~cancel () =
-  let ledger = Ledger.create () in
-  (* the call_ctx closures need the state record; tie the knot through a
-     forward reference (helper calls are not the per-insn hot path) *)
-  let self = ref None in
-  let get () = match !self with Some s -> s | None -> assert false in
-  let call_ctx =
-    {
-      args = U64.create 6;
-      cpu = 0;
-      heap;
-      alloc;
-      ledger;
-      mem_read = (fun ~width addr -> read (get ()) ~width addr);
-      mem_write = (fun ~width addr v -> write (get ()) ~width addr v);
-      charge =
-        (fun n ->
-          let s = (get ()).stats in
-          s.helper_cost <- s.helper_cost + n);
-    }
-  in
-  let st =
-    {
-      regs = U64.create 11;
-      reg_snap = Array.make 11 0L;
-      stack = Bytes.make Prog.stack_size '\000';
-      ctx = Bytes.empty;
-      ctx_size = 0;
-      stats = fresh_stats ();
-      start_cost = 0;
-      fault_pc = 0;
-      ret = 0L;
-      helpers = [||];
-      heap;
-      alloc;
-      quantum;
-      cancel;
-      ledger;
-      call_ctx;
-      in_use = false;
-    }
-  in
-  self := Some st;
-  st
+  {
+    regs = U64.create 11;
+    reg_snap = Array.make 11 0L;
+    stack = Bytes.make Prog.stack_size '\000';
+    ctx = Bytes.empty;
+    ctx_size = 0;
+    stats = fresh_stats ();
+    start_cost = 0;
+    fault_pc = 0;
+    cpu = 0;
+    helpers = [||];
+    heap;
+    alloc;
+    quantum;
+    cancel;
+    ledger = Ledger.create ();
+    in_use = false;
+  }
 
 let reset_state st ~ctx ~cpu ~stats =
   U64.fill st.regs 0L;
-  Bytes.fill st.stack 0 (Bytes.length st.stack) '\000';
+  Bytes.unsafe_fill st.stack 0 (Bytes.length st.stack) '\000';
   Ledger.clear st.ledger;
   st.ctx <- ctx;
   st.ctx_size <- Bytes.length ctx;
   st.stats <- stats;
   st.start_cost <- total_cost stats;
   st.fault_pc <- 0;
-  st.ret <- 0L;
-  st.call_ctx.cpu <- cpu;
+  st.cpu <- cpu;
   U64.set st.regs 1 ctx_base;
   U64.set st.regs 10 (Int64.add stack_base (Int64.of_int Prog.stack_size))
+
+(* --- the helper ABI ------------------------------------------------------ *)
+
+let[@inline always] arg (c : call_ctx) i = U64.get c.regs (i + 1)
+let[@inline always] set_ret (c : call_ctx) v = U64.set c.regs 0 v
+
+let[@inline always] charge (c : call_ctx) n =
+  let s = c.stats in
+  s.helper_cost <- s.helper_cost + n
+
+(* Call [h] with r1-r5 as its arguments: clear r0, run, and let a
+   [Helper_stall] cancel the extension at the call site (§3.4). A helper
+   that raises leaves r0 as the call found it: the unwinder may find a
+   held object recorded there. *)
+let[@inline always] call_helper (st : state) (h : helper) =
+  let r0 = U64.get st.regs 0 in
+  U64.set st.regs 0 0L;
+  match h st with
+  | () -> ()
+  | exception e ->
+      U64.set st.regs 0 r0;
+      if e == Helper_stall then begin
+        st.cancel := true;
+        raise (Vm_fault Lock_stall)
+      end
+      else raise e
+
+(* Outcomes of the common small return values (verdicts, 0/1 results) are
+   preallocated and shared, so a finished invocation allocates nothing. *)
+let finished_lo = -1
+let finished_hi = 255
+
+let finished_table =
+  Array.init (finished_hi - finished_lo + 1) (fun i ->
+      Finished (Int64.of_int (i + finished_lo)))
+
+let[@inline always] finished (v : int64) =
+  if v >= Int64.of_int finished_lo && v <= Int64.of_int finished_hi then
+    Array.unsafe_get finished_table (Int64.to_int v - finished_lo)
+  else Finished v
 
 (* Fill the boxed observer snapshot from the live bank. *)
 let sync_snap st =

@@ -34,23 +34,19 @@ type outcome = Machine.outcome =
       ledger_leaked : int;
     }
 
-type call_ctx = Machine.call_ctx = {
-  args : U64.bank;
-  mutable cpu : int;
-  heap : Heap.t option;
-  alloc : Alloc.t option;
-  ledger : Ledger.t;
-  mem_read : width:int -> int64 -> int64;
-  mem_write : width:int -> int64 -> int64 -> unit;
-  charge : int -> unit;
-}
-
+type call_ctx = Machine.call_ctx
 type helper = Machine.helper
 
 exception Helper_stall = Machine.Helper_stall
 
 let arg = Machine.arg
 let set_ret = Machine.set_ret
+let charge = Machine.charge
+let cpu (c : call_ctx) = c.Machine.cpu
+let ledger (c : call_ctx) = c.Machine.ledger
+let[@inline always] read16 c addr = Machine.read16 c addr
+let[@inline always] read64 c addr = Machine.read64 c addr
+let[@inline always] write64 c addr v = Machine.write64 c addr v
 
 exception Vm_fault = Machine.Vm_fault
 
@@ -59,26 +55,29 @@ let ctx_base = Machine.ctx_base
 
 (* --- builtin helpers -------------------------------------------------- *)
 
-let get_heap c = match c.heap with Some h -> h | None -> raise (Vm_fault Wild_access)
-let get_alloc c = match c.alloc with Some a -> a | None -> raise (Vm_fault Wild_access)
+let get_heap (c : call_ctx) =
+  match c.Machine.heap with Some h -> h | None -> raise (Vm_fault Wild_access)
 
+let get_alloc (c : call_ctx) =
+  match c.Machine.alloc with Some a -> a | None -> raise (Vm_fault Wild_access)
+
+(* Sizes and offsets cross into the allocator as native ints: a size whose
+   [Int64.to_int] is negative or past the largest class fails exactly as
+   the int64 path did, and a sanitized address is always in the heap. *)
 let h_malloc c =
   let a = get_alloc c in
-  c.charge 20;
-  match Alloc.alloc a ~cpu:c.cpu (arg c 0) with
-  | Some off -> set_ret c (Int64.add (Heap.kbase (get_heap c)) off)
-  | None -> set_ret c 0L
+  charge c 20;
+  let off = Alloc.alloc_off a ~cpu:c.Machine.cpu (Int64.to_int (arg c 0)) in
+  if off >= 0 then
+    set_ret c (Int64.add (Heap.kbase (get_heap c)) (Int64.of_int off))
 
 let h_free c =
-  if arg c 0 = 0L then set_ret c 0L
-  else begin
+  if arg c 0 <> 0L then begin
     let a = get_alloc c in
     let h = get_heap c in
-    c.charge 15;
-    let addr = Heap.sanitize h (arg c 0) in
-    let off = Int64.sub addr (Heap.kbase h) in
-    ignore (Alloc.free a ~cpu:c.cpu off);
-    set_ret c 0L
+    charge c 15;
+    let off = Int64.sub (Heap.sanitize h (arg c 0)) (Heap.kbase h) in
+    ignore (Alloc.free_off a ~cpu:c.Machine.cpu (Int64.to_int off) : bool)
   end
 
 (* Spin locks live in heap words: 0 = free, owner-tag otherwise. In the
@@ -88,11 +87,10 @@ let h_free c =
 let h_spin_lock c =
   let h = get_heap c in
   let addr = Heap.sanitize h (arg c 0) in
-  c.charge 4;
-  let v = Heap.read h ~width:8 addr in
-  if v = 0L then begin
-    Heap.write h ~width:8 addr (Int64.of_int (c.cpu + 1));
-    Ledger.acquire c.ledger ~handle:addr ~destructor:"kflex_spin_unlock";
+  charge c 4;
+  if Heap.read64 h addr = 0L then begin
+    Heap.write64 h addr (Int64.of_int (c.Machine.cpu + 1));
+    Ledger.acquire c.Machine.ledger ~handle:addr ~destructor:"kflex_spin_unlock";
     set_ret c addr
   end
   else raise Helper_stall
@@ -100,10 +98,9 @@ let h_spin_lock c =
 let h_spin_unlock c =
   let h = get_heap c in
   let addr = Heap.sanitize h (arg c 0) in
-  c.charge 4;
-  Heap.write h ~width:8 addr 0L;
-  ignore (Ledger.release c.ledger ~handle:addr);
-  set_ret c 0L
+  charge c 4;
+  Heap.write64 h addr 0L;
+  ignore (Ledger.release c.Machine.ledger ~handle:addr : bool)
 
 let h_heap_base c = set_ret c (Heap.kbase (get_heap c))
 
@@ -140,7 +137,7 @@ let vtime = U64.cell 0L
 let set_vtime v = U64.cell_set vtime v
 let h_ktime = ktime_helper vtime
 
-let h_cpu c = set_ret c (Int64.of_int c.cpu)
+let h_cpu c = set_ret c (Int64.of_int c.Machine.cpu)
 
 let builtin_helpers =
   [
@@ -194,6 +191,7 @@ let create ?heap ?alloc ?(quantum = 100_000_000) ?(default_ret = 0L) ?on_cancel
 let cancel e = e.cancel_flag := true
 let cancelled e = !(e.cancel_flag)
 let reset_cancel e = e.cancel_flag := false
+let cancel_flag e = e.cancel_flag
 let kie e = e.kie
 
 (* --- compiled backend plumbing ---------------------------------------- *)
@@ -242,26 +240,6 @@ let acquire_state e =
       e.exec_state <- Some st;
       st
 
-(* --- helper dispatch --------------------------------------------------- *)
-
-(* Marshal r1-r5 into the unboxed argument bank, pre-clear the return slot,
-   run the helper, and hand its return slot back to r0. A [Helper_stall]
-   cancels the extension at the call site (§3.4). *)
-let[@inline always] call_helper e (st : Machine.state) h =
-  let call_ctx = st.Machine.call_ctx in
-  let regs = st.Machine.regs in
-  U64.set call_ctx.args 0 (U64.get regs 1);
-  U64.set call_ctx.args 1 (U64.get regs 2);
-  U64.set call_ctx.args 2 (U64.get regs 3);
-  U64.set call_ctx.args 3 (U64.get regs 4);
-  U64.set call_ctx.args 4 (U64.get regs 5);
-  U64.set call_ctx.args Machine.ret_slot 0L;
-  (try h call_ctx
-   with Helper_stall ->
-     e.cancel_flag := true;
-     raise (Vm_fault Lock_stall));
-  U64.set regs 0 (U64.get call_ctx.args Machine.ret_slot)
-
 let find_helper e name =
   match Hashtbl.find_opt e.helpers name with
   | Some h -> h
@@ -283,7 +261,6 @@ let interp_fast e (st : Machine.state) =
   in
   let pc = ref 0 in
   let running = ref true in
-  let ret = ref 0L in
   (try
      while !running do
        let insn = insns.(!pc) in
@@ -393,16 +370,13 @@ let interp_fast e (st : Machine.state) =
            else incr pc
        | Insn.Call name ->
            stats.helper_calls <- stats.helper_calls + 1;
-           call_helper e st (find_helper e name);
+           Machine.call_helper st (find_helper e name);
            incr pc
-       | Insn.Exit ->
-           ret := U64.get regs 0;
-           running := false
+       | Insn.Exit -> running := false
      done
    with exn ->
      st.Machine.fault_pc <- !pc;
-     raise exn);
-  Finished !ret
+     raise exn)
 
 (* Instrumented loop: identical semantics plus the [on_insn] / [on_site]
    observation points. Lives separately so the fast loop never tests for
@@ -419,7 +393,6 @@ let interp_hooked e (st : Machine.state) ~on_insn ~on_site =
   in
   let pc = ref 0 in
   let running = ref true in
-  let ret = ref 0L in
   (try
      while !running do
        let insn = insns.(!pc) in
@@ -567,16 +540,13 @@ let interp_hooked e (st : Machine.state) ~on_insn ~on_site =
            else incr pc
        | Insn.Call name ->
            stats.helper_calls <- stats.helper_calls + 1;
-           call_helper e st (find_helper e name);
+           Machine.call_helper st (find_helper e name);
            incr pc
-       | Insn.Exit ->
-           ret := U64.get regs 0;
-           running := false
+       | Insn.Exit -> running := false
      done
    with exn ->
      st.Machine.fault_pc <- !pc;
-     raise exn);
-  Finished !ret
+     raise exn)
 
 (* Cancellation: unwind via the static object table of the faulting
    cancellation point (§3.3). *)
@@ -592,36 +562,40 @@ let unwind e (st : Machine.state) exn =
   in
   let regs = st.Machine.regs in
   let stack = st.Machine.stack in
-  let call_ctx = st.Machine.call_ctx in
   let orig_pc = e.kie.Kflex_kie.Instrument.orig_of_new.(st.Machine.fault_pc) in
   let table = e.kie.Kflex_kie.Instrument.tables.(orig_pc) in
-  let released = ref [] in
-  List.iter
-    (fun (entry : Kflex_kie.Instrument.obj_entry) ->
-      let v =
-        match entry.Kflex_kie.Instrument.loc with
-        | Kflex_verifier.State.L_reg r -> U64.get regs (Reg.to_int r)
-        | Kflex_verifier.State.L_slot i -> Bytes.get_int64_le stack (i * 8)
-      in
-      if v <> 0L then begin
+  (* Read every recorded location before the first destructor runs: a
+     destructor takes its argument in r1, which may itself be a recorded
+     location. *)
+  let held =
+    List.filter_map
+      (fun (entry : Kflex_kie.Instrument.obj_entry) ->
+        let v =
+          match entry.Kflex_kie.Instrument.loc with
+          | Kflex_verifier.State.L_reg r -> U64.get regs (Reg.to_int r)
+          | Kflex_verifier.State.L_slot i -> Bytes.get_int64_le stack (i * 8)
+        in
+        if v <> 0L then Some (entry, v) else None)
+      table
+  in
+  let released =
+    List.map
+      (fun ((entry : Kflex_kie.Instrument.obj_entry), v) ->
         (match
            Hashtbl.find_opt e.helpers entry.Kflex_kie.Instrument.destructor
          with
         | Some d -> (
-            for i = 0 to 4 do
-              U64.set call_ctx.args i 0L
+            U64.set regs 0 0L;
+            U64.set regs 1 v;
+            for i = 2 to 5 do
+              U64.set regs i 0L
             done;
-            U64.set call_ctx.args 0 v;
-            U64.set call_ctx.args Machine.ret_slot 0L;
-            (* a stalling destructor cannot stall the unwind: the old ABI's
-               [H_stall] result was ignored here, so the exception is too *)
-            try d call_ctx with Helper_stall -> ())
+            (* a stalling destructor cannot stall the unwind *)
+            try d st with Helper_stall -> ())
         | None -> ());
-        released :=
-          (entry.Kflex_kie.Instrument.klass, entry.Kflex_kie.Instrument.destructor)
-          :: !released
-      end)
-    table;
+        (entry.Kflex_kie.Instrument.klass, entry.Kflex_kie.Instrument.destructor))
+      held
+  in
   let ret =
     match e.on_cancel with Some f -> f e.default_ret | None -> e.default_ret
   in
@@ -629,7 +603,7 @@ let unwind e (st : Machine.state) exn =
     {
       orig_pc;
       reason;
-      released = List.rev !released;
+      released;
       ret;
       ledger_leaked = Ledger.count st.Machine.ledger;
     }
@@ -691,7 +665,6 @@ module Ref_interp = struct
         let regs = Array.make 11 0L in
         regs.(1) <- ctx_base;
         regs.(10) <- Int64.add stack_base (Int64.of_int Prog.stack_size);
-        let call_ctx = st.Machine.call_ctx in
         let start_cost = st.Machine.start_cost in
         (* unwind and helpers read registers from the live bank *)
         let sync_regs () =
@@ -820,15 +793,11 @@ module Ref_interp = struct
                | Insn.Call name ->
                    stats.helper_calls <- stats.helper_calls + 1;
                    let h = find_helper e name in
-                   for i = 0 to 4 do
-                     U64.set call_ctx.args i regs.(i + 1)
+                   for i = 1 to 5 do
+                     U64.set st.Machine.regs i regs.(i)
                    done;
-                   U64.set call_ctx.args Machine.ret_slot 0L;
-                   (try h call_ctx
-                    with Helper_stall ->
-                      e.cancel_flag := true;
-                      raise (Vm_fault Lock_stall));
-                   regs.(0) <- U64.get call_ctx.args Machine.ret_slot;
+                   Machine.call_helper st h;
+                   regs.(0) <- U64.get st.Machine.regs 0;
                    incr pc
                | Insn.Exit ->
                    ret := regs.(0);
@@ -844,23 +813,38 @@ module Ref_interp = struct
             unwind e st exn)
 end
 
+(* One invocation. Hook-free runs take no optional arguments, closures or
+   [Fun.protect], and small return values share a preallocated [Finished],
+   so the engine's per-event path ({!run}) allocates nothing here. *)
+let invoke e ~ctx ~cpu ~stats ~backend ~on_insn ~on_site =
+  let st = acquire_state e in
+  Machine.reset_state st ~ctx ~cpu ~stats;
+  match
+    match (on_insn, on_site, backend) with
+    | None, None, `Compiled ->
+        let t, helpers = ensure_compiled e in
+        st.Machine.helpers <- helpers;
+        Jit.run t st
+    | None, None, `Interp -> interp_fast e st
+    | _ ->
+        (* hooks force the interpreter: observation points only exist
+           there *)
+        interp_hooked e st ~on_insn ~on_site
+  with
+  | () ->
+      st.Machine.in_use <- false;
+      Machine.finished (U64.get st.Machine.regs 0)
+  | exception ((Vm_fault _ | Heap.Fault _) as exn) ->
+      let o = unwind e st exn in
+      st.Machine.in_use <- false;
+      o
+  | exception exn ->
+      st.Machine.in_use <- false;
+      raise exn
+
+let run e ~ctx ~cpu ~stats ~backend =
+  invoke e ~ctx ~cpu ~stats ~backend ~on_insn:None ~on_site:None
+
 let exec e ~ctx ?(cpu = 0) ?stats ?on_insn ?on_site ?(backend = `Interp) () =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
-  let st = acquire_state e in
-  Fun.protect
-    ~finally:(fun () -> st.Machine.in_use <- false)
-    (fun () ->
-      Machine.reset_state st ~ctx ~cpu ~stats;
-      try
-        match (backend, on_insn, on_site) with
-        | `Compiled, None, None ->
-            let t, helpers = ensure_compiled e in
-            st.Machine.helpers <- helpers;
-            Jit.run t st;
-            Finished st.Machine.ret
-        | `Interp, None, None -> interp_fast e st
-        | _ ->
-            (* hooks force the interpreter: observation points only exist
-               there *)
-            interp_hooked e st ~on_insn ~on_site
-      with (Vm_fault _ | Heap.Fault _) as exn -> unwind e st exn)
+  invoke e ~ctx ~cpu ~stats ~backend ~on_insn ~on_site

@@ -50,35 +50,41 @@ type outcome =
           always 0; tests assert this invariant *)
     }
 
-(** Environment a helper executes in. *)
-type call_ctx = Machine.call_ctx = {
-  args : U64.bank;
-      (** six unboxed slots: 0–4 carry r1–r5, slot 5 is the return value —
-          read them through {!arg} and write results through {!set_ret} *)
-  mutable cpu : int;
-  heap : Heap.t option;
-  alloc : Alloc.t option;
-  ledger : Ledger.t;
-  mem_read : width:int -> int64 -> int64;  (** VM memory (stack/ctx/heap) *)
-  mem_write : width:int -> int64 -> int64 -> unit;
-  charge : int -> unit;  (** add helper cost units *)
-}
+(** {2 Helper ABI}
+
+    Helpers are called directly, the way the kernel calls them: arguments
+    in [r1]–[r5] of the live register file, the result in [r0] (cleared to
+    0 before every call). A helper receives the invocation's execution
+    state as its [call_ctx] and reaches VM memory, cost accounting and the
+    ledger through the inlined accessors below — no closure sits between a
+    helper and the VM, so no [int64] is boxed crossing it. *)
+
+type call_ctx
 
 type helper = call_ctx -> unit
-(** Helpers return through the context's unboxed return slot (preset to 0L
-    before every call) instead of a boxed sum — the old
-    [H_ret of int64 | H_stall] result allocated on every call. *)
 
 exception Helper_stall
-(** Raised by a helper that cannot make progress (e.g. contended lock): the
-    VM cancels the extension at the call site, exactly as the old [H_stall]
-    arm did. *)
+(** Raised by a helper that cannot make progress (e.g. contended lock):
+    the VM cancels the extension at the call site with {!Lock_stall}. *)
 
 val arg : call_ctx -> int -> int64
 (** [arg c i] reads argument register [r(i+1)], for [i] in 0–4. *)
 
 val set_ret : call_ctx -> int64 -> unit
-(** Store the helper's return value (lands in [r0]). *)
+(** Store the helper's return value in [r0]. *)
+
+val charge : call_ctx -> int -> unit
+(** Add helper cost units to the invocation's stats. *)
+
+val cpu : call_ctx -> int
+val ledger : call_ctx -> Ledger.t
+
+val read16 : call_ctx -> int64 -> int64
+(** VM memory (stack, ctx or heap) as the extension sees it, with its
+    faults; zero-extended. *)
+
+val read64 : call_ctx -> int64 -> int64
+val write64 : call_ctx -> int64 -> int64 -> unit
 
 val stack_base : int64
 (** Virtual base of the 512-byte extension stack window ([r10] starts at
@@ -137,6 +143,10 @@ val cancel : ext -> unit
 
 val cancelled : ext -> bool
 
+val cancel_flag : ext -> bool ref
+(** The flag {!cancel} sets and every cancellation point loads — a
+    watchdog holds it to cancel without holding the extension. *)
+
 val reset_cancel : ext -> unit
 (** Re-arm a cancelled extension (tests only; the paper's runtime unloads the
     extension instead). *)
@@ -162,6 +172,12 @@ val set_compiled : ext -> Jit.t -> unit
 
 val has_compiled : ext -> bool
 (** Whether a compiled form is already installed. *)
+
+val run :
+  ext -> ctx:Bytes.t -> cpu:int -> stats:stats -> backend:backend -> outcome
+(** One hook-free invocation — {!exec} without optional arguments, for
+    per-event callers: it allocates nothing when the extension finishes
+    with a return value in [-1, 255] (those outcomes are preallocated). *)
 
 val exec :
   ext ->

@@ -501,6 +501,154 @@ fn prog(c: ctx) -> u64 {
   Alcotest.(check int) "retired drained at quiescence" 0
     (Option.get (Map.rcu_stats rcu)).Map.retired
 
+(* --- watchdog slots and shutdown ------------------------------------------ *)
+
+module Reaper = Kflex_engine.Reaper
+
+let slot_ext () =
+  let h = attach_ret (Engine.create ()) 2 in
+  (Engine.instance h ~shard:0).Kflex.ext
+
+let t_slot_protocol () =
+  let ext = slot_ext () in
+  let r = Reaper.create ~slots:2 () in
+  let s = Reaper.slot r 1 in
+  Reaper.arm s ext ~deadline:100.;
+  Reaper.scan r ~now:50.;
+  Alcotest.(check bool) "before the deadline: no cancel" false (Vm.cancelled ext);
+  Reaper.scan r ~now:150.;
+  Alcotest.(check bool) "after it: cancelled" true (Vm.cancelled ext);
+  Vm.reset_cancel ext;
+  Reaper.scan r ~now:200.;
+  Alcotest.(check bool) "a second scan does not cancel again" false
+    (Vm.cancelled ext);
+  Vm.cancel ext;
+  Reaper.disarm r s ~finished:false;
+  Alcotest.(check bool) "disarm clears the reaper's flag" false (Vm.cancelled ext);
+  Alcotest.(check int) "counted once" 1 (Reaper.cancellations r);
+  (* a scan that read the word before a disarm and re-arm is stale *)
+  Reaper.arm s ext ~deadline:100.;
+  let w = Reaper.expired s ~now:150. in
+  Alcotest.(check bool) "expired" true (w >= 0);
+  Reaper.disarm r s ~finished:true;
+  Reaper.arm s ext ~deadline:100.;
+  Alcotest.(check bool) "stale word cannot cancel" false (Reaper.cancel_if s w);
+  Alcotest.(check bool) "new invocation untouched" false (Vm.cancelled ext);
+  Alcotest.(check bool) "a fresh word can" true
+    (Reaper.cancel_if s (Reaper.expired s ~now:150.));
+  (* a cancel that landed after the last cancellation point never took
+     effect: not counted *)
+  Reaper.disarm r s ~finished:true;
+  Alcotest.(check int) "late cancel not counted" 1 (Reaper.cancellations r);
+  Alcotest.(check bool) "flag cleared" false (Vm.cancelled ext);
+  (* idle slots are never cancelled *)
+  Alcotest.(check int) "idle never expires" (-1) (Reaper.expired s ~now:1e18)
+
+(* Odd keys loop until the reaper cancels them; even keys return at once
+   and reach no cancellation point. Under real cross-domain scheduling no
+   even request may be cancelled, every cancellation the reaper counts is
+   a [Cancelled] outcome, and unwinding leaks nothing. *)
+let runaway_src =
+  {|
+fn prog(c: ctx) -> u64 {
+  var k: u64 = pkt_read_u64(c, 1);
+  if ((k & 1) == 1) {
+    var i: u64 = 0;
+    while (i < 1000000000000) { i = i + 1; }
+  }
+  return 2;
+}
+|}
+
+let slot_stress shards =
+  let eng =
+    Engine.create ~shards ~mode:`Threaded ~quantum:max_int ~deadline_ns:1e6 ()
+  in
+  let c = compile "runaway" runaway_src in
+  ignore
+    (attach_exn ~name:"runaway" ~heap_size:4096L eng (prog_of c) : Engine.handle);
+  let events = 20_000 in
+  let even_cancelled = Atomic.make 0
+  and cancelled = Atomic.make 0
+  and completed = Atomic.make 0 in
+  for i = 0 to events - 1 do
+    let key = if i mod 100 = 50 then (2 * i) + 1 else 2 * i in
+    let payload = Bytes.make 17 '\000' in
+    Bytes.set_int64_le payload 1 (Int64.of_int key);
+    Engine.submit eng
+      ~on_done:(fun r ->
+        Atomic.incr completed;
+        List.iter
+          (function
+            | Vm.Cancelled _ ->
+                Atomic.incr cancelled;
+                if key land 1 = 0 then Atomic.incr even_cancelled
+            | Vm.Finished _ -> ())
+          r.Engine.outcomes)
+      (pkt ~src_port:(1 + (i mod 64)) ~payload ())
+  done;
+  Engine.drain eng;
+  let t = Engine.totals eng in
+  Engine.shutdown eng;
+  let label fmt = Printf.sprintf ("%d shard(s): " ^^ fmt) shards in
+  Alcotest.(check int) (label "all completed") events (Atomic.get completed);
+  Alcotest.(check int) (label "no even request cancelled") 0
+    (Atomic.get even_cancelled);
+  Alcotest.(check int) (label "no leaks") 0 t.Engine.leaked;
+  Alcotest.(check int) (label "reaper count = cancelled outcomes")
+    (Atomic.get cancelled)
+    (Reaper.cancellations (Engine.reaper eng));
+  Alcotest.(check bool) (label "runaways were cancelled") true
+    (Atomic.get cancelled > 0)
+
+let t_slot_stress () = List.iter slot_stress [ 1; 2 ]
+
+let t_submit_after_shutdown () =
+  let eng = Engine.create ~mode:`Threaded ~deadline_ns:1e9 () in
+  let _ = attach_ret eng 2 in
+  Engine.submit eng (pkt ());
+  Engine.shutdown eng;
+  Alcotest.check_raises "rejected"
+    (Invalid_argument "Engine.submit: engine is shut down") (fun () ->
+      Engine.submit eng (pkt ()));
+  Engine.drain eng;
+  Alcotest.(check int) "the accepted event ran" 1 (Engine.totals eng).Engine.events
+
+(* --- allocation gate ------------------------------------------------------ *)
+
+(* The warmed mc_overload chain — spin-locked rate limiter, RCU conntrack,
+   Memcached — through [Engine.run_packet]. Helpers, maps, the ledger, the
+   allocator and the shard's context block allocate nothing; what remains
+   per request is the [run_result] itself and its outcome list. *)
+let chain_words_per_request () =
+  let cfg =
+    {
+      Kflex_serve.Open_loop.default with
+      burn = false;
+      guard = true;
+      guard_capacity = 1_000_000;
+    }
+  in
+  let eng = Engine.create ~shards:1 ~seed:42L () in
+  Kflex_serve.Open_loop.attach_tenants cfg eng;
+  let n = 2048 in
+  let pkts =
+    Array.init n (fun i ->
+        Kflex_apps.Memcached.op_packet
+          ~op:(if i mod 8 = 0 then Kflex_apps.Memcached.Set else Kflex_apps.Memcached.Get)
+          ~rank:(i * 7919 mod 1024))
+  in
+  let pass () = Array.iter (fun p -> ignore (Engine.run_packet eng p : Engine.run_result)) pkts in
+  pass ();
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let t_chain_allocation () =
+  let w = chain_words_per_request () in
+  if w > 32. then Alcotest.failf "%.1f minor words per request (gate: 32)" w
+
 let () =
   Alcotest.run "engine"
     [
@@ -517,6 +665,11 @@ let () =
           Alcotest.test_case "shard-count invariance" `Quick t_shard_invariance;
           Alcotest.test_case "facade equivalence" `Quick t_facade_equivalence;
           Alcotest.test_case "threaded smoke" `Quick t_threaded_smoke;
+          Alcotest.test_case "chain allocation" `Quick t_chain_allocation;
+          Alcotest.test_case "watchdog slot protocol" `Quick t_slot_protocol;
+          Alcotest.test_case "watchdog slot stress" `Quick t_slot_stress;
+          Alcotest.test_case "submit after shutdown" `Quick
+            t_submit_after_shutdown;
         ] );
       ( "shared maps",
         [

@@ -330,10 +330,110 @@ let t_helpers_pkt () =
   Alcotest.(check bool) "sk helpers" true (List.mem_assoc "bpf_sk_lookup_udp" impls);
   Alcotest.(check bool) "pkt helpers" true (List.mem_assoc "pkt_read_u64" impls);
   Alcotest.(check bool) "map helpers" true (List.mem_assoc "bpf_map_lookup" impls);
-  Helpers.set_packet k (Some (Packet.make ~proto:Packet.Udp ~src_port:1 ~dst_port:2 (Bytes.make 4 'x')));
+  Helpers.set_packet k (Packet.make ~proto:Packet.Udp ~src_port:1 ~dst_port:2 (Bytes.make 4 'x'));
   Alcotest.(check bool) "packet set" true (Helpers.packet k <> None);
-  Helpers.set_packet k None;
+  Helpers.clear_packet k;
   Alcotest.(check bool) "packet cleared" true (Helpers.packet k = None)
+
+(* --- allocation gates ------------------------------------------------------
+
+   Each warmed helper call allocates nothing: a loop runs the call [iters]
+   times through the compiled backend, and the minor words of a run at 2N
+   minus those at N cancel the per-invocation constant (the facade's
+   optional arguments, the fresh context block). Map fd 3 is the map
+   under test, holding key 5. *)
+
+let loop_src ~iters body =
+  Printf.sprintf
+    {|
+fn prog(c: ctx) -> u64 {
+  var kbuf: bytes[8];
+  var vbuf: bytes[8];
+  var acc: u64 = 0;
+  var h: u64 = 0;
+  var i: u64 = 0;
+  while (i < %d) {
+    %s
+    i = i + 1;
+  }
+  return acc & 1;
+}
+|}
+    iters body
+
+let loop_words ?map body =
+  let words iters =
+    let c = Kflex_eclang.Compile.compile_string ~name:"gate" (loop_src ~iters body) in
+    let kernel = Helpers.create () in
+    (match map with
+    | Some m -> ignore (Map.register (Helpers.maps kernel) m : int64)
+    | None -> ());
+    let heap = Kflex_runtime.Heap.create ~size:65536L () in
+    let loaded =
+      match
+        Kflex.load ~heap ~globals_size:c.Kflex_eclang.Compile.layout.Kflex_eclang.Compile.globals_size
+          ~quantum:max_int ~backend:`Compiled ~kernel ~hook:Hook.Xdp
+          c.Kflex_eclang.Compile.prog
+      with
+      | Ok l -> l
+      | Error e -> Alcotest.failf "gate rejected: %a" Kflex_verifier.Verify.pp_error e
+    in
+    let p = Packet.make ~proto:Packet.Udp ~src_port:1 ~dst_port:2 (Bytes.make 64 '\001') in
+    let stats = Kflex_runtime.Vm.fresh_stats () in
+    let go () =
+      match Kflex.run_packet loaded ~stats p with
+      | Kflex_runtime.Vm.Finished _ -> ()
+      | Kflex_runtime.Vm.Cancelled _ -> Alcotest.fail "gate loop cancelled"
+    in
+    go ();
+    let w0 = Gc.minor_words () in
+    go ();
+    Gc.minor_words () -. w0
+  in
+  words 4000 -. words 2000
+
+let check_no_alloc what ?map body =
+  Alcotest.(check (float 0.)) (what ^ ": minor words per call") 0.
+    (loop_words ?map body)
+
+let t_packet_helpers_alloc () =
+  check_no_alloc "pkt_read"
+    "acc = acc + pkt_read_u8(c, i & 7) + pkt_read_u16(c, 2) + pkt_read_u32(c, 4) + pkt_read_u64(c, 8);";
+  check_no_alloc "pkt_write"
+    "pkt_write_u8(c, 20, i); pkt_write_u16(c, 22, i); pkt_write_u32(c, 24, i); pkt_write_u64(c, 28, i);"
+
+let gate_map kind =
+  let m = Map.create ~kind ~cpus:2 ~max_entries:64 () in
+  (match kind with
+  | Map.Spinlock -> ()
+  | _ -> ignore (Map.update m 5L 77L : bool));
+  m
+
+let t_map_helpers_alloc () =
+  List.iter
+    (fun kind ->
+      let name op = Printf.sprintf "%s %s" (Map.kind_name kind) op in
+      let under_lock body =
+        if kind = Map.Spinlock then
+          Printf.sprintf
+            "h = bpf_map_lock(3, &kbuf); if (h != 0) { %s bpf_map_unlock(h); }"
+            body
+        else body
+      in
+      let hit = "st64(&kbuf, 0, 5); acc = acc + bpf_map_lookup(3, &kbuf, &vbuf);" in
+      let miss = "st64(&kbuf, 0, 1000); acc = acc + bpf_map_lookup(3, &kbuf, &vbuf);" in
+      let update =
+        "st64(&kbuf, 0, 5); st64(&vbuf, 0, i); acc = acc + bpf_map_update(3, &kbuf, &vbuf);"
+      in
+      check_no_alloc (name "lookup hit") ~map:(gate_map kind) (under_lock hit);
+      check_no_alloc (name "lookup miss") ~map:(gate_map kind) miss;
+      (* an Rcu_shared update publishes a fresh snapshot version: it
+         allocates the new path by design *)
+      if kind <> Map.Rcu_shared then
+        check_no_alloc (name "update") ~map:(gate_map kind) (under_lock update))
+    [ Map.Array; Map.Hash; Map.Percpu; Map.Spinlock; Map.Rcu_shared ];
+  check_no_alloc "bpf_map_lock/unlock" ~map:(gate_map Map.Spinlock)
+    "st64(&kbuf, 0, 5); h = bpf_map_lock(3, &kbuf); if (h != 0) { bpf_map_unlock(h); }"
 
 let () =
   Alcotest.run "kernel"
@@ -358,5 +458,9 @@ let () =
           Alcotest.test_case "cost monotone grid" `Quick t_cost_monotone_grid;
           Alcotest.test_case "cost linear in insns" `Quick t_cost_insn_linear;
           Alcotest.test_case "helper registry" `Quick t_helpers_pkt;
+          Alcotest.test_case "packet helpers allocate nothing" `Quick
+            t_packet_helpers_alloc;
+          Alcotest.test_case "map helpers allocate nothing" `Quick
+            t_map_helpers_alloc;
         ] );
     ]

@@ -853,6 +853,48 @@ let t_hot_path_allocation_free () =
   Alcotest.(check (float 0.))
     "per-iteration minor words" 0. (at_2n -. at_n)
 
+(* Helper-bearing loops: a warmed [kflex_malloc] + [kflex_free] of a
+   recycled block, and a [kflex_spin_lock] + [kflex_spin_unlock] pair on a
+   heap lock word, allocate nothing per call — the ledger, the allocator's
+   free lists and its live set are unboxed arrays, and helpers take their
+   arguments straight from r1–r5. *)
+let helper_loop_words body =
+  let words iters =
+    let items =
+      [ call "kflex_heap_base"; mov R6 R0; movi R7 (Int64.of_int iters); label "loop" ]
+      @ body
+      @ [ alui Insn.Sub R7 1L; jmpi Insn.Ne R7 0L "loop"; movi R0 0L; exit_ ]
+    in
+    let _, ext = with_heap ~quantum:max_int items in
+    let ctx = Bytes.make 64 '\000' in
+    let go () =
+      match Vm.exec ext ~ctx ~backend:`Compiled () with
+      | Vm.Finished _ -> ()
+      | Vm.Cancelled _ -> Alcotest.fail "unexpected cancellation"
+    in
+    go ();
+    let w0 = Gc.minor_words () in
+    go ();
+    Gc.minor_words () -. w0
+  in
+  words 4000 -. words 2000
+
+let t_helpers_allocation_free () =
+  Alcotest.(check (float 0.))
+    "kflex_malloc + kflex_free" 0.
+    (helper_loop_words
+       [ movi R1 40L; call "kflex_malloc"; mov R1 R0; call "kflex_free" ]);
+  Alcotest.(check (float 0.))
+    "kflex_spin_lock + kflex_spin_unlock" 0.
+    (helper_loop_words
+       [
+         mov R1 R6;
+         alui Insn.Add R1 128L;
+         call "kflex_spin_lock";
+         mov R1 R0;
+         call "kflex_spin_unlock";
+       ])
+
 let () =
   Alcotest.run "runtime"
     [
@@ -916,5 +958,7 @@ let () =
           Alcotest.test_case "nan bit round-trip" `Quick t_nan_bit_roundtrip;
           Alcotest.test_case "hot path allocation-free" `Quick
             t_hot_path_allocation_free;
+          Alcotest.test_case "helpers allocation-free" `Quick
+            t_helpers_allocation_free;
         ] );
     ]
