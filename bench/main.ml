@@ -3,7 +3,7 @@
    (table1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | table3 | ablation |
    bechamel).
 
-   Absolute numbers come from our interpreter + calibrated cost model, not
+   Absolute numbers come from our VM + calibrated cost model, not
    the authors' testbed: the reproduction target is the shape — who wins,
    by what factor, where the crossovers are. EXPERIMENTS.md records
    paper-vs-measured for each experiment. *)
@@ -112,7 +112,7 @@ let fig5 () =
       let n =
         match kind with
         | Kflex_apps.Datastructs.Linked_list ->
-            4096 (* paper uses 64K elements; scaled for the interpreter *)
+            4096 (* paper uses 64K elements; scaled for run time *)
         | _ -> 16384
       in
       let is_sketch =
@@ -143,14 +143,14 @@ let fig5 () =
       if not is_sketch then row `D)
     Kflex_apps.Datastructs.all
 
-(* ---- VM backend: interpreter vs closure-compiled (BENCH_vm.json) ------- *)
+(* ---- VM executors: reference vs closure-compiled (BENCH_vm.json) ------- *)
 
-(* Wall-clock insns/sec of the three execution engines — interpreter,
-   compiled without fusion, compiled with superinstruction fusion — on the
-   Fig. 5 data-structure workloads. Each variant runs the identical
-   deterministic op sequence on a freshly built structure; the cost-model
-   stats must be bit-identical across variants (the compiled backends only
-   change wall-clock time, never accounting). *)
+(* Wall-clock insns/sec of three executors — the boxed reference
+   interpreter ([Vm.Ref_interp]), the Jit without fusion, and the Jit with
+   superinstruction fusion — on the Fig. 5 data-structure workloads. Each
+   variant runs the identical deterministic op sequence on a freshly built
+   structure; the cost-model stats must be bit-identical across variants
+   (executors only change wall-clock time, never accounting). *)
 
 type jit_meas = {
   jm_stats : Kflex_runtime.Vm.stats;
@@ -160,15 +160,15 @@ type jit_meas = {
   jm_mwords : float;  (* minor-heap words allocated inside the timed loop *)
 }
 
-let jit_variant kind ~opseq ~preload ~backend ~fuse =
+let jit_variant kind ~opseq ~preload variant =
   let inst = Kflex_apps.Datastructs.create kind in
   let loaded = Kflex_apps.Datastructs.loaded inst in
   let compile_ms, fused =
-    match backend with
-    | `Interp -> (0., 0)
-    | `Compiled ->
+    match variant with
+    | `Ref -> (0., 0)
+    | (`Compiled | `Fused) as v ->
         let t0 = Unix.gettimeofday () in
-        let jit = Kflex_runtime.Vm.precompile ~fuse loaded.Kflex.ext in
+        let jit = Kflex_runtime.Vm.precompile ~fuse:(v = `Fused) loaded.Kflex.ext in
         ( (Unix.gettimeofday () -. t0) *. 1000.,
           Kflex_runtime.Jit.fused_pairs jit )
   in
@@ -187,8 +187,20 @@ let jit_variant kind ~opseq ~preload ~backend ~fuse =
   Gc.compact ();
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
+  let run pkt =
+    match variant with
+    | `Ref ->
+        Kflex_kernel.Helpers.set_packet loaded.Kflex.kernel pkt;
+        let o =
+          Kflex_runtime.Vm.Ref_interp.exec loaded.Kflex.ext
+            ~ctx:(Kflex_kernel.Hook.build_ctx pkt) ~stats ()
+        in
+        Kflex_kernel.Helpers.clear_packet loaded.Kflex.kernel;
+        o
+    | `Compiled | `Fused -> Kflex.run_packet loaded ~stats pkt
+  in
   for i = 0 to Array.length pkts - 1 do
-    match Kflex.run_packet loaded ~stats ~backend pkts.(i) with
+    match run pkts.(i) with
     | Kflex_runtime.Vm.Finished _ -> ()
     | Kflex_runtime.Vm.Cancelled _ ->
         failwith ("jit bench: op cancelled on " ^ Kflex_apps.Datastructs.name kind)
@@ -205,10 +217,10 @@ let jit_variant kind ~opseq ~preload ~backend ~fuse =
    variant differences in a single pass, and the minimum is the standard
    robust estimator for deterministic workloads. Stats are deterministic,
    so any repetition's counters serve for the identity check. *)
-let jit_best ~reps kind ~opseq ~preload ~backend ~fuse =
-  let best = ref (jit_variant kind ~opseq ~preload ~backend ~fuse) in
+let jit_best ~reps kind ~opseq ~preload variant =
+  let best = ref (jit_variant kind ~opseq ~preload variant) in
   for _ = 2 to reps do
-    let m = jit_variant kind ~opseq ~preload ~backend ~fuse in
+    let m = jit_variant kind ~opseq ~preload variant in
     if m.jm_secs < !best.jm_secs then best := m
   done;
   !best
@@ -309,7 +321,7 @@ let alloc_gate_words_per_insn () =
     let stats = Kflex_runtime.Vm.fresh_stats () in
     measure
       (fun () ->
-        match Kflex_runtime.Vm.exec ext ~ctx ~stats ~backend:`Compiled () with
+        match Kflex_runtime.Vm.exec ext ~ctx ~stats () with
         | Kflex_runtime.Vm.Finished _ -> ()
         | Kflex_runtime.Vm.Cancelled _ -> failwith "alloc gate: cancelled")
       stats
@@ -328,7 +340,7 @@ let alloc_gate_words_per_insn () =
           ~heap:(Kflex_runtime.Heap.create ~size:65536L ())
           ~globals_size:
             c.Kflex_eclang.Compile.layout.Kflex_eclang.Compile.globals_size
-          ~quantum:max_int ~backend:`Compiled ~kernel ~hook:Kflex_kernel.Hook.Xdp
+          ~quantum:max_int ~kernel ~hook:Kflex_kernel.Hook.Xdp
           c.Kflex_eclang.Compile.prog
       with
       | Ok l -> l
@@ -344,9 +356,7 @@ let alloc_gate_words_per_insn () =
     let stats = Kflex_runtime.Vm.fresh_stats () in
     measure
       (fun () ->
-        match
-          Kflex.run_packet_into loaded ~ctx ~cpu:0 ~stats ~backend:`Compiled pkt
-        with
+        match Kflex.run_packet_into loaded ~ctx ~cpu:0 ~stats pkt with
         | Kflex_runtime.Vm.Finished _ -> ()
         | Kflex_runtime.Vm.Cancelled _ -> failwith "alloc gate: helpers cancelled")
       stats
@@ -359,11 +369,12 @@ let alloc_gate_words_per_insn () =
   (rate run, rate run_helpers)
 
 let jit_bench ~smoke =
-  hr "VM backend: interpreter vs closure-compiled (insns/sec wall-clock)";
+  hr "VM executors: reference interpreter vs closure-compiled (insns/sec \
+      wall-clock)";
   let ops = if smoke then 1_500 else 20_000 in
   pf "  (%d ops per variant, 25%% update / 75%% lookup; identical stats \
       required)@." ops;
-  pf "  %-12s %12s %12s %12s %8s %8s %6s %8s@." "structure" "interp/s"
+  pf "  %-12s %12s %12s %12s %8s %8s %6s %8s@." "structure" "ref/s"
     "compiled/s" "fused/s" "spd" "spd+f" "fused#" "w/insn";
   let rows = ref [] in
   let mismatches = ref 0 in
@@ -387,38 +398,38 @@ let jit_bench ~smoke =
             (op, Int64.of_int (Kflex_workload.Rng.int rng n)))
       in
       let reps = if smoke then 2 else 15 in
-      let v backend fuse = jit_best ~reps kind ~opseq ~preload ~backend ~fuse in
-      let mi = v `Interp true in
-      let mc = v `Compiled false in
-      let mf = v `Compiled true in
+      let v = jit_best ~reps kind ~opseq ~preload in
+      let mr = v `Ref in
+      let mc = v `Compiled in
+      let mf = v `Fused in
       let same =
-        stats_tuple mi.jm_stats = stats_tuple mc.jm_stats
-        && stats_tuple mi.jm_stats = stats_tuple mf.jm_stats
+        stats_tuple mr.jm_stats = stats_tuple mc.jm_stats
+        && stats_tuple mr.jm_stats = stats_tuple mf.jm_stats
       in
       if not same then begin
         incr mismatches;
         let p (a, b, c, d, e) = Printf.sprintf "(%d,%d,%d,%d,%d)" a b c d e in
-        pf "  %-12s STATS MISMATCH interp %s compiled %s fused %s@."
+        pf "  %-12s STATS MISMATCH ref %s compiled %s fused %s@."
           (Kflex_apps.Datastructs.name kind)
-          (p (stats_tuple mi.jm_stats))
+          (p (stats_tuple mr.jm_stats))
           (p (stats_tuple mc.jm_stats))
           (p (stats_tuple mf.jm_stats))
       end;
-      let insns = float_of_int mi.jm_stats.Kflex_runtime.Vm.insns in
+      let insns = float_of_int mr.jm_stats.Kflex_runtime.Vm.insns in
       let ips m = insns /. m.jm_secs in
-      let spd_c = ips mc /. ips mi and spd_f = ips mf /. ips mi in
+      let spd_c = ips mc /. ips mr and spd_f = ips mf /. ips mr in
       pf "  %-12s %12.3e %12.3e %12.3e %7.2fx %7.2fx %6d %8.4f@."
         (Kflex_apps.Datastructs.name kind)
-        (ips mi) (ips mc) (ips mf) spd_c spd_f mf.jm_fused
+        (ips mr) (ips mc) (ips mf) spd_c spd_f mf.jm_fused
         (mf.jm_mwords /. insns);
       rows :=
-        (kind, mi, mc, mf, same) :: !rows)
+        (kind, mr, mc, mf, same) :: !rows)
     Kflex_apps.Datastructs.all;
   let rows = List.rev !rows in
   (* geometric mean and minimum of the fused speedup across workloads *)
   let speedups =
     List.map
-      (fun (_, mi, _, mf, _) -> mi.jm_secs /. mf.jm_secs)
+      (fun (_, mr, _, mf, _) -> mr.jm_secs /. mf.jm_secs)
       rows
   in
   let geomean =
@@ -440,23 +451,23 @@ let jit_bench ~smoke =
   p "{\n  \"ops_per_variant\": %d,\n  \"smoke\": %b,\n  \"workloads\": [\n"
     ops smoke;
   List.iteri
-    (fun i (kind, mi, mc, mf, same) ->
-      let insns = float_of_int mi.jm_stats.Kflex_runtime.Vm.insns in
+    (fun i (kind, mr, mc, mf, same) ->
+      let insns = float_of_int mr.jm_stats.Kflex_runtime.Vm.insns in
       let ips m = insns /. m.jm_secs in
       p "    {\"name\": %S, \"insns\": %d, \"guards\": %d, \"checkpoints\": \
          %d, \"helper_cost\": %d,\n"
         (Kflex_apps.Datastructs.name kind)
-        mi.jm_stats.Kflex_runtime.Vm.insns mi.jm_stats.Kflex_runtime.Vm.guards
-        mi.jm_stats.Kflex_runtime.Vm.checkpoints
-        mi.jm_stats.Kflex_runtime.Vm.helper_cost;
-      p "     \"interp_insns_per_sec\": %.0f, \"compiled_insns_per_sec\": \
+        mr.jm_stats.Kflex_runtime.Vm.insns mr.jm_stats.Kflex_runtime.Vm.guards
+        mr.jm_stats.Kflex_runtime.Vm.checkpoints
+        mr.jm_stats.Kflex_runtime.Vm.helper_cost;
+      p "     \"ref_insns_per_sec\": %.0f, \"compiled_insns_per_sec\": \
          %.0f, \"fused_insns_per_sec\": %.0f,\n"
-        (ips mi) (ips mc) (ips mf);
+        (ips mr) (ips mc) (ips mf);
       p "     \"speedup_compiled\": %.3f, \"speedup_fused\": %.3f, \
          \"compile_ms\": %.3f, \"fused_pairs\": %d, \
          \"fused_minor_words_per_insn\": %.6f, \"stats_identical\": %b}%s\n"
-        (ips mc /. ips mi)
-        (ips mf /. ips mi)
+        (ips mc /. ips mr)
+        (ips mf /. ips mr)
         mf.jm_compile_ms mf.jm_fused
         (mf.jm_mwords /. insns)
         same
@@ -490,7 +501,9 @@ let engine_corpus_identity () =
     Array.fold_left
       (fun (ok, skip, bad) f ->
         if Filename.check_suffix f ".kfxr" then begin
-          let t = Kflex_fuzz.Corpus.read (Filename.concat dir f) in
+          let t =
+            Result.get_ok (Kflex_fuzz.Corpus.read (Filename.concat dir f))
+          in
           match Kflex_fuzz.Oracle.chain_equiv t.Kflex_fuzz.Corpus.config
                   t.Kflex_fuzz.Corpus.prog t.Kflex_fuzz.Corpus.prog
           with

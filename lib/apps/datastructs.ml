@@ -569,7 +569,7 @@ let options_of_mode = function
       { Kflex_kie.Instrument.default_options with
         Kflex_kie.Instrument.no_elision = true }
 
-let create ?(mode = M_kflex) ?(heap_bits = 24) ?(backend = `Interp) kind =
+let create ?(mode = M_kflex) ?(heap_bits = 24) kind =
   Kflex_runtime.Vm.seed_prandom 0x9E3779B97F4A7C15L;
   let compiled = Kflex_eclang.Compile.compile_string ~name:(name kind) (source kind) in
   let kernel = Kflex_kernel.Helpers.create () in
@@ -579,7 +579,7 @@ let create ?(mode = M_kflex) ?(heap_bits = 24) ?(backend = `Interp) kind =
   match
     Kflex.load ~options:(options_of_mode mode) ~kernel ~heap
       ~globals_size:compiled.Kflex_eclang.Compile.layout.Kflex_eclang.Compile.globals_size
-      ~backend ~hook:Kflex_kernel.Hook.Xdp compiled.Kflex_eclang.Compile.prog
+      ~hook:Kflex_kernel.Hook.Xdp compiled.Kflex_eclang.Compile.prog
   with
   | Ok loaded -> { kind; compiled; loaded; heap }
   | Error e ->

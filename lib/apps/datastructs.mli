@@ -38,19 +38,16 @@ type mode =
 
 type instance
 
-val create :
-  ?mode:mode -> ?heap_bits:int -> ?backend:Kflex_runtime.Vm.backend ->
-  kind -> instance
+val create : ?mode:mode -> ?heap_bits:int -> kind -> instance
 (** Compile, verify, instrument and load one structure with its own heap
     (default 16 MiB) and kernel state. The VM PRNG is reseeded so
-    randomised structures build identical shapes across modes. [backend]
-    selects the default execution engine (interpreter unless given).
+    randomised structures build identical shapes across modes.
     @raise Failure if the verifier rejects the program (a bug). *)
 
 val op_packet : op:int -> key:int64 -> value:int64 -> Kflex_kernel.Packet.t
 (** The driver packet for one operation (op 0 = update, 1 = lookup,
     2 = delete) — exposed so benchmarks can drive {!Kflex.run_packet}
-    directly with explicit stats/backend. *)
+    directly with explicit stats. *)
 
 val exec_op : instance -> op:int -> key:int64 -> value:int64 -> int64 * int
 (** Run one operation; returns (result, VM cost units).

@@ -8,13 +8,13 @@ type loaded = {
   alloc : Alloc.t option;
   kernel : Kflex_kernel.Helpers.t;
   hook : Kflex_kernel.Hook.kind;
-  backend : Vm.backend;
 }
 
 type admitted = {
   a_kie : Kflex_kie.Instrument.t;
   a_analysis : Kflex_verifier.Verify.analysis;
   a_hook : Kflex_kernel.Hook.kind;
+  a_jit : Jit.t;
 }
 
 (* --- compiled-program cache -------------------------------------------- *)
@@ -122,8 +122,7 @@ let denied_call ~deny_helpers prog =
     !hit
 
 let admit ?(mode = Kflex_verifier.Verify.Kflex) ?options ?heap_size
-    ?(extra_contracts = []) ?(deny_helpers = []) ?(backend = `Interp) ~hook
-    prog =
+    ?(extra_contracts = []) ?(deny_helpers = []) ~hook prog =
   let contracts =
     if extra_contracts = [] then contracts
     else
@@ -174,13 +173,18 @@ let admit ?(mode = Kflex_verifier.Verify.Kflex) ?options ?heap_size
             }
       in
       let kie = Kflex_kie.Instrument.run ~options analysis in
-      (* the admission-time compile: chain reloads and sibling-shard
-         instantiations hit the cache and share the compiled form *)
-      if backend = `Compiled then ignore (compiled_for kie : Jit.t);
-      Ok { a_kie = kie; a_analysis = analysis; a_hook = hook }
+      (* the admission-time compile: chain reloads hit the cache, and every
+         instance of this admission shares the compiled form *)
+      Ok
+        {
+          a_kie = kie;
+          a_analysis = analysis;
+          a_hook = hook;
+          a_jit = compiled_for kie;
+        }
 
 let instantiate ?heap ?(globals_size = 0L) ?quantum ?on_cancel
-    ?(extra_helpers = []) ?(backend = `Interp) ~kernel a =
+    ?(extra_helpers = []) ~kernel a =
   let alloc =
     Option.map
       (fun h ->
@@ -196,7 +200,7 @@ let instantiate ?heap ?(globals_size = 0L) ?quantum ?on_cancel
       ~default_ret:(Kflex_kernel.Hook.default_ret a.a_hook)
       ?on_cancel ~helpers a.a_kie
   in
-  if backend = `Compiled then Vm.set_compiled ext (compiled_for a.a_kie);
+  Vm.set_compiled ext a.a_jit;
   {
     ext;
     kie = a.a_kie;
@@ -205,11 +209,10 @@ let instantiate ?heap ?(globals_size = 0L) ?quantum ?on_cancel
     alloc;
     kernel;
     hook = a.a_hook;
-    backend;
   }
 
 let load ?mode ?options ?heap ?globals_size ?quantum ?on_cancel
-    ?extra_contracts ?extra_helpers ?(backend = `Interp) ~kernel ~hook prog =
+    ?extra_contracts ?extra_helpers ~kernel ~hook prog =
   let options =
     match options with
     | Some o -> Some o
@@ -227,30 +230,18 @@ let load ?mode ?options ?heap ?globals_size ?quantum ?on_cancel
           heap
   in
   let heap_size = Option.map Heap.size heap in
-  match admit ?mode ?options ?heap_size ?extra_contracts ~backend ~hook prog with
+  match admit ?mode ?options ?heap_size ?extra_contracts ~hook prog with
   | Error e -> Error e
   | Ok a ->
       Ok
         (instantiate ?heap ?globals_size ?quantum ?on_cancel ?extra_helpers
-           ~backend ~kernel a)
-
-(* A run may select [`Compiled] on an extension loaded interpreted; route
-   the lazy compilation through the facade cache rather than Vm's per-ext
-   fallback. *)
-let ensure_backend t backend =
-  if backend = `Compiled && not (Vm.has_compiled t.ext) then
-    Vm.set_compiled t.ext (compiled_for t.kie)
-
-let run_raw t ?cpu ?stats ?backend ~ctx () =
-  let backend = match backend with Some b -> b | None -> t.backend in
-  ensure_backend t backend;
-  Vm.exec t.ext ~ctx ?cpu ?stats ~backend ()
+           ~kernel a)
 
 (* One packet through the extension, with the caller's context block —
    the engine fills one reused block per shard per event. *)
-let run_packet_into t ~ctx ~cpu ~stats ~backend pkt =
+let run_packet_into t ~ctx ~cpu ~stats pkt =
   Kflex_kernel.Helpers.set_packet t.kernel pkt;
-  match Vm.run t.ext ~ctx ~cpu ~stats ~backend with
+  match Vm.run t.ext ~ctx ~cpu ~stats with
   | o ->
       Kflex_kernel.Helpers.clear_packet t.kernel;
       o
@@ -258,9 +249,6 @@ let run_packet_into t ~ctx ~cpu ~stats ~backend pkt =
       Kflex_kernel.Helpers.clear_packet t.kernel;
       raise e
 
-let run_packet t ?(cpu = 0) ?stats ?backend pkt =
-  let backend = match backend with Some b -> b | None -> t.backend in
-  ensure_backend t backend;
+let run_packet t ?(cpu = 0) ?stats pkt =
   let stats = match stats with Some s -> s | None -> Vm.fresh_stats () in
-  run_packet_into t ~ctx:(Kflex_kernel.Hook.build_ctx pkt) ~cpu ~stats ~backend
-    pkt
+  run_packet_into t ~ctx:(Kflex_kernel.Hook.build_ctx pkt) ~cpu ~stats pkt

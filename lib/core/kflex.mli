@@ -24,13 +24,12 @@ type loaded = {
   alloc : Kflex_runtime.Alloc.t option;
   kernel : Kflex_kernel.Helpers.t;
   hook : Kflex_kernel.Hook.kind;
-  backend : Kflex_runtime.Vm.backend;  (** default engine for run calls *)
 }
 
 type admitted
-(** A verified, instrumented (and, for the compiled backend, JIT-compiled)
-    program — the output of the admission pipeline, ready to be instantiated
-    any number of times (once per engine shard) without re-verifying. *)
+(** A verified, instrumented and JIT-compiled program — the output of the
+    admission pipeline, ready to be instantiated any number of times (once
+    per engine shard) without re-verifying or recompiling. *)
 
 val contracts : Kflex_verifier.Contract.registry
 (** The default helper contracts ({!Kflex_verifier.Contract.kflex_base}). *)
@@ -60,13 +59,11 @@ val admit :
   ?heap_size:int64 ->
   ?extra_contracts:Kflex_verifier.Contract.t list ->
   ?deny_helpers:string list ->
-  ?backend:Kflex_runtime.Vm.backend ->
   hook:Kflex_kernel.Hook.kind ->
   Kflex_bpf.Prog.t ->
   (admitted, Kflex_verifier.Verify.error) result
 (** The once-per-program half of {!load}: verify (with the §4.3 spill-retry
-    on [E_leak]), instrument, and — when [backend] is [`Compiled] — compile
-    through the shared cache. [options] defaults to the standard
+    on [E_leak]), instrument, and compile through the shared cache. [options] defaults to the standard
     instrumentation with translate-on-store {e off}; callers instantiating
     over shared heaps must pass options explicitly (as {!load} does).
     [heap_size] bounds the verifier's heap-pointer ranges exactly as an
@@ -81,15 +78,14 @@ val instantiate :
   ?quantum:int ->
   ?on_cancel:(int64 -> int64) ->
   ?extra_helpers:(string * Kflex_runtime.Vm.helper) list ->
-  ?backend:Kflex_runtime.Vm.backend ->
   kernel:Kflex_kernel.Helpers.t ->
   admitted ->
   loaded
 (** The per-instance half of {!load}: build the heap allocator, link helpers
     and create the VM extension over an already-admitted program. O(1) per
     shard — the engine calls this once per (attachment, shard) with the
-    shard's own heap, kernel state and helper overrides; the compiled form
-    is shared via the cache. *)
+    shard's own heap, kernel state and helper overrides; every instance
+    shares the admission's compiled form. *)
 
 val load :
   ?mode:Kflex_verifier.Verify.mode ->
@@ -100,7 +96,6 @@ val load :
   ?on_cancel:(int64 -> int64) ->
   ?extra_contracts:Kflex_verifier.Contract.t list ->
   ?extra_helpers:(string * Kflex_runtime.Vm.helper) list ->
-  ?backend:Kflex_runtime.Vm.backend ->
   kernel:Kflex_kernel.Helpers.t ->
   hook:Kflex_kernel.Hook.kind ->
   Kflex_bpf.Prog.t ->
@@ -125,35 +120,21 @@ val run_packet :
   loaded ->
   ?cpu:int ->
   ?stats:Kflex_runtime.Vm.stats ->
-  ?backend:Kflex_runtime.Vm.backend ->
   Kflex_kernel.Packet.t ->
   Kflex_runtime.Vm.outcome
 (** Deliver one packet to the extension at its hook: installs the packet in
-    the kernel helper state, builds the hook context and executes.
-    [backend] overrides the load-time default for this invocation. *)
+    the kernel helper state, builds the hook context and executes. *)
 
 val run_packet_into :
   loaded ->
   ctx:Bytes.t ->
   cpu:int ->
   stats:Kflex_runtime.Vm.stats ->
-  backend:Kflex_runtime.Vm.backend ->
   Kflex_kernel.Packet.t ->
   Kflex_runtime.Vm.outcome
 (** {!run_packet} with a caller-filled context block
     ({!Kflex_kernel.Hook.fill_ctx}) and no optional arguments — the
-    engine's allocation-free per-event entry. [backend] must already be
-    installed (it is when it is the load-time backend). *)
-
-val run_raw :
-  loaded ->
-  ?cpu:int ->
-  ?stats:Kflex_runtime.Vm.stats ->
-  ?backend:Kflex_runtime.Vm.backend ->
-  ctx:Bytes.t ->
-  unit ->
-  Kflex_runtime.Vm.outcome
-(** Execute with an arbitrary context block (non-network hooks, tests). *)
+    engine's allocation-free per-event entry. *)
 
 val globals_base : int64
 (** Heap offset where extension globals start (64; offsets 0–63 are reserved

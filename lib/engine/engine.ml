@@ -111,7 +111,7 @@ let finished = function Vm.Finished _ -> true | Vm.Cancelled _ -> false
 
 let run_plain shard (inst : Kflex.loaded) pkt =
   Kflex.run_packet_into inst ~ctx:shard.ctx ~cpu:shard.sid ~stats:shard.stats
-    ~backend:inst.Kflex.backend pkt
+    pkt
 
 (* Deterministic watchdog: the shard itself polls the reaper at every
    cancellation site, with "now" derived from the cost charged so far —
@@ -376,8 +376,8 @@ let share_map t m =
 let shared_maps t = t.shared
 
 let build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
-    ?kbase ?backend ?deny_helpers ?configure ~hook prog =
-  match Kflex.admit ?mode ?options ?heap_size ?deny_helpers ?backend ~hook prog with
+    ?kbase ?deny_helpers ?configure ~hook prog =
+  match Kflex.admit ?mode ?options ?heap_size ?deny_helpers ~hook prog with
   | Error e -> Error e
   | Ok admitted ->
       let aid = t.next_aid in
@@ -398,7 +398,7 @@ let build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
                 ignore (Map_.register (Helpers.maps kernel) m : int64))
               t.shared;
             let inst =
-              Kflex.instantiate ?heap ?globals_size ?quantum ?backend
+              Kflex.instantiate ?heap ?globals_size ?quantum
                 ~extra_helpers:(shard_helpers shard) ~kernel admitted
             in
             (match configure with
@@ -410,11 +410,11 @@ let build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
       Ok { aid; aname; ahook = hook; instances }
 
 let attach t ?name ?mode ?options ?globals_size ?quantum ?heap_size ?kbase
-    ?backend ?deny_helpers ?configure ~hook prog =
+    ?deny_helpers ?configure ~hook prog =
   Mutex.protect t.reg_m (fun () ->
       match
         build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
-          ?kbase ?backend ?deny_helpers ?configure ~hook prog
+          ?kbase ?deny_helpers ?configure ~hook prog
       with
       | Error e -> Error e
       | Ok h ->
@@ -436,11 +436,11 @@ let detach t h =
       end)
 
 let replace t h ?name ?mode ?options ?globals_size ?quantum ?heap_size ?kbase
-    ?backend ?deny_helpers ?configure prog =
+    ?deny_helpers ?configure prog =
   Mutex.protect t.reg_m (fun () ->
       match
         build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
-          ?kbase ?backend ?deny_helpers ?configure ~hook:h.ahook prog
+          ?kbase ?deny_helpers ?configure ~hook:h.ahook prog
       with
       | Error e -> Error e
       | Ok h' -> (

@@ -54,7 +54,6 @@ val attach :
   ?quantum:int ->
   ?heap_size:int64 ->
   ?kbase:int64 ->
-  ?backend:Kflex_runtime.Vm.backend ->
   ?deny_helpers:string list ->
   ?configure:
     (shard:int -> Kflex_kernel.Helpers.t -> Kflex_runtime.Heap.t option -> unit) ->
@@ -62,8 +61,8 @@ val attach :
   Kflex_bpf.Prog.t ->
   (handle, Kflex_verifier.Verify.error) result
 (** Admit the program once ({!Kflex.admit}: verify with the §4.3
-    spill-retry, instrument, compile through the shared cache when
-    [backend] is [`Compiled]), then instantiate it on every shard —
+    spill-retry, instrument, compile through the shared cache), then
+    instantiate it on every shard —
     [heap_size] gives each shard its own private heap (at [kbase] if
     supplied), and each instance gets fresh kernel helper state plus the
     shard's PRNG/clock helper overrides. [deny_helpers] is the per-tenant
@@ -87,7 +86,6 @@ val replace :
   ?quantum:int ->
   ?heap_size:int64 ->
   ?kbase:int64 ->
-  ?backend:Kflex_runtime.Vm.backend ->
   ?deny_helpers:string list ->
   ?configure:
     (shard:int -> Kflex_kernel.Helpers.t -> Kflex_runtime.Heap.t option -> unit) ->

@@ -48,12 +48,12 @@ let layout_config rng =
     dst_port;
   }
 
-let shrink_failure ?backend cfg (f : Oracle.failure) items =
+let shrink_failure cfg (f : Oracle.failure) items =
   let check cand =
     match Gen.assemble cand with
     | exception _ -> false
     | prog -> (
-        match Oracle.run_case ?backend cfg prog with
+        match Oracle.run_case cfg prog with
         | Oracle.Fail f' -> f'.Oracle.oracle = f.Oracle.oracle
         | _ -> false)
   in
@@ -86,7 +86,7 @@ let shrink_shared cfg items =
   in
   if check items then Shrink.shrink ~check items else items
 
-let run ?(out_dir = ".") ?(log = fun _ -> ()) ?backend ?(threaded_shared = false)
+let run ?(out_dir = ".") ?(log = fun _ -> ()) ?(threaded_shared = false)
     ~seed ~count () =
   if not (Sys.file_exists out_dir) then Unix.mkdir out_dir 0o755;
   let master = Rng.create ~seed in
@@ -112,7 +112,7 @@ let run ?(out_dir = ".") ?(log = fun _ -> ()) ?backend ?(threaded_shared = false
         log (Printf.sprintf "case %d: did not assemble: %s" i
                (Printexc.to_string e))
     | prog -> (
-        let verdict, nflag = Oracle.run_case_stats ?backend cfg prog in
+        let verdict, nflag = Oracle.run_case_stats cfg prog in
         flagged := !flagged + nflag;
         match verdict with
         | Oracle.Pass ->
@@ -207,7 +207,7 @@ let run ?(out_dir = ".") ?(log = fun _ -> ()) ?backend ?(threaded_shared = false
             incr failures;
             log (Printf.sprintf "case %d: FAIL [%s] %s" i f.Oracle.oracle
                    f.Oracle.detail);
-            let small = shrink_failure ?backend cfg f items in
+            let small = shrink_failure cfg f items in
             let path =
               Filename.concat out_dir
                 (Printf.sprintf "case_%d_%s.kfxr" i f.Oracle.oracle)

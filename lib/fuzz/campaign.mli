@@ -10,7 +10,7 @@
 
 type summary = {
   cases : int;
-  accepted : int;  (** verifier-accepted, all four oracles green *)
+  accepted : int;  (** verifier-accepted, every per-program oracle green *)
   rejected : int;  (** verifier refused (expected for random programs) *)
   invalid : int;  (** did not even assemble (generator bug, kept visible) *)
   chained : int;
@@ -34,7 +34,6 @@ val pp_summary : Format.formatter -> summary -> unit
 val run :
   ?out_dir:string ->
   ?log:(string -> unit) ->
-  ?backend:Kflex_runtime.Vm.backend ->
   ?threaded_shared:bool ->
   seed:int64 ->
   count:int ->
@@ -42,9 +41,7 @@ val run :
   summary
 (** [run ~seed ~count ()] fuzzes [count] cases. Reproducers go to [out_dir]
     (default ["."], created if missing); [log] receives one line per failure
-    and occasional progress lines (default: silent). [backend] (default
-    [`Interp]) additionally runs the interpreter-vs-compiled equivalence
-    oracle on every accepted case when [`Compiled]. [threaded_shared]
+    and occasional progress lines (default: silent). [threaded_shared]
     (default false) escalates every shared-oracle pass to a 4-shard
     [`Threaded] safety run ({!Oracle.shared_safety}) — real cross-domain
     contention; failures are recorded but not shrunk (interleavings are

@@ -439,139 +439,84 @@ let cancellation cfg kie_a sites =
     go ks
   end
 
-(* --- oracle 5: interpreter vs compiled backend -------------------------- *)
+(* --- oracle 8: executor equivalence -------------------------------------- *)
 
-(* Observational equivalence of the two execution engines on the
-   default-instrumented program: outcome, stats counters, heap pages and
-   packet bytes must be bit-identical. The reference interpreter run is
-   budget-bounded through [on_insn] (hooks force the interpreter anyway);
-   the compiled run relies on the watchdog — instrumented programs carry a
-   Checkpoint on every loop back-edge, so the quantum bounds it. *)
-let backend_equiv cfg kie =
-  let env_i = build_env cfg kie in
-  let stats_i = Vm.fresh_stats () in
-  let budget = ref ((4 * cfg.quantum) + 1_000_000) in
-  let on_insn _ _ =
-    decr budget;
-    if !budget <= 0 then raise Trace_stop
-  in
-  Vm.seed_prandom cfg.prandom;
-  match Vm.exec env_i.ext ~ctx:env_i.ctx ~stats:stats_i ~on_insn () with
-  | exception Trace_stop ->
-      Some
-        (fail "harness" "execution exceeded the %d-insn safety budget"
-           ((4 * cfg.quantum) + 1_000_000))
-  | out_i -> (
-      let env_c = build_env cfg kie in
-      let stats_c = Vm.fresh_stats () in
-      Vm.seed_prandom cfg.prandom;
-      let out_c =
-        Vm.exec env_c.ext ~ctx:env_c.ctx ~stats:stats_c ~backend:`Compiled ()
-      in
-      if out_i <> out_c then
-        Some
-          (fail "backend" "outcomes diverge: %a interpreted vs %a compiled"
-             pp_outcome out_i pp_outcome out_c)
-      else if stats_i <> stats_c then
-        Some
-          (fail "backend"
-             "stats diverge: interpreted (i=%d g=%d c=%d hc=%d cost=%d) vs \
-              compiled (i=%d g=%d c=%d hc=%d cost=%d)"
-             stats_i.Vm.insns stats_i.Vm.guards stats_i.Vm.checkpoints
-             stats_i.Vm.helper_calls stats_i.Vm.helper_cost stats_c.Vm.insns
-             stats_c.Vm.guards stats_c.Vm.checkpoints stats_c.Vm.helper_calls
-             stats_c.Vm.helper_cost)
-      else if
-        Bytes.to_string env_i.pkt.Packet.payload
-        <> Bytes.to_string env_c.pkt.Packet.payload
-      then Some (fail "backend" "packet payloads diverge")
-      else
-        match first_diff_page (Heap.snapshot env_i.heap) (Heap.snapshot env_c.heap) with
-        | Some p -> Some (fail "backend" "heap contents diverge at page %Ld" p)
-        | None -> None)
-
-(* --- oracle 8: representation equivalence ------------------------------- *)
-
-(* Three-way differential over the unboxed-representation refactor: the
-   kept-boxed reference interpreter ({!Vm.Ref_interp} — [Stdlib.Int64]
-   arithmetic over a boxed [int64 array] register file and the generic
-   width-dispatched memory path, sharing no ALU/comparison/accessor code
-   with the production engines) against the unboxed interpreter and the
-   closure-compiled backend. Outcome, stats counters, packet payload and
+(* The single executor oracle: the kept-boxed reference interpreter
+   ({!Vm.Ref_interp} — [Stdlib.Int64] arithmetic over a boxed [int64 array]
+   register file and the generic width-dispatched memory path, sharing no
+   ALU/comparison/accessor code with {!Kflex_runtime.Jit}) against both
+   compiled forms: the hooked one (an [on_insn] observer selects it) and
+   the fused hook-free one. Outcome, stats counters, packet payload and
    heap pages must be bit-identical across all three. The reference and
-   interpreter runs are budget-bounded through [on_insn]; the compiled run
-   is bounded by the quantum (instrumentation puts a Checkpoint on every
-   loop back edge). *)
+   hooked runs are budget-bounded through [on_insn]; the fused run is
+   bounded by the quantum (instrumentation puts a Checkpoint on every loop
+   back edge). *)
 let repr_equiv cfg kie =
   let budget0 = (4 * cfg.quantum) + 1_000_000 in
-  let bounded () =
+  let run exec =
+    let env = build_env cfg kie in
+    let stats = Vm.fresh_stats () in
     let budget = ref budget0 in
-    fun _ _ ->
+    let on_insn _ _ =
       decr budget;
       if !budget <= 0 then raise Trace_stop
+    in
+    Vm.seed_prandom cfg.prandom;
+    match exec env ~stats ~on_insn with
+    | out -> Ok (env, stats, out)
+    | exception Trace_stop ->
+        Error
+          (fail "harness" "execution exceeded the %d-insn safety budget" budget0)
   in
-  let env_r = build_env cfg kie in
-  let stats_r = Vm.fresh_stats () in
-  Vm.seed_prandom cfg.prandom;
   match
-    Vm.Ref_interp.exec env_r.ext ~ctx:env_r.ctx ~stats:stats_r
-      ~on_insn:(bounded ()) ()
+    run (fun env ~stats ~on_insn ->
+        Vm.Ref_interp.exec env.ext ~ctx:env.ctx ~stats ~on_insn ())
   with
-  | exception Trace_stop ->
-      Some
-        (fail "harness" "execution exceeded the %d-insn safety budget" budget0)
-  | out_r -> (
-      let check tag (env : env) (stats : Vm.stats) out =
-        if out <> out_r then
-          Some
-            (fail "repr" "%s diverges from boxed reference: %a vs %a" tag
-               pp_outcome out pp_outcome out_r)
-        else if stats <> stats_r then
-          Some
-            (fail "repr"
-               "%s stats diverge from boxed reference: (i=%d g=%d c=%d hc=%d \
-                cost=%d) vs (i=%d g=%d c=%d hc=%d cost=%d)"
-               tag stats.Vm.insns stats.Vm.guards stats.Vm.checkpoints
-               stats.Vm.helper_calls stats.Vm.helper_cost stats_r.Vm.insns
-               stats_r.Vm.guards stats_r.Vm.checkpoints
-               stats_r.Vm.helper_calls stats_r.Vm.helper_cost)
-        else if
-          Bytes.to_string env.pkt.Packet.payload
-          <> Bytes.to_string env_r.pkt.Packet.payload
-        then Some (fail "repr" "%s packet payload diverges from boxed reference" tag)
-        else
-          match
-            first_diff_page (Heap.snapshot env_r.heap) (Heap.snapshot env.heap)
-          with
-          | Some p ->
+  | Error f -> Some f
+  | Ok (env_r, stats_r, out_r) -> (
+      let check tag exec =
+        match run exec with
+        | Error f -> Some f
+        | Ok (env, stats, out) -> (
+            if out <> out_r then
+              Some
+                (fail "repr" "%s diverges from boxed reference: %a vs %a" tag
+                   pp_outcome out pp_outcome out_r)
+            else if stats <> stats_r then
               Some
                 (fail "repr"
-                   "%s heap diverges from boxed reference at page %Ld" tag p)
-          | None -> None
+                   "%s stats diverge from boxed reference: (i=%d g=%d c=%d \
+                    hc=%d cost=%d) vs (i=%d g=%d c=%d hc=%d cost=%d)"
+                   tag stats.Vm.insns stats.Vm.guards stats.Vm.checkpoints
+                   stats.Vm.helper_calls stats.Vm.helper_cost stats_r.Vm.insns
+                   stats_r.Vm.guards stats_r.Vm.checkpoints
+                   stats_r.Vm.helper_calls stats_r.Vm.helper_cost)
+            else if
+              Bytes.to_string env.pkt.Packet.payload
+              <> Bytes.to_string env_r.pkt.Packet.payload
+            then
+              Some
+                (fail "repr" "%s packet payload diverges from boxed reference"
+                   tag)
+            else
+              match
+                first_diff_page (Heap.snapshot env_r.heap)
+                  (Heap.snapshot env.heap)
+              with
+              | Some p ->
+                  Some
+                    (fail "repr"
+                       "%s heap diverges from boxed reference at page %Ld" tag p)
+              | None -> None)
       in
-      let env_i = build_env cfg kie in
-      let stats_i = Vm.fresh_stats () in
-      Vm.seed_prandom cfg.prandom;
       match
-        Vm.exec env_i.ext ~ctx:env_i.ctx ~stats:stats_i ~on_insn:(bounded ())
-          ()
+        check "hooked" (fun env ~stats ~on_insn ->
+            Vm.exec env.ext ~ctx:env.ctx ~stats ~on_insn ())
       with
-      | exception Trace_stop ->
-          Some
-            (fail "harness" "execution exceeded the %d-insn safety budget"
-               budget0)
-      | out_i -> (
-          match check "interpreter" env_i stats_i out_i with
-          | Some f -> Some f
-          | None ->
-              let env_c = build_env cfg kie in
-              let stats_c = Vm.fresh_stats () in
-              Vm.seed_prandom cfg.prandom;
-              let out_c =
-                Vm.exec env_c.ext ~ctx:env_c.ctx ~stats:stats_c
-                  ~backend:`Compiled ()
-              in
-              check "compiled" env_c stats_c out_c))
+      | Some f -> Some f
+      | None ->
+          check "fused" (fun env ~stats ~on_insn:_ ->
+              Vm.exec env.ext ~ctx:env.ctx ~stats ()))
 
 (* --- oracle 7: lifecycle no-false-positive ------------------------------ *)
 
@@ -1172,7 +1117,7 @@ let shared_safety ?(shards = 4) ?(events = 64) cfg prog =
 
 (* --- the full case ------------------------------------------------------ *)
 
-let run_case_stats_exn ?(backend = `Interp) cfg prog =
+let run_case_stats_exn cfg prog =
   match roundtrip prog with
     | Some f -> (Fail f, 0)
     | None -> (
@@ -1202,27 +1147,19 @@ let run_case_stats_exn ?(backend = `Interp) cfg prog =
                     match cancellation cfg kie_a sites with
                     | Some f -> (Fail f, flagged)
                     | None -> (
-                        match
-                          if backend = `Compiled then backend_equiv cfg kie_a
-                          else None
-                        with
+                        match repr_equiv cfg kie_a with
                         | Some f -> (Fail f, flagged)
                         | None -> (
-                            match repr_equiv cfg kie_a with
+                            match lifecycle_failure cfg prog findings kie_k with
                             | Some f -> (Fail f, flagged)
-                            | None -> (
-                                match
-                                  lifecycle_failure cfg prog findings kie_k
-                                with
-                                | Some f -> (Fail f, flagged)
-                                | None -> (Pass, flagged))))))))
+                            | None -> (Pass, flagged)))))))
 
-let run_case_exn ?backend cfg prog = fst (run_case_stats_exn ?backend cfg prog)
+let run_case_exn cfg prog = fst (run_case_stats_exn cfg prog)
 
-let run_case_stats ?backend cfg prog =
-  try run_case_stats_exn ?backend cfg prog
+let run_case_stats cfg prog =
+  try run_case_stats_exn cfg prog
   with e ->
     ( Fail (fail "harness" "unexpected exception: %s" (Printexc.to_string e)),
       0 )
 
-let run_case ?backend cfg prog = fst (run_case_stats ?backend cfg prog)
+let run_case cfg prog = fst (run_case_stats cfg prog)

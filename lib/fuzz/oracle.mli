@@ -1,7 +1,8 @@
 (** The differential oracle engine.
 
     Every verifier-accepted program is executed concretely under several
-    instrumentation regimes and checked against up to five invariants:
+    instrumentation regimes and checked against six per-program
+    invariants by {!run_case}:
 
     - {b roundtrip}: [Encode.encode |> Encode.decode] reproduces the program
       instruction for instruction (and the disassembler prints it without
@@ -19,17 +20,25 @@
       Checkpoint/heap-access site unwinds through the object tables with
       zero leaked resources (ledger and socket refcounts) and the hook's
       default return code;
-    - {b backend} (when [~backend:`Compiled] is requested): the
-      closure-compiled engine ({!Kflex_runtime.Jit}) is observationally
-      identical to the interpreter — outcome, stats counters, heap pages,
-      packet bytes.
+    - {b repr}: the boxed reference interpreter
+      ({!Kflex_runtime.Vm.Ref_interp}) and both compiled forms — hooked and
+      fused — agree on outcome, stats counters, heap pages and packet bytes
+      ({!repr_equiv});
+    - {b lifecycle}: no static lifecycle finding is refuted by a concrete
+      run ({!lifecycle_report}).
+
+    Multi-program and multi-shard properties have their own entry points:
+    {b chain} ({!chain_equiv}) and {b shared} ({!shared_equiv},
+    {!shared_safety}).
 
     All runs are deterministic: fresh heap/kernel state per run, the
     [bpf_get_prandom_u32] stream reseeded from the case's config. *)
 
 type config = {
-  heap_size : int64;  (** power of two ≥ 4096 *)
-  kbase : int64;  (** randomized heap base, size-aligned *)
+  heap_size : int64;  (** power of two in [4K, 1T] *)
+  kbase : int64;
+      (** randomized heap base, size-aligned in [2{^46}, 2{^47}) (see
+          {!Kflex_runtime.Heap.create}) *)
   pages : int list;  (** heap pages populated before the run (page 0 — the
       globals — is always populated) *)
   port : int;  (** UDP+TCP listening port for socket lookups *)
@@ -48,8 +57,31 @@ val default_config : config
     300k, modest budgets — what the corpus replayer uses unless a
     reproducer file overrides it. *)
 
+type env = {
+  ext : Kflex_runtime.Vm.ext;
+  kernel : Kflex_kernel.Helpers.t;
+  heap : Kflex_runtime.Heap.t;
+  pkt : Kflex_kernel.Packet.t;
+  ctx : Bytes.t;
+}
+
+val build_env :
+  ?helpers_shim:
+    ((string * Kflex_runtime.Vm.helper) list ->
+    (string * Kflex_runtime.Vm.helper) list) ->
+  config ->
+  Kflex_kie.Instrument.t ->
+  env
+(** The fresh, deterministic world of one oracle run: the config's heap
+    geometry and pages, listening sockets, one map of every shared-capable
+    kind at fds 3–6, and the config's packet installed. [helpers_shim]
+    shadows helper implementations. Seed the PRNG ({!Kflex_runtime.Vm.seed_prandom}
+    with [prandom]) before running. *)
+
 type failure = {
-  oracle : string;  (** ["roundtrip" | "containment" | "elision" | "cancellation" | "backend" | "harness"] *)
+  oracle : string;
+      (** ["roundtrip" | "containment" | "elision" | "cancellation" |
+          "repr" | "lifecycle" | "chain" | "shared" | "harness"] *)
   detail : string;
 }
 
@@ -58,23 +90,16 @@ type verdict =
   | Rejected of string  (** the verifier refused the program (not a bug) *)
   | Fail of failure
 
-val run_case :
-  ?backend:Kflex_runtime.Vm.backend -> config -> Kflex_bpf.Prog.t -> verdict
-(** Verify the program, then run the oracles. [backend] (default [`Interp])
-    additionally enables the interpreter-vs-compiled equivalence oracle when
-    [`Compiled]. Deterministic in [(config, prog, backend)]. *)
+val run_case : config -> Kflex_bpf.Prog.t -> verdict
+(** Verify the program, then run the per-program oracles. Deterministic in
+    [(config, prog)]. *)
 
-val run_case_stats :
-  ?backend:Kflex_runtime.Vm.backend ->
-  config ->
-  Kflex_bpf.Prog.t ->
-  verdict * int
+val run_case_stats : config -> Kflex_bpf.Prog.t -> verdict * int
 (** {!run_case} plus the number of lifecycle findings the static pass
     reported on the program (0 for rejected programs) — the campaign's
     [flagged] counter. *)
 
-val run_case_exn :
-  ?backend:Kflex_runtime.Vm.backend -> config -> Kflex_bpf.Prog.t -> verdict
+val run_case_exn : config -> Kflex_bpf.Prog.t -> verdict
 (** Like {!run_case}, but harness exceptions propagate — so a debugger (or a
     test) sees the backtrace instead of a [Fail] with oracle ["harness"]. *)
 
@@ -135,19 +160,13 @@ val lifecycle_report :
     verifier rejects the program. The no-false-positive contract tested by
     the corpus gate and the fuzz property is: no finding is ever [Refuted]. *)
 
-val backend_equiv : config -> Kflex_kie.Instrument.t -> failure option
-(** The fifth oracle in isolation: run the instrumented program under both
-    execution engines in fresh environments and compare outcome, stats,
-    heap pages and packet payload. [None] means they agree. Exposed for the
-    qcheck differential suite in the runtime tests. *)
-
 val repr_equiv : config -> Kflex_kie.Instrument.t -> failure option
-(** The eighth oracle in isolation: three-way representation differential —
-    the kept-boxed reference interpreter ({!Kflex_runtime.Vm.Ref_interp})
-    against the unboxed interpreter and the compiled backend, in fresh
-    environments, comparing outcome, stats, heap pages and packet payload.
-    [None] means all three agree bit-for-bit. Runs on every fuzz case and
-    corpus replay via [run_case]; exposed for the qcheck representation
-    suite in the runtime tests. *)
+(** The executor oracle in isolation: the kept-boxed reference interpreter
+    ({!Kflex_runtime.Vm.Ref_interp}) against the hooked and the fused
+    compiled forms, in fresh environments, comparing outcome, stats, heap
+    pages and packet payload. [None] means all three agree bit-for-bit.
+    Runs on every fuzz case and corpus replay via [run_case]; exposed for
+    the qcheck differential and representation suites in the runtime
+    tests. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

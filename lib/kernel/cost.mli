@@ -1,6 +1,6 @@
 (** The calibrated cost model.
 
-    Our substrate is an interpreter, not the paper's 96-core Xeon testbed,
+    Our substrate is an OCaml VM, not the paper's 96-core Xeon testbed,
     so absolute numbers cannot match; what the model preserves is {e where}
     request processing time is spent, which is what produces the paper's
     shapes: an XDP extension skips the transport stack and the kernel/user

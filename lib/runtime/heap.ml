@@ -37,27 +37,26 @@ let max_arr_pages = 65536
 let kbase_const = 0x4000_0000_0000L
 let ubase_const = 0x8000_0000_0000L
 
-let create ?(shared = false) ?(kbase = kbase_const) ~size () =
+let geometry_error ~kbase ~size =
   if
     size < page_size64
     || size > 0x100_0000_0000L (* 2^40 *)
     || Int64.logand size (Int64.sub size 1L) <> 0L
-  then
-    invalid_arg
-      (Printf.sprintf "Heap.create: size %Ld must be a power of two in [4K, 1T]"
-         size);
+  then Some (Printf.sprintf "size %Ld must be a power of two in [4K, 1T]" size)
   (* The base must be size-aligned (masking extracts the offset), sit at or
      above the canonical kernel view, and leave the user view's window —
      guard zones included — untouched. *)
-  if
+  else if
     Int64.logand kbase (Int64.sub size 1L) <> 0L
     || kbase < kbase_const
     || Int64.add (Int64.add kbase size) guard64
        > Int64.sub ubase_const guard64
-  then
-    invalid_arg
-      (Printf.sprintf "Heap.create: kbase %Lx must be size-aligned in [2^46, 2^47)"
-         kbase);
+  then Some (Printf.sprintf "kbase %Lx must be size-aligned in [2^46, 2^47)" kbase)
+  else None
+
+let create ?(shared = false) ?(kbase = kbase_const) ~size () =
+  Option.iter (fun m -> invalid_arg ("Heap.create: " ^ m))
+    (geometry_error ~kbase ~size);
   let npages = Int64.to_int (Int64.div size page_size64) in
   let backing =
     if npages <= max_arr_pages then Arr (Array.make npages None)
@@ -288,11 +287,11 @@ let read h ~width addr =
     read_off h ~width off
   end
 
-(* Width-specialized extension reads/writes for the compiled backend: one
+(* Width-specialized extension reads/writes for the Jit: one
    unsigned bound check against a precomputed limit, one page load, one
    unaligned access. Anything unusual — guard zones, user-view addresses,
    page-straddling accesses — falls back to the generic checked path above,
-   so fault reasons and their order are identical to the interpreter's. *)
+   so fault reasons and their order are identical to that path's. *)
 
 let[@inline always] read8 h addr =
   let off = Int64.sub addr h.kbase in

@@ -33,6 +33,10 @@ val create : ?shared:bool -> ?kbase:int64 -> size:int64 -> unit -> t
     in the constant.
     @raise Invalid_argument on a bad size or base. *)
 
+val geometry_error : kbase:int64 -> size:int64 -> string option
+(** Why {!create} would refuse this size and base, or [None] if it would
+    accept them. *)
+
 val size : t -> int64
 val mask : t -> int64
 val kbase : t -> int64
@@ -75,7 +79,7 @@ val write : t -> width:int -> int64 -> int64 -> unit
 
 (** {2 Width-specialized extension accesses}
 
-    Hot-path variants of {!read}/{!write} for the compiled backend: one
+    Hot-path variants of {!read}/{!write} for the Jit: one
     unsigned bound check against a precomputed limit and a direct page
     access. Semantics (including fault reasons and their order) are exactly
     those of the generic pair — unusual cases fall back to it. *)

@@ -14,8 +14,8 @@
    The raw byte accessors are the native-endian [%caml_bytes_*u] primitives
    with no bounds check: callers must discharge both obligations. The VM
    uses them only where a guard has already run — window tests on the
-   interpreter paths, verifier-proved constant frame offsets in the
-   compiled backend — and the startup check below refuses big-endian hosts
+   width-specialized access paths, verifier-proved constant frame offsets
+   in the Jit — and the startup check below refuses big-endian hosts
    (the VM's memory image is little-endian everywhere). *)
 
 type bank = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t

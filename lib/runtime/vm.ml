@@ -1,9 +1,9 @@
 open Kflex_bpf
 
 (* The execution-state machinery (stats, call_ctx, memory windows, the
-   reusable register/stack context) lives in [Machine], shared between this
-   interpreter and the compiled backend in [Jit]. The aliases below keep
-   [Vm] as the single public surface. *)
+   reusable register/stack context) lives in [Machine], shared between the
+   compiled closures in [Jit] and the reference interpreter below. The
+   aliases below keep [Vm] as the single public surface. *)
 
 type fault_reason = Machine.fault_reason =
   | Page_fault
@@ -153,8 +153,6 @@ let builtin_helpers =
 
 (* --- extensions ------------------------------------------------------- *)
 
-type backend = [ `Interp | `Compiled ]
-
 type ext = {
   kie : Kflex_kie.Instrument.t;
   heap : Heap.t option;
@@ -168,6 +166,8 @@ type ext = {
       (* the reusable execution context (satellite: hoisted allocations) *)
   mutable jit : (Jit.t * helper array) option;
       (* compiled form + helper table linked against [helpers] *)
+  mutable hooked : (Jit.t * helper array) option;
+      (* the hooked form, compiled on the first invocation with a hook *)
 }
 
 let create ?heap ?alloc ?(quantum = 100_000_000) ?(default_ret = 0L) ?on_cancel
@@ -186,6 +186,7 @@ let create ?heap ?alloc ?(quantum = 100_000_000) ?(default_ret = 0L) ?on_cancel
     cancel_flag = ref false;
     exec_state = None;
     jit = None;
+    hooked = None;
   }
 
 let cancel e = e.cancel_flag := true
@@ -194,7 +195,7 @@ let reset_cancel e = e.cancel_flag := false
 let cancel_flag e = e.cancel_flag
 let kie e = e.kie
 
-(* --- compiled backend plumbing ---------------------------------------- *)
+(* --- compiled forms ----------------------------------------------------- *)
 
 let link_helpers e names =
   Array.map
@@ -204,8 +205,8 @@ let link_helpers e names =
       | None -> fun _ -> failwith ("Vm.exec: unknown helper " ^ n))
     names
 
-let set_compiled e t = e.jit <- Some (t, link_helpers e (Jit.helper_names t))
-let has_compiled e = match e.jit with Some _ -> true | None -> false
+let linked e t = (t, link_helpers e (Jit.helper_names t))
+let set_compiled e t = e.jit <- Some (linked e t)
 
 let precompile ?fuse e =
   let t = Jit.compile ?fuse e.kie.Kflex_kie.Instrument.prog in
@@ -218,6 +219,14 @@ let ensure_compiled e =
   | None ->
       ignore (precompile e);
       (match e.jit with Some p -> p | None -> assert false)
+
+let ensure_hooked e =
+  match e.hooked with
+  | Some p -> p
+  | None ->
+      let p = linked e (Jit.compile_hooked e.kie.Kflex_kie.Instrument.prog) in
+      e.hooked <- Some p;
+      p
 
 (* --- execution context reuse ------------------------------------------ *)
 
@@ -244,309 +253,6 @@ let find_helper e name =
   match Hashtbl.find_opt e.helpers name with
   | Some h -> h
   | None -> failwith ("Vm.exec: unknown helper " ^ name)
-
-(* --- the interpreter -------------------------------------------------- *)
-
-(* Hot loop with the hook checks hoisted out entirely: this variant runs
-   when neither [on_insn] nor [on_site] is supplied. Registers live in the
-   unboxed bank; all arithmetic goes through [Machine.eval_*], which inline
-   here and keep the values out of the heap. *)
-let interp_fast e (st : Machine.state) =
-  let insns = Prog.insns e.kie.Kflex_kie.Instrument.prog in
-  let regs = st.Machine.regs in
-  let stats = st.Machine.stats in
-  let start_cost = st.Machine.start_cost in
-  let src_val s =
-    match s with Insn.Reg r -> U64.get regs (Reg.to_int r) | Insn.Imm i -> i
-  in
-  let pc = ref 0 in
-  let running = ref true in
-  (try
-     while !running do
-       let insn = insns.(!pc) in
-       stats.insns <- stats.insns + 1;
-       match insn with
-       | Insn.Mov (d, s) ->
-           U64.set regs (Reg.to_int d) (src_val s);
-           incr pc
-       | Insn.Neg d ->
-           let d = Reg.to_int d in
-           U64.set regs d (Int64.neg (U64.get regs d));
-           incr pc
-       | Insn.Alu (op, d, s) ->
-           let d = Reg.to_int d in
-           U64.set regs d (Machine.eval_alu op (U64.get regs d) (src_val s));
-           incr pc
-       | Insn.Ldx (sz, d, s, off) ->
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int s)) (Int64.of_int off)
-           in
-           U64.set regs (Reg.to_int d)
-             (Machine.read st ~width:(Insn.size_bytes sz) addr);
-           incr pc
-       | Insn.Stx (sz, d, off, s) ->
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           Machine.write st ~width:(Insn.size_bytes sz) addr
-             (U64.get regs (Reg.to_int s));
-           incr pc
-       | Insn.St (sz, d, off, imm) ->
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           Machine.write st ~width:(Insn.size_bytes sz) addr imm;
-           incr pc
-       | Insn.Xstore (sz, d, off, s) ->
-           let h =
-             match st.Machine.heap with
-             | Some h -> h
-             | None -> raise (Vm_fault Wild_access)
-           in
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           let v = U64.get regs (Reg.to_int s) in
-           let v = if Heap.is_shared h then Heap.translate_user h v else v in
-           Machine.write st ~width:(Insn.size_bytes sz) addr v;
-           incr pc
-       | Insn.Guard (_, r) ->
-           let h =
-             match st.Machine.heap with
-             | Some h -> h
-             | None -> raise (Vm_fault Wild_access)
-           in
-           stats.guards <- stats.guards + 1;
-           let r = Reg.to_int r in
-           U64.set regs r (Heap.sanitize h (U64.get regs r));
-           incr pc
-       | Insn.Checkpoint _ ->
-           (* the [*terminate] load: one unit of cost; the watchdog *)
-           stats.checkpoints <- stats.checkpoints + 1;
-           if !(e.cancel_flag) then raise (Vm_fault Ext_cancelled);
-           if total_cost stats - start_cost > e.quantum then begin
-             e.cancel_flag := true;
-             raise (Vm_fault Quantum_expired)
-           end;
-           incr pc
-       | Insn.Atomic (op, sz, d, off, s) ->
-           let width = Insn.size_bytes sz in
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           let old = Machine.read st ~width addr in
-           let s = Reg.to_int s in
-           let sv = U64.get regs s in
-           (match op with
-           | Insn.Atomic_add -> Machine.write st ~width addr (Int64.add old sv)
-           | Insn.Atomic_or -> Machine.write st ~width addr (Int64.logor old sv)
-           | Insn.Atomic_and ->
-               Machine.write st ~width addr (Int64.logand old sv)
-           | Insn.Atomic_xor ->
-               Machine.write st ~width addr (Int64.logxor old sv)
-           | Insn.Fetch_add ->
-               Machine.write st ~width addr (Int64.add old sv);
-               U64.set regs s old
-           | Insn.Fetch_or ->
-               Machine.write st ~width addr (Int64.logor old sv);
-               U64.set regs s old
-           | Insn.Fetch_and ->
-               Machine.write st ~width addr (Int64.logand old sv);
-               U64.set regs s old
-           | Insn.Fetch_xor ->
-               Machine.write st ~width addr (Int64.logxor old sv);
-               U64.set regs s old
-           | Insn.Xchg ->
-               Machine.write st ~width addr sv;
-               U64.set regs s old
-           | Insn.Cmpxchg ->
-               if old = U64.get regs 0 then Machine.write st ~width addr sv;
-               U64.set regs 0 old);
-           incr pc
-       | Insn.Ja off -> pc := !pc + 1 + off
-       | Insn.Jcond (c, a, s, off) ->
-           if Machine.eval_cond c (U64.get regs (Reg.to_int a)) (src_val s)
-           then pc := !pc + 1 + off
-           else incr pc
-       | Insn.Call name ->
-           stats.helper_calls <- stats.helper_calls + 1;
-           Machine.call_helper st (find_helper e name);
-           incr pc
-       | Insn.Exit -> running := false
-     done
-   with exn ->
-     st.Machine.fault_pc <- !pc;
-     raise exn)
-
-(* Instrumented loop: identical semantics plus the [on_insn] / [on_site]
-   observation points. Lives separately so the fast loop never tests for
-   hook presence. [on_insn] observers receive the state's boxed snapshot
-   array, refreshed from the live bank before every instruction. *)
-let interp_hooked e (st : Machine.state) ~on_insn ~on_site =
-  let insns = Prog.insns e.kie.Kflex_kie.Instrument.prog in
-  let regs = st.Machine.regs in
-  let stats = st.Machine.stats in
-  let start_cost = st.Machine.start_cost in
-  let ctx_size = st.Machine.ctx_size in
-  let src_val s =
-    match s with Insn.Reg r -> U64.get regs (Reg.to_int r) | Insn.Imm i -> i
-  in
-  let pc = ref 0 in
-  let running = ref true in
-  (try
-     while !running do
-       let insn = insns.(!pc) in
-       (match on_insn with
-       | Some f ->
-           Machine.sync_snap st;
-           f !pc st.Machine.reg_snap
-       | None -> ());
-       stats.insns <- stats.insns + 1;
-       (* The watchdog: quantum measured in cost units per invocation. *)
-       (match insn with
-       | Insn.Checkpoint _ ->
-           stats.checkpoints <- stats.checkpoints + 1;
-           if !(e.cancel_flag) then raise (Vm_fault Ext_cancelled);
-           if total_cost stats - start_cost > e.quantum then begin
-             e.cancel_flag := true;
-             raise (Vm_fault Quantum_expired)
-           end
-       | _ -> ());
-       (* Cancellation-injection sites: every Checkpoint (C1) plus every
-          memory access that leaves the stack/ctx windows (a potential C2
-          fault). The callback sees sites in execution order; returning
-          [true] cancels as if a sibling CPU had (§4.3). *)
-       (match on_site with
-       | None -> ()
-       | Some f ->
-           let outside addr width =
-             not
-               (Machine.in_window stack_base Prog.stack_size addr width
-               || Machine.in_window ctx_base ctx_size addr width)
-           in
-           let is_site =
-             match insn with
-             | Insn.Checkpoint _ -> true
-             | Insn.Ldx (sz, _, s, off) ->
-                 outside
-                   (Int64.add (U64.get regs (Reg.to_int s)) (Int64.of_int off))
-                   (Insn.size_bytes sz)
-             | Insn.Stx (sz, d, off, _)
-             | Insn.St (sz, d, off, _)
-             | Insn.Xstore (sz, d, off, _)
-             | Insn.Atomic (_, sz, d, off, _) ->
-                 outside
-                   (Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off))
-                   (Insn.size_bytes sz)
-             | _ -> false
-           in
-           if is_site && f () then raise (Vm_fault Ext_cancelled));
-       match insn with
-       | Insn.Mov (d, s) ->
-           U64.set regs (Reg.to_int d) (src_val s);
-           incr pc
-       | Insn.Neg d ->
-           let d = Reg.to_int d in
-           U64.set regs d (Int64.neg (U64.get regs d));
-           incr pc
-       | Insn.Alu (op, d, s) ->
-           let d = Reg.to_int d in
-           U64.set regs d (Machine.eval_alu op (U64.get regs d) (src_val s));
-           incr pc
-       | Insn.Ldx (sz, d, s, off) ->
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int s)) (Int64.of_int off)
-           in
-           U64.set regs (Reg.to_int d)
-             (Machine.read st ~width:(Insn.size_bytes sz) addr);
-           incr pc
-       | Insn.Stx (sz, d, off, s) ->
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           Machine.write st ~width:(Insn.size_bytes sz) addr
-             (U64.get regs (Reg.to_int s));
-           incr pc
-       | Insn.St (sz, d, off, imm) ->
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           Machine.write st ~width:(Insn.size_bytes sz) addr imm;
-           incr pc
-       | Insn.Xstore (sz, d, off, s) ->
-           let h =
-             match st.Machine.heap with
-             | Some h -> h
-             | None -> raise (Vm_fault Wild_access)
-           in
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           let v = U64.get regs (Reg.to_int s) in
-           let v = if Heap.is_shared h then Heap.translate_user h v else v in
-           Machine.write st ~width:(Insn.size_bytes sz) addr v;
-           incr pc
-       | Insn.Guard (_, r) ->
-           let h =
-             match st.Machine.heap with
-             | Some h -> h
-             | None -> raise (Vm_fault Wild_access)
-           in
-           stats.guards <- stats.guards + 1;
-           let r = Reg.to_int r in
-           U64.set regs r (Heap.sanitize h (U64.get regs r));
-           incr pc
-       | Insn.Checkpoint _ ->
-           (* cost and watchdog handled above *)
-           incr pc
-       | Insn.Atomic (op, sz, d, off, s) ->
-           let width = Insn.size_bytes sz in
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           let old = Machine.read st ~width addr in
-           let s = Reg.to_int s in
-           let sv = U64.get regs s in
-           (match op with
-           | Insn.Atomic_add -> Machine.write st ~width addr (Int64.add old sv)
-           | Insn.Atomic_or -> Machine.write st ~width addr (Int64.logor old sv)
-           | Insn.Atomic_and ->
-               Machine.write st ~width addr (Int64.logand old sv)
-           | Insn.Atomic_xor ->
-               Machine.write st ~width addr (Int64.logxor old sv)
-           | Insn.Fetch_add ->
-               Machine.write st ~width addr (Int64.add old sv);
-               U64.set regs s old
-           | Insn.Fetch_or ->
-               Machine.write st ~width addr (Int64.logor old sv);
-               U64.set regs s old
-           | Insn.Fetch_and ->
-               Machine.write st ~width addr (Int64.logand old sv);
-               U64.set regs s old
-           | Insn.Fetch_xor ->
-               Machine.write st ~width addr (Int64.logxor old sv);
-               U64.set regs s old
-           | Insn.Xchg ->
-               Machine.write st ~width addr sv;
-               U64.set regs s old
-           | Insn.Cmpxchg ->
-               if old = U64.get regs 0 then Machine.write st ~width addr sv;
-               U64.set regs 0 old);
-           incr pc
-       | Insn.Ja off -> pc := !pc + 1 + off
-       | Insn.Jcond (c, a, s, off) ->
-           if Machine.eval_cond c (U64.get regs (Reg.to_int a)) (src_val s)
-           then pc := !pc + 1 + off
-           else incr pc
-       | Insn.Call name ->
-           stats.helper_calls <- stats.helper_calls + 1;
-           Machine.call_helper st (find_helper e name);
-           incr pc
-       | Insn.Exit -> running := false
-     done
-   with exn ->
-     st.Machine.fault_pc <- !pc;
-     raise exn)
 
 (* Cancellation: unwind via the static object table of the faulting
    cancellation point (§3.3). *)
@@ -614,14 +320,14 @@ let unwind e (st : Machine.state) exn =
    ground truth: a boxed [int64 array] register file and [Stdlib.Int64]
    arithmetic everywhere — including the stdlib's unsigned division — with
    the width-dispatched generic memory path for every access. Deliberately
-   shares no ALU/comparison code with [Machine]: the whole point is that an
-   unboxing bug in the new representation (wrap-around, sign extension,
+   shares no ALU/comparison code with [Jit]: the whole point is that an
+   unboxing bug in the compiled closures (wrap-around, sign extension,
    shift masking, division edge cases) cannot also be present here.
 
    Heap, ledger, helpers, stack bytes and outcome plumbing are shared with
    the live state — the reference covers the VM's value representation, not
    the world around it — so outcomes, stats, payloads and heap snapshots
-   must come out bit-identical to both unboxed backends. *)
+   must come out bit-identical to both compiled forms, fused and hooked. *)
 module Ref_interp = struct
   let u_lt a b = Int64.unsigned_compare a b < 0
   let u_le a b = Int64.unsigned_compare a b <= 0
@@ -813,23 +519,25 @@ module Ref_interp = struct
             unwind e st exn)
 end
 
-(* One invocation. Hook-free runs take no optional arguments, closures or
-   [Fun.protect], and small return values share a preallocated [Finished],
-   so the engine's per-event path ({!run}) allocates nothing here. *)
-let invoke e ~ctx ~cpu ~stats ~backend ~on_insn ~on_site =
+(* One invocation. Hook-free runs take the fused compiled form with no
+   optional arguments, closures or [Fun.protect], and small return values
+   share a preallocated [Finished], so the engine's per-event path ({!run})
+   allocates nothing here. A hook selects the hooked form. *)
+let invoke e ~ctx ~cpu ~stats ~on_insn ~on_site =
   let st = acquire_state e in
   Machine.reset_state st ~ctx ~cpu ~stats;
   match
-    match (on_insn, on_site, backend) with
-    | None, None, `Compiled ->
+    match (on_insn, on_site) with
+    | None, None ->
         let t, helpers = ensure_compiled e in
         st.Machine.helpers <- helpers;
         Jit.run t st
-    | None, None, `Interp -> interp_fast e st
     | _ ->
-        (* hooks force the interpreter: observation points only exist
-           there *)
-        interp_hooked e st ~on_insn ~on_site
+        let t, helpers = ensure_hooked e in
+        st.Machine.helpers <- helpers;
+        st.Machine.on_insn <- on_insn;
+        st.Machine.on_site <- on_site;
+        Jit.run t st
   with
   | () ->
       st.Machine.in_use <- false;
@@ -842,9 +550,8 @@ let invoke e ~ctx ~cpu ~stats ~backend ~on_insn ~on_site =
       st.Machine.in_use <- false;
       raise exn
 
-let run e ~ctx ~cpu ~stats ~backend =
-  invoke e ~ctx ~cpu ~stats ~backend ~on_insn:None ~on_site:None
+let run e ~ctx ~cpu ~stats = invoke e ~ctx ~cpu ~stats ~on_insn:None ~on_site:None
 
-let exec e ~ctx ?(cpu = 0) ?stats ?on_insn ?on_site ?(backend = `Interp) () =
+let exec e ~ctx ?(cpu = 0) ?stats ?on_insn ?on_site () =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
-  invoke e ~ctx ~cpu ~stats ~backend ~on_insn ~on_site
+  invoke e ~ctx ~cpu ~stats ~on_insn ~on_site

@@ -1,7 +1,7 @@
 (** The KFlex runtime's execution engine (§3, step 3).
 
-    Interprets an instrumented program while enforcing the two runtime
-    halves of extension correctness:
+    Runs an instrumented program, compiled to closures by {!Jit}, while
+    enforcing the two runtime halves of extension correctness:
 
     - {b memory safety}: [Guard] instructions sanitise heap addresses
       (mask + base, one unit of cost, §4.2); accesses that land in guard
@@ -153,28 +153,18 @@ val reset_cancel : ext -> unit
 
 val kie : ext -> Kflex_kie.Instrument.t
 
-type backend = [ `Interp | `Compiled ]
-(** Execution engine selection: the classic fetch/decode interpreter, or the
-    closure-compiled direct-threaded backend ({!Jit}). Both produce
-    bit-identical outcomes, stats and memory effects; the compiled backend
-    exists purely for speed. *)
-
 val precompile : ?fuse:bool -> ext -> Jit.t
 (** Compile the extension's instrumented program and install the result, so
-    subsequent [`Compiled] executions skip lazy compilation. [fuse]
-    (default [true]) enables superinstruction fusion. Returns the compiled
-    form (for fusion/compile-time reporting). *)
+    the first hook-free invocation skips lazy compilation. [fuse] (default
+    [true]) enables superinstruction fusion. Returns the compiled form (for
+    fusion/compile-time reporting). *)
 
 val set_compiled : ext -> Jit.t -> unit
 (** Install an externally compiled program (e.g. from the core facade's
     compiled-program cache), linking its helper table against this
     extension's helpers. *)
 
-val has_compiled : ext -> bool
-(** Whether a compiled form is already installed. *)
-
-val run :
-  ext -> ctx:Bytes.t -> cpu:int -> stats:stats -> backend:backend -> outcome
+val run : ext -> ctx:Bytes.t -> cpu:int -> stats:stats -> outcome
 (** One hook-free invocation — {!exec} without optional arguments, for
     per-event callers: it allocates nothing when the extension finishes
     with a return value in [-1, 255] (those outcomes are preallocated). *)
@@ -186,33 +176,36 @@ val exec :
   ?stats:stats ->
   ?on_insn:(int -> int64 array -> unit) ->
   ?on_site:(unit -> bool) ->
-  ?backend:backend ->
   unit ->
   outcome
 (** Run one invocation with the given context block. [stats], when supplied,
-    accumulates across invocations.
+    accumulates across invocations. A hook-free invocation runs the fused
+    compiled form, compiling it on first use unless {!precompile} or
+    {!set_compiled} installed one.
+
+    Supplying either hook runs the hooked form instead: unfused, compiled
+    on the first hooked invocation and kept for the extension's lifetime,
+    with outcomes, stats and memory effects identical to the fused form.
 
     [on_insn] observes every instruction boundary: it receives the
     instrumented pc and the live register file {e before} the instruction
-    executes. Exceptions it raises propagate out of [exec] uncaught — the
-    fuzzer's containment oracle uses this both to check abstract states and
-    to bound runaway concrete loops.
+    executes and is charged. Exceptions it raises propagate out of [exec]
+    uncaught — the fuzzer's containment oracle uses this both to check
+    abstract states and to bound runaway concrete loops.
 
-    [on_site] is consulted at every cancellation site — each [Checkpoint]
-    and each memory access whose address leaves the stack/ctx windows — in
-    execution order; returning [true] injects an asynchronous cancellation
-    ({!Ext_cancelled}) at that site, exercising object-table unwinding.
-
-    [backend] selects the engine (default [`Interp]). Supplying either hook
-    forces the interpreter regardless of [backend]: observation points only
-    exist there. *)
+    [on_site] is consulted at every cancellation site, in execution order:
+    each [Checkpoint], after its watchdog check, and each memory access
+    whose address leaves the stack/ctx windows, after the access is charged
+    and before it executes. Returning [true] injects an asynchronous
+    cancellation ({!Ext_cancelled}) at that site, exercising object-table
+    unwinding. *)
 
 (** The pre-refactor boxed reference semantics, kept as the ground truth for
     the [repr_equiv] differential oracle: a boxed [int64 array] register
     file with [Stdlib.Int64] arithmetic everywhere (including the stdlib's
     unsigned division) and the width-dispatched generic memory path. Shares
-    no ALU/comparison/accessor code with the unboxed backends, so a
-    representation bug there cannot also hide here. Slow by design; never
+    no ALU/comparison/accessor code with {!Jit}, so a representation bug
+    there cannot also hide here. Slow by design; never
     use it outside differential testing. *)
 module Ref_interp : sig
   val exec :
@@ -223,6 +216,6 @@ module Ref_interp : sig
     ?on_insn:(int -> int64 array -> unit) ->
     unit ->
     outcome
-  (** Same contract as {!exec} restricted to the interpreter: [on_insn]
-      observes the (boxed) register file before each instruction. *)
+  (** Same contract as {!exec} without [on_site]: [on_insn] observes the
+      (boxed) register file before each instruction. *)
 end

@@ -204,7 +204,7 @@ let attach_src eng ~name ~hook ?heap_bits src =
   match
     Engine.attach eng ~name
       ~globals_size:c.Kflex_eclang.Compile.layout.Kflex_eclang.Compile.globals_size
-      ~quantum:1_000_000_000 ?heap_size ~backend:`Compiled ~hook
+      ~quantum:1_000_000_000 ?heap_size ~hook
       c.Kflex_eclang.Compile.prog
   with
   | Ok h -> h

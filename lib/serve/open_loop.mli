@@ -50,7 +50,7 @@ val attach_tenants : config -> Kflex_engine.Engine.t -> unit
 (** Attach, in chain order: the guard tenants over engine-shared maps
     (when [guard] — sharing the maps first, so they sit at fds 3/4 for
     every tenant), the burner (when [burn]), then the §5.1 cache
-    extension for [proto]; all compiled backend, at the protocol's hook.
+    extension for [proto]; all at the protocol's hook.
     The shared maps are reachable afterwards via
     [Engine.shared_maps]. *)
 

@@ -138,7 +138,7 @@ let t_jit_cache_lru () =
       let admit_ret i =
         let name = Printf.sprintf "cache%d" i in
         match
-          Kflex.admit ~backend:`Compiled ~heap_size:4096L ~hook:Hook.Xdp
+          Kflex.admit ~heap_size:4096L ~hook:Hook.Xdp
             (prog_of (compile name (ret_src (100 + i))))
         with
         | Ok a -> a

@@ -338,7 +338,7 @@ let t_helpers_pkt () =
 (* --- allocation gates ------------------------------------------------------
 
    Each warmed helper call allocates nothing: a loop runs the call [iters]
-   times through the compiled backend, and the minor words of a run at 2N
+   times through the fused Jit, and the minor words of a run at 2N
    minus those at N cancel the per-invocation constant (the facade's
    optional arguments, the fresh context block). Map fd 3 is the map
    under test, holding key 5. *)
@@ -372,7 +372,7 @@ let loop_words ?map body =
     let loaded =
       match
         Kflex.load ~heap ~globals_size:c.Kflex_eclang.Compile.layout.Kflex_eclang.Compile.globals_size
-          ~quantum:max_int ~backend:`Compiled ~kernel ~hook:Hook.Xdp
+          ~quantum:max_int ~kernel ~hook:Hook.Xdp
           c.Kflex_eclang.Compile.prog
       with
       | Ok l -> l

@@ -490,22 +490,26 @@ let t_stats_accounting () =
   Alcotest.(check bool) "insns counted" true (stats.Vm.insns >= 3);
   Alcotest.(check int) "one guard" 1 stats.Vm.guards
 
-(* --- compiled backend (Jit) ---------------------------------------------- *)
+(* --- the Jit against the reference interpreter -------------------------- *)
 
 let stats_tuple (s : Vm.stats) =
   (s.Vm.insns, s.Vm.guards, s.Vm.checkpoints, s.Vm.helper_calls,
    s.Vm.helper_cost)
 
-(* Run the same program under both engines, each in a fresh environment,
+(* The boxed reference interpreter and the Jit as interchangeable runs. *)
+let ref_exec ext ~ctx ~stats = Vm.Ref_interp.exec ext ~ctx ~stats ()
+let jit_exec ext ~ctx ~stats = Vm.exec ext ~ctx ~stats ()
+
+(* Run the same program under both executors, each in a fresh environment,
    and return outcome plus the full cost-accounting tuple. *)
 let both_backends ?quantum items =
-  let go backend =
+  let go exec =
     let _, ext = with_heap ?quantum items in
     let stats = Vm.fresh_stats () in
-    let o = Vm.exec ext ~ctx:(Bytes.make 64 '\000') ~stats ~backend () in
+    let o = exec ext ~ctx:(Bytes.make 64 '\000') ~stats in
     (o, stats_tuple stats)
   in
-  (go `Interp, go `Compiled)
+  (go ref_exec, go jit_exec)
 
 let check_stats (a, b, c, d, e) (a', b', c', d', e') =
   Alcotest.(check int) "insns" a a';
@@ -516,7 +520,7 @@ let check_stats (a, b, c, d, e) (a', b', c', d', e') =
 
 (* A program mixing frame slots, guarded heap traffic, ALU chains and a
    branch — the constructs the compiler specializes and fuses — must produce
-   the identical outcome and identical stats on both backends. *)
+   the identical outcome and identical stats on both executors. *)
 let t_jit_parity () =
   let items =
     [
@@ -540,11 +544,11 @@ let t_jit_parity () =
   | Vm.Finished a, Vm.Finished b ->
       Alcotest.(check int64) "ret" a b;
       Alcotest.(check int64) "value" (Int64.mul 0x9abc_def0L 3L) b
-  | _ -> Alcotest.fail "expected Finished on both backends");
+  | _ -> Alcotest.fail "expected Finished on both executors");
   check_stats si sc
 
-(* Quantum expiry fires at a checkpoint; the compiled backend must cancel
-   with the same reason after exactly the same number of instructions. *)
+(* Quantum expiry fires at a checkpoint; the Jit must cancel with the same
+   reason after exactly the same number of instructions. *)
 let t_jit_quantum_parity () =
   let items =
     [
@@ -564,11 +568,11 @@ let t_jit_quantum_parity () =
   | ( Vm.Cancelled { reason = Vm.Quantum_expired; _ },
       Vm.Cancelled { reason = Vm.Quantum_expired; _ } ) ->
       ()
-  | _ -> Alcotest.fail "expected quantum cancellation on both backends");
+  | _ -> Alcotest.fail "expected quantum cancellation on both executors");
   check_stats si sc
 
 (* A wild pointer is sanitized by the fused Guard+Ldx superinstruction into
-   the heap window; here it lands on an unpopulated page, so both backends
+   the heap window; here it lands on an unpopulated page, so both executors
    must page-fault with identical accounting. *)
 let t_jit_fused_fault_parity () =
   let items = [ movi R1 0xdead_beefL; ldx Insn.U64 R0 R1 0; exit_ ] in
@@ -577,11 +581,11 @@ let t_jit_fused_fault_parity () =
   | ( Vm.Cancelled { reason = Vm.Page_fault; _ },
       Vm.Cancelled { reason = Vm.Page_fault; _ } ) ->
       ()
-  | _ -> Alcotest.fail "expected page fault on both backends");
+  | _ -> Alcotest.fail "expected page fault on both executors");
   check_stats si sc
 
 (* Repeated runs reuse the pooled execution state; the persistent heap must
-   accumulate identically under either engine. *)
+   accumulate identically under either executor. *)
 let t_jit_state_reuse () =
   let items =
     [
@@ -594,47 +598,191 @@ let t_jit_state_reuse () =
       exit_;
     ]
   in
-  let go ext backend =
-    match Vm.exec ext ~ctx:(Bytes.make 64 '\000') ~backend () with
+  let go ext exec =
+    match exec ext ~ctx:(Bytes.make 64 '\000') ~stats:(Vm.fresh_stats ()) with
     | Vm.Finished v -> v
     | Vm.Cancelled _ -> Alcotest.fail "unexpected cancellation"
   in
-  let _, ei = with_heap items in
-  let _, ec = with_heap items in
+  let _, er = with_heap items in
+  let _, ej = with_heap items in
   List.iter
     (fun expect ->
-      Alcotest.(check int64) "interp counter" expect (go ei `Interp);
-      Alcotest.(check int64) "compiled counter" expect (go ec `Compiled))
+      Alcotest.(check int64) "reference counter" expect (go er ref_exec);
+      Alcotest.(check int64) "compiled counter" expect (go ej jit_exec))
     [ 0L; 1L; 2L ]
 
-(* Random verifier-accepted programs: the interpreter and the compiled
-   engine must agree on outcome, stats, heap pages and packet bytes — the
-   fifth oracle applied as a qcheck property. *)
+(* Random verifier-accepted programs: the reference interpreter and both
+   compiled forms must agree on outcome, stats, heap pages and packet bytes
+   — the executor oracle applied as a qcheck property. *)
+module Oracle = Kflex_fuzz.Oracle
+
+(* Verify and instrument under a fuzz config; [None] when rejected
+   (rejection is not an executor question). *)
+let admit_for (cfg : Oracle.config) prog =
+  match
+    Kflex_verifier.Verify.run ~mode:Kflex_verifier.Verify.Kflex ~contracts
+      ~ctx_size:Kflex_kernel.Hook.ctx_size ~heap_size:cfg.Oracle.heap_size
+      ~sleepable:false prog
+  with
+  | Error _ -> None
+  | Ok analysis -> Some (Kflex_kie.Instrument.run analysis)
+
+let generated seed =
+  let cfg = Oracle.default_config in
+  Kflex_fuzz.Gen.assemble
+    (Kflex_fuzz.Gen.generate ~rng:(Kflex_workload.Rng.create ~seed)
+       ~heap_size:cfg.Oracle.heap_size ~port:cfg.Oracle.port ())
+
 let prop_jit_differential =
   QCheck.Test.make ~name:"interp/compiled differential (random programs)"
     ~count:60
     QCheck.(map Int64.of_int small_int)
     (fun seed ->
-      let rng = Kflex_workload.Rng.create ~seed in
-      let cfg = Kflex_fuzz.Oracle.default_config in
-      let items =
-        Kflex_fuzz.Gen.generate ~rng ~heap_size:cfg.Kflex_fuzz.Oracle.heap_size
-          ~port:cfg.Kflex_fuzz.Oracle.port ()
-      in
-      let prog = Kflex_fuzz.Gen.assemble items in
-      match
-        Kflex_verifier.Verify.run ~mode:Kflex_verifier.Verify.Kflex ~contracts
-          ~ctx_size:64 ~heap_size:cfg.Kflex_fuzz.Oracle.heap_size
-          ~sleepable:false prog
-      with
-      | Error _ -> true (* rejection is not a backend question *)
-      | Ok analysis -> (
-          let kie = Kflex_kie.Instrument.run analysis in
-          match Kflex_fuzz.Oracle.backend_equiv cfg kie with
-          | None -> true
-          | Some f ->
-              QCheck.Test.fail_reportf "[%s] %s" f.Kflex_fuzz.Oracle.oracle
-                f.Kflex_fuzz.Oracle.detail))
+      let cfg = Oracle.default_config in
+      match Option.map (Oracle.repr_equiv cfg) (admit_for cfg (generated seed)) with
+      | None | Some None -> true
+      | Some (Some f) ->
+          QCheck.Test.fail_reportf "[%s] %s" f.Oracle.oracle f.Oracle.detail)
+
+(* --- the hooked form -------------------------------------------------------- *)
+
+(* One observed run in the oracles' environment: (pc, cost so far,
+   registers) at each [on_insn] and (pc, cost so far) at each [on_site],
+   for the first [trace_cap] instructions, and the outcome if it ended
+   within them. [inject k] cancels at the k-th site. *)
+let trace_cap = 10_000
+
+let observe ?(inject = -1) cfg kie ~hooked =
+  let env = Oracle.build_env cfg kie in
+  let stats = Vm.fresh_stats () in
+  let steps = ref [] and sites = ref [] and n = ref 0 and nsites = ref 0 in
+  let pc_now = ref 0 in
+  let on_insn pc regs =
+    incr n;
+    if !n > trace_cap then raise Exit;
+    pc_now := pc;
+    steps := (pc, Vm.total_cost stats, Array.copy regs) :: !steps
+  in
+  let on_site () =
+    sites := (!pc_now, Vm.total_cost stats) :: !sites;
+    incr nsites;
+    !nsites - 1 = inject
+  in
+  Vm.seed_prandom cfg.Oracle.prandom;
+  let ctx = env.Oracle.ctx in
+  let outcome =
+    match
+      if hooked then Vm.exec env.Oracle.ext ~ctx ~stats ~on_insn ~on_site ()
+      else Vm.Ref_interp.exec env.Oracle.ext ~ctx ~stats ~on_insn ()
+    with
+    | o -> Some o
+    | exception Exit -> None
+  in
+  (List.rev !steps, List.rev !sites, outcome, env)
+
+(* The sites the reference trace implies, derived independently of the
+   Jit's preludes: every Checkpoint, and every access whose address leaves
+   the stack and ctx windows, each seen with its own instruction charged. A
+   checkpoint whose watchdog fires never reaches its site. *)
+let expected_sites kie steps outcome =
+  let insns = Prog.insns kie.Kflex_kie.Instrument.prog in
+  let inside base size addr w =
+    let off = Int64.sub addr base in
+    off >= 0L && off <= Int64.of_int (size - w)
+  in
+  let leaves regs b off sz =
+    let addr = Int64.add regs.(Reg.to_int b) (Int64.of_int off)
+    and w = Insn.size_bytes sz in
+    not
+      (inside Vm.stack_base Prog.stack_size addr w
+      || inside Vm.ctx_base Kflex_kernel.Hook.ctx_size addr w)
+  in
+  let site (pc, cost, regs) =
+    match insns.(pc) with
+    | Insn.Checkpoint _ -> Some (pc, cost + 1)
+    | Insn.Ldx (sz, _, b, off)
+    | Insn.Stx (sz, b, off, _)
+    | Insn.St (sz, b, off, _)
+    | Insn.Xstore (sz, b, off, _)
+    | Insn.Atomic (_, sz, b, off, _) ->
+        if leaves regs b off sz then Some (pc, cost + 1) else None
+    | _ -> None
+  in
+  let sites = List.filter_map site steps in
+  match outcome with
+  | Some (Vm.Cancelled { reason = Vm.Quantum_expired; _ }) ->
+      List.rev (List.tl (List.rev sites))
+  | _ -> sites
+
+(* The hooked Jit observes exactly what the reference interpreter does, its
+   sites are the ones the reference trace implies, and a cancellation
+   injected at any site unwinds there with nothing leaked. *)
+let check_hooked name cfg kie =
+  let ref_steps, _, ref_outcome, _ = observe cfg kie ~hooked:false in
+  let steps, sites, _, _ = observe cfg kie ~hooked:true in
+  if steps <> ref_steps then
+    Alcotest.failf "%s: on_insn trace diverges from the reference (%d vs %d \
+                    steps)" name (List.length steps) (List.length ref_steps);
+  if sites <> expected_sites kie ref_steps ref_outcome then
+    Alcotest.failf "%s: on_site calls diverge from the reference trace" name;
+  let nsites = List.length sites in
+  let ks =
+    if nsites <= 64 then List.init nsites Fun.id
+    else List.init 64 (fun i -> i * nsites / 64)
+  in
+  List.iter
+    (fun k ->
+      let site_pc = fst (List.nth sites k) in
+      match observe ~inject:k cfg kie ~hooked:true with
+      | _, _, Some (Vm.Cancelled c), env
+        when c.reason = Vm.Ext_cancelled && c.ledger_leaked = 0
+             && c.orig_pc = kie.Kflex_kie.Instrument.orig_of_new.(site_pc)
+             && Kflex_kernel.Socket.total_refs
+                  (Kflex_kernel.Helpers.sockets env.Oracle.kernel)
+                = 0 ->
+          ()
+      | _ -> Alcotest.failf "%s: injection at site %d/%d" name k nsites)
+    ks
+
+(* The corpus programs, plus a runaway loop whose watchdog fires at a
+   checkpoint inside the traced prefix (that checkpoint has no site). *)
+let t_hooked_corpus () =
+  let runaway =
+    [
+      call "kflex_heap_base";
+      alui Insn.Add R0 64L;
+      stx Insn.U64 R0 0 R0;
+      label "loop";
+      ldx Insn.U64 R0 R0 0;
+      jmpi Insn.Ne R0 0L "loop";
+      exit_;
+    ]
+  in
+  let cfg = { Oracle.default_config with Oracle.quantum = 5_000 } in
+  Option.iter (check_hooked "runaway" cfg)
+    (admit_for cfg (Kflex_fuzz.Gen.assemble runaway));
+  Sys.readdir "corpus" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".kfxr")
+  |> List.iter (fun f ->
+         match Kflex_fuzz.Corpus.read (Filename.concat "corpus" f) with
+         | Error e -> Alcotest.failf "%a" Kflex_fuzz.Corpus.pp_error e
+         | Ok r ->
+             let cfg = r.Kflex_fuzz.Corpus.config in
+             List.iter
+               (fun p -> Option.iter (check_hooked f cfg) (admit_for cfg p))
+               (r.Kflex_fuzz.Corpus.prog :: Option.to_list r.Kflex_fuzz.Corpus.prog2))
+
+(* A small quantum makes runaway loops expire inside the traced prefix, so
+   the watchdog-before-site order is exercised too. *)
+let prop_hooked_differential =
+  QCheck.Test.make ~name:"hooked form matches the reference (random programs)"
+    ~count:40
+    QCheck.(map Int64.of_int small_int)
+    (fun seed ->
+      let cfg = { Oracle.default_config with Oracle.quantum = 5_000 } in
+      Option.iter (check_hooked (Printf.sprintf "seed %Ld" seed) cfg)
+        (admit_for cfg (generated seed));
+      true)
 
 (* --- representation edge cases ------------------------------------------- *)
 
@@ -673,17 +821,17 @@ let corner_i64 =
         ])
 
 let both_ret items =
-  let go backend =
+  let go exec =
     let _, ext = with_heap items in
-    match Vm.exec ext ~ctx:(Bytes.make 64 '\000') ~backend () with
+    match exec ext ~ctx:(Bytes.make 64 '\000') ~stats:(Vm.fresh_stats ()) with
     | Vm.Finished v -> v
     | Vm.Cancelled _ -> QCheck.Test.fail_report "unexpected cancellation"
   in
-  let i = go `Interp and c = go `Compiled in
-  if i <> c then
-    QCheck.Test.fail_reportf "backends diverge: 0x%Lx interp vs 0x%Lx compiled"
-      i c;
-  i
+  let r = go ref_exec and c = go jit_exec in
+  if r <> c then
+    QCheck.Test.fail_reportf
+      "executors diverge: 0x%Lx reference vs 0x%Lx compiled" r c;
+  r
 
 let check_alu op a b =
   let expect = alu_ref op a b in
@@ -774,7 +922,7 @@ let prop_repr_subword =
    file can be compiled through the float-dispatching accessor, which would
    launder values through a float load/store and corrupt NaN bit patterns.
    Round-trip signalling-NaN and quiet-NaN patterns through moves, frame
-   spills and identity ALU ops on both backends — bits must survive
+   spills and identity ALU ops on both executors — bits must survive
    exactly. *)
 let t_nan_bit_roundtrip () =
   List.iter
@@ -836,7 +984,7 @@ let minor_words_once iters =
   let _, ext = with_heap ~quantum:max_int items in
   let ctx = Bytes.make 64 '\000' in
   let go () =
-    match Vm.exec ext ~ctx ~backend:`Compiled () with
+    match Vm.exec ext ~ctx () with
     | Vm.Finished _ -> ()
     | Vm.Cancelled _ -> Alcotest.fail "unexpected cancellation"
   in
@@ -868,7 +1016,7 @@ let helper_loop_words body =
     let _, ext = with_heap ~quantum:max_int items in
     let ctx = Bytes.make 64 '\000' in
     let go () =
-      match Vm.exec ext ~ctx ~backend:`Compiled () with
+      match Vm.exec ext ~ctx () with
       | Vm.Finished _ -> ()
       | Vm.Cancelled _ -> Alcotest.fail "unexpected cancellation"
     in
@@ -948,6 +1096,8 @@ let () =
             t_jit_fused_fault_parity;
           Alcotest.test_case "state reuse" `Quick t_jit_state_reuse;
           QCheck_alcotest.to_alcotest prop_jit_differential;
+          Alcotest.test_case "hooked form (corpus)" `Quick t_hooked_corpus;
+          QCheck_alcotest.to_alcotest prop_hooked_differential;
         ] );
       ( "repr",
         [
