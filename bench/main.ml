@@ -145,12 +145,12 @@ let fig5 () =
 
 (* ---- VM executors: reference vs closure-compiled (BENCH_vm.json) ------- *)
 
-(* Wall-clock insns/sec of three executors — the boxed reference
-   interpreter ([Vm.Ref_interp]), the Jit without fusion, and the Jit with
-   superinstruction fusion — on the Fig. 5 data-structure workloads. Each
-   variant runs the identical deterministic op sequence on a freshly built
-   structure; the cost-model stats must be bit-identical across variants
-   (executors only change wall-clock time, never accounting). *)
+(* Wall-clock insns/sec of the boxed reference interpreter
+   ([Vm.Ref_interp]) and the fused Jit on the Fig. 5 data-structure
+   workloads. Each variant runs the identical deterministic op sequence on
+   a freshly built structure; the cost-model stats must be bit-identical
+   across variants (executors only change wall-clock time, never
+   accounting). *)
 
 type jit_meas = {
   jm_stats : Kflex_runtime.Vm.stats;
@@ -166,9 +166,9 @@ let jit_variant kind ~opseq ~preload variant =
   let compile_ms, fused =
     match variant with
     | `Ref -> (0., 0)
-    | (`Compiled | `Fused) as v ->
+    | `Fused ->
         let t0 = Unix.gettimeofday () in
-        let jit = Kflex_runtime.Vm.precompile ~fuse:(v = `Fused) loaded.Kflex.ext in
+        let jit = Kflex_runtime.Vm.precompile loaded.Kflex.ext in
         ( (Unix.gettimeofday () -. t0) *. 1000.,
           Kflex_runtime.Jit.fused_pairs jit )
   in
@@ -197,7 +197,7 @@ let jit_variant kind ~opseq ~preload variant =
         in
         Kflex_kernel.Helpers.clear_packet loaded.Kflex.kernel;
         o
-    | `Compiled | `Fused -> Kflex.run_packet loaded ~stats pkt
+    | `Fused -> Kflex.run_packet loaded ~stats pkt
   in
   for i = 0 to Array.length pkts - 1 do
     match run pkts.(i) with
@@ -374,8 +374,8 @@ let jit_bench ~smoke =
   let ops = if smoke then 1_500 else 20_000 in
   pf "  (%d ops per variant, 25%% update / 75%% lookup; identical stats \
       required)@." ops;
-  pf "  %-12s %12s %12s %12s %8s %8s %6s %8s@." "structure" "ref/s"
-    "compiled/s" "fused/s" "spd" "spd+f" "fused#" "w/insn";
+  pf "  %-12s %12s %12s %8s %6s %8s@." "structure" "ref/s" "fused/s" "spd"
+    "fused#" "w/insn";
   let rows = ref [] in
   let mismatches = ref 0 in
   List.iter
@@ -400,36 +400,29 @@ let jit_bench ~smoke =
       let reps = if smoke then 2 else 15 in
       let v = jit_best ~reps kind ~opseq ~preload in
       let mr = v `Ref in
-      let mc = v `Compiled in
       let mf = v `Fused in
-      let same =
-        stats_tuple mr.jm_stats = stats_tuple mc.jm_stats
-        && stats_tuple mr.jm_stats = stats_tuple mf.jm_stats
-      in
+      let same = stats_tuple mr.jm_stats = stats_tuple mf.jm_stats in
       if not same then begin
         incr mismatches;
         let p (a, b, c, d, e) = Printf.sprintf "(%d,%d,%d,%d,%d)" a b c d e in
-        pf "  %-12s STATS MISMATCH ref %s compiled %s fused %s@."
+        pf "  %-12s STATS MISMATCH ref %s fused %s@."
           (Kflex_apps.Datastructs.name kind)
           (p (stats_tuple mr.jm_stats))
-          (p (stats_tuple mc.jm_stats))
           (p (stats_tuple mf.jm_stats))
       end;
       let insns = float_of_int mr.jm_stats.Kflex_runtime.Vm.insns in
       let ips m = insns /. m.jm_secs in
-      let spd_c = ips mc /. ips mr and spd_f = ips mf /. ips mr in
-      pf "  %-12s %12.3e %12.3e %12.3e %7.2fx %7.2fx %6d %8.4f@."
+      pf "  %-12s %12.3e %12.3e %7.2fx %6d %8.4f@."
         (Kflex_apps.Datastructs.name kind)
-        (ips mr) (ips mc) (ips mf) spd_c spd_f mf.jm_fused
+        (ips mr) (ips mf) (ips mf /. ips mr) mf.jm_fused
         (mf.jm_mwords /. insns);
-      rows :=
-        (kind, mr, mc, mf, same) :: !rows)
+      rows := (kind, mr, mf, same) :: !rows)
     Kflex_apps.Datastructs.all;
   let rows = List.rev !rows in
   (* geometric mean and minimum of the fused speedup across workloads *)
   let speedups =
     List.map
-      (fun (_, mr, _, mf, _) -> mr.jm_secs /. mf.jm_secs)
+      (fun (_, mr, mf, _) -> mr.jm_secs /. mf.jm_secs)
       rows
   in
   let geomean =
@@ -451,7 +444,7 @@ let jit_bench ~smoke =
   p "{\n  \"ops_per_variant\": %d,\n  \"smoke\": %b,\n  \"workloads\": [\n"
     ops smoke;
   List.iteri
-    (fun i (kind, mr, mc, mf, same) ->
+    (fun i (kind, mr, mf, same) ->
       let insns = float_of_int mr.jm_stats.Kflex_runtime.Vm.insns in
       let ips m = insns /. m.jm_secs in
       p "    {\"name\": %S, \"insns\": %d, \"guards\": %d, \"checkpoints\": \
@@ -460,19 +453,16 @@ let jit_bench ~smoke =
         mr.jm_stats.Kflex_runtime.Vm.insns mr.jm_stats.Kflex_runtime.Vm.guards
         mr.jm_stats.Kflex_runtime.Vm.checkpoints
         mr.jm_stats.Kflex_runtime.Vm.helper_cost;
-      p "     \"ref_insns_per_sec\": %.0f, \"compiled_insns_per_sec\": \
-         %.0f, \"fused_insns_per_sec\": %.0f,\n"
-        (ips mr) (ips mc) (ips mf);
-      p "     \"speedup_compiled\": %.3f, \"speedup_fused\": %.3f, \
-         \"compile_ms\": %.3f, \"fused_pairs\": %d, \
-         \"fused_minor_words_per_insn\": %.6f, \"stats_identical\": %b}%s\n"
-        (ips mc /. ips mr)
+      p "     \"ref_insns_per_sec\": %.0f, \"fused_insns_per_sec\": %.0f,\n"
+        (ips mr) (ips mf);
+      p "     \"speedup_fused\": %.3f, \"compile_ms\": %.3f, \"fused_pairs\": \
+         %d, \"fused_minor_words_per_insn\": %.6f, \"stats_identical\": \
+         %b}%s\n"
         (ips mf /. ips mr)
         mf.jm_compile_ms mf.jm_fused
         (mf.jm_mwords /. insns)
         same
-        (if i = List.length rows - 1 then "" else ",");
-      ignore same)
+        (if i = List.length rows - 1 then "" else ","))
     rows;
   p "  ],\n  \"summary\": {\"min_speedup_fused\": %.3f, \
      \"geomean_speedup_fused\": %.3f, \"stats_identical\": %b, \
@@ -491,8 +481,9 @@ let jit_bench ~smoke =
    from has 2 vCPUs, fewer than 4 shards, so the per-CPU scaling claim is
    about the simulated shard model, not host parallelism): each shard serves its own FIFO of flow-hashed events,
    service time = the chain's charged cost through the calibrated model.
-   Also checks the single-shard engine is observationally identical to the
-   facade on every fuzz reproducer (the chain oracle run as a self-pair). *)
+   Also checks the single-shard engine is observationally identical to
+   direct runs on every fuzz reproducer (the chain oracle run as a
+   self-pair). *)
 
 let engine_corpus_identity () =
   let dir = "test/corpus" in

@@ -48,44 +48,6 @@ let layout_config rng =
     dst_port;
   }
 
-let shrink_failure cfg (f : Oracle.failure) items =
-  let check cand =
-    match Gen.assemble cand with
-    | exception _ -> false
-    | prog -> (
-        match Oracle.run_case cfg prog with
-        | Oracle.Fail f' -> f'.Oracle.oracle = f.Oracle.oracle
-        | _ -> false)
-  in
-  if check items then Shrink.shrink ~check items else items
-
-(* The chain oracle rides on accepted cases: a second program drawn from the
-   continuation of the case's generation stream (the master stream is
-   untouched, so single-program cases reproduce exactly as before) forms a
-   2-program chain checked engine-vs-facade. Chain failures shrink the
-   second program with the first held fixed. *)
-let shrink_chain_partner cfg prog1 items2 =
-  let check cand =
-    match Gen.assemble cand with
-    | exception _ -> false
-    | p2 -> (
-        match Oracle.chain_equiv cfg prog1 p2 with
-        | Oracle.Fail _ -> true
-        | _ -> false)
-  in
-  if check items2 then Shrink.shrink ~check items2 else items2
-
-let shrink_shared cfg items =
-  let check cand =
-    match Gen.assemble cand with
-    | exception _ -> false
-    | p -> (
-        match Oracle.shared_equiv cfg p with
-        | Oracle.Fail _ -> true
-        | _ -> false)
-  in
-  if check items then Shrink.shrink ~check items else items
-
 let run ?(out_dir = ".") ?(log = fun _ -> ()) ?(threaded_shared = false)
     ~seed ~count () =
   if not (Sys.file_exists out_dir) then Unix.mkdir out_dir 0o755;
@@ -98,14 +60,58 @@ let run ?(out_dir = ".") ?(log = fun _ -> ()) ?(threaded_shared = false)
   and flagged = ref 0
   and failures = ref 0
   and repros = ref [] in
+  (* The one failure path: shrink [items] while [check] still fails under
+     the same oracle (no [check]: keep them as they are), then [write] the
+     smallest failing program to case_<i>_<tag>.kfxr. *)
+  let report i ~tag (f : Oracle.failure) ?check ~write items =
+    incr failures;
+    log
+      (Printf.sprintf "case %d: FAIL [%s] %s" i f.Oracle.oracle
+         f.Oracle.detail);
+    let fails cand =
+      match (check, Gen.assemble cand) with
+      | Some check, p -> (
+          match check p with
+          | Oracle.Fail g -> g.Oracle.oracle = f.Oracle.oracle
+          | _ -> false)
+      | None, _ | (exception _) -> false
+    in
+    let small =
+      if fails items then Shrink.shrink ~check:fails items else items
+    in
+    let path =
+      Filename.concat out_dir (Printf.sprintf "case_%d_%s.kfxr" i tag)
+    in
+    write path (Gen.assemble small);
+    repros := path :: !repros;
+    log
+      (Printf.sprintf "case %d: shrunk %d -> %d items, wrote %s" i
+         (List.length items) (List.length small) path)
+  in
+  (* An oracle riding on an accepted case: [counter] counts every verdict
+     but [Rejected]. *)
+  let ride i ~tag counter check ~write items =
+    match Gen.assemble items with
+    | exception _ -> Oracle.Rejected "did not assemble"
+    | prog ->
+        let v = check prog in
+        (match v with
+        | Oracle.Rejected _ -> ()
+        | Oracle.Pass -> incr counter
+        | Oracle.Fail f ->
+            incr counter;
+            report i ~tag f ~check ~write items);
+        v
+  in
   for i = 0 to count - 1 do
     let gen_rng = Rng.split master in
     let layout_rng = Rng.split master in
     let cfg = layout_config layout_rng in
-    let items =
-      Gen.generate ~rng:gen_rng ~heap_size:cfg.Oracle.heap_size
+    let generate ?shared () =
+      Gen.generate ?shared ~rng:gen_rng ~heap_size:cfg.Oracle.heap_size
         ~port:cfg.Oracle.port ()
     in
+    let items = generate () in
     match Gen.assemble items with
     | exception e ->
         incr invalid;
@@ -115,110 +121,41 @@ let run ?(out_dir = ".") ?(log = fun _ -> ()) ?(threaded_shared = false)
         let verdict, nflag = Oracle.run_case_stats cfg prog in
         flagged := !flagged + nflag;
         match verdict with
-        | Oracle.Pass ->
+        | Oracle.Rejected _ -> incr rejected
+        | Oracle.Fail f ->
+            report i ~tag:f.Oracle.oracle f ~check:(Oracle.run_case cfg)
+              ~write:(fun path ->
+                Corpus.write path ~oracle:f.Oracle.oracle cfg)
+              items
+        | Oracle.Pass -> (
             incr accepted;
             (* both riders draw from the continuation of the case's
                generation stream, in a fixed order, so every case (and its
-               reproducers) stays deterministic in (seed, count) *)
-            let items2 =
-              Gen.generate ~rng:gen_rng ~heap_size:cfg.Oracle.heap_size
-                ~port:cfg.Oracle.port ()
-            in
-            let items_s =
-              Gen.generate ~shared:true ~rng:gen_rng
-                ~heap_size:cfg.Oracle.heap_size ~port:cfg.Oracle.port ()
-            in
-            (match Gen.assemble items2 with
-            | exception _ -> ()
-            | prog2 -> (
-                match Oracle.chain_equiv cfg prog prog2 with
-                | Oracle.Rejected _ -> ()
-                | Oracle.Pass -> incr chained
+               reproducers) stays deterministic in (seed, count); a chain
+               failure shrinks the second program with the first held
+               fixed *)
+            let items2 = generate () in
+            let items_s = generate ~shared:true () in
+            ignore
+              (ride i ~tag:"chain" chained (Oracle.chain_equiv cfg prog)
+                 ~write:(fun path prog2 ->
+                   Corpus.write path ~oracle:"chain" ~prog2 cfg prog)
+                 items2
+                : Oracle.verdict);
+            let write_shared path = Corpus.write path ~oracle:"shared" cfg in
+            match
+              ride i ~tag:"shared" shared (Oracle.shared_equiv cfg)
+                ~write:write_shared items_s
+            with
+            | Oracle.Pass when threaded_shared -> (
+                match Oracle.shared_safety cfg (Gen.assemble items_s) with
                 | Oracle.Fail f ->
-                    incr chained;
-                    incr failures;
-                    log
-                      (Printf.sprintf "case %d: FAIL [%s] %s" i f.Oracle.oracle
-                         f.Oracle.detail);
-                    let small2 = shrink_chain_partner cfg prog items2 in
-                    let path =
-                      Filename.concat out_dir
-                        (Printf.sprintf "case_%d_chain.kfxr" i)
-                    in
-                    (match Gen.assemble small2 with
-                    | small_prog2 ->
-                        Corpus.write path ~oracle:"chain" ~prog2:small_prog2
-                          cfg prog
-                    | exception _ ->
-                        Corpus.write path ~oracle:"chain" ~prog2 cfg prog);
-                    repros := path :: !repros;
-                    log
-                      (Printf.sprintf
-                         "case %d: chain partner shrunk %d -> %d items, wrote \
-                          %s"
-                         i (List.length items2) (List.length small2) path)));
-            (match Gen.assemble items_s with
-            | exception _ -> ()
-            | sprog -> (
-                match Oracle.shared_equiv cfg sprog with
-                | Oracle.Rejected _ -> ()
-                | Oracle.Pass ->
-                    incr shared;
-                    if threaded_shared then (
-                      match Oracle.shared_safety cfg sprog with
-                      | Oracle.Pass | Oracle.Rejected _ -> ()
-                      | Oracle.Fail f ->
-                          incr failures;
-                          log
-                            (Printf.sprintf "case %d: FAIL [%s] %s" i
-                               f.Oracle.oracle f.Oracle.detail);
-                          (* interleaving-dependent — keep the unshrunk
-                             program, shrinking can't reproduce reliably *)
-                          let path =
-                            Filename.concat out_dir
-                              (Printf.sprintf "case_%d_shared_threaded.kfxr" i)
-                          in
-                          Corpus.write path ~oracle:"shared" cfg sprog;
-                          repros := path :: !repros)
-                | Oracle.Fail f ->
-                    incr shared;
-                    incr failures;
-                    log
-                      (Printf.sprintf "case %d: FAIL [%s] %s" i f.Oracle.oracle
-                         f.Oracle.detail);
-                    let small = shrink_shared cfg items_s in
-                    let path =
-                      Filename.concat out_dir
-                        (Printf.sprintf "case_%d_shared.kfxr" i)
-                    in
-                    (match Gen.assemble small with
-                    | small_prog ->
-                        Corpus.write path ~oracle:"shared" cfg small_prog
-                    | exception _ ->
-                        Corpus.write path ~oracle:"shared" cfg sprog);
-                    repros := path :: !repros;
-                    log
-                      (Printf.sprintf
-                         "case %d: shared program shrunk %d -> %d items, \
-                          wrote %s"
-                         i (List.length items_s) (List.length small) path)))
-        | Oracle.Rejected _ -> incr rejected
-        | Oracle.Fail f ->
-            incr failures;
-            log (Printf.sprintf "case %d: FAIL [%s] %s" i f.Oracle.oracle
-                   f.Oracle.detail);
-            let small = shrink_failure cfg f items in
-            let path =
-              Filename.concat out_dir
-                (Printf.sprintf "case_%d_%s.kfxr" i f.Oracle.oracle)
-            in
-            (match Gen.assemble small with
-            | small_prog ->
-                Corpus.write path ~oracle:f.Oracle.oracle cfg small_prog
-            | exception _ -> Corpus.write path ~oracle:f.Oracle.oracle cfg prog);
-            repros := path :: !repros;
-            log (Printf.sprintf "case %d: shrunk %d -> %d items, wrote %s" i
-                   (List.length items) (List.length small) path))
+                    (* interleaving-dependent: not re-checked, so not
+                       shrunk *)
+                    report i ~tag:"shared_threaded" f ~write:write_shared
+                      items_s
+                | Oracle.Pass | Oracle.Rejected _ -> ())
+            | _ -> ()))
   done;
   {
     cases = count;

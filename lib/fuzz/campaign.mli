@@ -3,9 +3,10 @@
     Each case draws two independent streams from the master RNG
     ({!Kflex_workload.Rng.split}): one for program generation, one for
     environment-layout randomisation (heap size and base, populated pages,
-    packet bytes, PRNG seed, socket-lookup hit/miss). Failures are shrunk
-    and written as reproducer files. Everything is deterministic in
-    [(seed, count)] — two runs produce identical summaries, logs and
+    packet bytes, PRNG seed, socket-lookup hit/miss). Every oracle's
+    failures take one path: shrunk while they still fail under the same
+    oracle, then written as reproducer files. Everything is deterministic
+    in [(seed, count)] — two runs produce identical summaries, logs and
     reproducers. *)
 
 type summary = {
@@ -15,8 +16,8 @@ type summary = {
   invalid : int;  (** did not even assemble (generator bug, kept visible) *)
   chained : int;
       (** accepted cases additionally run as a 2-program chain through the
-          engine-vs-facade chain oracle (the partner program comes from the
-          continuation of the case's generation stream) *)
+          chain oracle, engine against direct runs (the partner program
+          comes from the continuation of the case's generation stream) *)
   shared : int;
       (** accepted cases additionally checked by the shared-map
           linearizability oracle ({!Oracle.shared_equiv}) on a fresh

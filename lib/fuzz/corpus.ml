@@ -92,6 +92,12 @@ let read path =
     in
     let int = parse line k int_of_string_opt
     and int64 = parse line k Int64.of_string_opt in
+    (* below 1, a budget or cap breaks an oracle or silently switches it off *)
+    let positive v =
+      match int v with
+      | n when n >= 1 -> n
+      | n -> bad line k "%d is not at least 1" n
+    in
     match k with
     | "oracle" -> oracle := Some v
     | "heap_size" ->
@@ -110,8 +116,8 @@ let read path =
     | "src_port" -> cfg := { !cfg with src_port = int v }
     | "dst_port" -> cfg := { !cfg with dst_port = int v }
     | "quantum" -> cfg := { !cfg with quantum = int v }
-    | "insn_budget" -> cfg := { !cfg with insn_budget = int v }
-    | "inject_cap" -> cfg := { !cfg with inject_cap = int v }
+    | "insn_budget" -> cfg := { !cfg with insn_budget = positive v }
+    | "inject_cap" -> cfg := { !cfg with inject_cap = positive v }
     | "payload" -> cfg := { !cfg with payload = hex line k v }
     | "prog" -> prog := Some (decode line k v)
     | "prog2" -> prog2 := Some (decode line k v)

@@ -44,9 +44,9 @@ val pp_error : Format.formatter -> error -> unit
 val read : string -> (t, error) result
 (** Parse a reproducer. A key with no value reads as empty: that is how
     [write] saves an empty page list or payload. A malformed value, an
-    unknown key, a missing [prog], or a [heap_size]/[kbase] pair that
-    {!Kflex_runtime.Heap.create} would refuse is an [Error] naming the
-    line and key.
+    unknown key, a missing [prog], an [insn_budget] or [inject_cap] below
+    1, or a [heap_size]/[kbase] pair that {!Kflex_runtime.Heap.create}
+    would refuse is an [Error] naming the line and key.
     @raise Sys_error when the file cannot be read. *)
 
 val replay : t -> Oracle.verdict

@@ -5,6 +5,7 @@ module Value = Kflex_verifier.Value
 module Range = Kflex_verifier.Range
 module Tnum = Kflex_verifier.Tnum
 module Contract = Kflex_verifier.Contract
+module Lifecycle = Kflex_verifier.Lifecycle
 module Instrument = Kflex_kie.Instrument
 module Vm = Kflex_runtime.Vm
 module Heap = Kflex_runtime.Heap
@@ -14,6 +15,7 @@ module Hook = Kflex_kernel.Hook
 module Packet = Kflex_kernel.Packet
 module Socket = Kflex_kernel.Socket
 module Map_ = Kflex_kernel.Map
+module Engine = Kflex_engine.Engine
 
 type config = {
   heap_size : int64;
@@ -53,18 +55,22 @@ let pp_verdict ppf = function
   | Fail f -> Format.fprintf ppf "FAIL [%s] %s" f.oracle f.detail
 
 let fail oracle fmt = Format.kasprintf (fun detail -> { oracle; detail }) fmt
-
+let to_verdict = function Some f -> Fail f | None -> Pass
 let contracts = Contract.registry Contract.kflex_base
 
 let verify cfg prog =
   Verify.run ~mode:Verify.Kflex ~contracts ~ctx_size:Hook.ctx_size
     ~heap_size:cfg.heap_size ~sleepable:false prog
 
+let instrument options analysis = Instrument.run ~options analysis
+
+(* no instrumentation: pcs coincide with the verifier's *)
+let kmod = instrument { Instrument.default_options with kmod_baseline = true }
+
 (* --- oracle 4: encode/decode/disasm round-trip ------------------------- *)
 
 let roundtrip prog =
-  let enc = Encode.encode prog in
-  match Encode.decode enc with
+  match Encode.decode (Encode.encode prog) with
   | exception e ->
       Some (fail "roundtrip" "decode raised %s" (Printexc.to_string e))
   | dec -> (
@@ -73,13 +79,8 @@ let roundtrip prog =
         Some
           (fail "roundtrip" "length %d re-decoded as %d" (Array.length a)
              (Array.length b))
-      else begin
-        let bad = ref None in
-        Array.iteri
-          (fun i ia ->
-            if !bad = None && not (Insn.equal ia b.(i)) then bad := Some i)
-          a;
-        match !bad with
+      else
+        match Array.find_index not (Array.map2 Insn.equal a b) with
         | Some i ->
             Some
               (fail "roundtrip" "insn %d: %a re-decoded as %a" i Insn.pp a.(i)
@@ -90,71 +91,288 @@ let roundtrip prog =
             | exception e ->
                 Some
                   (fail "roundtrip" "disassembler raised %s"
-                     (Printexc.to_string e)))
-      end)
+                     (Printexc.to_string e))))
 
-(* --- execution environments -------------------------------------------- *)
-
-type env = {
-  ext : Vm.ext;
-  kernel : Helpers.t;
-  heap : Heap.t;
-  pkt : Packet.t;
-  ctx : Bytes.t;
-}
+(* --- the world of one run ----------------------------------------------- *)
 
 (* One map of every shared-capable kind, at deterministic fds the generator
    knows: 3 = hash (the seed corpus's map), 4 = spinlock, 5 = percpu,
-   6 = rcu_shared. Every environment an oracle compares must register the
-   same spread — a kind mismatch at an fd skews both behaviour and the
-   per-kind helper charges. *)
+   6 = rcu_shared. Every run an oracle compares must register the same
+   spread — a kind mismatch at an fd skews both behaviour and the per-kind
+   helper charges. *)
 let register_oracle_maps reg =
-  ignore (Map_.register reg (Map_.create ~max_entries:64 ()) : int64);
-  ignore
-    (Map_.register reg (Map_.create ~kind:Map_.Spinlock ~max_entries:64 ())
-      : int64);
-  ignore
-    (Map_.register reg
-       (Map_.create ~kind:Map_.Percpu ~cpus:4 ~max_entries:64 ())
-      : int64);
-  ignore
-    (Map_.register reg
-       (Map_.create ~kind:Map_.Rcu_shared ~cpus:4 ~max_entries:64 ())
-      : int64)
+  List.iter
+    (fun m -> ignore (Map_.register reg m : int64))
+    [
+      Map_.create ~max_entries:64 ();
+      Map_.create ~kind:Map_.Spinlock ~max_entries:64 ();
+      Map_.create ~kind:Map_.Percpu ~cpus:4 ~max_entries:64 ();
+      Map_.create ~kind:Map_.Rcu_shared ~cpus:4 ~max_entries:64 ();
+    ]
 
-(* Fresh, fully deterministic world per run: zeroed heap with the config's
-   base and page layout, fresh socket table / maps / allocator, fresh packet
-   bytes (extensions mutate the payload in place). [helpers_shim] lets an
-   oracle shadow individual helper implementations (the lifecycle oracle's
-   allocation-failure run). *)
-let build_env ?(helpers_shim = fun h -> h) cfg kie =
-  let heap = Heap.create ~kbase:cfg.kbase ~size:cfg.heap_size () in
-  let kernel = Helpers.create () in
+(* The kernel side of every oracle run, direct or under the engine (where it
+   is the tenant's [configure]): UDP and TCP listeners on the config's port,
+   the oracle maps, and the config's heap pages populated. *)
+let world cfg kernel heap =
   Socket.listen (Helpers.sockets kernel) ~proto:Packet.Udp ~port:cfg.port;
   Socket.listen (Helpers.sockets kernel) ~proto:Packet.Tcp ~port:cfg.port;
   register_oracle_maps (Helpers.maps kernel);
+  Option.iter
+    (fun h ->
+      List.iter
+        (fun p ->
+          let off = Int64.mul (Int64.of_int p) 4096L in
+          if off >= 0L && off < cfg.heap_size then
+            Heap.populate h ~off ~len:4096L)
+        cfg.pages)
+    heap
+
+let packet cfg ~src_port =
+  Packet.make ~proto:Packet.Udp ~src_port ~dst_port:cfg.dst_port
+    (Bytes.of_string cfg.payload)
+
+let default_ret = Hook.default_ret Hook.Xdp
+let pass_verdict = Hook.pass_verdict Hook.Xdp
+
+(* A fresh, fully deterministic instance for a direct run: zeroed heap with
+   the config's geometry, fresh allocator, the world. [helpers_shim] lets an
+   oracle shadow helper implementations (the lifecycle oracle's
+   allocation-failure run). *)
+let build_env ?(helpers_shim = Fun.id) cfg kie =
+  let heap = Heap.create ~kbase:cfg.kbase ~size:cfg.heap_size () in
+  let kernel = Helpers.create () in
   (* the reserved words and globals (offsets < 64) are always backed *)
   Heap.populate heap ~off:0L ~len:64L;
   let alloc = Alloc.create ~data_start:64L heap in
-  List.iter
-    (fun p ->
-      let off = Int64.mul (Int64.of_int p) 4096L in
-      if off >= 0L && off < cfg.heap_size then Heap.populate heap ~off ~len:4096L)
-    cfg.pages;
-  let pkt =
-    Packet.make ~proto:Packet.Udp ~src_port:cfg.src_port ~dst_port:cfg.dst_port
-      (Bytes.of_string cfg.payload)
-  in
-  Helpers.set_packet kernel pkt;
+  world cfg kernel (Some heap);
   let ext =
-    Vm.create ~heap ~alloc ~quantum:cfg.quantum
-      ~default_ret:(Hook.default_ret Hook.Xdp)
+    Vm.create ~heap ~alloc ~quantum:cfg.quantum ~default_ret
       ~helpers:(helpers_shim (Helpers.implementations kernel))
       kie
   in
-  { ext; kernel; heap; pkt; ctx = Hook.build_ctx pkt }
+  (ext, kernel, heap)
+
+(* --- observations ------------------------------------------------------- *)
+
+type obs = {
+  outcomes : Vm.outcome list;
+  events : (int64 * int) list;
+  stats : Vm.stats;
+  payloads : string list;
+  heaps : (int64 * string) list list;
+  maps : (int64 * int64) list list;
+  rcu_version : int;
+  sites : int;
+  leaked : int;
+  sock_refs : int;
+  locks : int;
+}
+
+type probe = {
+  budget : int;
+  on_insn : int -> int -> int64 array -> unit;
+  on_site : int -> unit;
+}
+
+type executor = Reference of probe | Hooked of probe | Inject of int | Fused
 
 exception Trace_stop
+
+let verdict_of = function Vm.Finished v -> v | Vm.Cancelled c -> c.ret
+
+let quiet budget = { budget; on_insn = (fun _ _ _ -> ()); on_site = ignore }
+
+(* Runs that must end on their own are bounded generously: instrumentation
+   puts a Checkpoint on every loop back edge, so the quantum ends any loop
+   long before this. *)
+let safety_budget cfg = (4 * cfg.quantum) + 1_000_000
+let safe cfg = quiet (safety_budget cfg)
+
+(* What a run leaves behind, observed the same way by both runners: the
+   outcomes, and the instances the programs ran in ([kernels], [heaps]).
+   Every map the programs reach — fds 3 on of each instance's registry —
+   counts once: engine-shared maps sit in every shard's registry. *)
+let observe ~outcomes ~events ~stats ~payloads ~sites kernels heaps =
+  let rec reach reg fd =
+    match Map_.find reg fd with
+    | Some m -> m :: reach reg (Int64.succ fd)
+    | None -> []
+  in
+  let maps =
+    List.fold_left
+      (fun seen k ->
+        seen
+        @ List.filter
+            (fun m -> not (List.memq m seen))
+            (reach (Helpers.maps k) 3L))
+      [] kernels
+  in
+  let sum f l = List.fold_left (fun n x -> n + f x) 0 l in
+  (* keys 0-7 cover every key the generator locks *)
+  let held m =
+    sum
+      (fun k -> Bool.to_int (Map_.lock_held m (Int64.of_int k)))
+      (List.init 8 Fun.id)
+  in
+  {
+    outcomes;
+    events;
+    stats;
+    payloads;
+    heaps = List.map Heap.snapshot heaps;
+    maps = List.map Map_.to_list maps;
+    rcu_version =
+      sum
+        (fun m ->
+          match Map_.rcu_stats m with Some r -> r.Map_.version | None -> 0)
+        maps;
+    sites;
+    leaked =
+      sum
+        (function Vm.Cancelled c -> c.ledger_leaked | Vm.Finished _ -> 0)
+        outcomes;
+    sock_refs = sum (fun k -> Socket.total_refs (Helpers.sockets k)) kernels;
+    locks = sum held maps;
+  }
+
+(* The direct runner: [kies] as one chain on one packet (tail-call verdict
+   composition, shared stats, each program in its own instance), under the
+   executor's form of the VM, with the global PRNG and virtual clock reset
+   as the engine resets a shard's. A probe's run stops, with no outcome,
+   once [budget] instructions have been observed; [Trace_stop] from its
+   [on_insn] stops it the same way. *)
+let run_direct ?helpers_shim cfg exec kies =
+  let envs = List.map (build_env ?helpers_shim cfg) kies in
+  let pkt = packet cfg ~src_port:cfg.src_port in
+  let stats = Vm.fresh_stats () in
+  let sites = ref 0 in
+  let budget =
+    ref (match exec with Reference p | Hooked p -> p.budget | _ -> 0)
+  in
+  let on_insn p pc regs =
+    decr budget;
+    if !budget <= 0 then raise Trace_stop;
+    p.on_insn pc (Vm.total_cost stats) regs
+  in
+  let on_site p () =
+    incr sites;
+    p.on_site (Vm.total_cost stats);
+    false
+  in
+  let inject k () =
+    incr sites;
+    !sites - 1 = k
+  in
+  let exec_one (ext, kernel, _) =
+    Helpers.set_packet kernel pkt;
+    let ctx = Hook.build_ctx pkt in
+    let o =
+      match exec with
+      | Reference p ->
+          Vm.Ref_interp.exec ext ~ctx ~stats ~on_insn:(on_insn p) ()
+      | Hooked p ->
+          Vm.exec ext ~ctx ~stats ~on_insn:(on_insn p) ~on_site:(on_site p) ()
+      | Inject k -> Vm.exec ext ~ctx ~stats ~on_site:(inject k) ()
+      | Fused -> Vm.exec ext ~ctx ~stats ()
+    in
+    Helpers.clear_packet kernel;
+    (* the engine re-arms a cancelled entry per invocation too *)
+    if Vm.cancelled ext then Vm.reset_cancel ext;
+    o
+  in
+  let rec chain = function
+    | [] -> []
+    | env :: rest ->
+        let o = exec_one env in
+        o :: (if verdict_of o = pass_verdict then chain rest else [])
+  in
+  Vm.seed_prandom cfg.prandom;
+  Vm.set_vtime 0L;
+  let outcomes = try chain envs with Trace_stop -> [] in
+  let last = List.fold_left (fun _ o -> verdict_of o) pass_verdict outcomes in
+  observe ~outcomes
+    ~events:(if outcomes = [] then [] else [ (last, Vm.total_cost stats) ])
+    ~stats ~payloads:[ Bytes.to_string pkt.Packet.payload ] ~sites:!sites
+    (List.map (fun (_, k, _) -> k) envs)
+    (List.map (fun (_, _, h) -> h) envs)
+
+let run cfg exec kies = run_direct cfg exec kies
+
+type layout = Private | Shared
+
+(* The engine runner: [progs] attached as one chain, [events] (packet,
+   PRNG seed) delivered in order. Deterministic engines reseed the event's
+   shard first and run it synchronously; threaded ones ignore the seeds,
+   submit everything and drain. *)
+let run_engine cfg ~shards ~mode ~layout progs events =
+  let eng = Engine.create ~shards ~mode ~quantum:cfg.quantum () in
+  if layout = Shared then
+    List.iter
+      (fun m -> ignore (Engine.share_map eng m : int64))
+      [
+        Map_.create ~kind:Map_.Spinlock ~max_entries:64 ();
+        Map_.create ~kind:Map_.Rcu_shared ~cpus:shards ~max_entries:64 ();
+      ];
+  let attach prog =
+    let options = Instrument.default_options and quantum = cfg.quantum in
+    match layout with
+    | Private ->
+        Engine.attach eng ~options ~heap_size:cfg.heap_size ~kbase:cfg.kbase
+          ~quantum ~configure:(fun ~shard:_ -> world cfg) ~hook:Hook.Xdp prog
+    | Shared -> Engine.attach eng ~options ~quantum ~hook:Hook.Xdp prog
+  in
+  let rec attach_all = function
+    | [] -> Ok []
+    | p :: rest ->
+        Result.bind (attach p) (fun h ->
+            Result.map (List.cons h) (attach_all rest))
+  in
+  match attach_all progs with
+  | Error e ->
+      Engine.shutdown eng;
+      Error e
+  | Ok handles ->
+      let results =
+        match mode with
+        | `Deterministic ->
+            List.map
+              (fun (pkt, seed) ->
+                Engine.seed_shard eng ~shard:(Engine.shard_of eng pkt)
+                  ~vtime:0L seed;
+                Engine.run_packet eng pkt)
+              events
+        | `Threaded ->
+            let done_ = Array.make (List.length events) None in
+            List.iteri
+              (fun i (pkt, _) ->
+                Engine.submit eng ~on_done:(fun r -> done_.(i) <- Some r) pkt)
+              events;
+            Engine.drain eng;
+            List.filter_map Fun.id (Array.to_list done_)
+      in
+      let instances =
+        List.concat_map
+          (fun h -> List.init shards (fun shard -> Engine.instance h ~shard))
+          handles
+      in
+      let o =
+        observe
+          ~outcomes:(List.concat_map (fun r -> r.Engine.outcomes) results)
+          ~events:
+            (List.map (fun r -> (r.Engine.verdict, r.Engine.cost)) results)
+          ~stats:(Engine.totals eng).Engine.stats
+          ~payloads:
+            (List.map
+               (fun (pkt, _) -> Bytes.to_string pkt.Packet.payload)
+               events)
+          ~sites:0
+          (List.map (fun i -> i.Kflex.kernel) instances)
+          (List.filter_map (fun i -> i.Kflex.heap) instances)
+      in
+      Engine.shutdown eng;
+      Ok o
+
+(* --- the comparator ------------------------------------------------------ *)
 
 let reason_str = function
   | Vm.Page_fault -> "page_fault"
@@ -171,6 +389,87 @@ let pp_outcome ppf = function
         c.orig_pc (reason_str c.reason) c.ret (List.length c.released)
         c.ledger_leaked
 
+let pp_list pp =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+    pp
+
+let pp_stats ppf (s : Vm.stats) =
+  Format.fprintf ppf "(i=%d g=%d c=%d hc=%d cost=%d)" s.Vm.insns s.Vm.guards
+    s.Vm.checkpoints s.Vm.helper_calls s.Vm.helper_cost
+
+(* The first heap (program, then shard) and page on which two lists of
+   snapshots differ. *)
+let heap_diff x y =
+  let pages hs =
+    List.concat (List.mapi (fun i -> List.map (fun (p, b) -> (i, p, b))) hs)
+  in
+  let rec go = function
+    | a :: x, b :: y when a = b -> go (x, y)
+    | (i, p, _) :: _, _ | [], (i, p, _) :: _ ->
+        Printf.sprintf "heap %d differs at page %Ld" i p
+    | [], [] -> Printf.sprintf "%d vs %d heaps" (List.length x) (List.length y)
+  in
+  go (pages x, pages y)
+
+let diff a b =
+  let field name show x y =
+    if x = y then None else Some (name ^ ": " ^ show x y)
+  in
+  let vs pp x y = Format.asprintf "%a vs %a" pp x pp y in
+  List.find_map Fun.id
+    [
+      field "outcomes" (vs (pp_list pp_outcome)) a.outcomes b.outcomes;
+      field "events"
+        (vs (pp_list (fun ppf (v, c) -> Format.fprintf ppf "%Ld/%d" v c)))
+        a.events b.events;
+      field "stats" (vs pp_stats) a.stats b.stats;
+      field "payloads" (fun _ _ -> "packet bytes differ") a.payloads
+        b.payloads;
+      field "heaps" heap_diff a.heaps b.heaps;
+      field "maps" (fun _ _ -> "map contents differ") a.maps b.maps;
+      field "rcu_version" (vs Format.pp_print_int) a.rcu_version
+        b.rcu_version;
+      field "sites" (vs Format.pp_print_int) a.sites b.sites;
+    ]
+
+let invariants o =
+  let none name n what =
+    if n = 0 then None else Some (Printf.sprintf "%s: %d %s" name n what)
+  in
+  List.find_map Fun.id
+    [
+      none "leaked" o.leaked "ledger entries";
+      List.find_map
+        (function
+          | Vm.Cancelled c as out when c.ret <> default_ret ->
+              Some
+                (Format.asprintf "outcomes: %a, not the default return %Ld"
+                   pp_outcome out default_ret)
+          | _ -> None)
+        o.outcomes;
+      none "sock_refs" o.sock_refs "outstanding";
+      none "locks" o.locks "spin locks left held";
+    ]
+
+(* Every differential oracle: [a] and [b] observe one input under two
+   configurations. Both must end inside their budget and keep the
+   invariants (a violation is [inv]'s, by default [oracle]'s); then, with
+   [blank] clearing what the two configurations may legitimately disagree
+   on, [diff] must find nothing. *)
+let pair cfg ~oracle ?(inv = oracle) ?(blank = Fun.id) a b =
+  if a.outcomes = [] || b.outcomes = [] then
+    Some
+      (fail "harness" "execution exceeded the %d-insn safety budget"
+         (safety_budget cfg))
+  else
+    match List.find_map invariants [ a; b ] with
+    | Some d -> Some (fail inv "%s" d)
+    | None -> Option.map (fail oracle "%s") (diff (blank a) (blank b))
+
+let tagged what =
+  Option.map (fun f -> { f with detail = what ^ ": " ^ f.detail })
+
 (* --- oracle 1: abstract containment ------------------------------------ *)
 
 let contained (r : Range.t) v =
@@ -180,61 +479,48 @@ let contained (r : Range.t) v =
   && Int64.compare v r.Range.smax <= 0
   && Tnum.contains r.Range.bits v
 
+(* The first live register whose concrete value the verifier's pre-state
+   at [pc] does not contain. *)
 let check_regs cfg st regs pc =
-  let bad = ref None in
-  for i = 0 to 10 do
-    if !bad = None then begin
+  let base = function
+    | Value.Ctx -> Vm.ctx_base
+    | Value.Stack -> Int64.add Vm.stack_base (Int64.of_int Prog.stack_size)
+    | Value.Heap -> cfg.kbase
+  in
+  let rec from i =
+    if i > 10 then None
+    else
       let v = regs.(i) in
-      let mismatch what =
-        bad :=
-          Some
-            (Format.asprintf "pc %d: r%d = 0x%Lx outside abstract %s" pc i v
-               what)
+      let outside what =
+        Some
+          (Format.asprintf "pc %d: r%d = 0x%Lx outside abstract %s" pc i v what)
       in
       match State.get st (Reg.of_int i) with
-      | Value.Uninit | Value.Unknown -> ()
-      | Value.Scalar r ->
-          if not (contained r v) then
-            mismatch (Format.asprintf "scalar %a" Value.pp (Value.Scalar r))
-      | Value.Ptr { kind; off; nullable } ->
-          if v = 0L then begin
-            if not nullable then
-              mismatch
-                (Format.asprintf "%a (non-nullable, concrete null)"
-                   Value.pp_ptr_kind kind)
-          end
-          else begin
-            let base =
-              match kind with
-              | Value.Ctx -> Vm.ctx_base
-              | Value.Stack ->
-                  Int64.add Vm.stack_base (Int64.of_int Prog.stack_size)
-              | Value.Heap -> cfg.kbase
-            in
-            if not (contained off (Int64.sub v base)) then
-              mismatch
-                (Format.asprintf "%a ptr (concrete offset 0x%Lx)"
-                   Value.pp_ptr_kind kind (Int64.sub v base))
-          end
-      | Value.Obj { nullable; klass; _ } ->
-          if (not nullable) && v = 0L then
-            mismatch (Printf.sprintf "non-null obj %s (concrete null)" klass)
-    end
-  done;
-  !bad
+      | Value.Scalar r when not (contained r v) ->
+          outside (Format.asprintf "scalar %a" Value.pp (Value.Scalar r))
+      | Value.Ptr { kind; nullable = false; _ } when v = 0L ->
+          outside
+            (Format.asprintf "%a (non-nullable, concrete null)"
+               Value.pp_ptr_kind kind)
+      | Value.Ptr { kind; off; _ }
+        when v <> 0L && not (contained off (Int64.sub v (base kind))) ->
+          outside
+            (Format.asprintf "%a ptr (concrete offset 0x%Lx)" Value.pp_ptr_kind
+               kind (Int64.sub v (base kind)))
+      | Value.Obj { nullable = false; klass; _ } when v = 0L ->
+          outside (Printf.sprintf "non-null obj %s (concrete null)" klass)
+      | _ -> from (i + 1)
+  in
+  from 0
 
 (* Run the kmod baseline — no instrumentation, so instrumented pcs coincide
    with the verifier's — checking every live register against the fixpoint
    pre-state before each instruction. Wild faults end the run safely through
    the normal cancellation machinery; the trace prefix still counts. *)
 let containment cfg analysis kie_k =
-  let env = build_env cfg kie_k in
   let states = analysis.Verify.states_at in
-  let budget = ref cfg.insn_budget in
   let viol = ref None in
-  let on_insn pc regs =
-    decr budget;
-    if !budget <= 0 then raise Trace_stop;
+  let on_insn pc _ regs =
     (match if pc < Array.length states then states.(pc) else None with
     | None ->
         viol :=
@@ -243,201 +529,76 @@ let containment cfg analysis kie_k =
     | Some st -> viol := check_regs cfg st regs pc);
     if !viol <> None then raise Trace_stop
   in
-  Vm.seed_prandom cfg.prandom;
-  (try ignore (Vm.exec env.ext ~ctx:env.ctx ~on_insn () : Vm.outcome)
-   with Trace_stop -> ());
+  ignore
+    (run cfg (Hooked { (quiet cfg.insn_budget) with on_insn }) [ kie_k ]
+      : obs);
   Option.map (fun d -> { oracle = "containment"; detail = d }) !viol
 
 (* --- oracle 2: guard-elision equivalence ------------------------------- *)
 
-type obs = {
-  outcome : Vm.outcome;
-  heap_pages : (int64 * string) list;
-  payload_after : string;
-  sites : int;
-  sock_refs : int;
-}
-
-let observe cfg kie =
-  let env = build_env cfg kie in
-  let sites = ref 0 in
-  let budget = ref ((4 * cfg.quantum) + 1_000_000) in
-  let on_insn _ _ =
-    decr budget;
-    if !budget <= 0 then raise Trace_stop
-  in
-  Vm.seed_prandom cfg.prandom;
-  match
-    Vm.exec env.ext ~ctx:env.ctx ~on_insn
-      ~on_site:(fun () ->
-        incr sites;
-        false)
-      ()
-  with
-  | exception Trace_stop ->
-      Error
-        (fail "harness" "execution exceeded the %d-insn safety budget"
-           ((4 * cfg.quantum) + 1_000_000))
-  | outcome ->
-      Ok
-        {
-          outcome;
-          heap_pages = Heap.snapshot env.heap;
-          payload_after = Bytes.to_string env.pkt.Packet.payload;
-          sites = !sites;
-          sock_refs = Socket.total_refs (Helpers.sockets env.kernel);
-        }
-
-let default_ret = Hook.default_ret Hook.Xdp
-
-(* Invariants every single run must satisfy, elided or not. *)
-let run_invariants mode o =
-  match o.outcome with
-  | Vm.Finished _ ->
-      if o.sock_refs <> 0 then
-        Some
-          (fail "cancellation" "%s: finished with %d socket refs outstanding"
-             mode o.sock_refs)
-      else None
-  | Vm.Cancelled c ->
-      if c.ledger_leaked <> 0 then
-        Some
-          (fail "cancellation" "%s: %a leaked %d ledger entries" mode
-             pp_outcome o.outcome c.ledger_leaked)
-      else if c.ret <> default_ret then
-        Some
-          (fail "cancellation" "%s: cancelled with ret %Ld (default %Ld)" mode
-             c.ret default_ret)
-      else if o.sock_refs <> 0 then
-        Some
-          (fail "cancellation" "%s: cancelled with %d socket refs outstanding"
-             mode o.sock_refs)
-      else None
-
-let first_diff_page a b =
-  let rec go = function
-    | (ia, pa) :: ra, (ib, pb) :: rb ->
-        if ia <> ib then Some (min ia ib)
-        else if pa <> pb then Some ia
-        else go (ra, rb)
-    | (ia, _) :: _, [] | [], (ia, _) :: _ -> Some ia
-    | [], [] -> None
-  in
-  go (a, b)
-
-let elision cfg analysis kie_a kie_b =
-  match observe cfg kie_a with
-  | Error f -> Error f
-  | Ok a -> (
-      (* an access the verifier marked elidable must never fault outside
-         the heap proper *)
-      let elided_fault =
-        match a.outcome with
-        | Vm.Cancelled { orig_pc; reason = Vm.Guard_zone | Vm.Wild_access; _ }
-          ->
-            List.exists
-              (fun (acc : Verify.heap_access) ->
-                acc.Verify.pc = orig_pc && acc.Verify.elidable)
-              analysis.Verify.heap_accesses
+(* The elided (default) and forced-guard runs must agree, except that every
+   forced guard is charged: their stats and costs are blanked. When both
+   runs hit the watchdog, the guards' cost made it fire after different
+   amounts of loop progress, so only the invariants are comparable. An
+   access the verifier marked elidable must never fault outside the heap
+   proper. Invariant violations are the cancellation oracle's. *)
+let elision cfg analysis elided kie_b =
+  match elided.outcomes with
+  | [
+      (Vm.Cancelled { orig_pc; reason = Vm.Guard_zone | Vm.Wild_access; _ }
+       as o);
+    ]
+    when List.exists
+           (fun (acc : Verify.heap_access) ->
+             acc.Verify.pc = orig_pc && acc.Verify.elidable)
+           analysis.Verify.heap_accesses ->
+      Some
+        (fail "elision" "elidable access faulted outside the heap: %a"
+           pp_outcome o)
+  | _ ->
+      let forced = run cfg (Hooked (safe cfg)) [ kie_b ] in
+      let quantum o =
+        match o.outcomes with
+        | [ Vm.Cancelled { reason = Vm.Quantum_expired; _ } ] -> true
         | _ -> false
       in
-      if elided_fault then
-        Error
-          (fail "elision" "elidable access faulted outside the heap: %a"
-             pp_outcome a.outcome)
-      else
-        match run_invariants "elided" a with
-        | Some f -> Error f
-        | None -> (
-            match observe cfg kie_b with
-            | Error f -> Error f
-            | Ok b -> (
-                match run_invariants "forced" b with
-                | Some f -> Error f
-                | None ->
-                    let both_quantum =
-                      match (a.outcome, b.outcome) with
-                      | ( Vm.Cancelled { reason = Vm.Quantum_expired; _ },
-                          Vm.Cancelled { reason = Vm.Quantum_expired; _ } ) ->
-                          true
-                      | _ -> false
-                    in
-                    if a.sites <> b.sites && not both_quantum then
-                      Error
-                        (fail "elision"
-                           "cancellation sites diverge: %d elided vs %d forced"
-                           a.sites b.sites)
-                    else if both_quantum then
-                      (* guards cost a unit each, so the watchdog fires after
-                         different amounts of loop progress; only the
-                         unwinding invariants are comparable *)
-                      Ok a.sites
-                    else if a.outcome <> b.outcome then
-                      Error
-                        (fail "elision" "outcomes diverge: %a elided vs %a forced"
-                           pp_outcome a.outcome pp_outcome b.outcome)
-                    else if a.payload_after <> b.payload_after then
-                      Error (fail "elision" "packet payloads diverge")
-                    else
-                      match first_diff_page a.heap_pages b.heap_pages with
-                      | Some p ->
-                          Error
-                            (fail "elision"
-                               "heap contents diverge at page %Ld" p)
-                      | None -> Ok a.sites)))
+      let uncharged o =
+        {
+          o with
+          stats = Vm.fresh_stats ();
+          events = List.map (fun (v, _) -> (v, 0)) o.events;
+        }
+      in
+      (* blanking both runs to one value leaves [diff] nothing to find *)
+      pair cfg ~oracle:"elision" ~inv:"cancellation"
+        ~blank:
+          (if quantum elided && quantum forced then Fun.const elided
+           else uncharged)
+        elided forced
 
 (* --- oracle 3: cancellation soundness ---------------------------------- *)
 
-let cancellation cfg kie_a sites =
-  if sites = 0 then None
-  else begin
-    let ks =
-      if sites <= cfg.inject_cap then List.init sites Fun.id
-      else List.init cfg.inject_cap (fun i -> i * sites / cfg.inject_cap)
-    in
-    let rec go = function
-      | [] -> None
-      | k :: rest -> (
-          let env = build_env cfg kie_a in
-          let n = ref (-1) in
-          Vm.seed_prandom cfg.prandom;
-          match
-            Vm.exec env.ext ~ctx:env.ctx
-              ~on_site:(fun () ->
-                incr n;
-                !n = k)
-              ()
-          with
-          | Vm.Finished v ->
-              Some
-                (fail "cancellation"
-                   "injection at site %d/%d did not cancel (finished 0x%Lx)" k
-                   sites v)
-          | Vm.Cancelled c ->
-              let refs = Socket.total_refs (Helpers.sockets env.kernel) in
-              if c.reason <> Vm.Ext_cancelled then
-                Some
-                  (fail "cancellation"
-                   "injection at site %d/%d preempted: %a" k sites pp_outcome
-                   (Vm.Cancelled c))
-              else if c.ledger_leaked <> 0 then
-                Some
-                  (fail "cancellation"
-                     "injection at site %d/%d leaked %d objects (%a)" k sites
-                     c.ledger_leaked pp_outcome (Vm.Cancelled c))
-              else if c.ret <> default_ret then
-                Some
-                  (fail "cancellation"
-                     "injection at site %d/%d returned %Ld (default %Ld)" k
-                     sites c.ret default_ret)
-              else if refs <> 0 then
-                Some
-                  (fail "cancellation"
-                     "injection at site %d/%d left %d socket refs" k sites refs)
-              else go rest)
-    in
-    go ks
-  end
+(* Inject a cancellation at each of the elided run's [sites] (an even spread
+   of [inject_cap] of them when there are more): each must unwind as
+   [Ext_cancelled] and keep the invariants. *)
+let cancellation cfg kie sites =
+  let ks =
+    if sites <= cfg.inject_cap then List.init sites Fun.id
+    else List.init cfg.inject_cap (fun i -> i * sites / cfg.inject_cap)
+  in
+  List.find_map
+    (fun k ->
+      let o = run cfg (Inject k) [ kie ] in
+      tagged
+        (Printf.sprintf "injection at site %d/%d" k sites)
+        (match o.outcomes with
+        | [ Vm.Cancelled { reason = Vm.Ext_cancelled; _ } ] ->
+            Option.map (fail "cancellation" "%s") (invariants o)
+        | outs ->
+            Some
+              (fail "cancellation" "did not unwind: %a" (pp_list pp_outcome)
+                 outs)))
+    ks
 
 (* --- oracle 8: executor equivalence -------------------------------------- *)
 
@@ -445,82 +606,23 @@ let cancellation cfg kie_a sites =
    ({!Vm.Ref_interp} — [Stdlib.Int64] arithmetic over a boxed [int64 array]
    register file and the generic width-dispatched memory path, sharing no
    ALU/comparison/accessor code with {!Kflex_runtime.Jit}) against both
-   compiled forms: the hooked one (an [on_insn] observer selects it) and
-   the fused hook-free one. Outcome, stats counters, packet payload and
-   heap pages must be bit-identical across all three. The reference and
-   hooked runs are budget-bounded through [on_insn]; the fused run is
-   bounded by the quantum (instrumentation puts a Checkpoint on every loop
-   back edge). *)
-let repr_equiv cfg kie =
-  let budget0 = (4 * cfg.quantum) + 1_000_000 in
-  let run exec =
-    let env = build_env cfg kie in
-    let stats = Vm.fresh_stats () in
-    let budget = ref budget0 in
-    let on_insn _ _ =
-      decr budget;
-      if !budget <= 0 then raise Trace_stop
-    in
-    Vm.seed_prandom cfg.prandom;
-    match exec env ~stats ~on_insn with
-    | out -> Ok (env, stats, out)
-    | exception Trace_stop ->
-        Error
-          (fail "harness" "execution exceeded the %d-insn safety budget" budget0)
+   compiled forms, the [hooked] observation and a fused run. Only the
+   hooked form has a site hook, so the site count is blanked. *)
+let repr cfg kie hooked =
+  let reference = run cfg (Reference (safe cfg)) [ kie ] in
+  let against what o =
+    tagged what
+      (pair cfg ~oracle:"repr"
+         ~blank:(fun o -> { o with sites = 0 })
+         reference o)
   in
-  match
-    run (fun env ~stats ~on_insn ->
-        Vm.Ref_interp.exec env.ext ~ctx:env.ctx ~stats ~on_insn ())
-  with
-  | Error f -> Some f
-  | Ok (env_r, stats_r, out_r) -> (
-      let check tag exec =
-        match run exec with
-        | Error f -> Some f
-        | Ok (env, stats, out) -> (
-            if out <> out_r then
-              Some
-                (fail "repr" "%s diverges from boxed reference: %a vs %a" tag
-                   pp_outcome out pp_outcome out_r)
-            else if stats <> stats_r then
-              Some
-                (fail "repr"
-                   "%s stats diverge from boxed reference: (i=%d g=%d c=%d \
-                    hc=%d cost=%d) vs (i=%d g=%d c=%d hc=%d cost=%d)"
-                   tag stats.Vm.insns stats.Vm.guards stats.Vm.checkpoints
-                   stats.Vm.helper_calls stats.Vm.helper_cost stats_r.Vm.insns
-                   stats_r.Vm.guards stats_r.Vm.checkpoints
-                   stats_r.Vm.helper_calls stats_r.Vm.helper_cost)
-            else if
-              Bytes.to_string env.pkt.Packet.payload
-              <> Bytes.to_string env_r.pkt.Packet.payload
-            then
-              Some
-                (fail "repr" "%s packet payload diverges from boxed reference"
-                   tag)
-            else
-              match
-                first_diff_page (Heap.snapshot env_r.heap)
-                  (Heap.snapshot env.heap)
-              with
-              | Some p ->
-                  Some
-                    (fail "repr"
-                       "%s heap diverges from boxed reference at page %Ld" tag p)
-              | None -> None)
-      in
-      match
-        check "hooked" (fun env ~stats ~on_insn ->
-            Vm.exec env.ext ~ctx:env.ctx ~stats ~on_insn ())
-      with
-      | Some f -> Some f
-      | None ->
-          check "fused" (fun env ~stats ~on_insn:_ ->
-              Vm.exec env.ext ~ctx:env.ctx ~stats ()))
+  match against "hooked" hooked with
+  | Some f -> Some f
+  | None -> against "fused" (run cfg Fused [ kie ])
+
+let repr_equiv cfg kie = repr cfg kie (run cfg (Hooked (safe cfg)) [ kie ])
 
 (* --- oracle 7: lifecycle no-false-positive ------------------------------ *)
-
-module Lifecycle = Kflex_verifier.Lifecycle
 
 type lifecycle_status = Confirmed | Unexercised | Refuted
 
@@ -635,12 +737,9 @@ let lc_run ?helpers_shim cfg prog (findings : Lifecycle.finding list) kie_k =
       live false
   in
   let step = ref 0 in
-  let budget = ref cfg.insn_budget in
   let pending = ref None in
   let depth = ref 0 in
-  let on_insn pc regs =
-    decr budget;
-    if !budget <= 0 then raise Trace_stop;
+  let on_insn pc _ regs =
     (match !pending with
     | Some (site, size, dtor) ->
         pending := None;
@@ -690,18 +789,15 @@ let lc_run ?helpers_shim cfg prog (findings : Lifecycle.finding list) kie_k =
         | None -> ())
     | _ -> ()
   in
-  let env = build_env ?helpers_shim cfg kie_k in
-  Vm.seed_prandom cfg.prandom;
-  let finished =
-    match Vm.exec env.ext ~ctx:env.ctx ~on_insn () with
-    | Vm.Finished _ -> true
-    | Vm.Cancelled _ -> false
-    | exception Trace_stop -> false
+  let o =
+    run_direct ?helpers_shim cfg
+      (Hooked { (quiet cfg.insn_budget) with on_insn })
+      [ kie_k ]
   in
   {
     trace;
     tlen = min !step cap;
-    finished;
+    finished = (match o.outcomes with [ Vm.Finished _ ] -> true | _ -> false);
     allocs;
     frees;
     derefs;
@@ -789,12 +885,7 @@ let lifecycle_report cfg prog =
       let findings = Lifecycle.run ~contracts analysis in
       if findings = [] then Ok []
       else
-        let kie_k =
-          Instrument.run
-            ~options:{ Instrument.default_options with kmod_baseline = true }
-            analysis
-        in
-        Ok (lc_statuses cfg prog findings kie_k)
+        Ok (lc_statuses cfg prog findings (kmod analysis))
 
 let lifecycle_failure cfg prog findings kie_k =
   if findings = [] then None
@@ -813,145 +904,46 @@ let lifecycle_failure cfg prog findings kie_k =
 
 (* --- oracle 6: chain equivalence ---------------------------------------- *)
 
-module Engine = Kflex_engine.Engine
-
 (* A 2-program chain under a one-shard engine must be observationally
-   equivalent to running the programs sequentially through the facade with
-   hand-rolled verdict composition: same composed verdict, same per-program
-   outcomes and heap snapshots, same packet bytes, same (shared) stats —
-   and zero leaked resources on both sides. The facade side uses the global
-   PRNG/clock (reseeded), the engine side its shard-0 streams (reseeded
-   identically); both consume one combined stream, the way two programs on
-   one CPU would. *)
+   equivalent to the same chain run directly: composed verdict, per-program
+   outcomes and heaps, packet bytes, shared stats — and both sides keep the
+   invariants. The direct side uses the global PRNG/clock (reseeded), the
+   engine side its shard-0 streams (reseeded identically); both consume one
+   combined stream, the way two programs on one CPU would. *)
 let chain_equiv cfg prog1 prog2 =
   match (verify cfg prog1, verify cfg prog2) with
   | Error e, _ -> Rejected (Format.asprintf "prog1: %a" Verify.pp_error e)
   | _, Error e -> Rejected (Format.asprintf "prog2: %a" Verify.pp_error e)
   | Ok an1, Ok an2 -> (
-      let kie1 = Instrument.run ~options:Instrument.default_options an1 in
-      let kie2 = Instrument.run ~options:Instrument.default_options an2 in
-      (* facade reference: sequential runs, shared packet and stats *)
-      let env1 = build_env cfg kie1 in
-      let env2 = build_env cfg kie2 in
-      let pkt_f =
-        Packet.make ~proto:Packet.Udp ~src_port:cfg.src_port
-          ~dst_port:cfg.dst_port
-          (Bytes.of_string cfg.payload)
-      in
-      let stats_f = Vm.fresh_stats () in
-      Vm.seed_prandom cfg.prandom;
-      Vm.set_vtime 0L;
-      let run_one env =
-        Helpers.set_packet env.kernel pkt_f;
-        let o = Vm.exec env.ext ~ctx:(Hook.build_ctx pkt_f) ~stats:stats_f () in
-        Helpers.clear_packet env.kernel;
-        (* mirror the engine's per-invocation cancel re-arm *)
-        if Vm.cancelled env.ext then Vm.reset_cancel env.ext;
-        o
-      in
-      let o1 = run_one env1 in
-      let v1 =
-        match o1 with Vm.Finished v -> v | Vm.Cancelled { ret; _ } -> ret
-      in
-      let cont = v1 = Hook.pass_verdict Hook.Xdp in
+      let kie = instrument Instrument.default_options in
+      let direct = run cfg Fused [ kie an1; kie an2 ] in
       (* chain-level lifecycle claims are checkable right here: a
          [Chain_unreachable] for prog2 asserts prog1 can never return the
          pass verdict, so a concrete chain continuation refutes it *)
-      let chain_claims_unreachable =
+      let refuted () =
         List.exists
           (fun (cf : Lifecycle.chain_finding) ->
             cf.Lifecycle.index = 1
             && cf.Lifecycle.finding.Lifecycle.kind = Lifecycle.Chain_unreachable)
-          (Lifecycle.run_chain ~contracts
-             ~pass_verdict:(Hook.pass_verdict Hook.Xdp)
-             ~default_ret:(Hook.default_ret Hook.Xdp)
+          (Lifecycle.run_chain ~contracts ~pass_verdict ~default_ret
              [ an1; an2 ])
       in
-      if chain_claims_unreachable && cont then
+      if List.length direct.outcomes > 1 && refuted () then
         Fail
           (fail "lifecycle"
              "chain analysis claims prog2 is unreachable, but the concrete \
-              chain continued past prog1 (verdict %Ld)" v1)
+              chain continued past prog1 (verdict %Ld)" pass_verdict)
       else
-      let o2 = if cont then Some (run_one env2) else None in
-      let verdict_f =
-        match o2 with
-        | None -> v1
-        | Some (Vm.Finished v) -> v
-        | Some (Vm.Cancelled { ret; _ }) -> ret
-      in
-      let outcomes_f = o1 :: Option.to_list o2 in
-      (* engine: same layout per shard instance, one shard, chained *)
-      let eng = Engine.create ~shards:1 ~quantum:cfg.quantum () in
-      let configure ~shard:_ kernel heap =
-        Socket.listen (Helpers.sockets kernel) ~proto:Packet.Udp ~port:cfg.port;
-        Socket.listen (Helpers.sockets kernel) ~proto:Packet.Tcp ~port:cfg.port;
-        register_oracle_maps (Helpers.maps kernel);
-        match heap with
-        | None -> ()
-        | Some h ->
-            List.iter
-              (fun p ->
-                let off = Int64.mul (Int64.of_int p) 4096L in
-                if off >= 0L && off < cfg.heap_size then
-                  Heap.populate h ~off ~len:4096L)
-              cfg.pages
-      in
-      let att prog =
-        Engine.attach eng ~options:Instrument.default_options
-          ~heap_size:cfg.heap_size ~kbase:cfg.kbase ~quantum:cfg.quantum
-          ~configure ~hook:Hook.Xdp prog
-      in
-      match (att prog1, att prog2) with
-      | Error e, _ | _, Error e ->
-          Fail
-            (fail "chain"
-               "engine rejected a facade-accepted program: %a" Verify.pp_error
-               e)
-      | Ok h1, Ok h2 -> (
-          Engine.seed_shard eng ~shard:0 ~vtime:0L cfg.prandom;
-          let pkt_e =
-            Packet.make ~proto:Packet.Udp ~src_port:cfg.src_port
-              ~dst_port:cfg.dst_port
-              (Bytes.of_string cfg.payload)
-          in
-          let r = Engine.run_packet eng pkt_e in
-          let heap_of h =
-            match (Engine.instance h ~shard:0).Kflex.heap with
-            | Some hp -> Heap.snapshot hp
-            | None -> []
-          in
-          let totals = Engine.totals eng in
-          if r.Engine.verdict <> verdict_f then
+        match
+          run_engine cfg ~shards:1 ~mode:`Deterministic ~layout:Private
+            [ prog1; prog2 ]
+            [ (packet cfg ~src_port:cfg.src_port, cfg.prandom) ]
+        with
+        | Error e ->
             Fail
-              (fail "chain" "verdicts diverge: %Ld facade vs %Ld engine"
-                 verdict_f r.Engine.verdict)
-          else if r.Engine.outcomes <> outcomes_f then
-            Fail
-              (fail "chain" "outcomes diverge (%d facade vs %d engine entries)"
-                 (List.length outcomes_f)
-                 (List.length r.Engine.outcomes))
-          else if Engine.shard_stats eng 0 <> stats_f then
-            Fail (fail "chain" "stats diverge")
-          else if
-            Bytes.to_string pkt_e.Packet.payload
-            <> Bytes.to_string pkt_f.Packet.payload
-          then Fail (fail "chain" "packet payloads diverge")
-          else if totals.Engine.leaked <> 0 then
-            Fail (fail "chain" "engine leaked %d ledger entries" totals.Engine.leaked)
-          else if Engine.socket_refs eng <> 0 then
-            Fail
-              (fail "chain" "engine left %d socket refs" (Engine.socket_refs eng))
-          else
-            match
-              ( first_diff_page (Heap.snapshot env1.heap) (heap_of h1),
-                first_diff_page (Heap.snapshot env2.heap) (heap_of h2) )
-            with
-            | Some p, _ ->
-                Fail (fail "chain" "prog1 heaps diverge at page %Ld" p)
-            | _, Some p ->
-                Fail (fail "chain" "prog2 heaps diverge at page %Ld" p)
-            | None, None -> Pass))
+              (fail "chain" "engine rejected a directly accepted program: %a"
+                 Verify.pp_error e)
+        | Ok engine -> to_verdict (pair cfg ~oracle:"chain" direct engine))
 
 (* --- oracle 10: shared-map linearizability ------------------------------ *)
 
@@ -965,196 +957,81 @@ let chain_equiv cfg prog1 prog2 =
    processor id, no per-CPU maps ({!Gen.generate} [~shared:true] emits
    exactly this dialect). Each event reseeds the executing shard's PRNG
    from an event-indexed seed so both placements consume identical
-   streams. *)
-
-let shared_nevents = 16
-
-let shared_event_seed cfg i =
-  Int64.logxor cfg.prandom
-    (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)
-
-(* src_port varies per event so flow placement exercises every shard. *)
-let shared_event_packet cfg i =
-  Packet.make ~proto:Packet.Udp
-    ~src_port:(1 + ((cfg.src_port + (257 * i)) land 0xFFFE))
-    ~dst_port:cfg.dst_port
-    (Bytes.of_string cfg.payload)
-
-(* One engine with the oracle's two cross-shard maps — fd 3 = spinlock,
-   fd 4 = rcu_shared, the layout [Gen] targets in shared mode — and the
-   program attached heap-less (shared-mode programs never fetch the heap
-   base, and a heap would be per-shard state anyway). *)
-let shared_engine cfg ~shards ~mode prog =
-  let eng = Engine.create ~shards ~mode ~quantum:cfg.quantum () in
-  let spin = Map_.create ~kind:Map_.Spinlock ~max_entries:64 () in
-  let rcu =
-    Map_.create ~kind:Map_.Rcu_shared ~cpus:shards ~max_entries:64 ()
-  in
-  ignore (Engine.share_map eng spin : int64);
-  ignore (Engine.share_map eng rcu : int64);
-  match
-    Engine.attach eng ~options:Instrument.default_options ~quantum:cfg.quantum
-      ~hook:Hook.Xdp prog
-  with
-  | Error e ->
-      Engine.shutdown eng;
-      Error e
-  | Ok _ -> Ok (eng, spin, rcu)
-
-let shared_locks_held spin =
-  List.filter
-    (fun k -> Map_.lock_held spin (Int64.of_int k))
-    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+   streams; src_port varies per event so flow placement exercises every
+   shard. *)
+let shared_events cfg n =
+  List.init n (fun i ->
+      ( packet cfg ~src_port:(1 + ((cfg.src_port + (257 * i)) land 0xFFFE)),
+        Int64.logxor cfg.prandom
+          (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L) ))
 
 let shared_equiv cfg prog =
-  match
-    ( shared_engine cfg ~shards:4 ~mode:`Deterministic prog,
-      shared_engine cfg ~shards:1 ~mode:`Deterministic prog )
-  with
-  | Error e, _ ->
-      (* heap-less admission is stricter than the facade's (no heap base to
+  let sharded shards =
+    run_engine cfg ~shards ~mode:`Deterministic ~layout:Shared [ prog ]
+      (shared_events cfg 16)
+  in
+  match sharded 4 with
+  | Error e ->
+      (* heap-less admission is stricter than a heaped one (no heap base to
          verify against), so refusal here is policy, not a bug *)
       Rejected (Format.asprintf "%a" Verify.pp_error e)
-  | Ok _, Error e ->
-      Fail
-        (fail "shared"
-           "1-shard engine rejected a program the 4-shard engine admitted: %a"
-           Verify.pp_error e)
-  | Ok (a, spin_a, rcu_a), Ok (b, spin_b, rcu_b) -> (
-      let failure = ref None in
-      let evfail i fmt =
-        Format.kasprintf
-          (fun d ->
-            if !failure = None then
-              failure := Some (fail "shared" "event %d: %s" i d))
-          fmt
-      in
-      for i = 0 to shared_nevents - 1 do
-        if !failure = None then begin
-          let pa = shared_event_packet cfg i in
-          let pb = shared_event_packet cfg i in
-          let seed = shared_event_seed cfg i in
-          Engine.seed_shard a ~shard:(Engine.shard_of a pa) ~vtime:0L seed;
-          Engine.seed_shard b ~shard:0 ~vtime:0L seed;
-          let ra = Engine.run_packet a pa in
-          let rb = Engine.run_packet b pb in
-          if ra.Engine.verdict <> rb.Engine.verdict then
-            evfail i "verdicts diverge: %Ld sharded vs %Ld reference"
-              ra.Engine.verdict rb.Engine.verdict
-          else if ra.Engine.outcomes <> rb.Engine.outcomes then
-            evfail i "outcomes diverge"
-          else if ra.Engine.cost <> rb.Engine.cost then
-            evfail i "costs diverge: %d sharded vs %d reference" ra.Engine.cost
-              rb.Engine.cost
-          else if
-            Bytes.to_string pa.Packet.payload
-            <> Bytes.to_string pb.Packet.payload
-          then evfail i "packet payloads diverge"
-        end
-      done;
-      match !failure with
-      | Some f -> Fail f
-      | None -> (
-          let ta = Engine.totals a and tb = Engine.totals b in
-          let vstats a =
-            match Map_.rcu_stats a with Some s -> s.Map_.version | None -> -1
-          in
-          if Map_.to_list spin_a <> Map_.to_list spin_b then
-            Fail (fail "shared" "final spin-locked map contents diverge")
-          else if Map_.to_list rcu_a <> Map_.to_list rcu_b then
-            Fail (fail "shared" "final rcu map contents diverge")
-          else if vstats rcu_a <> vstats rcu_b then
-            Fail
-              (fail "shared" "rcu versions diverge: %d sharded vs %d reference"
-                 (vstats rcu_a) (vstats rcu_b))
-          else if ta.Engine.leaked <> 0 || tb.Engine.leaked <> 0 then
-            Fail
-              (fail "shared" "leaked ledger entries: %d sharded, %d reference"
-                 ta.Engine.leaked tb.Engine.leaked)
-          else if ta.Engine.stats <> tb.Engine.stats then
-            Fail (fail "shared" "merged stats diverge")
-          else
-            match (shared_locks_held spin_a, shared_locks_held spin_b) with
-            | [], [] -> Pass
-            | ka, kb ->
-                Fail
-                  (fail "shared"
-                     "locks left held after the run (%d sharded, %d reference)"
-                     (List.length ka) (List.length kb))))
+  | Ok a -> (
+      match sharded 1 with
+      | Error e ->
+          Fail
+            (fail "shared"
+               "1-shard engine rejected a program the 4-shard engine \
+                admitted: %a"
+               Verify.pp_error e)
+      | Ok b -> to_verdict (pair cfg ~oracle:"shared" a b))
 
 (* The threaded variant can't compare against a reference (event
    interleaving is scheduler-chosen), so it checks the safety half of the
-   contract: every event executes, nothing leaks, and no spin lock survives
-   its critical section — under real cross-domain contention, including
-   cancellations landing inside critical sections. *)
-let shared_safety ?(shards = 4) ?(events = 64) cfg prog =
-  match shared_engine cfg ~shards ~mode:`Threaded prog with
+   contract: every event executes and the invariants hold — under real
+   cross-domain contention, including cancellations landing inside
+   critical sections. *)
+let shared_safety cfg prog =
+  let events = 64 in
+  match
+    run_engine cfg ~shards:4 ~mode:`Threaded ~layout:Shared [ prog ]
+      (shared_events cfg events)
+  with
   | Error e -> Rejected (Format.asprintf "%a" Verify.pp_error e)
-  | Ok (eng, spin, _rcu) ->
-      for i = 0 to events - 1 do
-        Engine.submit eng (shared_event_packet cfg i)
-      done;
-      Engine.drain eng;
-      let totals = Engine.totals eng in
-      let held = shared_locks_held spin in
-      let socket_refs = Engine.socket_refs eng in
-      Engine.shutdown eng;
-      if totals.Engine.events <> events then
-        Fail
-          (fail "shared" "threaded: %d of %d events executed"
-             totals.Engine.events events)
-      else if totals.Engine.leaked <> 0 then
-        Fail
-          (fail "shared" "threaded: %d leaked ledger entries"
-             totals.Engine.leaked)
-      else if socket_refs <> 0 then
-        Fail (fail "shared" "threaded: %d socket refs outstanding" socket_refs)
-      else if held <> [] then
-        Fail
-          (fail "shared" "threaded: %d spin locks left held"
-             (List.length held))
-      else Pass
+  | Ok o ->
+      to_verdict
+        (tagged "threaded"
+           (if List.length o.events <> events then
+              Some
+                (fail "shared" "%d of %d events executed" (List.length o.events)
+                   events)
+            else Option.map (fail "shared" "%s") (invariants o)))
 
 (* --- the full case ------------------------------------------------------ *)
 
 let run_case_stats_exn cfg prog =
   match roundtrip prog with
-    | Some f -> (Fail f, 0)
-    | None -> (
-        match verify cfg prog with
-        | Error e -> (Rejected (Format.asprintf "%a" Verify.pp_error e), 0)
-        | Ok analysis -> (
-            let kie_a =
-              Instrument.run ~options:Instrument.default_options analysis
-            in
-            let kie_b =
-              Instrument.run ~options:Instrument.forced_guards analysis
-            in
-            let kie_k =
-              Instrument.run
-                ~options:
-                  { Instrument.default_options with kmod_baseline = true }
-                analysis
-            in
-            let findings = Lifecycle.run ~contracts analysis in
-            let flagged = List.length findings in
-            match containment cfg analysis kie_k with
-            | Some f -> (Fail f, flagged)
-            | None -> (
-                match elision cfg analysis kie_a kie_b with
-                | Error f -> (Fail f, flagged)
-                | Ok sites -> (
-                    match cancellation cfg kie_a sites with
-                    | Some f -> (Fail f, flagged)
-                    | None -> (
-                        match repr_equiv cfg kie_a with
-                        | Some f -> (Fail f, flagged)
-                        | None -> (
-                            match lifecycle_failure cfg prog findings kie_k with
-                            | Some f -> (Fail f, flagged)
-                            | None -> (Pass, flagged)))))))
-
-let run_case_exn cfg prog = fst (run_case_stats_exn cfg prog)
+  | Some f -> (Fail f, 0)
+  | None -> (
+      match verify cfg prog with
+      | Error e -> (Rejected (Format.asprintf "%a" Verify.pp_error e), 0)
+      | Ok analysis ->
+          let kie_a = instrument Instrument.default_options analysis in
+          let kie_k = kmod analysis in
+          let findings = Lifecycle.run ~contracts analysis in
+          let elided = lazy (run cfg (Hooked (safe cfg)) [ kie_a ]) in
+          let checks =
+            [
+              (fun () -> containment cfg analysis kie_k);
+              (fun () ->
+                elision cfg analysis (Lazy.force elided)
+                  (instrument Instrument.forced_guards analysis));
+              (fun () -> cancellation cfg kie_a (Lazy.force elided).sites);
+              (fun () -> repr cfg kie_a (Lazy.force elided));
+              (fun () -> lifecycle_failure cfg prog findings kie_k);
+            ]
+          in
+          ( to_verdict (List.find_map (fun c -> c ()) checks),
+            List.length findings ))
 
 let run_case_stats cfg prog =
   try run_case_stats_exn cfg prog

@@ -1,8 +1,12 @@
 (** The differential oracle engine.
 
-    Every verifier-accepted program is executed concretely under several
-    instrumentation regimes and checked against six per-program
-    invariants by {!run_case}:
+    Every oracle observes runs through one record, {!obs}: a direct VM run
+    ({!run}) or an engine event stream. A differential
+    oracle is a pair of runs that must agree: both keep the {!invariants}
+    (no leaked ledger entry, every cancellation returns the hook's default,
+    no socket reference or spin lock left over), and {!diff} finds nothing
+    once the fields the two configurations may legitimately disagree on are
+    blanked. {!run_case} checks six per-program properties:
 
     - {b roundtrip}: [Encode.encode |> Encode.decode] reproduces the program
       instruction for instruction (and the disassembler prints it without
@@ -12,18 +16,17 @@
       register value lies inside the verifier's final interval for that
       register at that pc and is consistent with its tnum — a
       [reg_bounds_sync] analogue for whole programs;
-    - {b elision}: execution with guards elided (the default) is
-      observationally identical — outcome, heap pages, packet bytes — to
-      execution with every guard forced ({!Kflex_kie.Instrument.forced_guards}),
-      and no elided access ever faults outside the heap;
+    - {b elision}: the run with guards elided (the default) against the run
+      with every guard forced ({!Kflex_kie.Instrument.forced_guards}), stats
+      and costs blanked (forced guards are charged); when both hit the
+      watchdog only the invariants are compared. No elided access ever
+      faults outside the heap;
     - {b cancellation}: injecting an asynchronous cancellation at each
-      Checkpoint/heap-access site unwinds through the object tables with
-      zero leaked resources (ledger and socket refcounts) and the hook's
-      default return code;
+      Checkpoint/heap-access site unwinds as [Ext_cancelled] and keeps the
+      invariants;
     - {b repr}: the boxed reference interpreter
-      ({!Kflex_runtime.Vm.Ref_interp}) and both compiled forms — hooked and
-      fused — agree on outcome, stats counters, heap pages and packet bytes
-      ({!repr_equiv});
+      ({!Kflex_runtime.Vm.Ref_interp}) against both compiled forms — hooked
+      and fused — with the site count blanked ({!repr_equiv});
     - {b lifecycle}: no static lifecycle finding is refuted by a concrete
       run ({!lifecycle_report}).
 
@@ -48,35 +51,18 @@ type config = {
   dst_port : int;
   quantum : int;  (** watchdog budget (deliberately small, so infinite
       loops cancel quickly) *)
-  insn_budget : int;  (** containment-trace instruction budget *)
-  inject_cap : int;  (** max cancellation injections per case *)
+  insn_budget : int;
+      (** containment- and lifecycle-trace instruction budget, at least 1
+          ({!Corpus.read} refuses less: a budget of 0 observes nothing) *)
+  inject_cap : int;
+      (** max cancellation injections per case, at least 1 ({!Corpus.read}
+          refuses less: 0 would switch the cancellation oracle off) *)
 }
 
 val default_config : config
 (** 64 KB heap at the default base, all pages populated, port 53, quantum
     300k, modest budgets — what the corpus replayer uses unless a
     reproducer file overrides it. *)
-
-type env = {
-  ext : Kflex_runtime.Vm.ext;
-  kernel : Kflex_kernel.Helpers.t;
-  heap : Kflex_runtime.Heap.t;
-  pkt : Kflex_kernel.Packet.t;
-  ctx : Bytes.t;
-}
-
-val build_env :
-  ?helpers_shim:
-    ((string * Kflex_runtime.Vm.helper) list ->
-    (string * Kflex_runtime.Vm.helper) list) ->
-  config ->
-  Kflex_kie.Instrument.t ->
-  env
-(** The fresh, deterministic world of one oracle run: the config's heap
-    geometry and pages, listening sockets, one map of every shared-capable
-    kind at fds 3–6, and the config's packet installed. [helpers_shim]
-    shadows helper implementations. Seed the PRNG ({!Kflex_runtime.Vm.seed_prandom}
-    with [prandom]) before running. *)
 
 type failure = {
   oracle : string;
@@ -99,41 +85,32 @@ val run_case_stats : config -> Kflex_bpf.Prog.t -> verdict * int
     reported on the program (0 for rejected programs) — the campaign's
     [flagged] counter. *)
 
-val run_case_exn : config -> Kflex_bpf.Prog.t -> verdict
-(** Like {!run_case}, but harness exceptions propagate — so a debugger (or a
-    test) sees the backtrace instead of a [Fail] with oracle ["harness"]. *)
-
 val chain_equiv : config -> Kflex_bpf.Prog.t -> Kflex_bpf.Prog.t -> verdict
 (** The chain oracle: a 2-program chain executed by a one-shard
-    {!Kflex_engine.Engine} must be observationally equivalent to running
-    the programs sequentially through the facade with tail-call verdict
-    composition — composed verdict, per-program outcomes, shared stats,
-    heap snapshots, packet bytes — with zero leaked resources on either
-    side. [Rejected] when the verifier refuses either program under this
-    config. Deterministic in [(config, prog1, prog2)]. *)
+    {!Kflex_engine.Engine} against the same chain run directly ({!run},
+    [Fused]) — composed verdict, per-program outcomes, shared stats, heap
+    snapshots, packet bytes, and the invariants on both sides. [Rejected]
+    when the verifier refuses either program under this config.
+    Deterministic in [(config, prog1, prog2)]. *)
 
 val shared_equiv : config -> Kflex_bpf.Prog.t -> verdict
 (** The shared-map linearizability oracle (the tenth): the program —
     generated in {!Gen.generate}[ ~shared:true]'s shard-independent dialect
     — is attached heap-less to a 4-shard and a 1-shard deterministic
     engine, both sharing a spin-locked map (fd 3) and an RCU-style map
-    (fd 4) via {!Kflex_engine.Engine.share_map}. Both engines apply the
-    same 16-event sequence (per-event reseeded PRNG, flow placement spread
-    by src_port), and every observable must agree event for event:
-    verdicts, outcomes, chain costs, packet bytes, final contents and RCU
-    version of both shared maps, merged stats — with zero leaks and no
-    lock left held on either side. [Rejected] when heap-less admission
-    refuses the program. Deterministic in [(config, prog)]. *)
+    (fd 4) via {!Kflex_engine.Engine.share_map}. Both apply the same
+    16-event sequence (per-event reseeded PRNG, flow placement spread by
+    src_port), and the two observations must agree, with the invariants on
+    both. [Rejected] when heap-less admission refuses the program.
+    Deterministic in [(config, prog)]. *)
 
-val shared_safety :
-  ?shards:int -> ?events:int -> config -> Kflex_bpf.Prog.t -> verdict
-(** The threaded half of the shared-map contract: run [events] (default 64)
-    through a [`Threaded] engine with [shards] (default 4) domains and the
-    same shared-map layout, then check the safety invariants the scheduler
-    cannot excuse — every event executed, zero leaked ledger entries, zero
-    socket refs, no spin lock left held (cancellation inside a critical
-    section must unwind the lock). Interleaving-dependent observables are
-    deliberately not compared. *)
+val shared_safety : config -> Kflex_bpf.Prog.t -> verdict
+(** The threaded half of the shared-map contract: 64 events through a
+    4-shard [`Threaded] engine with the same shared maps, then the safety
+    properties the scheduler cannot excuse — every event executed and the
+    invariants hold (cancellation inside a critical section must unwind the
+    lock). Interleaving-dependent observables are deliberately not
+    compared. *)
 
 (** Concrete status of one static lifecycle finding (the seventh oracle).
 
@@ -161,12 +138,63 @@ val lifecycle_report :
     the corpus gate and the fuzz property is: no finding is ever [Refuted]. *)
 
 val repr_equiv : config -> Kflex_kie.Instrument.t -> failure option
-(** The executor oracle in isolation: the kept-boxed reference interpreter
-    ({!Kflex_runtime.Vm.Ref_interp}) against the hooked and the fused
-    compiled forms, in fresh environments, comparing outcome, stats, heap
-    pages and packet payload. [None] means all three agree bit-for-bit.
-    Runs on every fuzz case and corpus replay via [run_case]; exposed for
-    the qcheck differential and representation suites in the runtime
-    tests. *)
+(** The executor oracle in isolation: the reference interpreter against
+    the hooked and the fused compiled forms. [None] means all three
+    agree. Runs on every fuzz case and corpus replay via [run_case];
+    exposed for the qcheck differential suite in the runtime tests. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
+
+(** {2 Observations}
+
+    What the oracles compare, exposed so tests can drive the direct runner
+    and check that the comparator can fail. *)
+
+type obs = {
+  outcomes : Kflex_runtime.Vm.outcome list;
+      (** every program run, in order; empty when a probe stopped the run *)
+  events : (int64 * int) list;  (** per event: composed verdict, cost *)
+  stats : Kflex_runtime.Vm.stats;  (** accumulated over the whole run *)
+  payloads : string list;  (** per event: packet bytes afterwards *)
+  heaps : (int64 * string) list list;
+      (** per program (and shard): {!Kflex_runtime.Heap.snapshot} *)
+  maps : (int64 * int64) list list;
+      (** contents of every map the programs reach, each once, fd order *)
+  rcu_version : int;  (** versions published by those RCU maps *)
+  sites : int;  (** cancellation sites passed (hooked forms only) *)
+  leaked : int;  (** ledger entries cancellations failed to release *)
+  sock_refs : int;  (** socket references left outstanding *)
+  locks : int;  (** spin locks left held in those maps *)
+}
+
+type probe = {
+  budget : int;  (** the run stops, with no outcome, at this instruction *)
+  on_insn : int -> int -> int64 array -> unit;
+      (** pc, cost so far, registers — before each instruction *)
+  on_site : int -> unit;  (** cost so far, at each cancellation site *)
+}
+
+(** The VM form a direct run takes. *)
+type executor =
+  | Reference of probe  (** {!Kflex_runtime.Vm.Ref_interp} *)
+  | Hooked of probe  (** the hooked Jit, counting sites *)
+  | Inject of int
+      (** the hooked Jit observing sites only, cancelling at the k-th *)
+  | Fused  (** the hook-free fused Jit *)
+
+val run : config -> executor -> Kflex_kie.Instrument.t list -> obs
+(** The direct runner: the programs as one chain (tail-call verdict
+    composition) on the config's packet, each in a fresh instance of the
+    config's world — heap geometry and pages, listening sockets, one map of
+    every shared-capable kind at fds 3–6 — with shared stats and the PRNG
+    reseeded. One event. *)
+
+val diff : obs -> obs -> string option
+(** The one comparator: the first field (outcomes, events, stats, payloads,
+    heaps, maps, rcu_version, sites) on which the two observations differ,
+    as ["field: detail"]; [None] when they agree. *)
+
+val invariants : obs -> string option
+(** What every run must keep, named like {!diff}'s fields: nothing
+    [leaked], each cancelled outcome returning the hook's default, no
+    [sock_refs], no [locks] held. *)

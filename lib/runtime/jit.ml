@@ -1339,7 +1339,6 @@ let build form prog =
             | _ -> entries.(p + 1)
           in
           prelude p insns.(p) (compile_one p insns.(p) next)
-      | `Unfused -> compile_one p insns.(p) entries.(p + 1)
       | `Fused -> (
           match
             if p + 1 < n then fuse_pair p insns.(p) insns.(p + 1) else None
@@ -1363,7 +1362,7 @@ let build form prog =
   done;
   { entries; helper_names; fused = !fused }
 
-let compile ?(fuse = true) prog = build (if fuse then `Fused else `Unfused) prog
+let compile prog = build `Fused prog
 let compile_hooked prog = build `Hooked prog
 
 let run t (st : state) =

@@ -4,9 +4,8 @@
 
 type t
 
-val compile : ?fuse:bool -> Kflex_bpf.Prog.t -> t
-(** The hook-free form; [fuse] (default [true]) enables superinstruction
-    fusion. *)
+val compile : Kflex_bpf.Prog.t -> t
+(** The hook-free form, with superinstruction fusion. *)
 
 val compile_hooked : Kflex_bpf.Prog.t -> t
 (** The form for runs with [on_insn]/[on_site] observers: unfused, each

@@ -208,8 +208,8 @@ let link_helpers e names =
 let linked e t = (t, link_helpers e (Jit.helper_names t))
 let set_compiled e t = e.jit <- Some (linked e t)
 
-let precompile ?fuse e =
-  let t = Jit.compile ?fuse e.kie.Kflex_kie.Instrument.prog in
+let precompile e =
+  let t = Jit.compile e.kie.Kflex_kie.Instrument.prog in
   set_compiled e t;
   t
 

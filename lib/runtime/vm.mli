@@ -153,11 +153,11 @@ val reset_cancel : ext -> unit
 
 val kie : ext -> Kflex_kie.Instrument.t
 
-val precompile : ?fuse:bool -> ext -> Jit.t
-(** Compile the extension's instrumented program and install the result, so
-    the first hook-free invocation skips lazy compilation. [fuse] (default
-    [true]) enables superinstruction fusion. Returns the compiled form (for
-    fusion/compile-time reporting). *)
+val precompile : ext -> Jit.t
+(** Compile the extension's instrumented program (the fused form) and
+    install the result, so the first hook-free invocation skips lazy
+    compilation. Returns the compiled form (for fusion/compile-time
+    reporting). *)
 
 val set_compiled : ext -> Jit.t -> unit
 (** Install an externally compiled program (e.g. from the core facade's

@@ -73,7 +73,13 @@ let t_corpus_malformed () =
     ~line:1 ~key:"magic";
   expect "no_prog"
     ~edit:(fun l -> if String.starts_with ~prefix:"prog " l then "" else l)
-    ~line:12 ~key:"prog"
+    ~line:12 ~key:"prog";
+  (* below 1, a budget or cap breaks an oracle or silently switches it off *)
+  expect "budget_zero" ~edit:(set "insn_budget" "0") ~line:10
+    ~key:"insn_budget";
+  expect "inject_negative" ~edit:(set "inject_cap" "-1") ~line:11
+    ~key:"inject_cap";
+  expect "inject_zero" ~edit:(set "inject_cap" "0") ~line:11 ~key:"inject_cap"
 
 (* A small fixed-seed campaign: no oracle may fail, every program must
    assemble, and random rejects must stay a minority (the generator would
@@ -102,8 +108,8 @@ let t_gen_deterministic () =
     (Encode.encode (Gen.assemble a))
     (Encode.encode (Gen.assemble b))
 
-(* The oracles on known-good input: a tiny hand-written program passes all
-   four. *)
+(* The oracles on known-good input: a tiny hand-written program passes
+   every per-program oracle. *)
 let t_oracle_pass () =
   let prog =
     Gen.assemble
@@ -122,10 +128,8 @@ let t_oracle_pass () =
   | Oracle.Pass -> ()
   | v -> Alcotest.failf "expected pass: %a" Oracle.pp_verdict v
 
-(* The containment oracle must reject a harness-visible lie. We check the
-   plumbing indirectly: a program the verifier accepts whose concrete
-   behaviour is fine still exercises states_at on every insn (run above),
-   so here we only make sure Fail propagates from run_case_exn's wrapper. *)
+(* A harness exception — here a heap geometry [Heap.create] refuses — is a
+   [Fail] of the ["harness"] oracle, never an escaping exception. *)
 let t_oracle_harness_catch () =
   (* a config the heap rejects: kbase not size-aligned *)
   let cfg = { Oracle.default_config with Oracle.kbase = 0x4000_0000_1000L } in
@@ -198,7 +202,7 @@ let t_corpus_roundtrip () =
 
 (* The chain oracle on known-good input: a hand-written pass-through pair
    run as a 2-program chain through the single-shard engine must be
-   observationally identical to sequential facade runs. *)
+   observationally identical to the same chain run directly. *)
 let t_chain_oracle_pass () =
   let p1 =
     Gen.assemble
@@ -225,7 +229,7 @@ let t_chain_oracle_pass () =
   | v -> Alcotest.failf "expected chain pass: %a" Oracle.pp_verdict v
 
 (* Every committed reproducer also replays as a self-pair chain: the
-   single-shard engine must agree with the facade on the very inputs that
+   single-shard engine must agree with direct runs on the very inputs that
    once broke an oracle — this is the deterministic-mode bit-identity claim
    on the reproducer corpus. *)
 let t_corpus_chain_identity () =
@@ -383,6 +387,100 @@ let t_corpus_shared_replay () =
   | Oracle.Fail fl -> Alcotest.failf "[%s] %s" fl.Oracle.oracle fl.Oracle.detail
   | Oracle.Pass | Oracle.Rejected _ -> ()
 
+(* --- the comparator ------------------------------------------------------ *)
+
+let observe_direct exec items =
+  let cfg = Oracle.default_config in
+  match
+    Kflex_verifier.Verify.run ~mode:Kflex_verifier.Verify.Kflex
+      ~contracts:Kflex.contracts ~ctx_size:Kflex_kernel.Hook.ctx_size
+      ~heap_size:cfg.Oracle.heap_size ~sleepable:false (Gen.assemble items)
+  with
+  | Error e -> Alcotest.failf "rejected: %a" Kflex_verifier.Verify.pp_error e
+  | Ok analysis -> Oracle.run cfg exec [ Kflex_kie.Instrument.run analysis ]
+
+(* The comparator can fail: two observations of real runs that differ in
+   exactly one field must be told apart, by that field's name, and two runs
+   of the same input must not. The two programs differ in everything a run
+   observes — a heap store and its site against a packet write and an RCU
+   map update — and each case keeps one observation and takes a single
+   field from the other. *)
+let t_comparator () =
+  let quiet =
+    Oracle.Hooked
+      { Oracle.budget = max_int; on_insn = (fun _ _ _ -> ()); on_site = ignore }
+  in
+  let heap_store =
+    [
+      Asm.call "kflex_heap_base";
+      Asm.sti Insn.U64 Reg.R0 256 42L;
+      Asm.movi Reg.R0 1L;
+      Asm.exit_;
+    ]
+  and pkt_and_map =
+    [
+      Asm.movi Reg.R2 0L;
+      Asm.movi Reg.R3 0xffL;
+      Asm.call "pkt_write_u8";
+      (* fd 6: the rcu_shared map *)
+      Asm.sti Insn.U64 Reg.fp (-8) 1L;
+      Asm.sti Insn.U64 Reg.fp (-16) 9L;
+      Asm.movi Reg.R1 6L;
+      Asm.mov Reg.R2 Reg.fp;
+      Asm.alui Insn.Add Reg.R2 (-8L);
+      Asm.mov Reg.R3 Reg.fp;
+      Asm.alui Insn.Add Reg.R3 (-16L);
+      Asm.call "bpf_map_update";
+      Asm.movi Reg.R0 2L;
+      Asm.exit_;
+    ]
+  in
+  let a = observe_direct quiet heap_store
+  and c = observe_direct quiet pkt_and_map in
+  let same what x y =
+    match Oracle.diff x y with
+    | None -> ()
+    | Some d -> Alcotest.failf "%s: identical runs differ: %s" what d
+  in
+  same "heap store" a (observe_direct quiet heap_store);
+  same "packet and map" c (observe_direct quiet pkt_and_map);
+  let names field x y =
+    List.iter
+      (fun (x, y) ->
+        match Oracle.diff x y with
+        | Some d when String.starts_with ~prefix:(field ^ ":") d -> ()
+        | Some d -> Alcotest.failf "%s: reported as %s" field d
+        | None -> Alcotest.failf "%s: no difference found" field)
+      [ (x, y); (y, x) ]
+  in
+  names "outcomes" a { a with Oracle.outcomes = c.Oracle.outcomes };
+  names "events" a { a with Oracle.events = c.Oracle.events };
+  names "stats" a { a with Oracle.stats = c.Oracle.stats };
+  names "payloads" a { a with Oracle.payloads = c.Oracle.payloads };
+  names "heaps" a { a with Oracle.heaps = c.Oracle.heaps };
+  names "sites" a { a with Oracle.sites = c.Oracle.sites };
+  names "maps" a { a with Oracle.maps = c.Oracle.maps };
+  names "rcu_version" a { a with Oracle.rcu_version = c.Oracle.rcu_version };
+  (* the invariants name what they find the same way *)
+  let broken field o =
+    match Oracle.invariants o with
+    | Some d when String.starts_with ~prefix:(field ^ ":") d -> ()
+    | Some d -> Alcotest.failf "%s: reported as %s" field d
+    | None -> Alcotest.failf "%s: invariants hold" field
+  in
+  Alcotest.(check (option string)) "invariants hold" None
+    (Oracle.invariants a);
+  broken "leaked" { a with Oracle.leaked = 1 };
+  broken "sock_refs" { a with Oracle.sock_refs = 1 };
+  broken "locks" { a with Oracle.locks = 1 };
+  match observe_direct (Oracle.Inject 0) heap_store with
+  | { Oracle.outcomes = [ Kflex_runtime.Vm.Cancelled c ]; _ } as o ->
+      Alcotest.(check (option string)) "injection unwinds" None
+        (Oracle.invariants o);
+      broken "outcomes"
+        { o with Oracle.outcomes = [ Kflex_runtime.Vm.Cancelled { c with ret = 7L } ] }
+  | _ -> Alcotest.fail "injection at the heap store did not cancel"
+
 (* --- the lifecycle no-false-positive contract --------------------------- *)
 
 module Lifecycle = Kflex_verifier.Lifecycle
@@ -512,6 +610,8 @@ let () =
             t_shared_campaign_threaded;
           Alcotest.test_case "corpus shared replay" `Quick
             t_corpus_shared_replay;
+          Alcotest.test_case "comparator names each field" `Quick
+            t_comparator;
           Alcotest.test_case "corpus lifecycle gate" `Quick
             t_corpus_lifecycle_gate;
           Alcotest.test_case "lifecycle oracle confirms" `Quick

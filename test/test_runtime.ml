@@ -646,39 +646,30 @@ let prop_jit_differential =
 
 (* --- the hooked form -------------------------------------------------------- *)
 
-(* One observed run in the oracles' environment: (pc, cost so far,
+(* One observed run through the oracles' direct runner: (pc, cost so far,
    registers) at each [on_insn] and (pc, cost so far) at each [on_site],
-   for the first [trace_cap] instructions, and the outcome if it ended
-   within them. [inject k] cancels at the k-th site. *)
+   for the first [trace_cap] instructions, and the outcomes — none unless
+   the run ended within them. *)
 let trace_cap = 10_000
 
-let observe ?(inject = -1) cfg kie ~hooked =
-  let env = Oracle.build_env cfg kie in
-  let stats = Vm.fresh_stats () in
-  let steps = ref [] and sites = ref [] and n = ref 0 and nsites = ref 0 in
-  let pc_now = ref 0 in
-  let on_insn pc regs =
-    incr n;
-    if !n > trace_cap then raise Exit;
-    pc_now := pc;
-    steps := (pc, Vm.total_cost stats, Array.copy regs) :: !steps
+let observe cfg kie ~hooked =
+  let steps = ref [] and sites = ref [] and pc_now = ref 0 in
+  let probe =
+    {
+      Oracle.budget = trace_cap + 1;
+      on_insn =
+        (fun pc cost regs ->
+          pc_now := pc;
+          steps := (pc, cost, Array.copy regs) :: !steps);
+      on_site = (fun cost -> sites := (!pc_now, cost) :: !sites);
+    }
   in
-  let on_site () =
-    sites := (!pc_now, Vm.total_cost stats) :: !sites;
-    incr nsites;
-    !nsites - 1 = inject
+  let o =
+    Oracle.run cfg
+      (if hooked then Oracle.Hooked probe else Oracle.Reference probe)
+      [ kie ]
   in
-  Vm.seed_prandom cfg.Oracle.prandom;
-  let ctx = env.Oracle.ctx in
-  let outcome =
-    match
-      if hooked then Vm.exec env.Oracle.ext ~ctx ~stats ~on_insn ~on_site ()
-      else Vm.Ref_interp.exec env.Oracle.ext ~ctx ~stats ~on_insn ()
-    with
-    | o -> Some o
-    | exception Exit -> None
-  in
-  (List.rev !steps, List.rev !sites, outcome, env)
+  (List.rev !steps, List.rev !sites, o.Oracle.outcomes)
 
 (* The sites the reference trace implies, derived independently of the
    Jit's preludes: every Checkpoint, and every access whose address leaves
@@ -710,7 +701,7 @@ let expected_sites kie steps outcome =
   in
   let sites = List.filter_map site steps in
   match outcome with
-  | Some (Vm.Cancelled { reason = Vm.Quantum_expired; _ }) ->
+  | [ Vm.Cancelled { reason = Vm.Quantum_expired; _ } ] ->
       List.rev (List.tl (List.rev sites))
   | _ -> sites
 
@@ -718,8 +709,8 @@ let expected_sites kie steps outcome =
    sites are the ones the reference trace implies, and a cancellation
    injected at any site unwinds there with nothing leaked. *)
 let check_hooked name cfg kie =
-  let ref_steps, _, ref_outcome, _ = observe cfg kie ~hooked:false in
-  let steps, sites, _, _ = observe cfg kie ~hooked:true in
+  let ref_steps, _, ref_outcome = observe cfg kie ~hooked:false in
+  let steps, sites, _ = observe cfg kie ~hooked:true in
   if steps <> ref_steps then
     Alcotest.failf "%s: on_insn trace diverges from the reference (%d vs %d \
                     steps)" name (List.length steps) (List.length ref_steps);
@@ -733,13 +724,11 @@ let check_hooked name cfg kie =
   List.iter
     (fun k ->
       let site_pc = fst (List.nth sites k) in
-      match observe ~inject:k cfg kie ~hooked:true with
-      | _, _, Some (Vm.Cancelled c), env
-        when c.reason = Vm.Ext_cancelled && c.ledger_leaked = 0
+      match Oracle.run cfg (Oracle.Inject k) [ kie ] with
+      | { Oracle.outcomes = [ Vm.Cancelled c ]; _ } as o
+        when c.reason = Vm.Ext_cancelled
              && c.orig_pc = kie.Kflex_kie.Instrument.orig_of_new.(site_pc)
-             && Kflex_kernel.Socket.total_refs
-                  (Kflex_kernel.Helpers.sockets env.Oracle.kernel)
-                = 0 ->
+             && Oracle.invariants o = None ->
           ()
       | _ -> Alcotest.failf "%s: injection at site %d/%d" name k nsites)
     ks
