@@ -128,8 +128,10 @@ let verify_cmd =
             Format.printf "REJECTED: %a@." Kflex_verifier.Verify.pp_error e;
             exit 1
         | Ok a ->
+            let s = a.Kflex_verifier.Verify.stats in
             Format.printf "OK: %d insns, %d heap accesses (%d elidable), %d \
-                           unbounded loops, %d stack bytes@."
+                           unbounded loops, %d stack bytes; %d block visits \
+                           over %d blocks, %d joins, %d widenings@."
               a.Kflex_verifier.Verify.insn_count
               (List.length a.Kflex_verifier.Verify.heap_accesses)
               (List.length
@@ -138,7 +140,10 @@ let verify_cmd =
                       x.Kflex_verifier.Verify.elidable)
                     a.Kflex_verifier.Verify.heap_accesses))
               (List.length a.Kflex_verifier.Verify.unbounded)
-              a.Kflex_verifier.Verify.stack_used)
+              a.Kflex_verifier.Verify.stack_used
+              s.Kflex_verifier.Verify.block_visits
+              (Array.length (Kflex_bpf.Cfg.blocks a.Kflex_verifier.Verify.cfg))
+              s.Kflex_verifier.Verify.joins s.Kflex_verifier.Verify.widenings)
   in
   Cmd.v (Cmd.info "verify" ~doc:"Verify kernel-interface compliance")
     Term.(const run $ file_arg $ heap_size_arg)

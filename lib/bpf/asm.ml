@@ -24,12 +24,14 @@ let assemble ?allow_instrumentation ~name items =
     | Some target -> target - pc - 1
     | None -> fail "undefined label %s" l
   in
-  let insns = ref [] in
+  (* filled in place: [Array.of_list] of a long list of fresh instructions
+     would force a minor collection *)
+  let insns = Array.make !pc Insn.Exit in
   let pc = ref 0 in
   List.iter
     (fun item ->
       let emit i =
-        insns := i :: !insns;
+        insns.(!pc) <- i;
         incr pc
       in
       match item with
@@ -38,7 +40,6 @@ let assemble ?allow_instrumentation ~name items =
       | Ja_l l -> emit (Insn.Ja (resolve !pc l))
       | Jcond_l (c, r, s, l) -> emit (Insn.Jcond (c, r, s, resolve !pc l)))
     items;
-  let insns = Array.of_list (List.rev !insns) in
   Prog.create ?allow_instrumentation ~name insns
 
 let mov d s = I (Insn.Mov (d, Insn.Reg s))

@@ -71,34 +71,47 @@ let build prog =
       List.iter dfs blocks.(b).succs)
   in
   dfs 0;
-  (* Iterative dominator computation over bitsets encoded as bool arrays. *)
-  let full = Array.make nb true in
-  let dom = Array.init nb (fun i -> if i = 0 then Array.make nb false else Array.copy full) in
-  dom.(0).(0) <- true;
-  if nb > 0 then
-    for i = 1 to nb - 1 do
-      if not reach.(i) then dom.(i) <- Array.make nb false
-    done;
+  (* Iterative dominator computation over bitsets: block [j] is bit
+     [j mod w] of word [j / w]. *)
+  let w = Sys.int_size in
+  let words = (nb + w - 1) / w in
+  let full =
+    Array.init words (fun k -> if k < nb / w then -1 else (1 lsl (nb mod w)) - 1)
+  in
+  let add set j = set.(j / w) <- set.(j / w) lor (1 lsl (j mod w)) in
+  let dom =
+    Array.init nb (fun i ->
+        if i = 0 then begin
+          let s = Array.make words 0 in
+          add s 0;
+          s
+        end
+        else if reach.(i) then Array.copy full
+        else Array.make words 0)
+  in
   let changed = ref true in
+  (* one working set, copied only when a block's dominators change *)
+  let inter = Array.make words 0 in
   while !changed do
     changed := false;
     for b = 1 to nb - 1 do
       if reach.(b) then begin
-        let inter = Array.make nb true in
+        Array.blit full 0 inter 0 words;
         let has_pred = ref false in
         List.iter
           (fun p ->
             if reach.(p) then begin
               has_pred := true;
-              for j = 0 to nb - 1 do
-                inter.(j) <- inter.(j) && dom.(p).(j)
+              let dp = dom.(p) in
+              for k = 0 to words - 1 do
+                inter.(k) <- inter.(k) land dp.(k)
               done
             end)
           preds.(b);
-        if not !has_pred then Array.fill inter 0 nb false;
-        inter.(b) <- true;
-        if inter <> dom.(b) then begin
-          dom.(b) <- inter;
+        if not !has_pred then Array.fill inter 0 words 0;
+        add inter b;
+        if not (Array.for_all2 Int.equal inter dom.(b)) then begin
+          dom.(b) <- Array.copy inter;
           changed := true
         end
       end
@@ -106,12 +119,16 @@ let build prog =
   done;
   let dom_lists =
     Array.mapi
-      (fun b bits ->
+      (fun b set ->
         if (not reach.(b)) && b <> 0 then []
         else
           let l = ref [] in
-          for j = nb - 1 downto 0 do
-            if bits.(j) then l := j :: !l
+          for k = words - 1 downto 0 do
+            let word = set.(k) in
+            if word <> 0 then
+              for bit = w - 1 downto 0 do
+                if (word lsr bit) land 1 = 1 then l := ((k * w) + bit) :: !l
+              done
           done;
           !l)
       dom
@@ -127,7 +144,7 @@ let block_of_pc g pc =
 
 let preds g b = g.preds.(b)
 let dominators g b = g.dom.(b)
-let dominates g a b = List.mem a g.dom.(b)
+let dominates g a b = List.exists (Int.equal a) g.dom.(b)
 let reachable g b = g.reach.(b)
 
 let natural_loop g ~header ~src =

@@ -30,28 +30,33 @@ let top =
     bits = Tnum.unknown;
   }
 
+(* [r] with new bounds; [r] itself when they are its own, so the transfer
+   functions allocate only what changes. *)
+let with_unsigned r umin umax =
+  if Int64.equal umin r.umin && Int64.equal umax r.umax then r
+  else { r with umin; umax }
+
+let with_signed r smin smax =
+  if Int64.equal smin r.smin && Int64.equal smax r.smax then r
+  else { r with smin; smax }
+
+let with_bits r bits = if Tnum.equal bits r.bits then r else { r with bits }
+
 (* Propagate information between the signed and unsigned views, following the
    same reasoning as the eBPF verifier's __reg_deduce_bounds. *)
 let deduce r =
   let r =
-    (* Signed bounds with the same sign give unsigned bounds directly. *)
-    if r.smin >= 0L then
-      { r with umin = umax_ r.umin r.smin; umax = umin_ r.umax r.smax }
-    else if r.smax < 0L then
-      (* Both negative: as unsigned they keep their order. *)
-      { r with umin = umax_ r.umin r.smin; umax = umin_ r.umax r.smax }
+    (* Signed bounds with the same sign give unsigned bounds directly (both
+       negative: as unsigned they keep their order). *)
+    if r.smin >= 0L || r.smax < 0L then
+      with_unsigned r (umax_ r.umin r.smin) (umin_ r.umax r.smax)
     else r
   in
   (* Unsigned bounds that fit in the positive signed half refine the signed
      view; likewise when both are in the negative half. *)
-  let r =
-    if ucmp r.umax Int64.max_int <= 0 then
-      { r with smin = smax_ r.smin r.umin; smax = smin_ r.smax r.umax }
-    else if ucmp r.umin Int64.max_int > 0 then
-      { r with smin = smax_ r.smin r.umin; smax = smin_ r.smax r.umax }
-    else r
-  in
-  r
+  if ucmp r.umax Int64.max_int <= 0 || ucmp r.umin Int64.max_int > 0 then
+    with_signed r (smax_ r.smin r.umin) (smin_ r.smax r.umax)
+  else r
 
 let is_empty r = ucmp r.umin r.umax > 0 || r.smin > r.smax
 
@@ -62,21 +67,19 @@ let is_empty r = ucmp r.umin r.umax > 0 || r.smin > r.smax
    as an empty interval so callers share one emptiness test. *)
 let sync r =
   let r = deduce r in
-  if not !tnum_enabled then { r with bits = Tnum.unknown }
+  if not !tnum_enabled then with_bits r Tnum.unknown
   else if is_empty r then r
   else
     let r =
       deduce
-        {
-          r with
-          umin = umax_ r.umin (Tnum.umin r.bits);
-          umax = umin_ r.umax (Tnum.umax r.bits);
-        }
+        (with_unsigned r
+           (umax_ r.umin (Tnum.umin r.bits))
+           (umin_ r.umax (Tnum.umax r.bits)))
     in
     if is_empty r then r
     else
       match Tnum.intersect r.bits (Tnum.range r.umin r.umax) with
-      | Some bits -> { r with bits }
+      | Some bits -> with_bits r bits
       | None -> { r with umin = 1L; umax = 0L }
 
 (* For transfer functions: both halves over-approximate the same concrete
@@ -109,32 +112,37 @@ let is_const r = if r.umin = r.umax then Some r.umin else None
 let bits r = r.bits
 
 let equal a b =
-  a.umin = b.umin && a.umax = b.umax && a.smin = b.smin && a.smax = b.smax
+  a == b
+  || a.umin = b.umin && a.umax = b.umax && a.smin = b.smin && a.smax = b.smax
   && Tnum.equal a.bits b.bits
-
-(* No sync on join: the componentwise bounds keep join a syntactic upper
-   bound of both operands (subset a (join a b) holds field by field). *)
-let join a b =
-  {
-    umin = umin_ a.umin b.umin;
-    umax = umax_ a.umax b.umax;
-    smin = smin_ a.smin b.smin;
-    smax = smax_ a.smax b.smax;
-    bits = Tnum.union a.bits b.bits;
-  }
 
 let subset a b =
   ucmp b.umin a.umin <= 0 && ucmp a.umax b.umax <= 0 && b.smin <= a.smin
   && a.smax <= b.smax
   && Tnum.subset a.bits b.bits
 
+(* No sync on join: the componentwise bounds keep join a syntactic upper
+   bound of both operands (subset a (join a b) holds field by field). When
+   [a] already covers [b], every component of the join is [a]'s, and [a]
+   itself is returned so that unchanged states stay shared. *)
+let join a b =
+  if a == b || subset b a then a
+  else
+    {
+      umin = umin_ a.umin b.umin;
+      umax = umax_ a.umax b.umax;
+      smin = smin_ a.smin b.smin;
+      smax = smax_ a.smax b.smax;
+      bits = Tnum.union a.bits b.bits;
+    }
+
 let fits_unsigned r ~lo ~hi = ucmp lo r.umin <= 0 && ucmp r.umax hi <= 0
 
 (* Exact evaluation when both operands are singletons. *)
 let try_const2 f a b =
-  match (is_const a, is_const b) with
-  | Some x, Some y -> Some (const (f x y))
-  | _ -> None
+  if Int64.equal a.umin a.umax && Int64.equal b.umin b.umax then
+    Some (const (f a.umin b.umin))
+  else None
 
 let add a b =
   match try_const2 Int64.add a b with

@@ -10,7 +10,9 @@
 type slot =
   | S_empty  (** never written — reads are errors *)
   | S_misc  (** scalar bytes of unknown value *)
-  | S_spill of Value.t  (** an aligned 8-byte spill of a tracked value *)
+  | S_spill of Value.t
+      (** an aligned 8-byte spill of a tracked value, never [Uninit] (only
+          used values are stored) *)
 
 type resource = { id : int; klass : string; destructor : string }
 
@@ -39,6 +41,9 @@ val set : t -> Kflex_bpf.Reg.t -> Value.t -> t
 
 val set_from_slot : t -> Kflex_bpf.Reg.t -> Value.t -> int -> t
 (** Like {!set}, recording that the register mirrors a stack slot. *)
+
+val clobber : t -> Kflex_bpf.Reg.t list -> t
+(** {!set} each register to [Uninit], in one copy of the state. *)
 
 val refine_mirrored : t -> Kflex_bpf.Reg.t -> Value.t -> t
 (** Narrow a register (after a branch refinement) and, when it mirrors a
@@ -73,6 +78,14 @@ val find_obj : t -> int -> loc option
 val leaked : t -> resource list
 (** Held resources with no remaining location — fatal: the runtime could not
     release them on cancellation. *)
+
+val objects_moved : prev:t -> t -> bool
+(** Whether [st], computed from [prev], may hold its objects elsewhere: its
+    resource list is a different list, or it wrote a register or stack slot
+    that holds an object before or after. When [false], {!find_obj} answers
+    the same on both states and [leaked st] is [leaked prev]: a transfer can
+    drop an object's last copy only by overwriting a location that held
+    it. *)
 
 val substitute_obj : t -> id:int -> Value.t -> t
 (** Replace every copy of object [id] (register and spilled) by the given

@@ -18,14 +18,19 @@ let umin t = t.value
 let umax t = t.value |: t.mask
 let within_mask t m = (t.value |: t.mask) &: lnot64 m = 0L
 
-(* position of the highest set bit, 1-based; 0 for zero *)
+(* position of the highest set bit, 1-based; 0 for zero: a binary search
+   over the word's halves *)
 let fls64 x =
-  let rec go i =
-    if i < 0 then 0
-    else if x &: Int64.shift_left 1L i <> 0L then i + 1
-    else go (i - 1)
-  in
-  go 63
+  let x = ref x and n = ref 0 and k = ref 32 in
+  while !k > 0 do
+    let hi = Int64.shift_right_logical !x !k in
+    if hi <> 0L then begin
+      x := hi;
+      n := !n + !k
+    end;
+    k := !k / 2
+  done;
+  if !x <> 0L then !n + 1 else !n
 
 let range lo hi =
   let chi = lo ^: hi in
@@ -102,18 +107,29 @@ let arshift a k =
    contributes full uncertainty over [b]'s possible bits. *)
 let mul a b =
   let acc_v = Int64.mul a.value b.value in
-  let rec go a b acc_m =
-    if a.value = 0L && a.mask = 0L then acc_m
-    else
-      let acc_m =
-        if a.value &: 1L <> 0L then add acc_m { value = 0L; mask = b.mask }
-        else if a.mask &: 1L <> 0L then
-          add acc_m { value = 0L; mask = b.value |: b.mask }
-        else acc_m
-      in
-      go (rshift a 1) (lshift b 1) acc_m
-  in
-  add (const acc_v) (go a b (const 0L))
+  (* the loop runs on local words, which the compiler keeps unboxed *)
+  let av = ref a.value and am = ref a.mask in
+  let bv = ref b.value and bm = ref b.mask in
+  let mv = ref 0L and mm = ref 0L in
+  while !av <> 0L || !am <> 0L do
+    let m =
+      if !av &: 1L <> 0L then !bm
+      else if !am &: 1L <> 0L then !bv |: !bm
+      else 0L
+    in
+    (* acc_m := add acc_m {value = 0; mask = m}, inlined; m = 0 (a certain 0
+       bit) leaves acc_m unchanged *)
+    let sv = !mv in
+    let sigma = !mm +: m +: sv in
+    let mu = (sigma ^: sv) |: !mm |: m in
+    mv := sv &: lnot64 mu;
+    mm := mu;
+    av := Int64.shift_right_logical !av 1;
+    am := Int64.shift_right_logical !am 1;
+    bv := Int64.shift_left !bv 1;
+    bm := Int64.shift_left !bm 1
+  done;
+  add (const acc_v) { value = !mv; mask = !mm }
 
 let div _ _ = unknown
 let rem _ _ = unknown

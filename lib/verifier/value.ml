@@ -10,6 +10,8 @@ type t =
 let scalar_top = Scalar Range.top
 
 let equal a b =
+  a == b
+  ||
   match (a, b) with
   | Uninit, Uninit -> true
   | Unknown, Unknown -> true
@@ -19,26 +21,29 @@ let equal a b =
   | Obj o, Obj p -> o.klass = p.klass && o.id = p.id && o.nullable = p.nullable
   | _ -> false
 
+(* Returns [a] itself whenever the join is [a], so that unchanged states
+   stay physically shared. *)
 let join a b =
-  match (a, b) with
-  | Uninit, _ | _, Uninit -> Uninit
-  | Scalar x, Scalar y -> Scalar (Range.join x y)
-  | Unknown, (Scalar _ | Unknown | Ptr { kind = Heap; _ })
-  | (Scalar _ | Ptr { kind = Heap; _ }), Unknown ->
-      Unknown
-  | Ptr p, Ptr q when p.kind = q.kind ->
-      Ptr
-        {
-          kind = p.kind;
-          off = Range.join p.off q.off;
-          nullable = p.nullable || q.nullable;
-        }
-  | Ptr { kind = Heap; _ }, Scalar _ | Scalar _, Ptr { kind = Heap; _ } ->
-      (* a heap address or a number: usable only through a guard *)
-      Unknown
-  | Obj o, Obj p when o.klass = p.klass && o.id = p.id ->
-      Obj { o with nullable = o.nullable || p.nullable }
-  | _ -> Uninit
+  if a == b then a
+  else
+    match (a, b) with
+    | Uninit, _ | _, Uninit -> Uninit
+    | Scalar x, Scalar y ->
+        let r = Range.join x y in
+        if r == x then a else Scalar r
+    | Unknown, (Scalar _ | Unknown | Ptr { kind = Heap; _ })
+    | (Scalar _ | Ptr { kind = Heap; _ }), Unknown ->
+        Unknown
+    | Ptr p, Ptr q when p.kind = q.kind ->
+        let off = Range.join p.off q.off and nullable = p.nullable || q.nullable in
+        if off == p.off && nullable = p.nullable then a
+        else Ptr { kind = p.kind; off; nullable }
+    | Ptr { kind = Heap; _ }, Scalar _ | Scalar _, Ptr { kind = Heap; _ } ->
+        (* a heap address or a number: usable only through a guard *)
+        Unknown
+    | Obj o, Obj p when o.klass = p.klass && o.id = p.id ->
+        if o.nullable || not p.nullable then a else Obj { o with nullable = true }
+    | _ -> Uninit
 
 let obj_id = function Obj o -> Some o.id | _ -> None
 

@@ -29,6 +29,8 @@ type branch_verdict = Always_taken | Never_taken
 
 type res_entry = { res : State.resource; loc : State.loc }
 
+type stats = { block_visits : int; joins : int; widenings : int }
+
 type analysis = {
   prog : Prog.t;
   cfg : Cfg.t;
@@ -41,6 +43,7 @@ type analysis = {
   reached : bool array;
   verdicts : (int * branch_verdict) list;
   redundant_masks : (int * int64) list;
+  stats : stats;
 }
 
 exception Err of error
@@ -365,9 +368,7 @@ let transfer_call env ~pc st name =
     | _ -> st
   in
   (* clobber caller-saved registers *)
-  let st =
-    List.fold_left (fun st r -> State.set st r Value.Uninit) st Reg.caller_saved
-  in
+  let st = State.clobber st Reg.caller_saved in
   (* return value + acquire effects *)
   let acquire ~nullable klass =
     let destructor =
@@ -378,7 +379,8 @@ let transfer_call env ~pc st name =
     let id = pc in
     if State.has_res st id then
       err ~pc E_resource
-        "%s: re-acquiring while the object from this call site is still held          (release it within the loop iteration, §3.1)"
+        "%s: re-acquiring while the object from this call site is still held \
+         (release it within the loop iteration, §3.1)"
         name;
     let st = State.add_res st { State.id; klass; destructor } in
     State.set st Reg.R0 (Value.Obj { klass; id; nullable })
@@ -464,10 +466,12 @@ type outcome =
   | Jump of State.t
   | Stop
 
-let record_access accesses env ~pc ~is_store ~is_atomic ?(stored_ptr = false)
+(* [accesses] is [None] during the fixpoint, whose intermediate states
+   classify accesses the final pass classifies again *)
+let record_access accesses ~pc ~is_store ~is_atomic ?(stored_ptr = false)
     ~width ~addr_reg region =
-  match region with
-  | M_heap { elidable; formation; eff } ->
+  match (accesses, region) with
+  | Some accesses, M_heap { elidable; formation; eff } ->
       accesses :=
         {
           pc;
@@ -481,7 +485,7 @@ let record_access accesses env ~pc ~is_store ~is_atomic ?(stored_ptr = false)
           eff;
         }
         :: !accesses
-  | _ -> ignore env
+  | _ -> ()
 
 let transfer env accesses ~pc st (insn : Insn.t) =
   match insn with
@@ -498,7 +502,7 @@ let transfer env accesses ~pc st (insn : Insn.t) =
       let width = Insn.size_bytes sz in
       let v = use ~pc st s in
       let region = classify_addr env ~pc ~width ~disp v in
-      record_access accesses env ~pc ~is_store:false ~is_atomic:false ~width
+      record_access accesses ~pc ~is_store:false ~is_atomic:false ~width
         ~addr_reg:s region;
       match region with
       | M_ctx ->
@@ -539,7 +543,7 @@ let transfer env accesses ~pc st (insn : Insn.t) =
       let stored_ptr =
         match stored with Value.Ptr { kind = Value.Heap; _ } -> true | _ -> false
       in
-      record_access accesses env ~pc ~is_store:true ~is_atomic:false ~stored_ptr
+      record_access accesses ~pc ~is_store:true ~is_atomic:false ~stored_ptr
         ~width ~addr_reg:d region;
       match region with
       | M_ctx -> err ~pc E_type "store to read-only context"
@@ -558,7 +562,7 @@ let transfer env accesses ~pc st (insn : Insn.t) =
       (match region with
       | M_heap _ -> ()
       | _ -> err ~pc E_type "atomic access outside the extension heap");
-      record_access accesses env ~pc ~is_store:true ~is_atomic:true ~width
+      record_access accesses ~pc ~is_store:true ~is_atomic:true ~width
         ~addr_reg:d region;
       match op with
       | Insn.Fetch_add | Insn.Fetch_or | Insn.Fetch_and | Insn.Fetch_xor
@@ -593,14 +597,18 @@ let transfer env accesses ~pc st (insn : Insn.t) =
   | Insn.Guard _ | Insn.Checkpoint _ | Insn.Xstore _ ->
       err ~pc E_type "instrumentation instruction in unverified program"
 
-let check_leak ~pc st =
-  match State.leaked st with
-  | [] -> ()
-  | r :: _ ->
-      err ~pc E_leak
-        "all copies of held %s (id %d) were lost; the runtime could not \
-         release it on cancellation — spill it to the stack"
-        r.klass r.id
+(* [prev] is leak-free: every state the fixpoint executes from was checked
+   when it was delivered or joined (widening only moves ranges), so the scan
+   runs only after a transfer that may have moved an object. *)
+let check_leak ~pc ~prev st =
+  if State.objects_moved ~prev st then
+    match State.leaked st with
+    | [] -> ()
+    | r :: _ ->
+        err ~pc E_leak
+          "all copies of held %s (id %d) were lost; the runtime could not \
+           release it on cancellation — spill it to the stack"
+          r.klass r.id
 
 (* --- fixpoint engine --------------------------------------------------- *)
 
@@ -634,8 +642,8 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
     let blocks = Cfg.blocks cfg in
     let nb = Array.length blocks in
     let in_states : State.t option array = Array.make nb None in
-    let visits = Array.make nb 0 in
-    let accesses = ref [] in
+    let joins_at = Array.make nb 0 in
+    let block_visits = ref 0 and joins = ref 0 and widenings = ref 0 in
     let workset = Queue.create () in
     let enqueue b = Queue.push b workset in
     in_states.(0) <- Some (State.init ~ctx_nullable:false);
@@ -658,16 +666,24 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
               in
               err ~pc:blocks.(succ).Cfg.first kind "%s" msg
           | Ok joined ->
-              (match State.leaked joined with
-              | [] -> ()
-              | r :: _ ->
-                  err ~pc:blocks.(succ).Cfg.first E_leak
-                    "held %s (id %d) has no common location across the paths                      joining here — the runtime could not release it on                      cancellation (§4.3; the loader will retry with spilled                      acquisitions)"
-                    r.State.klass r.State.id);
-              visits.(succ) <- visits.(succ) + 1;
+              (* [old] was checked when it arrived *)
+              (if State.objects_moved ~prev:old joined then
+                 match State.leaked joined with
+                 | [] -> ()
+                 | r :: _ ->
+                     err ~pc:blocks.(succ).Cfg.first E_leak
+                       "held %s (id %d) has no common location across the \
+                        paths joining here — the runtime could not release \
+                        it on cancellation (§4.3; the loader will retry with \
+                        spilled acquisitions)"
+                       r.State.klass r.State.id);
+              incr joins;
+              joins_at.(succ) <- joins_at.(succ) + 1;
               let joined =
-                if visits.(succ) > widen_threshold then
+                if joins_at.(succ) > widen_threshold then begin
+                  incr widenings;
                   State.widen ~prev:old joined
+                end
                 else joined
               in
               if not (State.equal joined old) then begin
@@ -676,7 +692,7 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
               end)
     in
     (* execute one block from its entry state, delivering successor states
-       via [deliver] and recording accesses only when [record] *)
+       via [deliver] *)
     let exec_block b st ~deliver =
       let blk = blocks.(b) in
       let st = ref st in
@@ -684,12 +700,13 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
       for pc = blk.Cfg.first to blk.Cfg.last do
         if !continue then begin
           let insn = Prog.get prog pc in
-          (match transfer env accesses ~pc !st insn with
+          let prev = !st in
+          (match transfer env None ~pc prev insn with
           | Fall s ->
-              check_leak ~pc s;
+              check_leak ~pc ~prev s;
               if pc = blk.Cfg.last then deliver (pc + 1) s else st := s
           | Jump s ->
-              check_leak ~pc s;
+              check_leak ~pc ~prev s;
               (match insn with
               | Insn.Ja off -> deliver (pc + 1 + off) s
               | _ -> assert false);
@@ -702,12 +719,12 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
               in
               (match taken with
               | Some s ->
-                  check_leak ~pc s;
+                  check_leak ~pc ~prev s;
                   deliver toff s
               | None -> ());
               (match fall with
               | Some s ->
-                  check_leak ~pc s;
+                  check_leak ~pc ~prev s;
                   deliver (pc + 1) s
               | None -> ());
               continue := false
@@ -720,6 +737,7 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
       match in_states.(b) with
       | None -> ()
       | Some st ->
+          incr block_visits;
           exec_block b st ~deliver:(fun pc s ->
               let succ = (Cfg.block_of_pc cfg pc).Cfg.id in
               let from_back_edge = Cfg.dominates cfg succ b in
@@ -731,28 +749,31 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
        the lint pass consumes: branch verdicts (an edge the abstract
        semantics never delivers a state to is dead) and no-op masks (an
        [And] that provably cannot clear any possibly-set bit). *)
+    let locate st =
+      List.filter_map
+        (fun (r : State.resource) ->
+          match State.find_obj st r.State.id with
+          | Some loc -> Some { res = r; loc }
+          | None -> None)
+        st.State.res
+    in
     let res_at = Array.make (Prog.length prog) [] in
     let states_at = Array.make (Prog.length prog) None in
     let verdicts = ref [] in
     let redundant_masks = ref [] in
-    accesses := [];
+    let accesses = ref [] in
     for b = 0 to nb - 1 do
       match in_states.(b) with
       | None -> ()
       | Some st ->
           let blk = blocks.(b) in
           let stref = ref st in
+          let entries = ref (locate st) in
           let continue = ref true in
           for pc = blk.Cfg.first to blk.Cfg.last do
             if !continue then begin
               states_at.(pc) <- Some !stref;
-              res_at.(pc) <-
-                List.filter_map
-                  (fun (r : State.resource) ->
-                    match State.find_obj !stref r.State.id with
-                    | Some loc -> Some { res = r; loc }
-                    | None -> None)
-                  !stref.State.res;
+              res_at.(pc) <- !entries;
               let insn = Prog.get prog pc in
               (* the compiler materialises mask constants into registers, so
                  accept both immediate and known-constant register operands *)
@@ -772,8 +793,10 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
                       redundant_masks := (pc, m) :: !redundant_masks
                   | _ -> ())
               | _ -> ());
-              match transfer env accesses ~pc !stref insn with
-              | Fall s -> stref := s
+              match transfer env (Some accesses) ~pc !stref insn with
+              | Fall s ->
+                  if State.objects_moved ~prev:!stref s then entries := locate s;
+                  stref := s
               | Jump _ | Stop -> continue := false
               | Branch (taken, fall) ->
                   (match (taken, fall) with
@@ -803,5 +826,7 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
         verdicts = List.sort (fun (a, _) (b, _) -> Int.compare a b) !verdicts;
         redundant_masks =
           List.sort (fun (a, _) (b, _) -> Int.compare a b) !redundant_masks;
+        stats =
+          { block_visits = !block_visits; joins = !joins; widenings = !widenings };
       }
   with Err e -> Error e

@@ -72,6 +72,18 @@ type res_entry = {
   loc : State.loc;  (** where the object lives at this point, on all paths *)
 }
 
+type stats = {
+  block_visits : int;
+      (** blocks the fixpoint executed, counting every re-visit of a block
+          whose entry state grew *)
+  joins : int;  (** states joined into a block that already had one *)
+  widenings : int;
+      (** joins widened because their block had already been joined into
+          more than 8 times *)
+}
+(** The work the fixpoint did, as counts. They depend only on the program
+    and the analysis, never on timing. *)
+
 type analysis = {
   prog : Kflex_bpf.Prog.t;
   cfg : Kflex_bpf.Cfg.t;
@@ -96,6 +108,7 @@ type analysis = {
           immediate or known-constant register) that provably cannot change
           their operand: all possibly-set bits already inside the mask —
           redundant hand-written sanitisation *)
+  stats : stats;
 }
 
 val run :

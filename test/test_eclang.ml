@@ -31,12 +31,63 @@ let t_lexer_line_numbers () =
   Alcotest.(check (list int)) "lines" [ 1; 2; 3 ] lines
 
 let t_lexer_errors () =
-  (match Lexer.tokenize "@" with
-  | exception Lexer.Error _ -> ()
-  | _ -> Alcotest.fail "bad char");
-  match Lexer.tokenize "/* unterminated" with
-  | exception Lexer.Error _ -> ()
-  | _ -> Alcotest.fail "unterminated comment"
+  List.iter
+    (fun (src, line, msg) ->
+      match Lexer.tokenize src with
+      | exception Lexer.Error e ->
+          Alcotest.(check (pair int string)) src (line, msg) (e.line, e.msg)
+      | _ -> Alcotest.failf "should not lex: %S" src)
+    [
+      ("@", 1, "unexpected character '@'");
+      ("1\n $", 2, "unexpected character '$'");
+      ("/* unterminated", 1, "unterminated comment");
+      ("0x", 1, "bad hex literal 0x");
+      ("0x1_0000_0000_0000_0000", 1, "bad hex literal 0x10000000000000000");
+    ]
+
+(* Every operator and delimiter, and the longest match where one is a prefix
+   of another. *)
+let t_lexer_punctuation () =
+  let puncts src =
+    List.filter_map
+      (fun t -> match t.Lexer.tok with Lexer.PUNCT p -> Some p | _ -> None)
+      (Lexer.tokenize src)
+  in
+  let all =
+    [ "<<="; ">>="; "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^="; "<<"; ">>";
+      "<="; ">="; "=="; "!="; "&&"; "||"; "->"; "+"; "-"; "*"; "/"; "%"; "&";
+      "|"; "^"; "~"; "!"; "<"; ">"; "="; "("; ")"; "{"; "}"; "["; "]"; ";";
+      ":"; ","; "." ]
+  in
+  Alcotest.(check (list string)) "each alone" all (puncts (String.concat " " all));
+  Alcotest.(check (list string)) "longest first"
+    [ "<<"; "<<="; ">>"; ">>="; "<="; ">="; "->"; "-"; "->"; "-="; "&&"; "&=";
+      "||"; "|="; "=="; "="; "!"; "!=" ]
+    (puncts "a<<b<<=c>>d>>=e<=f>=g->h-->i-=j&&k&=l||m|=n==o=!p!=q")
+
+(* Decimal literals cover the whole u64 range, like hex ones. *)
+let t_lexer_u64_literals () =
+  let int src =
+    match Lexer.tokenize src with
+    | [ { Lexer.tok = Lexer.INT i; _ }; { Lexer.tok = Lexer.EOF; _ } ] -> i
+    | _ -> Alcotest.failf "not one integer: %s" src
+  in
+  Alcotest.(check int64) "2^63" Int64.min_int (int "9223372036854775808");
+  Alcotest.(check int64) "2^64-1" (-1L) (int "18446744073709551615");
+  Alcotest.(check int64) "separators" (-1L) (int "18_446_744_073_709_551_615");
+  (match Lexer.tokenize "18446744073709551616" with
+  | exception Lexer.Error e ->
+      Alcotest.(check string) "2^64" "bad integer literal 18446744073709551616" e.msg
+  | _ -> Alcotest.fail "2^64 must not lex");
+  let prog lit =
+    (Compile.compile_string (Printf.sprintf "fn prog(c: ctx) -> u64 { return %s; }" lit))
+      .Compile.prog
+  in
+  ignore (prog "9223372036854775808");
+  Alcotest.(check bool) "decimal and hex compile alike" true
+    (Array.for_all2 Kflex_bpf.Insn.equal
+       (Kflex_bpf.Prog.insns (prog "18446744073709551615"))
+       (Kflex_bpf.Prog.insns (prog "0xffffffffffffffff")))
 
 (* --- parser ----------------------------------------------------------------- *)
 
@@ -484,6 +535,8 @@ let () =
           Alcotest.test_case "comments" `Quick t_lexer_comments;
           Alcotest.test_case "line numbers" `Quick t_lexer_line_numbers;
           Alcotest.test_case "errors" `Quick t_lexer_errors;
+          Alcotest.test_case "punctuation" `Quick t_lexer_punctuation;
+          Alcotest.test_case "u64 literals" `Quick t_lexer_u64_literals;
         ] );
       ( "parser",
         [

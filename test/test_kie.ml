@@ -240,7 +240,12 @@ let t_spill_mitigation () =
      Verify.run ~mode:Verify.Kflex ~contracts ~ctx_size:64 ~heap_size:65536L
        prog
    with
-  | Error { Verify.kind = Verify.E_leak; _ } -> ()
+  | Error { Verify.kind = Verify.E_leak; msg; _ } ->
+      Alcotest.(check string) "join-leak message"
+        "held sock (id 11) has no common location across the paths joining \
+         here — the runtime could not release it on cancellation (§4.3; the \
+         loader will retry with spilled acquisitions)"
+        msg
   | Error e -> Alcotest.failf "expected leak, got %a" Verify.pp_error e
   | Ok _ -> Alcotest.fail "raw program should be rejected");
   match Spill.mitigate ~contracts prog with

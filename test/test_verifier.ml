@@ -239,7 +239,24 @@ let t_leak_at_exit () =
         exit_;
       ])
 
-let t_leak_by_clobber () = expect_err el (sk_prologue @ [ movi R0 0L; exit_ ])
+(* Losing an object's last copy is a leak at the instruction that loses
+   it, whether that copy is a register or a stack slot and however many
+   other copies were dropped first. *)
+let t_leak_by_clobber () =
+  List.iter
+    (fun (what, items, lost_at) ->
+      match verify (sk_prologue @ items) with
+      | Error { Verify.kind = Verify.E_leak; pc; _ } ->
+          Alcotest.(check (option int)) what (Some lost_at) pc
+      | Error e -> Alcotest.failf "%s: expected leak, got %a" what Verify.pp_error e
+      | Ok _ -> Alcotest.failf "%s: expected a leak" what)
+    [
+      ("only copy", [ movi R0 0L; exit_ ], 10);
+      ("second register copy", [ mov R7 R0; movi R0 0L; movi R7 0L; exit_ ], 12);
+      ( "spilled copy",
+        [ stx Insn.U64 R10 (-24) R0; movi R0 0L; sti Insn.U64 R10 (-24) 0L; exit_ ],
+        12 );
+    ]
 
 let t_release_without_nullcheck () =
   expect_err eh
