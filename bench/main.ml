@@ -511,9 +511,24 @@ type eng_row = {
   er_kind : Kflex_apps.Datastructs.kind;
   er_shards : int;
   er_chain : int;
-  er_res : Kflex_sim.Closed_loop.result;
+  er_res : Kflex_sim.Lanes.result;
   er_tot : Kflex_engine.Engine.totals;
 }
+
+(* The engine closed loop: one lane per shard, placed by the flow hash,
+   each event executed by [Engine.run_on] when its shard takes it. *)
+let closed_engine eng pkts =
+  Kflex_sim.Lanes.run
+    ~lanes:(Kflex_engine.Engine.shards eng)
+    ~place:(Kflex_engine.Engine.shard_of eng)
+    ~service:(fun ~lane _ pkt ->
+      let r = Kflex_engine.Engine.run_on eng ~shard:lane pkt in
+      Kflex_kernel.Cost.xdp_service_ns
+        ~compute_ns:
+          (float_of_int r.Kflex_engine.Engine.cost *. Kflex_kernel.Cost.insn_ns)
+        ~reply:false)
+    ~requests:(Array.length pkts) ~gen:(Array.get pkts)
+    (Kflex_sim.Lanes.Closed { clients = 32; rtt_ns = 2_000.; warmup_frac = 0.1 })
 
 let engine_bench ~smoke =
   hr "Engine: multi-tenant scaling (shards x chain, DES virtual time)";
@@ -562,16 +577,7 @@ let engine_bench ~smoke =
               Format.kasprintf failwith "engine bench: rejected: %a"
                 Kflex_verifier.Verify.pp_error e)
     in
-    let res =
-      Kflex_sim.Closed_loop.run_engine ~clients:32 ~rtt_ns:2_000.
-        ~requests:events
-        ~gen:(fun i -> pkts.(i))
-        ~ns_of_cost:(fun c ->
-          Kflex_kernel.Cost.xdp_service_ns
-            ~compute_ns:(float_of_int c *. Kflex_kernel.Cost.insn_ns)
-            ~reply:false)
-        eng
-    in
+    let res = closed_engine eng pkts in
     let tot = Kflex_engine.Engine.totals eng in
     List.iter (fun h -> Kflex_engine.Engine.detach eng h) handles;
     (res, tot)
@@ -596,8 +602,8 @@ let engine_bench ~smoke =
               let res, tot = run_config compiled ~shards ~chain in
               pf "  %-10s %5d %5d %12.3f %10.1f %8d %6d@."
                 (Kflex_apps.Datastructs.name kind)
-                shards chain res.Kflex_sim.Closed_loop.throughput_mops
-                res.Kflex_sim.Closed_loop.p99_us
+                shards chain res.Kflex_sim.Lanes.throughput_mops
+                res.Kflex_sim.Lanes.p99_us
                 tot.Kflex_engine.Engine.cancelled
                 tot.Kflex_engine.Engine.leaked;
               rows :=
@@ -613,7 +619,7 @@ let engine_bench ~smoke =
         [ 1; 3 ])
     structures;
   let rows = List.rev !rows in
-  let tp r = r.er_res.Kflex_sim.Closed_loop.throughput_mops in
+  let tp r = r.er_res.Kflex_sim.Lanes.throughput_mops in
   let speedups =
     List.filter_map
       (fun r ->
@@ -716,16 +722,7 @@ fn prog(c: ctx) -> u64 {
     | Error e ->
         Format.kasprintf failwith "engine bench (%s): rejected: %a" name
           Kflex_verifier.Verify.pp_error e);
-    let res =
-      Kflex_sim.Closed_loop.run_engine ~clients:32 ~rtt_ns:2_000.
-        ~requests:events
-        ~gen:(fun i -> pkts.(i))
-        ~ns_of_cost:(fun c ->
-          Kflex_kernel.Cost.xdp_service_ns
-            ~compute_ns:(float_of_int c *. Kflex_kernel.Cost.insn_ns)
-            ~reply:false)
-        eng
-    in
+    let res = closed_engine eng pkts in
     let tot = Kflex_engine.Engine.totals eng in
     Kflex_engine.Engine.shutdown eng;
     (res, tot)
@@ -748,10 +745,10 @@ fn prog(c: ctx) -> u64 {
   let shared_rows = ref [] in
   let record name shards (res, (tot : Kflex_engine.Engine.totals)) =
     pf "  %-18s %5d %12.3f %8d %6d@." name shards
-      res.Kflex_sim.Closed_loop.throughput_mops tot.Kflex_engine.Engine.cancelled
+      res.Kflex_sim.Lanes.throughput_mops tot.Kflex_engine.Engine.cancelled
       tot.Kflex_engine.Engine.leaked;
     shared_rows := (name, shards, res, tot) :: !shared_rows;
-    res.Kflex_sim.Closed_loop.throughput_mops
+    res.Kflex_sim.Lanes.throughput_mops
   in
   let pc1 =
     record "percpu_counter" 1
@@ -793,7 +790,7 @@ fn prog(c: ctx) -> u64 {
          \"throughput_mops\": %.4f, \"p99_us\": %.2f, \"events\": %d, \
          \"cancelled\": %d, \"leaked\": %d}%s\n"
         (Kflex_apps.Datastructs.name r.er_kind)
-        r.er_shards r.er_chain (tp r) r.er_res.Kflex_sim.Closed_loop.p99_us
+        r.er_shards r.er_chain (tp r) r.er_res.Kflex_sim.Lanes.p99_us
         r.er_tot.Kflex_engine.Engine.events r.er_tot.Kflex_engine.Engine.cancelled
         r.er_tot.Kflex_engine.Engine.leaked
         (if i = List.length rows - 1 then "" else ","))
@@ -812,8 +809,8 @@ fn prog(c: ctx) -> u64 {
       p "    {\"config\": %S, \"shards\": %d, \"throughput_mops\": %.4f, \
          \"p99_us\": %.2f, \"events\": %d, \"cancelled\": %d, \"leaked\": \
          %d}%s\n"
-        name shards res.Kflex_sim.Closed_loop.throughput_mops
-        res.Kflex_sim.Closed_loop.p99_us tot.Kflex_engine.Engine.events
+        name shards res.Kflex_sim.Lanes.throughput_mops
+        res.Kflex_sim.Lanes.p99_us tot.Kflex_engine.Engine.events
         tot.Kflex_engine.Engine.cancelled tot.Kflex_engine.Engine.leaked
         (if i = List.length shared_rows - 1 then "" else ","))
     shared_rows;
@@ -832,27 +829,28 @@ fn prog(c: ctx) -> u64 {
   if min_speedup <= 1.8 || corpus_bad > 0 || leaks > 0 || not shared_ok then
     exit 1
 
-(* ---- Serve: open-loop wall-clock front end (BENCH_serve.json) ---------- *)
+(* ---- Serve: open-loop front end in virtual time (BENCH_serve.json) ---- *)
 
 (* The §5 serving shape end to end: wire-protocol ingest through the
    per-connection rings, Zipfian keys, open-loop arrivals, the burner
-   tenant putting reaper cancellations into the tail. Three measurements:
+   tenant putting reaper cancellations into the tail. Both measurements
+   run DETERMINISTIC in VIRTUAL time (the measuring host has 2 vCPUs, so
+   wall-clock 4-shard scaling measures the host, not the shard model —
+   same convention as BENCH_engine.json):
 
-   - the offered-load/latency curve runs THREADED on the WALL CLOCK,
-     calibrated against the host's measured capacity so the sweep crosses
-     into genuine overload;
-   - shard scaling runs DETERMINISTIC in VIRTUAL time (the measuring host
-     has 2 vCPUs, so wall-clock 4-shard scaling measures the host, not the
-     shard model — same convention as BENCH_engine.json);
    - the determinism gate runs the same seeded schedule twice and demands
-     bit-equal verdict-stream digests with zero leaks. *)
+     bit-equal verdict-stream digests with zero leaks;
+   - shard scaling serves the schedule in deep overload at 1, 2 and 4
+     shards; every row must complete every request with a finite tail,
+     no leaks, and reaper cancellations in the overload tail.
+
+   The wall-clock measurement of the same pipeline is kbench
+   (benchmark/). *)
 
 module OL = Kflex_serve.Open_loop
 
-type serve_row = { sr_ratio : float; sr_o : OL.outcome }
-
 let serve_bench ~smoke =
-  hr "Serve: open-loop front end (wall-clock latency, virtual-time scaling)";
+  hr "Serve: open-loop front end (virtual-time determinism and scaling)";
   let point_requests = if smoke then 3_000 else 100_000 in
   let base = { OL.default with OL.requests = point_requests } in
   (* 1. determinism gate: the ninth check, end to end through the wire *)
@@ -862,40 +860,9 @@ let serve_bench ~smoke =
   let det_ok, d1, d2 = OL.determinism_check ~shards:2 det_cfg in
   pf "  determinism: run1 %Lx run2 %Lx -> %s@." d1 d2
     (if det_ok then "bit-identical" else "DIVERGENT");
-  (* 2. wall capacity: deep overload, achieved throughput = capacity *)
-  let cal_cfg =
-    {
-      base with
-      OL.requests = (if smoke then 2_000 else 30_000);
-      rate = 50_000_000.0;
-    }
-  in
-  let cal = OL.run_threaded ~shards:2 cal_cfg in
-  let capacity = cal.OL.achieved_rps in
-  pf "  wall capacity (2 shards, deep overload): %.0f req/s@." capacity;
-  (* 3. the offered-load curve, crossing overload *)
-  let ratios = [ 0.3; 0.6; 0.85; 1.0; 1.3; 1.8 ] in
-  pf "  %-8s %12s %12s %9s %9s %9s %7s %5s@." "offered" "req/s" "achieved"
-    "p50(us)" "p99(us)" "p999(us)" "cancel" "leak";
-  let curve =
-    List.map
-      (fun ratio ->
-        let o =
-          OL.run_threaded ~shards:2
-            { base with OL.rate = ratio *. capacity }
-        in
-        pf "  %-8s %12.0f %12.0f %9.1f %9.1f %9.1f %7d %5d@."
-          (Printf.sprintf "%.2fx" ratio)
-          o.OL.offered_rps o.OL.achieved_rps o.OL.p50_us o.OL.p99_us
-          o.OL.p999_us o.OL.cancelled o.OL.leaked;
-        { sr_ratio = ratio; sr_o = o })
-      ratios
-  in
-  (* 4. shard scaling in virtual time, deep overload (throughput = the
+  (* 2. shard scaling in virtual time, deep overload (throughput = the
      shard model's capacity, as in BENCH_engine.json) *)
-  let scale_cfg =
-    { base with OL.rate = 20_000_000.0; requests = point_requests }
-  in
+  let scale_cfg = { base with OL.rate = 20_000_000.0 } in
   let scaling =
     List.map
       (fun shards ->
@@ -908,24 +875,17 @@ let serve_bench ~smoke =
   let ach sh = (List.assoc sh scaling).OL.achieved_rps in
   let speedup4 = ach 4 /. ach 1 in
   pf "  4-shard vs 1-shard (virtual time): %.2fx (gate: >= 2.5x)@." speedup4;
-  (* gates *)
-  let leaks =
-    List.fold_left (fun a r -> a + r.sr_o.OL.leaked) cal.OL.leaked curve
-    + List.fold_left (fun a (_, o) -> a + o.OL.leaked) 0 scaling
-  in
-  let overload_cancelled =
-    List.fold_left
-      (fun a r -> if r.sr_ratio >= 1.0 then a + r.sr_o.OL.cancelled else a)
-      0 curve
-    + List.fold_left (fun a (_, o) -> a + o.OL.cancelled) 0 scaling
-  in
+  (* gates, over the scaling rows *)
+  let sum f = List.fold_left (fun a (_, o) -> a + f o) 0 scaling in
+  let leaks = sum (fun o -> o.OL.leaked) in
+  let overload_cancelled = sum (fun o -> o.OL.cancelled) in
   let tails_finite =
     List.for_all
-      (fun r -> Float.is_finite r.sr_o.OL.p999_us && r.sr_o.OL.p999_us > 0.0)
-      curve
+      (fun (_, o) -> Float.is_finite o.OL.p999_us && o.OL.p999_us > 0.0)
+      scaling
   in
   let complete =
-    List.for_all (fun r -> r.sr_o.OL.completed = base.OL.requests) curve
+    List.for_all (fun (_, o) -> o.OL.completed = point_requests) scaling
   in
   let gate =
     det_ok && leaks = 0 && tails_finite && complete && overload_cancelled > 0
@@ -941,20 +901,7 @@ let serve_bench ~smoke =
   p "  \"determinism\": {\"digest_run1\": \"%Lx\", \"digest_run2\": \"%Lx\", \
      \"bit_identical\": %b},\n"
     d1 d2 det_ok;
-  p "  \"wall_capacity_rps\": %.0f,\n" capacity;
-  p "  \"curve\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    {\"mode\": \"wall_clock\", \"shards\": 2, \"offered_ratio\": \
-         %.2f, \"offered_rps\": %.0f, \"achieved_rps\": %.0f, \"p50_us\": \
-         %.2f, \"p99_us\": %.2f, \"p999_us\": %.2f, \"mean_us\": %.2f, \
-         \"completed\": %d, \"cancelled\": %d, \"leaked\": %d}%s\n"
-        r.sr_ratio r.sr_o.OL.offered_rps r.sr_o.OL.achieved_rps
-        r.sr_o.OL.p50_us r.sr_o.OL.p99_us r.sr_o.OL.p999_us r.sr_o.OL.mean_us
-        r.sr_o.OL.completed r.sr_o.OL.cancelled r.sr_o.OL.leaked
-        (if i = List.length curve - 1 then "" else ","))
-    curve;
-  p "  ],\n  \"shard_scaling\": {\"mode\": \"virtual_time\", \"note\": \
+  p "  \"shard_scaling\": {\"mode\": \"virtual_time\", \"note\": \
      \"deterministic open loop in deep overload; virtual time because the \
      measuring host has 2 vCPUs (nproc 2), fewer than the shards; same \
      convention as BENCH_engine.json\", \"rows\": [\n";
@@ -967,16 +914,16 @@ let serve_bench ~smoke =
     scaling;
   p "  ], \"speedup_4shard_vs_1\": %.3f},\n" speedup4;
   p "  \"summary\": {\"determinism_ok\": %b, \"leaked\": %d, \
-     \"overload_cancelled\": %d, \"tails_finite\": %b, \"speedup_4shard\": \
-     %.3f, \"gate_passed\": %b}\n}\n"
-    det_ok leaks overload_cancelled tails_finite speedup4 gate;
+     \"overload_cancelled\": %d, \"tails_finite\": %b, \"complete\": %b, \
+     \"speedup_4shard\": %.3f, \"gate_passed\": %b}\n}\n"
+    det_ok leaks overload_cancelled tails_finite complete speedup4 gate;
   close_out oc;
   pf "  wrote BENCH_serve.json@.";
   if not gate then begin
     pf
       "  serve gate FAILED (determinism %b, leaks %d, cancelled-in-overload \
-       %d, tails finite %b, speedup %.2fx)@."
-      det_ok leaks overload_cancelled tails_finite speedup4;
+       %d, tails finite %b, complete %b, speedup %.2fx)@."
+      det_ok leaks overload_cancelled tails_finite complete speedup4;
     exit 1
   end
 

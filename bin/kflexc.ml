@@ -371,7 +371,7 @@ let fuzz_cmd =
            ~doc:"Master RNG seed; the whole campaign is deterministic in it")
   in
   let count =
-    Arg.(value & opt int 1000 & info [ "count" ] ~docv:"K"
+    Arg.(value & opt (int_in 0) 1000 & info [ "count" ] ~docv:"K"
            ~doc:"Number of random programs to generate and check")
   in
   let out =
@@ -535,7 +535,7 @@ let serve_cmd =
            ~doc:"Number of per-CPU shards (at least 1)")
   in
   let events =
-    Arg.(value & opt int 50_000 & info [ "events" ] ~docv:"K"
+    Arg.(value & opt (int_in 0) 50_000 & info [ "events" ] ~docv:"K"
            ~doc:"Synthetic events to deliver")
   in
   let seed =
@@ -544,7 +544,9 @@ let serve_cmd =
   in
   let threaded =
     Arg.(value & flag & info [ "threaded" ]
-           ~doc:"One OCaml domain per shard instead of deterministic mode")
+           ~doc:"One OCaml domain per shard instead of deterministic mode \
+                 (not with $(b,--open-loop), which runs in virtual time; \
+                 kbench in benchmark/ is the wall-clock serving measurement)")
   in
   let quantum =
     Arg.(value & opt (some int) None & info [ "quantum" ] ~docv:"COST"
@@ -569,7 +571,7 @@ let serve_cmd =
            ~doc:"Offered load in requests/second (open-loop mode)")
   in
   let conns =
-    Arg.(value & opt int 512 & info [ "conns" ] ~docv:"N"
+    Arg.(value & opt (int_in 1) 512 & info [ "conns" ] ~docv:"N"
            ~doc:"Simulated connections, each with its own byte ring and \
                  protocol decoder (open-loop mode)")
   in
@@ -593,8 +595,7 @@ let serve_cmd =
              ~doc:"Wire protocol: $(b,memcached) (binary, XDP) or \
                    $(b,redis) (RESP, sk_skb)")
   in
-  let run_open_loop ~shards ~seed ~threaded ~rate ~conns ~dist ~duration
-      ~proto =
+  let run_open_loop ~shards ~seed ~rate ~conns ~dist ~duration ~proto =
     let module OL = Kflex_serve.Open_loop in
     let requests = int_of_float (rate *. duration) in
     if requests <= 0 then begin
@@ -620,32 +621,31 @@ let serve_cmd =
     in
     Format.printf
       "open loop: %s over %d conns, %.0f req/s %s for %.2fs (%d requests), \
-       %d shard(s), %s@."
+       %d shard(s), deterministic virtual time@."
       (match proto with `Memcached -> "memcached" | `Redis -> "redis")
       conns rate
       (match dist with `Poisson -> "poisson" | `Bursty -> "bursty")
-      duration requests shards
-      (if threaded then "threaded wall clock" else "deterministic virtual time");
-    let o =
-      if threaded then OL.run_threaded ~shards cfg
-      else OL.run_deterministic ~shards cfg
-    in
+      duration requests shards;
+    let o = OL.run_deterministic ~shards cfg in
     Format.printf "  achieved %.0f req/s (offered %.0f) over %.2fs@."
       o.OL.achieved_rps o.OL.offered_rps o.OL.span_s;
     Format.printf "  latency us: mean %.1f  p50 %.1f  p99 %.1f  p999 %.1f@."
       o.OL.mean_us o.OL.p50_us o.OL.p99_us o.OL.p999_us;
-    Format.printf "  completed %d, cancelled %d, leaked %d%s@." o.OL.completed
-      o.OL.cancelled o.OL.leaked
-      (if threaded then ""
-       else Printf.sprintf ", verdict digest %Lx" o.OL.digest);
+    Format.printf "  completed %d, cancelled %d, leaked %d, verdict digest %Lx@."
+      o.OL.completed o.OL.cancelled o.OL.leaked o.OL.digest;
     if o.OL.leaked <> 0 then exit 1
   in
   let run attach shards events seed threaded quantum selftest open_loop rate
       conns dist duration proto heap_bits =
     handle_errors (fun () ->
-        if open_loop then
-          run_open_loop ~shards ~seed ~threaded ~rate ~conns ~dist ~duration
-            ~proto
+        if open_loop && threaded then begin
+          Format.eprintf
+            "serve: --open-loop runs in virtual time only; the wall-clock \
+             serving measurement is kbench (benchmark/)@.";
+          exit 2
+        end
+        else if open_loop then
+          run_open_loop ~shards ~seed ~rate ~conns ~dist ~duration ~proto
         else begin
         let mode = if threaded then `Threaded else `Deterministic in
         let pkts = selftest_packets ~seed ~events in
@@ -715,7 +715,8 @@ let serve_cmd =
           deterministic synthetic event stream. $(b,--selftest) checks \
           shard-count invariance of the built-in 3-tenant chain; \
           $(b,--open-loop) serves Zipfian wire-protocol traffic from an \
-          open-loop generator and reports generation-to-verdict latency.")
+          open-loop generator in virtual time and reports \
+          generation-to-verdict latency.")
     Term.(const run $ attach $ shards $ events $ seed $ threaded $ quantum
           $ selftest $ open_loop $ rate $ conns $ dist $ duration $ proto
           $ heap_size_arg)

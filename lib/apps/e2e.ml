@@ -1,7 +1,7 @@
 (* End-to-end experiment cells (§5.1, §5.2, §5.3).
 
-   Each cell drives the RFC 2544-style closed-loop model of
-   {!Kflex_sim.Closed_loop} with per-request service times obtained by
+   Each cell drives the RFC 2544-style closed loop of {!Kflex_sim.Lanes}
+   (one lane, [workers] servers) with per-request service times obtained by
    {e actually executing} the system under test: KFlex/BMC requests run the
    real instrumented bytecode in the VM (cost units -> ns via the cost
    model); user-space baselines charge the same application logic at native
@@ -33,26 +33,20 @@ let gen_mc ~seed ~get_frac ~n =
       in
       { op; rank = Kflex_workload.Zipf.sample zipf rng })
 
-let run_cell ?(clients = default_clients) ~workers ~requests ~gc ~service
+let run_cell ?(clients = default_clients) ?gc ~workers ~requests ~service
     gen_arr =
-  Kflex_sim.Closed_loop.run
-    {
-      Kflex_sim.Closed_loop.clients;
-      workers;
-      rtt_ns = 4000.0;
-      requests;
-      warmup_frac = 0.1;
-      gen = (fun i -> gen_arr.(i));
-      service_ns = service;
-      gc;
-    }
+  Kflex_sim.Lanes.run ~servers:workers ?gc ~lanes:1
+    ~place:(fun _ -> 0)
+    ~service:(fun ~lane:_ _ req -> service req)
+    ~requests ~gen:(Array.get gen_arr)
+    (Kflex_sim.Lanes.Closed { clients; rtt_ns = 4000.0; warmup_frac = 0.1 })
 
-let row_of ~system (r : Kflex_sim.Closed_loop.result) =
+let row_of ~system (r : Kflex_sim.Lanes.result) =
   {
     system;
-    throughput_mops = r.Kflex_sim.Closed_loop.throughput_mops;
-    mean_us = r.Kflex_sim.Closed_loop.mean_us;
-    p99_us = r.Kflex_sim.Closed_loop.p99_us;
+    throughput_mops = r.Kflex_sim.Lanes.throughput_mops;
+    mean_us = r.Kflex_sim.Lanes.mean_us;
+    p99_us = r.Kflex_sim.Lanes.p99_us;
   }
 
 (* ---- Memcached (Figures 2, 3, 7) ---------------------------------------- *)
@@ -62,7 +56,7 @@ let preload_kflex_mc t =
     ignore (Memcached.exec_kflex t (Memcached.op_packet ~op:Memcached.Set ~rank))
   done
 
-let mc_kflex_cell ?(gc = None) ~workers ~requests ~get_frac () =
+let mc_kflex_cell ?gc ~workers ~requests ~get_frac () =
   let t = Memcached.create_kflex () in
   preload_kflex_mc t;
   let reqs = gen_mc ~seed:7L ~get_frac ~n:requests in
@@ -71,9 +65,9 @@ let mc_kflex_cell ?(gc = None) ~workers ~requests ~get_frac () =
     let _, cost = Memcached.exec_kflex t pkt in
     Cost.xdp_service_ns ~compute_ns:(float_of_int cost *. Cost.insn_ns) ~reply:true
   in
-  run_cell ~workers ~requests ~gc ~service reqs
+  run_cell ?gc ~workers ~requests ~service reqs
 
-let mc_user_cell ?(gc = None) ~workers ~requests ~get_frac () =
+let mc_user_cell ?gc ~workers ~requests ~get_frac () =
   (* the same logic at native speed, paying the full kernel path: measure
      the application compute on the uninstrumented (kernel-module-grade)
      twin and scale by the native advantage *)
@@ -92,7 +86,7 @@ let mc_user_cell ?(gc = None) ~workers ~requests ~get_frac () =
     let proto_tcp = r.op = Memcached.Set in
     Cost.user_service_ns ~proto_tcp ~compute_ns
   in
-  run_cell ~workers ~requests ~gc ~service reqs
+  run_cell ?gc ~workers ~requests ~service reqs
 
 let mc_bmc_cell ~workers ~requests ~get_frac () =
   let t = Memcached.create_bmc ~cache_entries:keyspace () in
@@ -124,7 +118,7 @@ let mc_bmc_cell ~workers ~requests ~get_frac () =
         (float_of_int cost *. Cost.insn_ns)
         +. Cost.user_service_ns ~proto_tcp ~compute_ns
   in
-  run_cell ~workers ~requests ~gc:None ~service reqs
+  run_cell ~workers ~requests ~service reqs
 
 let fig_memcached ~workers ~requests () =
   List.map
@@ -142,7 +136,7 @@ let fig_memcached ~workers ~requests () =
    GC runs every 1 s of a 30 s run; our simulated runs cover tens of
    milliseconds, so the period is scaled to keep the same duty cycle. *)
 let fig_codesign ~workers ~requests () =
-  let gc = Some (2_000_000.0, 150_000.0) in
+  let gc = (2_000_000.0, 150_000.0) in
   List.map
     (fun (label, get_frac) ->
       ( label,
@@ -182,7 +176,7 @@ let redis_kflex_cell ?(mode = Kflex_kie.Instrument.default_options) ~workers
     Cost.skb_service_ns ~proto_tcp:true
       ~compute_ns:(float_of_int cost *. Cost.insn_ns)
   in
-  run_cell ~workers ~requests ~gc:None ~service reqs
+  run_cell ~workers ~requests ~service reqs
 
 let redis_user_cell ~workers ~requests ~get_frac () =
   let t =
@@ -199,7 +193,7 @@ let redis_user_cell ~workers ~requests ~get_frac () =
     Cost.user_service_ns ~proto_tcp:true
       ~compute_ns:(float_of_int cost *. Cost.insn_ns /. Cost.native_speedup)
   in
-  run_cell ~workers ~requests ~gc:None ~service reqs
+  run_cell ~workers ~requests ~service reqs
 
 let fig_redis ~workers ~requests () =
   List.map
@@ -233,7 +227,7 @@ let fig_zadd ~requests () =
       Cost.skb_service_ns ~proto_tcp:true
         ~compute_ns:(float_of_int cost *. Cost.insn_ns)
     in
-    run_cell ~clients:64 ~workers:1 ~requests ~gc:None ~service reqs
+    run_cell ~clients:64 ~workers:1 ~requests ~service reqs
   in
   let user =
     let t =
@@ -249,7 +243,7 @@ let fig_zadd ~requests () =
       Cost.user_service_ns ~proto_tcp:true
         ~compute_ns:(float_of_int cost *. Cost.insn_ns /. Cost.native_speedup)
     in
-    run_cell ~clients:64 ~workers:1 ~requests ~gc:None ~service reqs
+    run_cell ~clients:64 ~workers:1 ~requests ~service reqs
   in
   [ row_of ~system:"Redis (user space)" user; row_of ~system:"KFlex" kflex ]
 

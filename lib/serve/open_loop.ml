@@ -17,14 +17,14 @@
    is the phenomenon under measurement. Measuring from dequeue would
    flatten the overload curve into a lie.
 
-   Two drive modes share one generated schedule:
-   - deterministic/virtual time ({!run_deterministic}): shards as FIFO
-     lanes, service = the chain's real executed cost × {!Cost.insn_ns};
-     bit-identical across runs — the verdict-stream digest is the repo's
-     ninth determinism check.
-   - threaded/wall clock ({!run_threaded}): requests submitted to the
-     engine's shard domains when the wall clock reaches their scheduled
-     time, completion stamped in the shard's [on_done] callback.
+   {!run_deterministic} serves the schedule in virtual time on
+   {!Kflex_sim.Lanes}: one FIFO lane per shard, each request executed
+   ([Engine.run_on]) when its shard takes it, service time = the chain's
+   real executed cost × {!Cost.insn_ns}. It is bit-identical across runs:
+   the verdict-stream digest is the repo's ninth determinism check. The
+   digest folds in request order, not service order, so it names what
+   each request got, not when. The wall-clock measurement of this
+   pipeline is kbench ([benchmark/]), on a threaded engine.
 
    A "burner" tenant rides ahead of the cache extension on ~1/256 of
    keys ((k0 & 255) == 7) and loops far past the engine's reaper
@@ -33,7 +33,6 @@
 
 open Kflex_kernel
 module Engine = Kflex_engine.Engine
-module Stats = Kflex_workload.Stats
 module Rng = Kflex_workload.Rng
 
 type request = { gen_ns : float; hook : Hook.kind; pkt : Packet.t }
@@ -268,85 +267,56 @@ type outcome = {
   completed : int;
   cancelled : int;  (* chain entries reaped past the deadline *)
   leaked : int;
-  digest : int64;  (* 0 for wall-clock runs *)
+  digest : int64;
   span_s : float;
 }
 
 let ns_of_cost c = float_of_int c *. Cost.insn_ns
 
+(* The verdict digest: (index, verdict, cancelled) of every request folded
+   in index order through a splitmix64 finalizer over [h xor x]. *)
+let mix h x =
+  let open Int64 in
+  let z = add (logxor h x) 0x9E3779B97F4A7C15L in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
+
 let run_deterministic ?(shards = 1) cfg =
   let reqs = generate cfg in
-  let events =
-    Array.map
-      (fun r ->
-        { Kflex_sim.Open_loop.at_ns = r.gen_ns; hook = r.hook; pkt = r.pkt })
-      reqs
-  in
+  let n = Array.length reqs in
   let eng = make_engine cfg ~mode:`Deterministic ~shards in
-  let r = Kflex_sim.Open_loop.run_engine ~ns_of_cost eng events in
+  let verdicts = Array.make n 0L and cancels = Array.make n 0 in
+  let r =
+    Kflex_sim.Lanes.run ~lanes:(Engine.shards eng)
+      ~place:(fun r -> Engine.shard_of eng r.pkt)
+      ~service:(fun ~lane idx r ->
+        let res = Engine.run_on eng ~shard:lane ~hook:r.hook r.pkt in
+        verdicts.(idx) <- res.Engine.verdict;
+        cancels.(idx) <- res.Engine.cancelled;
+        ns_of_cost res.Engine.cost)
+      ~requests:n ~gen:(Array.get reqs)
+      (Kflex_sim.Lanes.Open (fun i -> reqs.(i).gen_ns))
+  in
+  let digest = ref 0x6b5f5a3f2c9d1e47L in
+  for i = 0 to n - 1 do
+    digest := mix (mix (mix !digest (Int64.of_int i)) verdicts.(i))
+        (Int64.of_int cancels.(i))
+  done;
   let t = Engine.totals eng in
   Engine.shutdown eng;
   {
     offered_rps = cfg.rate;
-    achieved_rps = r.Kflex_sim.Open_loop.throughput_mops *. 1e6;
-    mean_us = r.Kflex_sim.Open_loop.mean_us;
-    p50_us = r.Kflex_sim.Open_loop.p50_us;
-    p99_us = r.Kflex_sim.Open_loop.p99_us;
-    p999_us = r.Kflex_sim.Open_loop.p999_us;
-    completed = r.Kflex_sim.Open_loop.completed;
+    achieved_rps = r.Kflex_sim.Lanes.throughput_mops *. 1e6;
+    mean_us = r.Kflex_sim.Lanes.mean_us;
+    p50_us = r.Kflex_sim.Lanes.p50_us;
+    p99_us = r.Kflex_sim.Lanes.p99_us;
+    p999_us = r.Kflex_sim.Lanes.p999_us;
+    completed = r.Kflex_sim.Lanes.completed;
     cancelled = t.Engine.cancelled;
     leaked = t.Engine.leaked;
-    digest = r.Kflex_sim.Open_loop.digest;
-    span_s = r.Kflex_sim.Open_loop.span_ns /. 1e9;
-  }
-
-let run_threaded ?(shards = 1) cfg =
-  let reqs = generate cfg in
-  let eng = make_engine cfg ~mode:`Threaded ~shards in
-  let n = Engine.shards eng in
-  (* per-shard recorders: each is touched only by its shard's domain
-     (completion callbacks for one shard never run concurrently) *)
-  let lat = Array.init n (fun _ -> Stats.create ()) in
-  let t0 = Unix.gettimeofday () *. 1e9 in
-  Array.iter
-    (fun r ->
-      let target = t0 +. r.gen_ns in
-      let rec wait () =
-        let now = Unix.gettimeofday () *. 1e9 in
-        if now < target then begin
-          let gap_s = (target -. now) /. 1e9 in
-          if gap_s > 5e-5 then Unix.sleepf (Float.min gap_s 0.001);
-          wait ()
-        end
-      in
-      wait ();
-      let sh = Engine.shard_of eng r.pkt in
-      Engine.submit eng ~hook:r.hook
-        ~on_done:(fun _ ->
-          let now = Unix.gettimeofday () *. 1e9 in
-          Stats.add lat.(sh) ((now -. target) /. 1000.0))
-        r.pkt)
-    reqs;
-  Engine.drain eng;
-  let t_end = Unix.gettimeofday () *. 1e9 in
-  let t = Engine.totals eng in
-  Engine.shutdown eng;
-  let merged = Array.fold_left Stats.merge (Stats.create ()) lat in
-  let span_s = (t_end -. t0) /. 1e9 in
-  {
-    offered_rps = cfg.rate;
-    achieved_rps =
-      (if span_s > 0.0 then float_of_int (Stats.count merged) /. span_s
-       else 0.0);
-    mean_us = Stats.mean merged;
-    p50_us = Stats.percentile merged 0.50;
-    p99_us = Stats.percentile merged 0.99;
-    p999_us = Stats.percentile merged 0.999;
-    completed = Stats.count merged;
-    cancelled = t.Engine.cancelled;
-    leaked = t.Engine.leaked;
-    digest = 0L;
-    span_s;
+    digest = !digest;
+    span_s = r.Kflex_sim.Lanes.span_ns /. 1e9;
   }
 
 let determinism_check ?(shards = 2) cfg =

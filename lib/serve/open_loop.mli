@@ -6,9 +6,12 @@
     {!Wire}'s incremental decoders, and multiplexes the resulting
     app-model packets onto a multi-tenant {!Kflex_engine.Engine}.
 
-    Latency runs from each request's {e scheduled generation time} to its
-    verdict — queueing delay under overload is measured, not silently
-    excused (coordinated-omission avoidance). *)
+    {!run_deterministic} serves the schedule in virtual time. Latency runs
+    from each request's {e scheduled generation time} to its verdict —
+    queueing delay under overload is measured, not silently excused
+    (coordinated-omission avoidance). The wall-clock measurement of the
+    same pipeline is kbench ([benchmark/]), which drives
+    {!generate}'s schedule and {!make_engine}'s threaded engine. *)
 
 type request = {
   gen_ns : float;  (** scheduled generation time (schedule origin = 0) *)
@@ -68,19 +71,20 @@ type outcome = {
   completed : int;
   cancelled : int;  (** chain entries reaped past the deadline *)
   leaked : int;  (** invariantly 0 *)
-  digest : int64;  (** verdict-stream digest; 0 for wall-clock runs *)
-  span_s : float;
+  digest : int64;
+      (** verdict-stream digest: [(index, verdict, cancelled)] of every
+          request folded in index order — bit-equal across same-seed
+          runs *)
+  span_s : float;  (** first arrival to last completion, virtual s *)
 }
 
 val ns_of_cost : int -> float
 
 val run_deterministic : ?shards:int -> config -> outcome
-(** Virtual-time run via {!Kflex_sim.Open_loop.run_engine}: same seed ⇒
-    bit-identical outcome, digest included. *)
-
-val run_threaded : ?shards:int -> config -> outcome
-(** Wall-clock run: requests submitted to shard domains when the clock
-    reaches their scheduled time; completion stamped in [on_done]. *)
+(** Virtual-time run: {!Kflex_sim.Lanes.run} with an [Open] source, one
+    lane per shard placed by the engine's flow hash, and
+    {!Kflex_engine.Engine.run_on} executing each request when its shard
+    takes it. Same seed ⇒ bit-identical outcome, digest included. *)
 
 val determinism_check : ?shards:int -> config -> bool * int64 * int64
 (** Two independent deterministic runs of the same config: [(ok, d1, d2)]

@@ -1,8 +1,8 @@
 (** A small discrete-event simulation engine.
 
     Plays the role of the paper's RFC 2544 testbed (§5): virtual time in
-    nanoseconds, an event loop, and nothing else — the closed-loop
-    client/server model is built on top in {!Closed_loop}. *)
+    nanoseconds, an event loop, and nothing else — the closed- and
+    open-loop lane model is built on top in {!Lanes}. *)
 
 type t
 

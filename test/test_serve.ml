@@ -1,7 +1,8 @@
 (* The serving front end: MPSC byte ring, incremental wire-protocol
    framing (fragmented / pipelined / torn streams), the generator's
-   encode→ring→parse pipeline, the open-loop determinism digest and the
-   threaded wall-clock path. *)
+   encode→ring→parse pipeline, the virtual-time open loop (determinism
+   digest, overload, guard tenants) and the generated schedule on a
+   threaded engine. *)
 
 open Kflex_serve
 module Engine = Kflex_engine.Engine
@@ -420,8 +421,10 @@ let t_guard_determinism () =
     (Printf.sprintf "digests %Lx vs %Lx" d1 d2)
     true ok
 
-(* --- threaded wall-clock path -------------------------------------------- *)
+(* --- the schedule on a threaded engine ------------------------------------ *)
 
+(* The generated schedule submitted straight to a 2-shard threaded engine,
+   unpaced; latency runs from submission to [on_done]. *)
 let t_threaded_smoke () =
   let cfg =
     {
@@ -431,12 +434,35 @@ let t_threaded_smoke () =
       burn_iters = 400_000;
     }
   in
-  let o = Open_loop.run_threaded ~shards:2 cfg in
-  Alcotest.(check int) "all completions observed" 2000 o.Open_loop.completed;
-  Alcotest.(check int) "no leaks" 0 o.Open_loop.leaked;
-  Alcotest.(check bool) "nonzero throughput" true (o.Open_loop.achieved_rps > 0.0);
-  Alcotest.(check bool) "finite tail" true
-    (Float.is_finite o.Open_loop.p999_us && o.Open_loop.p999_us > 0.0)
+  let reqs = Open_loop.generate cfg in
+  let eng = Open_loop.make_engine cfg ~mode:`Threaded ~shards:2 in
+  (* per-shard recorders: each is touched only by its shard's domain *)
+  let lat = Array.init 2 (fun _ -> Kflex_workload.Stats.create ()) in
+  let t0 = Unix.gettimeofday () in
+  Array.iter
+    (fun r ->
+      let sh = Engine.shard_of eng r.Open_loop.pkt in
+      let submitted = Unix.gettimeofday () in
+      Engine.submit eng ~hook:r.Open_loop.hook
+        ~on_done:(fun _ ->
+          Kflex_workload.Stats.add lat.(sh)
+            ((Unix.gettimeofday () -. submitted) *. 1e6))
+        r.Open_loop.pkt)
+    reqs;
+  Engine.drain eng;
+  let span_s = Unix.gettimeofday () -. t0 in
+  let t = Engine.totals eng in
+  Engine.shutdown eng;
+  let merged =
+    Array.fold_left Kflex_workload.Stats.merge (Kflex_workload.Stats.create ()) lat
+  in
+  let completed = Kflex_workload.Stats.count merged in
+  let p999 = Kflex_workload.Stats.percentile merged 0.999 in
+  Alcotest.(check int) "all completions observed" 2000 completed;
+  Alcotest.(check int) "no leaks" 0 t.Engine.leaked;
+  Alcotest.(check bool) "nonzero throughput" true
+    (float_of_int completed /. span_s > 0.0);
+  Alcotest.(check bool) "finite tail" true (Float.is_finite p999 && p999 > 0.0)
 
 let () =
   Alcotest.run "serve"

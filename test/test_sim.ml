@@ -1,5 +1,5 @@
 (* Discrete-event simulator tests: priority queue, event ordering, and the
-   closed-loop model's queueing behaviour. *)
+   lane core's queueing behaviour under closed and open sources. *)
 open Kflex_sim
 
 let prop_heapq_sorted =
@@ -45,45 +45,42 @@ let t_des_until () =
   Des.run ~until:5.0 des;
   Alcotest.(check int) "only the early event" 1 !fired
 
-let run_cl ?(clients = 64) ?(workers = 4) ?(gc = None) ~service requests =
-  Closed_loop.run
-    {
-      Closed_loop.clients;
-      workers;
-      rtt_ns = 1000.0;
-      requests;
-      warmup_frac = 0.1;
-      gen = (fun i -> i);
-      service_ns = (fun _ -> service);
-      gc;
-    }
+(* the anonymous worker pool: one lane with [workers] servers *)
+let pool ?(clients = 64) ?(workers = 4) ?gc ~service requests =
+  Lanes.run ~servers:workers ?gc ~lanes:1
+    ~place:(fun _ -> 0)
+    ~service:(fun ~lane:_ _ req -> service req)
+    ~requests ~gen:Fun.id
+    (Lanes.Closed { clients; rtt_ns = 1000.0; warmup_frac = 0.1 })
+
+let run_cl ?clients ?workers ?gc ~service requests =
+  pool ?clients ?workers ?gc ~service:(fun _ -> service) requests
 
 let t_closed_loop_throughput () =
   (* saturated: throughput ~ workers / service *)
   let r = run_cl ~workers:4 ~service:1000.0 20_000 in
   let expect = 4.0 /. 1000.0 *. 1000.0 (* MOps *) in
   Alcotest.(check bool) "within 10%" true
-    (abs_float (r.Closed_loop.throughput_mops -. expect) /. expect < 0.1);
-  Alcotest.(check int) "all completed" 20_000 r.Closed_loop.completed
+    (abs_float (r.Lanes.throughput_mops -. expect) /. expect < 0.1);
+  Alcotest.(check int) "all completed" 20_000 r.Lanes.completed
 
 let t_closed_loop_latency_queueing () =
   (* more clients than capacity: p99 reflects queueing, not service *)
   let light = run_cl ~clients:2 ~workers:4 ~service:1000.0 5_000 in
   let heavy = run_cl ~clients:256 ~workers:4 ~service:1000.0 5_000 in
-  Alcotest.(check bool) "light is fast" true (light.Closed_loop.p99_us < 3.0);
+  Alcotest.(check bool) "light is fast" true (light.Lanes.p99_us < 3.0);
   Alcotest.(check bool) "heavy queues" true
-    (heavy.Closed_loop.p99_us > 10.0 *. light.Closed_loop.p99_us)
+    (heavy.Lanes.p99_us > 10.0 *. light.Lanes.p99_us)
 
 let t_closed_loop_gc_pauses () =
   let without = run_cl ~workers:2 ~service:1000.0 30_000 in
   let with_gc =
-    run_cl ~workers:2 ~gc:(Some (1_000_000.0, 100_000.0)) ~service:1000.0
-      30_000
+    run_cl ~workers:2 ~gc:(1_000_000.0, 100_000.0) ~service:1000.0 30_000
   in
   Alcotest.(check bool) "gc hurts p99" true
-    (with_gc.Closed_loop.p99_us > without.Closed_loop.p99_us);
+    (with_gc.Lanes.p99_us > without.Lanes.p99_us);
   Alcotest.(check bool) "gc hurts throughput" true
-    (with_gc.Closed_loop.throughput_mops < without.Closed_loop.throughput_mops)
+    (with_gc.Lanes.throughput_mops < without.Lanes.throughput_mops)
 
 (* --- determinism ------------------------------------------------------- *)
 
@@ -116,18 +113,9 @@ let t_des_deterministic_trace () =
 let t_closed_loop_deterministic () =
   let result seed =
     let rng = Kflex_workload.Rng.create ~seed in
-    Closed_loop.run
-      {
-        Closed_loop.clients = 32;
-        workers = 4;
-        rtt_ns = 1000.0;
-        requests = 5_000;
-        warmup_frac = 0.1;
-        gen = (fun i -> i);
-        service_ns =
-          (fun _ -> 500.0 +. (Kflex_workload.Rng.float rng *. 1500.0));
-        gc = None;
-      }
+    pool ~clients:32 ~workers:4
+      ~service:(fun _ -> 500.0 +. (Kflex_workload.Rng.float rng *. 1500.0))
+      5_000
   in
   Alcotest.(check bool) "identical results" true (result 3L = result 3L);
   Alcotest.(check bool) "seed matters" true (result 3L <> result 4L)
@@ -160,9 +148,26 @@ let t_closed_loop_faster_service_wins () =
   let slow = run_cl ~service:5000.0 10_000 in
   let fast = run_cl ~service:1000.0 10_000 in
   Alcotest.(check bool) "throughput" true
-    (fast.Closed_loop.throughput_mops > 3.0 *. slow.Closed_loop.throughput_mops);
+    (fast.Lanes.throughput_mops > 3.0 *. slow.Lanes.throughput_mops);
   Alcotest.(check bool) "latency" true
-    (fast.Closed_loop.p99_us < slow.Closed_loop.p99_us)
+    (fast.Lanes.p99_us < slow.Lanes.p99_us)
+
+(* An open source's arrivals are a schedule: one that goes backwards is a
+   caller bug, refused before any request is served. *)
+let t_open_backwards () =
+  let served = ref 0 in
+  let arrivals = [| 0.0; 10.0; 5.0 |] in
+  Alcotest.check_raises "backwards arrivals"
+    (Invalid_argument "Lanes.run: arrival times go backwards") (fun () ->
+      ignore
+        (Lanes.run ~lanes:1
+           ~place:(fun _ -> 0)
+           ~service:(fun ~lane:_ _ _ ->
+             incr served;
+             100.0)
+           ~requests:3 ~gen:Fun.id
+           (Lanes.Open (Array.get arrivals))));
+  Alcotest.(check int) "nothing served" 0 !served
 
 let () =
   Alcotest.run "sim"
@@ -195,4 +200,6 @@ let () =
           Alcotest.test_case "service ordering" `Quick
             t_closed_loop_faster_service_wins;
         ] );
+      ( "open-loop",
+        [ Alcotest.test_case "backwards arrivals" `Quick t_open_backwards ] );
     ]
