@@ -16,7 +16,9 @@
       the facade; the sim and tests use this.
     - [`Threaded]: one OCaml 5 domain per shard consuming a per-shard queue,
       plus a reaper domain scanning on the wall clock when a deadline is
-      configured.
+      configured. A worker that empties its queue polls for new work for
+      1 ms before it parks, so a request arriving within that window is
+      taken without a wake-up.
 
     Chain registry updates are epoch-quiesced: mutations publish an
     immutable generation-stamped snapshot ({!Chain}) through one atomic,
@@ -43,7 +45,9 @@ val create :
     arms the reaper with a per-invocation deadline in (virtual or wall)
     nanoseconds; [seed] derives each shard's [bpf_get_prandom_u32] stream.
     Threaded engines spawn their domains here — call {!shutdown} when
-    done. *)
+    done. A new worker parks until its first event; after each batch it
+    spins for at most the 1 ms poll window, so a shard costs at most one
+    window of CPU per batch. *)
 
 val attach :
   t ->
@@ -148,13 +152,16 @@ val submit :
     the shard's domain immediately after the chain executes — the
     open-loop server records per-request completion timestamps with it
     (shard-local, so callbacks for one shard never race each other). The
-    shard's worker takes its whole queue per lock round trip and is
-    signalled only when it sleeps.
+    shard's worker takes its whole queue per lock round trip. A worker
+    still polling after its last batch sees the push and takes it; only a
+    parked worker is signalled, and each such signal counts in
+    {!shard_wakeups}.
     @raise Invalid_argument after {!shutdown}: no worker would run it. *)
 
 val drain : t -> unit
 (** Block until every shard queue is empty and no event is executing —
-    on a per-shard idle condition, not by polling. *)
+    on a per-shard idle condition, not by polling. A worker polling for
+    new work counts as idle, so [drain] does not wait out its window. *)
 
 val shutdown : t -> unit
 (** Drain, then stop and join worker/reaper domains. Idempotent; a
@@ -178,6 +185,12 @@ val shards : t -> int
 val mode : t -> mode
 val shard_stats : t -> int -> Kflex_runtime.Vm.stats
 val shard_events : t -> int -> int
+
+val shard_wakeups : t -> int -> int
+(** Submits that found the shard's worker parked and signalled it —
+    requests that paid a futex wake-up. A request taken by the polling
+    worker is not counted. Always 0 in deterministic mode. *)
+
 val shard_cancelled : t -> int -> int
 val shard_verdicts : t -> int -> (int64 * int) list
 

@@ -614,6 +614,162 @@ let t_submit_after_shutdown () =
   Engine.drain eng;
   Alcotest.(check int) "the accepted event ran" 1 (Engine.totals eng).Engine.events
 
+(* --- hand-off: poll before parking ----------------------------------------- *)
+
+let wait_for counter n =
+  while Atomic.get counter < n do
+    Domain.cpu_relax ()
+  done
+
+(* The poll window documented in engine.mli. *)
+let poll_window = 0.001
+
+(* Each request is submitted as soon as the previous one completes. The
+   worker parks only after a whole window without a push, so a request
+   whose [submit] returned within the window of the previous completion
+   must be taken without a wake-up, on any host. One the submitter sends
+   later, because a busy host descheduled it, may wake the worker. *)
+let t_back_to_back () =
+  let eng = Engine.create ~mode:`Threaded () in
+  let _ = attach_counter eng in
+  let pkts = flow_packets ~events:100 in
+  let det = Engine.create () in
+  let _ = attach_counter det in
+  let expected = Array.map (fun p -> (Engine.run_packet det p).Engine.verdict) pkts in
+  let got = Array.make 100 (-1L) and completed = Atomic.make 0 in
+  let done_at = ref 0.0 and in_window = ref 0 and woken_in_window = ref 0 in
+  Array.iteri
+    (fun i p ->
+      let prev_done = !done_at and w0 = Engine.shard_wakeups eng 0 in
+      Engine.submit eng
+        ~on_done:(fun r ->
+          got.(i) <- r.Engine.verdict;
+          done_at := Unix.gettimeofday ();
+          Atomic.incr completed)
+        p;
+      let woke = Engine.shard_wakeups eng 0 > w0 in
+      if i > 0 && Unix.gettimeofday () -. prev_done < poll_window then begin
+        incr in_window;
+        if woke then incr woken_in_window
+      end;
+      wait_for completed (i + 1))
+    pkts;
+  let wakeups = Engine.shard_wakeups eng 0 in
+  Engine.shutdown eng;
+  Alcotest.(check (array int64)) "every verdict" expected got;
+  if !woken_in_window > 0 then
+    Alcotest.failf
+      "%d of the %d requests sent within the window woke the worker (%d \
+       wake-ups in all)"
+      !woken_in_window !in_window wakeups
+
+(* After a gap longer than the poll window the worker parks, and the next
+   submit wakes it exactly once. A worker descheduled for the whole gap
+   may not have parked yet; the gap then doubles, up to 80 ms. *)
+let t_park_after_gap () =
+  let eng = Engine.create ~mode:`Threaded () in
+  let _ = attach_ret eng 2 in
+  let completed = Atomic.make 0 in
+  let request () =
+    let c0 = Atomic.get completed in
+    Engine.submit eng ~on_done:(fun _ -> Atomic.incr completed) (pkt ());
+    wait_for completed (c0 + 1)
+  in
+  let rec attempt gap =
+    Unix.sleepf gap;
+    let w0 = Engine.shard_wakeups eng 0 in
+    request ();
+    match Engine.shard_wakeups eng 0 - w0 with
+    | 1 -> ()
+    | 0 when gap < 0.08 -> attempt (2. *. gap)
+    | d -> Alcotest.failf "a submit after a %.0f ms gap woke the worker %d times" (gap *. 1e3) d
+  in
+  request ();
+  attempt 0.005;
+  Engine.shutdown eng
+
+(* Two submitters, two shards, gaps on both sides of the poll window:
+   every request completes exactly once and in submission order per
+   (submitter, shard); drain and shutdown return while the workers poll. *)
+let t_handoff_stress () =
+  let eng = Engine.create ~shards:2 ~mode:`Threaded () in
+  let _ = attach_counter eng in
+  let per = 300 in
+  let completions = Array.init (2 * per) (fun _ -> Atomic.make 0) in
+  let last = Array.make_matrix 2 2 (-1) (* [submitter][shard], written by the shard *)
+  and reordered = Atomic.make 0 in
+  let submitter who =
+    Domain.spawn (fun () ->
+        let rng = Random.State.make [| who |] in
+        for i = 0 to per - 1 do
+          Unix.sleepf [| 0.0; 0.0001; 0.0005; 0.002 |].(Random.State.int rng 4);
+          let p = pkt ~src_port:(1024 + (who * 64) + (i mod 40)) () in
+          let shard = Engine.shard_of eng p in
+          Engine.submit eng
+            ~on_done:(fun _ ->
+              Atomic.incr completions.((who * per) + i);
+              if last.(who).(shard) >= i then Atomic.incr reordered;
+              last.(who).(shard) <- i)
+            p
+        done)
+  in
+  List.iter Domain.join [ submitter 0; submitter 1 ];
+  Engine.drain eng;
+  let t = Engine.totals eng in
+  Engine.shutdown eng;
+  Alcotest.(check (list int)) "each completed once" []
+    (List.filter
+       (fun i -> Atomic.get completions.(i) <> 1)
+       (List.init (2 * per) Fun.id));
+  Alcotest.(check int) "FIFO per (submitter, shard)" 0 (Atomic.get reordered);
+  Alcotest.(check int) "all events" (2 * per) t.Engine.events;
+  Alcotest.(check int) "no leaks" 0 t.Engine.leaked;
+  Alcotest.(check bool) "both shards used" true
+    (Engine.shard_events eng 0 > 0 && Engine.shard_events eng 1 > 0)
+
+(* About 0.7 ms per event on a 2-vCPU host. *)
+let slow_src =
+  {|
+fn prog(c: ctx) -> u64 {
+  var i: u64 = 0;
+  while (i < 20000) { i = i + 1; }
+  return 2;
+}
+|}
+
+(* A worker takes its whole queue as one batch. attach and detach must
+   each return one event after they publish, not when the batch ends:
+   the worker reports a new generation as it starts the first event
+   under it. A gate holds the worker in an event of its own until the
+   whole backlog is queued, so the backlog is one batch. *)
+let t_quiesce_one_event () =
+  let eng = Engine.create ~mode:`Threaded ~quantum:max_int () in
+  let c = compile "slow" slow_src in
+  ignore (attach_exn ~name:"slow" ~heap_size:4096L eng (prog_of c) : Engine.handle);
+  let backlog = 300 and completed = Atomic.make 0 in
+  let gate = Mutex.create () and held = Atomic.make 0 in
+  Mutex.lock gate;
+  Engine.submit eng
+    ~on_done:(fun _ ->
+      Atomic.incr held;
+      Mutex.protect gate ignore)
+    (pkt ());
+  wait_for held 1;
+  for _ = 1 to backlog do
+    Engine.submit eng ~on_done:(fun _ -> Atomic.incr completed) (pkt ())
+  done;
+  Mutex.unlock gate;
+  let h = attach_ret eng 2 in
+  let at_attach = Atomic.get completed in
+  Engine.detach eng h;
+  let at_detach = Atomic.get completed in
+  Engine.drain eng;
+  Engine.shutdown eng;
+  Alcotest.(check int) "backlog ran" backlog (Atomic.get completed);
+  if at_attach > backlog / 2 || at_detach > backlog / 2 then
+    Alcotest.failf "attach returned after %d, detach after %d of %d events"
+      at_attach at_detach backlog
+
 (* --- allocation gate ------------------------------------------------------ *)
 
 (* The warmed mc_overload chain — spin-locked rate limiter, RCU conntrack,
@@ -670,6 +826,14 @@ let () =
           Alcotest.test_case "watchdog slot stress" `Quick t_slot_stress;
           Alcotest.test_case "submit after shutdown" `Quick
             t_submit_after_shutdown;
+        ] );
+      ( "hand-off",
+        [
+          Alcotest.test_case "back to back" `Quick t_back_to_back;
+          Alcotest.test_case "park after a gap" `Quick t_park_after_gap;
+          Alcotest.test_case "two submitters" `Quick t_handoff_stress;
+          Alcotest.test_case "quiesce within one event" `Quick
+            t_quiesce_one_event;
         ] );
       ( "shared maps",
         [
