@@ -927,6 +927,118 @@ let serve_bench ~smoke =
     exit 1
   end
 
+(* ---- Set-up: one engine's lifecycle, layer by layer (BENCH_setup.json) -- *)
+
+module Engine = Kflex_engine.Engine
+module Stats = Kflex_workload.Stats
+
+(* kbench's four tenant configurations (benchmark/inputs.ml, and
+   [engine_config] in benchmark/run.ml), rebuilt here because the
+   benchmark is a project of its own. *)
+let setup_configs =
+  let cfg proto ~burn ~guard ~deadline_us =
+    {
+      OL.default with
+      OL.proto;
+      burn;
+      guard;
+      deadline_us;
+      burn_iters = 40_000;
+      guard_capacity = 1_000_000;
+    }
+  in
+  let mc = Kflex_serve.Wire.Memcached and redis = Kflex_serve.Wire.Redis in
+  [
+    ("mc_light", cfg mc ~burn:false ~guard:false ~deadline_us:200.0);
+    ("mc_runaway", cfg mc ~burn:true ~guard:false ~deadline_us:200.0);
+    ("mc_overload", cfg mc ~burn:false ~guard:true ~deadline_us:1e6);
+    ("redis_overload", cfg redis ~burn:false ~guard:true ~deadline_us:1e6);
+  ]
+
+let setup_steps = [| "create"; "attach"; "shutdown" |]
+
+(* One kbench set-up cycle ([OL.make_engine], then [Engine.shutdown]),
+   each step timed (ns). Also returns whether the engine ended with no
+   leaked ledger entry and no socket reference. *)
+let setup_cycle cfg ~mode =
+  let now () = Int64.to_int (Monotonic_clock.now ()) in
+  let t0 = now () in
+  let eng =
+    Engine.create ~shards:1 ~mode
+      ~deadline_ns:(cfg.OL.deadline_us *. 1e3)
+      ~seed:cfg.OL.seed ()
+  in
+  let t1 = now () in
+  OL.attach_tenants cfg eng;
+  let t2 = now () in
+  Engine.shutdown eng;
+  let t3 = now () in
+  let clean =
+    (Engine.totals eng).Engine.leaked = 0 && Engine.socket_refs eng = 0
+  in
+  ([| t1 - t0; t2 - t1; t3 - t2 |], clean)
+
+(* As in kbench, the threaded cycles of a configuration run back to back;
+   its deterministic cycles follow. The wall-clock medians are reported,
+   never gated; the gate is that every engine ends clean. Pin the run
+   (taskset) to compare it with kbench, whose set-up cycles all run on
+   one CPU. *)
+let setup_bench ~smoke =
+  hr "Set-up: Engine.create, attach_tenants, Engine.shutdown (wall clock)";
+  let cycles = if smoke then 5 else 105 in
+  let clean = ref true in
+  let medians cfg ~mode =
+    let recs = Array.map (fun _ -> Stats.create ()) setup_steps in
+    for _ = 1 to cycles do
+      let ns, ok = setup_cycle cfg ~mode in
+      clean := !clean && ok;
+      Array.iteri (fun i x -> Stats.add recs.(i) (float_of_int x /. 1e6)) ns
+    done;
+    Array.map (fun r -> Stats.percentile r 0.5) recs
+  in
+  let rows =
+    List.map
+      (fun (name, cfg) ->
+        let thr = medians cfg ~mode:`Threaded in
+        let det = medians cfg ~mode:`Deterministic in
+        pf "  %-15s threaded %.3f / %.3f / %.3f ms, deterministic %.3f / \
+            %.3f / %.3f ms@."
+          name thr.(0) thr.(1) thr.(2) det.(0) det.(1) det.(2);
+        (name, cfg, thr, det))
+      setup_configs
+  in
+  let oc = open_out "BENCH_setup.json" in
+  let p fmt = Printf.fprintf oc fmt in
+  let steps m =
+    String.concat ", "
+      (List.mapi
+         (fun i step -> Printf.sprintf "\"%s_ms\": %.4f" step m.(i))
+         (Array.to_list setup_steps))
+  in
+  p "{\n  \"smoke\": %b,\n  \"cycles\": %d,\n" smoke cycles;
+  p "  \"note\": \"median wall-clock ms of each step of kbench's set-up \
+     cycle on a one-shard engine: Engine.create, Open_loop.attach_tenants, \
+     Engine.shutdown; a configuration's threaded cycles run back to back, \
+     then its deterministic cycles\",\n";
+  p "  \"configs\": [\n";
+  List.iteri
+    (fun i (name, cfg, thr, det) ->
+      p "    {\"name\": %S, \"deadline_us\": %.0f, \"guard\": %b, \
+         \"burn\": %b,\n     \"threaded\": {%s},\n     \
+         \"deterministic\": {%s}}%s\n"
+        name cfg.OL.deadline_us cfg.OL.guard cfg.OL.burn (steps thr)
+        (steps det)
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
+  p "  ],\n  \"summary\": {\"clean\": %b}\n}\n" !clean;
+  close_out oc;
+  pf "  (create / attach / shutdown) wrote BENCH_setup.json@.";
+  if not !clean then begin
+    pf "  setup gate FAILED: an engine leaked a ledger entry or a socket \
+        reference@.";
+    exit 1
+  end
+
 (* ---- Table 3: guard elision ------------------------------------------- *)
 
 let verify_ds prog =
@@ -1169,10 +1281,13 @@ let () =
   | "serve" ->
       serve_bench
         ~smoke:(Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke")
+  | "setup" ->
+      setup_bench
+        ~smoke:(Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke")
   | "all" -> all ()
   | other ->
       pf
         "unknown experiment %s (use \
-         table1|fig2|fig3|fig4|fig5|fig6|fig7|table3|ablation|bechamel|jit|engine|serve|all)@."
+         table1|fig2|fig3|fig4|fig5|fig6|fig7|table3|ablation|bechamel|jit|engine|serve|setup|all)@."
         other;
       exit 1

@@ -63,9 +63,6 @@ type t = {
   snapshot : handle Chain.t Atomic.t; (* what shards execute *)
   mutable next_aid : int;
   running : bool Atomic.t;
-  mutable reaper_domain : unit Domain.t option;
-  mutable reaper_wake : (Unix.file_descr * Unix.file_descr) option;
-      (* self-pipe: [shutdown] writes a byte to cut the reaper's wait short *)
   mutable shared : Map_.t list;
       (* engine-owned cross-shard maps, in share order; every subsequent
          attach registers them (fds 3, 4, …) before the tenant's own
@@ -314,17 +311,59 @@ let worker t shard =
   loop ();
   Mutex.unlock shard.m (* shut down *)
 
+(* --- the watchdog -------------------------------------------------------- *)
+
 let scan_period_s = 0.0005
 
-(* Scan every 500 us. The wait is a [select] on the self-pipe, so
-   [shutdown] ends it at once instead of sleeping it out. *)
-let reaper_loop t wake =
-  while Atomic.get t.running do
-    (match Unix.select [ wake ] [] [] scan_period_s with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    Reaper.scan t.reaper ~now:(Unix.gettimeofday () *. 1e9)
+(* One watchdog domain per process scans the reaper of every threaded
+   engine with a deadline, as a kernel runs one watchdog for all of its
+   programs. The first such engine spawns it and nothing joins it: a
+   reaper domain per engine cost a spawn and a join on every set-up, and
+   an idle watchdog only blocks on [nonempty]. While any reaper is
+   registered it scans them all every [scan_period_s], holding [lock],
+   so once [unwatch] returns no scan touches that reaper again. *)
+type watchdog = {
+  lock : Mutex.t;
+  nonempty : Condition.t; (* signalled when an engine registers *)
+  mutable reapers : Reaper.t list;
+  mutable spawned : bool;
+}
+
+let watchdog =
+  {
+    lock = Mutex.create ();
+    nonempty = Condition.create ();
+    reapers = [];
+    spawned = false;
+  }
+
+let watchdog_loop () =
+  Mutex.lock watchdog.lock;
+  while true do
+    match watchdog.reapers with
+    | [] -> Condition.wait watchdog.nonempty watchdog.lock
+    | _ :: _ ->
+        Mutex.unlock watchdog.lock;
+        Unix.sleepf scan_period_s;
+        Mutex.lock watchdog.lock;
+        let now = Unix.gettimeofday () *. 1e9 in
+        List.iter (fun r -> Reaper.scan r ~now) watchdog.reapers
   done
+
+let watch r =
+  Mutex.protect watchdog.lock (fun () ->
+      if not watchdog.spawned then begin
+        ignore (Domain.spawn watchdog_loop : unit Domain.t);
+        watchdog.spawned <- true
+      end;
+      watchdog.reapers <- r :: watchdog.reapers;
+      Condition.signal watchdog.nonempty)
+
+let unwatch r =
+  Mutex.protect watchdog.lock (fun () ->
+      watchdog.reapers <- List.filter (fun r' -> r' != r) watchdog.reapers)
+
+let watched t = t.mode = `Threaded && t.deadline_ns <> None
 
 (* --- lifecycle ---------------------------------------------------------- *)
 
@@ -343,8 +382,6 @@ let create ?(shards = 1) ?(mode = `Deterministic) ?quantum ?deadline_ns
       snapshot = Atomic.make Chain.empty;
       next_aid = 0;
       running = Atomic.make true;
-      reaper_domain = None;
-      reaper_wake = None;
       shared = [];
     }
   in
@@ -354,11 +391,7 @@ let create ?(shards = 1) ?(mode = `Deterministic) ?quantum ?deadline_ns
       Array.iter
         (fun s -> s.domain <- Some (Domain.spawn (fun () -> worker t s)))
         t.shards;
-      if deadline_ns <> None then begin
-        let r, w = Unix.pipe ~cloexec:true () in
-        t.reaper_wake <- Some (r, w);
-        t.reaper_domain <- Some (Domain.spawn (fun () -> reaper_loop t r))
-      end);
+      if watched t then watch t.reaper);
   t
 
 let shards t = t.nshards
@@ -572,15 +605,7 @@ let shutdown t =
             s.domain <- None
         | None -> ())
       t.shards;
-    match (t.reaper_domain, t.reaper_wake) with
-    | Some d, Some (r, w) ->
-        ignore (Unix.write_substring w "x" 0 1 : int);
-        Domain.join d;
-        Unix.close r;
-        Unix.close w;
-        t.reaper_domain <- None;
-        t.reaper_wake <- None
-    | _ -> ()
+    if watched t then unwatch t.reaper
   end
 
 (* --- observation -------------------------------------------------------- *)

@@ -14,11 +14,13 @@
     - [`Deterministic] (default): events run synchronously on their flow
       shard in the caller's thread — single-shard runs are bit-identical to
       the facade; the sim and tests use this.
-    - [`Threaded]: one OCaml 5 domain per shard consuming a per-shard queue,
-      plus a reaper domain scanning on the wall clock when a deadline is
-      configured. A worker that empties its queue polls for new work for
-      1 ms before it parks, so a request arriving within that window is
-      taken without a wake-up.
+    - [`Threaded]: one OCaml 5 domain per shard consuming a per-shard queue.
+      A worker that empties its queue polls for new work for 1 ms before
+      it parks, so a request arriving within that window is taken without
+      a wake-up. With a deadline configured, the engine's reaper is
+      scanned on the wall clock by the process's one watchdog domain,
+      shared by every threaded engine, as a kernel runs one watchdog for
+      all of its programs.
 
     Chain registry updates are epoch-quiesced: mutations publish an
     immutable generation-stamped snapshot ({!Chain}) through one atomic,
@@ -44,10 +46,14 @@ val create :
     budget for attached programs (unset = the VM default); [deadline_ns]
     arms the reaper with a per-invocation deadline in (virtual or wall)
     nanoseconds; [seed] derives each shard's [bpf_get_prandom_u32] stream.
-    Threaded engines spawn their domains here — call {!shutdown} when
-    done. A new worker parks until its first event; after each batch it
-    spins for at most the 1 ms poll window, so a shard costs at most one
-    window of CPU per batch. *)
+    Threaded engines spawn their worker domains here — call {!shutdown}
+    when done. A new worker parks until its first event; after each batch
+    it spins for at most the 1 ms poll window, so a shard costs at most one
+    window of CPU per batch. A threaded engine with a deadline registers
+    its reaper with the watchdog domain, which scans every registered
+    reaper every 500 µs. The first such engine in the process spawns the
+    watchdog; it is never joined, and it blocks while no engine is
+    registered. *)
 
 val attach :
   t ->
@@ -164,8 +170,10 @@ val drain : t -> unit
     new work counts as idle, so [drain] does not wait out its window. *)
 
 val shutdown : t -> unit
-(** Drain, then stop and join worker/reaper domains. Idempotent; a
-    deterministic engine needs no shutdown but tolerates one. *)
+(** Drain, stop and join the worker domains, then unregister the reaper
+    from the watchdog: once [shutdown] returns, no scan touches the engine.
+    Idempotent; a deterministic engine needs no shutdown but tolerates
+    one. *)
 
 (** {2 Observation} *)
 

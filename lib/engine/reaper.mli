@@ -20,10 +20,11 @@
     cancelling waits for the reaper's next store, then clears the flag it
     set — before the shard can arm the slot again.
 
-    In the engine's threaded mode a dedicated domain calls {!scan} on the
-    wall clock; in deterministic mode the executing shard calls it from the
-    VM's cancellation-site hook with cost-derived virtual time, so tests
-    and the fuzzer replay byte-identical schedules. *)
+    In the engine's threaded mode the process's one watchdog domain calls
+    {!scan} on the wall clock, every 500 µs, on the reaper of each
+    registered engine; in deterministic mode the executing shard calls it
+    from the VM's cancellation-site hook with cost-derived virtual time, so
+    tests and the fuzzer replay byte-identical schedules. *)
 
 type t
 

@@ -194,86 +194,66 @@ let writes_reg r insn =
    obligation is discharged here at compile time by [idx], which only
    admits slots statically inside the frame. *)
 let eff_stack insn : op option =
-  let idx off w =
+  let idx off sz =
     let i = Prog.stack_size + off in
-    if i >= 0 && i + w <= Prog.stack_size then Some i else None
+    if i >= 0 && i + Insn.size_bytes sz <= Prog.stack_size then Some i
+    else None
   in
+  (* Build each closure after the index match, never as [Option.map (fun i
+     -> fun st -> ...)]: that is a two-argument function applied to one,
+     and every execution would enter a currying trampoline first. *)
   match insn with
   | Insn.Ldx (sz, d, s, off) when ri s = 10 -> (
       let d = ri d in
-      match sz with
-      | Insn.U8 ->
-          Option.map
-            (fun i ->
-              fun st ->
-               rset st.regs d (Int64.of_int (Char.code (U64.get8 st.stack i))))
-            (idx off 1)
-      | Insn.U16 ->
-          Option.map
-            (fun i ->
-              fun st ->
-               rset st.regs d (Int64.of_int (U64.get16 st.stack i)))
-            (idx off 2)
-      | Insn.U32 ->
-          Option.map
-            (fun i ->
-              fun st ->
-               rset st.regs d
-                 (Int64.logand
-                    (Int64.of_int32 (U64.get32 st.stack i))
-                    0xffff_ffffL))
-            (idx off 4)
-      | Insn.U64 ->
-          Option.map
-            (fun i -> fun st -> rset st.regs d (U64.get64 st.stack i))
-            (idx off 8))
+      match (sz, idx off sz) with
+      | _, None -> None
+      | Insn.U8, Some i ->
+          Some
+            (fun st ->
+              rset st.regs d (Int64.of_int (Char.code (U64.get8 st.stack i))))
+      | Insn.U16, Some i ->
+          Some (fun st -> rset st.regs d (Int64.of_int (U64.get16 st.stack i)))
+      | Insn.U32, Some i ->
+          Some
+            (fun st ->
+              rset st.regs d
+                (Int64.logand
+                   (Int64.of_int32 (U64.get32 st.stack i))
+                   0xffff_ffffL))
+      | Insn.U64, Some i ->
+          Some (fun st -> rset st.regs d (U64.get64 st.stack i)))
   | Insn.Stx (sz, d, off, s) when ri d = 10 -> (
       let s = ri s in
-      match sz with
-      | Insn.U8 ->
-          Option.map
-            (fun i ->
-              fun st ->
-               U64.set8 st.stack i
-                 (Char.chr (Int64.to_int (Int64.logand (rget st.regs s) 0xffL))))
-            (idx off 1)
-      | Insn.U16 ->
-          Option.map
-            (fun i ->
-              fun st ->
-               U64.set16 st.stack i
-                 (Int64.to_int (Int64.logand (rget st.regs s) 0xffffL)))
-            (idx off 2)
-      | Insn.U32 ->
-          Option.map
-            (fun i ->
-              fun st ->
-               U64.set32 st.stack i (Int64.to_int32 (rget st.regs s)))
-            (idx off 4)
-      | Insn.U64 ->
-          Option.map
-            (fun i ->
-              fun st -> U64.set64 st.stack i (rget st.regs s))
-            (idx off 8))
+      match (sz, idx off sz) with
+      | _, None -> None
+      | Insn.U8, Some i ->
+          Some
+            (fun st ->
+              U64.set8 st.stack i
+                (Char.chr (Int64.to_int (Int64.logand (rget st.regs s) 0xffL))))
+      | Insn.U16, Some i ->
+          Some
+            (fun st ->
+              U64.set16 st.stack i
+                (Int64.to_int (Int64.logand (rget st.regs s) 0xffffL)))
+      | Insn.U32, Some i ->
+          Some
+            (fun st -> U64.set32 st.stack i (Int64.to_int32 (rget st.regs s)))
+      | Insn.U64, Some i ->
+          Some (fun st -> U64.set64 st.stack i (rget st.regs s)))
   | Insn.St (sz, d, off, imm) when ri d = 10 -> (
-      match sz with
-      | Insn.U8 ->
+      match (sz, idx off sz) with
+      | _, None -> None
+      | Insn.U8, Some i ->
           let c = Char.chr (Int64.to_int (Int64.logand imm 0xffL)) in
-          Option.map (fun i -> fun st -> U64.set8 st.stack i c) (idx off 1)
-      | Insn.U16 ->
+          Some (fun st -> U64.set8 st.stack i c)
+      | Insn.U16, Some i ->
           let v = Int64.to_int (Int64.logand imm 0xffffL) in
-          Option.map
-            (fun i -> fun st -> U64.set16 st.stack i v)
-            (idx off 2)
-      | Insn.U32 ->
+          Some (fun st -> U64.set16 st.stack i v)
+      | Insn.U32, Some i ->
           let v = Int64.to_int32 imm in
-          Option.map
-            (fun i -> fun st -> U64.set32 st.stack i v)
-            (idx off 4)
-      | Insn.U64 ->
-          Option.map
-            (fun i -> fun st -> U64.set64 st.stack i imm)
-            (idx off 8))
+          Some (fun st -> U64.set32 st.stack i v)
+      | Insn.U64, Some i -> Some (fun st -> U64.set64 st.stack i imm))
   | _ -> None
 
 (* Compile-time-specialized condition test for [Jcond]. *)

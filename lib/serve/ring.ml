@@ -33,32 +33,33 @@ let create capacity =
 let capacity t = Bytes.length t.buf
 let length t = Atomic.get t.tail - Atomic.get t.head
 
+(* Each run is copied with at most two blits: up to the end of [buf], then
+   from its start. Nothing can raise once the arguments are checked, so
+   the producer mutex is taken and released directly. *)
 let write t src pos len =
   if pos < 0 || len < 0 || pos + len > Bytes.length src then
     invalid_arg "Ring.write";
-  Mutex.protect t.m (fun () ->
-      let tail = Atomic.get t.tail in
-      let used = tail - Atomic.get t.head in
-      if capacity t - used < len then false
-      else begin
-        for i = 0 to len - 1 do
-          Bytes.unsafe_set t.buf
-            ((tail + i) land t.mask)
-            (Bytes.unsafe_get src (pos + i))
-        done;
-        Atomic.set t.tail (tail + len);
-        true
-      end)
+  Mutex.lock t.m;
+  let tail = Atomic.get t.tail in
+  let fits = capacity t - (tail - Atomic.get t.head) >= len in
+  if fits then begin
+    let i = tail land t.mask in
+    let first = Stdlib.min len (capacity t - i) in
+    Bytes.blit src pos t.buf i first;
+    Bytes.blit src (pos + first) t.buf 0 (len - first);
+    Atomic.set t.tail (tail + len)
+  end;
+  Mutex.unlock t.m;
+  fits
 
 let read t dst pos len =
   if pos < 0 || len < 0 || pos + len > Bytes.length dst then
     invalid_arg "Ring.read";
   let head = Atomic.get t.head in
-  let avail = Atomic.get t.tail - head in
-  let n = Stdlib.min len avail in
-  for i = 0 to n - 1 do
-    Bytes.unsafe_set dst (pos + i)
-      (Bytes.unsafe_get t.buf ((head + i) land t.mask))
-  done;
+  let n = Stdlib.min len (Atomic.get t.tail - head) in
+  let i = head land t.mask in
+  let first = Stdlib.min n (capacity t - i) in
+  Bytes.blit t.buf i dst pos first;
+  Bytes.blit t.buf 0 dst (pos + first) (n - first);
   Atomic.set t.head (head + n);
   n

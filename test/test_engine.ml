@@ -614,6 +614,82 @@ let t_submit_after_shutdown () =
   Engine.drain eng;
   Alcotest.(check int) "the accepted event ran" 1 (Engine.totals eng).Engine.events
 
+(* --- one watchdog per process ------------------------------------------ *)
+
+(* Odd keys loop 50M times, over a second uncancelled, so a runaway the
+   watchdog misses comes back finished instead of hanging the test. *)
+let looping_src =
+  {|
+fn prog(c: ctx) -> u64 {
+  var k: u64 = pkt_read_u64(c, 1);
+  if ((k & 1) == 1) {
+    var i: u64 = 0;
+    while (i < 50000000) { i = i + 1; }
+  }
+  return 2;
+}
+|}
+
+let looping_engine () =
+  let eng =
+    Engine.create ~mode:`Threaded ~quantum:max_int ~deadline_ns:2e5 ()
+  in
+  let c = compile "looping" looping_src in
+  ignore
+    (attach_exn ~name:"looping" ~heap_size:4096L eng (prog_of c) : Engine.handle);
+  eng
+
+(* Submit one runaway; the cell counts it once it comes back cancelled. *)
+let submit_runaway eng cancelled =
+  let payload = Bytes.make 17 '\000' in
+  Bytes.set_int64_le payload 1 1L;
+  Engine.submit eng
+    ~on_done:(fun r ->
+      ignore (Atomic.fetch_and_add cancelled r.Engine.cancelled : int))
+    (pkt ~payload ())
+
+let check_reaped name eng ~runaways cancelled =
+  Engine.drain eng;
+  Alcotest.(check int) (name ^ ": runaways cancelled") runaways
+    (Atomic.get cancelled);
+  Alcotest.(check int) (name ^ ": reaper counted them") runaways
+    (Reaper.cancellations (Engine.reaper eng));
+  Alcotest.(check int) (name ^ ": no leaks") 0 (Engine.totals eng).Engine.leaked
+
+(* One watchdog scans both engines: a runaway on each, in flight at once,
+   is cancelled. *)
+let t_watchdog_two_engines () =
+  let a = looping_engine () and b = looping_engine () in
+  let ca = Atomic.make 0 and cb = Atomic.make 0 in
+  submit_runaway a ca;
+  submit_runaway b cb;
+  check_reaped "a" a ~runaways:1 ca;
+  check_reaped "b" b ~runaways:1 cb;
+  Engine.shutdown a;
+  Engine.shutdown b
+
+(* Unregistering one engine leaves the other watched. *)
+let t_watchdog_after_shutdown () =
+  let a = looping_engine () and b = looping_engine () in
+  Engine.shutdown a;
+  let cb = Atomic.make 0 in
+  submit_runaway b cb;
+  check_reaped "survivor" b ~runaways:1 cb;
+  Engine.shutdown b
+
+(* Registration against live scans: 100 deadline engines come and go while
+   runaways queue on a long-lived one, so the registry changes while the
+   watchdog is cancelling. Every shutdown must return and every runaway
+   must be cancelled. *)
+let t_watchdog_churn () =
+  let long = looping_engine () and cancelled = Atomic.make 0 in
+  for _ = 1 to 100 do
+    submit_runaway long cancelled;
+    Engine.shutdown (Engine.create ~mode:`Threaded ~deadline_ns:2e5 ())
+  done;
+  check_reaped "long-lived" long ~runaways:100 cancelled;
+  Engine.shutdown long
+
 (* --- hand-off: poll before parking ----------------------------------------- *)
 
 let wait_for counter n =
@@ -826,6 +902,14 @@ let () =
           Alcotest.test_case "watchdog slot stress" `Quick t_slot_stress;
           Alcotest.test_case "submit after shutdown" `Quick
             t_submit_after_shutdown;
+        ] );
+      ( "watchdog",
+        [
+          Alcotest.test_case "two engines" `Quick t_watchdog_two_engines;
+          Alcotest.test_case "after a shutdown" `Quick
+            t_watchdog_after_shutdown;
+          Alcotest.test_case "register under live scans" `Quick
+            t_watchdog_churn;
         ] );
       ( "hand-off",
         [

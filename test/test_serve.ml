@@ -67,6 +67,52 @@ let t_ring_cross_domain () =
   Domain.join producer;
   Alcotest.(check bool) "bytes in order across domains" true !ok
 
+(* Against a byte-queue model: from every wrap offset of a 16-byte ring,
+   random writes of 0 to 16 bytes and reads into buffers shorter and
+   longer than what is buffered. A write that does not fit must change
+   nothing, and a read returns the model's next bytes in order. *)
+let t_ring_model () =
+  let cap = 16 in
+  let rng = Random.State.make [| 19 |] in
+  let src = Bytes.init cap (fun i -> Char.chr (0x41 + i)) in
+  for start = 0 to cap - 1 do
+    let r = Ring.create cap in
+    let q = Queue.create () in
+    let dst = Bytes.create (2 * cap) in
+    (* move the positions to [start] through an empty ring *)
+    assert (Ring.write r src 0 start);
+    assert (Ring.read r dst 0 cap = start);
+    for step = 0 to 399 do
+      let name what = Printf.sprintf "offset %d step %d: %s" start step what in
+      if Random.State.bool rng then begin
+        let len = Random.State.int rng (cap + 1) in
+        let pos = Random.State.int rng (cap - len + 1) in
+        Bytes.iteri
+          (fun i _ -> Bytes.set src i (Char.chr (Random.State.int rng 256)))
+          src;
+        let fits = cap - Queue.length q >= len in
+        Alcotest.(check bool) (name "write fits") fits (Ring.write r src pos len);
+        if fits then
+          Bytes.iter (fun c -> Queue.push c q) (Bytes.sub src pos len)
+      end
+      else begin
+        let len = Random.State.int rng (2 * cap) in
+        let pos = Random.State.int rng (2 * cap - len + 1) in
+        let n = Ring.read r dst pos len in
+        Alcotest.(check int) (name "read count") (min len (Queue.length q)) n;
+        let want = String.init n (fun _ -> Queue.pop q) in
+        Alcotest.(check string) (name "read bytes") want
+          (Bytes.sub_string dst pos n)
+      end;
+      Alcotest.(check int) (name "length") (Queue.length q) (Ring.length r)
+    done;
+    (* filled, the ring rejects even a one-byte frame *)
+    let free = cap - Queue.length q in
+    Alcotest.(check bool) "fill" true (Ring.write r src 0 free);
+    Alcotest.(check bool) "reject whole" false (Ring.write r src 0 1);
+    Alcotest.(check int) "full" cap (Ring.length r)
+  done
+
 (* --- wire framing -------------------------------------------------------- *)
 
 let ops_equal a b =
@@ -472,6 +518,7 @@ let () =
           Alcotest.test_case "basic" `Quick t_ring_basic;
           Alcotest.test_case "wrap" `Quick t_ring_wrap;
           Alcotest.test_case "cross-domain" `Quick t_ring_cross_domain;
+          Alcotest.test_case "model" `Quick t_ring_model;
         ] );
       ( "wire",
         [
