@@ -20,9 +20,13 @@ type admitted = {
 (* --- compiled-program cache -------------------------------------------- *)
 
 (* Attach/run paths and the fuzz oracles load the same instrumented program
-   repeatedly; compile it once. Keyed by a digest of the instruction stream
-   (instrumentation options are already baked into the stream, so programs
-   differing in options hash apart).
+   repeatedly; compile it once. The fused form depends on the instruction
+   stream (instrumentation options are already baked into it, so programs
+   differing in options hash apart) and on each pc's unwind registers
+   ({!Jit.unwind_regs}), whose liveness decides which writes it drops. The
+   key digests both, and a hit compares both structurally: a digest
+   collision counts as a miss and compiles, so an entry compiled against
+   another program's object tables is never returned.
 
    The cache is LRU-bounded: entries carry a logical-clock stamp bumped on
    every hit, and an insert past capacity evicts the stalest entry. The
@@ -39,7 +43,14 @@ type cache_stats = {
   capacity : int;
 }
 
-let jit_cache : (string, Jit.t * int ref) Hashtbl.t = Hashtbl.create 16
+type cached = {
+  c_insns : Kflex_bpf.Insn.t array;
+  c_unwind : int array;
+  c_jit : Jit.t;
+  c_stamp : int ref;
+}
+
+let jit_cache : (string, cached) Hashtbl.t = Hashtbl.create 16
 let jit_hits = ref 0
 let jit_misses = ref 0
 let jit_evictions = ref 0
@@ -52,10 +63,10 @@ let jit_cache_mutex = Mutex.create ()
 let evict_one () =
   let victim = ref None in
   Hashtbl.iter
-    (fun k (_, stamp) ->
+    (fun k c ->
       match !victim with
-      | Some (_, s) when s <= !stamp -> ()
-      | _ -> victim := Some (k, !stamp))
+      | Some (_, s) when s <= !(c.c_stamp) -> ()
+      | _ -> victim := Some (k, !(c.c_stamp)))
     jit_cache;
   match !victim with
   | Some (k, _) ->
@@ -81,22 +92,39 @@ let set_jit_cache_capacity n =
         evict_one ()
       done)
 
-let compiled_for kie =
-  let prog = kie.Kflex_kie.Instrument.prog in
-  let key = Digest.string (Marshal.to_string (Kflex_bpf.Prog.insns prog) []) in
+let jit_key_of insns unwind =
+  Digest.string (Marshal.to_string (insns, unwind) [])
+let insns_of kie = Kflex_bpf.Prog.insns kie.Kflex_kie.Instrument.prog
+let jit_cache_key kie = jit_key_of (insns_of kie) (Jit.unwind_regs kie)
+
+let lookup key insns unwind kie =
   Mutex.protect jit_cache_mutex (fun () ->
       incr jit_clock;
       match Hashtbl.find_opt jit_cache key with
-      | Some (t, stamp) ->
+      | Some c when c.c_insns = insns && c.c_unwind = unwind ->
           incr jit_hits;
-          stamp := !jit_clock;
-          t
-      | None ->
+          c.c_stamp := !jit_clock;
+          c.c_jit
+      | found ->
           incr jit_misses;
-          let t = Jit.compile prog in
-          if Hashtbl.length jit_cache >= !jit_capacity then evict_one ();
-          Hashtbl.replace jit_cache key (t, ref !jit_clock);
+          let t = Jit.compile kie in
+          if Option.is_none found && Hashtbl.length jit_cache >= !jit_capacity
+          then evict_one ();
+          Hashtbl.replace jit_cache key
+            {
+              c_insns = insns;
+              c_unwind = unwind;
+              c_jit = t;
+              c_stamp = ref !jit_clock;
+            };
           t)
+
+let compile_cached ~key kie =
+  lookup key (insns_of kie) (Jit.unwind_regs kie) kie
+
+let compiled_for kie =
+  let insns = insns_of kie and unwind = Jit.unwind_regs kie in
+  lookup (jit_key_of insns unwind) insns unwind kie
 
 let contracts = Kflex_verifier.Contract.registry Kflex_verifier.Contract.kflex_base
 

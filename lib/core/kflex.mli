@@ -43,11 +43,23 @@ type cache_stats = {
 }
 
 val jit_cache_stats : unit -> cache_stats
-(** Compiled-program cache counters. The cache is keyed by a digest of the
-    instrumented instruction stream, so reloading the same program (fuzz
-    oracles, repeated attaches, per-shard instantiation) compiles once — and
-    it is LRU-bounded at [capacity] entries, with [evictions] counting
-    programs dropped to stay under it. *)
+(** Compiled-program cache counters. The cache is keyed by {!jit_cache_key},
+    so reloading the same program (fuzz oracles, repeated attaches,
+    per-shard instantiation) compiles once — and it is LRU-bounded at
+    [capacity] entries, with [evictions] counting programs dropped to stay
+    under it. *)
+
+val jit_cache_key : Kflex_kie.Instrument.t -> string
+(** A digest of everything the fused form depends on: the instrumented
+    instructions and each pc's unwind registers
+    ({!Kflex_runtime.Jit.unwind_regs}). *)
+
+val compile_cached :
+  key:string -> Kflex_kie.Instrument.t -> Kflex_runtime.Jit.t
+(** The cache lookup admission performs, under [key] (normally
+    {!jit_cache_key}). A hit also compares the cached entry's instructions
+    and unwind registers with the program's; on a mismatch (a key
+    collision) it counts a miss, compiles, and replaces the entry. *)
 
 val set_jit_cache_capacity : int -> unit
 (** Change the cache bound (default 64), evicting stalest-first down to the

@@ -1,44 +1,61 @@
 (* Template JIT: ahead-of-time translation of an instrumented program into
    an array of OCaml closures with direct-threaded dispatch. Each closure
-   performs the work of one instruction — or one superinstruction — and
+   performs the work of one instruction, or of a fused run of them, and
    tail-calls its continuation, so a run is a chain of tail calls with no
    per-insn fetch/decode match and no hook-presence checks. Specialization
-   happens at compile time: ALU operators, comparison predicates, and
-   memory-access widths are each resolved into a dedicated closure body, so
-   the executed code contains no per-instruction operator dispatch.
+   happens at compile time: ALU operators, comparison predicates, operand
+   kinds and memory-access widths are each resolved into a dedicated
+   closure body, so the executed code contains no per-instruction operator
+   dispatch.
 
    Compilation walks the program backwards so that fall-through and
    forward-jump continuations are captured directly; backward jumps (and
    self-loops) fetch their entry at run time. The invariant throughout is
-   that [entries.(q)] executes the instruction stream from [q] onward —
-   which makes jumps into the middle of a superinstruction automatically
-   correct: every covered instruction keeps its own standalone closure.
+   that [entries.(q)] executes the instruction stream from [q] onward for
+   every [q] that is entered: pc 0, every jump target, and every pc a
+   closure falls through to. A jump into the middle of a fused run enters
+   its own entry, compiled from that pc on.
 
-   Superinstruction fusion:
-   - Guard+Load / Guard+Store pairs: the sanitize result is an address
-     inside the heap window (kbase >= 2^46, stack/ctx windows < 2^46, and
-     the ±32 KB displacement range cannot bridge the gap), so the fused
-     closure skips the stack/ctx window tests and goes straight to the
-     heap's width-specialized accessor. Fault reasons and order (wild
-     access, guard zone, unpopulated page) are unchanged — the specialized
-     accessors fall back to the generic checked path for anything unusual.
-   - Regions: a maximal run of pure instructions (Mov/Alu/Neg, and frame
-     accesses when r10 is provably constant — see below), optionally
-     terminated by a jump, exit, or checkpoint, becomes one closure that
-     charges the whole run's [insns] upfront and applies the precompiled
-     effects in sequence. Pure instructions cannot fault and contain no
-     observation points, so batching the charge is unobservable.
-   - Terminators: the [Jcond]/[Ja]/[Exit]/[Checkpoint] ending a region is
-     folded into the region closure — and a jump directly following a
-     checkpoint (the shape instrumentation emits at every loop back edge)
-     folds in too, so one closure carries a loop iteration's tail from the
-     last pure effect through the quantum check to the branch target.
-   - Frame accesses: when no instruction ever writes r10, the frame
-     pointer keeps its entry value, so [Ldx]/[Stx]/[St] at [r10 + off]
-     with the slot statically inside the frame resolve to constant-index
-     accesses on the stack bytes. These cannot fault, making them pure
-     region members; out-of-frame offsets keep the generic faulting
-     closure.
+   Guard+Load / Guard+Store pairs: the sanitize result is an address inside
+   the heap window (kbase >= 2^46, stack/ctx windows < 2^46, and the ±32 KB
+   displacement range cannot bridge the gap), so the fused closure skips
+   the stack/ctx window tests and goes straight to the heap's
+   width-specialized accessor. Fault reasons and order (wild access, guard
+   zone, unpopulated page) are unchanged; the specialized accessors fall
+   back to the generic checked path for anything unusual.
+
+   Net-effect regions. A pure region is a maximal run of Mov/Alu/Neg and,
+   when no instruction ever writes r10 (so the frame pointer keeps its
+   entry value), [Ldx]/[Stx]/[St] at [r10 + off] with the slot statically
+   inside the frame. None of these can fault or reach an observation
+   point, so the region charges its whole [insns] upfront and only its net
+   effect has to happen:
+   - copies and constants propagate through registers and 64-bit frame
+     slots, and a store forwards to later loads of its slot, so a read
+     takes the value's earliest intact location or its constant;
+   - operations on two constants fold at compile time, with the
+     executor's Div/Mod-by-zero and shift-masking rules;
+   - a write that a later instruction of the region overwrites before
+     anything reads it is dropped, and so is a register write that is dead
+     at the region's exit.
+   Deadness comes from a backward liveness over the instrumented program.
+   At an instruction that can fault, the live set holds its operands, r0–r5
+   at a call, and the registers of the cancellation point's object table
+   ([tables.(orig_of_new.(pc))]): the unwinder ([Vm.unwind]) reads exactly
+   those registers when it releases the objects the program holds, so at
+   every fault point each such register holds what the reference
+   interpreter would hold. Nothing else reads a register after a fault,
+   and only r0 after [Exit]. Frame slots are never dead at a region's
+   exit (the unwinder reads object-table slots from the stack bytes), so a
+   frame store is dropped only when the region itself overwrites it.
+
+   What survives becomes three-address ops whose operands are registers,
+   frame slots or immediates, one closure each. A [Jcond]/[Ja]/[Exit]/
+   [Checkpoint] ending the region folds into the region closure; a folded
+   [Jcond] reads its operands in place (a frame slot or constant the
+   region left them in), and a region whose ops all drop compiles to its
+   terminator alone. A jump directly following a checkpoint (the shape
+   instrumentation emits at every loop back edge) folds in too.
 
    Cost accounting is bit-identical to the reference interpreter
    ([Vm.Ref_interp]): guards, checkpoints and helper counters bump in the
@@ -48,8 +65,9 @@
    comparison, exactly where the interpreter would.
 
    The hooked form ({!compile_hooked}) serves [Vm.exec]'s [on_insn] and
-   [on_site] observers: no fusion, and each instruction's standalone
-   closure sits behind a prelude that consults the hooks in [state]. *)
+   [on_site] observers: no fusion and no dropped writes, and each
+   instruction's standalone closure sits behind a prelude that consults
+   the hooks in [state]. *)
 
 open Kflex_bpf
 open Machine
@@ -62,10 +80,16 @@ type t = {
       (* helper-table slots, in order of first appearance; [run] requires
          [st.helpers] linked at least this long *)
   fused : int;  (* instructions absorbed into superinstructions *)
+  closures : int;  (* entry closures plus region ops built *)
+  region_ops : int;  (* ops built for net-effect regions *)
+  pure_insns : int;  (* pure instructions those regions cover *)
 }
 
 let helper_names t = t.helper_names
 let fused_pairs t = t.fused
+let closures t = t.closures
+let region_ops t = t.region_ops
+let pure_insns t = t.pure_insns
 
 let dummy : op = fun _ -> failwith "Jit: fell off the end of the program"
 
@@ -83,337 +107,240 @@ let ri = Reg.to_int
 external rget : U64.bank -> int -> int64 = "%caml_ba_unsafe_ref_1"
 external rset : U64.bank -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
 
-(* The register-only effect of a pure instruction, with the operator
-   resolved at compile time into a dedicated closure ([Int64] primitives
-   inline; there is no inner operator-closure call at run time). *)
-let eff_of insn : op option =
-  match insn with
-  | Insn.Mov (d, Insn.Imm i) ->
-      let d = ri d in
-      Some (fun st -> rset st.regs d i)
-  | Insn.Mov (d, Insn.Reg r) ->
-      let d = ri d and r = ri r in
-      Some (fun st -> rset st.regs d (rget st.regs r))
-  | Insn.Neg d ->
-      let d = ri d in
-      Some (fun st -> rset st.regs d (Int64.neg (rget st.regs d)))
-  | Insn.Alu (op, d, Insn.Imm i) ->
-      let d = ri d in
-      Some
-        (match op with
-        | Insn.Add -> fun st -> rset st.regs d (Int64.add (rget st.regs d) i)
-        | Insn.Sub -> fun st -> rset st.regs d (Int64.sub (rget st.regs d) i)
-        | Insn.Mul -> fun st -> rset st.regs d (Int64.mul (rget st.regs d) i)
-        | Insn.Div ->
-            if i = 0L then fun st -> rset st.regs d 0L
-            else fun st -> rset st.regs d (U64.udiv (rget st.regs d) i)
-        | Insn.Mod ->
-            if i = 0L then fun st -> rset st.regs d (rget st.regs d)
-            else fun st -> rset st.regs d (U64.urem (rget st.regs d) i)
-        | Insn.And -> fun st -> rset st.regs d (Int64.logand (rget st.regs d) i)
-        | Insn.Or -> fun st -> rset st.regs d (Int64.logor (rget st.regs d) i)
-        | Insn.Xor -> fun st -> rset st.regs d (Int64.logxor (rget st.regs d) i)
-        | Insn.Lsh ->
-            let sh = Int64.to_int i land 63 in
-            fun st -> rset st.regs d (Int64.shift_left (rget st.regs d) sh)
-        | Insn.Rsh ->
-            let sh = Int64.to_int i land 63 in
-            fun st -> rset st.regs d (Int64.shift_right_logical (rget st.regs d) sh)
-        | Insn.Arsh ->
-            let sh = Int64.to_int i land 63 in
-            fun st -> rset st.regs d (Int64.shift_right (rget st.regs d) sh))
-  | Insn.Alu (op, d, Insn.Reg r) ->
-      let d = ri d and r = ri r in
-      Some
-        (match op with
-        | Insn.Add ->
-            fun st -> rset st.regs d (Int64.add (rget st.regs d) (rget st.regs r))
-        | Insn.Sub ->
-            fun st -> rset st.regs d (Int64.sub (rget st.regs d) (rget st.regs r))
-        | Insn.Mul ->
-            fun st -> rset st.regs d (Int64.mul (rget st.regs d) (rget st.regs r))
-        | Insn.Div ->
-            fun st ->
-              let b = rget st.regs r in
-              rset st.regs d
-                (if b = 0L then 0L else U64.udiv (rget st.regs d) b)
-        | Insn.Mod ->
-            fun st ->
-              let b = rget st.regs r in
-              if b <> 0L then
-                rset st.regs d (U64.urem (rget st.regs d) b)
-        | Insn.And ->
-            fun st -> rset st.regs d (Int64.logand (rget st.regs d) (rget st.regs r))
-        | Insn.Or ->
-            fun st -> rset st.regs d (Int64.logor (rget st.regs d) (rget st.regs r))
-        | Insn.Xor ->
-            fun st -> rset st.regs d (Int64.logxor (rget st.regs d) (rget st.regs r))
-        | Insn.Lsh ->
-            fun st ->
-              rset st.regs d
-                (Int64.shift_left (rget st.regs d)
-                   (Int64.to_int (rget st.regs r) land 63))
-        | Insn.Rsh ->
-            fun st ->
-              rset st.regs d
-                (Int64.shift_right_logical (rget st.regs d)
-                   (Int64.to_int (rget st.regs r) land 63))
-        | Insn.Arsh ->
-            fun st ->
-              rset st.regs d
-                (Int64.shift_right (rget st.regs d)
-                   (Int64.to_int (rget st.regs r) land 63)))
-  | _ -> None
+(* Operand reads for the closure bodies. Frame-slot indices are byte
+   offsets proven inside the frame at compile time ({!in_frame}), which
+   discharges the raw accessors' bounds obligation. All of these inline,
+   so no [int64] crosses a call. *)
+let[@inline always] reg st x = rget st.regs x
+let[@inline always] slot st i = U64.get64 st.stack i
+let[@inline always] put st d v = rset st.regs d v
+let[@inline always] charge st k = st.stats.insns <- st.stats.insns + k
 
-(* Whether an instruction can write the given register — used to prove the
-   frame pointer (r10) is never reassigned, which lets stack accesses
-   resolve to constant byte indices at compile time. *)
-let writes_reg r insn =
-  match insn with
-  | Insn.Mov (d, _) | Insn.Neg d | Insn.Alu (_, d, _) | Insn.Ldx (_, d, _, _)
-  | Insn.Guard (_, d) ->
-      ri d = r
-  | Insn.Atomic (op, _, _, _, s) -> (
+(* The ALU's edge cases, shared by the closures and constant folding:
+   division by zero yields 0, modulo by zero leaves the dividend, and
+   shift counts are masked to 6 bits. *)
+let[@inline always] div0 (a : int64) (b : int64) =
+  if Int64.equal b 0L then 0L else U64.udiv a b
+
+let[@inline always] mod0 (a : int64) (b : int64) =
+  if Int64.equal b 0L then a else U64.urem a b
+
+let[@inline always] shl a (b : int64) =
+  Int64.shift_left a (Int64.to_int b land 63)
+
+let[@inline always] shr a (b : int64) =
+  Int64.shift_right_logical a (Int64.to_int b land 63)
+
+let[@inline always] sar a (b : int64) =
+  Int64.shift_right a (Int64.to_int b land 63)
+
+let eval_alu op a b =
+  match op with
+  | Insn.Add -> Int64.add a b
+  | Insn.Sub -> Int64.sub a b
+  | Insn.Mul -> Int64.mul a b
+  | Insn.Div -> div0 a b
+  | Insn.Mod -> mod0 a b
+  | Insn.And -> Int64.logand a b
+  | Insn.Or -> Int64.logor a b
+  | Insn.Xor -> Int64.logxor a b
+  | Insn.Lsh -> shl a b
+  | Insn.Rsh -> shr a b
+  | Insn.Arsh -> sar a b
+
+let eval_cond c a b =
+  match c with
+  | Insn.Eq -> Int64.equal a b
+  | Insn.Ne -> not (Int64.equal a b)
+  | Insn.Lt -> Int64.unsigned_compare a b < 0
+  | Insn.Le -> Int64.unsigned_compare a b <= 0
+  | Insn.Gt -> Int64.unsigned_compare a b > 0
+  | Insn.Ge -> Int64.unsigned_compare a b >= 0
+  | Insn.Slt -> Int64.compare a b < 0
+  | Insn.Sle -> Int64.compare a b <= 0
+  | Insn.Sgt -> Int64.compare a b > 0
+  | Insn.Sge -> Int64.compare a b >= 0
+  | Insn.Set -> not (Int64.equal (Int64.logand a b) 0L)
+
+(* --- operands and ops --------------------------------------------------- *)
+
+(* An operand: a register, the 64-bit frame slot at a stack byte index, or
+   an immediate. *)
+type v = R of int | S of int | I of int64
+
+let same_v a b =
+  match (a, b) with
+  | R x, R y | S x, S y -> x = y
+  | I x, I y -> Int64.equal x y
+  | _ -> false
+
+(* A net-effect op: what survives of a pure region, before its closure is
+   built. Stack operands are byte indices into the frame. *)
+type ir =
+  | Set of int * v  (* r := v *)
+  | Bin of Insn.alu_op * int * v * v  (* r := a op b, a in R|S, b in R|I *)
+  | Neg of int * int  (* r := -r' *)
+  | Get of int * int * int  (* r := zero-extended stack[i, i+w), w < 8 *)
+  | Put of int * int * v  (* stack[i, i+w) := low w bytes of v *)
+
+(* [d := a op b] with the operator and both operand kinds resolved here.
+   Zero divisors and the all-immediate case never get this far: they fold
+   when the region is analysed. *)
+let bin op d a b : op =
+  match (a, b) with
+  | R x, R y -> (
       match op with
-      | Insn.Fetch_add | Insn.Fetch_or | Insn.Fetch_and | Insn.Fetch_xor
-      | Insn.Xchg ->
-          ri s = r
-      | Insn.Cmpxchg -> r = 0
-      | Insn.Atomic_add | Insn.Atomic_or | Insn.Atomic_and | Insn.Atomic_xor ->
-          false)
-  | Insn.Call _ -> r = 0
-  | Insn.Stx _ | Insn.St _ | Insn.Xstore _ | Insn.Checkpoint _ | Insn.Ja _
-  | Insn.Jcond _ | Insn.Exit ->
-      false
+      | Insn.Add -> fun st -> put st d (Int64.add (reg st x) (reg st y))
+      | Insn.Sub -> fun st -> put st d (Int64.sub (reg st x) (reg st y))
+      | Insn.Mul -> fun st -> put st d (Int64.mul (reg st x) (reg st y))
+      | Insn.Div -> fun st -> put st d (div0 (reg st x) (reg st y))
+      | Insn.Mod -> fun st -> put st d (mod0 (reg st x) (reg st y))
+      | Insn.And -> fun st -> put st d (Int64.logand (reg st x) (reg st y))
+      | Insn.Or -> fun st -> put st d (Int64.logor (reg st x) (reg st y))
+      | Insn.Xor -> fun st -> put st d (Int64.logxor (reg st x) (reg st y))
+      | Insn.Lsh -> fun st -> put st d (shl (reg st x) (reg st y))
+      | Insn.Rsh -> fun st -> put st d (shr (reg st x) (reg st y))
+      | Insn.Arsh -> fun st -> put st d (sar (reg st x) (reg st y)))
+  | S x, R y -> (
+      match op with
+      | Insn.Add -> fun st -> put st d (Int64.add (slot st x) (reg st y))
+      | Insn.Sub -> fun st -> put st d (Int64.sub (slot st x) (reg st y))
+      | Insn.Mul -> fun st -> put st d (Int64.mul (slot st x) (reg st y))
+      | Insn.Div -> fun st -> put st d (div0 (slot st x) (reg st y))
+      | Insn.Mod -> fun st -> put st d (mod0 (slot st x) (reg st y))
+      | Insn.And -> fun st -> put st d (Int64.logand (slot st x) (reg st y))
+      | Insn.Or -> fun st -> put st d (Int64.logor (slot st x) (reg st y))
+      | Insn.Xor -> fun st -> put st d (Int64.logxor (slot st x) (reg st y))
+      | Insn.Lsh -> fun st -> put st d (shl (slot st x) (reg st y))
+      | Insn.Rsh -> fun st -> put st d (shr (slot st x) (reg st y))
+      | Insn.Arsh -> fun st -> put st d (sar (slot st x) (reg st y)))
+  | R x, I c -> (
+      let n = Int64.to_int c land 63 in
+      match op with
+      | Insn.Add -> fun st -> put st d (Int64.add (reg st x) c)
+      | Insn.Sub -> fun st -> put st d (Int64.sub (reg st x) c)
+      | Insn.Mul -> fun st -> put st d (Int64.mul (reg st x) c)
+      | Insn.Div -> fun st -> put st d (U64.udiv (reg st x) c)
+      | Insn.Mod -> fun st -> put st d (U64.urem (reg st x) c)
+      | Insn.And -> fun st -> put st d (Int64.logand (reg st x) c)
+      | Insn.Or -> fun st -> put st d (Int64.logor (reg st x) c)
+      | Insn.Xor -> fun st -> put st d (Int64.logxor (reg st x) c)
+      | Insn.Lsh -> fun st -> put st d (Int64.shift_left (reg st x) n)
+      | Insn.Rsh -> fun st -> put st d (Int64.shift_right_logical (reg st x) n)
+      | Insn.Arsh -> fun st -> put st d (Int64.shift_right (reg st x) n))
+  | S x, I c -> (
+      let n = Int64.to_int c land 63 in
+      match op with
+      | Insn.Add -> fun st -> put st d (Int64.add (slot st x) c)
+      | Insn.Sub -> fun st -> put st d (Int64.sub (slot st x) c)
+      | Insn.Mul -> fun st -> put st d (Int64.mul (slot st x) c)
+      | Insn.Div -> fun st -> put st d (U64.udiv (slot st x) c)
+      | Insn.Mod -> fun st -> put st d (U64.urem (slot st x) c)
+      | Insn.And -> fun st -> put st d (Int64.logand (slot st x) c)
+      | Insn.Or -> fun st -> put st d (Int64.logor (slot st x) c)
+      | Insn.Xor -> fun st -> put st d (Int64.logxor (slot st x) c)
+      | Insn.Lsh -> fun st -> put st d (Int64.shift_left (slot st x) n)
+      | Insn.Rsh -> fun st -> put st d (Int64.shift_right_logical (slot st x) n)
+      | Insn.Arsh -> fun st -> put st d (Int64.shift_right (slot st x) n))
+  | _ -> invalid_arg "Jit: unnormalised ALU operands"
 
-(* The effect of a stack access at a compile-time-constant frame offset:
-   valid only when r10 provably keeps its entry value (see [writes_reg]),
-   the base register is r10, and the slot is statically inside the frame —
-   then the access cannot fault and is as pure as a register move. The
-   closures use {!U64}'s raw (unchecked) byte accessors: the bounds
-   obligation is discharged here at compile time by [idx], which only
-   admits slots statically inside the frame. *)
-let eff_stack insn : op option =
-  let idx off sz =
-    let i = Prog.stack_size + off in
-    if i >= 0 && i + Insn.size_bytes sz <= Prog.stack_size then Some i
-    else None
+let op_of_ir = function
+  | Set (d, R x) -> fun st -> put st d (reg st x)
+  | Set (d, S i) -> fun st -> put st d (slot st i)
+  | Set (d, I c) -> fun st -> put st d c
+  | Bin (op, d, a, b) -> bin op d a b
+  | Neg (d, x) -> fun st -> put st d (Int64.neg (reg st x))
+  | Get (d, i, 1) ->
+      fun st -> put st d (Int64.of_int (Char.code (U64.get8 st.stack i)))
+  | Get (d, i, 2) -> fun st -> put st d (Int64.of_int (U64.get16 st.stack i))
+  | Get (d, i, _) ->
+      fun st ->
+        put st d
+          (Int64.logand (Int64.of_int32 (U64.get32 st.stack i)) 0xffff_ffffL)
+  | Put (i, 8, R x) -> fun st -> U64.set64 st.stack i (reg st x)
+  | Put (i, 8, S j) -> fun st -> U64.set64 st.stack i (slot st j)
+  | Put (i, 8, I c) -> fun st -> U64.set64 st.stack i c
+  | Put (i, 4, R x) ->
+      fun st -> U64.set32 st.stack i (Int64.to_int32 (reg st x))
+  | Put (i, 4, I c) ->
+      let c = Int64.to_int32 c in
+      fun st -> U64.set32 st.stack i c
+  | Put (i, 2, R x) ->
+      fun st ->
+        U64.set16 st.stack i (Int64.to_int (Int64.logand (reg st x) 0xffffL))
+  | Put (i, 2, I c) ->
+      let c = Int64.to_int (Int64.logand c 0xffffL) in
+      fun st -> U64.set16 st.stack i c
+  | Put (i, 1, R x) ->
+      fun st ->
+        U64.set8 st.stack i
+          (Char.chr (Int64.to_int (Int64.logand (reg st x) 0xffL)))
+  | Put (i, 1, I c) ->
+      let c = Char.chr (Int64.to_int (Int64.logand c 0xffL)) in
+      fun st -> U64.set8 st.stack i c
+  | Put _ -> invalid_arg "Jit: unnormalised frame store"
+
+(* A taken-or-not step charging [k] instructions; inlined into each
+   branch body below. *)
+let[@inline always] jump st k taken (jt : op) (jf : op) =
+  charge st k;
+  if taken then jt st else jf st
+
+(* A conditional branch charging [k] instructions, the comparison inlined
+   into the branch body. The five negated predicates become their
+   complement with the targets swapped, so six predicates cover all eleven;
+   operands are normalised to a register or slot against a register or
+   immediate ({!branch_operands}). *)
+let branch k c a b (jt : op) (jf : op) : op =
+  let p, jt, jf =
+    match c with
+    | Insn.Ne -> (Insn.Eq, jf, jt)
+    | Insn.Ge -> (Insn.Lt, jf, jt)
+    | Insn.Le -> (Insn.Gt, jf, jt)
+    | Insn.Sge -> (Insn.Slt, jf, jt)
+    | Insn.Sle -> (Insn.Sgt, jf, jt)
+    | c -> (c, jt, jf)
   in
-  (* Build each closure after the index match, never as [Option.map (fun i
-     -> fun st -> ...)]: that is a two-argument function applied to one,
-     and every execution would enter a currying trampoline first. *)
-  match insn with
-  | Insn.Ldx (sz, d, s, off) when ri s = 10 -> (
-      let d = ri d in
-      match (sz, idx off sz) with
-      | _, None -> None
-      | Insn.U8, Some i ->
-          Some
-            (fun st ->
-              rset st.regs d (Int64.of_int (Char.code (U64.get8 st.stack i))))
-      | Insn.U16, Some i ->
-          Some (fun st -> rset st.regs d (Int64.of_int (U64.get16 st.stack i)))
-      | Insn.U32, Some i ->
-          Some
-            (fun st ->
-              rset st.regs d
-                (Int64.logand
-                   (Int64.of_int32 (U64.get32 st.stack i))
-                   0xffff_ffffL))
-      | Insn.U64, Some i ->
-          Some (fun st -> rset st.regs d (U64.get64 st.stack i)))
-  | Insn.Stx (sz, d, off, s) when ri d = 10 -> (
-      let s = ri s in
-      match (sz, idx off sz) with
-      | _, None -> None
-      | Insn.U8, Some i ->
-          Some
-            (fun st ->
-              U64.set8 st.stack i
-                (Char.chr (Int64.to_int (Int64.logand (rget st.regs s) 0xffL))))
-      | Insn.U16, Some i ->
-          Some
-            (fun st ->
-              U64.set16 st.stack i
-                (Int64.to_int (Int64.logand (rget st.regs s) 0xffffL)))
-      | Insn.U32, Some i ->
-          Some
-            (fun st -> U64.set32 st.stack i (Int64.to_int32 (rget st.regs s)))
-      | Insn.U64, Some i ->
-          Some (fun st -> U64.set64 st.stack i (rget st.regs s)))
-  | Insn.St (sz, d, off, imm) when ri d = 10 -> (
-      match (sz, idx off sz) with
-      | _, None -> None
-      | Insn.U8, Some i ->
-          let c = Char.chr (Int64.to_int (Int64.logand imm 0xffL)) in
-          Some (fun st -> U64.set8 st.stack i c)
-      | Insn.U16, Some i ->
-          let v = Int64.to_int (Int64.logand imm 0xffffL) in
-          Some (fun st -> U64.set16 st.stack i v)
-      | Insn.U32, Some i ->
-          let v = Int64.to_int32 imm in
-          Some (fun st -> U64.set32 st.stack i v)
-      | Insn.U64, Some i -> Some (fun st -> U64.set64 st.stack i imm))
-  | _ -> None
-
-(* Compile-time-specialized condition test for [Jcond]. *)
-let cond_test c a s : state -> bool =
-  let a = ri a in
-  match s with
-  | Insn.Imm i -> (
-      match c with
-      | Insn.Eq -> fun st -> Int64.equal (rget st.regs a) i
-      | Insn.Ne -> fun st -> not (Int64.equal (rget st.regs a) i)
-      | Insn.Lt -> fun st -> Int64.unsigned_compare (rget st.regs a) i < 0
-      | Insn.Le -> fun st -> Int64.unsigned_compare (rget st.regs a) i <= 0
-      | Insn.Gt -> fun st -> Int64.unsigned_compare (rget st.regs a) i > 0
-      | Insn.Ge -> fun st -> Int64.unsigned_compare (rget st.regs a) i >= 0
-      | Insn.Slt -> fun st -> Int64.compare (rget st.regs a) i < 0
-      | Insn.Sle -> fun st -> Int64.compare (rget st.regs a) i <= 0
-      | Insn.Sgt -> fun st -> Int64.compare (rget st.regs a) i > 0
-      | Insn.Sge -> fun st -> Int64.compare (rget st.regs a) i >= 0
-      | Insn.Set -> fun st -> Int64.logand (rget st.regs a) i <> 0L)
-  | Insn.Reg r -> (
-      let r = ri r in
-      match c with
-      | Insn.Eq -> fun st -> Int64.equal (rget st.regs a) (rget st.regs r)
-      | Insn.Ne -> fun st -> not (Int64.equal (rget st.regs a) (rget st.regs r))
-      | Insn.Lt ->
-          fun st -> Int64.unsigned_compare (rget st.regs a) (rget st.regs r) < 0
-      | Insn.Le ->
-          fun st -> Int64.unsigned_compare (rget st.regs a) (rget st.regs r) <= 0
-      | Insn.Gt ->
-          fun st -> Int64.unsigned_compare (rget st.regs a) (rget st.regs r) > 0
-      | Insn.Ge ->
-          fun st -> Int64.unsigned_compare (rget st.regs a) (rget st.regs r) >= 0
-      | Insn.Slt -> fun st -> Int64.compare (rget st.regs a) (rget st.regs r) < 0
-      | Insn.Sle -> fun st -> Int64.compare (rget st.regs a) (rget st.regs r) <= 0
-      | Insn.Sgt -> fun st -> Int64.compare (rget st.regs a) (rget st.regs r) > 0
-      | Insn.Sge -> fun st -> Int64.compare (rget st.regs a) (rget st.regs r) >= 0
-      | Insn.Set ->
-          fun st -> Int64.logand (rget st.regs a) (rget st.regs r) <> 0L)
-
-(* A complete conditional-branch closure with the comparison inlined into
-   the branch body — one closure call fewer per taken branch than routing
-   through a {!cond_test} closure. Charges its own instruction. *)
-let jcond_op c a s (jt : op) (jf : op) : op =
-  let a = ri a in
-  match s with
-  | Insn.Imm i -> (
-      match c with
+  match (a, b) with
+  | R x, R y -> (
+      match p with
+      | Insn.Eq -> fun st -> jump st k (Int64.equal (reg st x) (reg st y)) jt jf
+      | Insn.Lt -> fun st -> jump st k (U64.ult (reg st x) (reg st y)) jt jf
+      | Insn.Gt -> fun st -> jump st k (U64.ult (reg st y) (reg st x)) jt jf
+      | Insn.Slt -> fun st -> jump st k ((reg st x : int64) < (reg st y)) jt jf
+      | Insn.Sgt -> fun st -> jump st k ((reg st x : int64) > (reg st y)) jt jf
+      | _ ->
+          fun st -> jump st k (Int64.logand (reg st x) (reg st y) <> 0L) jt jf)
+  | S x, R y -> (
+      match p with
       | Insn.Eq ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.equal (rget st.regs a) i then jt st else jf st
-      | Insn.Ne ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.equal (rget st.regs a) i then jf st else jt st
-      | Insn.Lt ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.unsigned_compare (rget st.regs a) i < 0 then jt st
-            else jf st
-      | Insn.Le ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.unsigned_compare (rget st.regs a) i <= 0 then jt st
-            else jf st
-      | Insn.Gt ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.unsigned_compare (rget st.regs a) i > 0 then jt st
-            else jf st
-      | Insn.Ge ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.unsigned_compare (rget st.regs a) i >= 0 then jt st
-            else jf st
-      | Insn.Slt ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.compare (rget st.regs a) i < 0 then jt st else jf st
-      | Insn.Sle ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.compare (rget st.regs a) i <= 0 then jt st else jf st
-      | Insn.Sgt ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.compare (rget st.regs a) i > 0 then jt st else jf st
-      | Insn.Sge ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.compare (rget st.regs a) i >= 0 then jt st else jf st
-      | Insn.Set ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.logand (rget st.regs a) i <> 0L then jt st else jf st)
-  | Insn.Reg r -> (
-      let r = ri r in
-      match c with
-      | Insn.Eq ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.equal (rget st.regs a) (rget st.regs r) then jt st
-            else jf st
-      | Insn.Ne ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.equal (rget st.regs a) (rget st.regs r) then jf st
-            else jt st
-      | Insn.Lt ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.unsigned_compare (rget st.regs a) (rget st.regs r) < 0
-            then jt st
-            else jf st
-      | Insn.Le ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.unsigned_compare (rget st.regs a) (rget st.regs r) <= 0
-            then jt st
-            else jf st
-      | Insn.Gt ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.unsigned_compare (rget st.regs a) (rget st.regs r) > 0
-            then jt st
-            else jf st
-      | Insn.Ge ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.unsigned_compare (rget st.regs a) (rget st.regs r) >= 0
-            then jt st
-            else jf st
-      | Insn.Slt ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.compare (rget st.regs a) (rget st.regs r) < 0 then jt st
-            else jf st
-      | Insn.Sle ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.compare (rget st.regs a) (rget st.regs r) <= 0 then jt st
-            else jf st
-      | Insn.Sgt ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.compare (rget st.regs a) (rget st.regs r) > 0 then jt st
-            else jf st
-      | Insn.Sge ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.compare (rget st.regs a) (rget st.regs r) >= 0 then jt st
-            else jf st
-      | Insn.Set ->
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            if Int64.logand (rget st.regs a) (rget st.regs r) <> 0L then jt st
-            else jf st)
+          fun st -> jump st k (Int64.equal (slot st x) (reg st y)) jt jf
+      | Insn.Lt -> fun st -> jump st k (U64.ult (slot st x) (reg st y)) jt jf
+      | Insn.Gt -> fun st -> jump st k (U64.ult (reg st y) (slot st x)) jt jf
+      | Insn.Slt -> fun st -> jump st k ((slot st x : int64) < (reg st y)) jt jf
+      | Insn.Sgt -> fun st -> jump st k ((slot st x : int64) > (reg st y)) jt jf
+      | _ ->
+          fun st -> jump st k (Int64.logand (slot st x) (reg st y) <> 0L) jt jf)
+  | R x, I c -> (
+      match p with
+      | Insn.Eq -> fun st -> jump st k (Int64.equal (reg st x) c) jt jf
+      | Insn.Lt -> fun st -> jump st k (U64.ult (reg st x) c) jt jf
+      | Insn.Gt -> fun st -> jump st k (U64.ult c (reg st x)) jt jf
+      | Insn.Slt -> fun st -> jump st k ((reg st x : int64) < c) jt jf
+      | Insn.Sgt -> fun st -> jump st k ((reg st x : int64) > c) jt jf
+      | _ -> fun st -> jump st k (Int64.logand (reg st x) c <> 0L) jt jf)
+  | S x, I c -> (
+      match p with
+      | Insn.Eq -> fun st -> jump st k (Int64.equal (slot st x) c) jt jf
+      | Insn.Lt -> fun st -> jump st k (U64.ult (slot st x) c) jt jf
+      | Insn.Gt -> fun st -> jump st k (U64.ult c (slot st x)) jt jf
+      | Insn.Slt -> fun st -> jump st k ((slot st x : int64) < c) jt jf
+      | Insn.Sgt -> fun st -> jump st k ((slot st x : int64) > c) jt jf
+      | _ -> fun st -> jump st k (Int64.logand (slot st x) c <> 0L) jt jf)
+  | _ -> invalid_arg "Jit: unnormalised branch operands"
 
 (* One closure for a whole pure region: charge [k] insns upfront, apply the
-   effects in order, finish with [fin] (a branch or the fall-through entry).
+   ops in order, finish with [fin] (a branch or the fall-through entry).
    Short regions get an unrolled body so the common case is a single frame. *)
 let region k (effs : op array) (fin : op) : op =
   match effs with
@@ -489,33 +416,6 @@ let region k (effs : op array) (fin : op) : op =
         g st;
         h st;
         fin st
-  | [| a; b; c; d; e; f; g; h; i |] ->
-      fun st ->
-        st.stats.insns <- st.stats.insns + k;
-        a st;
-        b st;
-        c st;
-        d st;
-        e st;
-        f st;
-        g st;
-        h st;
-        i st;
-        fin st
-  | [| a; b; c; d; e; f; g; h; i; j |] ->
-      fun st ->
-        st.stats.insns <- st.stats.insns + k;
-        a st;
-        b st;
-        c st;
-        d st;
-        e st;
-        f st;
-        g st;
-        h st;
-        i st;
-        j st;
-        fin st
   | _ ->
       fun st ->
         st.stats.insns <- st.stats.insns + k;
@@ -524,6 +424,313 @@ let region k (effs : op array) (fin : op) : op =
         done;
         fin st
 
+(* --- the net effect of a pure region ------------------------------------ *)
+
+(* Whether a frame access at [r10 + off] lies wholly inside the frame; its
+   byte index into the stack is then [Prog.stack_size + off]. *)
+let in_frame off sz =
+  let i = Prog.stack_size + off in
+  i >= 0 && i + Insn.size_bytes sz <= Prog.stack_size
+
+(* Whether an instruction can write the given register — used to prove the
+   frame pointer (r10) is never reassigned, which lets stack accesses
+   resolve to constant byte indices at compile time. *)
+let writes_reg r insn =
+  match insn with
+  | Insn.Mov (d, _) | Insn.Neg d | Insn.Alu (_, d, _) | Insn.Ldx (_, d, _, _)
+  | Insn.Guard (_, d) ->
+      ri d = r
+  | Insn.Atomic (op, _, _, _, s) -> (
+      match op with
+      | Insn.Fetch_add | Insn.Fetch_or | Insn.Fetch_and | Insn.Fetch_xor
+      | Insn.Xchg ->
+          ri s = r
+      | Insn.Cmpxchg -> r = 0
+      | Insn.Atomic_add | Insn.Atomic_or | Insn.Atomic_and | Insn.Atomic_xor ->
+          false)
+  | Insn.Call _ -> r = 0
+  | Insn.Stx _ | Insn.St _ | Insn.Xstore _ | Insn.Checkpoint _ | Insn.Ja _
+  | Insn.Jcond _ | Insn.Exit ->
+      false
+
+(* A region member: it cannot fault and observes nothing. Frame accesses
+   qualify only under [fp_const] (r10 never written). *)
+let is_pure ~fp_const insn =
+  match insn with
+  | Insn.Mov _ | Insn.Neg _ | Insn.Alu _ -> true
+  | Insn.Ldx (sz, _, b, off)
+  | Insn.Stx (sz, b, off, _)
+  | Insn.St (sz, b, off, _) ->
+      fp_const && ri b = 10 && in_frame off sz
+  | _ -> false
+
+(* What each register and tracked 64-bit frame slot holds, in the reference
+   semantics, at the current point of a region: its own content ([R r] for
+   register r, [S i] for slot i — no entry in [slots]), a copy of another
+   location's content, or a constant. A location named in a value always
+   holds its own content, and the analysis resets every copy of a location
+   the moment that location is written. *)
+type sym = { rv : v array; mutable slots : (int * v) list }
+
+let own = Array.init 11 (fun r -> R r)
+let fresh () = { rv = Array.copy own; slots = [] }
+
+(* back to every location holding its own content *)
+let reset s =
+  Array.blit own 0 s.rv 0 11;
+  s.slots <- []
+
+let slot_v s i =
+  match List.assoc_opt i s.slots with Some v -> v | None -> S i
+
+(* the 8-byte slot at [j] shares a byte with [i, i+w) *)
+let overlaps j i w = j < i + w && i < j + 8
+
+let write_reg s d v =
+  for r = 0 to 10 do
+    match s.rv.(r) with R x when x = d && r <> d -> s.rv.(r) <- R r | _ -> ()
+  done;
+  s.slots <-
+    List.filter (fun (_, x) -> match x with R y -> y <> d | _ -> true) s.slots;
+  s.rv.(d) <- v
+
+(* Bytes [i, i+w) change; an 8-byte store records the value it stored. *)
+let write_stack s i w stored =
+  let hit = function S j -> overlaps j i w | _ -> false in
+  for r = 0 to 10 do
+    if hit s.rv.(r) then s.rv.(r) <- R r
+  done;
+  s.slots <- List.filter (fun (j, x) -> not (overlaps j i w || hit x)) s.slots;
+  match stored with
+  | Some v when not (hit v) -> s.slots <- (i, v) :: s.slots
+  | _ -> ()
+
+(* [d := v]; nothing to do when [d] already holds that value *)
+let set s d v =
+  if same_v s.rv.(d) v then None
+  else begin
+    write_reg s d v;
+    Some (Set (d, v))
+  end
+
+let store s i w v =
+  if w = 8 && same_v (slot_v s i) v then None
+  else begin
+    write_stack s i w (if w = 8 then Some v else None);
+    Some (Put (i, w, v))
+  end
+
+let commutes = function
+  | Insn.Add | Insn.Mul | Insn.And | Insn.Or | Insn.Xor -> true
+  | _ -> false
+
+(* Swap the operands of a comparison. *)
+let flip = function
+  | Insn.Lt -> Insn.Gt
+  | Insn.Gt -> Insn.Lt
+  | Insn.Le -> Insn.Ge
+  | Insn.Ge -> Insn.Le
+  | Insn.Slt -> Insn.Sgt
+  | Insn.Sgt -> Insn.Slt
+  | Insn.Sle -> Insn.Sge
+  | Insn.Sge -> Insn.Sle
+  | (Insn.Eq | Insn.Ne | Insn.Set) as c -> c
+
+(* The value an instruction's source operand holds. [orig] is the
+   instruction's own operand: reading it is always valid, because the
+   write that put its value there is kept whenever a kept op reads it. *)
+let src_v s = function Insn.Reg r -> s.rv.(ri r) | Insn.Imm c -> I c
+let orig = function Insn.Reg r -> R (ri r) | Insn.Imm c -> I c
+
+(* The shapes with closure bodies: a register or slot against a register
+   or immediate. Commutative operators swap into shape; otherwise a
+   constant first operand is read from [d] and a slot second operand
+   from the instruction's own register. *)
+let alu_operands op d a b src =
+  let a, b =
+    match (a, b) with
+    | I _, (R _ | S _) | R _, S _ -> if commutes op then (b, a) else (a, b)
+    | _ -> (a, b)
+  in
+  ((match a with I _ -> R d | _ -> a), match b with S _ -> orig src | _ -> b)
+
+(* One pure instruction's effect on the region's state, as the op that
+   performs it ([None] when it changes nothing). *)
+let step s insn : ir option =
+  match insn with
+  | Insn.Mov (d, src) -> set s (ri d) (src_v s src)
+  | Insn.Neg d -> (
+      let d = ri d in
+      match s.rv.(d) with
+      | I c -> set s d (I (Int64.neg c))
+      | a ->
+          let x = match a with R x -> x | _ -> d in
+          write_reg s d (R d);
+          Some (Neg (d, x)))
+  | Insn.Alu (op, d, src) -> (
+      let d = ri d in
+      match (op, s.rv.(d), src_v s src) with
+      | _, I a, I b -> set s d (I (eval_alu op a b))
+      | Insn.Div, _, I 0L -> set s d (I 0L)
+      | Insn.Mod, a, I 0L -> set s d a
+      | _, a, b ->
+          let a, b = alu_operands op d a b src in
+          write_reg s d (R d);
+          Some (Bin (op, d, a, b)))
+  | Insn.Ldx (sz, d, _, off) -> (
+      let d = ri d and i = Prog.stack_size + off in
+      match sz with
+      | Insn.U64 -> set s d (slot_v s i)
+      | _ ->
+          write_reg s d (R d);
+          Some (Get (d, i, Insn.size_bytes sz)))
+  | Insn.Stx (sz, _, off, r) ->
+      let w = Insn.size_bytes sz in
+      let v = match s.rv.(ri r) with S _ when w < 8 -> R (ri r) | v -> v in
+      store s (Prog.stack_size + off) w v
+  | Insn.St (sz, _, off, c) ->
+      store s (Prog.stack_size + off) (Insn.size_bytes sz) (I c)
+  | _ -> invalid_arg "Jit: impure instruction in a region"
+
+(* A folded branch's operands, read in place, normalised to the shapes
+   {!branch} has bodies for; [`Taken b] when both are constants. *)
+let branch_operands s c a src =
+  match (s.rv.(ri a), src_v s src) with
+  | I x, I y -> `Taken (eval_cond c x y)
+  | (I _ as x), y | (R _ as x), (S _ as y) -> `Test (flip c, y, x)
+  | (S _ as x), S _ -> `Test (c, x, orig src)
+  | x, y -> `Test (c, x, y)
+
+let reg_bit = function R r -> 1 lsl r | _ -> 0
+
+(* The ops of [irs] that survive, in order: an op is kept when its
+   register is in [live] after it, or when some byte it stores is read
+   before the region overwrites it; a kept op's operands become live. The
+   frame is all live at the exit. [dead] is a 512-bit scratch set of frame
+   bytes overwritten before being read. *)
+let net_effect dead (irs : ir list) live =
+  Bytes.fill dead 0 (Bytes.length dead) '\000';
+  let byte k = Char.code (Bytes.get dead (k lsr 3)) land (1 lsl (k land 7)) in
+  let mark i w on =
+    for k = i to i + w - 1 do
+      let b = Char.code (Bytes.get dead (k lsr 3)) and m = 1 lsl (k land 7) in
+      Bytes.set dead (k lsr 3)
+        (Char.chr (if on then b lor m else b land lnot m))
+    done
+  in
+  let rec all_dead i w = w = 0 || (byte i <> 0 && all_dead (i + 1) (w - 1)) in
+  let live = ref live in
+  let read = function
+    | R r -> live := !live lor (1 lsl r)
+    | S i -> mark i 8 false
+    | I _ -> ()
+  in
+  List.fold_left
+    (fun kept ir ->
+      let keep =
+        match ir with
+        | Set (d, _) | Bin (_, d, _, _) | Neg (d, _) | Get (d, _, _) ->
+            !live land (1 lsl d) <> 0
+        | Put (i, w, _) -> not (all_dead i w)
+      in
+      if not keep then kept
+      else begin
+        (* the destination dies before the operands are read: an op may
+           read the register it writes *)
+        (match ir with
+        | Set (d, _) | Bin (_, d, _, _) | Neg (d, _) | Get (d, _, _) ->
+            live := !live land lnot (1 lsl d)
+        | Put (i, w, _) -> mark i w true);
+        (match ir with
+        | Set (_, v) | Put (_, _, v) -> read v
+        | Bin (_, _, a, b) ->
+            read a;
+            read b
+        | Neg (_, x) -> read (R x)
+        | Get (_, i, w) -> mark i w false);
+        ir :: kept
+      end)
+    [] (List.rev irs)
+
+(* --- liveness over the instrumented program ----------------------------- *)
+
+(* Per instrumented pc, the registers the unwinder reads if that pc
+   faults: the register locations in its cancellation point's object
+   table. *)
+let unwind_regs (kie : Kflex_kie.Instrument.t) =
+  Array.map
+    (fun orig_pc ->
+      List.fold_left
+        (fun m (e : Kflex_kie.Instrument.obj_entry) ->
+          match e.Kflex_kie.Instrument.loc with
+          | Kflex_verifier.State.L_reg r -> m lor (1 lsl ri r)
+          | Kflex_verifier.State.L_slot _ -> m)
+        0 kie.Kflex_kie.Instrument.tables.(orig_pc))
+    kie.Kflex_kie.Instrument.orig_of_new
+
+(* [live.(pc)]: the registers some later read may observe on entry to pc,
+   as bitmasks over r0–r10. An instruction that can fault also reads its
+   object-table registers ([unwind]), and a call reads r0–r5. *)
+let liveness insns ~pure ~unwind =
+  let n = Array.length insns in
+  let bit r = 1 lsl ri r in
+  let src = function Insn.Reg r -> bit r | Insn.Imm _ -> 0 in
+  (* two int arrays, not [Array.init] over pairs: a major-heap array
+     initialised with a young block forces a minor collection, which
+     stops every domain in the process *)
+  let use = Array.make n 0 and def = Array.make n 0 in
+  Array.iteri
+    (fun pc insn ->
+      let u, d =
+        match insn with
+        | Insn.Mov (d, s) -> (src s, bit d)
+        | Insn.Neg d | Insn.Guard (_, d) -> (bit d, bit d)
+        | Insn.Alu (_, d, s) -> (bit d lor src s, bit d)
+        | Insn.Ldx (_, d, s, _) -> (bit s, bit d)
+        | Insn.Stx (_, d, _, s) | Insn.Xstore (_, d, _, s) ->
+            (bit d lor bit s, 0)
+        | Insn.St (_, d, _, _) -> (bit d, 0)
+        | Insn.Atomic (Insn.Cmpxchg, _, d, _, s) -> (bit d lor bit s lor 1, 1)
+        | Insn.Atomic
+            ( ( Insn.Fetch_add | Insn.Fetch_or | Insn.Fetch_and | Insn.Fetch_xor
+              | Insn.Xchg ),
+              _, d, _, s ) ->
+            (bit d lor bit s, bit s)
+        | Insn.Atomic (_, _, d, _, s) -> (bit d lor bit s, 0)
+        | Insn.Call _ -> (0b111111, 1)
+        | Insn.Jcond (_, a, s, _) -> (bit a lor src s, 0)
+        | Insn.Exit -> (1, 0)
+        | Insn.Ja _ | Insn.Checkpoint _ -> (0, 0)
+      in
+      let faults =
+        match insn with
+        | Insn.Ja _ | Insn.Jcond _ | Insn.Exit -> false
+        | _ -> not pure.(pc)
+      in
+      use.(pc) <- (if faults then u lor unwind.(pc) else u);
+      def.(pc) <- d)
+    insns;
+  let live = Array.make (n + 1) 0 in
+  let at q = if q >= 0 && q < n then live.(q) else 0 in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for pc = n - 1 downto 0 do
+      let out =
+        match insns.(pc) with
+        | Insn.Ja off -> at (pc + 1 + off)
+        | Insn.Jcond (_, _, _, off) -> at (pc + 1 + off) lor at (pc + 1)
+        | Insn.Exit -> 0
+        | _ -> at (pc + 1)
+      in
+      let l = use.(pc) lor (out land lnot def.(pc)) in
+      if l <> live.(pc) then begin
+        live.(pc) <- l;
+        changed := true
+      end
+    done
+  done;
+  live
 (* --- observation preludes (the hooked form) ------------------------------ *)
 
 (* The base register, displacement and width of a memory access: its
@@ -588,17 +795,14 @@ let site_after (next : op) : op =
   | None -> ());
   next st
 
-let build form prog =
+
+let build form ~unwind prog =
   let insns = Prog.insns prog in
   let n = Array.length insns in
   (* r10 keeps its entry value (the frame top) iff nothing ever writes it;
-     then [eff_stack] may turn frame accesses into constant-index loads. *)
+     then frame accesses at [r10 + off] are constant-index and pure. *)
   let fp_const = not (Array.exists (writes_reg 10) insns) in
-  let eff_any insn =
-    match eff_of insn with
-    | Some _ as e -> e
-    | None -> if fp_const then eff_stack insn else None
-  in
+  let pure = Array.map (is_pure ~fp_const) insns in
   (* helper name -> slot in the per-extension linked table *)
   let hidx = Hashtbl.create 8 in
   let horder = ref [] in
@@ -619,351 +823,194 @@ let build form prog =
     (* in bounds: target was range-checked above, and [entries] has n+1
        slots precisely so that a jump to the end resolves to [dummy] *)
   in
-  (* Hand-fused effects for adjacent 64-bit frame accesses: one closure
-     retires two stack-resident instructions, halving the per-effect call
-     overhead in the spill/reload runs that dominate compiled extension
-     code. A store-forward pair (store then reload of the same slot) skips
-     the memory round-trip; distinct-slot pairs sequence both raw accesses
-     in one body, which preserves ordering for any overlap. Valid only
-     under [fp_const], same as {!eff_stack}. *)
-  let sidx off w =
-    let i = Prog.stack_size + off in
-    if i >= 0 && i + w <= Prog.stack_size then Some i else None
+  let s = fresh () in
+  (* A pure instruction on its own, for the hooked form: its op with
+     nothing propagated and nothing dropped. *)
+  let standalone insn next =
+    reset s;
+    region 1
+      (match step s insn with Some ir -> [| op_of_ir ir |] | None -> [||])
+      next
   in
-  let eff2 i1 i2 : op option =
-    match (i1, i2) with
-    (* d <- x op y: a move feeding an ALU op on the same register — the
-       address-computation idiom compilers emit constantly. The second
-       operand must not be [Reg d] (it would read the moved value); both
-       operands are fetched inside one closure, and an all-immediate form
-       constant-folds at compile time. Only the wrap-safe operators get
-       arms; Div/Mod/shifts keep their standalone effects. *)
-    | Insn.Mov (d, m), Insn.Alu (op, d2, a) when ri d = ri d2 -> (
-        let d = ri d in
-        match (op, m, a) with
-        | _, _, Insn.Reg s when ri s = d -> None
-        | Insn.Add, Insn.Reg r, Insn.Imm i ->
-            let r = ri r in
-            Some (fun st -> rset st.regs d (Int64.add (rget st.regs r) i))
-        | Insn.Add, Insn.Reg r, Insn.Reg s ->
-            let r = ri r and s = ri s in
-            Some
-              (fun st ->
-                rset st.regs d (Int64.add (rget st.regs r) (rget st.regs s)))
-        | Insn.Add, Insn.Imm i, Insn.Reg s ->
-            let s = ri s in
-            Some (fun st -> rset st.regs d (Int64.add i (rget st.regs s)))
-        | Insn.Add, Insn.Imm i, Insn.Imm j ->
-            let v = Int64.add i j in
-            Some (fun st -> rset st.regs d v)
-        | Insn.Sub, Insn.Reg r, Insn.Imm i ->
-            let r = ri r in
-            Some (fun st -> rset st.regs d (Int64.sub (rget st.regs r) i))
-        | Insn.Sub, Insn.Reg r, Insn.Reg s ->
-            let r = ri r and s = ri s in
-            Some
-              (fun st ->
-                rset st.regs d (Int64.sub (rget st.regs r) (rget st.regs s)))
-        | Insn.Sub, Insn.Imm i, Insn.Reg s ->
-            let s = ri s in
-            Some (fun st -> rset st.regs d (Int64.sub i (rget st.regs s)))
-        | Insn.Sub, Insn.Imm i, Insn.Imm j ->
-            let v = Int64.sub i j in
-            Some (fun st -> rset st.regs d v)
-        | Insn.Mul, Insn.Reg r, Insn.Imm i ->
-            let r = ri r in
-            Some (fun st -> rset st.regs d (Int64.mul (rget st.regs r) i))
-        | Insn.Mul, Insn.Reg r, Insn.Reg s ->
-            let r = ri r and s = ri s in
-            Some
-              (fun st ->
-                rset st.regs d (Int64.mul (rget st.regs r) (rget st.regs s)))
-        | Insn.Mul, Insn.Imm i, Insn.Reg s ->
-            let s = ri s in
-            Some (fun st -> rset st.regs d (Int64.mul i (rget st.regs s)))
-        | Insn.Mul, Insn.Imm i, Insn.Imm j ->
-            let v = Int64.mul i j in
-            Some (fun st -> rset st.regs d v)
-        | Insn.And, Insn.Reg r, Insn.Imm i ->
-            let r = ri r in
-            Some (fun st -> rset st.regs d (Int64.logand (rget st.regs r) i))
-        | Insn.And, Insn.Reg r, Insn.Reg s ->
-            let r = ri r and s = ri s in
-            Some
-              (fun st ->
-                rset st.regs d
-                  (Int64.logand (rget st.regs r) (rget st.regs s)))
-        | Insn.And, Insn.Imm i, Insn.Reg s ->
-            let s = ri s in
-            Some (fun st -> rset st.regs d (Int64.logand i (rget st.regs s)))
-        | Insn.And, Insn.Imm i, Insn.Imm j ->
-            let v = Int64.logand i j in
-            Some (fun st -> rset st.regs d v)
-        | Insn.Or, Insn.Reg r, Insn.Imm i ->
-            let r = ri r in
-            Some (fun st -> rset st.regs d (Int64.logor (rget st.regs r) i))
-        | Insn.Or, Insn.Reg r, Insn.Reg s ->
-            let r = ri r and s = ri s in
-            Some
-              (fun st ->
-                rset st.regs d (Int64.logor (rget st.regs r) (rget st.regs s)))
-        | Insn.Or, Insn.Imm i, Insn.Reg s ->
-            let s = ri s in
-            Some (fun st -> rset st.regs d (Int64.logor i (rget st.regs s)))
-        | Insn.Or, Insn.Imm i, Insn.Imm j ->
-            let v = Int64.logor i j in
-            Some (fun st -> rset st.regs d v)
-        | Insn.Xor, Insn.Reg r, Insn.Imm i ->
-            let r = ri r in
-            Some (fun st -> rset st.regs d (Int64.logxor (rget st.regs r) i))
-        | Insn.Xor, Insn.Reg r, Insn.Reg s ->
-            let r = ri r and s = ri s in
-            Some
-              (fun st ->
-                rset st.regs d
-                  (Int64.logxor (rget st.regs r) (rget st.regs s)))
-        | Insn.Xor, Insn.Imm i, Insn.Reg s ->
-            let s = ri s in
-            Some (fun st -> rset st.regs d (Int64.logxor i (rget st.regs s)))
-        | Insn.Xor, Insn.Imm i, Insn.Imm j ->
-            let v = Int64.logxor i j in
-            Some (fun st -> rset st.regs d v)
-        | _ -> None)
-    | _ when not fp_const -> None
-    | _ -> (
-      match (i1, i2) with
-      | Insn.Stx (Insn.U64, d1, o1, s1), Insn.Ldx (Insn.U64, d2, s2, o2)
-        when ri d1 = 10 && ri s2 = 10 -> (
-          match (sidx o1 8, sidx o2 8) with
-          | Some i, Some j ->
-              let s1 = ri s1 and d2 = ri d2 in
-              if o1 = o2 then
-                Some
-                  (fun st ->
-                    let v = rget st.regs s1 in
-                    U64.set64 st.stack i v;
-                    rset st.regs d2 v)
-              else
-                Some
-                  (fun st ->
-                    U64.set64 st.stack i (rget st.regs s1);
-                    rset st.regs d2 (U64.get64 st.stack j))
-          | _ -> None)
-      | Insn.Ldx (Insn.U64, d1, s1, o1), Insn.Ldx (Insn.U64, d2, s2, o2)
-        when ri s1 = 10 && ri s2 = 10 -> (
-          match (sidx o1 8, sidx o2 8) with
-          | Some i, Some j ->
-              (* d1 <> r10 under [fp_const], so the second load's base is
-                 unaffected by the first load's write-back *)
-              let d1 = ri d1 and d2 = ri d2 in
-              Some
-                (fun st ->
-                  rset st.regs d1 (U64.get64 st.stack i);
-                  rset st.regs d2 (U64.get64 st.stack j))
-          | _ -> None)
-      | Insn.Stx (Insn.U64, d1, o1, s1), Insn.Stx (Insn.U64, d2, o2, s2)
-        when ri d1 = 10 && ri d2 = 10 -> (
-          match (sidx o1 8, sidx o2 8) with
-          | Some i, Some j ->
-              let s1 = ri s1 and s2 = ri s2 in
-              Some
-                (fun st ->
-                  U64.set64 st.stack i (rget st.regs s1);
-                  U64.set64 st.stack j (rget st.regs s2))
-          | _ -> None)
-      | _ -> None)
-  in
-  (* pure_run.(p): length of the maximal run of register-pure instructions
-     starting at p — region-fusion candidates *)
-  let pure_run = Array.make (n + 1) 0 in
-  for p = n - 1 downto 0 do
-    if Option.is_some (eff_any insns.(p)) then
-      pure_run.(p) <- 1 + pure_run.(p + 1)
-  done;
   let compile_one pc insn (next : op) : op =
-    match eff_any insn with
-    | Some eff ->
-        fun st ->
-          st.stats.insns <- st.stats.insns + 1;
-          eff st;
-          next st
-    | None -> (
-        match insn with
-        | Insn.Mov _ | Insn.Neg _ | Insn.Alu _ -> assert false
-        | Insn.Ldx (sz, d, s, off) -> (
-            let d = ri d and s = ri s in
-            let off = Int64.of_int off in
-            match sz with
-            | Insn.U8 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  rset st.regs d (read8 st (Int64.add (rget st.regs s) off));
-                  next st
-            | Insn.U16 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  rset st.regs d (read16 st (Int64.add (rget st.regs s) off));
-                  next st
-            | Insn.U32 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  rset st.regs d (read32 st (Int64.add (rget st.regs s) off));
-                  next st
-            | Insn.U64 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  rset st.regs d (read64 st (Int64.add (rget st.regs s) off));
-                  next st)
-        | Insn.Stx (sz, d, off, s) -> (
-            let d = ri d and s = ri s in
-            let off = Int64.of_int off in
-            match sz with
-            | Insn.U8 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  write8 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-                  next st
-            | Insn.U16 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  write16 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-                  next st
-            | Insn.U32 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  write32 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-                  next st
-            | Insn.U64 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  write64 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-                  next st)
-        | Insn.St (sz, d, off, imm) -> (
-            let d = ri d in
-            let off = Int64.of_int off in
-            match sz with
-            | Insn.U8 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  write8 st (Int64.add (rget st.regs d) off) imm;
-                  next st
-            | Insn.U16 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  write16 st (Int64.add (rget st.regs d) off) imm;
-                  next st
-            | Insn.U32 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  write32 st (Int64.add (rget st.regs d) off) imm;
-                  next st
-            | Insn.U64 ->
-                fun st ->
-                  st.stats.insns <- st.stats.insns + 1;
-                  st.fault_pc <- pc;
-                  write64 st (Int64.add (rget st.regs d) off) imm;
-                  next st)
-        | Insn.Xstore (sz, d, off, s) ->
-            let w = Insn.size_bytes sz in
-            let d = ri d and s = ri s in
-            let off = Int64.of_int off in
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              let h =
-                match st.heap with
-                | Some h -> h
-                | None -> raise (Vm_fault Wild_access)
-              in
-              let v = rget st.regs s in
-              let v = if Heap.is_shared h then Heap.translate_user h v else v in
-              write st ~width:w (Int64.add (rget st.regs d) off) v;
-              next st
-        | Insn.Guard (_, r) ->
-            let r = ri r in
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              (match st.heap with
-              | Some h ->
-                  st.stats.guards <- st.stats.guards + 1;
-                  rset st.regs r (Heap.sanitize h (rget st.regs r))
-              | None -> raise (Vm_fault Wild_access));
-              next st
-        | Insn.Checkpoint _ ->
-            fun st ->
-              let s = st.stats in
-              s.insns <- s.insns + 1;
-              s.checkpoints <- s.checkpoints + 1;
-              st.fault_pc <- pc;
-              if !(st.cancel) then raise (Vm_fault Ext_cancelled);
-              if total_cost s - st.start_cost > st.quantum then begin
-                st.cancel := true;
-                raise (Vm_fault Quantum_expired)
-              end;
-              next st
-        | Insn.Atomic (op, sz, d, off, s) ->
-            let w = Insn.size_bytes sz in
-            let d = ri d and s = ri s in
-            let off = Int64.of_int off in
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              let addr = Int64.add (rget st.regs d) off in
-              let old = read st ~width:w addr in
-              let sv = rget st.regs s in
-              (match op with
-              | Insn.Atomic_add -> write st ~width:w addr (Int64.add old sv)
-              | Insn.Atomic_or -> write st ~width:w addr (Int64.logor old sv)
-              | Insn.Atomic_and -> write st ~width:w addr (Int64.logand old sv)
-              | Insn.Atomic_xor -> write st ~width:w addr (Int64.logxor old sv)
-              | Insn.Fetch_add ->
-                  write st ~width:w addr (Int64.add old sv);
-                  rset st.regs s old
-              | Insn.Fetch_or ->
-                  write st ~width:w addr (Int64.logor old sv);
-                  rset st.regs s old
-              | Insn.Fetch_and ->
-                  write st ~width:w addr (Int64.logand old sv);
-                  rset st.regs s old
-              | Insn.Fetch_xor ->
-                  write st ~width:w addr (Int64.logxor old sv);
-                  rset st.regs s old
-              | Insn.Xchg ->
-                  write st ~width:w addr sv;
-                  rset st.regs s old
-              | Insn.Cmpxchg ->
-                  if old = rget st.regs 0 then write st ~width:w addr sv;
-                  rset st.regs 0 old);
-              next st
-        | Insn.Ja off ->
-            let k = goto pc (pc + 1 + off) in
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              k st
-        | Insn.Jcond (c, a, s, off) ->
-            jcond_op c a s (goto pc (pc + 1 + off)) next
-        | Insn.Call name ->
-            let idx = Hashtbl.find hidx name in
-            fun st ->
-              let s = st.stats in
-              s.insns <- s.insns + 1;
-              s.helper_calls <- s.helper_calls + 1;
-              st.fault_pc <- pc;
-              call_helper st (Array.unsafe_get st.helpers idx);
-              next st
-        | Insn.Exit -> fun st -> st.stats.insns <- st.stats.insns + 1)
+    if pure.(pc) then standalone insn next
+    else
+      match insn with
+      | Insn.Mov _ | Insn.Neg _ | Insn.Alu _ -> assert false
+      | Insn.Ldx (sz, d, s, off) -> (
+          let d = ri d and s = ri s in
+          let off = Int64.of_int off in
+          match sz with
+          | Insn.U8 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                rset st.regs d (read8 st (Int64.add (rget st.regs s) off));
+                next st
+          | Insn.U16 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                rset st.regs d (read16 st (Int64.add (rget st.regs s) off));
+                next st
+          | Insn.U32 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                rset st.regs d (read32 st (Int64.add (rget st.regs s) off));
+                next st
+          | Insn.U64 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                rset st.regs d (read64 st (Int64.add (rget st.regs s) off));
+                next st)
+      | Insn.Stx (sz, d, off, s) -> (
+          let d = ri d and s = ri s in
+          let off = Int64.of_int off in
+          match sz with
+          | Insn.U8 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                write8 st (Int64.add (rget st.regs d) off) (rget st.regs s);
+                next st
+          | Insn.U16 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                write16 st (Int64.add (rget st.regs d) off) (rget st.regs s);
+                next st
+          | Insn.U32 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                write32 st (Int64.add (rget st.regs d) off) (rget st.regs s);
+                next st
+          | Insn.U64 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                write64 st (Int64.add (rget st.regs d) off) (rget st.regs s);
+                next st)
+      | Insn.St (sz, d, off, imm) -> (
+          let d = ri d in
+          let off = Int64.of_int off in
+          match sz with
+          | Insn.U8 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                write8 st (Int64.add (rget st.regs d) off) imm;
+                next st
+          | Insn.U16 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                write16 st (Int64.add (rget st.regs d) off) imm;
+                next st
+          | Insn.U32 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                write32 st (Int64.add (rget st.regs d) off) imm;
+                next st
+          | Insn.U64 ->
+              fun st ->
+                st.stats.insns <- st.stats.insns + 1;
+                st.fault_pc <- pc;
+                write64 st (Int64.add (rget st.regs d) off) imm;
+                next st)
+      | Insn.Xstore (sz, d, off, s) ->
+          let w = Insn.size_bytes sz in
+          let d = ri d and s = ri s in
+          let off = Int64.of_int off in
+          fun st ->
+            st.stats.insns <- st.stats.insns + 1;
+            st.fault_pc <- pc;
+            let h =
+              match st.heap with
+              | Some h -> h
+              | None -> raise (Vm_fault Wild_access)
+            in
+            let v = rget st.regs s in
+            let v = if Heap.is_shared h then Heap.translate_user h v else v in
+            write st ~width:w (Int64.add (rget st.regs d) off) v;
+            next st
+      | Insn.Guard (_, r) ->
+          let r = ri r in
+          fun st ->
+            st.stats.insns <- st.stats.insns + 1;
+            st.fault_pc <- pc;
+            (match st.heap with
+            | Some h ->
+                st.stats.guards <- st.stats.guards + 1;
+                rset st.regs r (Heap.sanitize h (rget st.regs r))
+            | None -> raise (Vm_fault Wild_access));
+            next st
+      | Insn.Checkpoint _ ->
+          fun st ->
+            let s = st.stats in
+            s.insns <- s.insns + 1;
+            s.checkpoints <- s.checkpoints + 1;
+            st.fault_pc <- pc;
+            if !(st.cancel) then raise (Vm_fault Ext_cancelled);
+            if total_cost s - st.start_cost > st.quantum then begin
+              st.cancel := true;
+              raise (Vm_fault Quantum_expired)
+            end;
+            next st
+      | Insn.Atomic (op, sz, d, off, s) ->
+          let w = Insn.size_bytes sz in
+          let d = ri d and s = ri s in
+          let off = Int64.of_int off in
+          fun st ->
+            st.stats.insns <- st.stats.insns + 1;
+            st.fault_pc <- pc;
+            let addr = Int64.add (rget st.regs d) off in
+            let old = read st ~width:w addr in
+            let sv = rget st.regs s in
+            (match op with
+            | Insn.Atomic_add -> write st ~width:w addr (Int64.add old sv)
+            | Insn.Atomic_or -> write st ~width:w addr (Int64.logor old sv)
+            | Insn.Atomic_and -> write st ~width:w addr (Int64.logand old sv)
+            | Insn.Atomic_xor -> write st ~width:w addr (Int64.logxor old sv)
+            | Insn.Fetch_add ->
+                write st ~width:w addr (Int64.add old sv);
+                rset st.regs s old
+            | Insn.Fetch_or ->
+                write st ~width:w addr (Int64.logor old sv);
+                rset st.regs s old
+            | Insn.Fetch_and ->
+                write st ~width:w addr (Int64.logand old sv);
+                rset st.regs s old
+            | Insn.Fetch_xor ->
+                write st ~width:w addr (Int64.logxor old sv);
+                rset st.regs s old
+            | Insn.Xchg ->
+                write st ~width:w addr sv;
+                rset st.regs s old
+            | Insn.Cmpxchg ->
+                if old = rget st.regs 0 then write st ~width:w addr sv;
+                rset st.regs 0 old);
+            next st
+      | Insn.Ja off ->
+          let k = goto pc (pc + 1 + off) in
+          fun st ->
+            st.stats.insns <- st.stats.insns + 1;
+            k st
+      | Insn.Jcond (c, a, s, off) ->
+          branch 1 c (R (ri a)) (orig s) (goto pc (pc + 1 + off)) next
+      | Insn.Call name ->
+          let idx = Hashtbl.find hidx name in
+          fun st ->
+            let s = st.stats in
+            s.insns <- s.insns + 1;
+            s.helper_calls <- s.helper_calls + 1;
+            st.fault_pc <- pc;
+            call_helper st (Array.unsafe_get st.helpers idx);
+            next st
+      | Insn.Exit -> fun st -> st.stats.insns <- st.stats.insns + 1
   in
   (* Guard+access superinstructions. The fused closure must leave state and
      stats exactly as the two standalone closures would at every observation
@@ -1190,125 +1237,130 @@ let build form prog =
                 cont st)
     | _ -> None
   in
-  (* The terminator at [t] folded into a region closure rooted at [p]:
-     returns the closing op, the number of instructions it covers, and how
-     many of those may be charged upfront with the region's pure run.
-     [Ja]/[Exit] cannot fault and charge upfront; a [Jcond] terminator is a
-     self-charging {!jcond_op}. A [Checkpoint]
-     also charges upfront (only pure effects separate the batched charge
-     from the check, so the quantum comparison observes exactly the
-     interpreter's counters), but a jump folded in AFTER it must charge
-     inside the closure, after the quantum check — the interpreter would
-     not have retired that jump yet if the checkpoint cancels. *)
-  let term_fin p t : (op * int * int) option =
-    match insns.(t) with
+  (* The checkpoint at [t] as the closing op of a closure rooted at [p],
+     and the number of instructions it covers. Its own charge is taken
+     upfront with the region's (only pure effects separate the batched
+     charge from the check, so the quantum comparison observes exactly the
+     interpreter's counters), but a jump folded in after it charges inside
+     the closure, after the quantum check: the interpreter would not have
+     retired that jump yet if the checkpoint cancels. *)
+  let checkpoint_fin p t : op * int =
+    let check st =
+      let s = st.stats in
+      s.checkpoints <- s.checkpoints + 1;
+      st.fault_pc <- t;
+      if !(st.cancel) then raise (Vm_fault Ext_cancelled);
+      if total_cost s - st.start_cost > st.quantum then begin
+        st.cancel := true;
+        raise (Vm_fault Quantum_expired)
+      end
+    in
+    match if t + 1 < n then insns.(t + 1) else Insn.Exit with
+    | Insn.Ja off ->
+        let k = goto p (t + 2 + off) in
+        ( (fun st ->
+            check st;
+            st.stats.insns <- st.stats.insns + 1;
+            k st),
+          2 )
     | Insn.Jcond (c, a, s, off) ->
-        (* self-charging (upfront 0): the branch closure owns its +1 *)
-        Some (jcond_op c a s (goto p (t + 1 + off)) (goto p (t + 1)), 1, 0)
-    | Insn.Ja off -> Some (goto p (t + 1 + off), 1, 1)
-    | Insn.Exit -> Some ((fun _ -> ()), 1, 1)
-    | Insn.Checkpoint _ ->
-        let check st =
-          let s = st.stats in
-          s.checkpoints <- s.checkpoints + 1;
-          st.fault_pc <- t;
-          if !(st.cancel) then raise (Vm_fault Ext_cancelled);
-          if total_cost s - st.start_cost > st.quantum then begin
-            st.cancel := true;
-            raise (Vm_fault Quantum_expired)
-          end
+        let br =
+          branch 1 c (R (ri a)) (orig s) (goto p (t + 2 + off)) (goto p (t + 2))
         in
-        if t + 1 < n then
-          match insns.(t + 1) with
-          | Insn.Ja off ->
-              let k = goto p (t + 2 + off) in
-              Some
-                ( (fun st ->
-                    check st;
-                    st.stats.insns <- st.stats.insns + 1;
-                    k st),
-                  2,
-                  1 )
-          | Insn.Jcond (c, a, s, off) ->
-              let test = cond_test c a s in
-              let jt = goto p (t + 2 + off) in
-              let jf = goto p (t + 2) in
-              Some
-                ( (fun st ->
-                    check st;
-                    st.stats.insns <- st.stats.insns + 1;
-                    if test st then jt st else jf st),
-                  2,
-                  1 )
-          | _ ->
-              let k = goto p (t + 1) in
-              Some
-                ( (fun st ->
-                    check st;
-                    k st),
-                  1,
-                  1 )
-        else
-          let k = goto p (t + 1) in
-          Some
-            ( (fun st ->
-                check st;
-                k st),
-              1,
-              1 )
-    | _ -> None
+        ( (fun st ->
+            check st;
+            br st),
+          2 )
+    | _ ->
+        let k = goto p (t + 1) in
+        ( (fun st ->
+            check st;
+            k st),
+          1 )
   in
-  (* Region fusion: the run of pure instructions at [p] (length from
-     [pure_run]), plus a folded terminator when one follows. Returns the
-     closure and the number of instructions covered, or None when a region
-     would not beat the standalone closure. *)
-  let fuse_region p : (op * int) option =
+  let live =
+    match form with
+    | `Fused -> liveness insns ~pure ~unwind
+    | `Hooked -> [||]
+  in
+  let live_at q = if q >= 0 && q < n then live.(q) else 0 in
+  let dead = Bytes.create (Prog.stack_size / 8) in
+  let region_ops = ref 0 and pure_insns = ref 0 in
+  (* pure_run.(p): length of the maximal run of pure instructions starting
+     at p *)
+  let pure_run = Array.make (n + 1) 0 in
+  for p = n - 1 downto 0 do
+    if pure.(p) then pure_run.(p) <- 1 + pure_run.(p + 1)
+  done;
+  (* The net-effect region rooted at pure pc [p] and the terminator after
+     it: the closure and the number of instructions it covers. *)
+  let fuse_region p : op * int =
     let m = pure_run.(p) in
-    if m = 0 then None
-    else begin
-      let t = p + m in
-      (* pack the run's effects, greedily pairing adjacent frame accesses
-         into two-instruction closures (see [eff2]); the charge stays [m] *)
-      let effs =
-        let acc = ref [] in
-        let i = ref p in
-        while !i < t do
-          match
-            if !i + 1 < t then eff2 insns.(!i) insns.(!i + 1) else None
-          with
-          | Some e ->
-              acc := e :: !acc;
-              i := !i + 2
-          | None ->
-              (match eff_any insns.(!i) with
-              | Some e -> acc := e :: !acc
-              | None -> assert false);
-              incr i
+    let t = p + m in
+    reset s;
+    let irs = List.filter_map (step s) (List.init m (fun k -> insns.(p + k))) in
+    let ops live =
+      let kept = net_effect dead irs live in
+      region_ops := !region_ops + List.length kept;
+      pure_insns := !pure_insns + m;
+      Array.of_list (List.map op_of_ir kept)
+    in
+    if t >= n then (region m (ops 0) (goto p t), m)
+    else
+      match insns.(t) with
+      | Insn.Jcond (c, a, src, off) -> (
+          let jt = t + 1 + off and jf = t + 1 in
+          match branch_operands s c a src with
+          | `Taken taken ->
+              let q = if taken then jt else jf in
+              (region (m + 1) (ops (live_at q)) (goto p q), m + 1)
+          | `Test (c, x, y) -> (
+              let br k = branch k c x y (goto p jt) (goto p jf) in
+              let out = live_at jt lor live_at jf lor reg_bit x lor reg_bit y in
+              match ops out with
+              | [||] -> (br (m + 1), m + 1)
+              | ops -> (region m ops (br 1), m + 1)))
+      | Insn.Ja off ->
+          (region (m + 1) (ops live.(t)) (goto p (t + 1 + off)), m + 1)
+      | Insn.Exit -> (region (m + 1) (ops live.(t)) (fun _ -> ()), m + 1)
+      | Insn.Checkpoint _ ->
+          let fin, covered = checkpoint_fin p t in
+          (region (m + 1) (ops live.(t)) fin, m + covered)
+      | _ -> (region m (ops live.(t)) (goto p t), m)
+  in
+  (* Which pcs get an entry: pc 0, every jump target, and every pc that
+     the closure before it falls through to rather than covers. *)
+  let needed =
+    match form with
+    | `Hooked -> [||]
+    | `Fused ->
+        let needed = Array.make (n + 1) false in
+        needed.(0) <- true;
+        Array.iteri
+          (fun pc i ->
+            List.iter
+              (fun q -> if q >= 0 && q <= n then needed.(q) <- true)
+              (Insn.jump_targets pc i))
+          insns;
+        for p = 1 to n - 1 do
+          let covered =
+            match (insns.(p - 1), insns.(p)) with
+            | _, (Insn.Jcond _ | Insn.Ja _ | Insn.Exit | Insn.Checkpoint _)
+              when pure.(p - 1) ->
+                true
+            | Insn.Checkpoint _, (Insn.Ja _ | Insn.Jcond _) -> true
+            | ( Insn.Guard (_, g),
+                ( Insn.Ldx (_, _, b, _)
+                | Insn.Stx (_, b, _, _)
+                | Insn.St (_, b, _, _) ) ) ->
+                ri b = ri g (* a Guard+access pair ({!fuse_pair}) *)
+            | _ -> pure.(p - 1) && pure.(p)
+          in
+          if not covered then needed.(p) <- true
         done;
-        Array.of_list (List.rev !acc)
-      in
-      if t < n then
-        match term_fin p t with
-        | Some (fin, covered, upfront) ->
-            Some (region (m + upfront) effs fin, m + covered)
-        | None ->
-            if m >= 2 then Some (region m effs (goto p t), m) else None
-      else if m >= 2 then Some (region m effs (goto p t), m)
-      else None
-    end
+        needed
   in
-  (* A checkpoint with a jump right behind it (every loop back edge after
-     instrumentation) fuses even with no pure run in front. *)
-  let fuse_cp p : (op * int) option =
-    match insns.(p) with
-    | Insn.Checkpoint _ -> (
-        match term_fin p p with
-        | Some (fin, covered, upfront) when covered >= 2 ->
-            Some (region upfront [||] fin, covered)
-        | _ -> None)
-    | _ -> None
-  in
-  let fused = ref 0 in
+  let fused = ref 0 and built = ref 0 in
   for p = n - 1 downto 0 do
     let body =
       match form with
@@ -1318,32 +1370,51 @@ let build form prog =
             | Insn.Checkpoint _ -> site_after entries.(p + 1)
             | _ -> entries.(p + 1)
           in
-          prelude p insns.(p) (compile_one p insns.(p) next)
+          Some (prelude p insns.(p) (compile_one p insns.(p) next))
+      | `Fused when not needed.(p) -> None
       | `Fused -> (
           match
             if p + 1 < n then fuse_pair p insns.(p) insns.(p + 1) else None
           with
           | Some op ->
               incr fused;
-              op
+              Some op
+          | None when pure.(p) ->
+              let op, covered = fuse_region p in
+              fused := !fused + (covered - 1);
+              Some op
           | None -> (
-              match fuse_region p with
-              | Some (op, covered) ->
-                  fused := !fused + (covered - 1);
-                  op
-              | None -> (
-                  match fuse_cp p with
-                  | Some (op, covered) ->
-                      fused := !fused + (covered - 1);
-                      op
-                  | None -> compile_one p insns.(p) entries.(p + 1))))
+              (* a checkpoint with a jump right behind it (every loop back
+                 edge after instrumentation) fuses with no pure run in
+                 front *)
+              match insns.(p) with
+              | Insn.Checkpoint _ -> (
+                  match checkpoint_fin p p with
+                  | fin, 2 ->
+                      incr fused;
+                      Some (region 1 [||] fin)
+                  | _ -> Some (compile_one p insns.(p) entries.(p + 1)))
+              | _ -> Some (compile_one p insns.(p) entries.(p + 1))))
     in
-    entries.(p) <- body
+    Option.iter
+      (fun op ->
+        incr built;
+        entries.(p) <- op)
+      body
   done;
-  { entries; helper_names; fused = !fused }
+  {
+    entries;
+    helper_names;
+    fused = !fused;
+    closures = !built + !region_ops;
+    region_ops = !region_ops;
+    pure_insns = !pure_insns;
+  }
 
-let compile prog = build `Fused prog
-let compile_hooked prog = build `Hooked prog
+let compile (kie : Kflex_kie.Instrument.t) =
+  build `Fused ~unwind:(unwind_regs kie) kie.Kflex_kie.Instrument.prog
+
+let compile_hooked prog = build `Hooked ~unwind:[||] prog
 
 let run t (st : state) =
   if Array.length st.helpers < Array.length t.helper_names then

@@ -209,7 +209,7 @@ let linked e t = (t, link_helpers e (Jit.helper_names t))
 let set_compiled e t = e.jit <- Some (linked e t)
 
 let precompile e =
-  let t = Jit.compile e.kie.Kflex_kie.Instrument.prog in
+  let t = Jit.compile e.kie in
   set_compiled e t;
   t
 

@@ -171,6 +171,88 @@ let t_jit_cache_lru () =
         (Invalid_argument "Kflex.set_jit_cache_capacity") (fun () ->
           Kflex.set_jit_cache_capacity 0))
 
+(* The fused form depends on each pc's unwind registers as well as on the
+   instructions, so the cache key covers both, and a key collision must
+   compile rather than hand back another program's form. *)
+let kie_of src =
+  let prog = prog_of (compile "cached" src) in
+  match
+    Kflex_verifier.Verify.run ~mode:Kflex_verifier.Verify.Kflex
+      ~contracts:Kflex.contracts ~ctx_size:Hook.ctx_size ~heap_size:65536L prog
+  with
+  | Ok a -> Kflex_kie.Instrument.run a
+  | Error e -> Alcotest.failf "verify: %a" Kflex_verifier.Verify.pp_error e
+
+(* [kie] with register [r] added to the object table of original pc [p] *)
+let with_unwind_reg (kie : Kflex_kie.Instrument.t) p r =
+  let tables = Array.copy kie.Kflex_kie.Instrument.tables in
+  tables.(p) <-
+    {
+      Kflex_kie.Instrument.klass = "k";
+      destructor = "d";
+      loc = Kflex_verifier.State.L_reg (Kflex_bpf.Reg.of_int r);
+    }
+    :: tables.(p);
+  { kie with Kflex_kie.Instrument.tables }
+
+let t_jit_cache_key () =
+  let kie = kie_of (ret_src 11) in
+  let key = Kflex.jit_cache_key kie in
+  Alcotest.(check string) "deterministic" key (Kflex.jit_cache_key kie);
+  Array.iteri
+    (fun p _ ->
+      List.iter
+        (fun r ->
+          if Kflex.jit_cache_key (with_unwind_reg kie p r) = key then
+            Alcotest.failf "key ignores r%d at pc %d" r p)
+        [ 0; 6; 10 ])
+    kie.Kflex_kie.Instrument.tables
+
+let t_jit_cache_collision () =
+  let k1 = kie_of (ret_src 11) and k2 = kie_of (ret_src 22) in
+  let key = "forced collision" in
+  let run kie t =
+    let heap = Kflex_runtime.Heap.create ~size:65536L () in
+    Kflex_runtime.Heap.populate heap ~off:0L ~len:4096L;
+    let ext = Vm.create ~heap ~helpers:[] kie in
+    Vm.set_compiled ext t;
+    match Vm.exec ext ~ctx:(Bytes.make Hook.ctx_size '\000') () with
+    | Vm.Finished v -> v
+    | Vm.Cancelled _ -> Alcotest.fail "cancelled"
+  in
+  let s0 = Kflex.jit_cache_stats () in
+  let t1 = Kflex.compile_cached ~key k1 in
+  let t2 = Kflex.compile_cached ~key k2 in
+  let s1 = Kflex.jit_cache_stats () in
+  Alcotest.(check int) "both compiled" (s0.Kflex.misses + 2) s1.Kflex.misses;
+  Alcotest.(check int) "no hit" s0.Kflex.hits s1.Kflex.hits;
+  Alcotest.(check int64) "first program" 11L (run k1 t1);
+  Alcotest.(check int64) "second program, not the first" 22L (run k2 t2);
+  Alcotest.(check bool) "the entry now holds the second" true
+    (Kflex.compile_cached ~key k2 == t2);
+  (* same instructions, another pc's unwind registers: compiled afresh *)
+  let t2' = Kflex.compile_cached ~key (with_unwind_reg k2 0 6) in
+  let s2 = Kflex.jit_cache_stats () in
+  Alcotest.(check int) "one hit" (s1.Kflex.hits + 1) s2.Kflex.hits;
+  Alcotest.(check int) "unwind registers differ: a miss" (s1.Kflex.misses + 1)
+    s2.Kflex.misses;
+  Alcotest.(check bool) "a fresh form" false (t2' == t2)
+
+(* kbench's set-up cycle: the tenants of an overload engine, created and
+   shut down twice; the second cycle compiles nothing. *)
+let t_jit_cache_repeat_attach () =
+  let cfg = { Kflex_serve.Open_loop.default with guard = true; burn = false } in
+  let cycle () =
+    Engine.shutdown
+      (Kflex_serve.Open_loop.make_engine cfg ~mode:`Deterministic ~shards:1)
+  in
+  cycle ();
+  let s0 = Kflex.jit_cache_stats () in
+  cycle ();
+  let s1 = Kflex.jit_cache_stats () in
+  Alcotest.(check int) "no compile" s0.Kflex.misses s1.Kflex.misses;
+  Alcotest.(check int) "every tenant hits" (s0.Kflex.hits + 3) s1.Kflex.hits
+
 (* --- per-shard state ---------------------------------------------------- *)
 
 (* flow-keyed per-shard counter: counts per flow must not depend on how
@@ -891,7 +973,14 @@ let () =
           Alcotest.test_case "lifecycle + epochs" `Quick t_lifecycle_epochs;
         ] );
       ( "cache",
-        [ Alcotest.test_case "LRU bound + eviction" `Quick t_jit_cache_lru ] );
+        [
+          Alcotest.test_case "LRU bound + eviction" `Quick t_jit_cache_lru;
+          Alcotest.test_case "key covers unwind registers" `Quick
+            t_jit_cache_key;
+          Alcotest.test_case "collision compiles" `Quick t_jit_cache_collision;
+          Alcotest.test_case "repeat attaches hit" `Quick
+            t_jit_cache_repeat_attach;
+        ] );
       ( "shards",
         [
           Alcotest.test_case "shard-count invariance" `Quick t_shard_invariance;

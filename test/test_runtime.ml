@@ -773,6 +773,346 @@ let prop_hooked_differential =
         (admit_for cfg (generated seed));
       true)
 
+(* --- net-effect regions --------------------------------------------------- *)
+
+(* The fused form drops register writes no later instruction reads, except
+   where a fault point downstream hands them to the unwinder. Here the
+   acquired lock sits only in r6, which no instruction after its copy
+   reads: the object tables alone keep the copy alive. It is cancelled by
+   the quantum at a loop checkpoint, and separately by a contended
+   [kflex_spin_lock] (a helper stall); each run must release the lock
+   exactly as the reference interpreter does. *)
+let lock_in_unread_register ~stall =
+  [
+    call "kflex_heap_base";
+    mov R7 R0;
+    mov R1 R7;
+    alui Insn.Add R1 128L;
+    call "kflex_spin_lock";
+    mov R6 R0;
+    movi R0 0L;
+    movi R8 0L;
+    label "loop";
+  ]
+  @ (if stall then
+       [
+         mov R1 R7;
+         alui Insn.Add R1 128L;
+         call "kflex_spin_lock";
+         mov R1 R0;
+         call "kflex_spin_unlock";
+       ]
+     else [ alui Insn.Add R8 1L ])
+  @ [ ja "loop" ]
+
+(* Outcome, stats and the lock word after one run on each executor. *)
+let three_runs ?quantum items ~word =
+  let go exec =
+    let heap, ext = with_heap ?quantum items in
+    let stats = Vm.fresh_stats () in
+    let o = exec ext ~ctx:(Bytes.make 64 '\000') ~stats in
+    (o, stats_tuple stats, Heap.read_off heap ~width:8 word)
+  in
+  let hooked ext ~ctx ~stats =
+    Vm.exec ext ~ctx ~stats ~on_insn:(fun _ _ -> ()) ()
+  in
+  (go ref_exec, go hooked, go jit_exec)
+
+let t_unwind_liveness () =
+  List.iter
+    (fun (stall, reason) ->
+      let ((o, _, w) as r), h, f =
+        three_runs ~quantum:5_000 (lock_in_unread_register ~stall) ~word:128L
+      in
+      (match o with
+      | Vm.Cancelled c when c.reason = reason ->
+          Alcotest.(check (list (pair string string)))
+            "lock released" [ ("kflex_lock", "kflex_spin_unlock") ] c.released;
+          Alcotest.(check int) "nothing leaked" 0 c.ledger_leaked
+      | _ -> Alcotest.fail "reference run was not cancelled as expected");
+      Alcotest.(check int64) "lock word cleared" 0L w;
+      if h <> r then Alcotest.fail "hooked form diverges from the reference";
+      if f <> r then Alcotest.fail "fused form diverges from the reference")
+    [ (false, Vm.Quantum_expired); (true, Vm.Lock_stall) ]
+
+(* Hand-built regions through the executor oracle: the reference
+   interpreter, the hooked form and the fused form must agree on outcome,
+   stats, payload and heap. Each program starts from runtime values the
+   analysis cannot fold: r6 the heap base, r7 and r9 from the PRNG. *)
+let check_region name items =
+  let cfg = Oracle.default_config in
+  let prelude =
+    [
+      call "kflex_heap_base";
+      mov R6 R0;
+      call "bpf_get_prandom_u32";
+      mov R7 R0;
+      alui Insn.Lsh R7 29L;
+      call "bpf_get_prandom_u32";
+      alu Insn.Xor R7 R0;
+      call "bpf_get_prandom_u32";
+      mov R9 R0;
+    ]
+  in
+  match admit_for cfg (Kflex_fuzz.Gen.assemble (prelude @ items)) with
+  | None -> Alcotest.failf "%s: rejected by the verifier" name
+  | Some kie -> (
+      match Oracle.repr_equiv cfg kie with
+      | None -> ()
+      | Some f ->
+          Alcotest.failf "%s: [%s] %s" name f.Oracle.oracle f.Oracle.detail)
+
+(* store r3, r4 and r5 to the heap and return their xor *)
+let sink =
+  [
+    stx Insn.U64 R6 0 R3;
+    stx Insn.U64 R6 8 R4;
+    stx Insn.U64 R6 16 R5;
+    mov R0 R3;
+    alu Insn.Xor R0 R4;
+    alu Insn.Xor R0 R5;
+    exit_;
+  ]
+
+let all_alu =
+  Insn.[ Add; Sub; Mul; Div; Mod; And; Or; Xor; Lsh; Rsh; Arsh ]
+
+let all_cond = Insn.[ Eq; Ne; Lt; Le; Gt; Ge; Slt; Sle; Sgt; Sge; Set ]
+
+(* Narrow frame stores inside forwarded 64-bit slots, an unaligned 64-bit
+   store across two slots, and narrow loads of forwarded slots: a load
+   after any of them must see the bytes, not the forwarded value. *)
+let t_region_narrow_overlap () =
+  check_region "narrow store over a slot"
+    ([
+       stx Insn.U64 R10 (-16) R7;
+       mov R2 R9;
+       stx Insn.U8 R10 (-13) R2;
+       ldx Insn.U64 R3 R10 (-16);
+       sti Insn.U16 R10 (-10) 0xbeefL;
+       ldx Insn.U64 R4 R10 (-16);
+       stx Insn.U64 R10 (-24) R9;
+       stx Insn.U32 R10 (-20) R7;
+       ldx Insn.U64 R5 R10 (-24);
+       alu Insn.Add R3 R5;
+       stx Insn.U64 R10 (-40) R9;
+       stx Insn.U64 R10 (-32) R9;
+       stx Insn.U64 R10 (-36) R7;
+       ldx Insn.U64 R1 R10 (-40);
+       ldx Insn.U64 R2 R10 (-32);
+       alu Insn.Xor R4 R1;
+       alu Insn.Sub R4 R2;
+       stx Insn.U64 R10 (-48) R7;
+       ldx Insn.U8 R1 R10 (-48);
+       ldx Insn.U16 R2 R10 (-47);
+       ldx Insn.U32 R8 R10 (-46);
+       mov R5 R1;
+       alu Insn.Add R5 R2;
+       alu Insn.Add R5 R8;
+       stx Insn.U16 R10 (-48) R5;
+       ldx Insn.U64 R1 R10 (-48);
+       alu Insn.Add R5 R1;
+     ]
+    @ sink)
+
+(* [r op= r] reads the old value twice: from a reloaded slot (the slot
+   read once, the register once — so the reload must survive), from a
+   copy, from a constant (folded) and from the region's entry value. The
+   register is first given a stale value that a dropped reload would
+   expose. *)
+let t_region_self_op () =
+  List.iter
+    (fun op ->
+      check_region
+        (Format.asprintf "r %a r" Insn.pp_alu_op op)
+        ([
+           stx Insn.U64 R10 (-8) R7;
+           movi R3 77L;
+           stx Insn.U64 R6 24 R3;
+           ldx Insn.U64 R3 R10 (-8);
+           alu op R3 R3;
+           mov R4 R9;
+           alu op R4 R4;
+           movi R5 (-5L);
+           alu op R5 R5;
+           alu op R9 R9;
+           alu Insn.Add R5 R9;
+         ]
+        @ sink))
+    all_alu
+
+(* Div/Mod by a zero register (one the analysis knows is zero, and one
+   only the run knows: a fresh heap word) and by a zero immediate. *)
+let t_region_div_zero () =
+  check_region "division by zero"
+    ([
+       ldx Insn.U64 R2 R6 64;
+       mov R3 R7;
+       alu Insn.Div R3 R2;
+       mov R4 R7;
+       alu Insn.Mod R4 R2;
+       alu Insn.Add R3 R4;
+       movi R1 0L;
+       mov R4 R9;
+       alu Insn.Div R4 R1;
+       mov R5 R9;
+       alu Insn.Mod R5 R1;
+       alu Insn.Add R4 R5;
+       mov R5 R7;
+       alui Insn.Div R5 0L;
+       mov R8 R7;
+       alui Insn.Mod R8 0L;
+       alu Insn.Add R5 R8;
+       movi R8 12L;
+       alui Insn.Mod R8 0L;
+       alu Insn.Add R5 R8;
+     ]
+    @ sink)
+
+(* Shift counts of 64 and more are masked to 6 bits: as immediates, as
+   registers the analysis knows, and as registers only the run knows. *)
+let t_region_wide_shifts () =
+  check_region "shifts of 64 and more"
+    ([
+       mov R3 R7;
+       alui Insn.Lsh R3 64L;
+       mov R1 R7;
+       alui Insn.Rsh R1 65L;
+       alu Insn.Add R3 R1;
+       mov R1 R7;
+       alui Insn.Arsh R1 127L;
+       alu Insn.Add R3 R1;
+       movi R2 70L;
+       mov R4 R9;
+       alu Insn.Lsh R4 R2;
+       movi R1 (-1L);
+       alu Insn.Arsh R1 R2;
+       alu Insn.Xor R4 R1;
+       mov R2 R9;
+       alui Insn.Or R2 64L;
+       mov R5 R7;
+       alu Insn.Rsh R5 R2;
+       mov R1 R7;
+       alu Insn.Arsh R1 R2;
+       alu Insn.Sub R5 R1;
+     ]
+    @ sink)
+
+(* A backward jump into the middle of a region (a loop whose head follows
+   pure instructions) and forward jumps that skip a region's first half,
+   on both outcomes of the runtime bit that decides them. *)
+let t_region_jump_into () =
+  List.iter
+    (fun c ->
+      check_region
+        (Format.asprintf "jump into a region (%a)" Insn.pp_cond c)
+        ([
+           movi R1 0L;
+           movi R2 10L;
+           stx Insn.U64 R10 (-8) R2;
+           label "loop";
+           ldx Insn.U64 R3 R10 (-8);
+           alui Insn.Sub R3 1L;
+           stx Insn.U64 R10 (-8) R3;
+           alu Insn.Add R1 R3;
+           jmpi Insn.Ne R3 0L "loop";
+           movi R4 9L;
+           stx Insn.U64 R10 (-16) R4;
+           mov R2 R9;
+           alui Insn.And R2 1L;
+           jmpi c R2 0L "mid";
+           movi R4 5L;
+           stx Insn.U64 R10 (-16) R4;
+           alui Insn.Add R1 100L;
+           label "mid";
+           ldx Insn.U64 R5 R10 (-16);
+           alu Insn.Add R5 R1;
+           mov R3 R1;
+         ]
+        @ sink))
+    Insn.[ Eq; Ne ]
+
+(* Branches whose operands the region leaves in constants (folded at
+   compile time), in frame slots (read in place) or in registers, in
+   every pairing and under every predicate. *)
+let t_region_branches () =
+  let shapes =
+    [
+      ("const/const", [ movi R1 3L; movi R2 5L ], `R);
+      ("const/const eq", [ movi R1 (-1L); movi R2 (-1L) ], `R);
+      ("slot/imm", [ ldx Insn.U64 R1 R10 (-8) ], `I 1000L);
+      ("const/reg", [ movi R1 7L; mov R2 R9 ], `R);
+      ("reg/slot", [ mov R1 R7; ldx Insn.U64 R2 R10 (-16) ], `R);
+      ( "slot/slot",
+        [ ldx Insn.U64 R1 R10 (-8); ldx Insn.U64 R2 R10 (-16) ],
+        `R );
+      ("slot/reg", [ ldx Insn.U64 R1 R10 (-8); mov R2 R9 ], `R);
+      ("const/slot", [ movi R1 (-9L); ldx Insn.U64 R2 R10 (-16) ], `R);
+      ("reg/const", [ mov R1 R9; movi R2 0x8000_0000L ], `R);
+    ]
+  in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun (shape, setup, b) ->
+          check_region
+            (Format.asprintf "branch %s %a" shape Insn.pp_cond c)
+            ([ stx Insn.U64 R10 (-8) R7; stx Insn.U64 R10 (-16) R9 ]
+            @ setup
+            @ [
+                (match b with
+                | `R -> jmp c R1 R2 "yes"
+                | `I k -> jmpi c R1 k "yes");
+                movi R0 1L;
+                exit_;
+                label "yes";
+                movi R0 2L;
+                exit_;
+              ]))
+        shapes)
+    all_cond
+
+(* Every operator over every operand pairing a region produces: the
+   first operand reloaded from a slot, copied, constant or in place, the
+   second a register, a slot, an immediate or a constant register, with
+   zero, wide-shift and ordinary constants. *)
+let t_region_alu_shapes () =
+  let firsts k =
+    [
+      ("slot", [ ldx Insn.U64 R3 R10 (-8) ]);
+      ("copy", [ mov R3 R7 ]);
+      ("const", [ movi R3 k ]);
+      ("entry", [ mov R3 R7; stx Insn.U64 R6 32 R3 ]);
+    ]
+  in
+  let seconds op k =
+    [
+      ("reg", [ alu op R3 R9 ]);
+      ("slot", [ ldx Insn.U64 R2 R10 (-16); alu op R3 R2 ]);
+      ("imm", [ alui op R3 k ]);
+      ("const reg", [ movi R2 k; alu op R3 R2 ]);
+    ]
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (k1, k2) ->
+          List.iter
+            (fun (f, a) ->
+              List.iter
+                (fun (s, b) ->
+                  check_region
+                    (Format.asprintf "%s %a %s (%Ld, %Ld)" f Insn.pp_alu_op op
+                       s k1 k2)
+                    ([ stx Insn.U64 R10 (-8) R7; stx Insn.U64 R10 (-16) R9 ]
+                    @ a @ b
+                    @ [ mov R4 R3; I (Insn.Neg R4); ldx Insn.U64 R5 R10 (-8) ]
+                    @ sink))
+                (seconds op k2))
+            (firsts k1))
+        [ (7L, 0L); (-3L, 65L); (0x1234L, 3L) ])
+    all_alu
+
 (* --- representation edge cases ------------------------------------------- *)
 
 (* An independent Stdlib.Int64 reference for one ALU step — deliberately not
@@ -1087,6 +1427,20 @@ let () =
           QCheck_alcotest.to_alcotest prop_jit_differential;
           Alcotest.test_case "hooked form (corpus)" `Quick t_hooked_corpus;
           QCheck_alcotest.to_alcotest prop_hooked_differential;
+          Alcotest.test_case "unwinder liveness" `Quick t_unwind_liveness;
+          Alcotest.test_case "region: narrow store over a slot" `Quick
+            t_region_narrow_overlap;
+          Alcotest.test_case "region: r op= r" `Quick t_region_self_op;
+          Alcotest.test_case "region: division by zero" `Quick
+            t_region_div_zero;
+          Alcotest.test_case "region: shifts of 64 and more" `Quick
+            t_region_wide_shifts;
+          Alcotest.test_case "region: jump into a region" `Quick
+            t_region_jump_into;
+          Alcotest.test_case "region: folded and in-place branches" `Quick
+            t_region_branches;
+          Alcotest.test_case "region: operand shapes" `Quick
+            t_region_alu_shapes;
         ] );
       ( "repr",
         [
