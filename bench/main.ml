@@ -193,13 +193,9 @@ let jit_variant kind ~opseq ~preload variant =
   let run pkt =
     match variant with
     | `Ref ->
-        Kflex_kernel.Helpers.set_packet loaded.Kflex.kernel pkt;
-        let o =
-          Kflex_runtime.Vm.Ref_interp.exec loaded.Kflex.ext
-            ~ctx:(Kflex_kernel.Hook.build_ctx pkt) ~stats ()
-        in
-        Kflex_kernel.Helpers.clear_packet loaded.Kflex.kernel;
-        o
+        Kflex_runtime.Vm.Ref_interp.exec loaded.Kflex.ext
+          ~ctx:(Kflex_kernel.Hook.build_ctx pkt)
+          ~pkt:pkt.Kflex_kernel.Packet.payload ~stats ()
     | `Fused -> Kflex.run_packet loaded ~stats pkt
   in
   for i = 0 to Array.length pkts - 1 do
@@ -489,10 +485,14 @@ let jit_bench ~smoke =
    service time = the chain's charged cost through the calibrated model.
    Also checks the single-shard engine is observationally identical to
    direct runs on every fuzz reproducer (the chain oracle run as a
-   self-pair). *)
+   self-pair). The corpus is read from [test/corpus] under the working
+   directory; a missing or empty corpus fails the gate, since an identity
+   check over no reproducers checks nothing. *)
+
+let corpus_dir = "test/corpus"
 
 let engine_corpus_identity () =
-  let dir = "test/corpus" in
+  let dir = corpus_dir in
   if not (Sys.file_exists dir && Sys.is_directory dir) then (0, 0, 0)
   else
     Array.fold_left
@@ -653,6 +653,11 @@ let engine_bench ~smoke =
   let corpus_ok, corpus_skip, corpus_bad = engine_corpus_identity () in
   pf "  corpus identity: %d identical, %d skipped, %d divergent@." corpus_ok
     corpus_skip corpus_bad;
+  let corpus_pass = corpus_ok > 0 && corpus_bad = 0 in
+  if corpus_ok + corpus_skip + corpus_bad = 0 then
+    pf "  corpus identity FAILED: no reproducers under %s/%s (run from the \
+        repository root)@."
+      (Sys.getcwd ()) corpus_dir;
   pf "  min 4-shard speedup %.2fx (gate: > 1.8x)@." min_speedup;
   (* --- shared-map configs ---------------------------------------------- *)
   (* Cross-shard state through engine-shared maps, same DES closed loop.
@@ -829,10 +834,10 @@ fn prog(c: ctx) -> u64 {
      \"shared_leaked\": %d, \"gate_passed\": %b}\n}\n"
     min_speedup leaks corpus_ok corpus_skip corpus_bad percpu_speedup
     rcu_ratio shared_leaks
-    (min_speedup > 1.8 && corpus_bad = 0 && leaks = 0 && shared_ok);
+    (min_speedup > 1.8 && corpus_pass && leaks = 0 && shared_ok);
   close_out oc;
   pf "  wrote BENCH_engine.json@.";
-  if min_speedup <= 1.8 || corpus_bad > 0 || leaks > 0 || not shared_ok then
+  if min_speedup <= 1.8 || (not corpus_pass) || leaks > 0 || not shared_ok then
     exit 1
 
 (* ---- Serve: open-loop front end in virtual time (BENCH_serve.json) ---- *)
@@ -1044,6 +1049,245 @@ let setup_bench ~smoke =
         reference@.";
     exit 1
   end
+
+(* ---- Maps: wall-clock ns per map operation (BENCH_maps.json) ---------- *)
+
+(* Every row times one operation on the calling domain (pin the run with
+   taskset, as for [setup]) and reports the median ns per operation over
+   batches of [maps_keys] operations, beside the cost model's units for it
+   and the ratio of the two; a row whose ratio is more than 2x off Hash's
+   for the same operation is flagged. The sequence and packet rows compare
+   with Hash's lookup hit. Speed is reported, never gated: the gate is that
+   every kind answers and ends as a Hash reference does, and that no lock
+   is left held. *)
+
+let maps_keys = 4096
+
+(* The packet-read loop, with [call] or without it: the difference per
+   iteration is one [pkt_read_u8] call and its argument set-up. *)
+let pkt_loop_src ~call =
+  Printf.sprintf
+    {|
+fn prog(c: ctx) -> u64 {
+  var acc: u64 = 0;
+  var i: u64 = 0;
+  while (i < %d) {
+    acc = acc + %s;
+    i = i + 1;
+  }
+  return acc & 1;
+}
+|}
+    maps_keys
+    (if call then "pkt_read_u8(c, i & 7)" else "(i & 7)")
+
+let maps_bench ~smoke =
+  hr "Maps: wall-clock ns per operation beside the cost model";
+  let module M = Kflex_kernel.Map in
+  let module C = Kflex_kernel.Cost in
+  let module U = Kflex_runtime.U64 in
+  let samples = if smoke then 5 else 31 in
+  let now () = Int64.to_int (Monotonic_clock.now ()) in
+  let median_ns ?(after = ignore) batch =
+    let xs =
+      Array.init samples (fun _ ->
+          let t0 = now () in
+          batch ();
+          let t = now () - t0 in
+          after ();
+          float_of_int t /. float_of_int maps_keys)
+    in
+    Array.sort compare xs;
+    xs.(samples / 2)
+  in
+  let correct = ref true in
+  let check what ok =
+    if not ok then begin
+      pf "  maps gate FAILED: %s@." what;
+      correct := false
+    end
+  in
+  let scatter i = Int64.mul (Int64.of_int (i + 1)) 0x2545F4914F6CDD1DL in
+  let value k = Int64.add (Int64.logand k 0xffffL) 1L in
+  let io = M.io () in
+  let rows = ref [] in
+  let row name op ns units = rows := (name, op, ns, units) :: !rows in
+  List.iter
+    (fun kind ->
+      let name = M.kind_name kind in
+      let hit = Array.init maps_keys (fun i ->
+          if kind = M.Array then Int64.of_int i else scatter i) in
+      let miss = Array.init maps_keys (fun i ->
+          if kind = M.Array then Int64.of_int (maps_keys + i)
+          else scatter (maps_keys + i)) in
+      let m = M.create ~kind ~max_entries:maps_keys () in
+      let reference = M.create ~kind:M.Hash ~max_entries:maps_keys () in
+      (* a Spinlock value is read and written under its lock, held from
+         here to the end of the kind's rows *)
+      let ids =
+        Array.map
+          (fun k ->
+            let id =
+              if kind <> M.Spinlock then 0
+              else
+                match M.try_lock m k with
+                | M.Acquired id -> id
+                | M.Unavailable | M.Contended ->
+                    check (name ^ " lock") false;
+                    0
+            in
+            check (name ^ " populate") (M.update m k (value k));
+            ignore (M.update reference k (value k) : bool);
+            id)
+          hit
+      in
+      let found = ref 0 and sum = ref 0L in
+      let lookups keys () =
+        for i = 0 to maps_keys - 1 do
+          U.set io 0 keys.(i);
+          if M.find_io m ~cpu:0 io then begin
+            incr found;
+            sum := Int64.add !sum (U.get io 1)
+          end
+        done
+      in
+      let updates () =
+        for i = 0 to maps_keys - 1 do
+          let k = hit.(i) in
+          U.set io 0 k;
+          U.set io 1 (value k);
+          ignore (M.store_io m ~cpu:0 io : bool)
+        done
+      in
+      let quiesce () = M.rcu_quiesce m ~cpu:0 in
+      let mc = C.map_cost kind in
+      row name "lookup_hit" (median_ns (lookups hit)) mc.C.lookup_hit;
+      let expect =
+        Array.fold_left (fun a k -> Int64.add a (value k)) 0L hit
+      in
+      check (name ^ " lookup hit values")
+        (!found = samples * maps_keys
+        && !sum = Int64.mul (Int64.of_int samples) expect);
+      found := 0;
+      row name "lookup_miss" (median_ns (lookups miss)) mc.C.lookup_miss;
+      check (name ^ " lookup miss") (!found = 0);
+      row name "update" (median_ns ~after:quiesce updates) mc.C.update;
+      check (name ^ " values equal the Hash reference")
+        (M.to_list m = M.to_list reference);
+      if kind = M.Spinlock then begin
+        Array.iter (fun id -> ignore (M.unlock_id ~cpu:0 m id : bool)) ids;
+        check "a spin lock left held"
+          (Array.for_all (fun k -> not (M.lock_held m k)) hit)
+      end)
+    [ M.Array; M.Hash; M.Percpu; M.Spinlock; M.Rcu_shared ];
+  (* the ratelimit's critical section: lock, lookup, update, unlock *)
+  let m = M.create ~kind:M.Spinlock ~max_entries:maps_keys () in
+  let keys = Array.init maps_keys scatter in
+  let spin_seq () =
+    for i = 0 to maps_keys - 1 do
+      let k = keys.(i) in
+      U.set io 0 k;
+      let id = M.lock_io m ~cpu:0 io in
+      if id > 0 then begin
+        let v = if M.find_io m ~cpu:0 io then U.get io 1 else 0L in
+        U.set io 1 (Int64.add v 1L);
+        ignore (M.store_io m ~cpu:0 io : bool);
+        ignore (M.unlock_id ~cpu:0 m id : bool)
+      end
+    done
+  in
+  let sc = C.map_cost M.Spinlock in
+  row "spinlock" "lock_seq" (median_ns spin_seq)
+    (C.map_lock_cost + sc.C.lookup_hit + sc.C.update + C.map_unlock_cost);
+  check "spin sequence counts"
+    (List.for_all
+       (fun (_, v) -> v = Int64.of_int samples)
+       (M.to_list m)
+    && List.length (M.to_list m) = maps_keys);
+  check "a spin lock left held"
+    (Array.for_all (fun k -> not (M.lock_held m k)) keys);
+  (* one pkt_read_u8 call through the fused Jit *)
+  let run_loop ~call =
+    let c =
+      Kflex_eclang.Compile.compile_string ~name:"pkt_loop" (pkt_loop_src ~call)
+    in
+    let heap = Kflex_runtime.Heap.create ~size:65536L () in
+    let loaded =
+      match
+        Kflex.load ~heap
+          ~globals_size:
+            c.Kflex_eclang.Compile.layout.Kflex_eclang.Compile.globals_size
+          ~quantum:max_int ~kernel:(Kflex_kernel.Helpers.create ())
+          ~hook:Kflex_kernel.Hook.Xdp c.Kflex_eclang.Compile.prog
+      with
+      | Ok l -> l
+      | Error e ->
+          Format.kasprintf failwith "maps bench: %a"
+            Kflex_verifier.Verify.pp_error e
+    in
+    let p =
+      Kflex_kernel.Packet.make ~proto:Kflex_kernel.Packet.Udp ~src_port:1
+        ~dst_port:2
+        (Bytes.init 8 (fun i -> Char.chr (i + 1)))
+    in
+    let stats = Kflex_runtime.Vm.fresh_stats () in
+    let outcome = ref (Kflex_runtime.Vm.Finished 0L) in
+    let ns = median_ns (fun () -> outcome := Kflex.run_packet loaded ~stats p) in
+    (ns, Kflex_runtime.Vm.total_cost stats / samples, !outcome)
+  in
+  let ns_call, cost_call, o_call = run_loop ~call:true in
+  let ns_base, cost_base, _ = run_loop ~call:false in
+  (* acc sums (i & 7) + 1 over 4096 iterations: an even total *)
+  check "pkt_read_u8 result" (o_call = Kflex_runtime.Vm.Finished 0L);
+  row "jit" "pkt_read_u8" (ns_call -. ns_base)
+    ((cost_call - cost_base) / maps_keys);
+  let rows = List.rev !rows in
+  let ratio (_, _, ns, units) = ns /. (float_of_int units *. C.insn_ns) in
+  let hash_ratio op =
+    List.find (fun (n, o, _, _) -> n = "hash" && o = op) rows |> ratio
+  in
+  let flagged ((_, op, _, _) as r) =
+    let base =
+      match op with
+      | "lookup_hit" | "lookup_miss" | "update" -> hash_ratio op
+      | _ -> hash_ratio "lookup_hit"
+    in
+    let q = ratio r /. base in
+    q > 2.0 || q < 0.5
+  in
+  pf "  %-11s %-12s %8s  %8s  %7s@." "kind" "op" "ns/op" "model ns" "ratio";
+  List.iter
+    (fun ((n, op, ns, units) as r) ->
+      pf "  %-11s %-12s %8.1f  %8.0f  %7.4f%s@." n op ns
+        (float_of_int units *. C.insn_ns)
+        (ratio r)
+        (if flagged r then "  (>2x off hash)" else ""))
+    rows;
+  let oc = open_out "BENCH_maps.json" in
+  let p fmt = Printf.fprintf oc fmt in
+  p "{\n  \"smoke\": %b,\n  \"keys\": %d,\n  \"samples\": %d,\n" smoke
+    maps_keys samples;
+  p "  \"note\": \"median wall-clock ns per operation on the calling \
+     domain, beside the cost model's units x insn_ns (%.0f ns); ratio = \
+     measured / model; flagged when more than 2x off hash's ratio for the \
+     same operation (lookup_hit's for the other rows)\",\n" C.insn_ns;
+  p "  \"rows\": [\n";
+  List.iteri
+    (fun i ((n, op, ns, units) as r) ->
+      p "    {\"kind\": %S, \"op\": %S, \"ns\": %.2f, \"model_units\": %d, \
+         \"model_ns\": %.1f, \"ratio\": %.5f, \"flagged\": %b}%s\n"
+        n op ns units
+        (float_of_int units *. C.insn_ns)
+        (ratio r) (flagged r)
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
+  p "  ],\n  \"summary\": {\"flagged\": %d, \"correct\": %b, \
+     \"gate_passed\": %b}\n}\n"
+    (List.length (List.filter flagged rows))
+    !correct !correct;
+  close_out oc;
+  pf "  wrote BENCH_maps.json@.";
+  if not !correct then exit 1
 
 (* ---- Table 3: guard elision ------------------------------------------- *)
 
@@ -1290,10 +1534,13 @@ let () =
   | "setup" ->
       setup_bench
         ~smoke:(Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke")
+  | "maps" ->
+      maps_bench
+        ~smoke:(Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke")
   | "all" -> all ()
   | other ->
       pf
         "unknown experiment %s (use \
-         table1|fig2|fig3|fig4|fig5|fig6|fig7|table3|ablation|bechamel|jit|engine|serve|setup|all)@."
+         table1|fig2|fig3|fig4|fig5|fig6|fig7|table3|ablation|bechamel|jit|engine|serve|setup|maps|all)@."
         other;
       exit 1

@@ -266,16 +266,10 @@ let load ?mode ?options ?heap ?globals_size ?quantum ?on_cancel
            ~kernel a)
 
 (* One packet through the extension, with the caller's context block —
-   the engine fills one reused block per shard per event. *)
-let run_packet_into t ~ctx ~cpu ~stats pkt =
-  Kflex_kernel.Helpers.set_packet t.kernel pkt;
-  match Vm.run t.ext ~ctx ~cpu ~stats with
-  | o ->
-      Kflex_kernel.Helpers.clear_packet t.kernel;
-      o
-  | exception e ->
-      Kflex_kernel.Helpers.clear_packet t.kernel;
-      raise e
+   the engine fills one reused block per shard per event. The payload is
+   installed in the VM's execution state for the invocation. *)
+let run_packet_into t ~ctx ~cpu ~stats (pkt : Kflex_kernel.Packet.t) =
+  Vm.run t.ext ~ctx ~pkt:pkt.Kflex_kernel.Packet.payload ~cpu ~stats
 
 let run_packet t ?(cpu = 0) ?stats pkt =
   let stats = match stats with Some s -> s | None -> Vm.fresh_stats () in

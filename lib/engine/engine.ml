@@ -35,7 +35,8 @@ type shard = {
   mutable events : int;
   mutable cancelled : int;
   mutable leaked : int;
-  verdicts : (int64, int) Hashtbl.t;
+  small_verdicts : int array; (* counts of verdicts 0–255 *)
+  verdicts : (int64, int) Hashtbl.t; (* counts of every other verdict *)
   vclock : Float.Array.t;
       (* one unboxed float: the cost-derived timeline (ns) for the reaper *)
   seen_gen : int Atomic.t; (* last registry generation this shard observed *)
@@ -87,6 +88,7 @@ let make_shard ~seed sid =
     events = 0;
     cancelled = 0;
     leaked = 0;
+    small_verdicts = Array.make 256 0;
     verdicts = Hashtbl.create 8;
     vclock = Float.Array.make 1 0.0;
     seen_gen = Atomic.make 0;
@@ -104,9 +106,16 @@ let make_shard ~seed sid =
 
 (* --- event execution --------------------------------------------------- *)
 
+(* Hook verdicts are small codes: counting them in an array keeps the
+   per-event tally off [caml_hash]. *)
 let record_verdict shard v =
-  let n = try Hashtbl.find shard.verdicts v with Not_found -> 0 in
-  Hashtbl.replace shard.verdicts v (n + 1)
+  if v >= 0L && v < 256L then begin
+    let i = Int64.to_int v in
+    shard.small_verdicts.(i) <- shard.small_verdicts.(i) + 1
+  end
+  else
+    let n = try Hashtbl.find shard.verdicts v with Not_found -> 0 in
+    Hashtbl.replace shard.verdicts v (n + 1)
 
 let finished = function Vm.Finished _ -> true | Vm.Cancelled _ -> false
 
@@ -124,13 +133,8 @@ let run_polled t shard (inst : Kflex.loaded) pkt ~start_cost =
     Reaper.scan t.reaper ~now:(vclock +. (spent *. Cost.insn_ns));
     Vm.cancelled inst.Kflex.ext
   in
-  Helpers.set_packet inst.Kflex.kernel pkt;
-  let o =
-    Vm.exec inst.Kflex.ext ~ctx:shard.ctx ~cpu:shard.sid ~stats:shard.stats
-      ~on_site ()
-  in
-  Helpers.clear_packet inst.Kflex.kernel;
-  o
+  Vm.exec inst.Kflex.ext ~ctx:shard.ctx ~pkt:pkt.Packet.payload ~cpu:shard.sid
+    ~stats:shard.stats ~on_site ()
 
 (* Run one chain entry on a shard against its context block (filled once
    per event). With a deadline the entry runs in the shard's reaper slot:
@@ -626,9 +630,15 @@ let shard_wakeups t shard =
   let s = t.shards.(shard) in
   Mutex.protect s.m (fun () -> s.wakeups)
 
-let shard_verdicts t shard =
-  Hashtbl.fold (fun v n acc -> (v, n) :: acc) t.shards.(shard).verdicts []
-  |> List.sort compare
+(* A shard's verdict counts, unsorted. *)
+let verdict_counts (s : shard) =
+  let acc = ref (Hashtbl.fold (fun v n acc -> (v, n) :: acc) s.verdicts []) in
+  Array.iteri
+    (fun i n -> if n > 0 then acc := (Int64.of_int i, n) :: !acc)
+    s.small_verdicts;
+  !acc
+
+let shard_verdicts t shard = List.sort compare (verdict_counts t.shards.(shard))
 
 (* Aggregation is read-side only: shards mutate nothing but their own
    records on the hot path; totals fold copies after a drain. *)
@@ -646,11 +656,11 @@ let totals t =
       stats.Vm.checkpoints <- stats.Vm.checkpoints + s.stats.Vm.checkpoints;
       stats.Vm.helper_calls <- stats.Vm.helper_calls + s.stats.Vm.helper_calls;
       stats.Vm.helper_cost <- stats.Vm.helper_cost + s.stats.Vm.helper_cost;
-      Hashtbl.iter
-        (fun v n ->
+      List.iter
+        (fun (v, n) ->
           let c = try Hashtbl.find verdicts v with Not_found -> 0 in
           Hashtbl.replace verdicts v (c + n))
-        s.verdicts)
+        (verdict_counts s))
     t.shards;
   {
     events = !events;

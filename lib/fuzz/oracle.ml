@@ -263,19 +263,19 @@ let run_direct ?helpers_shim cfg exec kies =
     incr sites;
     !sites - 1 = k
   in
-  let exec_one (ext, kernel, _) =
-    Helpers.set_packet kernel pkt;
+  let exec_one (ext, _, _) =
     let ctx = Hook.build_ctx pkt in
+    let pkt = pkt.Packet.payload in
     let o =
       match exec with
       | Reference p ->
-          Vm.Ref_interp.exec ext ~ctx ~stats ~on_insn:(on_insn p) ()
+          Vm.Ref_interp.exec ext ~ctx ~pkt ~stats ~on_insn:(on_insn p) ()
       | Hooked p ->
-          Vm.exec ext ~ctx ~stats ~on_insn:(on_insn p) ~on_site:(on_site p) ()
-      | Inject k -> Vm.exec ext ~ctx ~stats ~on_site:(inject k) ()
-      | Fused -> Vm.exec ext ~ctx ~stats ()
+          Vm.exec ext ~ctx ~pkt ~stats ~on_insn:(on_insn p)
+            ~on_site:(on_site p) ()
+      | Inject k -> Vm.exec ext ~ctx ~pkt ~stats ~on_site:(inject k) ()
+      | Fused -> Vm.exec ext ~ctx ~pkt ~stats ()
     in
-    Helpers.clear_packet kernel;
     (* the engine re-arms a cancelled entry per invocation too *)
     if Vm.cancelled ext then Vm.reset_cancel ext;
     o

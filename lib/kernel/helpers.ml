@@ -3,29 +3,19 @@ open Kflex_runtime
 type t = {
   socks : Socket.t;
   map_reg : Map.registry;
-  mutable pkt : Packet.t;  (* [Packet.none] between invocations *)
   io : Map.io;  (* key/value words for the allocation-free map calls *)
 }
 
 let create () =
-  {
-    socks = Socket.create ();
-    map_reg = Map.registry ();
-    pkt = Packet.none;
-    io = Map.io ();
-  }
+  { socks = Socket.create (); map_reg = Map.registry (); io = Map.io () }
 
 let sockets t = t.socks
 let maps t = t.map_reg
-let set_packet t p = t.pkt <- p
-let clear_packet t = t.pkt <- Packet.none
-let packet t = if t.pkt == Packet.none then None else Some t.pkt
 
 (* Every helper reads its arguments from r1–r5 and VM memory through the
    inlined {!Vm} accessors, and returns through r0 (cleared before the
-   call, so a miss needs no store). With no packet installed the packet
-   helpers see [Packet.none]: length 0, every read 0, every write
-   ignored. *)
+   call, so a miss needs no store). The packet accessors are VM builtins
+   ({!Vm.native_builtins}), not kernel helpers. *)
 
 let sk_lookup t proto (c : Vm.call_ctx) =
   Vm.charge c 50;
@@ -41,51 +31,6 @@ let sk_release t (c : Vm.call_ctx) =
   Vm.charge c 30;
   ignore (Socket.release t.socks (Vm.arg c 0) : bool);
   ignore (Ledger.release (Vm.ledger c) ~handle:(Vm.arg c 0) : bool)
-
-let pkt_len t (c : Vm.call_ctx) =
-  Vm.charge c 2;
-  Vm.set_ret c (Int64.of_int (Packet.len t.pkt))
-
-(* Offsets arrive as full 64-bit scalars; [Int64.to_int] silently wraps the
-   high bits, which would alias huge offsets onto valid ones. Map anything
-   outside the (tiny) payload to [-1], which read/write treat as a miss. *)
-let[@inline always] pkt_off p (v : int64) =
-  if v < 0L || v >= Int64.of_int (Packet.len p) then -1 else Int64.to_int v
-
-(* One helper per width, each over its inlined accessor: a shared body
-   taking the accessor as an argument would call it through a closure
-   and box the value. *)
-let pkt_read8 t (c : Vm.call_ctx) =
-  Vm.charge c 3;
-  Vm.set_ret c (Packet.read8 t.pkt (pkt_off t.pkt (Vm.arg c 1)))
-
-let pkt_read16 t (c : Vm.call_ctx) =
-  Vm.charge c 3;
-  Vm.set_ret c (Packet.read16 t.pkt (pkt_off t.pkt (Vm.arg c 1)))
-
-let pkt_read32 t (c : Vm.call_ctx) =
-  Vm.charge c 3;
-  Vm.set_ret c (Packet.read32 t.pkt (pkt_off t.pkt (Vm.arg c 1)))
-
-let pkt_read64 t (c : Vm.call_ctx) =
-  Vm.charge c 3;
-  Vm.set_ret c (Packet.read64 t.pkt (pkt_off t.pkt (Vm.arg c 1)))
-
-let pkt_write8 t (c : Vm.call_ctx) =
-  Vm.charge c 3;
-  Packet.write8 t.pkt (pkt_off t.pkt (Vm.arg c 1)) (Vm.arg c 2)
-
-let pkt_write16 t (c : Vm.call_ctx) =
-  Vm.charge c 3;
-  Packet.write16 t.pkt (pkt_off t.pkt (Vm.arg c 1)) (Vm.arg c 2)
-
-let pkt_write32 t (c : Vm.call_ctx) =
-  Vm.charge c 3;
-  Packet.write32 t.pkt (pkt_off t.pkt (Vm.arg c 1)) (Vm.arg c 2)
-
-let pkt_write64 t (c : Vm.call_ctx) =
-  Vm.charge c 3;
-  Packet.write64 t.pkt (pkt_off t.pkt (Vm.arg c 1)) (Vm.arg c 2)
 
 (* Helper charges dispatch on the map kind (explicit hit/miss/update costs
    per kind — see {!Cost.map_cost}); an unknown fd charges the Hash miss,
@@ -187,15 +132,6 @@ let implementations t =
     ("bpf_sk_lookup_udp", sk_lookup t Packet.Udp);
     ("bpf_sk_lookup_tcp", sk_lookup t Packet.Tcp);
     ("bpf_sk_release", sk_release t);
-    ("pkt_len", pkt_len t);
-    ("pkt_read_u8", pkt_read8 t);
-    ("pkt_read_u16", pkt_read16 t);
-    ("pkt_read_u32", pkt_read32 t);
-    ("pkt_read_u64", pkt_read64 t);
-    ("pkt_write_u8", pkt_write8 t);
-    ("pkt_write_u16", pkt_write16 t);
-    ("pkt_write_u32", pkt_write32 t);
-    ("pkt_write_u64", pkt_write64 t);
     ("bpf_map_lookup", map_lookup t);
     ("bpf_map_update", map_update t);
     ("bpf_map_delete", map_delete t);

@@ -1,31 +1,23 @@
 (** Kernel-side helper implementations.
 
     The kernel half of the extension interface: socket lookups (which take
-    references — the canonical acquired resource of §3.3), packet accessors,
-    and eBPF map operations. Each helper charges the cost model's estimate
-    of its kernel work so benchmarks account for helper time. *)
+    references — the canonical acquired resource of §3.3) and eBPF map
+    operations. Each helper charges the cost model's estimate of its kernel
+    work so benchmarks account for helper time. The packet accessors are VM
+    builtins ({!Kflex_runtime.Vm.native_builtins}): the packet travels with
+    the invocation, not with the kernel state. *)
 
 type t
-(** Kernel state shared by all helpers: socket table, map registry, and the
-    packet currently being processed. *)
+(** Kernel state shared by all helpers: socket table and map registry. *)
 
 val create : unit -> t
 
 val sockets : t -> Socket.t
 val maps : t -> Map.registry
 
-val set_packet : t -> Packet.t -> unit
-(** Install the packet for the current hook invocation. *)
-
-val clear_packet : t -> unit
-(** Uninstall it: the packet helpers then see {!Packet.none}. *)
-
-val packet : t -> Packet.t option
-
 val implementations : t -> (string * Kflex_runtime.Vm.helper) list
 (** All kernel helper implementations, to pass to {!Kflex_runtime.Vm.create}:
-    [bpf_sk_lookup_udp], [bpf_sk_lookup_tcp], [bpf_sk_release], [pkt_len],
-    [pkt_read_u8/16/32/64], [pkt_write_u8/16/32/64], [bpf_map_lookup],
+    [bpf_sk_lookup_udp], [bpf_sk_lookup_tcp], [bpf_sk_release], [bpf_map_lookup],
     [bpf_map_update], [bpf_map_delete], [bpf_map_lock], [bpf_map_unlock],
     [bpf_map_sum].
 

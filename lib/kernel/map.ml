@@ -27,100 +27,112 @@ module U64tbl = Kflex_runtime.U64tbl
 (* Every per-operation entry point below is allocation-free on a hit and on
    a miss: Array, Hash and Percpu values live in unboxed banks
    ({!U64tbl}), a Spinlock value in a one-word cell, and an Rcu_shared
-   snapshot is a persistent AVL whose lookup never boxes. Keys and values
-   cross the module boundary through a caller-owned two-word [io] bank
-   (slot 0 the key, slot 1 the value) — an [int64] argument or result of a
-   call that does not inline is boxed. Locks are taken and released
+   snapshot is a persistent hash trie whose lookup never boxes. Keys and
+   values cross the module boundary through a caller-owned two-word [io]
+   bank (slot 0 the key, slot 1 the value) — an [int64] argument or result
+   of a call that does not inline is boxed. Locks are taken and released
    directly, never through [Fun.protect] (none of the critical sections
    can raise). The option-returning [lookup]/[update]/… are thin wrappers
    for tests and tools. *)
 
-(* Persistent int64 AVL map: the Rcu_shared snapshot. *)
-module Pmap = struct
-  type t = Empty | Node of { l : t; k : int64; v : int64; r : t; h : int }
+(* The Rcu_shared snapshot: a persistent hash trie over [mix k], a
+   bijection on 64-bit words (multiplication by an odd constant), so two
+   distinct keys have distinct mixed words. Level [d] branches 16 ways on
+   bits [60 - 4d, 63 - 4d] of the mixed word, taken from the top, where
+   the product depends on every bit of the key. A slot holds nothing, one
+   binding (compared on the full key) or a node; a node exists only while
+   it covers at least two keys, so 16 levels cover all 64 bits and two
+   keys part by the last level at the latest. A lookup reads one array
+   slot per level, about three levels for 4,096 keys. Updates copy the
+   path from the root and write only arrays they have just allocated:
+   nothing reachable from a published root is ever written again. *)
+module Trie = struct
+  type t = Empty | Leaf of { k : int64; v : int64 } | Node of t array
 
-  let height = function Empty -> 0 | Node n -> n.h
+  let[@inline always] mix (k : int64) = Int64.mul k 0x9E3779B97F4A7C15L
 
-  let node l k v r =
-    let hl = height l and hr = height r in
-    Node { l; k; v; r; h = (if hl >= hr then hl + 1 else hr + 1) }
-
-  let bal l k v r =
-    let hl = height l and hr = height r in
-    if hl > hr + 2 then
-      match l with
-      | Node { l = ll; k = lk; v = lv; r = lr; _ } ->
-          if height ll >= height lr then node ll lk lv (node lr k v r)
-          else (
-            match lr with
-            | Node { l = lrl; k = lrk; v = lrv; r = lrr; _ } ->
-                node (node ll lk lv lrl) lrk lrv (node lrr k v r)
-            | Empty -> assert false)
-      | Empty -> assert false
-    else if hr > hl + 2 then
-      match r with
-      | Node { l = rl; k = rk; v = rv; r = rr; _ } ->
-          if height rr >= height rl then node (node l k v rl) rk rv rr
-          else (
-            match rl with
-            | Node { l = rll; k = rlk; v = rlv; r = rlr; _ } ->
-                node (node l k v rll) rlk rlv (node rlr rk rv rr)
-            | Empty -> assert false)
-      | Empty -> assert false
-    else node l k v r
-
-  let rec add k v = function
-    | Empty -> Node { l = Empty; k; v; r = Empty; h = 1 }
-    | Node n ->
-        let c = Int64.compare k n.k in
-        if c = 0 then Node { n with v }
-        else if c < 0 then bal (add k v n.l) n.k n.v n.r
-        else bal n.l n.k n.v (add k v n.r)
-
-  let rec min_binding = function
-    | Node { l = Empty; k; v; _ } -> (k, v)
-    | Node { l; _ } -> min_binding l
-    | Empty -> raise Not_found
-
-  let rec remove_min = function
-    | Node { l = Empty; r; _ } -> r
-    | Node { l; k; v; r; _ } -> bal (remove_min l) k v r
-    | Empty -> Empty
-
-  let rec remove k = function
-    | Empty -> Empty
-    | Node { l; k = nk; v; r; _ } ->
-        let c = Int64.compare k nk in
-        if c = 0 then
-          match (l, r) with
-          | Empty, t | t, Empty -> t
-          | _ ->
-              let mk, mv = min_binding r in
-              bal l mk mv (remove_min r)
-        else if c < 0 then bal (remove k l) nk v r
-        else bal l nk v (remove k r)
+  let[@inline always] index (h : int64) d =
+    Int64.to_int (Int64.shift_right_logical h (60 - (4 * d))) land 15
 
   (* key in [io] slot 0; on a hit the value lands in slot 1 *)
-  let rec find_io io = function
-    | Empty -> false
-    | Node n ->
-        let k = U64.get io 0 in
-        if k = n.k then begin
-          U64.set io 1 n.v;
+  let find_io io root =
+    let k = U64.get io 0 in
+    let h = mix k in
+    let t = ref root and d = ref 0 and found = ref false in
+    while
+      match !t with
+      | Node a ->
+          t := Array.unsafe_get a (index h !d);
+          incr d;
           true
-        end
-        else find_io io (if k < n.k then n.l else n.r)
+      | Leaf l ->
+          if (l.k : int64) = k then begin
+            U64.set io 1 l.v;
+            found := true
+          end;
+          false
+      | Empty -> false
+    do
+      ()
+    done;
+    !found
 
-  let rec mem k = function
+  (* the nodes a lookup of the key descends through *)
+  let rec depth h d = function
+    | Node a -> depth h (d + 1) a.(index h d)
+    | Empty | Leaf _ -> d
+
+  let rec mem h k d = function
     | Empty -> false
-    | Node n -> k = n.k || mem k (if k < n.k then n.l else n.r)
+    | Leaf l -> (l.k : int64) = k
+    | Node a -> mem h k (d + 1) a.(index h d)
+
+  let with_child a i c =
+    let a = Array.copy a in
+    a.(i) <- c;
+    Node a
+
+  let rec add h k v d t =
+    match t with
+    | Empty -> Leaf { k; v }
+    | Leaf l when (l.k : int64) = k -> Leaf { k; v }
+    | Leaf l ->
+        let a = Array.make 16 Empty in
+        a.(index (mix l.k) d) <- t;
+        add h k v d (Node a)
+    | Node a ->
+        let i = index h d in
+        with_child a i (add h k v (d + 1) a.(i))
+
+  (* A node left covering one binding collapses into it, so the shape
+     depends only on the keys present. *)
+  let rec remove h k d t =
+    match t with
+    | Empty -> Empty
+    | Leaf l -> if (l.k : int64) = k then Empty else t
+    | Node a -> (
+        let i = index h d in
+        let c = remove h k (d + 1) a.(i) in
+        if c == a.(i) then t
+        else
+          let others = ref 0 and last = ref Empty in
+          Array.iteri
+            (fun j x ->
+              if j <> i && x != Empty then begin
+                incr others;
+                last := x
+              end)
+            a;
+          match (c, !others, !last) with
+          | Empty, 1, (Leaf _ as l) -> l
+          | Leaf _, 0, _ -> c
+          | _ -> with_child a i c)
 
   let rec fold f t acc =
     match t with
     | Empty -> acc
-    | Node { l; k; v; r; _ } -> fold f l (f k v (fold f r acc))
-
-  let bindings t = fold (fun k v acc -> (k, v) :: acc) t []
+    | Leaf l -> f l.k l.v acc
+    | Node a -> Array.fold_left (fun acc c -> fold f c acc) acc a
 end
 
 type kind = Array | Hash | Percpu | Spinlock | Rcu_shared
@@ -144,12 +156,12 @@ type spin_slot = {
 let no_slot =
   { key = 0L; id = 0; v = U64.cell 0L; owner = Atomic.make (-1); dead = true }
 
-type snapshot = { snap : Pmap.t; ver : int; card : int }
+type snapshot = { snap : Trie.t; ver : int; card : int }
 
 type rcu = {
   root : snapshot Atomic.t;
   wm : Mutex.t;  (** writer serialization *)
-  mutable retired : (int * Pmap.t * int array) list;
+  mutable retired : (int * Trie.t * int array) list;
       (** (version, snapshot kept live, epoch vector at retirement) *)
   epochs : int Atomic.t array;
   mutable retired_total : int;
@@ -161,9 +173,10 @@ type store =
   | S_array of U64.bank
   | S_percpu of { banks : U64tbl.t array; ms : Mutex.t array }
   | S_spin of {
-      m : Mutex.t;
+      m : Mutex.t;  (** guards every field here and each slot's [dead] *)
       index : U64tbl.t;  (** key -> lock id *)
-      by_id : (int, spin_slot) Hashtbl.t;
+      mutable slots : spin_slot array;
+          (** indexed by lock id; [no_slot] where no slot lives *)
       mutable next_id : int;
     }
   | S_rcu of rcu
@@ -187,13 +200,13 @@ let create ?(kind = Hash) ?(cpus = 1) ~max_entries () =
           {
             m = Mutex.create ();
             index = U64tbl.create max_entries;
-            by_id = Hashtbl.create (max 1 max_entries);
+            slots = Stdlib.Array.make 8 no_slot;
             next_id = 1;
           }
     | Rcu_shared ->
         S_rcu
           {
-            root = Atomic.make { snap = Pmap.Empty; ver = 0; card = 0 };
+            root = Atomic.make { snap = Trie.Empty; ver = 0; card = 0 };
             wm = Mutex.create ();
             retired = [];
             epochs = Stdlib.Array.init cpus (fun _ -> Atomic.make 0);
@@ -241,14 +254,17 @@ let[@inline always] array_index t io =
   let k = U64.get io 0 in
   if k >= 0L && k < Int64.of_int t.max_entries then Int64.to_int k else -1
 
-(* The key's spin slot, or [no_slot]; caller holds [m]. *)
-let[@inline always] spin_find index by_id (k : int64) =
+(* The key's spin slot, or [no_slot]; caller holds [m]. Every id in
+   [index] indexes [slots]. *)
+let[@inline always] spin_find index slots (k : int64) =
   let i = U64tbl.find index k in
-  if i < 0 then no_slot
-  else
-    match Hashtbl.find by_id (Int64.to_int (U64tbl.value index i)) with
-    | s -> s
-    | exception Not_found -> no_slot
+  if i < 0 then no_slot else slots.(Int64.to_int (U64tbl.value index i))
+
+(* The slot with lock id [id], or [no_slot]: ids come from handles, so
+   anything may arrive. Caller holds [m]. *)
+let[@inline always] spin_slot slots id =
+  if id > 0 && id < Stdlib.Array.length slots then Stdlib.Array.unsafe_get slots id
+  else no_slot
 
 (* Runtime lock discipline: reads and writes of a spin-locked value are
    only visible to the holder; an unlocked probe is a miss. *)
@@ -268,14 +284,14 @@ let find_io t ~cpu io =
       let hit = tbl_find banks.(b) io in
       Mutex.unlock ms.(b);
       hit
-  | S_spin { m; index; by_id; _ } ->
-      Mutex.lock m;
-      let s = spin_find index by_id (U64.get io 0) in
+  | S_spin sp ->
+      Mutex.lock sp.m;
+      let s = spin_find sp.index sp.slots (U64.get io 0) in
       let hit = held_by s cpu in
       if hit then U64.set io 1 (U64.cell_get s.v);
-      Mutex.unlock m;
+      Mutex.unlock sp.m;
       hit
-  | S_rcu r -> Pmap.find_io io (Atomic.get r.root).snap
+  | S_rcu r -> Trie.find_io io (Atomic.get r.root).snap
 
 (* Publish [snap'] as the next version and retire the current one, stamped
    with the epoch vector. Caller holds [wm]. *)
@@ -298,23 +314,24 @@ let store_io t ~cpu io =
       let ok = tbl_store banks.(b) t.max_entries io in
       Mutex.unlock ms.(b);
       ok
-  | S_spin { m; index; by_id; _ } ->
-      Mutex.lock m;
-      let s = spin_find index by_id (U64.get io 0) in
+  | S_spin sp ->
+      Mutex.lock sp.m;
+      let s = spin_find sp.index sp.slots (U64.get io 0) in
       let ok = held_by s cpu in
       if ok then U64.cell_set s.v (U64.get io 1);
-      Mutex.unlock m;
+      Mutex.unlock sp.m;
       ok
   | S_rcu r ->
       (* copy-on-write: a publish allocates its new path by design *)
       Mutex.lock r.wm;
       let cur = Atomic.get r.root in
       let k = U64.get io 0 in
-      let present = Pmap.mem k cur.snap in
+      let h = Trie.mix k in
+      let present = Trie.mem h k 0 cur.snap in
       let ok = present || cur.card < t.max_entries in
       if ok then
         rcu_publish r cur
-          (Pmap.add k (U64.get io 1) cur.snap)
+          (Trie.add h k (U64.get io 1) 0 cur.snap)
           (if present then cur.card else cur.card + 1);
       Mutex.unlock r.wm;
       ok
@@ -329,22 +346,23 @@ let remove_io t ~cpu io =
       let ok = tbl_remove banks.(b) io in
       Mutex.unlock ms.(b);
       ok
-  | S_spin { m; index; by_id; _ } ->
-      Mutex.lock m;
-      let s = spin_find index by_id (U64.get io 0) in
+  | S_spin sp ->
+      Mutex.lock sp.m;
+      let s = spin_find sp.index sp.slots (U64.get io 0) in
       let ok = held_by s cpu in
       if ok then begin
         s.dead <- true;
-        U64tbl.remove_slot index (U64tbl.find index s.key)
+        U64tbl.remove_slot sp.index (U64tbl.find sp.index s.key)
       end;
-      Mutex.unlock m;
+      Mutex.unlock sp.m;
       ok
   | S_rcu r ->
       Mutex.lock r.wm;
       let cur = Atomic.get r.root in
       let k = U64.get io 0 in
-      let ok = Pmap.mem k cur.snap in
-      if ok then rcu_publish r cur (Pmap.remove k cur.snap) (cur.card - 1);
+      let h = Trie.mix k in
+      let ok = Trie.mem h k 0 cur.snap in
+      if ok then rcu_publish r cur (Trie.remove h k 0 cur.snap) (cur.card - 1);
       Mutex.unlock r.wm;
       ok
 
@@ -429,15 +447,15 @@ let to_list t =
               (pairs banks.(i)))
       done;
       sorted (Hashtbl.fold (fun k v l -> (k, v) :: l) acc [])
-  | S_spin { m; index; by_id; _ } ->
-      locked m (fun () ->
+  | S_spin sp ->
+      locked sp.m (fun () ->
           sorted
             (U64tbl.fold
                (fun k id acc ->
-                 let s = Hashtbl.find by_id (Int64.to_int id) in
-                 (k, U64.cell_get s.v) :: acc)
-               index []))
-  | S_rcu r -> Pmap.bindings (Atomic.get r.root).snap
+                 (k, U64.cell_get sp.slots.(Int64.to_int id).v) :: acc)
+               sp.index []))
+  | S_rcu r ->
+      sorted (Trie.fold (fun k v acc -> (k, v) :: acc) (Atomic.get r.root).snap [])
 
 (* ---- spin-locked values ------------------------------------------------ *)
 
@@ -452,23 +470,22 @@ let lock_io t ~cpu io =
   | S_spin sp ->
       Mutex.lock sp.m;
       let k = U64.get io 0 in
-      let s = spin_find sp.index sp.by_id k in
+      let s = spin_find sp.index sp.slots k in
       let s =
         if s != no_slot then s
         else if U64tbl.length sp.index >= t.max_entries then no_slot
         else begin
+          (* ids are never reused, so a stale handle finds no slot *)
+          let id = sp.next_id in
           let s =
-            {
-              key = k;
-              id = sp.next_id;
-              v = U64.cell 0L;
-              owner = Atomic.make 0;
-              dead = false;
-            }
+            { key = k; id; v = U64.cell 0L; owner = Atomic.make 0; dead = false }
           in
-          sp.next_id <- sp.next_id + 1;
-          U64tbl.add sp.index k (Int64.of_int s.id);
-          Hashtbl.replace sp.by_id s.id s;
+          let n = Stdlib.Array.length sp.slots in
+          if id = n then
+            sp.slots <- Stdlib.Array.append sp.slots (Stdlib.Array.make n no_slot);
+          sp.slots.(id) <- s;
+          sp.next_id <- id + 1;
+          U64tbl.add sp.index k (Int64.of_int id);
           s
         end
       in
@@ -497,10 +514,10 @@ let unlock_id ?(cpu = 0) t id =
   match t.store with
   | S_spin sp ->
       Mutex.lock sp.m;
-      let s = match Hashtbl.find sp.by_id id with s -> s | exception Not_found -> no_slot in
+      let s = spin_slot sp.slots id in
       let ok = held_by s cpu in
       if ok then begin
-        if s.dead then Hashtbl.remove sp.by_id id;
+        if s.dead then sp.slots.(id) <- no_slot;
         Atomic.set s.owner 0
       end;
       Mutex.unlock sp.m;
@@ -511,7 +528,7 @@ let lock_held t k =
   match t.store with
   | S_spin sp ->
       locked sp.m (fun () ->
-          let s = spin_find sp.index sp.by_id k in
+          let s = spin_find sp.index sp.slots k in
           s != no_slot && Atomic.get s.owner <> 0)
   | _ -> false
 
@@ -555,6 +572,11 @@ let rcu_synchronize t =
           r.retired <- [];
           r.reclaimed_total <- r.reclaimed_total + n)
   | _ -> ()
+
+let rcu_depth t k =
+  match t.store with
+  | S_rcu r -> Trie.depth (Trie.mix k) 0 (Atomic.get r.root).snap
+  | _ -> 0
 
 let rcu_stats t =
   match t.store with

@@ -15,10 +15,10 @@
     - [Spinlock]: every value carries a lock word; {!try_lock} /
       {!unlock_id} implement [bpf_spin_lock]-style critical sections, and
       plain operations only succeed for the current holder.
-    - [Rcu_shared]: a shared hash map published through one [Atomic]
-      snapshot — wait-free readers, serialized writers, retired snapshots
-      reclaimed on per-CPU epoch quiescence ({!rcu_quiesce},
-      {!rcu_synchronize}). *)
+    - [Rcu_shared]: a shared map published through one [Atomic] snapshot,
+      a persistent hash trie — wait-free readers, serialized writers,
+      retired snapshots reclaimed on per-CPU epoch quiescence
+      ({!rcu_quiesce}, {!rcu_synchronize}). *)
 
 type kind = Array | Hash | Percpu | Spinlock | Rcu_shared
 
@@ -128,6 +128,12 @@ val rcu_synchronize : t -> unit
 
 val rcu_stats : t -> rcu_stats option
 (** [None] unless the map is [Rcu_shared]. *)
+
+val rcu_depth : t -> int64 -> int
+(** The trie nodes a lookup of the key descends through in the published
+    snapshot (0 on other kinds). The trie branches 16 ways on 4 bits per
+    level of [k * 0x9E3779B97F4A7C15] (a bijection), top bits first, and a
+    node covers at least two keys, so the depth is at most 16. *)
 
 (** {2 Registry (map file descriptors)} *)
 

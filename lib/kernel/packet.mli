@@ -18,25 +18,13 @@ type t = {
 val make : proto:proto -> src_port:int -> dst_port:int -> Bytes.t -> t
 
 val read : t -> width:int -> int -> int64
-(** Little-endian read at a payload offset; 0 beyond the payload (the
-    bounds-checked helper contract). *)
+(** Little-endian read at a payload offset, as the [pkt_read_*] builtins
+    read it: 0 unless the [width] bytes lie inside the payload. [width] is
+    1, 2, 4 or 8. *)
 
 val write : t -> width:int -> int -> int64 -> unit
-(** Little-endian write at a payload offset; ignored beyond the payload. *)
-
-val read8 : t -> int -> int64
-val read16 : t -> int -> int64
-val read32 : t -> int -> int64
-val read64 : t -> int -> int64
-(** {!read} at a fixed width; inlined, so nothing is boxed. *)
-
-val write8 : t -> int -> int64 -> unit
-val write16 : t -> int -> int64 -> unit
-val write32 : t -> int -> int64 -> unit
-val write64 : t -> int -> int64 -> unit
-
-val none : t
-(** The empty packet: every read is 0 and every write is ignored. *)
+(** Little-endian write at a payload offset, as [pkt_write_*] writes it:
+    ignored unless the [width] bytes lie inside the payload. *)
 
 val len : t -> int
 

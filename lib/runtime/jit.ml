@@ -796,6 +796,79 @@ let site_after (next : op) : op =
   next st
 
 
+(* --- native builtins ------------------------------------------------------
+
+   In the fused form a call to a packet builtin ({!Machine.native_builtins})
+   compiles to a closure that runs the builtin's body inline: the charges
+   and counters of the helper-table call, with no [call_helper] frame and
+   no indirect call. The bodies cannot raise, so nothing sets [fault_pc],
+   and each writes r0 as [call_helper] would leave it. *)
+
+let[@inline always] count_call st =
+  let s = st.stats in
+  s.insns <- s.insns + 1;
+  s.helper_calls <- s.helper_calls + 1
+
+let native name (next : op) : op option =
+  match name with
+  | "pkt_len" ->
+      Some
+        (fun st ->
+          count_call st;
+          pkt_len_b st;
+          next st)
+  | "pkt_read_u8" ->
+      Some
+        (fun st ->
+          count_call st;
+          pkt_read8_b st;
+          next st)
+  | "pkt_read_u16" ->
+      Some
+        (fun st ->
+          count_call st;
+          pkt_read16_b st;
+          next st)
+  | "pkt_read_u32" ->
+      Some
+        (fun st ->
+          count_call st;
+          pkt_read32_b st;
+          next st)
+  | "pkt_read_u64" ->
+      Some
+        (fun st ->
+          count_call st;
+          pkt_read64_b st;
+          next st)
+  | "pkt_write_u8" ->
+      Some
+        (fun st ->
+          count_call st;
+          pkt_write8_b st;
+          next st)
+  | "pkt_write_u16" ->
+      Some
+        (fun st ->
+          count_call st;
+          pkt_write16_b st;
+          next st)
+  | "pkt_write_u32" ->
+      Some
+        (fun st ->
+          count_call st;
+          pkt_write32_b st;
+          next st)
+  | "pkt_write_u64" ->
+      Some
+        (fun st ->
+          count_call st;
+          pkt_write64_b st;
+          next st)
+  | _ -> None
+
+let is_native name = List.mem_assoc name native_builtins
+
 let build form ~unwind prog =
   let insns = Prog.insns prog in
   let n = Array.length insns in
@@ -803,12 +876,15 @@ let build form ~unwind prog =
      then frame accesses at [r10 + off] are constant-index and pure. *)
   let fp_const = not (Array.exists (writes_reg 10) insns) in
   let pure = Array.map (is_pure ~fp_const) insns in
-  (* helper name -> slot in the per-extension linked table *)
+  (* helper name -> slot in the per-extension linked table; the fused form
+     calls the native builtins without it *)
   let hidx = Hashtbl.create 8 in
   let horder = ref [] in
   Array.iter
     (function
-      | Insn.Call name when not (Hashtbl.mem hidx name) ->
+      | Insn.Call name
+        when not (Hashtbl.mem hidx name || (form = `Fused && is_native name))
+        ->
           Hashtbl.add hidx name (Hashtbl.length hidx);
           horder := name :: !horder
       | _ -> ())
@@ -1001,15 +1077,16 @@ let build form ~unwind prog =
             k st
       | Insn.Jcond (c, a, s, off) ->
           branch 1 c (R (ri a)) (orig s) (goto pc (pc + 1 + off)) next
-      | Insn.Call name ->
-          let idx = Hashtbl.find hidx name in
-          fun st ->
-            let s = st.stats in
-            s.insns <- s.insns + 1;
-            s.helper_calls <- s.helper_calls + 1;
-            st.fault_pc <- pc;
-            call_helper st (Array.unsafe_get st.helpers idx);
-            next st
+      | Insn.Call name -> (
+          match if form = `Fused then native name next else None with
+          | Some op -> op
+          | None ->
+              let idx = Hashtbl.find hidx name in
+              fun st ->
+                count_call st;
+                st.fault_pc <- pc;
+                call_helper st (Array.unsafe_get st.helpers idx);
+                next st)
       | Insn.Exit -> fun st -> st.stats.insns <- st.stats.insns + 1
   in
   (* Guard+access superinstructions. The fused closure must leave state and

@@ -63,6 +63,9 @@ type state = {
   stack : Bytes.t;  (* Prog.stack_size bytes, zeroed per invocation *)
   mutable ctx : Bytes.t;
   mutable ctx_size : int;
+  mutable pkt : Bytes.t;
+      (* the payload of the packet being processed ([Bytes.empty] when the
+         invocation has none), read and written by the packet builtins *)
   mutable stats : stats;
   mutable start_cost : int;  (* total_cost at invocation entry *)
   mutable fault_pc : int;  (* instrumented pc of the faulting insn *)
@@ -246,6 +249,7 @@ let create_state ?heap ?alloc ~quantum ~cancel () =
     stack = Bytes.make Prog.stack_size '\000';
     ctx = Bytes.empty;
     ctx_size = 0;
+    pkt = Bytes.empty;
     stats = fresh_stats ();
     start_cost = 0;
     fault_pc = 0;
@@ -261,18 +265,29 @@ let create_state ?heap ?alloc ~quantum ~cancel () =
     on_site = None;
   }
 
-let reset_state st ~ctx ~cpu ~stats =
-  U64.fill st.regs 0L;
+(* Per invocation. The registers are zeroed by unboxed stores rather than
+   a [Bigarray.fill] C call, and a pointer field is written only when its
+   value changes: each write is a [caml_modify], and an engine shard runs
+   every invocation of an instance against the same context block and
+   stats record. *)
+let reset_state st ~ctx ~pkt ~cpu ~stats =
+  let regs = st.regs in
+  for i = 0 to 10 do
+    U64.set regs i 0L
+  done;
   Bytes.unsafe_fill st.stack 0 (Bytes.length st.stack) '\000';
   Ledger.clear st.ledger;
-  st.ctx <- ctx;
-  st.ctx_size <- Bytes.length ctx;
-  st.stats <- stats;
+  if st.ctx != ctx then begin
+    st.ctx <- ctx;
+    st.ctx_size <- Bytes.length ctx
+  end;
+  if st.pkt != pkt then st.pkt <- pkt;
+  if st.stats != stats then st.stats <- stats;
   st.start_cost <- total_cost stats;
   st.fault_pc <- 0;
   st.cpu <- cpu;
-  U64.set st.regs 1 ctx_base;
-  U64.set st.regs 10 (Int64.add stack_base (Int64.of_int Prog.stack_size))
+  U64.set regs 1 ctx_base;
+  U64.set regs 10 (Int64.add stack_base (Int64.of_int Prog.stack_size))
 
 (* --- the helper ABI ------------------------------------------------------ *)
 
@@ -282,6 +297,114 @@ let[@inline always] set_ret (c : call_ctx) v = U64.set c.regs 0 v
 let[@inline always] charge (c : call_ctx) n =
   let s = c.stats in
   s.helper_cost <- s.helper_cost + n
+
+(* --- the packet builtins ------------------------------------------------
+
+   [pkt_len], [pkt_read_*] and [pkt_write_*] read and write the payload in
+   [st.pkt], and each is defined once, here: the helper table
+   ({!Vm.builtin_helpers}) calls these bodies through [call_helper], and
+   the fused Jit inlines them into the call's own closure. With no packet
+   installed the payload is empty: length 0, every read 0, every write
+   ignored.
+
+   Offsets arrive as full 64-bit scalars. The test compares [off] with
+   [length - width], which cannot overflow, where [off + width] wraps for
+   offsets near [Int64.max_int]; past it the raw accessors need no bounds
+   check of their own. *)
+
+let[@inline always] pkt_fits p (off : int64) width =
+  off >= 0L && off <= Int64.of_int (Bytes.length p - width)
+
+let[@inline always] pkt_read8 p off =
+  if pkt_fits p off 1 then
+    Int64.of_int (Char.code (U64.get8 p (Int64.to_int off)))
+  else 0L
+
+let[@inline always] pkt_read16 p off =
+  if pkt_fits p off 2 then Int64.of_int (U64.get16 p (Int64.to_int off))
+  else 0L
+
+let[@inline always] pkt_read32 p off =
+  if pkt_fits p off 4 then
+    Int64.logand (Int64.of_int32 (U64.get32 p (Int64.to_int off))) 0xffff_ffffL
+  else 0L
+
+let[@inline always] pkt_read64 p off =
+  if pkt_fits p off 8 then U64.get64 p (Int64.to_int off) else 0L
+
+let[@inline always] pkt_write8 p off v =
+  if pkt_fits p off 1 then
+    U64.set8 p (Int64.to_int off)
+      (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xffL)))
+
+let[@inline always] pkt_write16 p off v =
+  if pkt_fits p off 2 then
+    U64.set16 p (Int64.to_int off) (Int64.to_int (Int64.logand v 0xffffL))
+
+let[@inline always] pkt_write32 p off v =
+  if pkt_fits p off 4 then U64.set32 p (Int64.to_int off) (Int64.to_int32 v)
+
+let[@inline always] pkt_write64 p off v =
+  if pkt_fits p off 8 then U64.set64 p (Int64.to_int off) v
+
+(* The builtins' bodies in the helper ABI: [pkt_len(ctx)],
+   [pkt_read_uN(ctx, off)] and [pkt_write_uN(ctx, off, v)]. Each writes
+   r0 itself (a write returns 0), so a body called without
+   [call_helper]'s clearing of r0 leaves what the call would. *)
+let[@inline always] pkt_len_b st =
+  charge st 2;
+  set_ret st (Int64.of_int (Bytes.length st.pkt))
+
+let[@inline always] pkt_read8_b st =
+  charge st 3;
+  set_ret st (pkt_read8 st.pkt (arg st 1))
+
+let[@inline always] pkt_read16_b st =
+  charge st 3;
+  set_ret st (pkt_read16 st.pkt (arg st 1))
+
+let[@inline always] pkt_read32_b st =
+  charge st 3;
+  set_ret st (pkt_read32 st.pkt (arg st 1))
+
+let[@inline always] pkt_read64_b st =
+  charge st 3;
+  set_ret st (pkt_read64 st.pkt (arg st 1))
+
+let[@inline always] pkt_write8_b st =
+  charge st 3;
+  pkt_write8 st.pkt (arg st 1) (arg st 2);
+  set_ret st 0L
+
+let[@inline always] pkt_write16_b st =
+  charge st 3;
+  pkt_write16 st.pkt (arg st 1) (arg st 2);
+  set_ret st 0L
+
+let[@inline always] pkt_write32_b st =
+  charge st 3;
+  pkt_write32 st.pkt (arg st 1) (arg st 2);
+  set_ret st 0L
+
+let[@inline always] pkt_write64_b st =
+  charge st 3;
+  pkt_write64 st.pkt (arg st 1) (arg st 2);
+  set_ret st 0L
+
+(* The builtins the fused Jit compiles natively (its [native] match covers
+   exactly these names), as helper-table entries. *)
+let native_builtins : (string * helper) list =
+  [
+    ("pkt_len", pkt_len_b);
+    ("pkt_read_u8", pkt_read8_b);
+    ("pkt_read_u16", pkt_read16_b);
+    ("pkt_read_u32", pkt_read32_b);
+    ("pkt_read_u64", pkt_read64_b);
+    ("pkt_write_u8", pkt_write8_b);
+    ("pkt_write_u16", pkt_write16_b);
+    ("pkt_write_u32", pkt_write32_b);
+    ("pkt_write_u64", pkt_write64_b);
+  ]
 
 (* Call [h] with r1-r5 as its arguments: clear r0, run, and let a
    [Helper_stall] cancel the extension at the call site (§3.4). A helper

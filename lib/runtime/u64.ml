@@ -28,7 +28,6 @@ let create n : bank =
   Bigarray.Array1.fill b 0L;
   b
 
-let fill (b : bank) v = Bigarray.Array1.fill b v
 let dim (b : bank) = Bigarray.Array1.dim b
 
 (* A single mutable unboxed word — the no-allocation replacement for

@@ -139,8 +139,27 @@ let h_ktime = ktime_helper vtime
 
 let h_cpu c = set_ret c (Int64.of_int c.Machine.cpu)
 
+let pkt_read p ~width off =
+  match width with
+  | 1 -> Machine.pkt_read8 p off
+  | 2 -> Machine.pkt_read16 p off
+  | 4 -> Machine.pkt_read32 p off
+  | 8 -> Machine.pkt_read64 p off
+  | _ -> invalid_arg "Vm.pkt_read: width"
+
+let pkt_write p ~width off v =
+  match width with
+  | 1 -> Machine.pkt_write8 p off v
+  | 2 -> Machine.pkt_write16 p off v
+  | 4 -> Machine.pkt_write32 p off v
+  | 8 -> Machine.pkt_write64 p off v
+  | _ -> invalid_arg "Vm.pkt_write: width"
+
+let native_builtins = List.map fst Machine.native_builtins
+
 let builtin_helpers =
-  [
+  Machine.native_builtins
+  @ [
     ("kflex_malloc", h_malloc);
     ("kflex_free", h_free);
     ("kflex_spin_lock", h_spin_lock);
@@ -170,8 +189,16 @@ type ext = {
       (* the hooked form, compiled on the first invocation with a hook *)
 }
 
+(* The fused Jit compiles a native builtin's call without consulting the
+   helper table, so an override would run in the reference and hooked
+   forms only; it is refused instead. *)
 let create ?heap ?alloc ?(quantum = 100_000_000) ?(default_ret = 0L) ?on_cancel
     ~helpers kie =
+  List.iter
+    (fun (n, _) ->
+      if List.mem n native_builtins then
+        invalid_arg ("Vm.create: builtin " ^ n ^ " cannot be overridden"))
+    helpers;
   let tbl = Hashtbl.create 32 in
   List.iter (fun (n, h) -> Hashtbl.replace tbl n h) builtin_helpers;
   List.iter (fun (n, h) -> Hashtbl.replace tbl n h) helpers;
@@ -360,13 +387,13 @@ module Ref_interp = struct
     | Insn.Rsh -> Int64.shift_right_logical a (Int64.to_int b land 63)
     | Insn.Arsh -> Int64.shift_right a (Int64.to_int b land 63)
 
-  let exec e ~ctx ?(cpu = 0) ?stats ?on_insn () =
+  let exec e ~ctx ?(pkt = Bytes.empty) ?(cpu = 0) ?stats ?on_insn () =
     let stats = match stats with Some s -> s | None -> fresh_stats () in
     let st = acquire_state e in
     Fun.protect
       ~finally:(fun () -> st.Machine.in_use <- false)
       (fun () ->
-        Machine.reset_state st ~ctx ~cpu ~stats;
+        Machine.reset_state st ~ctx ~pkt ~cpu ~stats;
         let insns = Prog.insns e.kie.Kflex_kie.Instrument.prog in
         let regs = Array.make 11 0L in
         regs.(1) <- ctx_base;
@@ -523,14 +550,14 @@ end
    optional arguments, closures or [Fun.protect], and small return values
    share a preallocated [Finished], so the engine's per-event path ({!run})
    allocates nothing here. A hook selects the hooked form. *)
-let invoke e ~ctx ~cpu ~stats ~on_insn ~on_site =
+let invoke e ~ctx ~pkt ~cpu ~stats ~on_insn ~on_site =
   let st = acquire_state e in
-  Machine.reset_state st ~ctx ~cpu ~stats;
+  Machine.reset_state st ~ctx ~pkt ~cpu ~stats;
   match
     match (on_insn, on_site) with
     | None, None ->
         let t, helpers = ensure_compiled e in
-        st.Machine.helpers <- helpers;
+        if st.Machine.helpers != helpers then st.Machine.helpers <- helpers;
         Jit.run t st
     | _ ->
         let t, helpers = ensure_hooked e in
@@ -550,8 +577,9 @@ let invoke e ~ctx ~cpu ~stats ~on_insn ~on_site =
       st.Machine.in_use <- false;
       raise exn
 
-let run e ~ctx ~cpu ~stats = invoke e ~ctx ~cpu ~stats ~on_insn:None ~on_site:None
+let run e ~ctx ~pkt ~cpu ~stats =
+  invoke e ~ctx ~pkt ~cpu ~stats ~on_insn:None ~on_site:None
 
-let exec e ~ctx ?(cpu = 0) ?stats ?on_insn ?on_site () =
+let exec e ~ctx ?(pkt = Bytes.empty) ?(cpu = 0) ?stats ?on_insn ?on_site () =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
-  invoke e ~ctx ~cpu ~stats ~on_insn ~on_site
+  invoke e ~ctx ~pkt ~cpu ~stats ~on_insn ~on_site

@@ -116,9 +116,27 @@ val ktime_helper : U64.cell -> helper
     caller-owned state. *)
 
 val builtin_helpers : (string * helper) list
-(** Implementations of the KFlex runtime API: [kflex_malloc], [kflex_free],
-    [kflex_spin_lock], [kflex_spin_unlock], [kflex_heap_base],
-    [bpf_get_smp_processor_id], [bpf_ktime_get_ns], [bpf_get_prandom_u32]. *)
+(** Implementations of the KFlex runtime API: the packet accessors
+    ({!native_builtins}), [kflex_malloc], [kflex_free], [kflex_spin_lock],
+    [kflex_spin_unlock], [kflex_heap_base], [bpf_get_smp_processor_id],
+    [bpf_ktime_get_ns], [bpf_get_prandom_u32]. *)
+
+val native_builtins : string list
+(** The builtins the fused Jit compiles into the call's own closure, with
+    no helper-table call: [pkt_len], [pkt_read_u8/16/32/64] and
+    [pkt_write_u8/16/32/64]. They read and write the invocation's packet
+    payload (the [pkt] of {!run} and {!exec}): [pkt_len(ctx)] charges 2,
+    each read or write charges 3; a read outside the payload returns 0 and
+    a write outside it is ignored. *)
+
+val pkt_read : Bytes.t -> width:int -> int64 -> int64
+(** The packet builtins' semantics on a payload, for host-side callers:
+    little-endian and zero-extended, 0 unless the [width] bytes at the
+    offset lie inside the payload. [width] is 1, 2, 4 or 8. *)
+
+val pkt_write : Bytes.t -> width:int -> int64 -> int64 -> unit
+(** Ignored unless the [width] bytes at the offset lie inside the
+    payload. *)
 
 type ext
 (** A loaded (instrumented) extension ready to run. *)
@@ -135,7 +153,9 @@ val create :
 (** [quantum] is the watchdog budget in cost units per invocation (default
     100 million ≈ seconds of real execution, §4.3). [on_cancel] is the §4.3
     user callback that may rewrite the default return code. [helpers] extend
-    (and may shadow) {!builtin_helpers}. *)
+    (and may shadow) {!builtin_helpers}, except the {!native_builtins}: the
+    fused form never consults the table for those, so shadowing one raises
+    [Invalid_argument]. *)
 
 val cancel : ext -> unit
 (** Request cancellation (all CPUs, §4.3): every running or future
@@ -164,7 +184,8 @@ val set_compiled : ext -> Jit.t -> unit
     compiled-program cache), linking its helper table against this
     extension's helpers. *)
 
-val run : ext -> ctx:Bytes.t -> cpu:int -> stats:stats -> outcome
+val run :
+  ext -> ctx:Bytes.t -> pkt:Bytes.t -> cpu:int -> stats:stats -> outcome
 (** One hook-free invocation — {!exec} without optional arguments, for
     per-event callers: it allocates nothing when the extension finishes
     with a return value in [-1, 255] (those outcomes are preallocated). *)
@@ -172,14 +193,16 @@ val run : ext -> ctx:Bytes.t -> cpu:int -> stats:stats -> outcome
 val exec :
   ext ->
   ctx:Bytes.t ->
+  ?pkt:Bytes.t ->
   ?cpu:int ->
   ?stats:stats ->
   ?on_insn:(int -> int64 array -> unit) ->
   ?on_site:(unit -> bool) ->
   unit ->
   outcome
-(** Run one invocation with the given context block. [stats], when supplied,
-    accumulates across invocations. A hook-free invocation runs the fused
+(** Run one invocation with the given context block and packet payload
+    ([pkt], default empty), both installed in the execution state for the
+    invocation. [stats], when supplied, accumulates across invocations. A hook-free invocation runs the fused
     compiled form, compiling it on first use unless {!precompile} or
     {!set_compiled} installed one.
 
@@ -211,6 +234,7 @@ module Ref_interp : sig
   val exec :
     ext ->
     ctx:Bytes.t ->
+    ?pkt:Bytes.t ->
     ?cpu:int ->
     ?stats:stats ->
     ?on_insn:(int -> int64 array -> unit) ->

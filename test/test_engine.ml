@@ -62,6 +62,32 @@ let t_chain_composition () =
   Alcotest.(check int64) "all pass" Hook.xdp_pass r2.Engine.verdict;
   Alcotest.(check int) "both ran" 2 r2.Engine.executed
 
+(* Verdicts 0–255 are tallied in an array, any other in a table; both
+   observations merge the two exactly, sorted by verdict. *)
+let t_verdict_tally () =
+  let eng = Engine.create () in
+  let _ =
+    attach_exn ~name:"echo" ~heap_size:4096L eng
+      (prog_of
+         (compile "echo" "fn prog(c: ctx) -> u64 { return pkt_read_u64(c, 0); }"))
+  in
+  let sent = [ 0L; 3L; 255L; 256L; 3L; -1L; 1000L; 0L; 256L; 3L ] in
+  List.iter
+    (fun v ->
+      let payload = Bytes.create 8 in
+      Bytes.set_int64_le payload 0 v;
+      let r = Engine.run_packet eng (pkt ~payload ()) in
+      Alcotest.(check int64) "verdict echoed" v r.Engine.verdict)
+    sent;
+  let expect =
+    List.sort_uniq compare sent
+    |> List.map (fun v -> (v, List.length (List.filter (( = ) v) sent)))
+  in
+  Alcotest.(check (list (pair int64 int))) "shard tally" expect
+    (Engine.shard_verdicts eng 0);
+  Alcotest.(check (list (pair int64 int))) "totals" expect
+    (Engine.totals eng).Engine.verdicts
+
 let t_chain_module () =
   (* the pure chain structure underneath the registry *)
   let c = Chain.empty in
@@ -969,6 +995,7 @@ let () =
       ( "chain",
         [
           Alcotest.test_case "verdict composition" `Quick t_chain_composition;
+          Alcotest.test_case "verdict tally" `Quick t_verdict_tally;
           Alcotest.test_case "chain structure" `Quick t_chain_module;
           Alcotest.test_case "lifecycle + epochs" `Quick t_lifecycle_epochs;
         ] );

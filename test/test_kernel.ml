@@ -250,6 +250,150 @@ let t_map_rcu () =
   Map.rcu_quiesce h ~cpu:0;
   Map.rcu_synchronize h
 
+(* --- the Rcu_shared trie and the Spinlock slot array --------------------- *)
+
+(* The trie branches on [k * mix_c] ({!Map.rcu_depth}), a bijection whose
+   inverse is multiplication by [mix_c]'s inverse mod 2^64 (each Newton
+   step doubles the correct low bits). Keys whose mixed words differ only
+   in their low 4 bits share the trie path down to its last level. *)
+let mix_c = 0x9E3779B97F4A7C15L
+
+let mix_inv =
+  let x = ref mix_c in
+  for _ = 1 to 6 do
+    x := Int64.mul !x (Int64.sub 2L (Int64.mul mix_c !x))
+  done;
+  !x
+
+(* The 16 keys whose mixed words agree with [k]'s above the low [bits]. *)
+let path_siblings ?(bits = 4) k =
+  let h = Int64.mul k mix_c in
+  let top = Int64.logand h (Int64.shift_left (-1L) bits) in
+  List.init 16 (fun j ->
+      Int64.mul
+        (Int64.logor top
+           (Int64.shift_left (Int64.of_int j) (bits - 4)))
+        mix_inv)
+
+let t_map_rcu_trie_paths () =
+  Alcotest.(check int64) "mix inverse" 1L (Int64.mul mix_c mix_inv);
+  let m = Map.create ~kind:Map.Rcu_shared ~max_entries:64 () in
+  let deep = path_siblings 5L in
+  Alcotest.(check bool) "5 among its siblings" true (List.mem 5L deep);
+  List.iter (fun k -> ignore (Map.update m k (Int64.neg k) : bool)) deep;
+  List.iter
+    (fun k ->
+      Alcotest.(check int) "down to the last level" 16 (Map.rcu_depth m k);
+      Alcotest.(check (option int64)) "full-key hit" (Some (Int64.neg k))
+        (Map.lookup m k))
+    deep;
+  Alcotest.(check bool) "sorted dump" true
+    (Map.to_list m
+    = List.sort (fun (a, _) (b, _) -> Int64.compare a b)
+        (List.map (fun k -> (k, Int64.neg k)) deep));
+  (* deleting down to one key collapses the path into the root *)
+  List.iter (fun k -> if k <> 5L then ignore (Map.delete m k : bool)) deep;
+  Alcotest.(check int) "collapsed" 0 (Map.rcu_depth m 5L);
+  Alcotest.(check bool) "survivor" true (Map.to_list m = [ (5L, -5L) ])
+
+module Model = Stdlib.Map.Make (Int64)
+
+(* Random update/delete/lookup/quiesce runs against [Stdlib.Map], over a
+   key pool with 16 keys sharing the whole trie path, 16 sharing its top
+   half and 16 scattered ones. After every step the stats must count each
+   publish, and each quiesce (one cpu) must reclaim everything retired. *)
+let prop_rcu_model =
+  let pool =
+    Array.of_list
+      (path_siblings 0x1234L
+      @ path_siblings ~bits:32 0x9876L
+      @ List.init 16 (fun i -> Int64.mul (Int64.of_int (i + 1)) 0x2545F4914F6CDD1DL))
+  in
+  QCheck.Test.make ~count:300 ~name:"rcu trie = Stdlib.Map model"
+    QCheck.(
+      list_of_size (Gen.int_range 1 120)
+        (triple (int_bound 4) (int_bound (Array.length pool - 1)) small_nat))
+    (fun ops ->
+      let m = Map.create ~kind:Map.Rcu_shared ~max_entries:64 () in
+      let published = ref 0 and reclaimed = ref 0 in
+      let model =
+        List.fold_left
+          (fun model (op, i, v) ->
+            let k = pool.(i) and v = Int64.of_int v in
+            let model =
+              match op with
+              | 0 | 1 ->
+                  if not (Map.update m k v) then QCheck.Test.fail_report "update refused";
+                  incr published;
+                  Model.add k v model
+              | 2 ->
+                  let present = Model.mem k model in
+                  if Map.delete m k <> present then
+                    QCheck.Test.fail_report "delete disagrees";
+                  if present then incr published;
+                  Model.remove k model
+              | 3 ->
+                  if Map.lookup m k <> Model.find_opt k model then
+                    QCheck.Test.fail_report "lookup disagrees";
+                  model
+              | _ ->
+                  Map.rcu_quiesce m ~cpu:0;
+                  reclaimed := !published;
+                  model
+            in
+            let st = Option.get (Map.rcu_stats m) in
+            if
+              st.Map.version <> !published
+              || st.Map.retired <> !published - !reclaimed
+              || st.Map.reclaimed <> !reclaimed
+            then QCheck.Test.fail_report "rcu_stats disagree";
+            model)
+          Model.empty ops
+      in
+      Map.to_list m = Model.bindings model
+      && Map.entries m = Model.cardinal model
+      && Array.for_all
+           (fun k -> Map.lookup m k = Model.find_opt k model)
+           pool)
+
+(* Lock ids index a slot array that starts small and grows; ids are never
+   reused, so a handle that outlived its slot can touch nothing. *)
+let t_map_spinlock_slots () =
+  let m = Map.create ~kind:Map.Spinlock ~max_entries:64 () in
+  let key i = Int64.of_int (1000 * i) in
+  let lock k =
+    match Map.try_lock ~cpu:0 m k with
+    | Map.Acquired id -> id
+    | _ -> Alcotest.failf "lock %Ld" k
+  in
+  let ids = List.init 40 (fun i -> lock (key i)) in
+  Alcotest.(check (list int)) "fresh ids in order" (List.init 40 (fun i -> i + 1)) ids;
+  List.iteri
+    (fun i id ->
+      Alcotest.(check bool) "holder update" true (Map.update ~cpu:0 m (key i) (Int64.of_int i));
+      Alcotest.(check bool) "unlock" true (Map.unlock_id ~cpu:0 m id))
+    ids;
+  Alcotest.(check bool) "values survive the growth" true
+    (Map.to_list m = List.init 40 (fun i -> (key i, Int64.of_int i)));
+  Alcotest.(check bool) "none held" true
+    (List.for_all (fun i -> not (Map.lock_held m (key i))) (List.init 40 Fun.id));
+  (* delete while held, then unlock: the slot dies with its id *)
+  let id = lock (key 3) in
+  Alcotest.(check int) "same slot, same id" 4 id;
+  Alcotest.(check bool) "locked delete" true (Map.delete ~cpu:0 m (key 3));
+  Alcotest.(check bool) "gone from the index" false (Map.lock_held m (key 3));
+  Alcotest.(check bool) "unlock dead slot" true (Map.unlock_id ~cpu:0 m id);
+  Alcotest.(check bool) "dead id unlocks nothing" false (Map.unlock_id ~cpu:0 m id);
+  let id' = lock (key 3) in
+  Alcotest.(check int) "a new slot takes a new id" 41 id';
+  Alcotest.(check bool) "stale id cannot release it" false
+    (Map.unlock_id ~cpu:0 m id);
+  Alcotest.(check bool) "still held" true (Map.lock_held m (key 3));
+  Alcotest.(check (option int64)) "fresh value" (Some 0L) (Map.lookup ~cpu:0 m (key 3));
+  Alcotest.(check bool) "unlock new id" true (Map.unlock_id ~cpu:0 m id');
+  Alcotest.(check bool) "ids past the array miss" false (Map.unlock_id ~cpu:0 m 1_000_000);
+  Alcotest.(check bool) "id 0 misses" false (Map.unlock_id ~cpu:0 m 0)
+
 (* fds are monotonic and never reused: a stale fd can only ever miss,
    which is what makes cross-registry sharing (engine replace) safe. *)
 let t_map_registry_fds () =
@@ -324,16 +468,38 @@ let t_map_cost_monotone () =
     (Cost.map_merge_cost ~cpus:8 - Cost.map_merge_cost ~cpus:4
     = Cost.map_merge_cost ~cpus:4 - Cost.map_merge_cost ~cpus:0)
 
+(* The packet accessors are VM builtins, not kernel helpers: the packet
+   travels with the invocation, so [pkt_len] sees the payload of the packet
+   being run and an empty one when the invocation installs none. *)
 let t_helpers_pkt () =
   let k = Helpers.create () in
   let impls = Helpers.implementations k in
   Alcotest.(check bool) "sk helpers" true (List.mem_assoc "bpf_sk_lookup_udp" impls);
-  Alcotest.(check bool) "pkt helpers" true (List.mem_assoc "pkt_read_u64" impls);
   Alcotest.(check bool) "map helpers" true (List.mem_assoc "bpf_map_lookup" impls);
-  Helpers.set_packet k (Packet.make ~proto:Packet.Udp ~src_port:1 ~dst_port:2 (Bytes.make 4 'x'));
-  Alcotest.(check bool) "packet set" true (Helpers.packet k <> None);
-  Helpers.clear_packet k;
-  Alcotest.(check bool) "packet cleared" true (Helpers.packet k = None)
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " is a VM builtin") true
+        (List.mem_assoc n Kflex_runtime.Vm.builtin_helpers
+        && not (List.mem_assoc n impls)))
+    Kflex_runtime.Vm.native_builtins;
+  let c =
+    Kflex_eclang.Compile.compile_string ~name:"pkt_len"
+      "fn prog(c: ctx) -> u64 { return pkt_len(c); }"
+  in
+  let loaded =
+    match
+      Kflex.load ~heap:(Kflex_runtime.Heap.create ~size:65536L ()) ~kernel:k
+        ~hook:Hook.Xdp c.Kflex_eclang.Compile.prog
+    with
+    | Ok l -> l
+    | Error e -> Alcotest.failf "rejected: %a" Kflex_verifier.Verify.pp_error e
+  in
+  let p = Packet.make ~proto:Packet.Udp ~src_port:1 ~dst_port:2 (Bytes.make 4 'x') in
+  Alcotest.(check bool) "packet set" true
+    (Kflex.run_packet loaded p = Kflex_runtime.Vm.Finished 4L);
+  Alcotest.(check bool) "packet cleared" true
+    (Kflex_runtime.Vm.exec loaded.Kflex.ext ~ctx:(Hook.build_ctx p) ()
+    = Kflex_runtime.Vm.Finished 0L)
 
 (* --- allocation gates ------------------------------------------------------
 
@@ -402,10 +568,14 @@ let t_packet_helpers_alloc () =
   check_no_alloc "pkt_write"
     "pkt_write_u8(c, 20, i); pkt_write_u16(c, 22, i); pkt_write_u32(c, 24, i); pkt_write_u64(c, 28, i);"
 
+(* Rcu_shared's gate map also holds key 5's 15 trie-path siblings, so a
+   lookup of 5 walks all 16 levels. *)
 let gate_map kind =
   let m = Map.create ~kind ~cpus:2 ~max_entries:64 () in
   (match kind with
   | Map.Spinlock -> ()
+  | Map.Rcu_shared ->
+      List.iter (fun k -> ignore (Map.update m k 77L : bool)) (path_siblings 5L)
   | _ -> ignore (Map.update m 5L 77L : bool));
   m
 
@@ -433,7 +603,11 @@ let t_map_helpers_alloc () =
         check_no_alloc (name "update") ~map:(gate_map kind) (under_lock update))
     [ Map.Array; Map.Hash; Map.Percpu; Map.Spinlock; Map.Rcu_shared ];
   check_no_alloc "bpf_map_lock/unlock" ~map:(gate_map Map.Spinlock)
-    "st64(&kbuf, 0, 5); h = bpf_map_lock(3, &kbuf); if (h != 0) { bpf_map_unlock(h); }"
+    "st64(&kbuf, 0, 5); h = bpf_map_lock(3, &kbuf); if (h != 0) { bpf_map_unlock(h); }";
+  check_no_alloc "spin sequence" ~map:(gate_map Map.Spinlock)
+    "st64(&kbuf, 0, 5); h = bpf_map_lock(3, &kbuf); if (h != 0) { acc = acc + \
+     bpf_map_lookup(3, &kbuf, &vbuf); st64(&vbuf, 0, i); acc = acc + \
+     bpf_map_update(3, &kbuf, &vbuf); bpf_map_unlock(h); }"
 
 let () =
   Alcotest.run "kernel"
@@ -448,6 +622,9 @@ let () =
           Alcotest.test_case "map percpu banks" `Quick t_map_percpu;
           Alcotest.test_case "map spinlock protocol" `Quick t_map_spinlock;
           Alcotest.test_case "map rcu epochs" `Quick t_map_rcu;
+          Alcotest.test_case "map rcu trie paths" `Quick t_map_rcu_trie_paths;
+          QCheck_alcotest.to_alcotest prop_rcu_model;
+          Alcotest.test_case "map spinlock slots" `Quick t_map_spinlock_slots;
           Alcotest.test_case "map registry fds" `Quick t_map_registry_fds;
           Alcotest.test_case "map cost monotone" `Quick t_map_cost_monotone;
           Alcotest.test_case "hook ctx" `Quick t_hook_ctx;

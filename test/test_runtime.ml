@@ -549,6 +549,117 @@ let t_jit_parity () =
 
 (* Quantum expiry fires at a checkpoint; the Jit must cancel with the same
    reason after exactly the same number of instructions. *)
+(* The packet builtins compile natively in the fused form (no helper-table
+   slot) and must agree with the reference interpreter's helper-table call
+   at every edge of the payload: before it, at its start, flush with its
+   end, one byte past it, at [Int64.max_int] (where [off + width] wraps),
+   and with no packet installed at all. *)
+let t_jit_packet_builtins () =
+  let len = 16 in
+  let payload () = Bytes.init len (fun i -> Char.chr (0xa0 + i)) in
+  let le p off w =
+    let v = ref 0L in
+    for i = w - 1 downto 0 do
+      v := Int64.logor (Int64.shift_left !v 8)
+          (Int64.of_int (Char.code (Bytes.get p (off + i))))
+    done;
+    !v
+  in
+  let ctx = Bytes.make 64 '\000' in
+  (* [exec] with the payload [p] installed, or with none *)
+  let fused ext ~pkt ~stats =
+    match pkt with
+    | Some pkt -> Vm.exec ext ~ctx ~pkt ~stats ()
+    | None -> Vm.exec ext ~ctx ~stats ()
+  in
+  let reference ext ~pkt ~stats =
+    match pkt with
+    | Some pkt -> Vm.Ref_interp.exec ext ~ctx ~pkt ~stats ()
+    | None -> Vm.Ref_interp.exec ext ~ctx ~stats ()
+  in
+  let check name items expect_ret expect_payload =
+    List.iter
+      (fun installed ->
+        let name = if installed then name else name ^ ", no packet" in
+        let go exec =
+          let ext = load items and p = payload () and stats = Vm.fresh_stats () in
+          let o = exec ext ~pkt:(if installed then Some p else None) ~stats in
+          (o, stats_tuple stats, Bytes.to_string p, ext)
+        in
+        let o, st, pl, ext = go fused in
+        let o', st', pl', _ = go reference in
+        Alcotest.(check int) (name ^ ": no helper-table slot") 0
+          (Array.length (Jit.helper_names (Vm.precompile ext)));
+        Alcotest.(check bool) (name ^ ": outcome = reference") true (o = o');
+        check_stats st st';
+        Alcotest.(check string) (name ^ ": payload = reference") pl' pl;
+        Alcotest.(check bool) (name ^ ": result") true
+          (o = Vm.Finished (if installed then expect_ret else 0L));
+        Alcotest.(check string) (name ^ ": payload")
+          (if installed then expect_payload else Bytes.to_string (payload ()))
+          pl)
+      [ true; false ]
+  in
+  let offsets w = [ -1L; 0L; Int64.of_int (len - w); Int64.of_int (len - w + 1); Int64.max_int ] in
+  let inside off w = off >= 0L && off <= Int64.of_int (len - w) in
+  check "pkt_len" [ call "pkt_len"; exit_ ] (Int64.of_int len)
+    (Bytes.to_string (payload ()));
+  List.iter
+    (fun w ->
+      List.iter
+        (fun off ->
+          let name = Printf.sprintf "pkt_read_u%d at %Ld" (8 * w) off in
+          let expect =
+            if inside off w then le (payload ()) (Int64.to_int off) w else 0L
+          in
+          check name
+            [ movi R2 off; call (Printf.sprintf "pkt_read_u%d" (8 * w)); exit_ ]
+            expect
+            (Bytes.to_string (payload ()));
+          let name = Printf.sprintf "pkt_write_u%d at %Ld" (8 * w) off in
+          let v = 0x1122334455667788L in
+          let expect = payload () in
+          if inside off w then
+            for i = 0 to w - 1 do
+              Bytes.set expect
+                (Int64.to_int off + i)
+                (Char.chr
+                   (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
+            done;
+          check name
+            [
+              movi R2 off;
+              movi R3 v;
+              movi R0 7L;
+              call (Printf.sprintf "pkt_write_u%d" (8 * w));
+              exit_;
+            ]
+            0L (Bytes.to_string expect))
+        (offsets w))
+    [ 1; 2; 4; 8 ]
+
+(* The fused form never consults the helper table for a native builtin,
+   so an override would silently split the executors: refused. *)
+let t_native_override_refused () =
+  let kie =
+    Kflex_kie.Instrument.run
+      (match
+         Kflex_verifier.Verify.run ~mode:Kflex_verifier.Verify.Kflex ~contracts
+           ~ctx_size:64
+           (Asm.assemble ~name:"t" [ call "pkt_len"; exit_ ])
+       with
+      | Ok a -> a
+      | Error e -> Alcotest.failf "verify: %a" Kflex_verifier.Verify.pp_error e)
+  in
+  List.iter
+    (fun n ->
+      match Vm.create ~helpers:[ (n, fun _ -> ()) ] kie with
+      | _ -> Alcotest.failf "override of %s accepted" n
+      | exception Invalid_argument _ -> ())
+    Vm.native_builtins;
+  (* other builtins may still be shadowed (the engine's per-shard PRNG) *)
+  ignore (Vm.create ~helpers:[ ("bpf_get_prandom_u32", fun _ -> ()) ] kie : Vm.ext)
+
 let t_jit_quantum_parity () =
   let items =
     [
@@ -1441,6 +1552,10 @@ let () =
             t_region_branches;
           Alcotest.test_case "region: operand shapes" `Quick
             t_region_alu_shapes;
+          Alcotest.test_case "packet builtins at the payload edges" `Quick
+            t_jit_packet_builtins;
+          Alcotest.test_case "native builtins cannot be overridden" `Quick
+            t_native_override_refused;
         ] );
       ( "repr",
         [
