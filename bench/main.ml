@@ -158,6 +158,8 @@ type jit_meas = {
   jm_compile_ms : float;
   jm_fused : int;
   jm_region_ops : int;  (* net-effect ops the Jit built *)
+  jm_native : int;  (* those that run a packet builtin *)
+  jm_dead : int;  (* frame stores the regions dropped *)
   jm_pure : int;  (* pure instructions those ops cover *)
   jm_mwords : float;  (* minor-heap words allocated inside the timed loop *)
 }
@@ -165,15 +167,19 @@ type jit_meas = {
 let jit_variant kind ~opseq ~preload variant =
   let inst = Kflex_apps.Datastructs.create kind in
   let loaded = Kflex_apps.Datastructs.loaded inst in
-  let compile_ms, (fused, region_ops, pure) =
+  let compile_ms, (fused, region_ops, native, dead, pure) =
     match variant with
-    | `Ref -> (0., (0, 0, 0))
+    | `Ref -> (0., (0, 0, 0, 0, 0))
     | `Fused ->
         let t0 = Unix.gettimeofday () in
         let jit = Kflex_runtime.Vm.precompile loaded.Kflex.ext in
         ( (Unix.gettimeofday () -. t0) *. 1000.,
           Kflex_runtime.Jit.
-            (fused_pairs jit, region_ops jit, pure_insns jit) )
+            ( fused_pairs jit,
+              region_ops jit,
+              native_ops jit,
+              dead_frame_stores jit,
+              pure_insns jit ) )
   in
   ds_preload inst ~n:preload;
   (* packets built outside the timed window; the PRNG stream (skiplist
@@ -210,6 +216,8 @@ let jit_variant kind ~opseq ~preload variant =
     jm_compile_ms = compile_ms;
     jm_fused = fused;
     jm_region_ops = region_ops;
+    jm_native = native;
+    jm_dead = dead;
     jm_pure = pure;
     jm_mwords = Gc.minor_words () -. w0;
   }
@@ -457,10 +465,11 @@ let jit_bench ~smoke =
       p "     \"ref_insns_per_sec\": %.0f, \"fused_insns_per_sec\": %.0f,\n"
         (ips mr) (ips mf);
       p "     \"speedup_fused\": %.3f, \"compile_ms\": %.3f, \"fused_pairs\": \
-         %d, \"region_ops\": %d, \"ops_per_pure_insn\": %.3f,\n\
+         %d, \"region_ops\": %d, \"native_ops\": %d, \"dead_frame_stores\": \
+         %d, \"ops_per_pure_insn\": %.3f,\n\
         \     \"fused_minor_words_per_insn\": %.6f, \"stats_identical\": %b}%s\n"
         (ips mf /. ips mr)
-        mf.jm_compile_ms mf.jm_fused mf.jm_region_ops
+        mf.jm_compile_ms mf.jm_fused mf.jm_region_ops mf.jm_native mf.jm_dead
         (float_of_int mf.jm_region_ops /. float_of_int (max 1 mf.jm_pure))
         (mf.jm_mwords /. insns)
         same

@@ -22,11 +22,12 @@ type admitted = {
 (* Attach/run paths and the fuzz oracles load the same instrumented program
    repeatedly; compile it once. The fused form depends on the instruction
    stream (instrumentation options are already baked into it, so programs
-   differing in options hash apart) and on each pc's unwind registers
-   ({!Jit.unwind_regs}), whose liveness decides which writes it drops. The
-   key digests both, and a hit compares both structurally: a digest
-   collision counts as a miss and compiles, so an entry compiled against
-   another program's object tables is never returned.
+   differing in options hash apart) and on each pc's unwind locations
+   ({!Jit.unwind_locs}: the registers and frame slots of its object table),
+   whose liveness decides which writes it drops. The key digests both, and
+   a hit compares both structurally: a digest collision counts as a miss
+   and compiles, so an entry compiled against another program's object
+   tables is never returned.
 
    The cache is LRU-bounded: entries carry a logical-clock stamp bumped on
    every hit, and an insert past capacity evicts the stalest entry. The
@@ -95,7 +96,7 @@ let set_jit_cache_capacity n =
 let jit_key_of insns unwind =
   Digest.string (Marshal.to_string (insns, unwind) [])
 let insns_of kie = Kflex_bpf.Prog.insns kie.Kflex_kie.Instrument.prog
-let jit_cache_key kie = jit_key_of (insns_of kie) (Jit.unwind_regs kie)
+let jit_cache_key kie = jit_key_of (insns_of kie) (Jit.unwind_locs kie)
 
 let lookup key insns unwind kie =
   Mutex.protect jit_cache_mutex (fun () ->
@@ -120,10 +121,10 @@ let lookup key insns unwind kie =
           t)
 
 let compile_cached ~key kie =
-  lookup key (insns_of kie) (Jit.unwind_regs kie) kie
+  lookup key (insns_of kie) (Jit.unwind_locs kie) kie
 
 let compiled_for kie =
-  let insns = insns_of kie and unwind = Jit.unwind_regs kie in
+  let insns = insns_of kie and unwind = Jit.unwind_locs kie in
   lookup (jit_key_of insns unwind) insns unwind kie
 
 let contracts = Kflex_verifier.Contract.registry Kflex_verifier.Contract.kflex_base

@@ -51,14 +51,14 @@ val jit_cache_stats : unit -> cache_stats
 
 val jit_cache_key : Kflex_kie.Instrument.t -> string
 (** A digest of everything the fused form depends on: the instrumented
-    instructions and each pc's unwind registers
-    ({!Kflex_runtime.Jit.unwind_regs}). *)
+    instructions and each pc's unwind locations, the registers and frame
+    slots of its object table ({!Kflex_runtime.Jit.unwind_locs}). *)
 
 val compile_cached :
   key:string -> Kflex_kie.Instrument.t -> Kflex_runtime.Jit.t
 (** The cache lookup admission performs, under [key] (normally
     {!jit_cache_key}). A hit also compares the cached entry's instructions
-    and unwind registers with the program's; on a mismatch (a key
+    and unwind locations with the program's; on a mismatch (a key
     collision) it counts a miss, compiles, and replaces the entry. *)
 
 val set_jit_cache_capacity : int -> unit

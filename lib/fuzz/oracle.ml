@@ -865,6 +865,7 @@ let lc_classify run1 run2 (f : Lifecycle.finding) =
       | true, Some held -> if held then Confirmed else Refuted
       | _ -> Unexercised)
   | Lifecycle.Chain_unreachable -> Unexercised  (* checked in chain_equiv *)
+  | Lifecycle.Gave_up -> Unexercised  (* claims nothing about a run *)
 
 let lc_statuses cfg prog (findings : Lifecycle.finding list) kie_k =
   let run1 = lc_run cfg prog findings kie_k in

@@ -45,6 +45,7 @@ let pp_lint ppf diags =
             Kflex_verifier.Lint.Never_taken;
             Kflex_verifier.Lint.Redundant_guard;
             Kflex_verifier.Lint.Ignored_result;
+            Kflex_verifier.Lint.Gave_up;
           ]
       in
       Format.fprintf ppf "@[<v>lint: %d finding%s (%s)" (List.length diags)
@@ -77,6 +78,7 @@ let pp_lifecycle ppf findings =
             L.Lock_hazard;
             L.Lock_order;
             L.Chain_unreachable;
+            L.Gave_up;
           ]
       in
       Format.fprintf ppf "@[<v>lifecycle: %d finding%s (%s)"

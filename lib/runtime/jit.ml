@@ -24,30 +24,40 @@
    zone, unpopulated page) are unchanged; the specialized accessors fall
    back to the generic checked path for anything unusual.
 
-   Net-effect regions. A pure region is a maximal run of Mov/Alu/Neg and,
+   Net-effect regions. A pure region is a maximal run of Mov/Alu/Neg;
    when no instruction ever writes r10 (so the frame pointer keeps its
    entry value), [Ldx]/[Stx]/[St] at [r10 + off] with the slot statically
-   inside the frame. None of these can fault or reach an observation
-   point, so the region charges its whole [insns] upfront and only its net
-   effect has to happen:
+   inside the frame; and calls of the packet builtins
+   ({!Machine.native_builtins}), whose bodies the fused form runs itself.
+   None of these can fault or reach an observation point, so the region
+   charges its whole [insns] upfront and only its net effect has to
+   happen:
    - copies and constants propagate through registers and 64-bit frame
      slots, and a store forwards to later loads of its slot, so a read
      takes the value's earliest intact location or its constant;
    - operations on two constants fold at compile time, with the
      executor's Div/Mod-by-zero and shift-masking rules;
+   - a builtin call is an op that charges what the helper-table call
+     charges, reads its operands in place (the offset in r2, and the value
+     in r3 for a write; a constant offset it sets in r2 itself) and
+     defines r0; it is always kept;
    - a write that a later instruction of the region overwrites before
-     anything reads it is dropped, and so is a register write that is dead
-     at the region's exit.
-   Deadness comes from a backward liveness over the instrumented program.
-   At an instruction that can fault, the live set holds its operands, r0–r5
-   at a call, and the registers of the cancellation point's object table
-   ([tables.(orig_of_new.(pc))]): the unwinder ([Vm.unwind]) reads exactly
-   those registers when it releases the objects the program holds, so at
-   every fault point each such register holds what the reference
-   interpreter would hold. Nothing else reads a register after a fault,
-   and only r0 after [Exit]. Frame slots are never dead at a region's
-   exit (the unwinder reads object-table slots from the stack bytes), so a
-   frame store is dropped only when the region itself overwrites it.
+     anything reads it is dropped, and so is a register write or frame
+     store that is dead at the region's exit;
+   - an ALU result stored to an 8-byte slot, with its register dead after
+     the store, becomes one op writing the slot.
+   Deadness comes from a backward liveness over the instrumented program,
+   of registers and of frame slots. At an instruction that can fault, the
+   live set holds its operands, r0–r5 at a helper-table call (a tenant may
+   supply the helper's body), and the locations of the cancellation
+   point's object table ([tables.(orig_of_new.(pc))]): the unwinder
+   ([Vm.unwind]) reads exactly those registers and frame slots when it
+   releases the objects the program holds, so at every fault point each
+   of them holds what the reference interpreter would hold. A frame slot
+   is also read by in-frame loads and atomics at [r10 + off], and, once
+   the frame's address escapes into a register, by every helper-table
+   call and every other memory access. Nothing else reads a register or
+   the frame after a fault, and only r0 after [Exit].
 
    What survives becomes three-address ops whose operands are registers,
    frame slots or immediates, one closure each. A [Jcond]/[Ja]/[Exit]/
@@ -83,6 +93,8 @@ type t = {
   closures : int;  (* entry closures plus region ops built *)
   region_ops : int;  (* ops built for net-effect regions *)
   pure_insns : int;  (* pure instructions those regions cover *)
+  native_ops : int;  (* region ops that run a packet builtin *)
+  dead_frame_stores : int;  (* frame stores the regions drop *)
 }
 
 let helper_names t = t.helper_names
@@ -90,6 +102,8 @@ let fused_pairs t = t.fused
 let closures t = t.closures
 let region_ops t = t.region_ops
 let pure_insns t = t.pure_insns
+let native_ops t = t.native_ops
+let dead_frame_stores t = t.dead_frame_stores
 
 let dummy : op = fun _ -> failwith "Jit: fell off the end of the program"
 
@@ -114,6 +128,7 @@ external rset : U64.bank -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
 let[@inline always] reg st x = rget st.regs x
 let[@inline always] slot st i = U64.get64 st.stack i
 let[@inline always] put st d v = rset st.regs d v
+let[@inline always] sput st i v = U64.set64 st.stack i v
 let[@inline always] charge st k = st.stats.insns <- st.stats.insns + k
 
 (* The ALU's edge cases, shared by the closures and constant folding:
@@ -174,14 +189,23 @@ let same_v a b =
   | I x, I y -> Int64.equal x y
   | _ -> false
 
+let native_of name =
+  List.find_map
+    (fun (n, nat) -> if String.equal n name then Some nat else None)
+    native_builtins
+
 (* A net-effect op: what survives of a pure region, before its closure is
    built. Stack operands are byte indices into the frame. *)
 type ir =
   | Set of int * v  (* r := v *)
   | Bin of Insn.alu_op * int * v * v  (* r := a op b, a in R|S, b in R|I *)
+  | Bin_s of Insn.alu_op * int * v * v  (* stack[i, i+8) := a op b *)
   | Neg of int * int  (* r := -r' *)
   | Get of int * int * int  (* r := zero-extended stack[i, i+w), w < 8 *)
   | Put of int * int * v  (* stack[i, i+w) := low w bytes of v *)
+  | Native of native * int64 option
+      (* r0 := the builtin ({!Machine.native}), charging the call; with
+         [Some c], r2 := c first *)
 
 (* [d := a op b] with the operator and both operand kinds resolved here.
    Zero divisors and the all-immediate case never get this far: they fold
@@ -244,11 +268,73 @@ let bin op d a b : op =
       | Insn.Arsh -> fun st -> put st d (Int64.shift_right (slot st x) n))
   | _ -> invalid_arg "Jit: unnormalised ALU operands"
 
+(* [stack[i, i+8) := a op b], the same shapes as {!bin}. *)
+let bin_s op i a b : op =
+  match (a, b) with
+  | R x, R y -> (
+      match op with
+      | Insn.Add -> fun st -> sput st i (Int64.add (reg st x) (reg st y))
+      | Insn.Sub -> fun st -> sput st i (Int64.sub (reg st x) (reg st y))
+      | Insn.Mul -> fun st -> sput st i (Int64.mul (reg st x) (reg st y))
+      | Insn.Div -> fun st -> sput st i (div0 (reg st x) (reg st y))
+      | Insn.Mod -> fun st -> sput st i (mod0 (reg st x) (reg st y))
+      | Insn.And -> fun st -> sput st i (Int64.logand (reg st x) (reg st y))
+      | Insn.Or -> fun st -> sput st i (Int64.logor (reg st x) (reg st y))
+      | Insn.Xor -> fun st -> sput st i (Int64.logxor (reg st x) (reg st y))
+      | Insn.Lsh -> fun st -> sput st i (shl (reg st x) (reg st y))
+      | Insn.Rsh -> fun st -> sput st i (shr (reg st x) (reg st y))
+      | Insn.Arsh -> fun st -> sput st i (sar (reg st x) (reg st y)))
+  | S x, R y -> (
+      match op with
+      | Insn.Add -> fun st -> sput st i (Int64.add (slot st x) (reg st y))
+      | Insn.Sub -> fun st -> sput st i (Int64.sub (slot st x) (reg st y))
+      | Insn.Mul -> fun st -> sput st i (Int64.mul (slot st x) (reg st y))
+      | Insn.Div -> fun st -> sput st i (div0 (slot st x) (reg st y))
+      | Insn.Mod -> fun st -> sput st i (mod0 (slot st x) (reg st y))
+      | Insn.And -> fun st -> sput st i (Int64.logand (slot st x) (reg st y))
+      | Insn.Or -> fun st -> sput st i (Int64.logor (slot st x) (reg st y))
+      | Insn.Xor -> fun st -> sput st i (Int64.logxor (slot st x) (reg st y))
+      | Insn.Lsh -> fun st -> sput st i (shl (slot st x) (reg st y))
+      | Insn.Rsh -> fun st -> sput st i (shr (slot st x) (reg st y))
+      | Insn.Arsh -> fun st -> sput st i (sar (slot st x) (reg st y)))
+  | R x, I c -> (
+      let n = Int64.to_int c land 63 in
+      match op with
+      | Insn.Add -> fun st -> sput st i (Int64.add (reg st x) c)
+      | Insn.Sub -> fun st -> sput st i (Int64.sub (reg st x) c)
+      | Insn.Mul -> fun st -> sput st i (Int64.mul (reg st x) c)
+      | Insn.Div -> fun st -> sput st i (U64.udiv (reg st x) c)
+      | Insn.Mod -> fun st -> sput st i (U64.urem (reg st x) c)
+      | Insn.And -> fun st -> sput st i (Int64.logand (reg st x) c)
+      | Insn.Or -> fun st -> sput st i (Int64.logor (reg st x) c)
+      | Insn.Xor -> fun st -> sput st i (Int64.logxor (reg st x) c)
+      | Insn.Lsh -> fun st -> sput st i (Int64.shift_left (reg st x) n)
+      | Insn.Rsh -> fun st -> sput st i (Int64.shift_right_logical (reg st x) n)
+      | Insn.Arsh -> fun st -> sput st i (Int64.shift_right (reg st x) n))
+  | S x, I c -> (
+      let n = Int64.to_int c land 63 in
+      match op with
+      | Insn.Add -> fun st -> sput st i (Int64.add (slot st x) c)
+      | Insn.Sub -> fun st -> sput st i (Int64.sub (slot st x) c)
+      | Insn.Mul -> fun st -> sput st i (Int64.mul (slot st x) c)
+      | Insn.Div -> fun st -> sput st i (U64.udiv (slot st x) c)
+      | Insn.Mod -> fun st -> sput st i (U64.urem (slot st x) c)
+      | Insn.And -> fun st -> sput st i (Int64.logand (slot st x) c)
+      | Insn.Or -> fun st -> sput st i (Int64.logor (slot st x) c)
+      | Insn.Xor -> fun st -> sput st i (Int64.logxor (slot st x) c)
+      | Insn.Lsh -> fun st -> sput st i (Int64.shift_left (slot st x) n)
+      | Insn.Rsh ->
+          fun st -> sput st i (Int64.shift_right_logical (slot st x) n)
+      | Insn.Arsh -> fun st -> sput st i (Int64.shift_right (slot st x) n))
+  | _ -> invalid_arg "Jit: unnormalised ALU operands"
+
 let op_of_ir = function
   | Set (d, R x) -> fun st -> put st d (reg st x)
   | Set (d, S i) -> fun st -> put st d (slot st i)
   | Set (d, I c) -> fun st -> put st d c
   | Bin (op, d, a, b) -> bin op d a b
+  | Bin_s (op, i, a, b) -> bin_s op i a b
+  | Native (nat, c) -> nat.op c
   | Neg (d, x) -> fun st -> put st d (Int64.neg (reg st x))
   | Get (d, i, 1) ->
       fun st -> put st d (Int64.of_int (Char.code (U64.get8 st.stack i)))
@@ -590,6 +676,19 @@ let step s insn : ir option =
       store s (Prog.stack_size + off) w v
   | Insn.St (sz, _, off, c) ->
       store s (Prog.stack_size + off) (Insn.size_bytes sz) (I c)
+  | Insn.Call name -> (
+      match native_of name with
+      | Some nat ->
+          (* the op sets a constant offset itself, so the write that put
+             it in r2 can drop *)
+          let c =
+            match s.rv.(2) with
+            | I c when nat.reads land 0b100 <> 0 -> Some c
+            | _ -> None
+          in
+          write_reg s 0 (R 0);
+          Some (Native (nat, c))
+      | None -> invalid_arg "Jit: helper call in a region")
   | _ -> invalid_arg "Jit: impure instruction in a region"
 
 (* A folded branch's operands, read in place, normalised to the shapes
@@ -601,136 +700,260 @@ let branch_operands s c a src =
   | (S _ as x), S _ -> `Test (c, x, orig src)
   | x, y -> `Test (c, x, y)
 
-let reg_bit = function R r -> 1 lsl r | _ -> 0
+(* Frame sets: bit [b] stands for the 8-byte slot [b + 1], stack bytes
+   [8 (b + 1), 8 (b + 1) + 8): every slot of the frame but the lowest,
+   which a 63-bit int has no room for, so a store reaching slot 0 is
+   always kept. A slot is live when some later read may observe any of
+   its bytes. A store overwrites its slot only when it covers all eight
+   bytes, so a narrow or unaligned store kills nothing. *)
+let slots i w =
+  let a = max (i lsr 3) 1 and b = (i + w - 1) lsr 3 in
+  if b < a then 0 else ((1 lsl (b - a + 1)) - 1) lsl (a - 1)
+
+let covers i w = w = 8 && i land 7 = 0
 
 (* The ops of [irs] that survive, in order: an op is kept when its
-   register is in [live] after it, or when some byte it stores is read
-   before the region overwrites it; a kept op's operands become live. The
-   frame is all live at the exit. [dead] is a 512-bit scratch set of frame
-   bytes overwritten before being read. *)
-let net_effect dead (irs : ir list) live =
-  Bytes.fill dead 0 (Bytes.length dead) '\000';
-  let byte k = Char.code (Bytes.get dead (k lsr 3)) land (1 lsl (k land 7)) in
-  let mark i w on =
-    for k = i to i + w - 1 do
-      let b = Char.code (Bytes.get dead (k lsr 3)) and m = 1 lsl (k land 7) in
-      Bytes.set dead (k lsr 3)
-        (Char.chr (if on then b lor m else b land lnot m))
-    done
-  in
-  let rec all_dead i w = w = 0 || (byte i <> 0 && all_dead (i + 1) (w - 1)) in
-  let live = ref live in
+   register is in [live] after it, when some slot it stores to is in the
+   frame set [frame] after it, or when it runs a builtin (which charges
+   and may write the packet); a kept op's operands become live. [live] and
+   [frame] are the sets at the region's exit. An 8-byte store of a
+   register that is dead after it merges with the ALU op right before it
+   that computes that register, into one slot-destination op. Returns the
+   kept ops and the number of stores dropped. *)
+let net_effect (irs : ir list) ~live ~frame =
+  let live = ref live and frame = ref frame and dropped = ref 0 in
   let read = function
     | R r -> live := !live lor (1 lsl r)
-    | S i -> mark i 8 false
+    | S i -> frame := !frame lor slots i 8
     | I _ -> ()
   in
-  List.fold_left
-    (fun kept ir ->
-      let keep =
-        match ir with
-        | Set (d, _) | Bin (_, d, _, _) | Neg (d, _) | Get (d, _, _) ->
-            !live land (1 lsl d) <> 0
-        | Put (i, w, _) -> not (all_dead i w)
-      in
-      if not keep then kept
-      else begin
-        (* the destination dies before the operands are read: an op may
-           read the register it writes *)
-        (match ir with
-        | Set (d, _) | Bin (_, d, _, _) | Neg (d, _) | Get (d, _, _) ->
-            live := !live land lnot (1 lsl d)
-        | Put (i, w, _) -> mark i w true);
-        (match ir with
-        | Set (_, v) | Put (_, _, v) -> read v
-        | Bin (_, _, a, b) ->
-            read a;
-            read b
-        | Neg (_, x) -> read (R x)
-        | Get (_, i, w) -> mark i w false);
-        ir :: kept
-      end)
-    [] (List.rev irs)
+  (* [pending]: the kept ops so far begin with the store of register d
+     to byte i, and d is dead after it *)
+  let rec go kept pending = function
+    | [] -> kept
+    | ir :: rest -> (
+        let keep =
+          match ir with
+          | Set (d, _) | Bin (_, d, _, _) | Neg (d, _) | Get (d, _, _) ->
+              !live land (1 lsl d) <> 0
+          | Put (i, w, _) -> !frame land slots i w <> 0 || i < 8
+          | Bin_s _ | Native _ -> true
+        in
+        if not keep then begin
+          (match ir with Put _ -> incr dropped | _ -> ());
+          go kept pending rest
+        end
+        else
+          match (ir, pending, kept) with
+          | Bin (op, d, a, b), Some (i, d'), _ :: kept when d = d' ->
+              (* the store above reads d and nothing else does: write the
+                 result straight to the slot; d's old value stays *)
+              live := !live land lnot (1 lsl d);
+              read a;
+              read b;
+              go (Bin_s (op, i, a, b) :: kept) None rest
+          | _ ->
+              let pending =
+                match ir with
+                | Put (i, 8, R d) when !live land (1 lsl d) = 0 -> Some (i, d)
+                | _ -> None
+              in
+              (* the destination dies before the operands are read: an op
+                 may read the register it writes *)
+              (match ir with
+              | Set (d, _) | Bin (_, d, _, _) | Neg (d, _) | Get (d, _, _) ->
+                  live := !live land lnot (1 lsl d)
+              | Native (_, None) -> live := !live land lnot 1
+              | Native (_, Some _) -> live := !live land lnot 0b101
+              | Put (i, w, _) ->
+                  if covers i w then frame := !frame land lnot (slots i 8)
+              | Bin_s _ -> ());
+              (match ir with
+              | Set (_, v) | Put (_, _, v) -> read v
+              | Bin (_, _, a, b) | Bin_s (_, _, a, b) ->
+                  read a;
+                  read b
+              | Native (nat, c) ->
+                  let r2 = if c = None then 0 else 0b100 in
+                  live := !live lor (nat.reads land lnot r2)
+              | Neg (_, x) -> read (R x)
+              | Get (_, i, w) -> frame := !frame lor slots i w);
+              go (ir :: kept) pending rest)
+  in
+  let kept = go [] None (List.rev irs) in
+  (kept, !dropped)
 
 (* --- liveness over the instrumented program ----------------------------- *)
 
-(* Per instrumented pc, the registers the unwinder reads if that pc
-   faults: the register locations in its cancellation point's object
-   table. *)
-let unwind_regs (kie : Kflex_kie.Instrument.t) =
-  Array.map
-    (fun orig_pc ->
-      List.fold_left
-        (fun m (e : Kflex_kie.Instrument.obj_entry) ->
-          match e.Kflex_kie.Instrument.loc with
-          | Kflex_verifier.State.L_reg r -> m lor (1 lsl ri r)
-          | Kflex_verifier.State.L_slot _ -> m)
-        0 kie.Kflex_kie.Instrument.tables.(orig_pc))
-    kie.Kflex_kie.Instrument.orig_of_new
+(* Per instrumented pc, two words naming what the unwinder ([Vm.unwind])
+   reads if that pc faults, from its cancellation point's object table
+   ([tables.(orig_of_new.(pc))]): at [2 * pc] the registers (a bitmask
+   over r0–r10), at [2 * pc + 1] the frame slots as a frame set
+   ({!slots}; [L_slot i] is stack bytes [8i, 8i + 8), and slot 0, whose
+   stores are always kept, has no bit). *)
+let unwind_locs (kie : Kflex_kie.Instrument.t) =
+  let orig = kie.Kflex_kie.Instrument.orig_of_new in
+  let u = Array.make (2 * Array.length orig) 0 in
+  Array.iteri
+    (fun pc o ->
+      List.iter
+        (fun (e : Kflex_kie.Instrument.obj_entry) ->
+          let k, bits =
+            match e.Kflex_kie.Instrument.loc with
+            | Kflex_verifier.State.L_reg r -> (2 * pc, 1 lsl ri r)
+            | Kflex_verifier.State.L_slot i when i >= 0 && i < 64 ->
+                ((2 * pc) + 1, slots (8 * i) 8)
+            | Kflex_verifier.State.L_slot _ ->
+                invalid_arg "Jit: object-table slot outside the frame"
+          in
+          u.(k) <- u.(k) lor bits)
+        kie.Kflex_kie.Instrument.tables.(o))
+    orig;
+  u
 
-(* [live.(pc)]: the registers some later read may observe on entry to pc,
-   as bitmasks over r0–r10. An instruction that can fault also reads its
-   object-table registers ([unwind]), and a call reads r0–r5. *)
+(* What some later read may observe on entry to each pc. [regs.(pc)]: the
+   registers, as bitmasks over r0–r10. An instruction that can fault also
+   reads its object-table registers, and a helper-table call reads r0–r5;
+   a builtin the fused form runs as a region op reads only its operands
+   (r2, and r3 for a write) and cannot fault.
+
+   [frame.(pc)]: the frame slots, as frame sets ({!slots}). A slot is read
+   by an in-frame load or atomic at [r10 + off]; by the unwinder, at each
+   fault point, as an object-table slot; and, once the frame's address
+   escapes ({!Kflex_verifier.Lint.fp_escapes}), by every helper-table call
+   and every other memory access, which may reach it through a copied
+   pointer. Only in-frame stores at [r10 + off] overwrite a slot. Both
+   sets are one int per pc, solved in one fixpoint. *)
+type liveness = { regs : int array; frame : int array }
+
 let liveness insns ~pure ~unwind =
   let n = Array.length insns in
   let bit r = 1 lsl ri r in
   let src = function Insn.Reg r -> bit r | Insn.Imm _ -> 0 in
-  (* two int arrays, not [Array.init] over pairs: a major-heap array
+  let bytes off sz = slots (Prog.stack_size + off) (Insn.size_bytes sz) in
+  (* int arrays, not [Array.init] over tuples: a major-heap array
      initialised with a young block forces a minor collection, which
-     stops every domain in the process *)
-  let use = Array.make n 0 and def = Array.make n 0 in
-  Array.iteri
-    (fun pc insn ->
-      let u, d =
-        match insn with
-        | Insn.Mov (d, s) -> (src s, bit d)
-        | Insn.Neg d | Insn.Guard (_, d) -> (bit d, bit d)
-        | Insn.Alu (_, d, s) -> (bit d lor src s, bit d)
-        | Insn.Ldx (_, d, s, _) -> (bit s, bit d)
-        | Insn.Stx (_, d, _, s) | Insn.Xstore (_, d, _, s) ->
-            (bit d lor bit s, 0)
-        | Insn.St (_, d, _, _) -> (bit d, 0)
-        | Insn.Atomic (Insn.Cmpxchg, _, d, _, s) -> (bit d lor bit s lor 1, 1)
-        | Insn.Atomic
-            ( ( Insn.Fetch_add | Insn.Fetch_or | Insn.Fetch_and | Insn.Fetch_xor
-              | Insn.Xchg ),
-              _, d, _, s ) ->
-            (bit d lor bit s, bit s)
-        | Insn.Atomic (_, _, d, _, s) -> (bit d lor bit s, 0)
-        | Insn.Call _ -> (0b111111, 1)
-        | Insn.Jcond (_, a, s, _) -> (bit a lor src s, 0)
-        | Insn.Exit -> (1, 0)
-        | Insn.Ja _ | Insn.Checkpoint _ -> (0, 0)
-      in
-      let faults =
-        match insn with
-        | Insn.Ja _ | Insn.Jcond _ | Insn.Exit -> false
-        | _ -> not pure.(pc)
-      in
-      use.(pc) <- (if faults then u lor unwind.(pc) else u);
-      def.(pc) <- d)
-    insns;
-  let live = Array.make (n + 1) 0 in
-  let at q = if q >= 0 && q < n then live.(q) else 0 in
+     stops every domain in the process. They are few, too: every word
+     allocated in the major heap paces major-GC work, which a compile
+     pays for. [ud.(pc)]: the registers used, those defined shifted left
+     by 11, and from bit 22 the slot a covering in-frame store
+     overwrites (0 for none: slot 0 has no bit to kill). *)
+  let ud = Array.make n 0 and fuse = Array.make n 0 in
+  (* the pcs whose every-slot use below depends on whether the frame
+     address escapes, known only after the loop *)
+  let escapes = ref false and reach = Bytes.make n '\000' in
+  (* a memory access not at a constant frame offset: the whole frame at
+     [r10 + off] out of the frame, and otherwise whatever a copy of r10
+     reaches *)
+  let access pc b =
+    if ri b = 10 then -1
+    else begin
+      Bytes.set reach pc '\001';
+      0
+    end
+  in
+  for pc = 0 to n - 1 do
+    let insn = insns.(pc) and pure = pure.(pc) in
+    if Kflex_verifier.Lint.fp_escapes insn then escapes := true;
+    (* registers used and defined, frame slots used, whether a fault here
+       hands the object table to the unwinder *)
+    let u = ref 0 and d = ref 0 and kill = ref 0 and fu = ref 0 in
+    let faults = ref (not pure) in
+    (match insn with
+    | Insn.Mov (r, s) ->
+        u := src s;
+        d := bit r
+    | Insn.Neg r | Insn.Guard (_, r) ->
+        u := bit r;
+        d := bit r
+    | Insn.Alu (_, r, s) ->
+        u := bit r lor src s;
+        d := bit r
+    | Insn.Ldx (sz, r, b, off) ->
+        u := bit b;
+        d := bit r;
+        if pure then fu := bytes off sz else fu := access pc b
+    | Insn.Stx (sz, b, off, s) | Insn.Xstore (sz, b, off, s) ->
+        u := bit b lor bit s;
+        if pure then begin
+          let i = Prog.stack_size + off in
+          if covers i (Insn.size_bytes sz) then kill := i lsr 3
+        end
+        else fu := access pc b
+    | Insn.St (sz, b, off, _) ->
+        u := bit b;
+        if pure then begin
+          let i = Prog.stack_size + off in
+          if covers i (Insn.size_bytes sz) then kill := i lsr 3
+        end
+        else fu := access pc b
+    | Insn.Atomic (op, sz, b, off, s) ->
+        (match op with
+        | Insn.Cmpxchg ->
+            u := bit b lor bit s lor 1;
+            d := 1
+        | Insn.Fetch_add | Insn.Fetch_or | Insn.Fetch_and | Insn.Fetch_xor
+        | Insn.Xchg ->
+            u := bit b lor bit s;
+            d := bit s
+        | Insn.Atomic_add | Insn.Atomic_or | Insn.Atomic_and
+        | Insn.Atomic_xor ->
+            u := bit b lor bit s);
+        fu := if ri b = 10 && in_frame off sz then bytes off sz else access pc b
+    | Insn.Call name ->
+        d := 1;
+        (match native_of name with
+        | Some nat when pure -> u := nat.reads
+        | _ ->
+            u := 0b111111;
+            Bytes.set reach pc '\001')
+    | Insn.Jcond (_, a, s, _) ->
+        u := bit a lor src s;
+        faults := false
+    | Insn.Ja _ -> faults := false
+    | Insn.Exit ->
+        u := 1;
+        faults := false
+    | Insn.Checkpoint _ -> ());
+    if !faults then begin
+      u := !u lor unwind.(2 * pc);
+      fu := !fu lor unwind.((2 * pc) + 1)
+    end;
+    ud.(pc) <- !u lor (!d lsl 11) lor (!kill lsl 22);
+    fuse.(pc) <- !fu
+  done;
+  (* once the frame's address escapes, every other memory access and
+     helper-table call may read any slot through a copied pointer *)
+  if !escapes then
+    Bytes.iteri (fun pc r -> if r <> '\000' then fuse.(pc) <- -1) reach;
+  (* row [n] stays empty: the exit, and jumps out of the program *)
+  let live = Array.make (n + 1) 0 and frame = Array.make (n + 1) 0 in
+  let at q = if q >= 0 && q < n then q else n in
   let changed = ref true in
   while !changed do
     changed := false;
     for pc = n - 1 downto 0 do
-      let out =
+      let a, b =
         match insns.(pc) with
-        | Insn.Ja off -> at (pc + 1 + off)
-        | Insn.Jcond (_, _, _, off) -> at (pc + 1 + off) lor at (pc + 1)
-        | Insn.Exit -> 0
-        | _ -> at (pc + 1)
+        | Insn.Ja off -> (at (pc + 1 + off), n)
+        | Insn.Jcond (_, _, _, off) -> (at (pc + 1 + off), at (pc + 1))
+        | Insn.Exit -> (n, n)
+        | _ -> (at (pc + 1), n)
       in
-      let l = use.(pc) lor (out land lnot def.(pc)) in
-      if l <> live.(pc) then begin
+      let u = ud.(pc) in
+      let def = (u lsr 11) land 0x7ff and k = u lsr 22 in
+      let l = (u land 0x7ff) lor ((live.(a) lor live.(b)) land lnot def) in
+      let kill = if k = 0 then 0 else 1 lsl (k - 1) in
+      let f = fuse.(pc) lor ((frame.(a) lor frame.(b)) land lnot kill) in
+      if l <> live.(pc) || f <> frame.(pc) then begin
         live.(pc) <- l;
+        frame.(pc) <- f;
         changed := true
       end
     done
   done;
-  live
+  { regs = live; frame }
+
 (* --- observation preludes (the hooked form) ------------------------------ *)
 
 (* The base register, displacement and width of a memory access: its
@@ -796,78 +1019,10 @@ let site_after (next : op) : op =
   next st
 
 
-(* --- native builtins ------------------------------------------------------
-
-   In the fused form a call to a packet builtin ({!Machine.native_builtins})
-   compiles to a closure that runs the builtin's body inline: the charges
-   and counters of the helper-table call, with no [call_helper] frame and
-   no indirect call. The bodies cannot raise, so nothing sets [fault_pc],
-   and each writes r0 as [call_helper] would leave it. *)
-
 let[@inline always] count_call st =
   let s = st.stats in
   s.insns <- s.insns + 1;
   s.helper_calls <- s.helper_calls + 1
-
-let native name (next : op) : op option =
-  match name with
-  | "pkt_len" ->
-      Some
-        (fun st ->
-          count_call st;
-          pkt_len_b st;
-          next st)
-  | "pkt_read_u8" ->
-      Some
-        (fun st ->
-          count_call st;
-          pkt_read8_b st;
-          next st)
-  | "pkt_read_u16" ->
-      Some
-        (fun st ->
-          count_call st;
-          pkt_read16_b st;
-          next st)
-  | "pkt_read_u32" ->
-      Some
-        (fun st ->
-          count_call st;
-          pkt_read32_b st;
-          next st)
-  | "pkt_read_u64" ->
-      Some
-        (fun st ->
-          count_call st;
-          pkt_read64_b st;
-          next st)
-  | "pkt_write_u8" ->
-      Some
-        (fun st ->
-          count_call st;
-          pkt_write8_b st;
-          next st)
-  | "pkt_write_u16" ->
-      Some
-        (fun st ->
-          count_call st;
-          pkt_write16_b st;
-          next st)
-  | "pkt_write_u32" ->
-      Some
-        (fun st ->
-          count_call st;
-          pkt_write32_b st;
-          next st)
-  | "pkt_write_u64" ->
-      Some
-        (fun st ->
-          count_call st;
-          pkt_write64_b st;
-          next st)
-  | _ -> None
-
-let is_native name = List.mem_assoc name native_builtins
 
 let build form ~unwind prog =
   let insns = Prog.insns prog in
@@ -875,16 +1030,26 @@ let build form ~unwind prog =
   (* r10 keeps its entry value (the frame top) iff nothing ever writes it;
      then frame accesses at [r10 + off] are constant-index and pure. *)
   let fp_const = not (Array.exists (writes_reg 10) insns) in
-  let pure = Array.map (is_pure ~fp_const) insns in
+  (* region members; in the fused form a packet builtin's call is one too:
+     it cannot fault, and nothing observes a run between fault points *)
+  let pure =
+    Array.map
+      (fun insn ->
+        is_pure ~fp_const insn
+        ||
+        match insn with
+        | Insn.Call name -> form = `Fused && Option.is_some (native_of name)
+        | _ -> false)
+      insns
+  in
   (* helper name -> slot in the per-extension linked table; the fused form
-     calls the native builtins without it *)
+     runs the native builtins without it *)
   let hidx = Hashtbl.create 8 in
   let horder = ref [] in
-  Array.iter
-    (function
-      | Insn.Call name
-        when not (Hashtbl.mem hidx name || (form = `Fused && is_native name))
-        ->
+  Array.iteri
+    (fun pc insn ->
+      match insn with
+      | Insn.Call name when not (Hashtbl.mem hidx name || pure.(pc)) ->
           Hashtbl.add hidx name (Hashtbl.length hidx);
           horder := name :: !horder
       | _ -> ())
@@ -1077,16 +1242,13 @@ let build form ~unwind prog =
             k st
       | Insn.Jcond (c, a, s, off) ->
           branch 1 c (R (ri a)) (orig s) (goto pc (pc + 1 + off)) next
-      | Insn.Call name -> (
-          match if form = `Fused then native name next else None with
-          | Some op -> op
-          | None ->
-              let idx = Hashtbl.find hidx name in
-              fun st ->
-                count_call st;
-                st.fault_pc <- pc;
-                call_helper st (Array.unsafe_get st.helpers idx);
-                next st)
+      | Insn.Call name ->
+          let idx = Hashtbl.find hidx name in
+          fun st ->
+            count_call st;
+            st.fault_pc <- pc;
+            call_helper st (Array.unsafe_get st.helpers idx);
+            next st
       | Insn.Exit -> fun st -> st.stats.insns <- st.stats.insns + 1
   in
   (* Guard+access superinstructions. The fused closure must leave state and
@@ -1334,11 +1496,18 @@ let build form ~unwind prog =
     in
     match if t + 1 < n then insns.(t + 1) else Insn.Exit with
     | Insn.Ja off ->
-        let k = goto p (t + 2 + off) in
-        ( (fun st ->
-            check st;
-            st.stats.insns <- st.stats.insns + 1;
-            k st),
+        let q = t + 2 + off in
+        let k = goto p q in
+        (* a loop's back edge loads the head's entry itself rather than
+           calling [goto]'s fetching closure ([q] is range-checked) *)
+        ( (if q > p then fun st ->
+             check st;
+             st.stats.insns <- st.stats.insns + 1;
+             k st
+           else fun st ->
+             check st;
+             st.stats.insns <- st.stats.insns + 1;
+             (Array.unsafe_get entries q) st),
           2 )
     | Insn.Jcond (c, a, s, off) ->
         let br =
@@ -1355,14 +1524,21 @@ let build form ~unwind prog =
             k st),
           1 )
   in
-  let live =
+  let lv =
     match form with
     | `Fused -> liveness insns ~pure ~unwind
-    | `Hooked -> [||]
+    | `Hooked -> { regs = [||]; frame = [||] }
   in
-  let live_at q = if q >= 0 && q < n then live.(q) else 0 in
-  let dead = Bytes.create (Prog.stack_size / 8) in
+  (* the registers and frame slots live on entry to any of [qs] *)
+  let exit_live qs =
+    List.fold_left
+      (fun (l, f) q ->
+        if q >= 0 && q < n then (l lor lv.regs.(q), f lor lv.frame.(q))
+        else (l, f))
+      (0, 0) qs
+  in
   let region_ops = ref 0 and pure_insns = ref 0 in
+  let native_ops = ref 0 and dead_stores = ref 0 in
   (* pure_run.(p): length of the maximal run of pure instructions starting
      at p *)
   let pure_run = Array.make (n + 1) 0 in
@@ -1376,13 +1552,15 @@ let build form ~unwind prog =
     let t = p + m in
     reset s;
     let irs = List.filter_map (step s) (List.init m (fun k -> insns.(p + k))) in
-    let ops live =
-      let kept = net_effect dead irs live in
+    let ops (live, frame) =
+      let kept, dropped = net_effect irs ~live ~frame in
       region_ops := !region_ops + List.length kept;
+      List.iter (function Native _ -> incr native_ops | _ -> ()) kept;
+      dead_stores := !dead_stores + dropped;
       pure_insns := !pure_insns + m;
       Array.of_list (List.map op_of_ir kept)
     in
-    if t >= n then (region m (ops 0) (goto p t), m)
+    if t >= n then (region m (ops (exit_live [ t ])) (goto p t), m)
     else
       match insns.(t) with
       | Insn.Jcond (c, a, src, off) -> (
@@ -1390,20 +1568,28 @@ let build form ~unwind prog =
           match branch_operands s c a src with
           | `Taken taken ->
               let q = if taken then jt else jf in
-              (region (m + 1) (ops (live_at q)) (goto p q), m + 1)
+              (region (m + 1) (ops (exit_live [ q ])) (goto p q), m + 1)
           | `Test (c, x, y) -> (
               let br k = branch k c x y (goto p jt) (goto p jf) in
-              let out = live_at jt lor live_at jf lor reg_bit x lor reg_bit y in
-              match ops out with
+              (* the branch reads its operands in place *)
+              let read = function
+                | R r -> (1 lsl r, 0)
+                | S i -> (0, slots i 8)
+                | I _ -> (0, 0)
+              in
+              let l, f = exit_live [ jt; jf ] in
+              let lx, fx = read x and ly, fy = read y in
+              match ops (l lor lx lor ly, f lor fx lor fy) with
               | [||] -> (br (m + 1), m + 1)
               | ops -> (region m ops (br 1), m + 1)))
       | Insn.Ja off ->
-          (region (m + 1) (ops live.(t)) (goto p (t + 1 + off)), m + 1)
-      | Insn.Exit -> (region (m + 1) (ops live.(t)) (fun _ -> ()), m + 1)
+          (region (m + 1) (ops (exit_live [ t ])) (goto p (t + 1 + off)), m + 1)
+      | Insn.Exit ->
+          (region (m + 1) (ops (exit_live [ t ])) (fun _ -> ()), m + 1)
       | Insn.Checkpoint _ ->
           let fin, covered = checkpoint_fin p t in
-          (region (m + 1) (ops live.(t)) fin, m + covered)
-      | _ -> (region m (ops live.(t)) (goto p t), m)
+          (region (m + 1) (ops (exit_live [ t ])) fin, m + covered)
+      | _ -> (region m (ops (exit_live [ t ])) (goto p t), m)
   in
   (* Which pcs get an entry: pc 0, every jump target, and every pc that
      the closure before it falls through to rather than covers. *)
@@ -1486,10 +1672,12 @@ let build form ~unwind prog =
     closures = !built + !region_ops;
     region_ops = !region_ops;
     pure_insns = !pure_insns;
+    native_ops = !native_ops;
+    dead_frame_stores = !dead_stores;
   }
 
 let compile (kie : Kflex_kie.Instrument.t) =
-  build `Fused ~unwind:(unwind_regs kie) kie.Kflex_kie.Instrument.prog
+  build `Fused ~unwind:(unwind_locs kie) kie.Kflex_kie.Instrument.prog
 
 let compile_hooked prog = build `Hooked ~unwind:[||] prog
 

@@ -303,9 +303,9 @@ let[@inline always] charge (c : call_ctx) n =
    [pkt_len], [pkt_read_*] and [pkt_write_*] read and write the payload in
    [st.pkt], and each is defined once, here: the helper table
    ({!Vm.builtin_helpers}) calls these bodies through [call_helper], and
-   the fused Jit inlines them into the call's own closure. With no packet
-   installed the payload is empty: length 0, every read 0, every write
-   ignored.
+   the fused Jit runs them as ops inside its net-effect regions. With no
+   packet installed the payload is empty: length 0, every read 0, every
+   write ignored.
 
    Offsets arrive as full 64-bit scalars. The test compares [off] with
    [length - width], which cannot overflow, where [off + width] wraps for
@@ -391,19 +391,163 @@ let[@inline always] pkt_write64_b st =
   pkt_write64 st.pkt (arg st 1) (arg st 2);
   set_ret st 0L
 
-(* The builtins the fused Jit compiles natively (its [native] match covers
-   exactly these names), as helper-table entries. *)
-let native_builtins : (string * helper) list =
+(* A builtin the fused Jit runs as an op inside its net-effect regions:
+   the argument registers its body reads, as a bitmask (r2 holds the
+   offset and r3 a written value; none reads r1, the context), its
+   helper-table entry, and that op. [op None] bumps [helper_calls] as the
+   call would and runs the body, called directly so that it inlines;
+   [op (Some c)] first sets r2 to [c], a constant offset the region has
+   not written there. *)
+type native = { reads : int; body : helper; op : int64 option -> helper }
+
+let[@inline always] called st =
+  let s = st.stats in
+  s.helper_calls <- s.helper_calls + 1
+
+let[@inline always] at st c = U64.set st.regs 2 c
+
+let native_builtins : (string * native) list =
   [
-    ("pkt_len", pkt_len_b);
-    ("pkt_read_u8", pkt_read8_b);
-    ("pkt_read_u16", pkt_read16_b);
-    ("pkt_read_u32", pkt_read32_b);
-    ("pkt_read_u64", pkt_read64_b);
-    ("pkt_write_u8", pkt_write8_b);
-    ("pkt_write_u16", pkt_write16_b);
-    ("pkt_write_u32", pkt_write32_b);
-    ("pkt_write_u64", pkt_write64_b);
+    ( "pkt_len",
+      {
+        reads = 0;
+        body = pkt_len_b;
+        op =
+          (function
+          | None ->
+              fun st ->
+                called st;
+                pkt_len_b st
+          | Some _ -> invalid_arg "Machine: pkt_len takes no offset");
+      } );
+    ( "pkt_read_u8",
+      {
+        reads = 0b100;
+        body = pkt_read8_b;
+        op =
+          (function
+          | None ->
+              fun st ->
+                called st;
+                pkt_read8_b st
+          | Some c ->
+              fun st ->
+                at st c;
+                called st;
+                pkt_read8_b st);
+      } );
+    ( "pkt_read_u16",
+      {
+        reads = 0b100;
+        body = pkt_read16_b;
+        op =
+          (function
+          | None ->
+              fun st ->
+                called st;
+                pkt_read16_b st
+          | Some c ->
+              fun st ->
+                at st c;
+                called st;
+                pkt_read16_b st);
+      } );
+    ( "pkt_read_u32",
+      {
+        reads = 0b100;
+        body = pkt_read32_b;
+        op =
+          (function
+          | None ->
+              fun st ->
+                called st;
+                pkt_read32_b st
+          | Some c ->
+              fun st ->
+                at st c;
+                called st;
+                pkt_read32_b st);
+      } );
+    ( "pkt_read_u64",
+      {
+        reads = 0b100;
+        body = pkt_read64_b;
+        op =
+          (function
+          | None ->
+              fun st ->
+                called st;
+                pkt_read64_b st
+          | Some c ->
+              fun st ->
+                at st c;
+                called st;
+                pkt_read64_b st);
+      } );
+    ( "pkt_write_u8",
+      {
+        reads = 0b1100;
+        body = pkt_write8_b;
+        op =
+          (function
+          | None ->
+              fun st ->
+                called st;
+                pkt_write8_b st
+          | Some c ->
+              fun st ->
+                at st c;
+                called st;
+                pkt_write8_b st);
+      } );
+    ( "pkt_write_u16",
+      {
+        reads = 0b1100;
+        body = pkt_write16_b;
+        op =
+          (function
+          | None ->
+              fun st ->
+                called st;
+                pkt_write16_b st
+          | Some c ->
+              fun st ->
+                at st c;
+                called st;
+                pkt_write16_b st);
+      } );
+    ( "pkt_write_u32",
+      {
+        reads = 0b1100;
+        body = pkt_write32_b;
+        op =
+          (function
+          | None ->
+              fun st ->
+                called st;
+                pkt_write32_b st
+          | Some c ->
+              fun st ->
+                at st c;
+                called st;
+                pkt_write32_b st);
+      } );
+    ( "pkt_write_u64",
+      {
+        reads = 0b1100;
+        body = pkt_write64_b;
+        op =
+          (function
+          | None ->
+              fun st ->
+                called st;
+                pkt_write64_b st
+          | Some c ->
+              fun st ->
+                at st c;
+                called st;
+                pkt_write64_b st);
+      } );
   ]
 
 (* Call [h] with r1-r5 as its arguments: clear r0, run, and let a

@@ -158,7 +158,7 @@ let pkt_write p ~width off v =
 let native_builtins = List.map fst Machine.native_builtins
 
 let builtin_helpers =
-  Machine.native_builtins
+  List.map (fun (n, b) -> (n, b.Machine.body)) Machine.native_builtins
   @ [
     ("kflex_malloc", h_malloc);
     ("kflex_free", h_free);

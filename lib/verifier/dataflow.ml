@@ -44,6 +44,18 @@ let live_blocks (a : Verify.analysis) =
 
 let budget nblocks = 64 * (nblocks + 4) * (nblocks + 4)
 
+(* A cap replacing [budget] for the fixpoints this domain solves; set only
+   by [with_budget]. *)
+let cap : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let with_budget n f =
+  let old = Domain.DLS.get cap in
+  Domain.DLS.set cap (Some n);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set cap old) f
+
+let fuel nblocks =
+  ref (match Domain.DLS.get cap with Some n -> n | None -> budget nblocks)
+
 let forward (a : Verify.analysis) ~init spec =
   let prog = a.Verify.prog in
   let cfg = a.Verify.cfg in
@@ -57,7 +69,7 @@ let forward (a : Verify.analysis) ~init spec =
   Hashtbl.replace in_fact entry.Cfg.id init;
   let work = Queue.create () in
   Queue.add entry.Cfg.id work;
-  let fuel = ref (budget (List.length blocks)) in
+  let fuel = fuel (List.length blocks) in
   let block_out (b : Cfg.block) f0 =
     let f = ref f0 in
     for pc = b.Cfg.first to b.Cfg.last do
@@ -158,7 +170,7 @@ let backward (a : Verify.analysis) ~exit_fact spec =
   in
   let work = Queue.create () in
   List.iter (fun (b : Cfg.block) -> Queue.add b.Cfg.id work) blocks;
-  let fuel = ref (budget (List.length blocks)) in
+  let fuel = fuel (List.length blocks) in
   while not (Queue.is_empty work) do
     decr fuel;
     if !fuel < 0 then raise Diverged;

@@ -27,7 +27,7 @@ type 'f spec = {
 exception Diverged
 (** Raised when the iteration fails to converge within a generous budget —
     a backstop against non-monotone or infinite-lattice specs. Clients
-    should degrade to "no findings". *)
+    report that they gave up rather than reading as clean. *)
 
 val forward : Verify.analysis -> init:'f -> 'f spec -> 'f option array
 (** Solve a forward problem. [init] seeds pc 0. Returns the fixpoint
@@ -39,3 +39,9 @@ val backward : Verify.analysis -> exit_fact:'f -> 'f spec -> 'f option array
     (and any block with no live successors). Returns the fixpoint
     {e post}-fact for every pc — the fact holding {e after} the instruction
     executes, before control reaches any successor. *)
+
+val with_budget : int -> (unit -> 'a) -> 'a
+(** [with_budget n f] runs [f] with every fixpoint the calling domain
+    solves capped at [n] block visits instead of the default
+    [64 * (blocks + 4)^2]: a test seam, so that a small program can reach
+    the {!Diverged} path. *)

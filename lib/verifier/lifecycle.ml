@@ -11,6 +11,7 @@ type kind =
   | Lock_hazard
   | Lock_order
   | Chain_unreachable
+  | Gave_up
 
 type finding = {
   kind : kind;
@@ -30,6 +31,7 @@ let kind_name = function
   | Lock_hazard -> "lock-hazard"
   | Lock_order -> "lock-order"
   | Chain_unreachable -> "chain-unreachable"
+  | Gave_up -> "analysis-gave-up"
 
 let pp_kind fmt k = Format.pp_print_string fmt (kind_name k)
 
@@ -556,6 +558,7 @@ let kind_rank = function
   | Lock_hazard -> 4
   | Lock_order -> 5
   | Chain_unreachable -> 6
+  | Gave_up -> 7
 
 let dedup_findings fs =
   let cmp a b =
@@ -583,7 +586,20 @@ let run ~contracts (a : Verify.analysis) =
     }
   in
   match Dataflow.forward a ~init:[ entry_path ] spec with
-  | exception Dataflow.Diverged -> []
+  | exception Dataflow.Diverged ->
+      [
+        {
+          kind = Gave_up;
+          site = 0;
+          pc = 0;
+          witness = [];
+          msg =
+            "lifecycle analysis gave up: its fixpoint did not converge \
+             within the budget, so this program is unchecked for leaks, \
+             double releases, use after release, null dereferences and lock \
+             hazards";
+        };
+      ]
   | pre ->
       let findings = ref [] in
       let emit kind ~site ~pc p msg =

@@ -45,6 +45,9 @@ type kind =
       (** chain composition: an upstream program's exit verdicts make this
           program unreachable, so its effects (including releases) never
           run *)
+  | Gave_up
+      (** the path fixpoint ran out of budget: the program is unchecked for
+          every other kind (reported at pc 0, site 0, empty witness) *)
 
 type finding = {
   kind : kind;
@@ -77,8 +80,10 @@ val pp_finding : Format.formatter -> finding -> unit
 val run : contracts:Contract.registry -> Verify.analysis -> finding list
 (** Analyse one verified program. Findings are deduplicated by
     [(kind, site, pc)] (keeping the shortest witness) and sorted by
-    [(pc, kind, site)]. Returns [[]] if the fixpoint diverges (backstop;
-    does not happen on finite programs). *)
+    [(pc, kind, site)]. If the fixpoint exceeds its budget of block visits
+    ({!Dataflow.forward}'s), the result is one
+    {!Gave_up} finding instead: a program the analysis could not finish
+    never reads as clean. *)
 
 val run_chain :
   contracts:Contract.registry ->

@@ -7,6 +7,7 @@ type kind =
   | Never_taken
   | Redundant_guard
   | Ignored_result
+  | Gave_up
 
 type diag = { pc : int; kind : kind; msg : string }
 
@@ -17,6 +18,7 @@ let kind_name = function
   | Never_taken -> "never-taken"
   | Redundant_guard -> "redundant-guard"
   | Ignored_result -> "ignored-result"
+  | Gave_up -> "analysis-gave-up"
 
 let exit_code = function [] -> 0 | _ :: _ -> 1
 
@@ -68,6 +70,8 @@ let writes_r0 (insn : Insn.t) =
    stack address can alias any slot from any register, so dead-store
    tracking must stand down for the whole program. Using fp as a load/store
    base is not an escape; everything else that reads it is. *)
+let src_is_fp = function Insn.Reg r -> Reg.equal r Reg.fp | Insn.Imm _ -> false
+
 let fp_escapes (insn : Insn.t) =
   let fp = Reg.fp in
   match insn with
@@ -75,12 +79,10 @@ let fp_escapes (insn : Insn.t) =
   | Insn.Stx (_, _, _, s) | Insn.Xstore (_, _, _, s) -> Reg.equal s fp
   | Insn.St _ -> false
   | Insn.Mov (_, Insn.Reg s) -> Reg.equal s fp
-  | Insn.Alu (_, d, s) ->
-      Reg.equal d fp || List.exists (fun r -> Reg.equal r fp) (src_reads s)
+  | Insn.Alu (_, d, s) -> Reg.equal d fp || src_is_fp s
   | Insn.Neg d -> Reg.equal d fp
   | Insn.Atomic (_, _, d, _, s) -> Reg.equal d fp || Reg.equal s fp
-  | Insn.Jcond (_, a, s, _) ->
-      Reg.equal a fp || List.exists (fun r -> Reg.equal r fp) (src_reads s)
+  | Insn.Jcond (_, a, s, _) -> Reg.equal a fp || src_is_fp s
   | _ -> false
 
 (* --- per-analysis passes ------------------------------------------------- *)
@@ -270,6 +272,21 @@ let overwrite_pc ~contracts (a : Verify.analysis) pc slot =
   in
   scan (pc + 1)
 
+(* A dataflow pass that ran out of budget reports that, at the program's
+   entry: no findings would read as a clean program. *)
+let gave_up what =
+  [
+    {
+      pc = 0;
+      kind = Gave_up;
+      msg =
+        Format.sprintf
+          "%s analysis gave up: its fixpoint did not converge within the \
+           budget, so this program is unchecked for %s"
+          what what;
+    };
+  ]
+
 let dead_store_diags ~contracts (a : Verify.analysis) =
   let prog = a.Verify.prog in
   let insns = Prog.insns prog in
@@ -284,7 +301,7 @@ let dead_store_diags ~contracts (a : Verify.analysis) =
       }
     in
     match Dataflow.backward a ~exit_fact:sl_none spec with
-    | exception Dataflow.Diverged -> []
+    | exception Dataflow.Diverged -> gave_up "dead-store"
     | post ->
         let diags = ref [] in
         Array.iteri
@@ -333,7 +350,7 @@ let ignored_result_diags ~contracts (a : Verify.analysis) =
     }
   in
   match Dataflow.backward a ~exit_fact:false spec with
-  | exception Dataflow.Diverged -> []
+  | exception Dataflow.Diverged -> gave_up "ignored-result"
   | post ->
       let diags = ref [] in
       Array.iteri

@@ -26,7 +26,12 @@
     it (an [A_stack_ptr n] argument covering the slot at the abstract call
     state, or an argument shape that could hide a stack pointer). The one
     global give-up left is a stack address escaping [r10] into data flow,
-    where slots can alias through any register. *)
+    where slots can alias through any register.
+
+    The two dataflow passes run within a budget of block visits. A pass
+    that exhausts it reports an {e analysis-gave-up} diagnostic at pc 0
+    instead of nothing, so a program the analysis could not finish never
+    reads as clean. *)
 
 type kind =
   | Unreachable
@@ -35,12 +40,18 @@ type kind =
   | Never_taken
   | Redundant_guard
   | Ignored_result
+  | Gave_up  (** a dataflow pass ran out of budget; its kind is unchecked *)
 
 type diag = { pc : int; kind : kind; msg : string }
 
 val run : contracts:Contract.registry -> Verify.analysis -> diag list
 (** Diagnostics in ascending pc order. [contracts] distinguishes
     value-returning helpers from unit ones for {!Ignored_result}. *)
+
+val fp_escapes : Kflex_bpf.Insn.t -> bool
+(** Whether an instruction reads the frame pointer r10 as a value (not as
+    the base of a load or store), so that a stack address escapes into
+    data flow and may alias any slot from any register. *)
 
 val kind_name : kind -> string
 (** Stable kebab-case identifier, e.g. ["dead-store"]. *)

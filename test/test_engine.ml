@@ -221,6 +221,49 @@ let with_unwind_reg (kie : Kflex_kie.Instrument.t) p r =
     :: tables.(p);
   { kie with Kflex_kie.Instrument.tables }
 
+(* [kie] with a handle in frame slot [slot] added to the object table of
+   original pc [p] *)
+let with_unwind_slot (kie : Kflex_kie.Instrument.t) p slot =
+  let tables = Array.copy kie.Kflex_kie.Instrument.tables in
+  tables.(p) <-
+    {
+      Kflex_kie.Instrument.klass = "k";
+      destructor = "d";
+      loc = Kflex_verifier.State.L_slot slot;
+    }
+    :: tables.(p);
+  { kie with Kflex_kie.Instrument.tables }
+
+(* Two programs with the same instructions and unwind registers whose
+   object tables hold a handle in different frame slots: the fused form
+   keeps different frame stores for each, so they key apart and compile
+   separately, and attaching either again hits its own entry. *)
+let t_jit_cache_slots () =
+  let kie = kie_of (ret_src 11) in
+  let a = with_unwind_slot kie 0 63 and b = with_unwind_slot kie 0 62 in
+  let ka = Kflex.jit_cache_key a and kb = Kflex.jit_cache_key b in
+  if ka = kb then Alcotest.fail "key ignores the object table's slot";
+  if ka = Kflex.jit_cache_key kie then Alcotest.fail "key ignores slot entries";
+  let s0 = Kflex.jit_cache_stats () in
+  let ta = Kflex.compile_cached ~key:ka a in
+  let tb = Kflex.compile_cached ~key:kb b in
+  let s1 = Kflex.jit_cache_stats () in
+  Alcotest.(check int) "both compiled" (s0.Kflex.misses + 2) s1.Kflex.misses;
+  Alcotest.(check bool) "separate forms" false (ta == tb);
+  Alcotest.(check bool) "first again: a hit" true
+    (Kflex.compile_cached ~key:ka a == ta);
+  Alcotest.(check bool) "second again: a hit" true
+    (Kflex.compile_cached ~key:kb b == tb);
+  let s2 = Kflex.jit_cache_stats () in
+  Alcotest.(check int) "two hits" (s1.Kflex.hits + 2) s2.Kflex.hits;
+  Alcotest.(check int) "no further compile" s1.Kflex.misses s2.Kflex.misses;
+  (* a forced collision: same key, other slot — compiled afresh *)
+  let tb' = Kflex.compile_cached ~key:ka b in
+  let s3 = Kflex.jit_cache_stats () in
+  Alcotest.(check int) "slots differ: a miss" (s2.Kflex.misses + 1)
+    s3.Kflex.misses;
+  Alcotest.(check bool) "a fresh form" false (tb' == ta)
+
 let t_jit_cache_key () =
   let kie = kie_of (ret_src 11) in
   let key = Kflex.jit_cache_key kie in
@@ -1007,6 +1050,7 @@ let () =
           Alcotest.test_case "collision compiles" `Quick t_jit_cache_collision;
           Alcotest.test_case "repeat attaches hit" `Quick
             t_jit_cache_repeat_attach;
+          Alcotest.test_case "key covers unwind slots" `Quick t_jit_cache_slots;
         ] );
       ( "shards",
         [

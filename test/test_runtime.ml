@@ -950,8 +950,17 @@ let t_unwind_liveness () =
    interpreter, the hooked form and the fused form must agree on outcome,
    stats, payload and heap. Each program starts from runtime values the
    analysis cannot fold: r6 the heap base, r7 and r9 from the PRNG. *)
-let check_region name items =
+let check_prog name items =
   let cfg = Oracle.default_config in
+  match admit_for cfg (Kflex_fuzz.Gen.assemble items) with
+  | None -> Alcotest.failf "%s: rejected by the verifier" name
+  | Some kie -> (
+      match Oracle.repr_equiv cfg kie with
+      | None -> ()
+      | Some f ->
+          Alcotest.failf "%s: [%s] %s" name f.Oracle.oracle f.Oracle.detail)
+
+let check_region name items =
   let prelude =
     [
       call "kflex_heap_base";
@@ -965,13 +974,7 @@ let check_region name items =
       mov R9 R0;
     ]
   in
-  match admit_for cfg (Kflex_fuzz.Gen.assemble (prelude @ items)) with
-  | None -> Alcotest.failf "%s: rejected by the verifier" name
-  | Some kie -> (
-      match Oracle.repr_equiv cfg kie with
-      | None -> ()
-      | Some f ->
-          Alcotest.failf "%s: [%s] %s" name f.Oracle.oracle f.Oracle.detail)
+  check_prog name (prelude @ items)
 
 (* store r3, r4 and r5 to the heap and return their xor *)
 let sink =
@@ -1223,6 +1226,266 @@ let t_region_alu_shapes () =
             (firsts k1))
         [ (7L, 0L); (-3L, 65L); (0x1234L, 3L) ])
     all_alu
+
+(* Packet builtins run as ops inside the regions around them. The first
+   call's r1 is the entry context, never set by the program, and it sits
+   between pure ops in one region; the later calls take their offset as a
+   constant, a copy, a reloaded slot and a computed register, and their
+   value as a reloaded slot and a constant, and [pkt_len] takes nothing. *)
+let t_region_builtins () =
+  check_prog "builtins between pure ops"
+    ([
+       mov R9 R1;
+       movi R2 3L;
+       mov R4 R2;
+       alui Insn.Add R4 5L;
+       stx Insn.U64 R10 (-8) R4;
+       call "pkt_read_u8";
+       mov R6 R0;
+       alui Insn.And R6 31L;
+       mov R7 R6;
+       alui Insn.Mul R7 3L;
+       mov R1 R9;
+       mov R2 R6;
+       call "pkt_read_u16";
+       alu Insn.Add R7 R0;
+       mov R1 R9;
+       ldx Insn.U64 R2 R10 (-8);
+       call "pkt_read_u32";
+       alu Insn.Xor R7 R0;
+       stx Insn.U64 R10 (-16) R7;
+       mov R1 R9;
+       mov R2 R6;
+       ldx Insn.U64 R3 R10 (-16);
+       call "pkt_write_u16";
+       mov R1 R9;
+       movi R2 40L;
+       movi R3 0x1234_5678L;
+       call "pkt_write_u32";
+       mov R1 R9;
+       call "pkt_len";
+       alu Insn.Add R7 R0;
+       mov R1 R9;
+       mov R2 R6;
+       alui Insn.Add R2 1L;
+       call "pkt_read_u64";
+       alu Insn.Xor R7 R0;
+       mov R1 R9;
+       mov R2 R6;
+       alui Insn.Add R2 50L;
+       call "pkt_read_u64";
+       alu Insn.Add R7 R0;
+       mov R0 R7;
+       exit_;
+     ])
+
+(* A lock handle spilled to a frame slot that no instruction reads again:
+   only the unwinder reads it, through the object table's slot entry at
+   the loop's checkpoint, where the quantum cancels the run. The store
+   that spills it must survive, and the lock must be released exactly as
+   the reference interpreter releases it. *)
+let t_unwind_spilled_lock () =
+  let items =
+    [
+      call "kflex_heap_base";
+      mov R7 R0;
+      mov R1 R7;
+      alui Insn.Add R1 128L;
+      call "kflex_spin_lock";
+      stx Insn.U64 R10 (-8) R0;
+      movi R0 0L;
+      movi R8 0L;
+      label "loop";
+      alui Insn.Add R8 1L;
+      ja "loop";
+    ]
+  in
+  let ((o, _, w) as r), h, f = three_runs ~quantum:5_000 items ~word:128L in
+  (match o with
+  | Vm.Cancelled c when c.reason = Vm.Quantum_expired ->
+      Alcotest.(check (list (pair string string)))
+        "lock released" [ ("kflex_lock", "kflex_spin_unlock") ] c.released;
+      Alcotest.(check int) "nothing leaked" 0 c.ledger_leaked
+  | _ -> Alcotest.fail "reference run was not cancelled by the quantum");
+  Alcotest.(check int64) "lock word cleared" 0L w;
+  if h <> r then Alcotest.fail "hooked form diverges from the reference";
+  if f <> r then Alcotest.fail "fused form diverges from the reference"
+
+(* Frame stores that a helper reads through a copy of r10: the key and
+   value buffers of [bpf_map_update] and [bpf_map_lookup]. The second key
+   is stored in a region that nothing after it reads except the lookup;
+   dropping it would look up the first key, which is present. *)
+let t_region_escaped_frame () =
+  check_region "frame read by a map helper"
+    ([
+       stx Insn.U64 R10 (-8) R7;
+       stx Insn.U64 R10 (-16) R9;
+       movi R1 3L;
+       mov R2 R10;
+       alui Insn.Add R2 (-8L);
+       mov R3 R10;
+       alui Insn.Add R3 (-16L);
+       call "bpf_map_update";
+       mov R4 R7;
+       alui Insn.Add R4 1L;
+       stx Insn.U64 R10 (-8) R4;
+       sti Insn.U64 R10 (-16) 0L;
+       movi R1 3L;
+       mov R2 R10;
+       alui Insn.Add R2 (-8L);
+       mov R3 R10;
+       alui Insn.Add R3 (-16L);
+       call "bpf_map_lookup";
+       mov R3 R0;
+       ldx Insn.U64 R4 R10 (-16);
+       movi R5 0L;
+     ]
+    @ sink)
+
+(* An atomic at [r10 + off] reads the slot a region stored, and nothing
+   else reads it: a fetch-and-add and a compare-and-exchange, each
+   returning the old value. The verifier admits atomics on the heap only,
+   so this program is instrumented by hand (no guards, no tables); the
+   fuzzer's generator emits no atomics at all. *)
+let t_region_frame_atomic () =
+  let prog =
+    Asm.assemble ~name:"frame_atomic"
+      [
+        call "bpf_get_prandom_u32";
+        mov R7 R0;
+        call "bpf_get_prandom_u32";
+        mov R9 R0;
+        stx Insn.U64 R10 (-8) R7;
+        movi R3 5L;
+        I (Insn.Atomic (Insn.Fetch_add, Insn.U64, R10, -8, R3));
+        stx Insn.U32 R10 (-20) R9;
+        mov R0 R9;
+        alui Insn.And R0 0xffff_ffffL;
+        movi R4 99L;
+        I (Insn.Atomic (Insn.Cmpxchg, Insn.U32, R10, -20, R4));
+        alu Insn.Xor R0 R3;
+        exit_;
+      ]
+  in
+  let base =
+    match
+      admit_for Oracle.default_config
+        (Kflex_fuzz.Gen.assemble [ movi R0 0L; exit_ ])
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "trivial program rejected"
+  in
+  let n = Kflex_bpf.Prog.length prog in
+  let kie =
+    {
+      base with
+      Kflex_kie.Instrument.prog;
+      cps = [||];
+      pc_map = Array.init n Fun.id;
+      orig_of_new = Array.init n Fun.id;
+      tables = Array.make n [];
+    }
+  in
+  match Oracle.repr_equiv Oracle.default_config kie with
+  | None -> ()
+  | Some f ->
+      Alcotest.failf "frame atomics: [%s] %s" f.Oracle.oracle f.Oracle.detail
+
+(* Slot-destination ops: an ALU result stored to a frame slot while its
+   register is dead becomes one op writing the slot, in every operand
+   shape (the first operand reloaded, copied, constant or in place, the
+   second a register, a slot, an immediate, a constant register, a heap
+   word only the run knows is zero, and a shift count only the run knows
+   is 64 or more). A heap store ends the region that fills the slots, so
+   a reload reads the slot in place. The same programs with the register
+   still read after the store must keep the register write. *)
+let t_region_slot_dest () =
+  let firsts k =
+    [
+      ("slot", [ ldx Insn.U64 R3 R10 (-8) ]);
+      ("copy", [ mov R3 R7 ]);
+      ("const", [ movi R3 k ]);
+      ("entry", [ mov R3 R7; stx Insn.U64 R6 32 R3 ]);
+    ]
+  in
+  let seconds op k =
+    [
+      ("reg", [ alu op R3 R9 ]);
+      ("slot", [ ldx Insn.U64 R2 R10 (-16); alu op R3 R2 ]);
+      ("imm", [ alui op R3 k ]);
+      ("const reg", [ movi R2 k; alu op R3 R2 ]);
+      ("zero word", [ ldx Insn.U64 R2 R6 64; alu op R3 R2 ]);
+      ("wide count", [ mov R2 R9; alui Insn.Or R2 64L; alu op R3 R2 ]);
+    ]
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (k1, k2) ->
+          List.iter
+            (fun (f, a) ->
+              List.iter
+                (fun (sec, b) ->
+                  List.iter
+                    (fun (live, after) ->
+                      check_region
+                        (Format.asprintf "%s %a %s to a slot, %s (%Ld, %Ld)" f
+                           Insn.pp_alu_op op sec live k1 k2)
+                        ([
+                           stx Insn.U64 R10 (-8) R7;
+                           stx Insn.U64 R10 (-16) R9;
+                           stx Insn.U64 R6 48 R9;
+                         ]
+                        @ a @ b
+                        @ [ stx Insn.U64 R10 (-24) R3 ]
+                        @ after
+                        @ [
+                            stx Insn.U64 R6 40 R7;
+                            ldx Insn.U64 R4 R10 (-24);
+                            ldx Insn.U64 R5 R10 (-8);
+                          ]
+                        @ sink))
+                    [
+                      ("register dead", [ movi R3 1L ]);
+                      ("register live", []);
+                    ])
+                (seconds op k2))
+            (firsts k1))
+        [ (7L, 0L); (-3L, 65L); (0x1234L, 3L) ])
+    all_alu
+
+(* Regions of more ops than the unrolled bodies take (eight): a chain of
+   dependent ALU ops on a runtime value, each op kept, then two more ops
+   ([r4 := r3 + 11], [r5 := r9]), at lengths just past eight and well
+   past it. *)
+let t_region_long () =
+  List.iter
+    (fun ops ->
+      check_region
+        (Printf.sprintf "region of %d ops" ops)
+        ([ mov R3 R7 ]
+        @ List.init (ops - 2) (fun k ->
+              if k land 1 = 0 then alu Insn.Xor R3 R9
+              else alui Insn.Mul R3 (Int64.of_int (k + 3)))
+        @ [ mov R4 R3; alui Insn.Add R4 11L; mov R5 R9 ]
+        @ sink))
+    [ 9; 10; 11; 12; 13; 20 ]
+
+(* The lowest frame slot, stack bytes [0, 8), has no bit in the Jit's
+   frame sets, so a store there is always kept: here an 8-byte and a
+   1-byte store in a region that ends at a jump, and a load of the slot in
+   the next region. *)
+let t_region_lowest_slot () =
+  check_prog "lowest frame slot"
+    [
+      movi R6 0x1122_3344_5566_7788L;
+      stx Insn.U64 R10 (-512) R6;
+      sti Insn.U8 R10 (-505) 0x5aL;
+      ja "next";
+      label "next";
+      ldx Insn.U64 R0 R10 (-512);
+      exit_;
+    ]
 
 (* --- representation edge cases ------------------------------------------- *)
 
@@ -1556,6 +1819,20 @@ let () =
             t_jit_packet_builtins;
           Alcotest.test_case "native builtins cannot be overridden" `Quick
             t_native_override_refused;
+          Alcotest.test_case "region: builtins between pure ops" `Quick
+            t_region_builtins;
+          Alcotest.test_case "unwinder reads a spilled lock" `Quick
+            t_unwind_spilled_lock;
+          Alcotest.test_case "region: frame read by a map helper" `Quick
+            t_region_escaped_frame;
+          Alcotest.test_case "region: frame atomics" `Quick
+            t_region_frame_atomic;
+          Alcotest.test_case "region: slot-destination ops" `Quick
+            t_region_slot_dest;
+          Alcotest.test_case "region: longer than the unrolled bodies" `Quick
+            t_region_long;
+          Alcotest.test_case "region: lowest frame slot" `Quick
+            t_region_lowest_slot;
         ] );
       ( "repr",
         [

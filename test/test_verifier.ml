@@ -987,6 +987,59 @@ let t_lint_ignored_result_cross_block () =
   Alcotest.(check (list int)) "ignored on every arm" [ 1 ]
     (pcs_of Lint.Ignored_result diags)
 
+(* A dataflow pass that runs out of budget says so instead of reporting
+   nothing: lint's dead-store and ignored-result passes and the lifecycle
+   pass each give one analysis-gave-up finding at pc 0, the program no
+   longer reads as clean, and the report counts them. Under the default
+   budget the same program finishes. *)
+let t_lint_gave_up () =
+  let a =
+    expect_ok
+      [
+        mov R6 R1;
+        call "bpf_ktime_get_ns";
+        ldx Insn.U32 R2 R6 0;
+        jmpi Insn.Eq R2 0L "a";
+        sti Insn.U64 R10 (-8) 1L;
+        movi R0 0L;
+        exit_;
+        label "a";
+        movi R0 1L;
+        exit_;
+      ]
+  in
+  let lc_gave_up fs =
+    List.filter
+      (fun (f : Lifecycle.finding) -> f.Lifecycle.kind = Lifecycle.Gave_up)
+      fs
+  in
+  Alcotest.(check (list int)) "default budget: lint finishes" []
+    (pcs_of Lint.Gave_up (Lint.run ~contracts a));
+  Alcotest.(check int) "default budget: lifecycle finishes" 0
+    (List.length (lc_gave_up (Lifecycle.run ~contracts a)));
+  let diags = Dataflow.with_budget 1 (fun () -> Lint.run ~contracts a) in
+  Alcotest.(check (list int)) "both lint passes gave up" [ 0; 0 ]
+    (pcs_of Lint.Gave_up diags);
+  Alcotest.(check int) "not clean" 1 (Lint.exit_code diags);
+  let summary = Format.asprintf "%a" Kflex_kie.Report.pp_lint diags in
+  let has sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length summary
+      && (String.sub summary i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) ("counted: " ^ summary) true
+    (has "2 analysis-gave-up");
+  match Dataflow.with_budget 1 (fun () -> Lifecycle.run ~contracts a) with
+  | [ f ] when f.Lifecycle.kind = Lifecycle.Gave_up ->
+      Alcotest.(check string) "lifecycle kind name" "analysis-gave-up"
+        (Lifecycle.kind_name f.Lifecycle.kind)
+  | fs ->
+      Alcotest.failf "lifecycle: expected one gave-up finding, got %d"
+        (List.length fs)
+
 let t_lint_redundant_guard () =
   let diags =
     lint
@@ -1597,6 +1650,7 @@ let () =
             t_lint_result_used_not_flagged;
           Alcotest.test_case "kind coverage + ordering" `Quick
             t_lint_kinds_cover;
+          Alcotest.test_case "gave up visibly" `Quick t_lint_gave_up;
         ] );
       ( "lifecycle",
         [
