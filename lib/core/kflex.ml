@@ -55,7 +55,7 @@ let jit_cache : (string, cached) Hashtbl.t = Hashtbl.create 16
 let jit_hits = ref 0
 let jit_misses = ref 0
 let jit_evictions = ref 0
-let jit_capacity = ref 64
+let jit_capacity = 64
 let jit_clock = ref 0
 
 let jit_cache_mutex = Mutex.create ()
@@ -82,16 +82,8 @@ let jit_cache_stats () =
         misses = !jit_misses;
         entries = Hashtbl.length jit_cache;
         evictions = !jit_evictions;
-        capacity = !jit_capacity;
+        capacity = jit_capacity;
       })
-
-let set_jit_cache_capacity n =
-  if n < 1 then invalid_arg "Kflex.set_jit_cache_capacity";
-  Mutex.protect jit_cache_mutex (fun () ->
-      jit_capacity := n;
-      while Hashtbl.length jit_cache > n do
-        evict_one ()
-      done)
 
 let jit_key_of insns unwind =
   Digest.string (Marshal.to_string (insns, unwind) [])
@@ -109,7 +101,7 @@ let lookup key insns unwind kie =
       | found ->
           incr jit_misses;
           let t = Jit.compile kie in
-          if Option.is_none found && Hashtbl.length jit_cache >= !jit_capacity
+          if Option.is_none found && Hashtbl.length jit_cache >= jit_capacity
           then evict_one ();
           Hashtbl.replace jit_cache key
             {

@@ -46,8 +46,8 @@ val jit_cache_stats : unit -> cache_stats
 (** Compiled-program cache counters. The cache is keyed by {!jit_cache_key},
     so reloading the same program (fuzz oracles, repeated attaches,
     per-shard instantiation) compiles once — and it is LRU-bounded at
-    [capacity] entries, with [evictions] counting programs dropped to stay
-    under it. *)
+    [capacity] (64) entries, with [evictions] counting programs dropped to
+    stay under it. *)
 
 val jit_cache_key : Kflex_kie.Instrument.t -> string
 (** A digest of everything the fused form depends on: the instrumented
@@ -60,10 +60,6 @@ val compile_cached :
     {!jit_cache_key}). A hit also compares the cached entry's instructions
     and unwind locations with the program's; on a mismatch (a key
     collision) it counts a miss, compiles, and replaces the entry. *)
-
-val set_jit_cache_capacity : int -> unit
-(** Change the cache bound (default 64), evicting stalest-first down to the
-    new capacity if needed. Raises [Invalid_argument] for < 1. *)
 
 val admit :
   ?mode:Kflex_verifier.Verify.mode ->

@@ -124,8 +124,8 @@ let run_plain shard (inst : Kflex.loaded) pkt =
     pkt
 
 (* Deterministic watchdog: the shard itself polls the reaper at every
-   cancellation site, with "now" derived from the cost charged so far —
-   byte-identical schedules across runs. *)
+   cancellation site of the reference interpreter, with "now" derived from
+   the cost charged so far — byte-identical schedules across runs. *)
 let run_polled t shard (inst : Kflex.loaded) pkt ~start_cost =
   let vclock = Float.Array.get shard.vclock 0 in
   let on_site () =
@@ -133,16 +133,16 @@ let run_polled t shard (inst : Kflex.loaded) pkt ~start_cost =
     Reaper.scan t.reaper ~now:(vclock +. (spent *. Cost.insn_ns));
     Vm.cancelled inst.Kflex.ext
   in
-  Vm.exec inst.Kflex.ext ~ctx:shard.ctx ~pkt:pkt.Packet.payload ~cpu:shard.sid
-    ~stats:shard.stats ~on_site ()
+  Vm.Ref_interp.exec inst.Kflex.ext ~ctx:shard.ctx ~pkt:pkt.Packet.payload
+    ~cpu:shard.sid ~stats:shard.stats ~on_site ()
 
 (* Run one chain entry on a shard against its context block (filled once
    per event). With a deadline the entry runs in the shard's reaper slot:
-   on the virtual clock, polled from the VM's cancellation-site hook, in
-   deterministic mode; on the wall clock in threaded mode, where the
-   reaper domain flips the extension's cancel flag asynchronously, like a
-   sibling CPU would. Outside the polled mode the entry allocates
-   nothing. *)
+   on the virtual clock, polled from the reference interpreter's
+   cancellation-site hook, in deterministic mode; on the wall clock in
+   threaded mode, where the watchdog domain flips the extension's cancel
+   flag asynchronously, like a sibling CPU would. Outside the polled mode
+   the entry allocates nothing. *)
 let exec_entry t shard (inst : Kflex.loaded) pkt =
   let start_cost = Vm.total_cost shard.stats in
   let outcome =

@@ -46,6 +46,10 @@ val create :
     budget for attached programs (unset = the VM default); [deadline_ns]
     arms the reaper with a per-invocation deadline in (virtual or wall)
     nanoseconds; [seed] derives each shard's [bpf_get_prandom_u32] stream.
+    A deterministic engine with a deadline runs every entry on
+    {!Kflex_runtime.Vm.Ref_interp}, which polls the reaper at each
+    cancellation site on a clock derived from the cost charged so far;
+    every other engine runs the compiled form.
     Threaded engines spawn their worker domains here — call {!shutdown}
     when done. A new worker parks until its first event; after each batch
     it spins for at most the 1 ms poll window, so a shard costs at most one

@@ -174,7 +174,7 @@ type probe = {
   on_site : int -> unit;
 }
 
-type executor = Reference of probe | Hooked of probe | Inject of int | Fused
+type executor = Reference of probe | Inject of int | Fused
 
 exception Trace_stop
 
@@ -236,9 +236,9 @@ let observe ~outcomes ~events ~stats ~payloads ~sites kernels heaps =
   }
 
 (* The direct runner: [kies] as one chain on one packet (tail-call verdict
-   composition, shared stats, each program in its own instance), under the
-   executor's form of the VM, with the global PRNG and virtual clock reset
-   as the engine resets a shard's. A probe's run stops, with no outcome,
+   composition, shared stats, each program in its own instance), on the
+   executor, with the global PRNG and virtual clock reset as the engine
+   resets a shard's. A probe's run stops, with no outcome,
    once [budget] instructions have been observed; [Trace_stop] from its
    [on_insn] stops it the same way. *)
 let run_direct ?helpers_shim cfg exec kies =
@@ -246,9 +246,7 @@ let run_direct ?helpers_shim cfg exec kies =
   let pkt = packet cfg ~src_port:cfg.src_port in
   let stats = Vm.fresh_stats () in
   let sites = ref 0 in
-  let budget =
-    ref (match exec with Reference p | Hooked p -> p.budget | _ -> 0)
-  in
+  let budget = ref (match exec with Reference p -> p.budget | _ -> 0) in
   let on_insn p pc regs =
     decr budget;
     if !budget <= 0 then raise Trace_stop;
@@ -269,11 +267,10 @@ let run_direct ?helpers_shim cfg exec kies =
     let o =
       match exec with
       | Reference p ->
-          Vm.Ref_interp.exec ext ~ctx ~pkt ~stats ~on_insn:(on_insn p) ()
-      | Hooked p ->
-          Vm.exec ext ~ctx ~pkt ~stats ~on_insn:(on_insn p)
+          Vm.Ref_interp.exec ext ~ctx ~pkt ~stats ~on_insn:(on_insn p)
             ~on_site:(on_site p) ()
-      | Inject k -> Vm.exec ext ~ctx ~pkt ~stats ~on_site:(inject k) ()
+      | Inject k ->
+          Vm.Ref_interp.exec ext ~ctx ~pkt ~stats ~on_site:(inject k) ()
       | Fused -> Vm.exec ext ~ctx ~pkt ~stats ()
     in
     (* the engine re-arms a cancelled entry per invocation too *)
@@ -530,7 +527,7 @@ let containment cfg analysis kie_k =
     if !viol <> None then raise Trace_stop
   in
   ignore
-    (run cfg (Hooked { (quiet cfg.insn_budget) with on_insn }) [ kie_k ]
+    (run cfg (Reference { (quiet cfg.insn_budget) with on_insn }) [ kie_k ]
       : obs);
   Option.map (fun d -> { oracle = "containment"; detail = d }) !viol
 
@@ -556,7 +553,7 @@ let elision cfg analysis elided kie_b =
         (fail "elision" "elidable access faulted outside the heap: %a"
            pp_outcome o)
   | _ ->
-      let forced = run cfg (Hooked (safe cfg)) [ kie_b ] in
+      let forced = run cfg (Reference (safe cfg)) [ kie_b ] in
       let quantum o =
         match o.outcomes with
         | [ Vm.Cancelled { reason = Vm.Quantum_expired; _ } ] -> true
@@ -602,25 +599,18 @@ let cancellation cfg kie sites =
 
 (* --- oracle 8: executor equivalence -------------------------------------- *)
 
-(* The single executor oracle: the kept-boxed reference interpreter
+(* The single executor oracle: the [reference] observation
    ({!Vm.Ref_interp} — [Stdlib.Int64] arithmetic over a boxed [int64 array]
    register file and the generic width-dispatched memory path, sharing no
-   ALU/comparison/accessor code with {!Kflex_runtime.Jit}) against both
-   compiled forms, the [hooked] observation and a fused run. Only the
-   hooked form has a site hook, so the site count is blanked. *)
-let repr cfg kie hooked =
-  let reference = run cfg (Reference (safe cfg)) [ kie ] in
-  let against what o =
-    tagged what
-      (pair cfg ~oracle:"repr"
-         ~blank:(fun o -> { o with sites = 0 })
-         reference o)
-  in
-  match against "hooked" hooked with
-  | Some f -> Some f
-  | None -> against "fused" (run cfg Fused [ kie ])
+   ALU/comparison/accessor code with {!Kflex_runtime.Jit}) against a run of
+   the compiled form. Only the reference has a site hook, so the site
+   count is blanked. *)
+let repr cfg kie reference =
+  pair cfg ~oracle:"repr"
+    ~blank:(fun o -> { o with sites = 0 })
+    reference (run cfg Fused [ kie ])
 
-let repr_equiv cfg kie = repr cfg kie (run cfg (Hooked (safe cfg)) [ kie ])
+let repr_equiv cfg kie = repr cfg kie (run cfg (Reference (safe cfg)) [ kie ])
 
 (* --- oracle 7: lifecycle no-false-positive ------------------------------ *)
 
@@ -791,7 +781,7 @@ let lc_run ?helpers_shim cfg prog (findings : Lifecycle.finding list) kie_k =
   in
   let o =
     run_direct ?helpers_shim cfg
-      (Hooked { (quiet cfg.insn_budget) with on_insn })
+      (Reference { (quiet cfg.insn_budget) with on_insn })
       [ kie_k ]
   in
   {
@@ -1019,7 +1009,7 @@ let run_case_stats_exn cfg prog =
           let kie_a = instrument Instrument.default_options analysis in
           let kie_k = kmod analysis in
           let findings = Lifecycle.run ~contracts analysis in
-          let elided = lazy (run cfg (Hooked (safe cfg)) [ kie_a ]) in
+          let elided = lazy (run cfg (Reference (safe cfg)) [ kie_a ]) in
           let checks =
             [
               (fun () -> containment cfg analysis kie_k);

@@ -25,8 +25,8 @@
       Checkpoint/heap-access site unwinds as [Ext_cancelled] and keeps the
       invariants;
     - {b repr}: the boxed reference interpreter
-      ({!Kflex_runtime.Vm.Ref_interp}) against both compiled forms — hooked
-      and fused — with the site count blanked ({!repr_equiv});
+      ({!Kflex_runtime.Vm.Ref_interp}) against the compiled form, with the
+      site count blanked ({!repr_equiv});
     - {b lifecycle}: no static lifecycle finding is refuted by a concrete
       run ({!lifecycle_report}).
 
@@ -139,9 +139,10 @@ val lifecycle_report :
 
 val repr_equiv : config -> Kflex_kie.Instrument.t -> failure option
 (** The executor oracle in isolation: the reference interpreter against
-    the hooked and the fused compiled forms. [None] means all three
-    agree. Runs on every fuzz case and corpus replay via [run_case];
-    exposed for the qcheck differential suite in the runtime tests. *)
+    the compiled form. [None] means the two agree. Runs on every fuzz case
+    and corpus replay via [run_case], where it shares the reference run of
+    the elision and cancellation oracles; exposed for the qcheck
+    differential suite in the runtime tests. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
@@ -161,7 +162,7 @@ type obs = {
   maps : (int64 * int64) list list;
       (** contents of every map the programs reach, each once, fd order *)
   rcu_version : int;  (** versions published by those RCU maps *)
-  sites : int;  (** cancellation sites passed (hooked forms only) *)
+  sites : int;  (** cancellation sites passed (reference runs only) *)
   leaked : int;  (** ledger entries cancellations failed to release *)
   sock_refs : int;  (** socket references left outstanding *)
   locks : int;  (** spin locks left held in those maps *)
@@ -176,11 +177,13 @@ type probe = {
 
 (** The VM form a direct run takes. *)
 type executor =
-  | Reference of probe  (** {!Kflex_runtime.Vm.Ref_interp} *)
-  | Hooked of probe  (** the hooked Jit, counting sites *)
+  | Reference of probe
+      (** {!Kflex_runtime.Vm.Ref_interp}, observing each instruction and
+          counting sites *)
   | Inject of int
-      (** the hooked Jit observing sites only, cancelling at the k-th *)
-  | Fused  (** the hook-free fused Jit *)
+      (** {!Kflex_runtime.Vm.Ref_interp} observing sites only, cancelling
+          at the k-th *)
+  | Fused  (** the compiled form ({!Kflex_runtime.Jit}) *)
 
 val run : config -> executor -> Kflex_kie.Instrument.t list -> obs
 (** The direct runner: the programs as one chain (tail-call verdict

@@ -74,10 +74,8 @@
    counts. A jump folded in after a checkpoint charges after the quantum
    comparison, exactly where the interpreter would.
 
-   The hooked form ({!compile_hooked}) serves [Vm.exec]'s [on_insn] and
-   [on_site] observers: no fusion and no dropped writes, and each
-   instruction's standalone closure sits behind a prelude that consults
-   the hooks in [state]. *)
+   This is the only compiled form. Runs with observers ([on_insn],
+   [on_site]) take the reference interpreter ([Vm.Ref_interp]) instead. *)
 
 open Kflex_bpf
 open Machine
@@ -954,96 +952,32 @@ let liveness insns ~pure ~unwind =
   done;
   { regs = live; frame }
 
-(* --- observation preludes (the hooked form) ------------------------------ *)
-
-(* The base register, displacement and width of a memory access: its
-   address decides at run time whether it is a cancellation site. *)
-let access_of insn =
-  match insn with
-  | Insn.Ldx (sz, _, b, off)
-  | Insn.Stx (sz, b, off, _)
-  | Insn.St (sz, b, off, _)
-  | Insn.Xstore (sz, b, off, _)
-  | Insn.Atomic (_, sz, b, off, _) ->
-      Some (ri b, Int64.of_int off, Insn.size_bytes sz)
-  | _ -> None
-
-let[@inline always] observe st pc =
-  match st.on_insn with
-  | Some f ->
-      sync_snap st;
-      f pc st.reg_snap
-  | None -> ()
-
-(* [on_insn] sees the registers before the instruction is charged. An
-   access whose address leaves the stack and ctx windows is a site, and
-   [on_site] sees it with the access's [insns] charge already taken — the
-   deterministic reaper derives its clock from that cost. The access
-   closure charges the instruction itself, so the prelude hands the unit
-   back unless the site cancels. *)
-let prelude pc insn (op : op) : op =
-  match access_of insn with
-  | None ->
-      fun st ->
-        observe st pc;
-        op st
-  | Some (b, off, w) ->
-      fun st ->
-        observe st pc;
-        (match st.on_site with
-        | Some f ->
-            let addr = Int64.add (rget st.regs b) off in
-            if
-              not
-                (in_window stack_base Prog.stack_size addr w
-                || in_window ctx_base st.ctx_size addr w)
-            then begin
-              let s = st.stats in
-              s.insns <- s.insns + 1;
-              if f () then begin
-                st.fault_pc <- pc;
-                raise (Vm_fault Ext_cancelled)
-              end;
-              s.insns <- s.insns - 1
-            end
-        | None -> ());
-        op st
-
-(* A checkpoint's site follows its watchdog check: it is the continuation
-   of the checkpoint closure, which has already set [fault_pc]. *)
-let site_after (next : op) : op =
- fun st ->
-  (match st.on_site with
-  | Some f -> if f () then raise (Vm_fault Ext_cancelled)
-  | None -> ());
-  next st
-
-
 let[@inline always] count_call st =
   let s = st.stats in
   s.insns <- s.insns + 1;
   s.helper_calls <- s.helper_calls + 1
 
-let build form ~unwind prog =
-  let insns = Prog.insns prog in
+let compile (kie : Kflex_kie.Instrument.t) =
+  let unwind = unwind_locs kie in
+  let insns = Prog.insns kie.Kflex_kie.Instrument.prog in
   let n = Array.length insns in
   (* r10 keeps its entry value (the frame top) iff nothing ever writes it;
      then frame accesses at [r10 + off] are constant-index and pure. *)
   let fp_const = not (Array.exists (writes_reg 10) insns) in
-  (* region members; in the fused form a packet builtin's call is one too:
-     it cannot fault, and nothing observes a run between fault points *)
+  (* region members; a packet builtin's call is one too: it cannot fault,
+     and nothing observes a run between fault points *)
   let pure =
     Array.map
       (fun insn ->
         is_pure ~fp_const insn
         ||
         match insn with
-        | Insn.Call name -> form = `Fused && Option.is_some (native_of name)
+        | Insn.Call name -> Option.is_some (native_of name)
         | _ -> false)
       insns
   in
-  (* helper name -> slot in the per-extension linked table; the fused form
-     runs the native builtins without it *)
+  (* helper name -> slot in the per-extension linked table; the native
+     builtins run without it *)
   let hidx = Hashtbl.create 8 in
   let horder = ref [] in
   Array.iteri
@@ -1065,191 +999,183 @@ let build form ~unwind prog =
        slots precisely so that a jump to the end resolves to [dummy] *)
   in
   let s = fresh () in
-  (* A pure instruction on its own, for the hooked form: its op with
-     nothing propagated and nothing dropped. *)
-  let standalone insn next =
-    reset s;
-    region 1
-      (match step s insn with Some ir -> [| op_of_ir ir |] | None -> [||])
-      next
-  in
+  (* an instruction outside every region ({!fuse_region} covers the pure
+     ones) *)
   let compile_one pc insn (next : op) : op =
-    if pure.(pc) then standalone insn next
-    else
-      match insn with
-      | Insn.Mov _ | Insn.Neg _ | Insn.Alu _ -> assert false
-      | Insn.Ldx (sz, d, s, off) -> (
-          let d = ri d and s = ri s in
-          let off = Int64.of_int off in
-          match sz with
-          | Insn.U8 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                rset st.regs d (read8 st (Int64.add (rget st.regs s) off));
-                next st
-          | Insn.U16 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                rset st.regs d (read16 st (Int64.add (rget st.regs s) off));
-                next st
-          | Insn.U32 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                rset st.regs d (read32 st (Int64.add (rget st.regs s) off));
-                next st
-          | Insn.U64 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                rset st.regs d (read64 st (Int64.add (rget st.regs s) off));
-                next st)
-      | Insn.Stx (sz, d, off, s) -> (
-          let d = ri d and s = ri s in
-          let off = Int64.of_int off in
-          match sz with
-          | Insn.U8 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                write8 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-                next st
-          | Insn.U16 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                write16 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-                next st
-          | Insn.U32 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                write32 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-                next st
-          | Insn.U64 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                write64 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-                next st)
-      | Insn.St (sz, d, off, imm) -> (
-          let d = ri d in
-          let off = Int64.of_int off in
-          match sz with
-          | Insn.U8 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                write8 st (Int64.add (rget st.regs d) off) imm;
-                next st
-          | Insn.U16 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                write16 st (Int64.add (rget st.regs d) off) imm;
-                next st
-          | Insn.U32 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                write32 st (Int64.add (rget st.regs d) off) imm;
-                next st
-          | Insn.U64 ->
-              fun st ->
-                st.stats.insns <- st.stats.insns + 1;
-                st.fault_pc <- pc;
-                write64 st (Int64.add (rget st.regs d) off) imm;
-                next st)
-      | Insn.Xstore (sz, d, off, s) ->
-          let w = Insn.size_bytes sz in
-          let d = ri d and s = ri s in
-          let off = Int64.of_int off in
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            st.fault_pc <- pc;
-            let h =
-              match st.heap with
-              | Some h -> h
-              | None -> raise (Vm_fault Wild_access)
-            in
-            let v = rget st.regs s in
-            let v = if Heap.is_shared h then Heap.translate_user h v else v in
-            write st ~width:w (Int64.add (rget st.regs d) off) v;
-            next st
-      | Insn.Guard (_, r) ->
-          let r = ri r in
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            st.fault_pc <- pc;
-            (match st.heap with
-            | Some h ->
-                st.stats.guards <- st.stats.guards + 1;
-                rset st.regs r (Heap.sanitize h (rget st.regs r))
-            | None -> raise (Vm_fault Wild_access));
-            next st
-      | Insn.Checkpoint _ ->
-          fun st ->
-            let s = st.stats in
-            s.insns <- s.insns + 1;
-            s.checkpoints <- s.checkpoints + 1;
-            st.fault_pc <- pc;
-            if !(st.cancel) then raise (Vm_fault Ext_cancelled);
-            if total_cost s - st.start_cost > st.quantum then begin
-              st.cancel := true;
-              raise (Vm_fault Quantum_expired)
-            end;
-            next st
-      | Insn.Atomic (op, sz, d, off, s) ->
-          let w = Insn.size_bytes sz in
-          let d = ri d and s = ri s in
-          let off = Int64.of_int off in
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            st.fault_pc <- pc;
-            let addr = Int64.add (rget st.regs d) off in
-            let old = read st ~width:w addr in
-            let sv = rget st.regs s in
-            (match op with
-            | Insn.Atomic_add -> write st ~width:w addr (Int64.add old sv)
-            | Insn.Atomic_or -> write st ~width:w addr (Int64.logor old sv)
-            | Insn.Atomic_and -> write st ~width:w addr (Int64.logand old sv)
-            | Insn.Atomic_xor -> write st ~width:w addr (Int64.logxor old sv)
-            | Insn.Fetch_add ->
-                write st ~width:w addr (Int64.add old sv);
-                rset st.regs s old
-            | Insn.Fetch_or ->
-                write st ~width:w addr (Int64.logor old sv);
-                rset st.regs s old
-            | Insn.Fetch_and ->
-                write st ~width:w addr (Int64.logand old sv);
-                rset st.regs s old
-            | Insn.Fetch_xor ->
-                write st ~width:w addr (Int64.logxor old sv);
-                rset st.regs s old
-            | Insn.Xchg ->
-                write st ~width:w addr sv;
-                rset st.regs s old
-            | Insn.Cmpxchg ->
-                if old = rget st.regs 0 then write st ~width:w addr sv;
-                rset st.regs 0 old);
-            next st
-      | Insn.Ja off ->
-          let k = goto pc (pc + 1 + off) in
-          fun st ->
-            st.stats.insns <- st.stats.insns + 1;
-            k st
-      | Insn.Jcond (c, a, s, off) ->
-          branch 1 c (R (ri a)) (orig s) (goto pc (pc + 1 + off)) next
-      | Insn.Call name ->
-          let idx = Hashtbl.find hidx name in
-          fun st ->
-            count_call st;
-            st.fault_pc <- pc;
-            call_helper st (Array.unsafe_get st.helpers idx);
-            next st
-      | Insn.Exit -> fun st -> st.stats.insns <- st.stats.insns + 1
+    match insn with
+    | Insn.Mov _ | Insn.Neg _ | Insn.Alu _ -> assert false
+    | Insn.Ldx (sz, d, s, off) -> (
+        let d = ri d and s = ri s in
+        let off = Int64.of_int off in
+        match sz with
+        | Insn.U8 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              rset st.regs d (read8 st (Int64.add (rget st.regs s) off));
+              next st
+        | Insn.U16 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              rset st.regs d (read16 st (Int64.add (rget st.regs s) off));
+              next st
+        | Insn.U32 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              rset st.regs d (read32 st (Int64.add (rget st.regs s) off));
+              next st
+        | Insn.U64 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              rset st.regs d (read64 st (Int64.add (rget st.regs s) off));
+              next st)
+    | Insn.Stx (sz, d, off, s) -> (
+        let d = ri d and s = ri s in
+        let off = Int64.of_int off in
+        match sz with
+        | Insn.U8 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              write8 st (Int64.add (rget st.regs d) off) (rget st.regs s);
+              next st
+        | Insn.U16 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              write16 st (Int64.add (rget st.regs d) off) (rget st.regs s);
+              next st
+        | Insn.U32 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              write32 st (Int64.add (rget st.regs d) off) (rget st.regs s);
+              next st
+        | Insn.U64 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              write64 st (Int64.add (rget st.regs d) off) (rget st.regs s);
+              next st)
+    | Insn.St (sz, d, off, imm) -> (
+        let d = ri d in
+        let off = Int64.of_int off in
+        match sz with
+        | Insn.U8 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              write8 st (Int64.add (rget st.regs d) off) imm;
+              next st
+        | Insn.U16 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              write16 st (Int64.add (rget st.regs d) off) imm;
+              next st
+        | Insn.U32 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              write32 st (Int64.add (rget st.regs d) off) imm;
+              next st
+        | Insn.U64 ->
+            fun st ->
+              st.stats.insns <- st.stats.insns + 1;
+              st.fault_pc <- pc;
+              write64 st (Int64.add (rget st.regs d) off) imm;
+              next st)
+    | Insn.Xstore (sz, d, off, s) ->
+        let w = Insn.size_bytes sz in
+        let d = ri d and s = ri s in
+        let off = Int64.of_int off in
+        fun st ->
+          st.stats.insns <- st.stats.insns + 1;
+          st.fault_pc <- pc;
+          let h =
+            match st.heap with
+            | Some h -> h
+            | None -> raise (Vm_fault Wild_access)
+          in
+          let v = rget st.regs s in
+          let v = if Heap.is_shared h then Heap.translate_user h v else v in
+          write st ~width:w (Int64.add (rget st.regs d) off) v;
+          next st
+    | Insn.Guard (_, r) ->
+        let r = ri r in
+        fun st ->
+          st.stats.insns <- st.stats.insns + 1;
+          st.fault_pc <- pc;
+          (match st.heap with
+          | Some h ->
+              st.stats.guards <- st.stats.guards + 1;
+              rset st.regs r (Heap.sanitize h (rget st.regs r))
+          | None -> raise (Vm_fault Wild_access));
+          next st
+    | Insn.Checkpoint _ ->
+        fun st ->
+          let s = st.stats in
+          s.insns <- s.insns + 1;
+          s.checkpoints <- s.checkpoints + 1;
+          st.fault_pc <- pc;
+          if !(st.cancel) then raise (Vm_fault Ext_cancelled);
+          if total_cost s - st.start_cost > st.quantum then begin
+            st.cancel := true;
+            raise (Vm_fault Quantum_expired)
+          end;
+          next st
+    | Insn.Atomic (op, sz, d, off, s) ->
+        let w = Insn.size_bytes sz in
+        let d = ri d and s = ri s in
+        let off = Int64.of_int off in
+        fun st ->
+          st.stats.insns <- st.stats.insns + 1;
+          st.fault_pc <- pc;
+          let addr = Int64.add (rget st.regs d) off in
+          let old = read st ~width:w addr in
+          let sv = rget st.regs s in
+          (match op with
+          | Insn.Atomic_add -> write st ~width:w addr (Int64.add old sv)
+          | Insn.Atomic_or -> write st ~width:w addr (Int64.logor old sv)
+          | Insn.Atomic_and -> write st ~width:w addr (Int64.logand old sv)
+          | Insn.Atomic_xor -> write st ~width:w addr (Int64.logxor old sv)
+          | Insn.Fetch_add ->
+              write st ~width:w addr (Int64.add old sv);
+              rset st.regs s old
+          | Insn.Fetch_or ->
+              write st ~width:w addr (Int64.logor old sv);
+              rset st.regs s old
+          | Insn.Fetch_and ->
+              write st ~width:w addr (Int64.logand old sv);
+              rset st.regs s old
+          | Insn.Fetch_xor ->
+              write st ~width:w addr (Int64.logxor old sv);
+              rset st.regs s old
+          | Insn.Xchg ->
+              write st ~width:w addr sv;
+              rset st.regs s old
+          | Insn.Cmpxchg ->
+              if old = rget st.regs 0 then write st ~width:w addr sv;
+              rset st.regs 0 old);
+          next st
+    | Insn.Ja off ->
+        let k = goto pc (pc + 1 + off) in
+        fun st ->
+          st.stats.insns <- st.stats.insns + 1;
+          k st
+    | Insn.Jcond (c, a, s, off) ->
+        branch 1 c (R (ri a)) (orig s) (goto pc (pc + 1 + off)) next
+    | Insn.Call name ->
+        let idx = Hashtbl.find hidx name in
+        fun st ->
+          count_call st;
+          st.fault_pc <- pc;
+          call_helper st (Array.unsafe_get st.helpers idx);
+          next st
+    | Insn.Exit -> fun st -> st.stats.insns <- st.stats.insns + 1
   in
   (* Guard+access superinstructions. The fused closure must leave state and
      stats exactly as the two standalone closures would at every observation
@@ -1524,11 +1450,7 @@ let build form ~unwind prog =
             k st),
           1 )
   in
-  let lv =
-    match form with
-    | `Fused -> liveness insns ~pure ~unwind
-    | `Hooked -> { regs = [||]; frame = [||] }
-  in
+  let lv = liveness insns ~pure ~unwind in
   (* the registers and frame slots live on entry to any of [qs] *)
   let exit_live qs =
     List.fold_left
@@ -1593,77 +1515,57 @@ let build form ~unwind prog =
   in
   (* Which pcs get an entry: pc 0, every jump target, and every pc that
      the closure before it falls through to rather than covers. *)
-  let needed =
-    match form with
-    | `Hooked -> [||]
-    | `Fused ->
-        let needed = Array.make (n + 1) false in
-        needed.(0) <- true;
-        Array.iteri
-          (fun pc i ->
-            List.iter
-              (fun q -> if q >= 0 && q <= n then needed.(q) <- true)
-              (Insn.jump_targets pc i))
-          insns;
-        for p = 1 to n - 1 do
-          let covered =
-            match (insns.(p - 1), insns.(p)) with
-            | _, (Insn.Jcond _ | Insn.Ja _ | Insn.Exit | Insn.Checkpoint _)
-              when pure.(p - 1) ->
-                true
-            | Insn.Checkpoint _, (Insn.Ja _ | Insn.Jcond _) -> true
-            | ( Insn.Guard (_, g),
-                ( Insn.Ldx (_, _, b, _)
-                | Insn.Stx (_, b, _, _)
-                | Insn.St (_, b, _, _) ) ) ->
-                ri b = ri g (* a Guard+access pair ({!fuse_pair}) *)
-            | _ -> pure.(p - 1) && pure.(p)
-          in
-          if not covered then needed.(p) <- true
-        done;
-        needed
-  in
+  let needed = Array.make (n + 1) false in
+  needed.(0) <- true;
+  Array.iteri
+    (fun pc i ->
+      List.iter
+        (fun q -> if q >= 0 && q <= n then needed.(q) <- true)
+        (Insn.jump_targets pc i))
+    insns;
+  for p = 1 to n - 1 do
+    let covered =
+      match (insns.(p - 1), insns.(p)) with
+      | _, (Insn.Jcond _ | Insn.Ja _ | Insn.Exit | Insn.Checkpoint _)
+        when pure.(p - 1) ->
+          true
+      | Insn.Checkpoint _, (Insn.Ja _ | Insn.Jcond _) -> true
+      | ( Insn.Guard (_, g),
+          ( Insn.Ldx (_, _, b, _)
+          | Insn.Stx (_, b, _, _)
+          | Insn.St (_, b, _, _) ) ) ->
+          ri b = ri g (* a Guard+access pair ({!fuse_pair}) *)
+      | _ -> pure.(p - 1) && pure.(p)
+    in
+    if not covered then needed.(p) <- true
+  done;
   let fused = ref 0 and built = ref 0 in
   for p = n - 1 downto 0 do
-    let body =
-      match form with
-      | `Hooked ->
-          let next =
+    if needed.(p) then begin
+      incr built;
+      entries.(p) <-
+        (match
+           if p + 1 < n then fuse_pair p insns.(p) insns.(p + 1) else None
+         with
+        | Some op ->
+            incr fused;
+            op
+        | None when pure.(p) ->
+            let op, covered = fuse_region p in
+            fused := !fused + (covered - 1);
+            op
+        | None -> (
+            (* a checkpoint with a jump right behind it (every loop back
+               edge after instrumentation) fuses with no pure run in front *)
             match insns.(p) with
-            | Insn.Checkpoint _ -> site_after entries.(p + 1)
-            | _ -> entries.(p + 1)
-          in
-          Some (prelude p insns.(p) (compile_one p insns.(p) next))
-      | `Fused when not needed.(p) -> None
-      | `Fused -> (
-          match
-            if p + 1 < n then fuse_pair p insns.(p) insns.(p + 1) else None
-          with
-          | Some op ->
-              incr fused;
-              Some op
-          | None when pure.(p) ->
-              let op, covered = fuse_region p in
-              fused := !fused + (covered - 1);
-              Some op
-          | None -> (
-              (* a checkpoint with a jump right behind it (every loop back
-                 edge after instrumentation) fuses with no pure run in
-                 front *)
-              match insns.(p) with
-              | Insn.Checkpoint _ -> (
-                  match checkpoint_fin p p with
-                  | fin, 2 ->
-                      incr fused;
-                      Some (region 1 [||] fin)
-                  | _ -> Some (compile_one p insns.(p) entries.(p + 1)))
-              | _ -> Some (compile_one p insns.(p) entries.(p + 1))))
-    in
-    Option.iter
-      (fun op ->
-        incr built;
-        entries.(p) <- op)
-      body
+            | Insn.Checkpoint _ -> (
+                match checkpoint_fin p p with
+                | fin, 2 ->
+                    incr fused;
+                    region 1 [||] fin
+                | _ -> compile_one p insns.(p) entries.(p + 1))
+            | _ -> compile_one p insns.(p) entries.(p + 1)))
+    end
   done;
   {
     entries;
@@ -1675,11 +1577,6 @@ let build form ~unwind prog =
     native_ops = !native_ops;
     dead_frame_stores = !dead_stores;
   }
-
-let compile (kie : Kflex_kie.Instrument.t) =
-  build `Fused ~unwind:(unwind_locs kie) kie.Kflex_kie.Instrument.prog
-
-let compile_hooked prog = build `Hooked ~unwind:[||] prog
 
 let run t (st : state) =
   if Array.length st.helpers < Array.length t.helper_names then

@@ -1,11 +1,13 @@
 (** Template JIT: an instrumented program compiled to OCaml closures with
     direct-threaded dispatch, charging exactly what [Vm.Ref_interp]
-    charges (the implementation's header gives the fusion rules).
+    charges (the implementation's header gives the fusion rules). It has
+    one form, with no observation hooks: runs with [on_insn] or [on_site]
+    observers take [Vm.Ref_interp] instead.
 
-    The hook-free form compiles each pure region (a maximal run of
-    Mov/Alu/Neg, in-frame stack accesses and packet-builtin calls) to its
-    net effect: copies, constants and stores propagate, and the writes no
-    later instruction and no unwinder can read are dropped. A register or
+    It compiles each pure region (a maximal run of Mov/Alu/Neg, in-frame
+    stack accesses and packet-builtin calls) to its net effect: copies,
+    constants and stores propagate, and the writes no later instruction
+    and no unwinder can read are dropped. A register or
     frame-byte write is kept when a later instruction may read it or when
     a fault point downstream could hand it to the unwinder, which reads the
     object-table registers and slots of the faulting pc ({!unwind_locs}).
@@ -16,15 +18,8 @@
 type t
 
 val compile : Kflex_kie.Instrument.t -> t
-(** The hook-free form: superinstruction fusion and net-effect regions.
-    Depends on the instrumented program and on {!unwind_locs}, nothing
-    else. *)
-
-val compile_hooked : Kflex_bpf.Prog.t -> t
-(** The form for runs with [on_insn]/[on_site] observers: unfused, no
-    write dropped, each instruction's closure behind a prelude that
-    consults the hooks in {!Machine.state}, in the reference interpreter's
-    observation order. *)
+(** Superinstruction fusion and net-effect regions. Depends on the
+    instrumented program and on {!unwind_locs}, nothing else. *)
 
 val run : t -> Machine.state -> unit
 (** Execute from pc 0 to [Exit]; faults propagate as exceptions. The

@@ -57,9 +57,6 @@ let ctx_base = 0x1000_0000_0000L
    r0 at [Exit]. *)
 type state = {
   regs : U64.bank;  (* r0-r10 *)
-  reg_snap : int64 array;
-      (* boxed per-insn snapshot handed to [on_insn] observers (the hooked
-         Jit form only; the hook-free closures never touch it) *)
   stack : Bytes.t;  (* Prog.stack_size bytes, zeroed per invocation *)
   mutable ctx : Bytes.t;
   mutable ctx_size : int;
@@ -77,10 +74,6 @@ type state = {
   cancel : bool ref;
   ledger : Ledger.t;
   mutable in_use : bool;
-  mutable on_insn : (int -> int64 array -> unit) option;
-  mutable on_site : (unit -> bool) option;
-      (* [Vm.exec]'s hooks, read by the hooked form's preludes; last, so
-         the fields the hook-free closures read keep their offsets *)
 }
 
 and helper = state -> unit
@@ -245,7 +238,6 @@ let[@inline always] write64 st addr v =
 let create_state ?heap ?alloc ~quantum ~cancel () =
   {
     regs = U64.create 11;
-    reg_snap = Array.make 11 0L;
     stack = Bytes.make Prog.stack_size '\000';
     ctx = Bytes.empty;
     ctx_size = 0;
@@ -261,8 +253,6 @@ let create_state ?heap ?alloc ~quantum ~cancel () =
     cancel;
     ledger = Ledger.create ();
     in_use = false;
-    on_insn = None;
-    on_site = None;
   }
 
 (* Per invocation. The registers are zeroed by unboxed stores rather than
@@ -580,9 +570,3 @@ let[@inline always] finished (v : int64) =
   if v >= Int64.of_int finished_lo && v <= Int64.of_int finished_hi then
     Array.unsafe_get finished_table (Int64.to_int v - finished_lo)
   else Finished v
-
-(* Fill the boxed observer snapshot from the live bank. *)
-let sync_snap st =
-  for i = 0 to 10 do
-    st.reg_snap.(i) <- U64.get st.regs i
-  done

@@ -185,13 +185,11 @@ type ext = {
       (* the reusable execution context (satellite: hoisted allocations) *)
   mutable jit : (Jit.t * helper array) option;
       (* compiled form + helper table linked against [helpers] *)
-  mutable hooked : (Jit.t * helper array) option;
-      (* the hooked form, compiled on the first invocation with a hook *)
 }
 
-(* The fused Jit compiles a native builtin's call without consulting the
-   helper table, so an override would run in the reference and hooked
-   forms only; it is refused instead. *)
+(* The Jit compiles a native builtin's call without consulting the helper
+   table, so an override would run in the reference interpreter only; it
+   is refused instead. *)
 let create ?heap ?alloc ?(quantum = 100_000_000) ?(default_ret = 0L) ?on_cancel
     ~helpers kie =
   List.iter
@@ -213,7 +211,6 @@ let create ?heap ?alloc ?(quantum = 100_000_000) ?(default_ret = 0L) ?on_cancel
     cancel_flag = ref false;
     exec_state = None;
     jit = None;
-    hooked = None;
   }
 
 let cancel e = e.cancel_flag := true
@@ -232,8 +229,7 @@ let link_helpers e names =
       | None -> fun _ -> failwith ("Vm.exec: unknown helper " ^ n))
     names
 
-let linked e t = (t, link_helpers e (Jit.helper_names t))
-let set_compiled e t = e.jit <- Some (linked e t)
+let set_compiled e t = e.jit <- Some (t, link_helpers e (Jit.helper_names t))
 
 let precompile e =
   let t = Jit.compile e.kie in
@@ -246,14 +242,6 @@ let ensure_compiled e =
   | None ->
       ignore (precompile e);
       (match e.jit with Some p -> p | None -> assert false)
-
-let ensure_hooked e =
-  match e.hooked with
-  | Some p -> p
-  | None ->
-      let p = linked e (Jit.compile_hooked e.kie.Kflex_kie.Instrument.prog) in
-      e.hooked <- Some p;
-      p
 
 (* --- execution context reuse ------------------------------------------ *)
 
@@ -344,17 +332,18 @@ let unwind e (st : Machine.state) exn =
 (* --- the boxed reference interpreter ----------------------------------- *)
 
 (* The pre-refactor representation, kept alive as the differential oracle's
-   ground truth: a boxed [int64 array] register file and [Stdlib.Int64]
-   arithmetic everywhere — including the stdlib's unsigned division — with
-   the width-dispatched generic memory path for every access. Deliberately
-   shares no ALU/comparison code with [Jit]: the whole point is that an
-   unboxing bug in the compiled closures (wrap-around, sign extension,
-   shift masking, division edge cases) cannot also be present here.
+   ground truth and as the executor of every observed run: a boxed
+   [int64 array] register file and [Stdlib.Int64] arithmetic everywhere —
+   including the stdlib's unsigned division — with the width-dispatched
+   generic memory path for every access. Deliberately shares no
+   ALU/comparison code with [Jit]: the whole point is that an unboxing bug
+   in the compiled closures (wrap-around, sign extension, shift masking,
+   division edge cases) cannot also be present here.
 
    Heap, ledger, helpers, stack bytes and outcome plumbing are shared with
    the live state — the reference covers the VM's value representation, not
    the world around it — so outcomes, stats, payloads and heap snapshots
-   must come out bit-identical to both compiled forms, fused and hooked. *)
+   must come out bit-identical to the compiled form. *)
 module Ref_interp = struct
   let u_lt a b = Int64.unsigned_compare a b < 0
   let u_le a b = Int64.unsigned_compare a b <= 0
@@ -387,7 +376,8 @@ module Ref_interp = struct
     | Insn.Rsh -> Int64.shift_right_logical a (Int64.to_int b land 63)
     | Insn.Arsh -> Int64.shift_right a (Int64.to_int b land 63)
 
-  let exec e ~ctx ?(pkt = Bytes.empty) ?(cpu = 0) ?stats ?on_insn () =
+  let exec e ~ctx ?(pkt = Bytes.empty) ?(cpu = 0) ?stats ?on_insn ?on_site
+      () =
     let stats = match stats with Some s -> s | None -> fresh_stats () in
     let st = acquire_state e in
     Fun.protect
@@ -408,6 +398,20 @@ module Ref_interp = struct
         let src_val = function
           | Insn.Reg r -> regs.(Reg.to_int r)
           | Insn.Imm i -> i
+        in
+        (* an access is a cancellation site when its address leaves the
+           stack and ctx windows; its unit is already charged *)
+        let site addr sz =
+          match on_site with
+          | Some f ->
+              let w = Insn.size_bytes sz in
+              if
+                not
+                  (Machine.in_window stack_base Prog.stack_size addr w
+                  || Machine.in_window ctx_base st.Machine.ctx_size addr w)
+                && f ()
+              then raise (Vm_fault Ext_cancelled)
+          | None -> ()
         in
         let pc = ref 0 in
         let running = ref true in
@@ -433,6 +437,7 @@ module Ref_interp = struct
                    let addr =
                      Int64.add regs.(Reg.to_int s) (Int64.of_int off)
                    in
+                   site addr sz;
                    regs.(Reg.to_int d) <-
                      Machine.read st ~width:(Insn.size_bytes sz) addr;
                    incr pc
@@ -440,6 +445,7 @@ module Ref_interp = struct
                    let addr =
                      Int64.add regs.(Reg.to_int d) (Int64.of_int off)
                    in
+                   site addr sz;
                    Machine.write st ~width:(Insn.size_bytes sz) addr
                      regs.(Reg.to_int s);
                    incr pc
@@ -447,16 +453,18 @@ module Ref_interp = struct
                    let addr =
                      Int64.add regs.(Reg.to_int d) (Int64.of_int off)
                    in
+                   site addr sz;
                    Machine.write st ~width:(Insn.size_bytes sz) addr imm;
                    incr pc
                | Insn.Xstore (sz, d, off, s) ->
+                   let addr =
+                     Int64.add regs.(Reg.to_int d) (Int64.of_int off)
+                   in
+                   site addr sz;
                    let h =
                      match st.Machine.heap with
                      | Some h -> h
                      | None -> raise (Vm_fault Wild_access)
-                   in
-                   let addr =
-                     Int64.add regs.(Reg.to_int d) (Int64.of_int off)
                    in
                    let v = regs.(Reg.to_int s) in
                    let v =
@@ -482,12 +490,16 @@ module Ref_interp = struct
                      e.cancel_flag := true;
                      raise (Vm_fault Quantum_expired)
                    end;
+                   (match on_site with
+                   | Some f when f () -> raise (Vm_fault Ext_cancelled)
+                   | _ -> ());
                    incr pc
                | Insn.Atomic (op, sz, d, off, s) ->
                    let width = Insn.size_bytes sz in
                    let addr =
                      Int64.add regs.(Reg.to_int d) (Int64.of_int off)
                    in
+                   site addr sz;
                    let old = Machine.read st ~width addr in
                    let sv = regs.(Reg.to_int s) in
                    (match op with
@@ -546,25 +558,17 @@ module Ref_interp = struct
             unwind e st exn)
 end
 
-(* One invocation. Hook-free runs take the fused compiled form with no
-   optional arguments, closures or [Fun.protect], and small return values
-   share a preallocated [Finished], so the engine's per-event path ({!run})
-   allocates nothing here. A hook selects the hooked form. *)
-let invoke e ~ctx ~pkt ~cpu ~stats ~on_insn ~on_site =
+(* One invocation of the compiled form, with no optional arguments,
+   closures or [Fun.protect]; small return values share a preallocated
+   [Finished], so the engine's per-event path ({!run}) allocates nothing
+   here. *)
+let run e ~ctx ~pkt ~cpu ~stats =
   let st = acquire_state e in
   Machine.reset_state st ~ctx ~pkt ~cpu ~stats;
   match
-    match (on_insn, on_site) with
-    | None, None ->
-        let t, helpers = ensure_compiled e in
-        if st.Machine.helpers != helpers then st.Machine.helpers <- helpers;
-        Jit.run t st
-    | _ ->
-        let t, helpers = ensure_hooked e in
-        st.Machine.helpers <- helpers;
-        st.Machine.on_insn <- on_insn;
-        st.Machine.on_site <- on_site;
-        Jit.run t st
+    let t, helpers = ensure_compiled e in
+    if st.Machine.helpers != helpers then st.Machine.helpers <- helpers;
+    Jit.run t st
   with
   | () ->
       st.Machine.in_use <- false;
@@ -577,9 +581,6 @@ let invoke e ~ctx ~pkt ~cpu ~stats ~on_insn ~on_site =
       st.Machine.in_use <- false;
       raise exn
 
-let run e ~ctx ~pkt ~cpu ~stats =
-  invoke e ~ctx ~pkt ~cpu ~stats ~on_insn:None ~on_site:None
-
-let exec e ~ctx ?(pkt = Bytes.empty) ?(cpu = 0) ?stats ?on_insn ?on_site () =
+let exec e ~ctx ?(pkt = Bytes.empty) ?(cpu = 0) ?stats () =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
-  invoke e ~ctx ~pkt ~cpu ~stats ~on_insn ~on_site
+  run e ~ctx ~pkt ~cpu ~stats

@@ -154,8 +154,8 @@ val create :
     100 million ≈ seconds of real execution, §4.3). [on_cancel] is the §4.3
     user callback that may rewrite the default return code. [helpers] extend
     (and may shadow) {!builtin_helpers}, except the {!native_builtins}: the
-    fused form never consults the table for those, so shadowing one raises
-    [Invalid_argument]. *)
+    compiled form never consults the table for those, so shadowing one
+    raises [Invalid_argument]. *)
 
 val cancel : ext -> unit
 (** Request cancellation (all CPUs, §4.3): every running or future
@@ -174,10 +174,9 @@ val reset_cancel : ext -> unit
 val kie : ext -> Kflex_kie.Instrument.t
 
 val precompile : ext -> Jit.t
-(** Compile the extension's instrumented program (the fused form) and
-    install the result, so the first hook-free invocation skips lazy
-    compilation. Returns the compiled form (for fusion/compile-time
-    reporting). *)
+(** Compile the extension's instrumented program and install the result,
+    so the first invocation skips lazy compilation. Returns the compiled
+    form (for fusion/compile-time reporting). *)
 
 val set_compiled : ext -> Jit.t -> unit
 (** Install an externally compiled program (e.g. from the core facade's
@@ -186,9 +185,9 @@ val set_compiled : ext -> Jit.t -> unit
 
 val run :
   ext -> ctx:Bytes.t -> pkt:Bytes.t -> cpu:int -> stats:stats -> outcome
-(** One hook-free invocation — {!exec} without optional arguments, for
-    per-event callers: it allocates nothing when the extension finishes
-    with a return value in [-1, 255] (those outcomes are preallocated). *)
+(** One invocation — {!exec} without optional arguments, for per-event
+    callers: it allocates nothing when the extension finishes with a
+    return value in [-1, 255] (those outcomes are preallocated). *)
 
 val exec :
   ext ->
@@ -196,40 +195,23 @@ val exec :
   ?pkt:Bytes.t ->
   ?cpu:int ->
   ?stats:stats ->
-  ?on_insn:(int -> int64 array -> unit) ->
-  ?on_site:(unit -> bool) ->
   unit ->
   outcome
 (** Run one invocation with the given context block and packet payload
     ([pkt], default empty), both installed in the execution state for the
-    invocation. [stats], when supplied, accumulates across invocations. A hook-free invocation runs the fused
-    compiled form, compiling it on first use unless {!precompile} or
-    {!set_compiled} installed one.
+    invocation. [stats], when supplied, accumulates across invocations. The
+    invocation runs the compiled form ({!Jit}), compiling it on first use
+    unless {!precompile} or {!set_compiled} installed one. A run that needs
+    observers takes {!Ref_interp.exec}. *)
 
-    Supplying either hook runs the hooked form instead: unfused, compiled
-    on the first hooked invocation and kept for the extension's lifetime,
-    with outcomes, stats and memory effects identical to the fused form.
-
-    [on_insn] observes every instruction boundary: it receives the
-    instrumented pc and the live register file {e before} the instruction
-    executes and is charged. Exceptions it raises propagate out of [exec]
-    uncaught — the fuzzer's containment oracle uses this both to check
-    abstract states and to bound runaway concrete loops.
-
-    [on_site] is consulted at every cancellation site, in execution order:
-    each [Checkpoint], after its watchdog check, and each memory access
-    whose address leaves the stack/ctx windows, after the access is charged
-    and before it executes. Returning [true] injects an asynchronous
-    cancellation ({!Ext_cancelled}) at that site, exercising object-table
-    unwinding. *)
-
-(** The pre-refactor boxed reference semantics, kept as the ground truth for
-    the [repr_equiv] differential oracle: a boxed [int64 array] register
-    file with [Stdlib.Int64] arithmetic everywhere (including the stdlib's
-    unsigned division) and the width-dispatched generic memory path. Shares
-    no ALU/comparison/accessor code with {!Jit}, so a representation bug
-    there cannot also hide here. Slow by design; never
-    use it outside differential testing. *)
+(** The executor of every observed run, and the ground truth the
+    differential oracles hold the compiled form to: a boxed [int64 array]
+    register file with [Stdlib.Int64] arithmetic everywhere (including the
+    stdlib's unsigned division) and the width-dispatched generic memory
+    path. Shares no ALU/comparison/accessor code with {!Jit}, so a
+    representation bug there cannot also hide here. Outcomes, stats and
+    memory effects are identical to {!exec}'s; it is several times slower,
+    so per-event paths without observers must not take it. *)
 module Ref_interp : sig
   val exec :
     ext ->
@@ -238,8 +220,25 @@ module Ref_interp : sig
     ?cpu:int ->
     ?stats:stats ->
     ?on_insn:(int -> int64 array -> unit) ->
+    ?on_site:(unit -> bool) ->
     unit ->
     outcome
-  (** Same contract as {!exec} without [on_site]: [on_insn] observes the
-      (boxed) register file before each instruction. *)
+  (** {!exec}'s contract, plus two observers.
+
+      [on_insn] observes every instruction boundary: it receives the
+      instrumented pc and the register file {e before} the instruction
+      executes and is charged. The array is the interpreter's own, live
+      for the whole run: copy it to keep it. Exceptions [on_insn] raises
+      propagate out of [exec] uncaught — the fuzzer's containment oracle
+      uses this both to check abstract states and to bound runaway
+      concrete loops.
+
+      [on_site] is consulted at every cancellation site, in execution
+      order: each [Checkpoint], after its watchdog check, and each
+      [Ldx]/[Stx]/[St]/[Xstore]/[Atomic] whose address leaves the
+      stack/ctx windows, after the access is charged and before it
+      executes. Returning [true] injects an asynchronous cancellation
+      ({!Ext_cancelled}) at that site, exercising object-table unwinding;
+      the deterministic engine's reaper polls here, with its clock derived
+      from the cost charged so far. *)
 end

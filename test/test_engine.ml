@@ -154,48 +154,36 @@ let t_lifecycle_epochs () =
 (* --- the LRU-bounded compiled-program cache ----------------------------- *)
 
 let t_jit_cache_lru () =
-  let restore = (Kflex.jit_cache_stats ()).Kflex.capacity in
-  Fun.protect
-    ~finally:(fun () -> Kflex.set_jit_cache_capacity restore)
-    (fun () ->
-      Kflex.set_jit_cache_capacity 3;
-      Alcotest.(check bool) "capped at 3" true
-        ((Kflex.jit_cache_stats ()).Kflex.entries <= 3);
-      let admit_ret i =
-        let name = Printf.sprintf "cache%d" i in
-        match
-          Kflex.admit ~heap_size:4096L ~hook:Hook.Xdp
-            (prog_of (compile name (ret_src (100 + i))))
-        with
-        | Ok a -> a
-        | Error e ->
-            Alcotest.failf "admit: %a" Kflex_verifier.Verify.pp_error e
-      in
-      let s0 = Kflex.jit_cache_stats () in
-      (* more distinct programs than the capacity *)
-      for i = 0 to 5 do
-        ignore (admit_ret i)
-      done;
-      let s1 = Kflex.jit_cache_stats () in
-      Alcotest.(check int) "all missed" (s0.Kflex.misses + 6) s1.Kflex.misses;
-      Alcotest.(check bool) "bounded" true (s1.Kflex.entries <= 3);
-      Alcotest.(check bool) "evicted" true
-        (s1.Kflex.evictions >= s0.Kflex.evictions + 3);
-      (* the most recent program is still cached ... *)
-      ignore (admit_ret 5);
-      let s2 = Kflex.jit_cache_stats () in
-      Alcotest.(check int) "hit" (s1.Kflex.hits + 1) s2.Kflex.hits;
-      (* ... and the oldest was evicted, so it misses again *)
-      ignore (admit_ret 0);
-      let s3 = Kflex.jit_cache_stats () in
-      Alcotest.(check int) "stale missed" (s2.Kflex.misses + 1) s3.Kflex.misses;
-      (* shrinking the capacity evicts down immediately *)
-      Kflex.set_jit_cache_capacity 1;
-      Alcotest.(check bool) "evicts down" true
-        ((Kflex.jit_cache_stats ()).Kflex.entries <= 1);
-      Alcotest.check_raises "capacity >= 1"
-        (Invalid_argument "Kflex.set_jit_cache_capacity") (fun () ->
-          Kflex.set_jit_cache_capacity 0))
+  let capacity = (Kflex.jit_cache_stats ()).Kflex.capacity in
+  let admit_ret i =
+    let name = Printf.sprintf "cache%d" i in
+    match
+      Kflex.admit ~heap_size:4096L ~hook:Hook.Xdp
+        (prog_of (compile name (ret_src (100 + i))))
+    with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "admit: %a" Kflex_verifier.Verify.pp_error e
+  in
+  let s0 = Kflex.jit_cache_stats () in
+  (* three more distinct programs than the capacity *)
+  let last = capacity + 2 in
+  for i = 0 to last do
+    ignore (admit_ret i)
+  done;
+  let s1 = Kflex.jit_cache_stats () in
+  Alcotest.(check int) "all missed" (s0.Kflex.misses + last + 1)
+    s1.Kflex.misses;
+  Alcotest.(check bool) "bounded" true (s1.Kflex.entries <= capacity);
+  Alcotest.(check bool) "evicted" true
+    (s1.Kflex.evictions >= s0.Kflex.evictions + 3);
+  (* the most recent program is still cached ... *)
+  ignore (admit_ret last);
+  let s2 = Kflex.jit_cache_stats () in
+  Alcotest.(check int) "hit" (s1.Kflex.hits + 1) s2.Kflex.hits;
+  (* ... and the oldest was evicted, so it misses again *)
+  ignore (admit_ret 0);
+  let s3 = Kflex.jit_cache_stats () in
+  Alcotest.(check int) "stale missed" (s2.Kflex.misses + 1) s3.Kflex.misses
 
 (* The fused form depends on each pc's unwind registers as well as on the
    instructions, so the cache key covers both, and a key collision must

@@ -407,7 +407,7 @@ let observe_direct exec items =
    field from the other. *)
 let t_comparator () =
   let quiet =
-    Oracle.Hooked
+    Oracle.Reference
       { Oracle.budget = max_int; on_insn = (fun _ _ _ -> ()); on_site = ignore }
   in
   let heap_store =

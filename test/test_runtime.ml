@@ -233,7 +233,7 @@ let t_usermap () =
 
 let contracts = Kflex_verifier.Contract.registry Kflex_verifier.Contract.kflex_base
 
-let load ?heap ?alloc ?quantum items =
+let load ?heap ?alloc ?quantum ?options items =
   let prog = Asm.assemble ~name:"t" items in
   let analysis =
     match
@@ -245,7 +245,7 @@ let load ?heap ?alloc ?quantum items =
     | Ok a -> a
     | Error e -> Alcotest.failf "verify: %a" Kflex_verifier.Verify.pp_error e
   in
-  let kie = Kflex_kie.Instrument.run analysis in
+  let kie = Kflex_kie.Instrument.run ?options analysis in
   Vm.create ?heap ?alloc ?quantum ~helpers:[] kie
 
 let run ?(ctx = Bytes.make 64 '\000') ext =
@@ -755,7 +755,7 @@ let prop_jit_differential =
       | Some (Some f) ->
           QCheck.Test.fail_reportf "[%s] %s" f.Oracle.oracle f.Oracle.detail)
 
-(* --- the hooked form -------------------------------------------------------- *)
+(* --- cancellation sites on the reference interpreter ---------------------- *)
 
 (* One observed run through the oracles' direct runner: (pc, cost so far,
    registers) at each [on_insn] and (pc, cost so far) at each [on_site],
@@ -763,7 +763,7 @@ let prop_jit_differential =
    the run ended within them. *)
 let trace_cap = 10_000
 
-let observe cfg kie ~hooked =
+let observe cfg kie =
   let steps = ref [] and sites = ref [] and pc_now = ref 0 in
   let probe =
     {
@@ -775,17 +775,14 @@ let observe cfg kie ~hooked =
       on_site = (fun cost -> sites := (!pc_now, cost) :: !sites);
     }
   in
-  let o =
-    Oracle.run cfg
-      (if hooked then Oracle.Hooked probe else Oracle.Reference probe)
-      [ kie ]
-  in
+  let o = Oracle.run cfg (Oracle.Reference probe) [ kie ] in
   (List.rev !steps, List.rev !sites, o.Oracle.outcomes)
 
-(* The sites the reference trace implies, derived independently of the
-   Jit's preludes: every Checkpoint, and every access whose address leaves
-   the stack and ctx windows, each seen with its own instruction charged. A
-   checkpoint whose watchdog fires never reaches its site. *)
+(* The sites a trace implies, derived from its own registers rather than
+   from the interpreter's site test: every Checkpoint, and every access
+   whose address leaves the stack and ctx windows, each seen with its own
+   instruction charged. A checkpoint whose watchdog fires never reaches its
+   site. *)
 let expected_sites kie steps outcome =
   let insns = Prog.insns kie.Kflex_kie.Instrument.prog in
   let inside base size addr w =
@@ -816,17 +813,13 @@ let expected_sites kie steps outcome =
       List.rev (List.tl (List.rev sites))
   | _ -> sites
 
-(* The hooked Jit observes exactly what the reference interpreter does, its
-   sites are the ones the reference trace implies, and a cancellation
-   injected at any site unwinds there with nothing leaked. *)
-let check_hooked name cfg kie =
-  let ref_steps, _, ref_outcome = observe cfg kie ~hooked:false in
-  let steps, sites, _ = observe cfg kie ~hooked:true in
-  if steps <> ref_steps then
-    Alcotest.failf "%s: on_insn trace diverges from the reference (%d vs %d \
-                    steps)" name (List.length steps) (List.length ref_steps);
-  if sites <> expected_sites kie ref_steps ref_outcome then
-    Alcotest.failf "%s: on_site calls diverge from the reference trace" name;
+(* The reference interpreter consults [on_site] exactly at the sites its
+   trace implies, and a cancellation injected at any of them unwinds there:
+   [inject k] runs the program cancelled at the k-th site and returns its
+   outcome when the run kept its invariants. *)
+let check_sites name kie (steps, sites, outcome) ~inject =
+  if sites <> expected_sites kie steps outcome then
+    Alcotest.failf "%s: on_site calls diverge from the trace" name;
   let nsites = List.length sites in
   let ks =
     if nsites <= 64 then List.init nsites Fun.id
@@ -835,18 +828,25 @@ let check_hooked name cfg kie =
   List.iter
     (fun k ->
       let site_pc = fst (List.nth sites k) in
-      match Oracle.run cfg (Oracle.Inject k) [ kie ] with
-      | { Oracle.outcomes = [ Vm.Cancelled c ]; _ } as o
+      match inject k with
+      | Some (Vm.Cancelled c)
         when c.reason = Vm.Ext_cancelled
-             && c.orig_pc = kie.Kflex_kie.Instrument.orig_of_new.(site_pc)
-             && Oracle.invariants o = None ->
+             && c.orig_pc = kie.Kflex_kie.Instrument.orig_of_new.(site_pc) ->
           ()
       | _ -> Alcotest.failf "%s: injection at site %d/%d" name k nsites)
     ks
 
+let check_oracle_sites name cfg kie =
+  check_sites name kie (observe cfg kie) ~inject:(fun k ->
+      match Oracle.run cfg (Oracle.Inject k) [ kie ] with
+      | { Oracle.outcomes = [ o ]; _ } as obs when Oracle.invariants obs = None
+        ->
+          Some o
+      | _ -> None)
+
 (* The corpus programs, plus a runaway loop whose watchdog fires at a
    checkpoint inside the traced prefix (that checkpoint has no site). *)
-let t_hooked_corpus () =
+let t_sites_corpus () =
   let runaway =
     [
       call "kflex_heap_base";
@@ -859,7 +859,7 @@ let t_hooked_corpus () =
     ]
   in
   let cfg = { Oracle.default_config with Oracle.quantum = 5_000 } in
-  Option.iter (check_hooked "runaway" cfg)
+  Option.iter (check_oracle_sites "runaway" cfg)
     (admit_for cfg (Kflex_fuzz.Gen.assemble runaway));
   Sys.readdir "corpus" |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".kfxr")
@@ -869,20 +869,87 @@ let t_hooked_corpus () =
          | Ok r ->
              let cfg = r.Kflex_fuzz.Corpus.config in
              List.iter
-               (fun p -> Option.iter (check_hooked f cfg) (admit_for cfg p))
+               (fun p ->
+                 Option.iter (check_oracle_sites f cfg) (admit_for cfg p))
                (r.Kflex_fuzz.Corpus.prog :: Option.to_list r.Kflex_fuzz.Corpus.prog2))
 
 (* A small quantum makes runaway loops expire inside the traced prefix, so
    the watchdog-before-site order is exercised too. *)
-let prop_hooked_differential =
-  QCheck.Test.make ~name:"hooked form matches the reference (random programs)"
-    ~count:40
+let prop_sites_differential =
+  QCheck.Test.make ~name:"reference sites (random programs)" ~count:40
     QCheck.(map Int64.of_int small_int)
     (fun seed ->
       let cfg = { Oracle.default_config with Oracle.quantum = 5_000 } in
-      Option.iter (check_hooked (Printf.sprintf "seed %Ld" seed) cfg)
+      Option.iter
+        (check_oracle_sites (Printf.sprintf "seed %Ld" seed) cfg)
         (admit_for cfg (generated seed));
       true)
+
+(* A translate-on-store program over a shared heap: the oracle world's
+   heaps are private, so no fuzz case or corpus file reaches an [Xstore].
+   The pointer store happens under a spin lock, which an injection at
+   either heap access must release. *)
+let t_sites_xstore () =
+  let items =
+    [
+      call "kflex_heap_base";
+      mov R6 R0;
+      mov R1 R6;
+      alui Insn.Add R1 128L;
+      call "kflex_spin_lock";
+      mov R7 R0;
+      mov R2 R6;
+      alui Insn.Add R2 256L;
+      stx Insn.U64 R6 64 R2;
+      ldx Insn.U64 R8 R6 64;
+      mov R1 R7;
+      call "kflex_spin_unlock";
+      mov R0 R8;
+      exit_;
+    ]
+  in
+  let options =
+    { Kflex_kie.Instrument.default_options with translate_on_store = true }
+  in
+  (* one run in a fresh instance: its program, outcome and lock word *)
+  let run ?on_insn ~on_site stats =
+    let heap = Heap.create ~shared:true ~size:65536L () in
+    Heap.populate heap ~off:0L ~len:4096L;
+    let ext = load ~heap ~options items in
+    let ctx = Bytes.make Kflex_kernel.Hook.ctx_size '\000' in
+    let o = Vm.Ref_interp.exec ext ~ctx ~stats ?on_insn ~on_site () in
+    (Vm.kie ext, o, Heap.read_off heap ~width:8 128L)
+  in
+  let stats = Vm.fresh_stats () in
+  let steps = ref [] and sites = ref [] and pc_now = ref 0 in
+  let kie, o, _ =
+    run stats
+      ~on_insn:(fun pc regs ->
+        pc_now := pc;
+        steps := (pc, Vm.total_cost stats, Array.copy regs) :: !steps)
+      ~on_site:(fun () ->
+        sites := (!pc_now, Vm.total_cost stats) :: !sites;
+        false)
+  in
+  let insns = Prog.insns kie.Kflex_kie.Instrument.prog in
+  if
+    not
+      (List.exists
+         (fun (pc, _) ->
+           match insns.(pc) with Insn.Xstore _ -> true | _ -> false)
+         !sites)
+  then Alcotest.fail "no Xstore site";
+  check_sites "translate-on-store" kie
+    (List.rev !steps, List.rev !sites, [ o ])
+    ~inject:(fun k ->
+      let n = ref 0 in
+      let site () =
+        incr n;
+        !n - 1 = k
+      in
+      match run (Vm.fresh_stats ()) ~on_site:site with
+      | _, (Vm.Cancelled { ledger_leaked = 0; _ } as o), 0L -> Some o
+      | _ -> None)
 
 (* --- net-effect regions --------------------------------------------------- *)
 
@@ -917,23 +984,20 @@ let lock_in_unread_register ~stall =
   @ [ ja "loop" ]
 
 (* Outcome, stats and the lock word after one run on each executor. *)
-let three_runs ?quantum items ~word =
+let both_runs ?quantum items ~word =
   let go exec =
     let heap, ext = with_heap ?quantum items in
     let stats = Vm.fresh_stats () in
     let o = exec ext ~ctx:(Bytes.make 64 '\000') ~stats in
     (o, stats_tuple stats, Heap.read_off heap ~width:8 word)
   in
-  let hooked ext ~ctx ~stats =
-    Vm.exec ext ~ctx ~stats ~on_insn:(fun _ _ -> ()) ()
-  in
-  (go ref_exec, go hooked, go jit_exec)
+  (go ref_exec, go jit_exec)
 
 let t_unwind_liveness () =
   List.iter
     (fun (stall, reason) ->
-      let ((o, _, w) as r), h, f =
-        three_runs ~quantum:5_000 (lock_in_unread_register ~stall) ~word:128L
+      let ((o, _, w) as r), f =
+        both_runs ~quantum:5_000 (lock_in_unread_register ~stall) ~word:128L
       in
       (match o with
       | Vm.Cancelled c when c.reason = reason ->
@@ -942,14 +1006,13 @@ let t_unwind_liveness () =
           Alcotest.(check int) "nothing leaked" 0 c.ledger_leaked
       | _ -> Alcotest.fail "reference run was not cancelled as expected");
       Alcotest.(check int64) "lock word cleared" 0L w;
-      if h <> r then Alcotest.fail "hooked form diverges from the reference";
       if f <> r then Alcotest.fail "fused form diverges from the reference")
     [ (false, Vm.Quantum_expired); (true, Vm.Lock_stall) ]
 
 (* Hand-built regions through the executor oracle: the reference
-   interpreter, the hooked form and the fused form must agree on outcome,
-   stats, payload and heap. Each program starts from runtime values the
-   analysis cannot fold: r6 the heap base, r7 and r9 from the PRNG. *)
+   interpreter and the fused form must agree on outcome, stats, payload
+   and heap. Each program starts from runtime values the analysis cannot
+   fold: r6 the heap base, r7 and r9 from the PRNG. *)
 let check_prog name items =
   let cfg = Oracle.default_config in
   match admit_for cfg (Kflex_fuzz.Gen.assemble items) with
@@ -1189,7 +1252,9 @@ let t_region_branches () =
 (* Every operator over every operand pairing a region produces: the
    first operand reloaded from a slot, copied, constant or in place, the
    second a register, a slot, an immediate or a constant register, with
-   zero, wide-shift and ordinary constants. *)
+   zero, wide-shift and ordinary constants. A heap store ends the region
+   that fills the slots, so a reload reads the slot in place rather than
+   the value forwarded from its store. *)
 let t_region_alu_shapes () =
   let firsts k =
     [
@@ -1218,7 +1283,11 @@ let t_region_alu_shapes () =
                   check_region
                     (Format.asprintf "%s %a %s (%Ld, %Ld)" f Insn.pp_alu_op op
                        s k1 k2)
-                    ([ stx Insn.U64 R10 (-8) R7; stx Insn.U64 R10 (-16) R9 ]
+                    ([
+                       stx Insn.U64 R10 (-8) R7;
+                       stx Insn.U64 R10 (-16) R9;
+                       stx Insn.U64 R6 48 R9;
+                     ]
                     @ a @ b
                     @ [ mov R4 R3; I (Insn.Neg R4); ldx Insn.U64 R5 R10 (-8) ]
                     @ sink))
@@ -1300,7 +1369,7 @@ let t_unwind_spilled_lock () =
       ja "loop";
     ]
   in
-  let ((o, _, w) as r), h, f = three_runs ~quantum:5_000 items ~word:128L in
+  let ((o, _, w) as r), f = both_runs ~quantum:5_000 items ~word:128L in
   (match o with
   | Vm.Cancelled c when c.reason = Vm.Quantum_expired ->
       Alcotest.(check (list (pair string string)))
@@ -1308,7 +1377,6 @@ let t_unwind_spilled_lock () =
       Alcotest.(check int) "nothing leaked" 0 c.ledger_leaked
   | _ -> Alcotest.fail "reference run was not cancelled by the quantum");
   Alcotest.(check int64) "lock word cleared" 0L w;
-  if h <> r then Alcotest.fail "hooked form diverges from the reference";
   if f <> r then Alcotest.fail "fused form diverges from the reference"
 
 (* Frame stores that a helper reads through a copy of r10: the key and
@@ -1799,8 +1867,8 @@ let () =
             t_jit_fused_fault_parity;
           Alcotest.test_case "state reuse" `Quick t_jit_state_reuse;
           QCheck_alcotest.to_alcotest prop_jit_differential;
-          Alcotest.test_case "hooked form (corpus)" `Quick t_hooked_corpus;
-          QCheck_alcotest.to_alcotest prop_hooked_differential;
+          Alcotest.test_case "reference sites (corpus)" `Quick t_sites_corpus;
+          QCheck_alcotest.to_alcotest prop_sites_differential;
           Alcotest.test_case "unwinder liveness" `Quick t_unwind_liveness;
           Alcotest.test_case "region: narrow store over a slot" `Quick
             t_region_narrow_overlap;
@@ -1833,6 +1901,8 @@ let () =
             t_region_long;
           Alcotest.test_case "region: lowest frame slot" `Quick
             t_region_lowest_slot;
+          Alcotest.test_case "reference sites: translate-on-store" `Quick
+            t_sites_xstore;
         ] );
       ( "repr",
         [
