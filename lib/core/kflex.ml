@@ -125,31 +125,8 @@ let globals_base = 64L
 
 (* --- admission ---------------------------------------------------------- *)
 
-(* Kops-style admission policy: the loader decides which helpers (and so
-   which map kinds) an extension may touch; a denied call is an admission
-   error, not a verification failure of the program text. *)
-let denied_call ~deny_helpers prog =
-  if deny_helpers = [] then None
-  else
-    let hit = ref None in
-    Array.iteri
-      (fun pc (i : Kflex_bpf.Insn.t) ->
-        match i with
-        | Kflex_bpf.Insn.Call name
-          when !hit = None && List.mem name deny_helpers ->
-            hit := Some (pc, name)
-        | _ -> ())
-      (Kflex_bpf.Prog.insns prog);
-    !hit
-
-let admit ?(mode = Kflex_verifier.Verify.Kflex) ?options ?heap_size
-    ?(extra_contracts = []) ?(deny_helpers = []) ~hook prog =
-  let contracts =
-    if extra_contracts = [] then contracts
-    else
-      Kflex_verifier.Contract.registry
-        (Kflex_verifier.Contract.kflex_base @ extra_contracts)
-  in
+let admit ?(mode = Kflex_verifier.Verify.Kflex) ?options ?heap_size ~hook
+    prog =
   let verify p =
     Kflex_verifier.Verify.run ~mode ~contracts
       ~ctx_size:Kflex_kernel.Hook.ctx_size ?heap_size
@@ -167,17 +144,6 @@ let admit ?(mode = Kflex_verifier.Verify.Kflex) ?options ?heap_size
         | None -> Error e
         | Some prog' -> ( match verify prog' with Ok a -> Ok a | Error _ -> Error e))
     | Error e -> Error e
-  in
-  let result =
-    match (result, denied_call ~deny_helpers prog) with
-    | Ok _, Some (pc, name) ->
-        Error
-          {
-            Kflex_verifier.Verify.pc = Some pc;
-            kind = Kflex_verifier.Verify.E_helper;
-            msg = Printf.sprintf "helper %s denied by admission policy" name;
-          }
-    | r, _ -> r
   in
   match result with
   | Error e -> Error e
@@ -204,8 +170,8 @@ let admit ?(mode = Kflex_verifier.Verify.Kflex) ?options ?heap_size
           a_jit = compiled_for kie;
         }
 
-let instantiate ?heap ?(globals_size = 0L) ?quantum ?on_cancel
-    ?(extra_helpers = []) ~kernel a =
+let instantiate ?heap ?(globals_size = 0L) ?quantum ?(extra_helpers = [])
+    ~kernel a =
   let alloc =
     Option.map
       (fun h ->
@@ -219,7 +185,7 @@ let instantiate ?heap ?(globals_size = 0L) ?quantum ?on_cancel
   let ext =
     Vm.create ?heap ?alloc ?quantum
       ~default_ret:(Kflex_kernel.Hook.default_ret a.a_hook)
-      ?on_cancel ~helpers a.a_kie
+      ~helpers a.a_kie
   in
   Vm.set_compiled ext a.a_jit;
   {
@@ -232,8 +198,7 @@ let instantiate ?heap ?(globals_size = 0L) ?quantum ?on_cancel
     hook = a.a_hook;
   }
 
-let load ?mode ?options ?heap ?globals_size ?quantum ?on_cancel
-    ?extra_contracts ?extra_helpers ~kernel ~hook prog =
+let load ?mode ?options ?heap ?globals_size ?quantum ~kernel ~hook prog =
   let options =
     match options with
     | Some o -> Some o
@@ -251,12 +216,9 @@ let load ?mode ?options ?heap ?globals_size ?quantum ?on_cancel
           heap
   in
   let heap_size = Option.map Heap.size heap in
-  match admit ?mode ?options ?heap_size ?extra_contracts ~hook prog with
+  match admit ?mode ?options ?heap_size ~hook prog with
   | Error e -> Error e
-  | Ok a ->
-      Ok
-        (instantiate ?heap ?globals_size ?quantum ?on_cancel ?extra_helpers
-           ~kernel a)
+  | Ok a -> Ok (instantiate ?heap ?globals_size ?quantum ~kernel a)
 
 (* One packet through the extension, with the caller's context block —
    the engine fills one reused block per shard per event. The payload is

@@ -65,8 +65,6 @@ val admit :
   ?mode:Kflex_verifier.Verify.mode ->
   ?options:Kflex_kie.Instrument.options ->
   ?heap_size:int64 ->
-  ?extra_contracts:Kflex_verifier.Contract.t list ->
-  ?deny_helpers:string list ->
   hook:Kflex_kernel.Hook.kind ->
   Kflex_bpf.Prog.t ->
   (admitted, Kflex_verifier.Verify.error) result
@@ -75,16 +73,12 @@ val admit :
     instrumentation with translate-on-store {e off}; callers instantiating
     over shared heaps must pass options explicitly (as {!load} does).
     [heap_size] bounds the verifier's heap-pointer ranges exactly as an
-    attached heap of that size would. [deny_helpers] is the Kops-style
-    per-tenant admission policy: a program calling a denied helper is
-    rejected with [E_helper] at the offending pc (the loader decides which
-    map kinds an extension may touch). *)
+    attached heap of that size would. *)
 
 val instantiate :
   ?heap:Kflex_runtime.Heap.t ->
   ?globals_size:int64 ->
   ?quantum:int ->
-  ?on_cancel:(int64 -> int64) ->
   ?extra_helpers:(string * Kflex_runtime.Vm.helper) list ->
   kernel:Kflex_kernel.Helpers.t ->
   admitted ->
@@ -101,9 +95,6 @@ val load :
   ?heap:Kflex_runtime.Heap.t ->
   ?globals_size:int64 ->
   ?quantum:int ->
-  ?on_cancel:(int64 -> int64) ->
-  ?extra_contracts:Kflex_verifier.Contract.t list ->
-  ?extra_helpers:(string * Kflex_runtime.Vm.helper) list ->
   kernel:Kflex_kernel.Helpers.t ->
   hook:Kflex_kernel.Hook.kind ->
   Kflex_bpf.Prog.t ->
@@ -117,7 +108,6 @@ val load :
       translate-on-store is enabled automatically for shared heaps unless
       [options] overrides it.
     - [quantum] is the watchdog budget in cost units (§4.3).
-    - [on_cancel] is the §4.3 return-code callback.
 
     When verification fails because an acquired resource has no single
     location at a join (the §4.3 object-table corner case), the loader

@@ -464,8 +464,8 @@ let share_map t m =
 let shared_maps t = t.shared
 
 let build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
-    ?kbase ?deny_helpers ?configure ~hook prog =
-  match Kflex.admit ?mode ?options ?heap_size ?deny_helpers ~hook prog with
+    ?kbase ?configure ~hook prog =
+  match Kflex.admit ?mode ?options ?heap_size ~hook prog with
   | Error e -> Error e
   | Ok admitted ->
       let aid = t.next_aid in
@@ -498,11 +498,11 @@ let build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
       Ok { aid; aname; ahook = hook; instances }
 
 let attach t ?name ?mode ?options ?globals_size ?quantum ?heap_size ?kbase
-    ?deny_helpers ?configure ~hook prog =
+    ?configure ~hook prog =
   Mutex.protect t.reg_m (fun () ->
       match
         build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
-          ?kbase ?deny_helpers ?configure ~hook prog
+          ?kbase ?configure ~hook prog
       with
       | Error e -> Error e
       | Ok h ->
@@ -524,11 +524,11 @@ let detach t h =
       end)
 
 let replace t h ?name ?mode ?options ?globals_size ?quantum ?heap_size ?kbase
-    ?deny_helpers ?configure prog =
+    ?configure prog =
   Mutex.protect t.reg_m (fun () ->
       match
         build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
-          ?kbase ?deny_helpers ?configure ~hook:h.ahook prog
+          ?kbase ?configure ~hook:h.ahook prog
       with
       | Error e -> Error e
       | Ok h' -> (
@@ -545,7 +545,6 @@ let replace t h ?name ?mode ?options ?globals_size ?quantum ?heap_size ?kbase
               Ok h'))
 
 let handle_name h = h.aname
-let handle_hook h = h.ahook
 let instance h ~shard = h.instances.(shard)
 
 (* --- event delivery ----------------------------------------------------- *)
@@ -624,7 +623,6 @@ type totals = {
 
 let shard_stats t shard = t.shards.(shard).stats
 let shard_events t shard = t.shards.(shard).events
-let shard_cancelled t shard = t.shards.(shard).cancelled
 
 let shard_wakeups t shard =
   let s = t.shards.(shard) in

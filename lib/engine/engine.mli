@@ -68,7 +68,6 @@ val attach :
   ?quantum:int ->
   ?heap_size:int64 ->
   ?kbase:int64 ->
-  ?deny_helpers:string list ->
   ?configure:
     (shard:int -> Kflex_kernel.Helpers.t -> Kflex_runtime.Heap.t option -> unit) ->
   hook:Kflex_kernel.Hook.kind ->
@@ -79,11 +78,9 @@ val attach :
     instantiate it on every shard —
     [heap_size] gives each shard its own private heap (at [kbase] if
     supplied), and each instance gets fresh kernel helper state plus the
-    shard's PRNG/clock helper overrides. [deny_helpers] is the per-tenant
-    admission policy ({!Kflex.admit}) — e.g. deny [bpf_map_lock] to a
-    tenant that must not touch spin-locked shared values. [configure] runs
-    once per shard after instantiation (listen on sockets, populate heap
-    pages, …); engine-shared maps ({!share_map}) are registered first, so
+    shard's PRNG/clock helper overrides. [configure] runs once per shard
+    after instantiation (listen on sockets, populate heap pages, …);
+    engine-shared maps ({!share_map}) are registered first, so
     tenant-private maps get fds after theirs. The new program is appended
     to [hook]'s chain. *)
 
@@ -100,7 +97,6 @@ val replace :
   ?quantum:int ->
   ?heap_size:int64 ->
   ?kbase:int64 ->
-  ?deny_helpers:string list ->
   ?configure:
     (shard:int -> Kflex_kernel.Helpers.t -> Kflex_runtime.Heap.t option -> unit) ->
   Kflex_bpf.Prog.t ->
@@ -203,7 +199,6 @@ val shard_wakeups : t -> int -> int
     requests that paid a futex wake-up. A request taken by the polling
     worker is not counted. Always 0 in deterministic mode. *)
 
-val shard_cancelled : t -> int -> int
 val shard_verdicts : t -> int -> (int64 * int) list
 
 val socket_refs : t -> int
@@ -224,7 +219,6 @@ val seed_shard : t -> shard:int -> ?vtime:int64 -> int64 -> unit
     global streams. *)
 
 val handle_name : handle -> string
-val handle_hook : handle -> Kflex_kernel.Hook.kind
 
 val instance : handle -> shard:int -> Kflex.loaded
 (** The per-shard instantiation behind an attachment (tests inspect heaps

@@ -287,63 +287,6 @@ let read h ~width addr =
     read_off h ~width off
   end
 
-(* Width-specialized extension reads/writes for the Jit: one
-   unsigned bound check against a precomputed limit, one page load, one
-   unaligned access. Anything unusual — guard zones, user-view addresses,
-   page-straddling accesses — falls back to the generic checked path above,
-   so fault reasons and their order are identical to that path's. *)
-
-let[@inline always] read8 h addr =
-  let off = Int64.sub addr h.kbase in
-  if Int64.unsigned_compare off h.lim1 <= 0 then begin
-    let o = Int64.to_int off in
-    match page_at h (o lsr page_shift) with
-    | Some p -> Int64.of_int (Char.code (U64.get8 p (o land (page_size - 1))))
-    | None -> fault addr "unpopulated heap page"
-  end
-  else read h ~width:1 addr
-
-let[@inline always] read16 h addr =
-  let off = Int64.sub addr h.kbase in
-  if Int64.unsigned_compare off h.lim2 <= 0 then begin
-    let o = Int64.to_int off in
-    let inpage = o land (page_size - 1) in
-    if inpage <= page_size - 2 then
-      match page_at h (o lsr page_shift) with
-      | Some p -> Int64.of_int (U64.get16 p inpage)
-      | None -> fault addr "unpopulated heap page"
-    else read h ~width:2 addr
-  end
-  else read h ~width:2 addr
-
-let[@inline always] read32 h addr =
-  let off = Int64.sub addr h.kbase in
-  if Int64.unsigned_compare off h.lim4 <= 0 then begin
-    let o = Int64.to_int off in
-    let inpage = o land (page_size - 1) in
-    if inpage <= page_size - 4 then
-      match page_at h (o lsr page_shift) with
-      | Some p ->
-          Int64.logand (Int64.of_int32 (U64.get32 p inpage))
-            0xffff_ffffL
-      | None -> fault addr "unpopulated heap page"
-    else read h ~width:4 addr
-  end
-  else read h ~width:4 addr
-
-let[@inline always] read64 h addr =
-  let off = Int64.sub addr h.kbase in
-  if Int64.unsigned_compare off h.lim8 <= 0 then begin
-    let o = Int64.to_int off in
-    let inpage = o land (page_size - 1) in
-    if inpage <= page_size - 8 then
-      match page_at h (o lsr page_shift) with
-      | Some p -> U64.get64 p inpage
-      | None -> fault addr "unpopulated heap page"
-    else read h ~width:8 addr
-  end
-  else read h ~width:8 addr
-
 let write h ~width addr v =
   let off = check_ext h addr width in
   let o = Int64.to_int off in
@@ -365,54 +308,54 @@ let write h ~width addr v =
     write_off h ~width off v
   end
 
-let[@inline always] write8 h addr v =
-  let off = Int64.sub addr h.kbase in
-  if Int64.unsigned_compare off h.lim1 <= 0 then begin
-    let o = Int64.to_int off in
-    match page_at h (o lsr page_shift) with
-    | Some p ->
-        U64.set8 p (o land (page_size - 1))
-          (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xffL)))
-    | None -> fault addr "unpopulated heap page"
-  end
-  else write h ~width:1 addr v
+(* The extension access protocol of the Jit, written once for every width:
+   one unsigned bound check against a precomputed limit, one page load,
+   one unaligned access. Anything unusual — guard zones, user-view
+   addresses, page-straddling accesses — falls back to the generic checked
+   path above, so fault reasons and their order are identical to that
+   path's. [w] (1, 2, 4 or 8) is an int literal at every call site: the
+   bodies are forced inline and their [if w = ...] tests fold, so each
+   width compiles to the code a body written for it alone would (see the
+   header of jit.ml). A byte never straddles, hence no in-page test. *)
 
-let[@inline always] write16 h addr v =
+let[@inline always] lim h w =
+  if w = 1 then h.lim1 else if w = 2 then h.lim2 else if w = 4 then h.lim4
+  else h.lim8
+
+let[@inline always] load h w addr =
   let off = Int64.sub addr h.kbase in
-  if Int64.unsigned_compare off h.lim2 <= 0 then begin
+  if Int64.unsigned_compare off (lim h w) <= 0 then begin
     let o = Int64.to_int off in
     let inpage = o land (page_size - 1) in
-    if inpage <= page_size - 2 then
+    if w = 1 || inpage <= page_size - w then
       match page_at h (o lsr page_shift) with
       | Some p ->
-          U64.set16 p inpage (Int64.to_int (Int64.logand v 0xffffL))
+          if w = 1 then Int64.of_int (Char.code (U64.get8 p inpage))
+          else if w = 2 then Int64.of_int (U64.get16 p inpage)
+          else if w = 4 then
+            Int64.logand (Int64.of_int32 (U64.get32 p inpage)) 0xffff_ffffL
+          else U64.get64 p inpage
       | None -> fault addr "unpopulated heap page"
-    else write h ~width:2 addr v
+    else read h ~width:w addr
   end
-  else write h ~width:2 addr v
+  else read h ~width:w addr
 
-let[@inline always] write32 h addr v =
+let[@inline always] store h w addr v =
   let off = Int64.sub addr h.kbase in
-  if Int64.unsigned_compare off h.lim4 <= 0 then begin
+  if Int64.unsigned_compare off (lim h w) <= 0 then begin
     let o = Int64.to_int off in
     let inpage = o land (page_size - 1) in
-    if inpage <= page_size - 4 then
+    if w = 1 || inpage <= page_size - w then
       match page_at h (o lsr page_shift) with
-      | Some p -> U64.set32 p inpage (Int64.to_int32 v)
+      | Some p ->
+          if w = 1 then
+            U64.set8 p inpage
+              (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xffL)))
+          else if w = 2 then
+            U64.set16 p inpage (Int64.to_int (Int64.logand v 0xffffL))
+          else if w = 4 then U64.set32 p inpage (Int64.to_int32 v)
+          else U64.set64 p inpage v
       | None -> fault addr "unpopulated heap page"
-    else write h ~width:4 addr v
+    else write h ~width:w addr v
   end
-  else write h ~width:4 addr v
-
-let[@inline always] write64 h addr v =
-  let off = Int64.sub addr h.kbase in
-  if Int64.unsigned_compare off h.lim8 <= 0 then begin
-    let o = Int64.to_int off in
-    let inpage = o land (page_size - 1) in
-    if inpage <= page_size - 8 then
-      match page_at h (o lsr page_shift) with
-      | Some p -> U64.set64 p inpage v
-      | None -> fault addr "unpopulated heap page"
-    else write h ~width:8 addr v
-  end
-  else write h ~width:8 addr v
+  else write h ~width:w addr v

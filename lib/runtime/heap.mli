@@ -79,19 +79,16 @@ val write : t -> width:int -> int64 -> int64 -> unit
 
 (** {2 Width-specialized extension accesses}
 
-    Hot-path variants of {!read}/{!write} for the Jit: one
-    unsigned bound check against a precomputed limit and a direct page
-    access. Semantics (including fault reasons and their order) are exactly
-    those of the generic pair — unusual cases fall back to it. *)
+    Hot-path variants of {!read}/{!write} for the Jit and the helper ABI:
+    one unsigned bound check against a precomputed limit and a direct page
+    access. Semantics (including fault reasons and their order) are
+    exactly those of the generic pair — unusual cases fall back to it.
+    The width (1, 2, 4 or 8; any other value acts as 8) comes second.
+    Pass it as an int literal: the bodies are forced inline, and a
+    literal folds each call site to that width's code alone. *)
 
-val read8 : t -> int64 -> int64
-val read16 : t -> int64 -> int64
-val read32 : t -> int64 -> int64
-val read64 : t -> int64 -> int64
-val write8 : t -> int64 -> int64 -> unit
-val write16 : t -> int64 -> int64 -> unit
-val write32 : t -> int64 -> int64 -> unit
-val write64 : t -> int64 -> int64 -> unit
+val load : t -> int -> int64 -> int64
+val store : t -> int -> int64 -> int64 -> unit
 
 (** {2 Offset-based accesses for trusted code (runtime, user space)}
 

@@ -19,10 +19,42 @@
    Guard+Load / Guard+Store pairs: the sanitize result is an address inside
    the heap window (kbase >= 2^46, stack/ctx windows < 2^46, and the ±32 KB
    displacement range cannot bridge the gap), so the fused closure skips
-   the stack/ctx window tests and goes straight to the heap's
-   width-specialized accessor. Fault reasons and order (wild access, guard
-   zone, unpopulated page) are unchanged; the specialized accessors fall
-   back to the generic checked path for anything unusual.
+   the stack/ctx window tests and goes straight to the heap's access body
+   ({!Heap.load}/{!Heap.store}). Fault reasons and order (wild access,
+   guard zone, unpopulated page) are unchanged; the heap's body falls back
+   to the generic checked path for anything unusual.
+
+   One body per memory-access protocol. The Guard+access pair
+   ([guarded]), the unfused access ([access]), the checkpoint's watchdog
+   ([watchdog]), the window-tested path ({!Machine.load}/{!Machine.store}),
+   the heap's fast path and the packet builtins ({!Machine.pkt_b}) are
+   each written once for every width, forced inline, and every closure
+   that runs one is a one-line call passing the width [w] (and here the
+   access kind [k]) as an int literal. The compiler folds the literal, so
+   each closure's machine code is what a body written for that width alone
+   compiled to. Without flambda (OCaml 5.1's Closure inliner), three rules
+   keep it so; each was checked on the object code:
+   - A shared body contains no nested [fun]; the closure stays at the call
+     site: [| Insn.U16 -> fun st -> guarded st pc g off 2 0 d 0L; cont st].
+     A body that returns the closure is either applied partially or not
+     inlined at all, and its one closure code carries every width: 71
+     instructions against 25 for a 16-bit load in a scratch module.
+   - Branch on the literal with [if w = 1 then ... else if ...]. An
+     inlined [if] on a constant keeps one arm; a four-way [match w with]
+     compiled to a jump table indexed by the constant, every arm kept (72
+     instructions against 25 in the same module).
+   - Never pass an accessor as a function parameter. The inlined body's
+     call of its parameter stays a generic application through
+     [caml_apply2], which boxes the [int64] the accessor returns (seen in
+     the scratch module, and in a scratch copy of this file). CI fails if
+     the object code of [Heap], [Machine] or this module calls
+     [caml_apply*] or [caml_curry*].
+   Each shared body is also compiled once standalone, with [w] unknown;
+   nothing calls those copies. A closure's captured values that it passes
+   to a body are bound at the inlined body's entry, so they load up front
+   rather than at their first use: each access closure is within 3
+   instructions of the per-width code it replaced (14 of the 24 differ at
+   all).
 
    Net-effect regions. A pure region is a maximal run of Mov/Alu/Neg;
    when no instruction ever writes r10 (so the frame pointer keeps its
@@ -952,6 +984,65 @@ let liveness insns ~pure ~unwind =
   done;
   { regs = live; frame }
 
+(* --- the shared bodies of the access and checkpoint closures -------------
+
+   Each is forced inline into closures that pass its width [w] and access
+   kind [k] as int literals: [k] = 0 loads into register [x], 1 stores
+   register [x], 2 stores the immediate [imm]. *)
+
+(* An unfused access at [pc] to [r + off], through the stack and ctx
+   windows and then the heap ({!Machine.load}/{!Machine.store}). *)
+let[@inline always] access st pc r off w k x imm =
+  st.stats.insns <- st.stats.insns + 1;
+  st.fault_pc <- pc;
+  if k = 0 then
+    rset st.regs x (Machine.load st w (Int64.add (rget st.regs r) off))
+  else
+    Machine.store st w (Int64.add (rget st.regs r) off)
+      (if k = 1 then rget st.regs x else imm)
+
+(* A Guard of register [g] at [pc] and the access at [g + off] after it.
+   The fused closure must leave state and stats exactly as the two
+   standalone closures would at every observation point. Once the heap
+   check passes, nothing between the guard's bookkeeping and the access
+   can fault (sanitize is total), so the hot path charges both
+   instructions in one batch and sets [fault_pc] once, to the access pc —
+   any access fault observes exactly the interpreter's counters. The
+   guard-only charge survives in the cold wild-pointer branch. The access
+   goes straight to the heap's body (see the header comment). A stored
+   register is read after sanitizing: when [x] = [g] the stored value is
+   the sanitized one, as in the interpreter. *)
+let[@inline always] guarded st pc g off w k x imm =
+  match st.heap with
+  | Some h ->
+      let stats = st.stats in
+      stats.insns <- stats.insns + 2;
+      stats.guards <- stats.guards + 1;
+      st.fault_pc <- pc + 1;
+      let a = Heap.sanitize h (rget st.regs g) in
+      rset st.regs g a;
+      if k = 0 then rset st.regs x (Heap.load h w (Int64.add a off))
+      else
+        Heap.store h w (Int64.add a off) (if k = 1 then rget st.regs x else imm)
+  | None ->
+      st.stats.insns <- st.stats.insns + 1;
+      st.fault_pc <- pc;
+      raise (Vm_fault Wild_access)
+
+(* The checkpoint at [t]: charge its instruction when [own] (a closure
+   whose region charged it upfront passes [false]), count it, then cancel
+   on a raised flag or a spent quantum. *)
+let[@inline always] watchdog st t own =
+  let s = st.stats in
+  if own then s.insns <- s.insns + 1;
+  s.checkpoints <- s.checkpoints + 1;
+  st.fault_pc <- t;
+  if !(st.cancel) then raise (Vm_fault Ext_cancelled);
+  if total_cost s - st.start_cost > st.quantum then begin
+    st.cancel := true;
+    raise (Vm_fault Quantum_expired)
+  end
+
 let[@inline always] count_call st =
   let s = st.stats in
   s.insns <- s.insns + 1;
@@ -1005,89 +1096,26 @@ let compile (kie : Kflex_kie.Instrument.t) =
     match insn with
     | Insn.Mov _ | Insn.Neg _ | Insn.Alu _ -> assert false
     | Insn.Ldx (sz, d, s, off) -> (
-        let d = ri d and s = ri s in
-        let off = Int64.of_int off in
+        let d = ri d and s = ri s and off = Int64.of_int off in
         match sz with
-        | Insn.U8 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              rset st.regs d (read8 st (Int64.add (rget st.regs s) off));
-              next st
-        | Insn.U16 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              rset st.regs d (read16 st (Int64.add (rget st.regs s) off));
-              next st
-        | Insn.U32 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              rset st.regs d (read32 st (Int64.add (rget st.regs s) off));
-              next st
-        | Insn.U64 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              rset st.regs d (read64 st (Int64.add (rget st.regs s) off));
-              next st)
+        | Insn.U8 -> fun st -> access st pc s off 1 0 d 0L; next st
+        | Insn.U16 -> fun st -> access st pc s off 2 0 d 0L; next st
+        | Insn.U32 -> fun st -> access st pc s off 4 0 d 0L; next st
+        | Insn.U64 -> fun st -> access st pc s off 8 0 d 0L; next st)
     | Insn.Stx (sz, d, off, s) -> (
-        let d = ri d and s = ri s in
-        let off = Int64.of_int off in
+        let d = ri d and s = ri s and off = Int64.of_int off in
         match sz with
-        | Insn.U8 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              write8 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-              next st
-        | Insn.U16 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              write16 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-              next st
-        | Insn.U32 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              write32 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-              next st
-        | Insn.U64 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              write64 st (Int64.add (rget st.regs d) off) (rget st.regs s);
-              next st)
+        | Insn.U8 -> fun st -> access st pc d off 1 1 s 0L; next st
+        | Insn.U16 -> fun st -> access st pc d off 2 1 s 0L; next st
+        | Insn.U32 -> fun st -> access st pc d off 4 1 s 0L; next st
+        | Insn.U64 -> fun st -> access st pc d off 8 1 s 0L; next st)
     | Insn.St (sz, d, off, imm) -> (
-        let d = ri d in
-        let off = Int64.of_int off in
+        let d = ri d and off = Int64.of_int off in
         match sz with
-        | Insn.U8 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              write8 st (Int64.add (rget st.regs d) off) imm;
-              next st
-        | Insn.U16 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              write16 st (Int64.add (rget st.regs d) off) imm;
-              next st
-        | Insn.U32 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              write32 st (Int64.add (rget st.regs d) off) imm;
-              next st
-        | Insn.U64 ->
-            fun st ->
-              st.stats.insns <- st.stats.insns + 1;
-              st.fault_pc <- pc;
-              write64 st (Int64.add (rget st.regs d) off) imm;
-              next st)
+        | Insn.U8 -> fun st -> access st pc d off 1 2 0 imm; next st
+        | Insn.U16 -> fun st -> access st pc d off 2 2 0 imm; next st
+        | Insn.U32 -> fun st -> access st pc d off 4 2 0 imm; next st
+        | Insn.U64 -> fun st -> access st pc d off 8 2 0 imm; next st)
     | Insn.Xstore (sz, d, off, s) ->
         let w = Insn.size_bytes sz in
         let d = ri d and s = ri s in
@@ -1117,15 +1145,7 @@ let compile (kie : Kflex_kie.Instrument.t) =
           next st
     | Insn.Checkpoint _ ->
         fun st ->
-          let s = st.stats in
-          s.insns <- s.insns + 1;
-          s.checkpoints <- s.checkpoints + 1;
-          st.fault_pc <- pc;
-          if !(st.cancel) then raise (Vm_fault Ext_cancelled);
-          if total_cost s - st.start_cost > st.quantum then begin
-            st.cancel := true;
-            raise (Vm_fault Quantum_expired)
-          end;
+          watchdog st pc true;
           next st
     | Insn.Atomic (op, sz, d, off, s) ->
         let w = Insn.size_bytes sz in
@@ -1177,229 +1197,36 @@ let compile (kie : Kflex_kie.Instrument.t) =
           next st
     | Insn.Exit -> fun st -> st.stats.insns <- st.stats.insns + 1
   in
-  (* Guard+access superinstructions. The fused closure must leave state and
-     stats exactly as the two standalone closures would at every observation
-     point. Once the heap check passes, nothing between the guard's
-     bookkeeping and the access can fault (sanitize is total), so the hot
-     path charges both instructions in one batch and sets [fault_pc] once,
-     to the access pc — any access fault observes exactly the interpreter's
-     counters. The guard-only charge survives in the cold wild-pointer
-     branch. The access goes straight to the heap's width-specialized
-     accessor (see the header comment). *)
+  (* Guard+access superinstructions ({!guarded}) *)
   let fuse_pair pc i1 i2 : op option =
     match (i1, i2) with
     | Insn.Guard (_, g), Insn.Ldx (sz, d, s, off) when ri s = ri g ->
-        let g = ri g and d = ri d in
-        let off = Int64.of_int off in
+        let g = ri g and d = ri d and off = Int64.of_int off in
         let cont = goto pc (pc + 2) in
         Some
           (match sz with
-          | Insn.U8 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    rset st.regs d (Heap.read8 h (Int64.add a off))
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st
-          | Insn.U16 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    rset st.regs d (Heap.read16 h (Int64.add a off))
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st
-          | Insn.U32 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    rset st.regs d (Heap.read32 h (Int64.add a off))
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st
-          | Insn.U64 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    rset st.regs d (Heap.read64 h (Int64.add a off))
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st)
+          | Insn.U8 -> fun st -> guarded st pc g off 1 0 d 0L; cont st
+          | Insn.U16 -> fun st -> guarded st pc g off 2 0 d 0L; cont st
+          | Insn.U32 -> fun st -> guarded st pc g off 4 0 d 0L; cont st
+          | Insn.U64 -> fun st -> guarded st pc g off 8 0 d 0L; cont st)
     | Insn.Guard (_, g), Insn.Stx (sz, d, off, s) when ri d = ri g ->
-        let g = ri g and s = ri s in
-        let off = Int64.of_int off in
+        let g = ri g and s = ri s and off = Int64.of_int off in
         let cont = goto pc (pc + 2) in
-        (* the source register is read after sanitizing: when s = g the
-           stored value is the sanitized one, as in the interpreter *)
         Some
           (match sz with
-          | Insn.U8 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    Heap.write8 h (Int64.add a off) (rget st.regs s)
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st
-          | Insn.U16 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    Heap.write16 h (Int64.add a off) (rget st.regs s)
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st
-          | Insn.U32 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    Heap.write32 h (Int64.add a off) (rget st.regs s)
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st
-          | Insn.U64 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    Heap.write64 h (Int64.add a off) (rget st.regs s)
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st)
+          | Insn.U8 -> fun st -> guarded st pc g off 1 1 s 0L; cont st
+          | Insn.U16 -> fun st -> guarded st pc g off 2 1 s 0L; cont st
+          | Insn.U32 -> fun st -> guarded st pc g off 4 1 s 0L; cont st
+          | Insn.U64 -> fun st -> guarded st pc g off 8 1 s 0L; cont st)
     | Insn.Guard (_, g), Insn.St (sz, d, off, imm) when ri d = ri g ->
-        let g = ri g in
-        let off = Int64.of_int off in
+        let g = ri g and off = Int64.of_int off in
         let cont = goto pc (pc + 2) in
         Some
           (match sz with
-          | Insn.U8 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    Heap.write8 h (Int64.add a off) imm
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st
-          | Insn.U16 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    Heap.write16 h (Int64.add a off) imm
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st
-          | Insn.U32 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    Heap.write32 h (Int64.add a off) imm
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st
-          | Insn.U64 ->
-              fun st ->
-                (match st.heap with
-                | Some h ->
-                    let stats = st.stats in
-                    stats.insns <- stats.insns + 2;
-                    stats.guards <- stats.guards + 1;
-                    st.fault_pc <- pc + 1;
-                    let a = Heap.sanitize h (rget st.regs g) in
-                    rset st.regs g a;
-                    Heap.write64 h (Int64.add a off) imm
-                | None ->
-                    st.stats.insns <- st.stats.insns + 1;
-                    st.fault_pc <- pc;
-                    raise (Vm_fault Wild_access));
-                cont st)
+          | Insn.U8 -> fun st -> guarded st pc g off 1 2 0 imm; cont st
+          | Insn.U16 -> fun st -> guarded st pc g off 2 2 0 imm; cont st
+          | Insn.U32 -> fun st -> guarded st pc g off 4 2 0 imm; cont st
+          | Insn.U64 -> fun st -> guarded st pc g off 8 2 0 imm; cont st)
     | _ -> None
   in
   (* The checkpoint at [t] as the closing op of a closure rooted at [p],
@@ -1410,16 +1237,7 @@ let compile (kie : Kflex_kie.Instrument.t) =
      the closure, after the quantum check: the interpreter would not have
      retired that jump yet if the checkpoint cancels. *)
   let checkpoint_fin p t : op * int =
-    let check st =
-      let s = st.stats in
-      s.checkpoints <- s.checkpoints + 1;
-      st.fault_pc <- t;
-      if !(st.cancel) then raise (Vm_fault Ext_cancelled);
-      if total_cost s - st.start_cost > st.quantum then begin
-        st.cancel := true;
-        raise (Vm_fault Quantum_expired)
-      end
-    in
+    let check st = watchdog st t false in
     match if t + 1 < n then insns.(t + 1) else Insn.Exit with
     | Insn.Ja off ->
         let q = t + 2 + off in

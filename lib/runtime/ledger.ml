@@ -48,6 +48,5 @@ let[@inline always] release t ~handle =
     true
   end
 
-let held t = List.init t.n (fun i -> (U64.get t.handles i, t.destructors.(i)))
 let count t = t.n
 let clear t = t.n <- 0

@@ -16,9 +16,6 @@ val acquire : t -> handle:int64 -> destructor:string -> unit
 val release : t -> handle:int64 -> bool
 (** [false] if the handle was not held. *)
 
-val held : t -> (int64 * string) list
-(** Currently held (handle, destructor) pairs. *)
-
 val count : t -> int
 
 val clear : t -> unit

@@ -132,108 +132,51 @@ let write st ~width addr v =
     | Some h -> Heap.write h ~width addr v
     | None -> raise (Vm_fault Wild_access)
 
-(* Width-specialized memory paths for the Jit: the width is
-   known at compile time, so the per-access width dispatch disappears and
-   heap accesses use {!Heap}'s specialized entry points. Semantics are those
-   of [read]/[write] above, width pinned. Every function here is forced
-   inline into its (compiled-closure) call sites, so the window tests and
-   byte accesses run on unboxed values with no call or box in between —
-   the in-window loads use {!U64}'s raw accessors, their bounds discharged
-   by the window test. *)
+(* The memory path of the Jit and the helper ABI, written once for every
+   width: the stack window, the read-only ctx window, then the heap's own
+   body ({!Heap.load}/{!Heap.store}). Semantics are those of
+   [read]/[write] above. [w] is an int literal at every call site, and
+   the bodies are forced inline into those sites, so each width folds to
+   its own straight-line code: window tests and byte accesses run on
+   unboxed values with no call or box in between, the in-window accesses
+   using {!U64}'s raw accessors, their bounds discharged by the window
+   test. *)
 
-let[@inline always] read8 st addr =
-  if in_window stack_base Prog.stack_size addr 1 then
-    Int64.of_int
-      (Char.code (U64.get8 st.stack (Int64.to_int (Int64.sub addr stack_base))))
-  else if in_window ctx_base st.ctx_size addr 1 then
-    Int64.of_int
-      (Char.code (U64.get8 st.ctx (Int64.to_int (Int64.sub addr ctx_base))))
+(* [w] bytes at index [i] of [b], zero-extended, with no bounds check *)
+let[@inline always] get b w i =
+  if w = 1 then Int64.of_int (Char.code (U64.get8 b i))
+  else if w = 2 then Int64.of_int (U64.get16 b i)
+  else if w = 4 then
+    Int64.logand (Int64.of_int32 (U64.get32 b i)) 0xffff_ffffL
+  else U64.get64 b i
+
+let[@inline always] load st w addr =
+  if in_window stack_base Prog.stack_size addr w then
+    get st.stack w (Int64.to_int (Int64.sub addr stack_base))
+  else if in_window ctx_base st.ctx_size addr w then
+    get st.ctx w (Int64.to_int (Int64.sub addr ctx_base))
   else
     match st.heap with
-    | Some h -> Heap.read8 h addr
+    | Some h -> Heap.load h w addr
     | None -> raise (Vm_fault Wild_access)
 
-let[@inline always] read16 st addr =
-  if in_window stack_base Prog.stack_size addr 2 then
-    Int64.of_int
-      (U64.get16 st.stack (Int64.to_int (Int64.sub addr stack_base)))
-  else if in_window ctx_base st.ctx_size addr 2 then
-    Int64.of_int (U64.get16 st.ctx (Int64.to_int (Int64.sub addr ctx_base)))
-  else
-    match st.heap with
-    | Some h -> Heap.read16 h addr
-    | None -> raise (Vm_fault Wild_access)
-
-let[@inline always] read32 st addr =
-  if in_window stack_base Prog.stack_size addr 4 then
-    Int64.logand
-      (Int64.of_int32
-         (U64.get32 st.stack (Int64.to_int (Int64.sub addr stack_base))))
-      0xffff_ffffL
-  else if in_window ctx_base st.ctx_size addr 4 then
-    Int64.logand
-      (Int64.of_int32
-         (U64.get32 st.ctx (Int64.to_int (Int64.sub addr ctx_base))))
-      0xffff_ffffL
-  else
-    match st.heap with
-    | Some h -> Heap.read32 h addr
-    | None -> raise (Vm_fault Wild_access)
-
-let[@inline always] read64 st addr =
-  if in_window stack_base Prog.stack_size addr 8 then
-    U64.get64 st.stack (Int64.to_int (Int64.sub addr stack_base))
-  else if in_window ctx_base st.ctx_size addr 8 then
-    U64.get64 st.ctx (Int64.to_int (Int64.sub addr ctx_base))
-  else
-    match st.heap with
-    | Some h -> Heap.read64 h addr
-    | None -> raise (Vm_fault Wild_access)
-
-let[@inline always] heap_or_fault st =
-  match st.heap with Some h -> h | None -> raise (Vm_fault Wild_access)
-
-let[@inline always] ctx_write_check st addr =
-  if addr >= ctx_base && addr < Int64.add ctx_base (Int64.of_int st.ctx_size)
+let[@inline always] store st w addr v =
+  if in_window stack_base Prog.stack_size addr w then begin
+    let i = Int64.to_int (Int64.sub addr stack_base) in
+    if w = 1 then
+      U64.set8 st.stack i (Char.chr (Int64.to_int (Int64.logand v 0xffL)))
+    else if w = 2 then
+      U64.set16 st.stack i (Int64.to_int (Int64.logand v 0xffffL))
+    else if w = 4 then U64.set32 st.stack i (Int64.to_int32 v)
+    else U64.set64 st.stack i v
+  end
+  else if
+    addr >= ctx_base && addr < Int64.add ctx_base (Int64.of_int st.ctx_size)
   then raise (Vm_fault Wild_access)
-
-let[@inline always] write8 st addr v =
-  if in_window stack_base Prog.stack_size addr 1 then
-    U64.set8 st.stack
-      (Int64.to_int (Int64.sub addr stack_base))
-      (Char.chr (Int64.to_int (Int64.logand v 0xffL)))
-  else begin
-    ctx_write_check st addr;
-    Heap.write8 (heap_or_fault st) addr v
-  end
-
-let[@inline always] write16 st addr v =
-  if in_window stack_base Prog.stack_size addr 2 then
-    U64.set16 st.stack
-      (Int64.to_int (Int64.sub addr stack_base))
-      (Int64.to_int (Int64.logand v 0xffffL))
-  else begin
-    ctx_write_check st addr;
-    Heap.write16 (heap_or_fault st) addr v
-  end
-
-let[@inline always] write32 st addr v =
-  if in_window stack_base Prog.stack_size addr 4 then
-    U64.set32 st.stack
-      (Int64.to_int (Int64.sub addr stack_base))
-      (Int64.to_int32 v)
-  else begin
-    ctx_write_check st addr;
-    Heap.write32 (heap_or_fault st) addr v
-  end
-
-let[@inline always] write64 st addr v =
-  if in_window stack_base Prog.stack_size addr 8 then
-    U64.set64 st.stack (Int64.to_int (Int64.sub addr stack_base)) v
-  else begin
-    ctx_write_check st addr;
-    Heap.write64 (heap_or_fault st) addr v
-  end
+  else
+    match st.heap with
+    | Some h -> Heap.store h w addr v
+    | None -> raise (Vm_fault Wild_access)
 
 let create_state ?heap ?alloc ~quantum ~cancel () =
   {
@@ -305,81 +248,35 @@ let[@inline always] charge (c : call_ctx) n =
 let[@inline always] pkt_fits p (off : int64) width =
   off >= 0L && off <= Int64.of_int (Bytes.length p - width)
 
-let[@inline always] pkt_read8 p off =
-  if pkt_fits p off 1 then
-    Int64.of_int (Char.code (U64.get8 p (Int64.to_int off)))
-  else 0L
+let[@inline always] pkt_load p w off =
+  if pkt_fits p off w then get p w (Int64.to_int off) else 0L
 
-let[@inline always] pkt_read16 p off =
-  if pkt_fits p off 2 then Int64.of_int (U64.get16 p (Int64.to_int off))
-  else 0L
+let[@inline always] pkt_store p w off v =
+  if pkt_fits p off w then begin
+    let i = Int64.to_int off in
+    if w = 1 then
+      U64.set8 p i (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xffL)))
+    else if w = 2 then U64.set16 p i (Int64.to_int (Int64.logand v 0xffffL))
+    else if w = 4 then U64.set32 p i (Int64.to_int32 v)
+    else U64.set64 p i v
+  end
 
-let[@inline always] pkt_read32 p off =
-  if pkt_fits p off 4 then
-    Int64.logand (Int64.of_int32 (U64.get32 p (Int64.to_int off))) 0xffff_ffffL
-  else 0L
-
-let[@inline always] pkt_read64 p off =
-  if pkt_fits p off 8 then U64.get64 p (Int64.to_int off) else 0L
-
-let[@inline always] pkt_write8 p off v =
-  if pkt_fits p off 1 then
-    U64.set8 p (Int64.to_int off)
-      (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xffL)))
-
-let[@inline always] pkt_write16 p off v =
-  if pkt_fits p off 2 then
-    U64.set16 p (Int64.to_int off) (Int64.to_int (Int64.logand v 0xffffL))
-
-let[@inline always] pkt_write32 p off v =
-  if pkt_fits p off 4 then U64.set32 p (Int64.to_int off) (Int64.to_int32 v)
-
-let[@inline always] pkt_write64 p off v =
-  if pkt_fits p off 8 then U64.set64 p (Int64.to_int off) v
-
-(* The builtins' bodies in the helper ABI: [pkt_len(ctx)],
-   [pkt_read_uN(ctx, off)] and [pkt_write_uN(ctx, off, v)]. Each writes
-   r0 itself (a write returns 0), so a body called without
-   [call_helper]'s clearing of r0 leaves what the call would. *)
+(* The builtins' bodies in the helper ABI: [pkt_len(ctx)], and for a
+   width [w] [pkt_read_uN(ctx, off)] or, with [write],
+   [pkt_write_uN(ctx, off, v)]; [w] and [write] are literals at every
+   call site. Each writes r0 itself (a write returns 0), so a body called
+   without [call_helper]'s clearing of r0 leaves what the call would. *)
 let[@inline always] pkt_len_b st =
   charge st 2;
   set_ret st (Int64.of_int (Bytes.length st.pkt))
 
-let[@inline always] pkt_read8_b st =
+let[@inline always] pkt_b st w write =
   charge st 3;
-  set_ret st (pkt_read8 st.pkt (arg st 1))
-
-let[@inline always] pkt_read16_b st =
-  charge st 3;
-  set_ret st (pkt_read16 st.pkt (arg st 1))
-
-let[@inline always] pkt_read32_b st =
-  charge st 3;
-  set_ret st (pkt_read32 st.pkt (arg st 1))
-
-let[@inline always] pkt_read64_b st =
-  charge st 3;
-  set_ret st (pkt_read64 st.pkt (arg st 1))
-
-let[@inline always] pkt_write8_b st =
-  charge st 3;
-  pkt_write8 st.pkt (arg st 1) (arg st 2);
-  set_ret st 0L
-
-let[@inline always] pkt_write16_b st =
-  charge st 3;
-  pkt_write16 st.pkt (arg st 1) (arg st 2);
-  set_ret st 0L
-
-let[@inline always] pkt_write32_b st =
-  charge st 3;
-  pkt_write32 st.pkt (arg st 1) (arg st 2);
-  set_ret st 0L
-
-let[@inline always] pkt_write64_b st =
-  charge st 3;
-  pkt_write64 st.pkt (arg st 1) (arg st 2);
-  set_ret st 0L
+  if write then begin
+    pkt_store st.pkt w (arg st 1) (arg st 2);
+    set_ret st 0L
+  end
+  else set_ret st (pkt_load st.pkt w (arg st 1))
 
 (* A builtin the fused Jit runs as an op inside its net-effect regions:
    the argument registers its body reads, as a bitmask (r2 holds the
@@ -396,6 +293,8 @@ let[@inline always] called st =
 
 let[@inline always] at st c = U64.set st.regs 2 c
 
+(* Each entry spells out its closures, so that every one calls its body
+   with literal arguments and the body inlines into it. *)
 let native_builtins : (string * native) list =
   [
     ( "pkt_len",
@@ -404,139 +303,80 @@ let native_builtins : (string * native) list =
         body = pkt_len_b;
         op =
           (function
-          | None ->
-              fun st ->
-                called st;
-                pkt_len_b st
+          | None -> fun st -> called st; pkt_len_b st
           | Some _ -> invalid_arg "Machine: pkt_len takes no offset");
       } );
     ( "pkt_read_u8",
       {
         reads = 0b100;
-        body = pkt_read8_b;
+        body = (fun st -> pkt_b st 1 false);
         op =
           (function
-          | None ->
-              fun st ->
-                called st;
-                pkt_read8_b st
-          | Some c ->
-              fun st ->
-                at st c;
-                called st;
-                pkt_read8_b st);
+          | None -> fun st -> called st; pkt_b st 1 false
+          | Some c -> fun st -> at st c; called st; pkt_b st 1 false);
       } );
     ( "pkt_read_u16",
       {
         reads = 0b100;
-        body = pkt_read16_b;
+        body = (fun st -> pkt_b st 2 false);
         op =
           (function
-          | None ->
-              fun st ->
-                called st;
-                pkt_read16_b st
-          | Some c ->
-              fun st ->
-                at st c;
-                called st;
-                pkt_read16_b st);
+          | None -> fun st -> called st; pkt_b st 2 false
+          | Some c -> fun st -> at st c; called st; pkt_b st 2 false);
       } );
     ( "pkt_read_u32",
       {
         reads = 0b100;
-        body = pkt_read32_b;
+        body = (fun st -> pkt_b st 4 false);
         op =
           (function
-          | None ->
-              fun st ->
-                called st;
-                pkt_read32_b st
-          | Some c ->
-              fun st ->
-                at st c;
-                called st;
-                pkt_read32_b st);
+          | None -> fun st -> called st; pkt_b st 4 false
+          | Some c -> fun st -> at st c; called st; pkt_b st 4 false);
       } );
     ( "pkt_read_u64",
       {
         reads = 0b100;
-        body = pkt_read64_b;
+        body = (fun st -> pkt_b st 8 false);
         op =
           (function
-          | None ->
-              fun st ->
-                called st;
-                pkt_read64_b st
-          | Some c ->
-              fun st ->
-                at st c;
-                called st;
-                pkt_read64_b st);
+          | None -> fun st -> called st; pkt_b st 8 false
+          | Some c -> fun st -> at st c; called st; pkt_b st 8 false);
       } );
     ( "pkt_write_u8",
       {
         reads = 0b1100;
-        body = pkt_write8_b;
+        body = (fun st -> pkt_b st 1 true);
         op =
           (function
-          | None ->
-              fun st ->
-                called st;
-                pkt_write8_b st
-          | Some c ->
-              fun st ->
-                at st c;
-                called st;
-                pkt_write8_b st);
+          | None -> fun st -> called st; pkt_b st 1 true
+          | Some c -> fun st -> at st c; called st; pkt_b st 1 true);
       } );
     ( "pkt_write_u16",
       {
         reads = 0b1100;
-        body = pkt_write16_b;
+        body = (fun st -> pkt_b st 2 true);
         op =
           (function
-          | None ->
-              fun st ->
-                called st;
-                pkt_write16_b st
-          | Some c ->
-              fun st ->
-                at st c;
-                called st;
-                pkt_write16_b st);
+          | None -> fun st -> called st; pkt_b st 2 true
+          | Some c -> fun st -> at st c; called st; pkt_b st 2 true);
       } );
     ( "pkt_write_u32",
       {
         reads = 0b1100;
-        body = pkt_write32_b;
+        body = (fun st -> pkt_b st 4 true);
         op =
           (function
-          | None ->
-              fun st ->
-                called st;
-                pkt_write32_b st
-          | Some c ->
-              fun st ->
-                at st c;
-                called st;
-                pkt_write32_b st);
+          | None -> fun st -> called st; pkt_b st 4 true
+          | Some c -> fun st -> at st c; called st; pkt_b st 4 true);
       } );
     ( "pkt_write_u64",
       {
         reads = 0b1100;
-        body = pkt_write64_b;
+        body = (fun st -> pkt_b st 8 true);
         op =
           (function
-          | None ->
-              fun st ->
-                called st;
-                pkt_write64_b st
-          | Some c ->
-              fun st ->
-                at st c;
-                called st;
-                pkt_write64_b st);
+          | None -> fun st -> called st; pkt_b st 8 true
+          | Some c -> fun st -> at st c; called st; pkt_b st 8 true);
       } );
   ]
 

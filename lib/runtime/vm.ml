@@ -44,9 +44,9 @@ let set_ret = Machine.set_ret
 let charge = Machine.charge
 let cpu (c : call_ctx) = c.Machine.cpu
 let ledger (c : call_ctx) = c.Machine.ledger
-let[@inline always] read16 c addr = Machine.read16 c addr
-let[@inline always] read64 c addr = Machine.read64 c addr
-let[@inline always] write64 c addr v = Machine.write64 c addr v
+let[@inline always] read16 c addr = Machine.load c 2 addr
+let[@inline always] read64 c addr = Machine.load c 8 addr
+let[@inline always] write64 c addr v = Machine.store c 8 addr v
 
 exception Vm_fault = Machine.Vm_fault
 
@@ -88,8 +88,8 @@ let h_spin_lock c =
   let h = get_heap c in
   let addr = Heap.sanitize h (arg c 0) in
   charge c 4;
-  if Heap.read64 h addr = 0L then begin
-    Heap.write64 h addr (Int64.of_int (c.Machine.cpu + 1));
+  if Heap.load h 8 addr = 0L then begin
+    Heap.store h 8 addr (Int64.of_int (c.Machine.cpu + 1));
     Ledger.acquire c.Machine.ledger ~handle:addr ~destructor:"kflex_spin_unlock";
     set_ret c addr
   end
@@ -99,7 +99,7 @@ let h_spin_unlock c =
   let h = get_heap c in
   let addr = Heap.sanitize h (arg c 0) in
   charge c 4;
-  Heap.write64 h addr 0L;
+  Heap.store h 8 addr 0L;
   ignore (Ledger.release c.Machine.ledger ~handle:addr : bool)
 
 let h_heap_base c = set_ret c (Heap.kbase (get_heap c))
@@ -139,21 +139,15 @@ let h_ktime = ktime_helper vtime
 
 let h_cpu c = set_ret c (Int64.of_int c.Machine.cpu)
 
+let valid_width w = w = 1 || w = 2 || w = 4 || w = 8
+
 let pkt_read p ~width off =
-  match width with
-  | 1 -> Machine.pkt_read8 p off
-  | 2 -> Machine.pkt_read16 p off
-  | 4 -> Machine.pkt_read32 p off
-  | 8 -> Machine.pkt_read64 p off
-  | _ -> invalid_arg "Vm.pkt_read: width"
+  if valid_width width then Machine.pkt_load p width off
+  else invalid_arg "Vm.pkt_read: width"
 
 let pkt_write p ~width off v =
-  match width with
-  | 1 -> Machine.pkt_write8 p off v
-  | 2 -> Machine.pkt_write16 p off v
-  | 4 -> Machine.pkt_write32 p off v
-  | 8 -> Machine.pkt_write64 p off v
-  | _ -> invalid_arg "Vm.pkt_write: width"
+  if valid_width width then Machine.pkt_store p width off v
+  else invalid_arg "Vm.pkt_write: width"
 
 let native_builtins = List.map fst Machine.native_builtins
 

@@ -1,10 +1,9 @@
 type t = {
   q : (unit -> unit) Heapq.t;
   mutable now : float;
-  mutable processed : int;
 }
 
-let create () = { q = Heapq.create (); now = 0.0; processed = 0 }
+let create () = { q = Heapq.create (); now = 0.0 }
 let now t = t.now
 
 let schedule t ~delay f =
@@ -23,8 +22,5 @@ let run ?until t =
             continue := false
         | _ ->
             t.now <- time;
-            t.processed <- t.processed + 1;
             f ())
   done
-
-let events_processed t = t.processed

@@ -17,5 +17,3 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 val run : ?until:float -> t -> unit
 (** Drain the event queue, optionally stopping once virtual time would
     exceed [until]. *)
-
-val events_processed : t -> int

@@ -61,6 +61,3 @@ let pop t =
     end;
     Some (top.key, top.v)
   end
-
-let size t = t.n
-let is_empty t = t.n = 0

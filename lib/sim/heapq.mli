@@ -6,6 +6,3 @@ val create : unit -> 'a t
 val push : 'a t -> float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Smallest key first; FIFO among equal keys. *)
-
-val size : 'a t -> int
-val is_empty : 'a t -> bool

@@ -298,7 +298,7 @@ let t_spill_semantics_preserved () =
         let heap = Kflex_runtime.Heap.create ~size:65536L () in
         Kflex_runtime.Heap.populate heap ~off:0L ~len:4096L;
         let ext = Kflex_runtime.Vm.create ~heap ~helpers:[] k in
-        (match Kflex_runtime.Vm.exec ext ~ctx:(Bytes.make 64 ' ') () with
+        (match Kflex_runtime.Vm.exec ext ~ctx:(Bytes.make 64 '\000') () with
         | Kflex_runtime.Vm.Finished v -> v
         | Kflex_runtime.Vm.Cancelled _ -> Alcotest.fail "cancelled")
   in

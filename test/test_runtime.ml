@@ -1814,6 +1814,189 @@ let t_helpers_allocation_free () =
          call "kflex_spin_unlock";
        ])
 
+(* --- every width at every edge --------------------------------------------- *)
+
+(* The Jit's access bodies, every width at every edge. For U8, U16, U32
+   and U64, each shape the Jit builds: Guard+Ldx, Guard+Stx (of another
+   register and of the guarded one) and Guard+St; unguarded Ldx, Stx and
+   St through a heap pointer, and through a copy of r10 (the
+   window-tested path: a copy is no region member); and Ldx from ctx.
+   Heap accesses land at a page's start, flush with its end, straddling
+   into the next page, flush with the heap's end, one byte past it (the
+   guard zone), on an unpopulated page and straddling out of one; frame and
+   ctx accesses at the window's start, flush with its end and one byte
+   past it. The programs are instrumented by hand, so each shape is
+   exactly the one named. Every pc's object table names r0–r9, and a run
+   that gets past its access ends in a wild load through r0 = 0, so the
+   unwinder reads every register either way. The reference interpreter
+   and the Jit must agree on the outcome (its fault pc and reason too),
+   the stats, those registers and the heap pages. *)
+let t_jit_access_edges () =
+  let page = Heap.page_size in
+  let size = 4 * page in
+  (* pages 0, 1 and 3 populated with distinct bytes; page 2 never *)
+  let heap () =
+    let h = Heap.create ~size:(Int64.of_int size) () in
+    List.iter
+      (fun p ->
+        for i = p * page to ((p + 1) * page) - 1 do
+          Heap.write_off h ~width:1 (Int64.of_int i)
+            (Int64.of_int ((i * 37) lxor (i lsr 8)))
+        done)
+      [ 0; 1; 3 ];
+    h
+  in
+  let kbase = Heap.kbase (Heap.create ~size:(Int64.of_int size) ()) in
+  let base =
+    match
+      admit_for Oracle.default_config
+        (Kflex_fuzz.Gen.assemble [ movi R0 0L; exit_ ])
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "trivial program rejected"
+  in
+  let regs =
+    List.init 10 (fun r ->
+        {
+          Kflex_kie.Instrument.klass = Printf.sprintf "r%d" r;
+          destructor = "drop";
+          loc = Kflex_verifier.State.L_reg (Reg.of_int r);
+        })
+  in
+  let kie items =
+    let prog = Asm.assemble ~allow_instrumentation:true ~name:"edges" items in
+    let n = Kflex_bpf.Prog.length prog in
+    {
+      base with
+      Kflex_kie.Instrument.prog;
+      cps = [||];
+      pc_map = Array.init n Fun.id;
+      orig_of_new = Array.init n Fun.id;
+      tables = Array.make n regs;
+    }
+  in
+  (* one run in a fresh heap: outcome, stats, the registers the unwinder
+     handed "drop" (the non-zero ones), heap pages *)
+  let go exec kie =
+    let seen = ref [] in
+    let drop c = seen := Vm.arg c 0 :: !seen in
+    let h = heap () in
+    let ext = Vm.create ~heap:h ~helpers:[ ("drop", drop) ] kie in
+    let stats = Vm.fresh_stats () in
+    let ctx = Bytes.init 64 (fun i -> Char.chr (0x40 + (3 * i))) in
+    let o = exec ext ~ctx ~stats in
+    (o, stats_tuple stats, List.rev !seen, Heap.snapshot h)
+  in
+  let show = function
+    | Vm.Finished v -> Printf.sprintf "finished %Ld" v
+    | Vm.Cancelled { orig_pc; reason; released; _ } ->
+        Printf.sprintf "cancelled at %d (%s), %d released" orig_pc
+          (match reason with
+          | Vm.Page_fault -> "page fault"
+          | Vm.Guard_zone -> "guard zone"
+          | Vm.Wild_access -> "wild access"
+          | _ -> "other")
+          (List.length released)
+  in
+  let check name expect items =
+    let items = items @ [ ldx Insn.U64 R0 R0 0; exit_ ] in
+    let k = kie items in
+    let probe = Kflex_bpf.Prog.length k.Kflex_kie.Instrument.prog - 2 in
+    let o, s, seen, pages = go ref_exec k in
+    let o', s', seen', pages' = go jit_exec k in
+    Alcotest.(check string) (name ^ ": outcome") (show o) (show o');
+    Alcotest.(check bool) (name ^ ": outcome, released") true (o = o');
+    Alcotest.(check string) (name ^ ": expected")
+      expect
+      (match o with
+      | Vm.Cancelled { reason = Vm.Wild_access; orig_pc; _ }
+        when orig_pc = probe ->
+          "ok"
+      | Vm.Finished _ -> "finished"
+      | Vm.Cancelled { reason = Vm.Page_fault; _ } -> "page fault"
+      | Vm.Cancelled { reason = Vm.Guard_zone; _ } -> "guard zone"
+      | Vm.Cancelled { reason = Vm.Wild_access; _ } -> "wild access"
+      | Vm.Cancelled _ -> "other");
+    Alcotest.(check bool) (name ^ ": stats") true (s = s');
+    Alcotest.(check (list int64)) (name ^ ": registers") seen seen';
+    Alcotest.(check bool) (name ^ ": heap pages") true (pages = pages')
+  in
+  let v = 0x1122_3344_5566_7788L and imm = 0x7766_5544_3322_1100L in
+  (* the frame's edge slots, filled through r10 before and reloaded after *)
+  let fill =
+    [
+      movi R9 0x0102_0304_0506_0708L;
+      stx Insn.U64 R10 (-512) R9;
+      stx Insn.U64 R10 (-504) R9;
+      alui Insn.Mul R9 3L;
+      stx Insn.U64 R10 (-16) R9;
+      stx Insn.U64 R10 (-8) R9;
+    ]
+  in
+  let reload =
+    [
+      ldx Insn.U64 R2 R10 (-512);
+      ldx Insn.U64 R4 R10 (-504);
+      ldx Insn.U64 R5 R10 (-16);
+      ldx Insn.U64 R8 R10 (-8);
+    ]
+  in
+  List.iter
+    (fun (sz, w) ->
+      let at shape edge = Printf.sprintf "u%d %s at %s" (8 * w) shape edge in
+      List.iter
+        (fun (edge, t, expect) ->
+          (* the pointer is 8 below the target, so that one past the
+             heap's end is reached from inside it; a guarded one carries
+             high bits the guard masks off *)
+          let p = Int64.add kbase (Int64.of_int (t - 8)) in
+          let g = Int64.add 0x5555_0000_0000_0000L (Int64.of_int (t - 8)) in
+          let guard = I (Insn.Guard (Insn.Gwrite, R6)) in
+          check (at "guard+ldx" edge) expect
+            [ movi R6 g; I (Insn.Guard (Insn.Gread, R6)); ldx sz R3 R6 8 ];
+          check (at "guard+stx" edge) expect
+            [ movi R6 g; movi R3 v; guard; stx sz R6 8 R3 ];
+          check (at "guard+stx of the guarded register" edge) expect
+            [ movi R6 g; guard; stx sz R6 8 R6 ];
+          check (at "guard+st" edge) expect
+            [ movi R6 g; guard; sti sz R6 8 imm ];
+          check (at "ldx" edge) expect [ movi R6 p; ldx sz R3 R6 8 ];
+          check (at "stx" edge) expect [ movi R6 p; movi R3 v; stx sz R6 8 R3 ];
+          check (at "st" edge) expect [ movi R6 p; sti sz R6 8 imm ])
+        [
+          ("a page's start", page, "ok");
+          ("a page's end", page - w, "ok");
+          ("a page boundary", page - w + 1, "ok");
+          ("the heap's end", size - w, "ok");
+          ("the guard zone", size - w + 1, "guard zone");
+          ("an unpopulated page", 2 * page, "page fault");
+          ( "a boundary out of an unpopulated page",
+            (3 * page) - w + 1,
+            if w = 1 then "ok" else "page fault" );
+        ];
+      List.iter
+        (fun (edge, off, expect) ->
+          check (at "ldx through a copy of r10" edge) expect
+            (fill @ [ mov R7 R10; ldx sz R3 R7 off ] @ reload);
+          check (at "stx through a copy of r10" edge) expect
+            (fill @ [ movi R3 v; mov R7 R10; stx sz R7 off R3 ] @ reload);
+          check (at "st through a copy of r10" edge) expect
+            (fill @ [ mov R7 R10; sti sz R7 off imm ] @ reload))
+        [
+          ("the frame's start", -512, "ok");
+          ("the frame's end", -w, "ok");
+          ("one past the frame", -w + 1, "wild access");
+        ];
+      List.iter
+        (fun (edge, off, expect) ->
+          check (at "ldx from ctx" edge) expect [ ldx sz R3 R1 off ])
+        [
+          ("ctx's start", 0, "ok");
+          ("ctx's end", 64 - w, "ok");
+          ("one past ctx", 64 - w + 1, "wild access");
+        ])
+    [ (Insn.U8, 1); (Insn.U16, 2); (Insn.U32, 4); (Insn.U64, 8) ]
+
 let () =
   Alcotest.run "runtime"
     [
@@ -1903,6 +2086,8 @@ let () =
             t_region_lowest_slot;
           Alcotest.test_case "reference sites: translate-on-store" `Quick
             t_sites_xstore;
+          Alcotest.test_case "every width at every edge" `Quick
+            t_jit_access_edges;
         ] );
       ( "repr",
         [
