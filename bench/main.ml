@@ -1059,6 +1059,161 @@ let setup_bench ~smoke =
     exit 1
   end
 
+(* ---- Verify: admission stage by stage (BENCH_verify.json) ------------- *)
+
+(* Every kbench tenant source (at the memcached workloads' hook) and every
+   example, as the engine admits them: eclang compile, Verify.run, Kie,
+   and the compiled-program cache lookup (a hit after the first rep). Each
+   stage's wall time is the median over the reps, timed beside an idle
+   threaded engine with a deadline, as kbench's set-up cycles run beside
+   its watchdog; each stage's minor words are the median too. A rejected
+   example (ratelimit_buggy.ec) stops after its verify stage. The gate is
+   the verifier's outcome: the same Verify.stats, or the same rejection,
+   on every rep. CI compares those with the committed file; times and
+   words are reported, never gated. *)
+
+let verify_programs () =
+  let hook = Kflex_kernel.Hook.Xdp in
+  let pass = Kflex_kernel.Hook.pass_verdict hook in
+  let drop = if Int64.equal pass 1L then 0L else 1L in
+  let tenant name heap_bits src = (name, hook, heap_bits, src) in
+  let examples =
+    Sys.readdir "examples/ec" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ec")
+    |> List.sort compare
+    |> List.map (fun f ->
+           tenant f 24
+             (In_channel.with_open_bin (Filename.concat "examples/ec" f)
+                In_channel.input_all))
+  in
+  [
+    tenant "ratelimit" 12
+      (Kflex_apps.Ratelimit.bucket_source ~pass ~drop ~capacity:1_000_000
+         ~window_ns:(Int64.of_float (OL.default.OL.guard_window_us *. 1e3)));
+    tenant "conntrack" 12 (Kflex_apps.Ratelimit.conntrack_source ~pass ~drop);
+    tenant "burner" 12 (OL.burner_source ~pass ~iters:40_000);
+    tenant "memcached" 24 Kflex_apps.Memcached.kflex_source;
+    ("redis", Kflex_kernel.Hook.Sk_skb, 24, Kflex_apps.Redis.source);
+  ]
+  @ examples
+
+let verify_stages = [| "compile"; "verify"; "kie"; "jit" |]
+
+let json_num fmt x = if Float.is_nan x then "null" else Printf.sprintf fmt x
+
+let verify_bench ~smoke =
+  hr "Verify: admission stage by stage (wall clock, minor words)";
+  let reps = if smoke then 21 else 101 in
+  let now () = Int64.to_int (Monotonic_clock.now ()) in
+  let idle =
+    Engine.create ~shards:1 ~mode:`Threaded ~deadline_ns:200_000. ~seed:1L ()
+  in
+  let stable = ref true in
+  let rows =
+    List.map
+      (fun (name, hook, heap_bits, src) ->
+        let ns = Array.map (fun _ -> Stats.create ()) verify_stages in
+        let words = Array.map (fun _ -> Stats.create ()) verify_stages in
+        let outcome = ref None and insns = ref 0 in
+        for _ = 1 to reps do
+          let stage i f =
+            let w = Gc.minor_words () in
+            let t = now () in
+            let r = f () in
+            let t' = now () in
+            Stats.add words.(i) (Gc.minor_words () -. w);
+            Stats.add ns.(i) (float_of_int (t' - t));
+            r
+          in
+          let prog =
+            stage 0 (fun () ->
+                (Kflex_eclang.Compile.compile_string ~name src)
+                  .Kflex_eclang.Compile.prog)
+          in
+          insns := Kflex_bpf.Prog.length prog;
+          let verified =
+            match
+              stage 1 (fun () ->
+                  Kflex_verifier.Verify.run ~mode:Kflex_verifier.Verify.Kflex
+                    ~contracts:Kflex.contracts
+                    ~ctx_size:Kflex_kernel.Hook.ctx_size
+                    ~heap_size:(Int64.shift_left 1L heap_bits)
+                    ~sleepable:(Kflex_kernel.Hook.sleepable hook) prog)
+            with
+            | Error (e : Kflex_verifier.Verify.error) ->
+                Error
+                  (Printf.sprintf "%s at pc %s"
+                     (Kflex_verifier.Verify.error_kind_name e.kind)
+                     (match e.pc with Some pc -> string_of_int pc | None -> "-"))
+            | Ok a ->
+                let kie = stage 2 (fun () -> Kflex_kie.Instrument.run a) in
+                ignore
+                  (stage 3 (fun () ->
+                       Kflex.compile_cached ~key:(Kflex.jit_cache_key kie) kie)
+                    : Kflex_runtime.Jit.t);
+                Ok
+                  ( Array.length (Kflex_bpf.Cfg.blocks a.Kflex_verifier.Verify.cfg),
+                    a.Kflex_verifier.Verify.stats )
+          in
+          match !outcome with
+          | None -> outcome := Some verified
+          | Some o -> if o <> verified then stable := false
+        done;
+        (* nan: the stage never ran (a rejected program) *)
+        let med r = if Stats.count r = 0 then nan else Stats.percentile r 0.5 in
+        let ms = Array.map (fun r -> med r /. 1e6) ns in
+        let words = Array.map med words in
+        pf "  %-18s %4d insns  %s@." name !insns
+          (String.concat "  "
+             (Array.to_list
+                (Array.mapi
+                   (fun i st -> Printf.sprintf "%s %.3f ms %.0f w" st ms.(i) words.(i))
+                   verify_stages)));
+        (name, !insns, Option.get !outcome, ms, words))
+      (verify_programs ())
+  in
+  Engine.shutdown idle;
+  let oc = open_out "BENCH_verify.json" in
+  let p fmt = Printf.fprintf oc fmt in
+  let stages f =
+    String.concat ", "
+      (Array.to_list (Array.mapi (fun i st -> Printf.sprintf "\"%s\": %s" st (f i)) verify_stages))
+  in
+  p "{\n  \"smoke\": %b,\n  \"reps\": %d,\n" smoke reps;
+  p "  \"note\": \"per program: the verifier's work (insns, blocks, block \
+     visits, joins, widenings) or its rejection, gated: identical on every \
+     rep; the median wall-clock ms and minor words of each admission stage, \
+     timed beside an idle threaded engine with a deadline (compile: eclang; \
+     verify: Verify.run; kie: Instrument.run; jit: the compiled-program \
+     cache lookup, a hit after the first rep)\",\n";
+  p "  \"programs\": [\n";
+  List.iteri
+    (fun i (name, insns, outcome, ms, words) ->
+      let work =
+        match outcome with
+        | Ok (blocks, (s : Kflex_verifier.Verify.stats)) ->
+            Printf.sprintf
+              "\"blocks\": %d, \"block_visits\": %d, \"joins\": %d, \
+               \"widenings\": %d"
+              blocks s.block_visits s.joins s.widenings
+        | Error e -> Printf.sprintf "\"rejected\": %S" e
+      in
+      p "    {\"name\": %S, \"insns\": %d, %s,\n     \"ms\": {%s},\n     \
+         \"minor_words\": {%s}}%s\n"
+        name insns work
+        (stages (fun i -> json_num "%.4f" ms.(i)))
+        (stages (fun i -> json_num "%.0f" words.(i)))
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
+  p "  ],\n  \"summary\": {\"stats_stable\": %b}\n}\n" !stable;
+  close_out oc;
+  pf "  wrote BENCH_verify.json@.";
+  if not !stable then begin
+    pf "  verify gate FAILED: a program's Verify.stats or rejection changed \
+        between reps@.";
+    exit 1
+  end
+
 (* ---- Maps: wall-clock ns per map operation (BENCH_maps.json) ---------- *)
 
 (* Every row times one operation on the calling domain (pin the run with
@@ -1546,10 +1701,13 @@ let () =
   | "maps" ->
       maps_bench
         ~smoke:(Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke")
+  | "verify" ->
+      verify_bench
+        ~smoke:(Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke")
   | "all" -> all ()
   | other ->
       pf
         "unknown experiment %s (use \
-         table1|fig2|fig3|fig4|fig5|fig6|fig7|table3|ablation|bechamel|jit|engine|serve|setup|maps|all)@."
+         table1|fig2|fig3|fig4|fig5|fig6|fig7|table3|ablation|bechamel|jit|engine|serve|setup|maps|verify|all)@."
         other;
       exit 1

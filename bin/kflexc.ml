@@ -116,17 +116,27 @@ let packet_of_payload payload =
     (if payload = "" then Bytes.make 64 '\000' else Bytes.of_string payload)
 
 let verify_cmd =
-  let run file heap_bits =
+  let json =
+    Arg.(value & flag & info [ "json" ]
+           ~doc:"Print one JSON object instead of the summary line: the \
+                 summary's figures and the fixpoint's work, as \
+                 bench/main.exe verify records them, or the rejection.")
+  in
+  let run file json heap_bits =
     handle_errors (fun () ->
         let prog, _ = load_prog file in
+        let program = Filename.basename file in
         match
           Kflex_verifier.Verify.run ~mode:Kflex_verifier.Verify.Kflex
             ~contracts:Kflex.contracts ~ctx_size:Kflex_kernel.Hook.ctx_size
             ~heap_size:(Int64.shift_left 1L heap_bits) prog
         with
         | Error e ->
-            Format.printf "REJECTED: %a@." Kflex_verifier.Verify.pp_error e;
+            if json then
+              print_endline (Kflex_kie.Report.lint_rejected_json ~program e)
+            else Format.printf "REJECTED: %a@." Kflex_verifier.Verify.pp_error e;
             exit 1
+        | Ok a when json -> print_endline (Kflex_kie.Report.verify_json ~program a)
         | Ok a ->
             let s = a.Kflex_verifier.Verify.stats in
             Format.printf "OK: %d insns, %d heap accesses (%d elidable), %d \
@@ -146,7 +156,7 @@ let verify_cmd =
               s.Kflex_verifier.Verify.joins s.Kflex_verifier.Verify.widenings)
   in
   Cmd.v (Cmd.info "verify" ~doc:"Verify kernel-interface compliance")
-    Term.(const run $ file_arg $ heap_size_arg)
+    Term.(const run $ file_arg $ json $ heap_size_arg)
 
 let lint_cmd =
   let files =

@@ -3,7 +3,6 @@ open Kflex_runtime
 type loaded = {
   ext : Vm.ext;
   kie : Kflex_kie.Instrument.t;
-  analysis : Kflex_verifier.Verify.analysis;
   heap : Heap.t option;
   alloc : Alloc.t option;
   kernel : Kflex_kernel.Helpers.t;
@@ -12,7 +11,6 @@ type loaded = {
 
 type admitted = {
   a_kie : Kflex_kie.Instrument.t;
-  a_analysis : Kflex_verifier.Verify.analysis;
   a_hook : Kflex_kernel.Hook.kind;
   a_jit : Jit.t;
 }
@@ -165,7 +163,6 @@ let admit ?(mode = Kflex_verifier.Verify.Kflex) ?options ?heap_size ~hook
       Ok
         {
           a_kie = kie;
-          a_analysis = analysis;
           a_hook = hook;
           a_jit = compiled_for kie;
         }
@@ -191,7 +188,6 @@ let instantiate ?heap ?(globals_size = 0L) ?quantum ?(extra_helpers = [])
   {
     ext;
     kie = a.a_kie;
-    analysis = a.a_analysis;
     heap;
     alloc;
     kernel;

@@ -19,7 +19,6 @@
 type loaded = {
   ext : Kflex_runtime.Vm.ext;
   kie : Kflex_kie.Instrument.t;
-  analysis : Kflex_verifier.Verify.analysis;
   heap : Kflex_runtime.Heap.t option;
   alloc : Kflex_runtime.Alloc.t option;
   kernel : Kflex_kernel.Helpers.t;

@@ -3,7 +3,6 @@ module Verify = Kflex_verifier.Verify
 module State = Kflex_verifier.State
 module Value = Kflex_verifier.Value
 module Range = Kflex_verifier.Range
-module Tnum = Kflex_verifier.Tnum
 module Contract = Kflex_verifier.Contract
 module Lifecycle = Kflex_verifier.Lifecycle
 module Instrument = Kflex_kie.Instrument
@@ -469,13 +468,6 @@ let tagged what =
 
 (* --- oracle 1: abstract containment ------------------------------------ *)
 
-let contained (r : Range.t) v =
-  Int64.unsigned_compare r.Range.umin v <= 0
-  && Int64.unsigned_compare v r.Range.umax <= 0
-  && Int64.compare r.Range.smin v <= 0
-  && Int64.compare v r.Range.smax <= 0
-  && Tnum.contains r.Range.bits v
-
 (* The first live register whose concrete value the verifier's pre-state
    at [pc] does not contain. *)
 let check_regs cfg st regs pc =
@@ -493,14 +485,14 @@ let check_regs cfg st regs pc =
           (Format.asprintf "pc %d: r%d = 0x%Lx outside abstract %s" pc i v what)
       in
       match State.get st (Reg.of_int i) with
-      | Value.Scalar r when not (contained r v) ->
+      | Value.Scalar r when not (Range.contains r v) ->
           outside (Format.asprintf "scalar %a" Value.pp (Value.Scalar r))
       | Value.Ptr { kind; nullable = false; _ } when v = 0L ->
           outside
             (Format.asprintf "%a (non-nullable, concrete null)"
                Value.pp_ptr_kind kind)
       | Value.Ptr { kind; off; _ }
-        when v <> 0L && not (contained off (Int64.sub v (base kind))) ->
+        when v <> 0L && not (Range.contains off (Int64.sub v (base kind))) ->
           outside
             (Format.asprintf "%a ptr (concrete offset 0x%Lx)" Value.pp_ptr_kind
                kind (Int64.sub v (base kind)))
@@ -515,7 +507,7 @@ let check_regs cfg st regs pc =
    pre-state before each instruction. Wild faults end the run safely through
    the normal cancellation machinery; the trace prefix still counts. *)
 let containment cfg analysis kie_k =
-  let states = analysis.Verify.states_at in
+  let states = Verify.states_at analysis in
   let viol = ref None in
   let on_insn pc _ regs =
     (match if pc < Array.length states then states.(pc) else None with

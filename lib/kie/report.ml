@@ -178,6 +178,23 @@ let lint_rejected_json ~program (e : Kflex_verifier.Verify.error) =
   Buffer.add_string b "}}";
   Buffer.contents b
 
+let verify_json ~program (a : Kflex_verifier.Verify.analysis) =
+  let open Kflex_verifier.Verify in
+  let b = Buffer.create 256 in
+  Buffer.add_string b "{\"version\":1,\"program\":";
+  add_str b program;
+  Printf.bprintf b
+    ",\"insns\":%d,\"heap_accesses\":%d,\"elidable\":%d,\"unbounded_loops\":%d,\
+     \"stack_bytes\":%d,\"blocks\":%d,\"block_visits\":%d,\"joins\":%d,\
+     \"widenings\":%d}"
+    a.insn_count
+    (List.length a.heap_accesses)
+    (List.length (List.filter (fun x -> x.elidable) a.heap_accesses))
+    (List.length a.unbounded) a.stack_used
+    (Array.length (Kflex_bpf.Cfg.blocks a.cfg))
+    a.stats.block_visits a.stats.joins a.stats.widenings;
+  Buffer.contents b
+
 let chain_json ~programs ~findings =
   let b = Buffer.create 256 in
   Buffer.add_string b "{\"version\":1,\"chain\":[";

@@ -70,6 +70,21 @@ val lint_rejected_json :
 
     [kind] strings come from {!Kflex_verifier.Verify.error_kind_name}. *)
 
+val verify_json : program:string -> Kflex_verifier.Verify.analysis -> string
+(** One JSON object (no trailing newline) for an accepted program, with
+    the figures of [kflexc verify]'s summary line, as [kflexc verify
+    --json] prints them:
+
+    {v
+    {"version":1,"program":<string>,"insns":<int>,"heap_accesses":<int>,
+     "elidable":<int>,"unbounded_loops":<int>,"stack_bytes":<int>,
+     "blocks":<int>,"block_visits":<int>,"joins":<int>,"widenings":<int>}
+    v}
+
+    The last four are the fixpoint's work ({!Kflex_verifier.Verify.stats}
+    and the CFG's block count), as [bench/main.exe verify] records them.
+    A rejected program prints {!lint_rejected_json}. *)
+
 val chain_json :
   programs:string list ->
   findings:Kflex_verifier.Lifecycle.chain_finding list ->

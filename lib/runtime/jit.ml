@@ -390,9 +390,9 @@ let op_of_ir = function
   | Put (i, 1, R x) ->
       fun st ->
         U64.set8 st.stack i
-          (Char.chr (Int64.to_int (Int64.logand (reg st x) 0xffL)))
+          (Char.unsafe_chr (Int64.to_int (Int64.logand (reg st x) 0xffL)))
   | Put (i, 1, I c) ->
-      let c = Char.chr (Int64.to_int (Int64.logand c 0xffL)) in
+      let c = Char.unsafe_chr (Int64.to_int (Int64.logand c 0xffL)) in
       fun st -> U64.set8 st.stack i c
   | Put _ -> invalid_arg "Jit: unnormalised frame store"
 

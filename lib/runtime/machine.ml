@@ -164,7 +164,7 @@ let[@inline always] store st w addr v =
   if in_window stack_base Prog.stack_size addr w then begin
     let i = Int64.to_int (Int64.sub addr stack_base) in
     if w = 1 then
-      U64.set8 st.stack i (Char.chr (Int64.to_int (Int64.logand v 0xffL)))
+      U64.set8 st.stack i (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xffL)))
     else if w = 2 then
       U64.set16 st.stack i (Int64.to_int (Int64.logand v 0xffffL))
     else if w = 4 then U64.set32 st.stack i (Int64.to_int32 v)

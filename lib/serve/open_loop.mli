@@ -49,6 +49,10 @@ val generate : config -> request array
     request survived encode → fragment → ring → incremental parse.
     Returns exactly [requests] records sorted by [gen_ns]. *)
 
+val burner_source : pass:int64 -> iters:int -> string
+(** The burner tenant's eclang source: on ~1/256 of keys it loops [iters]
+    times, far past a reaper deadline, then returns [pass]. *)
+
 val attach_tenants : config -> Kflex_engine.Engine.t -> unit
 (** Attach, in chain order: the guard tenants over engine-shared maps
     (when [guard] — sharing the maps first, so they sit at fds 3/4 for

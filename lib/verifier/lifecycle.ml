@@ -276,7 +276,7 @@ let is_fp r = Reg.equal r Reg.fp
 (* Constant heap offset of the lock word passed in r1, from the verifier's
    abstract pre-state at the call. *)
 let lock_addr (a : Verify.analysis) pc =
-  match a.Verify.states_at.(pc) with
+  match (Verify.states_at a).(pc) with
   | None -> unknown_addr
   | Some st -> (
       match State.get st Reg.R1 with
@@ -287,7 +287,7 @@ let lock_addr (a : Verify.analysis) pc =
 (* Which lock a release call releases: the verifier gives the object id of
    the released handle, which is its acquisition pc. *)
 let released_lock_id (a : Verify.analysis) pc argi =
-  match a.Verify.states_at.(pc) with
+  match (Verify.states_at a).(pc) with
   | None -> None
   | Some st -> Value.obj_id (State.get st (Reg.of_int (1 + argi)))
 
@@ -526,7 +526,7 @@ let edge (a : Verify.analysis) pc insn ~taken fact =
   let const_operand = function
     | Insn.Imm imm -> Some imm
     | Insn.Reg r -> (
-        match a.Verify.states_at.(pc) with
+        match (Verify.states_at a).(pc) with
         | None -> None
         | Some st -> (
             match State.get st r with
@@ -647,7 +647,7 @@ let reachable_exits (a : Verify.analysis) =
   let acc = ref [] in
   for pc = Prog.length prog - 1 downto 0 do
     match Prog.get prog pc with
-    | Insn.Exit when a.Verify.states_at.(pc) <> None -> acc := pc :: !acc
+    | Insn.Exit when (Verify.states_at a).(pc) <> None -> acc := pc :: !acc
     | _ -> ()
   done;
   !acc
@@ -659,13 +659,13 @@ let excludes_verdict (a : Verify.analysis) v =
   exits <> []
   && List.for_all
        (fun pc ->
-         match a.Verify.states_at.(pc) with
+         match (Verify.states_at a).(pc) with
          | Some st -> (
              match State.get st Reg.R0 with
              | Value.Scalar r ->
-                 Int64.unsigned_compare r.Range.umin v > 0
-                 || Int64.unsigned_compare r.Range.umax v < 0
-                 || not (Tnum.contains r.Range.bits v)
+                 Int64.unsigned_compare (Range.umin r) v > 0
+                 || Int64.unsigned_compare (Range.umax r) v < 0
+                 || not (Tnum.contains (Range.bits r) v)
              | _ -> false)
          | None -> false)
        exits

@@ -201,7 +201,7 @@ let call_slot_gen ~contracts (a : Verify.analysis) pc name =
   match Contract.find contracts name with
   | None -> None
   | Some c ->
-      let st = a.Verify.states_at.(pc) in
+      let st = (Verify.states_at a).(pc) in
       let arg_val i =
         match st with
         | Some st when i < 5 -> Some (State.get st (Reg.of_int (i + 1)))

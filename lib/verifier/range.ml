@@ -1,125 +1,158 @@
-type t = {
-  umin : int64;
-  umax : int64;
-  smin : int64;
-  smax : int64;
-  bits : Tnum.t;
-}
+(* A range is one 48-byte block: umin, umax, smin and smax at bytes 0, 8,
+   16 and 24, then its tnum's value and mask at 32 and 40. Without flambda
+   a 64-bit word crossing a function boundary or stored in a record field
+   is boxed, so each word is read and written through the unboxed
+   primitives, every word-valued helper is inlined, and an operation
+   allocates one block: its result, built in place. A block is written
+   only between its [Bytes.create] and its return, so ranges are immutable
+   once seen. *)
 
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let bits_at = 32 (* byte offset of the tnum *)
 let u64_max = -1L (* 0xffff...ff as unsigned *)
-let ucmp = Int64.unsigned_compare
-let umin_ a b = if ucmp a b <= 0 then a else b
-let umax_ a b = if ucmp a b >= 0 then a else b
-let smin_ = Int64.min
-let smax_ = Int64.max
+
+let[@inline] umin r = get r 0
+let[@inline] umax r = get r 8
+let[@inline] smin r = get r 16
+let[@inline] smax r = get r 24
+let[@inline] tv r = get r 32
+let[@inline] tm r = get r 40
+
+(* unsigned comparisons through the sign-bit flip, and min/max, on words
+   the compiler keeps unboxed *)
+let[@inline] ult (a : int64) (b : int64) =
+  (Int64.logxor a Int64.min_int : int64) < Int64.logxor b Int64.min_int
+
+let[@inline] ule (a : int64) (b : int64) =
+  (Int64.logxor a Int64.min_int : int64) <= Int64.logxor b Int64.min_int
+
+let[@inline] umin_ a b = if ule a b then a else b
+let[@inline] umax_ a b = if ule b a then a else b
+let[@inline] smin_ (a : int64) b = if a <= b then a else b
+let[@inline] smax_ (a : int64) b = if a >= b then a else b
+
+let[@inline] set_bounds r umin umax smin smax =
+  set r 0 umin;
+  set r 8 umax;
+  set r 16 smin;
+  set r 24 smax
+
+let[@inline] set_bits r v m =
+  set r 32 v;
+  set r 40 m
+
+let[@inline] fresh umin umax smin smax v m =
+  let r = Bytes.create 48 in
+  set_bounds r umin umax smin smax;
+  set_bits r v m;
+  r
+
+let[@inline] copy r = fresh (umin r) (umax r) (smin r) (smax r) (tv r) (tm r)
 
 (* The known-bits half of the domain can be switched off to measure what it
    buys (the interval-only vs interval+tnum elision delta in the bench
-   ablation). When disabled every value carries Tnum.unknown and the domain
-   degenerates to the seed's pure interval analysis. *)
+   ablation). When disabled every value carries an unknown tnum and the
+   domain degenerates to the seed's pure interval analysis. *)
 let tnum_enabled = ref true
 let set_tnum enabled = tnum_enabled := enabled
 let tnum_on () = !tnum_enabled
 
-let top =
-  {
-    umin = 0L;
-    umax = u64_max;
-    smin = Int64.min_int;
-    smax = Int64.max_int;
-    bits = Tnum.unknown;
-  }
-
-(* [r] with new bounds; [r] itself when they are its own, so the transfer
-   functions allocate only what changes. *)
-let with_unsigned r umin umax =
-  if Int64.equal umin r.umin && Int64.equal umax r.umax then r
-  else { r with umin; umax }
-
-let with_signed r smin smax =
-  if Int64.equal smin r.smin && Int64.equal smax r.smax then r
-  else { r with smin; smax }
-
-let with_bits r bits = if Tnum.equal bits r.bits then r else { r with bits }
+let[@inline] fresh_top () = fresh 0L u64_max Int64.min_int Int64.max_int 0L (-1L)
+let top = fresh_top ()
 
 (* Propagate information between the signed and unsigned views, following the
-   same reasoning as the eBPF verifier's __reg_deduce_bounds. *)
+   same reasoning as the eBPF verifier's __reg_deduce_bounds, in place. *)
 let deduce r =
-  let r =
-    (* Signed bounds with the same sign give unsigned bounds directly (both
-       negative: as unsigned they keep their order). *)
-    if r.smin >= 0L || r.smax < 0L then
-      with_unsigned r (umax_ r.umin r.smin) (umin_ r.umax r.smax)
-    else r
-  in
+  let smin = get r 16 and smax = get r 24 in
+  (* Signed bounds with the same sign give unsigned bounds directly (both
+     negative: as unsigned they keep their order). *)
+  if smin >= 0L || smax < 0L then begin
+    set r 0 (umax_ (get r 0) smin);
+    set r 8 (umin_ (get r 8) smax)
+  end;
   (* Unsigned bounds that fit in the positive signed half refine the signed
      view; likewise when both are in the negative half. *)
-  if ucmp r.umax Int64.max_int <= 0 || ucmp r.umin Int64.max_int > 0 then
-    with_signed r (smax_ r.smin r.umin) (smin_ r.smax r.umax)
-  else r
+  let umin = get r 0 and umax = get r 8 in
+  if ule umax Int64.max_int || ult Int64.max_int umin then begin
+    set r 16 (smax_ smin umin);
+    set r 24 (smin_ smax umax)
+  end
 
-let is_empty r = ucmp r.umin r.umax > 0 || r.smin > r.smax
+let[@inline] is_empty r = ult (umax r) (umin r) || smin r > smax r
 
-(* Bidirectional bounds synchronisation (the reg_bounds_sync analogue):
-   known bits narrow the unsigned interval ([umin >= value],
+(* Bidirectional bounds synchronisation (the reg_bounds_sync analogue), in
+   place: known bits narrow the unsigned interval ([umin >= value],
    [umax <= value lor mask]), then the interval pins high bits back into the
    tnum via tnum_range intersection. A known-bits contradiction is reported
    as an empty interval so callers share one emptiness test. *)
 let sync r =
-  let r = deduce r in
-  if not !tnum_enabled then with_bits r Tnum.unknown
-  else if is_empty r then r
-  else
-    let r =
-      deduce
-        (with_unsigned r
-           (umax_ r.umin (Tnum.umin r.bits))
-           (umin_ r.umax (Tnum.umax r.bits)))
-    in
-    if is_empty r then r
-    else
-      match Tnum.intersect r.bits (Tnum.range r.umin r.umax) with
-      | Some bits -> with_bits r bits
-      | None -> { r with umin = 1L; umax = 0L }
+  deduce r;
+  if not !tnum_enabled then set_bits r 0L (-1L)
+  else if not (is_empty r) then begin
+    let v = tv r and m = tm r in
+    set r 0 (umax_ (umin r) v);
+    set r 8 (umin_ (umax r) (Int64.logor v m));
+    deduce r;
+    if not (is_empty r) then begin
+      let lo = umin r and hi = umax r in
+      let rm = Tnum.range_mask lo hi in
+      let rv = Int64.logand lo (Int64.lognot rm) in
+      if Int64.logand (Int64.logand (Int64.logxor v rv) (Int64.lognot m))
+           (Int64.lognot rm)
+         <> 0L
+      then begin
+        set r 0 1L;
+        set r 8 0L
+      end
+      else
+        let mu = Int64.logand m rm in
+        set_bits r (Int64.logand (Int64.logor v rv) (Int64.lognot mu)) mu
+    end
+  end
 
 (* For transfer functions: both halves over-approximate the same concrete
    result set, so their intersection cannot be empty — but stay defensive
    and fall back to the interval half alone rather than produce nonsense. *)
 let syncd r =
-  let r' = sync r in
-  if is_empty r' then deduce { r with bits = Tnum.unknown } else r'
+  let u0 = umin r and u1 = umax r and s0 = smin r and s1 = smax r in
+  sync r;
+  if is_empty r then begin
+    set_bounds r u0 u1 s0 s1;
+    set_bits r 0L (-1L);
+    deduce r
+  end;
+  r
 
-let const v =
-  {
-    umin = v;
-    umax = v;
-    smin = v;
-    smax = v;
-    bits = (if !tnum_enabled then Tnum.const v else Tnum.unknown);
-  }
+let[@inline] const v =
+  if !tnum_enabled then fresh v v v v v 0L else fresh v v v v 0L (-1L)
 
-let make ?(umin = 0L) ?(umax = u64_max) ?(smin = Int64.min_int)
-    ?(smax = Int64.max_int) () =
-  let r = sync { umin; umax; smin; smax; bits = Tnum.unknown } in
+let unsigned_ r =
+  sync r;
   if is_empty r then top else r
 
-let unsigned lo hi = make ~umin:lo ~umax:hi ()
+let[@inline] unsigned lo hi =
+  unsigned_ (fresh lo hi Int64.min_int Int64.max_int 0L (-1L))
 
-let top_with_bits bits = syncd { top with bits }
+let widen r = syncd (fresh 0L u64_max Int64.min_int Int64.max_int (tv r) (tm r))
 
-let is_const r = if r.umin = r.umax then Some r.umin else None
+let[@inline] is_single r = umin r = umax r
+let is_const r = if is_single r then Some (umin r) else None
 
-let bits r = r.bits
+let bits r = Tnum.make ~value:(tv r) ~mask:(tm r)
 
 let equal a b =
   a == b
-  || a.umin = b.umin && a.umax = b.umax && a.smin = b.smin && a.smax = b.smax
-  && Tnum.equal a.bits b.bits
+  || umin a = umin b && umax a = umax b && smin a = smin b && smax a = smax b
+     && Tnum.At.equal bits_at a b
 
 let subset a b =
-  ucmp b.umin a.umin <= 0 && ucmp a.umax b.umax <= 0 && b.smin <= a.smin
-  && a.smax <= b.smax
-  && Tnum.subset a.bits b.bits
+  ule (umin b) (umin a) && ule (umax a) (umax b) && smin b <= smin a
+  && smax a <= smax b
+  && Tnum.At.subset bits_at a b
 
 (* No sync on join: the componentwise bounds keep join a syntactic upper
    bound of both operands (subset a (join a b) holds field by field). When
@@ -127,199 +160,218 @@ let subset a b =
    itself is returned so that unchanged states stay shared. *)
 let join a b =
   if a == b || subset b a then a
-  else
-    {
-      umin = umin_ a.umin b.umin;
-      umax = umax_ a.umax b.umax;
-      smin = smin_ a.smin b.smin;
-      smax = smax_ a.smax b.smax;
-      bits = Tnum.union a.bits b.bits;
-    }
+  else begin
+    let r =
+      fresh
+        (umin_ (umin a) (umin b))
+        (umax_ (umax a) (umax b))
+        (smin_ (smin a) (smin b))
+        (smax_ (smax a) (smax b))
+        0L 0L
+    in
+    Tnum.At.union bits_at r a b;
+    r
+  end
 
-let fits_unsigned r ~lo ~hi = ucmp lo r.umin <= 0 && ucmp r.umax hi <= 0
+let[@inline] fits_unsigned r ~lo ~hi = ule lo (umin r) && ule (umax r) hi
 
-(* Exact evaluation when both operands are singletons. *)
-let try_const2 f a b =
-  if Int64.equal a.umin a.umax && Int64.equal b.umin b.umax then
-    Some (const (f a.umin b.umin))
-  else None
+let contains r v =
+  ule (umin r) v && ule v (umax r) && smin r <= v && v <= smax r
+  && Int64.logand (Int64.logxor v (tv r)) (Int64.lognot (tm r)) = 0L
+
+let within_mask r m =
+  Int64.logand (Int64.logor (tv r) (tm r)) (Int64.lognot m) = 0L
+
+(* A fresh [top] whose tnum is [kernel]'s result on the operands, for
+   bounds to be written over before [syncd]. *)
+let[@inline] top_bits kernel a b =
+  let r = fresh_top () in
+  kernel bits_at r a b;
+  r
 
 let add a b =
-  match try_const2 Int64.add a b with
-  | Some r -> r
-  | None ->
-      let uov =
-        (* unsigned overflow if umax_a + umax_b wraps *)
-        ucmp (Int64.add a.umax b.umax) a.umax < 0
-      in
-      let umin, umax =
-        if uov then (0L, u64_max) else (Int64.add a.umin b.umin, Int64.add a.umax b.umax)
-      in
-      let sov =
-        (* signed overflow detection on both endpoints *)
-        let lo = Int64.add a.smin b.smin and hi = Int64.add a.smax b.smax in
-        let lo_ov = a.smin < 0L && b.smin < 0L && lo >= 0L in
-        let hi_ov = a.smax >= 0L && b.smax >= 0L && hi < 0L in
-        lo_ov || hi_ov
-      in
-      let smin, smax =
-        if sov then (Int64.min_int, Int64.max_int)
-        else (Int64.add a.smin b.smin, Int64.add a.smax b.smax)
-      in
-      syncd { umin; umax; smin; smax; bits = Tnum.add a.bits b.bits }
+  if is_single a && is_single b then const (Int64.add (umin a) (umin b))
+  else begin
+    let r = top_bits Tnum.At.add a b in
+    (* unsigned overflow if umax_a + umax_b wraps *)
+    let hi = Int64.add (umax a) (umax b) in
+    if not (ult hi (umax a)) then begin
+      set r 0 (Int64.add (umin a) (umin b));
+      set r 8 hi
+    end;
+    (* signed overflow detection on both endpoints *)
+    let lo = Int64.add (smin a) (smin b) and hi = Int64.add (smax a) (smax b) in
+    let lo_ov = smin a < 0L && smin b < 0L && lo >= 0L in
+    let hi_ov = smax a >= 0L && smax b >= 0L && hi < 0L in
+    if not (lo_ov || hi_ov) then begin
+      set r 16 lo;
+      set r 24 hi
+    end;
+    syncd r
+  end
 
 let sub a b =
-  match try_const2 Int64.sub a b with
-  | Some r -> r
-  | None ->
-      let umin, umax =
-        if ucmp a.umin b.umax >= 0 then (Int64.sub a.umin b.umax, Int64.sub a.umax b.umin)
-        else (0L, u64_max)
-      in
-      let lo = Int64.sub a.smin b.smax and hi = Int64.sub a.smax b.smin in
-      let lo_ov = a.smin < 0L && b.smax >= 0L && lo >= 0L in
-      let hi_ov = a.smax >= 0L && b.smin < 0L && hi < 0L in
-      let smin, smax =
-        if lo_ov || hi_ov then (Int64.min_int, Int64.max_int) else (lo, hi)
-      in
-      syncd { umin; umax; smin; smax; bits = Tnum.sub a.bits b.bits }
+  if is_single a && is_single b then const (Int64.sub (umin a) (umin b))
+  else begin
+    let r = top_bits Tnum.At.sub a b in
+    if ule (umax b) (umin a) then begin
+      set r 0 (Int64.sub (umin a) (umax b));
+      set r 8 (Int64.sub (umax a) (umin b))
+    end;
+    let lo = Int64.sub (smin a) (smax b) and hi = Int64.sub (smax a) (smin b) in
+    let lo_ov = smin a < 0L && smax b >= 0L && lo >= 0L in
+    let hi_ov = smax a >= 0L && smin b < 0L && hi < 0L in
+    if not (lo_ov || hi_ov) then begin
+      set r 16 lo;
+      set r 24 hi
+    end;
+    syncd r
+  end
 
-let fits_u31 v = ucmp v 0x7fff_ffffL <= 0
+let[@inline] fits_u31 v = ule v 0x7fff_ffffL
 
 let mul a b =
-  match try_const2 Int64.mul a b with
-  | Some r -> r
-  | None ->
-      let bits = Tnum.mul a.bits b.bits in
-      if fits_u31 a.umax && fits_u31 b.umax then
-        let umin = Int64.mul a.umin b.umin and umax = Int64.mul a.umax b.umax in
-        syncd { umin; umax; smin = 0L; smax = umax; bits }
-      else syncd { top with bits }
+  if is_single a && is_single b then const (Int64.mul (umin a) (umin b))
+  else begin
+    let r = top_bits Tnum.At.mul a b in
+    if fits_u31 (umax a) && fits_u31 (umax b) then begin
+      let hi = Int64.mul (umax a) (umax b) in
+      set_bounds r (Int64.mul (umin a) (umin b)) hi 0L hi
+    end;
+    syncd r
+  end
 
-let udiv x y = if y = 0L then 0L else Int64.unsigned_div x y
-let urem x y = if y = 0L then x else Int64.unsigned_rem x y
+(* Unsigned division of [n] by a non-zero [d] from signed primitives
+   (Hacker's Delight §9.3): halve the dividend to clear its sign bit,
+   divide signed, double the quotient and correct it by at most one. *)
+let[@inline] udiv_nz n d =
+  if d < 0L then if ult n d then 0L else 1L
+  else
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
+    if ult (Int64.sub n (Int64.mul q d)) d then q else Int64.add q 1L
+
+let[@inline] udiv x y = if y = 0L then 0L else udiv_nz x y
+let[@inline] urem x y = if y = 0L then x else Int64.sub x (Int64.mul (udiv_nz x y) y)
 
 let div a b =
-  match try_const2 udiv a b with
-  | Some r -> r
-  | None -> (
-      match is_const b with
-      | Some c when c <> 0L ->
-          syncd { top with umin = udiv a.umin c; umax = udiv a.umax c }
-      | _ -> top)
+  if is_single a && is_single b then const (udiv (umin a) (umin b))
+  else if is_single b && umin b <> 0L then begin
+    let c = umin b in
+    let r = fresh_top () in
+    set r 0 (udiv_nz (umin a) c);
+    set r 8 (udiv_nz (umax a) c);
+    syncd r
+  end
+  else top
 
 let rem a b =
-  match try_const2 urem a b with
-  | Some r -> r
-  | None -> (
-      match is_const b with
-      | Some c when c <> 0L ->
-          (* result in [0, c-1], and never exceeds the dividend *)
-          syncd { top with umin = 0L; umax = umin_ (Int64.sub c 1L) a.umax }
-      | _ -> top)
+  if is_single a && is_single b then const (urem (umin a) (umin b))
+  else if is_single b && umin b <> 0L then begin
+    (* result in [0, c-1], and never exceeds the dividend *)
+    let r = fresh_top () in
+    set r 8 (umin_ (Int64.sub (umin b) 1L) (umax a));
+    syncd r
+  end
+  else top
 
 let logand a b =
-  match try_const2 Int64.logand a b with
-  | Some r -> r
-  | None ->
-      (* x land y <=u min(x, y) for any operands *)
-      syncd
-        { top with umin = 0L; umax = umin_ a.umax b.umax;
-          bits = Tnum.logand a.bits b.bits }
+  if is_single a && is_single b then const (Int64.logand (umin a) (umin b))
+  else begin
+    (* x land y <=u min(x, y) for any operands *)
+    let r = top_bits Tnum.At.logand a b in
+    set r 8 (umin_ (umax a) (umax b));
+    syncd r
+  end
 
 let logor a b =
-  match try_const2 Int64.logor a b with
-  | Some r -> r
-  | None ->
-      (* x lor y >=u max(x, y); upper bound: next power-of-two envelope *)
-      let rec pow2_envelope v p =
-        if ucmp v p <= 0 || p = u64_max then p
-        else pow2_envelope v (Int64.logor (Int64.shift_left p 1) 1L)
-      in
-      let env = pow2_envelope (umax_ a.umax b.umax) 1L in
-      syncd
-        { top with umin = umax_ a.umin b.umin; umax = env;
-          bits = Tnum.logor a.bits b.bits }
+  if is_single a && is_single b then const (Int64.logor (umin a) (umin b))
+  else begin
+    (* x lor y >=u max(x, y); upper bound: next power-of-two envelope *)
+    let r = top_bits Tnum.At.logor a b in
+    set r 0 (umax_ (umin a) (umin b));
+    set r 8 (Int64.logor (Tnum.smear (umax_ (umax a) (umax b))) 1L);
+    syncd r
+  end
 
 let logxor a b =
-  match try_const2 Int64.logxor a b with
-  | Some r -> r
-  | None ->
-      (* intervals say nothing about xor; the known bits often do — this is
-         the textbook case where the tnum half carries the analysis *)
-      syncd { top with bits = Tnum.logxor a.bits b.bits }
+  if is_single a && is_single b then const (Int64.logxor (umin a) (umin b))
+  else
+    (* intervals say nothing about xor; the known bits often do — this is
+       the textbook case where the tnum half carries the analysis *)
+    syncd (top_bits Tnum.At.logxor a b)
+
+let[@inline] shift_amount b = Int64.to_int (umin b) land 63
 
 let shl a b =
-  match try_const2 (fun x y -> Int64.shift_left x (Int64.to_int y land 63)) a b with
-  | Some r -> r
-  | None -> (
-      let bits = Tnum.shl a.bits b.bits in
-      match is_const b with
-      | Some k when ucmp k 63L <= 0 ->
-          let k = Int64.to_int k in
-          if k = 0 then a
-          else if ucmp a.umax (Int64.shift_right_logical u64_max k) <= 0 then
-            syncd
-              { top with umin = Int64.shift_left a.umin k;
-                umax = Int64.shift_left a.umax k; bits }
-          else syncd { top with bits }
-      | _ -> syncd { top with bits })
+  if is_single a && is_single b then
+    const (Int64.shift_left (umin a) (shift_amount b))
+  else if is_single b && ule (umin b) 63L && umin b = 0L then a
+  else begin
+    let r = top_bits Tnum.At.shl a b in
+    (if is_single b && ule (umin b) 63L then
+       let k = Int64.to_int (umin b) in
+       if ule (umax a) (Int64.shift_right_logical u64_max k) then begin
+         set r 0 (Int64.shift_left (umin a) k);
+         set r 8 (Int64.shift_left (umax a) k)
+       end);
+    syncd r
+  end
 
 let lshr a b =
-  match
-    try_const2 (fun x y -> Int64.shift_right_logical x (Int64.to_int y land 63)) a b
-  with
-  | Some r -> r
-  | None -> (
-      let bits = Tnum.lshr a.bits b.bits in
-      match is_const b with
-      | Some k when ucmp k 63L <= 0 ->
-          let k = Int64.to_int k in
-          syncd
-            { top with umin = Int64.shift_right_logical a.umin k;
-              umax = Int64.shift_right_logical a.umax k; bits }
-      | _ -> syncd { top with bits })
+  if is_single a && is_single b then
+    const (Int64.shift_right_logical (umin a) (shift_amount b))
+  else begin
+    let r = top_bits Tnum.At.lshr a b in
+    if is_single b && ule (umin b) 63L then begin
+      let k = Int64.to_int (umin b) in
+      set r 0 (Int64.shift_right_logical (umin a) k);
+      set r 8 (Int64.shift_right_logical (umax a) k)
+    end;
+    syncd r
+  end
 
 let ashr a b =
-  match
-    try_const2 (fun x y -> Int64.shift_right x (Int64.to_int y land 63)) a b
-  with
-  | Some r -> r
-  | None -> (
-      let bits = Tnum.ashr a.bits b.bits in
-      match is_const b with
-      | Some k when ucmp k 63L <= 0 ->
-          let k = Int64.to_int k in
-          syncd
-            { top with smin = Int64.shift_right a.smin k;
-              smax = Int64.shift_right a.smax k; bits }
-      | _ -> syncd { top with bits })
+  if is_single a && is_single b then
+    const (Int64.shift_right (umin a) (shift_amount b))
+  else begin
+    let r = top_bits Tnum.At.ashr a b in
+    if is_single b && ule (umin b) 63L then begin
+      let k = Int64.to_int (umin b) in
+      set r 16 (Int64.shift_right (smin a) k);
+      set r 24 (Int64.shift_right (smax a) k)
+    end;
+    syncd r
+  end
 
 let neg a =
-  match is_const a with
-  | Some v -> const (Int64.neg v)
-  | None -> syncd { top with bits = Tnum.neg a.bits }
+  if is_single a then const (Int64.neg (umin a))
+  else begin
+    let r = fresh_top () in
+    Tnum.At.neg bits_at r a;
+    syncd r
+  end
+
+(* [r] synchronised, or [None] when that finds it empty; [r] is fresh *)
+let check r =
+  sync r;
+  if is_empty r then None else Some r
 
 let intersect a b =
-  match Tnum.intersect a.bits b.bits with
-  | None -> None
-  | Some bits ->
-      let r =
-        {
-          umin = umax_ a.umin b.umin;
-          umax = umin_ a.umax b.umax;
-          smin = smax_ a.smin b.smin;
-          smax = smin_ a.smax b.smax;
-          bits;
-        }
-      in
-      let r = sync r in
-      if is_empty r then None else Some r
+  let r =
+    fresh
+      (umax_ (umin a) (umin b))
+      (umin_ (umax a) (umax b))
+      (smax_ (smin a) (smin b))
+      (smin_ (smax a) (smax b))
+      0L 0L
+  in
+  if Tnum.At.intersect bits_at r a b then check r else None
 
-let u_pred v = Int64.sub v 1L
-let u_succ v = Int64.add v 1L
-
-let check r = let r = sync r in if is_empty r then None else Some r
+(* [x] with one bound replaced, synchronised *)
+let[@inline] with_bound x off v =
+  let r = copy x in
+  set r off v;
+  check r
 
 open Kflex_bpf
 
@@ -343,69 +395,74 @@ let refine (c : Insn.cond) x y =
   match c with
   | Insn.Eq -> (
       match intersect x y with Some m -> Some (m, m) | None -> None)
-  | Insn.Ne -> (
-      match (is_const x, is_const y) with
-      | Some a, Some b when a = b -> None
-      | _, Some b ->
+  | Insn.Ne ->
+      if is_single y then
+        let b = umin y in
+        if is_single x && umin x = b then None
+        else
           (* shave singleton endpoints *)
           let x' =
-            if x.umin = b && x.umax <> b then { x with umin = u_succ x.umin }
-            else if x.umax = b && x.umin <> b then { x with umax = u_pred x.umax }
-            else x
+            if umin x = b && umax x <> b then with_bound x 0 (Int64.add (umin x) 1L)
+            else if umax x = b && umin x <> b then
+              with_bound x 8 (Int64.sub (umax x) 1L)
+            else check (copy x)
           in
-          pair (check x') (Some y)
-      | _ -> Some (x, y))
+          pair x' (Some y)
+      else Some (x, y)
   | Insn.Lt ->
-      if y.umax = 0L then None
+      if umax y = 0L then None
       else
         pair
-          (check { x with umax = umin_ x.umax (u_pred y.umax) })
-          (check { y with umin = umax_ y.umin (u_succ x.umin) })
+          (with_bound x 8 (umin_ (umax x) (Int64.sub (umax y) 1L)))
+          (with_bound y 0 (umax_ (umin y) (Int64.add (umin x) 1L)))
   | Insn.Le ->
       pair
-        (check { x with umax = umin_ x.umax y.umax })
-        (check { y with umin = umax_ y.umin x.umin })
+        (with_bound x 8 (umin_ (umax x) (umax y)))
+        (with_bound y 0 (umax_ (umin y) (umin x)))
   | Insn.Gt ->
-      if x.umax = 0L then None
+      if umax x = 0L then None
       else
         pair
-          (check { x with umin = umax_ x.umin (u_succ y.umin) })
-          (check { y with umax = umin_ y.umax (u_pred x.umax) })
+          (with_bound x 0 (umax_ (umin x) (Int64.add (umin y) 1L)))
+          (with_bound y 8 (umin_ (umax y) (Int64.sub (umax x) 1L)))
   | Insn.Ge ->
       pair
-        (check { x with umin = umax_ x.umin y.umin })
-        (check { y with umax = umin_ y.umax x.umax })
+        (with_bound x 0 (umax_ (umin x) (umin y)))
+        (with_bound y 8 (umin_ (umax y) (umax x)))
   | Insn.Slt ->
-      if y.smax = Int64.min_int then None
+      if smax y = Int64.min_int then None
       else
         pair
-          (check { x with smax = smin_ x.smax (Int64.sub y.smax 1L) })
-          (check { y with smin = smax_ y.smin (Int64.add x.smin 1L) })
+          (with_bound x 24 (smin_ (smax x) (Int64.sub (smax y) 1L)))
+          (with_bound y 16 (smax_ (smin y) (Int64.add (smin x) 1L)))
   | Insn.Sle ->
       pair
-        (check { x with smax = smin_ x.smax y.smax })
-        (check { y with smin = smax_ y.smin x.smin })
+        (with_bound x 24 (smin_ (smax x) (smax y)))
+        (with_bound y 16 (smax_ (smin y) (smin x)))
   | Insn.Sgt ->
-      if x.smax = Int64.min_int then None
+      if smax x = Int64.min_int then None
       else
         pair
-          (check { x with smin = smax_ x.smin (Int64.add y.smin 1L) })
-          (check { y with smax = smin_ y.smax (Int64.sub x.smax 1L) })
+          (with_bound x 16 (smax_ (smin x) (Int64.add (smin y) 1L)))
+          (with_bound y 24 (smin_ (smax y) (Int64.sub (smax x) 1L)))
   | Insn.Sge ->
       pair
-        (check { x with smin = smax_ x.smin y.smin })
-        (check { y with smax = smin_ y.smax x.smax })
+        (with_bound x 16 (smax_ (smin x) (smin y)))
+        (with_bound y 24 (smin_ (smax y) (smax x)))
   | Insn.Set -> Some (x, y)
 
 let pp ppf r =
   match is_const r with
   | Some v -> Format.fprintf ppf "{%Ld}" v
   | None ->
-      Format.fprintf ppf "{u:[%Lu,%Lu] s:[%Ld,%Ld]" r.umin r.umax r.smin
-        r.smax;
+      Format.fprintf ppf "{u:[%Lu,%Lu] s:[%Ld,%Ld]" (umin r) (umax r) (smin r)
+        (smax r);
       (* print the known bits only when they say more than the interval *)
-      if
-        (not (Tnum.is_unknown r.bits))
-        && not (Tnum.equal r.bits (Tnum.range r.umin r.umax))
-      then Format.fprintf ppf " t:%a" Tnum.pp r.bits;
+      let rm = Tnum.range_mask (umin r) (umax r) in
+      let unknown = tm r = -1L && tv r = 0L in
+      let as_range =
+        tm r = rm && tv r = Int64.logand (umin r) (Int64.lognot rm)
+      in
+      if not (unknown || as_range) then
+        Format.fprintf ppf " t:%a" Tnum.pp (bits r);
       Format.fprintf ppf "}"

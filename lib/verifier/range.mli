@@ -11,13 +11,17 @@
     is masking/alignment arithmetic — where intervals alone are blind but
     known bits are exact — that the tnum half wins back. *)
 
-type t = private {
-  umin : int64;
-  umax : int64;
-  smin : int64;
-  smax : int64;
-  bits : Tnum.t;  (** known bits, consistent with the unsigned bounds *)
-}
+type t
+(** Abstract: the four bounds and the tnum's two words are stored unboxed
+    in one 48-byte block, so an operation allocates only its result. *)
+
+val umin : t -> int64
+val umax : t -> int64
+val smin : t -> int64
+val smax : t -> int64
+
+val bits : t -> Tnum.t
+(** The known bits, consistent with the unsigned bounds (a fresh copy). *)
 
 val top : t
 (** The unconstrained 64-bit value. *)
@@ -25,21 +29,15 @@ val top : t
 val const : int64 -> t
 (** A singleton range. *)
 
-val make : ?umin:int64 -> ?umax:int64 -> ?smin:int64 -> ?smax:int64 -> unit -> t
-(** A range with the given bounds (missing bounds unconstrained), with
-    signed/unsigned/known-bits consistency deduced. Empty inputs collapse to
-    the nearest consistent non-empty range; use {!refine} for emptiness-aware
-    intersection. *)
-
 val unsigned : int64 -> int64 -> t
-(** [unsigned lo hi] is the range of unsigned values in [lo..hi]. *)
+(** [unsigned lo hi] is the range of unsigned values in [lo..hi], with
+    signed/unsigned/known-bits consistency deduced; an empty interval
+    collapses to {!top}. *)
 
-val top_with_bits : Tnum.t -> t
-(** The widest range consistent with the given known bits — what loop
-    widening degrades a changing scalar to, so alignment facts survive
-    fixpoint iteration. *)
-
-val bits : t -> Tnum.t
+val widen : t -> t
+(** The widest range with the same known bits — what loop widening
+    degrades a changing value to, so alignment facts survive fixpoint
+    iteration. *)
 
 val is_const : t -> int64 option
 
@@ -54,6 +52,13 @@ val subset : t -> t -> bool
 val fits_unsigned : t -> lo:int64 -> hi:int64 -> bool
 (** Whether all values in the range lie within [lo..hi] as unsigned
     integers — the guard-elision query. *)
+
+val contains : t -> int64 -> bool
+(** Whether the word is admitted by the bounds and the known bits. *)
+
+val within_mask : t -> int64 -> bool
+(** Whether every possibly-set bit lies inside the mask: an [And] with it
+    cannot change the value ({!Tnum.within_mask}). *)
 
 val set_tnum : bool -> unit
 (** Enable/disable the known-bits half of the domain (default enabled).

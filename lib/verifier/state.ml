@@ -4,14 +4,29 @@ type slot = S_empty | S_misc | S_spill of Value.t
 
 type resource = { id : int; klass : string; destructor : string }
 
+(* A state's arrays are shared copy-on-write: [owned] has a bit for each
+   array this state may write in place — the registers, the origins, the
+   chunk table and each 8-slot chunk of the stack — and every other array
+   is copied before its first write. [copy] clears the bits on both sides,
+   so a snapshot costs one record and a block's writes copy only what they
+   touch. [moved] records, since {!take_moved} last read it, a write that
+   put an object into or took one out of a location, or a change to the
+   held resources. *)
 type t = {
-  regs : Value.t array;
-  stack : slot array;
-  res : resource list;
-  origin : int array;
+  mutable regs : Value.t array;
+  mutable origin : int array;
+  mutable chunks : slot array array;
+  mutable res : resource list;
+  mutable owned : int;
+  mutable moved : bool;
 }
 
 let nslots = Prog.stack_size / 8
+let nchunks = nslots / 8
+let own_regs = 1
+let own_origin = 2
+let own_chunks = 4
+let[@inline] own_chunk c = 8 lsl c
 
 let init ~ctx_nullable =
   let regs = Array.make 11 Value.Uninit in
@@ -20,69 +35,95 @@ let init ~ctx_nullable =
   regs.(10) <- Value.Ptr { kind = Value.Stack; off = Range.const 0L; nullable = false };
   {
     regs;
-    stack = Array.make nslots S_empty;
-    res = [];
     origin = Array.make 11 (-1);
+    chunks = Array.make nchunks (Array.make 8 S_empty);
+    res = [];
+    owned = 0;
+    moved = false;
   }
 
-let get st r = st.regs.(Reg.to_int r)
+let copy st =
+  if st.owned <> 0 then st.owned <- 0;
+  { st with owned = 0; moved = false }
 
-(* States are never mutated once built, so an unchanged array is shared. *)
+let take_moved st =
+  let m = st.moved in
+  if m then st.moved <- false;
+  m
+
+let get st r = st.regs.(Reg.to_int r)
+let origin st r = st.origin.(Reg.to_int r)
+let slot st i = st.chunks.(i lsr 3).(i land 7)
+let res st = st.res
+
+let is_obj = function Value.Obj _ -> true | _ -> false
+let spills_obj = function S_spill (Value.Obj _) -> true | _ -> false
+
+let regs_w st =
+  if st.owned land own_regs = 0 then begin
+    st.regs <- Array.copy st.regs;
+    st.owned <- st.owned lor own_regs
+  end;
+  st.regs
+
+let origin_w st =
+  if st.owned land own_origin = 0 then begin
+    st.origin <- Array.copy st.origin;
+    st.owned <- st.owned lor own_origin
+  end;
+  st.origin
+
+let chunk_w st c =
+  if st.owned land own_chunks = 0 then begin
+    st.chunks <- Array.copy st.chunks;
+    st.owned <- st.owned lor own_chunks
+  end;
+  if st.owned land own_chunk c = 0 then begin
+    st.chunks.(c) <- Array.copy st.chunks.(c);
+    st.owned <- st.owned lor own_chunk c
+  end;
+  st.chunks.(c)
+
+let write_reg st i v =
+  let old = st.regs.(i) in
+  if old != v then begin
+    if is_obj old || is_obj v then st.moved <- true;
+    (regs_w st).(i) <- v
+  end
+
+let set_origin st i o = if st.origin.(i) <> o then (origin_w st).(i) <- o
+
+(* a stack write that leaves the origins alone *)
+let put_slot st i s =
+  let old = slot st i in
+  if old != s then begin
+    if spills_obj old || spills_obj s then st.moved <- true;
+    (chunk_w st (i lsr 3)).(i land 7) <- s
+  end
+
 let set st r v =
   let i = Reg.to_int r in
-  let regs = Array.copy st.regs in
-  regs.(i) <- v;
-  let origin =
-    if st.origin.(i) < 0 then st.origin
-    else begin
-      let origin = Array.copy st.origin in
-      origin.(i) <- -1;
-      origin
-    end
-  in
-  { st with regs; origin }
+  write_reg st i v;
+  set_origin st i (-1)
 
 let set_from_slot st r v slot =
-  let regs = Array.copy st.regs in
-  let origin = Array.copy st.origin in
-  regs.(Reg.to_int r) <- v;
-  origin.(Reg.to_int r) <- slot;
-  { st with regs; origin }
+  let i = Reg.to_int r in
+  write_reg st i v;
+  set_origin st i slot
 
 let refine_mirrored st r v =
-  let regs = Array.copy st.regs in
-  regs.(Reg.to_int r) <- v;
-  let slot = st.origin.(Reg.to_int r) in
-  let stack =
-    if slot >= 0 then begin
-      let stack = Array.copy st.stack in
-      (match stack.(slot) with
-      | S_spill _ -> stack.(slot) <- S_spill v
-      | _ -> ());
-      stack
-    end
-    else st.stack
-  in
-  { st with regs; stack }
+  let i = Reg.to_int r in
+  write_reg st i v;
+  let s = st.origin.(i) in
+  if s >= 0 then match slot st s with S_spill _ -> put_slot st s (S_spill v) | _ -> ()
 
-let clobber st rs =
-  let regs = Array.copy st.regs in
-  let origin = Array.copy st.origin in
-  List.iter
-    (fun r ->
-      regs.(Reg.to_int r) <- Value.Uninit;
-      origin.(Reg.to_int r) <- -1)
-    rs;
-  { st with regs; origin }
+let clobber st rs = List.iter (fun r -> set st r Value.Uninit) rs
 
-let write_slot st slot s =
-  let stack = Array.copy st.stack in
-  stack.(slot) <- s;
-  let origin =
-    if not (Array.exists (fun o -> o = slot) st.origin) then st.origin
-    else Array.map (fun o -> if o = slot then -1 else o) st.origin
-  in
-  { st with stack; origin }
+let write_slot st i s =
+  put_slot st i s;
+  for r = 0 to Array.length st.origin - 1 do
+    if st.origin.(r) = i then (origin_w st).(r) <- -1
+  done
 
 let slot_equal a b =
   a == b
@@ -96,10 +137,12 @@ let res_equal a b =
   List.length a = List.length b
   && List.for_all2 (fun (x : resource) y -> x.id = y.id && x.klass = y.klass) a b
 
+let chunk_equal a b = a == b || Array.for_all2 slot_equal a b
+
 let equal a b =
   a == b
   || (a.regs == b.regs || Array.for_all2 Value.equal a.regs b.regs)
-     && (a.stack == b.stack || Array.for_all2 slot_equal a.stack b.stack)
+     && (a.chunks == b.chunks || Array.for_all2 chunk_equal a.chunks b.chunks)
      && res_equal a.res b.res
      && (a.origin == b.origin || Array.for_all2 Int.equal a.origin b.origin)
 
@@ -141,6 +184,8 @@ let slot_join a b =
       | Value.Scalar _ | Value.Unknown -> S_misc
       | _ -> S_empty)
 
+let chunk_join = map2_shared slot_join
+
 let join a b =
   if not (res_equal a.res b.res) then
     Error
@@ -149,10 +194,10 @@ let join a b =
          (String.concat "," (List.map (fun r -> r.klass) b.res)))
   else
     let regs = map2_shared Value.join a.regs b.regs in
-    let stack = map2_shared slot_join a.stack b.stack in
+    let chunks = map2_shared chunk_join a.chunks b.chunks in
     let origin = map2_shared (fun x y -> if x = y then x else -1) a.origin b.origin in
-    if regs == a.regs && stack == a.stack && origin == a.origin then Ok a
-    else Ok { regs; stack; res = a.res; origin }
+    if regs == a.regs && chunks == a.chunks && origin == a.origin then Ok a
+    else Ok { regs; origin; chunks; res = a.res; owned = 0; moved = false }
 
 (* Widening drops the interval half (which can keep creeping) but keeps the
    known-bits half: the tnum lattice is finite and only loses bits under
@@ -161,30 +206,35 @@ let join a b =
 let widen_value ~prev v =
   match (prev, v) with
   | Value.Scalar p, Value.Scalar n when not (Range.equal p n) ->
-      Value.Scalar (Range.top_with_bits (Range.bits n))
+      Value.Scalar (Range.widen n)
   | Value.Ptr p, Value.Ptr n when p.kind = n.kind && not (Range.equal p.off n.off)
     ->
-      Value.Ptr { n with off = Range.top_with_bits (Range.bits n.off) }
+      Value.Ptr { n with off = Range.widen n.off }
   | _ -> v
+
+let widen_slot s p =
+  match (p, s) with
+  | S_spill p, S_spill n ->
+      let w = widen_value ~prev:p n in
+      if w == n then s else S_spill w
+  | _ -> s
+
+let chunk_widen = map2_shared widen_slot
 
 let widen ~prev st =
   let regs = map2_shared (fun v prev -> widen_value ~prev v) st.regs prev.regs in
-  let stack =
-    map2_shared
-      (fun s p ->
-        match (p, s) with
-        | S_spill p, S_spill n ->
-            let w = widen_value ~prev:p n in
-            if w == n then s else S_spill w
-        | _ -> s)
-      st.stack prev.stack
-  in
-  if regs == st.regs && stack == st.stack then st else { st with regs; stack }
+  let chunks = map2_shared chunk_widen st.chunks prev.chunks in
+  if regs == st.regs && chunks == st.chunks then st
+  else { st with regs; chunks; owned = 0; moved = false }
 
 let add_res st r =
-  { st with res = List.sort (fun a b -> Int.compare a.id b.id) (r :: st.res) }
+  st.res <- List.sort (fun a b -> Int.compare a.id b.id) (r :: st.res);
+  st.moved <- true
 
-let remove_res st id = { st with res = List.filter (fun r -> r.id <> id) st.res }
+let remove_res st id =
+  st.res <- List.filter (fun r -> r.id <> id) st.res;
+  st.moved <- true
+
 let has_res st id = List.exists (fun r -> r.id = id) st.res
 
 type loc = L_reg of Reg.t | L_slot of int
@@ -201,7 +251,7 @@ let rec reg_holding st id i =
 
 let rec slot_holding st id i =
   if i = nslots then -1
-  else if spills id st.stack.(i) then i
+  else if spills id (slot st i) then i
   else slot_holding st id (i + 1)
 
 let find_obj st id =
@@ -216,64 +266,28 @@ let leaked st =
     (fun r -> reg_holding st r.id 0 < 0 && slot_holding st r.id 0 < 0)
     st.res
 
-(* Whether a register or slot differs between [before] and [now] and holds
-   an object in either. A transfer builds its state from its pre-state
-   sharing every value it does not write, so a physical comparison finds
-   the written locations. *)
-let moved_reg before now =
-  let hit = ref false in
-  for i = 0 to Array.length before - 1 do
-    let b = before.(i) and n = now.(i) in
-    if n != b then
-      match (b, n) with Value.Obj _, _ | _, Value.Obj _ -> hit := true | _ -> ()
-  done;
-  !hit
-
-let moved_slot before now =
-  let hit = ref false in
-  for i = 0 to Array.length before - 1 do
-    let b = before.(i) and n = now.(i) in
-    if n != b then
-      match (b, n) with
-      | S_spill (Value.Obj _), _ | _, S_spill (Value.Obj _) -> hit := true
-      | _ -> ()
-  done;
-  !hit
-
-let objects_moved ~prev st =
-  st.res != prev.res
-  ||
-  match prev.res with
-  | [] -> false
-  | _ :: _ ->
-      (st.regs != prev.regs && moved_reg prev.regs st.regs)
-      || (st.stack != prev.stack && moved_slot prev.stack st.stack)
-
 let substitute_obj st ~id v =
-  let subst w = if holds id w then v else w in
-  let regs = Array.map subst st.regs in
-  let stack =
-    Array.map
-      (function
-        | S_spill w when holds id w -> (
-            match v with Value.Uninit -> S_empty | v -> S_spill v)
-        | s -> s)
-      st.stack
-  in
-  { st with regs; stack }
+  for i = 0 to Array.length st.regs - 1 do
+    if holds id st.regs.(i) then write_reg st i v
+  done;
+  for i = 0 to nslots - 1 do
+    if spills id (slot st i) then
+      put_slot st i (match v with Value.Uninit -> S_empty | v -> S_spill v)
+  done
 
 let set_nonnull_obj st ~id =
   let subst = function
     | Value.Obj o when o.id = id -> Value.Obj { o with nullable = false }
     | v -> v
   in
-  let regs = Array.map subst st.regs in
-  let stack =
-    Array.map
-      (function S_spill w -> S_spill (subst w) | s -> s)
-      st.stack
-  in
-  { st with regs; stack }
+  for i = 0 to Array.length st.regs - 1 do
+    if holds id st.regs.(i) then write_reg st i (subst st.regs.(i))
+  done;
+  for i = 0 to nslots - 1 do
+    match slot st i with
+    | S_spill w when holds id w -> put_slot st i (S_spill (subst w))
+    | _ -> ()
+  done
 
 let pp ppf st =
   Format.fprintf ppf "@[<v>";

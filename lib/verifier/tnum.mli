@@ -27,8 +27,12 @@
       Constant shifts — the only ones our compiler emits for scaling — are
       exact on known bits. *)
 
-type t = private { value : int64; mask : int64 }
-(** Invariant: [value land mask = 0]. *)
+type t
+(** Invariant: [value land mask = 0]. A tnum is stored as its two words,
+    unboxed, in a 16-byte block. *)
+
+val value : t -> int64
+val mask : t -> int64
 
 val unknown : t
 (** All 64 bits unknown — the top element. *)
@@ -39,20 +43,10 @@ val const : int64 -> t
 val make : value:int64 -> mask:int64 -> t
 (** Normalises the invariant: bits of [value] under [mask] are cleared. *)
 
-val is_unknown : t -> bool
-
 val is_const : t -> int64 option
-
-val equal : t -> t -> bool
 
 val contains : t -> int64 -> bool
 (** Membership: all known bits of the tnum agree with the word. *)
-
-val umin : t -> int64
-(** Smallest member as unsigned: all unknown bits 0, i.e. [value]. *)
-
-val umax : t -> int64
-(** Largest member as unsigned: all unknown bits 1, i.e. [value lor mask]. *)
 
 val within_mask : t -> int64 -> bool
 (** [within_mask t m]: every member [w] satisfies [w land m = w] — i.e. all
@@ -93,18 +87,45 @@ val logand : t -> t -> t
 val logor : t -> t -> t
 val logxor : t -> t -> t
 
-val lshift : t -> int -> t
-(** Shift by a known amount in [0..63]. *)
-
-val rshift : t -> int -> t
-val arshift : t -> int -> t
-
 val shl : t -> t -> t
 (** Shift by a tnum amount: exact when the amount is constant (taken
     modulo 64, as the ISA does), otherwise {!unknown}. *)
 
 val lshr : t -> t -> t
 val ashr : t -> t -> t
+
+(** {1 Unboxed kernels}
+
+    {!Range} keeps a tnum's two words unboxed at a byte offset of its own
+    block. Each kernel reads its operands' value and mask at bytes [o] and
+    [o + 8] and writes its result at the same offset of [d], which may be
+    an operand; it allocates nothing. *)
+module At : sig
+  val add : int -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  val sub : int -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  val neg : int -> Bytes.t -> Bytes.t -> unit
+  val mul : int -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  val logand : int -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  val logor : int -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  val logxor : int -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  val shl : int -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  val lshr : int -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  val ashr : int -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  val union : int -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+
+  val intersect : int -> Bytes.t -> Bytes.t -> Bytes.t -> bool
+  (** [false], leaving [d] unwritten, when known bits disagree. *)
+
+  val subset : int -> Bytes.t -> Bytes.t -> bool
+  val equal : int -> Bytes.t -> Bytes.t -> bool
+end
+
+val smear : int64 -> int64
+(** Every bit at or below the highest set bit of the argument. *)
+
+val range_mask : int64 -> int64 -> int64
+(** The mask of [range lo hi]; its value is [lo] with those bits
+    cleared. *)
 
 val pp : Format.formatter -> t -> unit
 (** Constants print as the value; otherwise [v/m] in hex, e.g. [0x3c/0xff]

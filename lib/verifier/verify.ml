@@ -31,21 +31,6 @@ type res_entry = { res : State.resource; loc : State.loc }
 
 type stats = { block_visits : int; joins : int; widenings : int }
 
-type analysis = {
-  prog : Prog.t;
-  cfg : Cfg.t;
-  heap_accesses : heap_access list;
-  unbounded : Cfg.loop list;
-  res_at : res_entry list array;
-  states_at : State.t option array;
-  stack_used : int;
-  insn_count : int;
-  reached : bool array;
-  verdicts : (int * branch_verdict) list;
-  redundant_masks : (int * int64) list;
-  stats : stats;
-}
-
 exception Err of error
 
 let err ?pc kind fmt =
@@ -76,6 +61,31 @@ type env = {
   sleepable : bool;
   (* min byte index of the stack frame touched, for stack_used *)
   min_stack : int ref;
+}
+
+(* What [states_at] replays the final pass from: the environment and the
+   fixpoint's block-entry states. The per-pc states are built on the first
+   request; two domains asking at once each build them, and one result
+   wins. *)
+type replay = {
+  env : env;
+  entries : State.t option array;
+  states : State.t option array option Atomic.t;
+}
+
+type analysis = {
+  prog : Prog.t;
+  cfg : Cfg.t;
+  heap_accesses : heap_access list;
+  unbounded : Cfg.loop list;
+  res_at : res_entry list array;
+  stack_used : int;
+  insn_count : int;
+  reached : bool array;
+  verdicts : (int * branch_verdict) list;
+  redundant_masks : (int * int64) list;
+  stats : stats;
+  replay : replay;
 }
 
 let use ~pc st r =
@@ -155,13 +165,13 @@ let alu_value env ~pc op va vb =
 (* --- stack access -------------------------------------------------- *)
 
 let stack_byte ~pc off disp =
-  match Range.is_const off with
-  | None -> err ~pc E_bounds "stack access at variable offset"
-  | Some o ->
-      let byte = Int64.to_int o + disp + Prog.stack_size in
-      if byte < 0 || byte + 1 > Prog.stack_size then
-        err ~pc E_bounds "stack access out of frame (byte %d)" byte
-      else byte
+  if Range.umin off <> Range.umax off then
+    err ~pc E_bounds "stack access at variable offset"
+  else
+    let byte = Int64.to_int (Range.umin off) + disp + Prog.stack_size in
+    if byte < 0 || byte + 1 > Prog.stack_size then
+      err ~pc E_bounds "stack access out of frame (byte %d)" byte
+    else byte
 
 let touch_stack env byte = if byte < !(env.min_stack) then env.min_stack := byte
 
@@ -172,14 +182,14 @@ let stack_load env ~pc st off disp width =
   touch_stack env byte;
   let slot = byte / 8 in
   if width = 8 && byte mod 8 = 0 then
-    match st.State.stack.(slot) with
+    match State.slot st slot with
     | State.S_spill v -> v
     | State.S_misc -> Value.scalar_top
     | State.S_empty -> err ~pc E_uninit "read of uninitialised stack slot %d" slot
   else begin
     let last = (byte + width - 1) / 8 in
     for s = slot to last do
-      match st.State.stack.(s) with
+      match State.slot st s with
       | State.S_empty ->
           err ~pc E_uninit "read of uninitialised stack slot %d" s
       | State.S_spill (Value.Ptr _ | Value.Obj _) when width < 8 ->
@@ -204,15 +214,13 @@ let stack_store env ~pc st off disp width v =
     | Value.Ptr _ | Value.Obj _ ->
         err ~pc E_type "partial spill of pointer to stack"
     | _ -> ());
-    let st = ref st in
     for s = byte / 8 to (byte + width - 1) / 8 do
-      (match !st.State.stack.(s) with
+      (match State.slot st s with
       | State.S_spill (Value.Obj _) ->
           err ~pc E_resource "overwriting spilled kernel object"
       | _ -> ());
-      st := State.write_slot !st s State.S_misc
-    done;
-    !st
+      State.write_slot st s State.S_misc
+    done
   end
 
 (* --- memory access dispatch ---------------------------------------- *)
@@ -279,19 +287,19 @@ let check_arg env ~pc ~helper st i (shape : Contract.arg) =
       Value.pp v
   in
   match shape with
-  | Contract.A_any -> st
+  | Contract.A_any -> ()
   | Contract.A_scalar -> (
-      match v with Value.Scalar _ | Value.Unknown -> st | _ -> bad "scalar")
+      match v with Value.Scalar _ | Value.Unknown -> () | _ -> bad "scalar")
   | Contract.A_ctx -> (
       match v with
-      | Value.Ptr { kind = Value.Ctx; nullable = false; _ } -> st
+      | Value.Ptr { kind = Value.Ctx; nullable = false; _ } -> ()
       | _ -> bad "context pointer")
   | Contract.A_heap_ptr ->
       ignore (require_heap env ~pc);
-      if heapish v then st else bad "heap pointer"
+      if not (heapish v) then bad "heap pointer"
   | Contract.A_heap_or_null ->
       ignore (require_heap env ~pc);
-      if heapish v then st else bad "heap pointer or null"
+      if not (heapish v) then bad "heap pointer or null"
   | Contract.A_stack_ptr n -> (
       match v with
       | Value.Ptr { kind = Value.Stack; off; nullable = false } ->
@@ -301,9 +309,8 @@ let check_arg env ~pc ~helper st i (shape : Contract.arg) =
             err ~pc E_bounds "%s arg %d: stack buffer past frame end" helper
               (i + 1);
           touch_stack env byte;
-          let stack = Array.copy st.State.stack in
           for s = byte / 8 to (byte + n - 1) / 8 do
-            (match stack.(s) with
+            (match State.slot st s with
             | State.S_empty ->
                 err ~pc E_helper "%s arg %d: uninitialised stack buffer" helper
                   (i + 1)
@@ -311,13 +318,15 @@ let check_arg env ~pc ~helper st i (shape : Contract.arg) =
                 err ~pc E_resource "%s arg %d: stack buffer holds kernel object"
                   helper (i + 1)
             | _ -> ());
-            stack.(s) <- State.S_misc
-          done;
-          { st with State.stack }
+            (* the helper may overwrite the buffer; registers loaded from it
+               keep their origin, and a refinement narrows only a slot that
+               still holds a spill *)
+            State.put_slot st s State.S_misc
+          done
       | _ -> bad "stack pointer")
   | Contract.A_obj k -> (
       match v with
-      | Value.Obj { klass; nullable = false; _ } when klass = k -> st
+      | Value.Obj { klass; nullable = false; _ } when klass = k -> ()
       | Value.Obj { klass; nullable = true; _ } when klass = k ->
           err ~pc E_helper "%s arg %d: possibly-null %s (null-check it first)"
             helper (i + 1) k
@@ -342,33 +351,27 @@ let transfer_call env ~pc st name =
     | first :: _ when first = Contract.A_scalar -> (
         match State.get st Reg.R1 with
         | Value.Scalar r ->
-            let top = Range.top in
-            if Range.equal r top then None else Some r.Range.umax
+            if Range.equal r Range.top then None else Some (Range.umax r)
         | _ -> None)
     | _ -> None
   in
-  let st =
-    List.fold_left
-      (fun (st, i) shape -> (check_arg env ~pc ~helper:name st i shape, i + 1))
-      (st, 0) c.Contract.args
-    |> fst
-  in
+  List.iteri
+    (fun i shape -> check_arg env ~pc ~helper:name st i shape)
+    c.Contract.args;
   (* release effects act on the argument object *)
-  let st =
-    match c.Contract.eff with
-    | Contract.E_release i -> (
-        let v = State.get st arg_regs.(i) in
-        match Value.obj_id v with
-        | Some id ->
-            if not (State.has_res st id) then
-              err ~pc E_resource "%s: releasing object not held" name;
-            let st = State.remove_res st id in
-            State.substitute_obj st ~id Value.Uninit
-        | None -> err ~pc E_helper "%s: release argument is not an object" name)
-    | _ -> st
-  in
+  (match c.Contract.eff with
+  | Contract.E_release i -> (
+      let v = State.get st arg_regs.(i) in
+      match Value.obj_id v with
+      | Some id ->
+          if not (State.has_res st id) then
+            err ~pc E_resource "%s: releasing object not held" name;
+          State.remove_res st id;
+          State.substitute_obj st ~id Value.Uninit
+      | None -> err ~pc E_helper "%s: release argument is not an object" name)
+  | _ -> ());
   (* clobber caller-saved registers *)
-  let st = State.clobber st Reg.caller_saved in
+  State.clobber st Reg.caller_saved;
   (* return value + acquire effects *)
   let acquire ~nullable klass =
     let destructor =
@@ -382,7 +385,7 @@ let transfer_call env ~pc st name =
         "%s: re-acquiring while the object from this call site is still held \
          (release it within the loop iteration, §3.1)"
         name;
-    let st = State.add_res st { State.id; klass; destructor } in
+    State.add_res st { State.id; klass; destructor };
     State.set st Reg.R0 (Value.Obj { klass; id; nullable })
   in
   match c.Contract.ret with
@@ -414,57 +417,59 @@ let transfer_call env ~pc st name =
 (* --- conditional refinement ----------------------------------------- *)
 
 let refine_branch ~pc st cond a srcv taken =
-  (* Returns the state for the edge where [cond] holds iff [taken]. None when
-     the edge is dead. *)
+  (* Refines [st] in place for the edge where [cond] holds iff [taken];
+     false, leaving [st] as it was, when the edge is dead. *)
   let c = if taken then cond else Range.negate_cond cond in
   let va = State.get st a in
   let vb = match srcv with `Reg (_, v) -> v | `Imm i -> Value.Scalar (Range.const i) in
   match (va, vb) with
   | Value.Scalar ra, Value.Scalar rb -> (
       match Range.refine c ra rb with
-      | None -> None
+      | None -> false
       | Some (ra', rb') ->
-          let st = State.refine_mirrored st a (Value.Scalar ra') in
-          let st =
-            match srcv with
-            | `Reg (rb_reg, _) ->
-                State.refine_mirrored st rb_reg (Value.Scalar rb')
-            | `Imm _ -> st
-          in
-          Some st)
+          State.refine_mirrored st a (Value.Scalar ra');
+          (match srcv with
+          | `Reg (rb_reg, _) -> State.refine_mirrored st rb_reg (Value.Scalar rb')
+          | `Imm _ -> ());
+          true)
   (* null checks on nullable objects: the null edge drops the resource *)
   | Value.Obj o, Value.Scalar rz when Range.is_const rz = Some 0L -> (
       match c with
       | Insn.Eq ->
-          if o.nullable then
-            let st = State.remove_res st o.id in
-            Some
-              (State.substitute_obj st ~id:o.id
-                 (Value.Scalar (Range.const 0L)))
-          else None (* a held object is never null: edge dead *)
-      | Insn.Ne -> Some (State.set_nonnull_obj st ~id:o.id)
-      | _ -> Some st)
+          (* a held object is never null: that edge is dead *)
+          o.nullable
+          && begin
+               State.remove_res st o.id;
+               State.substitute_obj st ~id:o.id (Value.Scalar (Range.const 0L));
+               true
+             end
+      | Insn.Ne ->
+          State.set_nonnull_obj st ~id:o.id;
+          true
+      | _ -> true)
   (* null checks on nullable pointers *)
   | Value.Ptr p, Value.Scalar rz when Range.is_const rz = Some 0L -> (
       match c with
       | Insn.Eq ->
-          if p.nullable then Some (State.set st a (Value.Scalar (Range.const 0L)))
-          else if p.kind = Value.Heap then Some st
-          else None
-      | Insn.Ne -> Some (State.set st a (Value.Ptr { p with nullable = false }))
-      | _ -> Some st)
-  | (Value.Unknown | Value.Scalar _ | Value.Ptr _ | Value.Obj _), _ -> Some st
+          if p.nullable then begin
+            State.set st a (Value.Scalar (Range.const 0L));
+            true
+          end
+          else p.kind = Value.Heap
+      | Insn.Ne ->
+          State.set st a (Value.Ptr { p with nullable = false });
+          true
+      | _ -> true)
+  | (Value.Unknown | Value.Scalar _ | Value.Ptr _ | Value.Obj _), _ -> true
   | Value.Uninit, _ -> err ~pc E_uninit "branch on uninitialised register"
 
 (* --- per-instruction transfer ---------------------------------------- *)
 
-(* Result of executing one instruction: either fall-through-and/or-jump
-   states, or termination. *)
-type outcome =
-  | Fall of State.t
-  | Branch of State.t option * State.t option (* taken, fallthrough *)
-  | Jump of State.t
-  | Stop
+(* Result of executing one instruction, which updates its state in place.
+   A branch refines a copy for its taken edge ([None] when that edge is
+   dead) and the state itself for the fall-through edge (when the flag is
+   set; otherwise that edge is dead and the state unchanged). *)
+type outcome = Fall | Branch of State.t option * bool | Jump | Stop
 
 (* [accesses] is [None] during the fixpoint, whose intermediate states
    classify accesses the final pass classifies again *)
@@ -489,15 +494,19 @@ let record_access accesses ~pc ~is_store ~is_atomic ?(stored_ptr = false)
 
 let transfer env accesses ~pc st (insn : Insn.t) =
   match insn with
-  | Insn.Mov (d, s) -> Fall (State.set st d (src_value ~pc st s))
-  | Insn.Neg d -> (
-      match use ~pc st d with
-      | Value.Scalar r -> Fall (State.set st d (Value.Scalar (Range.neg r)))
-      | Value.Unknown -> Fall (State.set st d Value.Unknown)
-      | _ -> err ~pc E_type "negation of pointer")
+  | Insn.Mov (d, s) ->
+      State.set st d (src_value ~pc st s);
+      Fall
+  | Insn.Neg d ->
+      (match use ~pc st d with
+      | Value.Scalar r -> State.set st d (Value.Scalar (Range.neg r))
+      | Value.Unknown -> State.set st d Value.Unknown
+      | _ -> err ~pc E_type "negation of pointer");
+      Fall
   | Insn.Alu (op, d, s) ->
       let va = use ~pc st d and vb = src_value ~pc st s in
-      Fall (State.set st d (alu_value env ~pc op va vb))
+      State.set st d (alu_value env ~pc op va vb);
+      Fall
   | Insn.Ldx (sz, d, s, disp) -> (
       let width = Insn.size_bytes sz in
       let v = use ~pc st s in
@@ -512,7 +521,8 @@ let transfer env accesses ~pc st (insn : Insn.t) =
               Value.Scalar
                 (Range.unsigned 0L Int64.(sub (shift_left 1L (8 * width)) 1L))
           in
-          Fall (State.set st d bound)
+          State.set st d bound;
+          Fall
       | M_stack ->
           let off =
             match v with Value.Ptr p -> p.off | _ -> assert false
@@ -520,8 +530,9 @@ let transfer env accesses ~pc st (insn : Insn.t) =
           let loaded = stack_load env ~pc st off disp width in
           let byte = stack_byte ~pc off disp in
           if width = 8 && byte mod 8 = 0 then
-            Fall (State.set_from_slot st d loaded (byte / 8))
-          else Fall (State.set st d loaded)
+            State.set_from_slot st d loaded (byte / 8)
+          else State.set st d loaded;
+          Fall
       | M_heap _ ->
           let loaded =
             if width = 8 then Value.Unknown
@@ -529,7 +540,8 @@ let transfer env accesses ~pc st (insn : Insn.t) =
               Value.Scalar
                 (Range.unsigned 0L Int64.(sub (shift_left 1L (8 * width)) 1L))
           in
-          Fall (State.set st d loaded))
+          State.set st d loaded;
+          Fall)
   | Insn.Stx (sz, d, disp, _) | Insn.St (sz, d, disp, _) -> (
       let width = Insn.size_bytes sz in
       let stored =
@@ -549,10 +561,11 @@ let transfer env accesses ~pc st (insn : Insn.t) =
       | M_ctx -> err ~pc E_type "store to read-only context"
       | M_stack ->
           let off = match v with Value.Ptr p -> p.off | _ -> assert false in
-          Fall (stack_store env ~pc st off disp width stored)
+          stack_store env ~pc st off disp width stored;
+          Fall
       | M_heap _ ->
           check_storable ~pc stored;
-          Fall st)
+          Fall)
   | Insn.Atomic (op, sz, d, disp, s) -> (
       let width = Insn.size_bytes sz in
       let vd = use ~pc st d in
@@ -567,12 +580,14 @@ let transfer env accesses ~pc st (insn : Insn.t) =
       match op with
       | Insn.Fetch_add | Insn.Fetch_or | Insn.Fetch_and | Insn.Fetch_xor
       | Insn.Xchg ->
-          Fall (State.set st s Value.Unknown)
+          State.set st s Value.Unknown;
+          Fall
       | Insn.Cmpxchg ->
           ignore (use ~pc st Reg.R0);
-          Fall (State.set st Reg.R0 Value.Unknown)
-      | _ -> Fall st)
-  | Insn.Ja _ -> Jump st
+          State.set st Reg.R0 Value.Unknown;
+          Fall
+      | _ -> Fall)
+  | Insn.Ja _ -> Jump
   | Insn.Jcond (cond, a, s, _) ->
       ignore (use ~pc st a);
       let srcv =
@@ -580,15 +595,17 @@ let transfer env accesses ~pc st (insn : Insn.t) =
         | Insn.Reg r -> `Reg (r, use ~pc st r)
         | Insn.Imm i -> `Imm i
       in
-      let taken = refine_branch ~pc st cond a srcv true in
-      let fall = refine_branch ~pc st cond a srcv false in
-      Branch (taken, fall)
-  | Insn.Call name -> Fall (transfer_call env ~pc st name)
+      let taken = State.copy st in
+      let taken = if refine_branch ~pc taken cond a srcv true then Some taken else None in
+      Branch (taken, refine_branch ~pc st cond a srcv false)
+  | Insn.Call name ->
+      transfer_call env ~pc st name;
+      Fall
   | Insn.Exit ->
       (match use ~pc st Reg.R0 with
       | Value.Scalar _ | Value.Unknown -> ()
       | v -> err ~pc E_type "exit with non-scalar r0 (%a)" Value.pp v);
-      (match st.State.res with
+      (match State.res st with
       | [] -> ()
       | r :: _ ->
           err ~pc E_resource "exit while holding %s (acquired id %d)" r.klass
@@ -597,11 +614,12 @@ let transfer env accesses ~pc st (insn : Insn.t) =
   | Insn.Guard _ | Insn.Checkpoint _ | Insn.Xstore _ ->
       err ~pc E_type "instrumentation instruction in unverified program"
 
-(* [prev] is leak-free: every state the fixpoint executes from was checked
-   when it was delivered or joined (widening only moves ranges), so the scan
-   runs only after a transfer that may have moved an object. *)
-let check_leak ~pc ~prev st =
-  if State.objects_moved ~prev st then
+(* The state a transfer started from was leak-free: every state the
+   fixpoint executes from was checked when it was delivered or joined
+   (widening only moves ranges), so the scan runs only after a transfer
+   that may have moved an object. *)
+let check_leak ~pc st =
+  if State.take_moved st then
     match State.leaked st with
     | [] -> ()
     | r :: _ ->
@@ -609,6 +627,87 @@ let check_leak ~pc ~prev st =
           "all copies of held %s (id %d) were lost; the runtime could not \
            release it on cancellation — spill it to the stack"
           r.klass r.id
+
+let locate st =
+  List.filter_map
+    (fun (r : State.resource) ->
+      match State.find_obj st r.State.id with
+      | Some loc -> Some { res = r; loc }
+      | None -> None)
+    (State.res st)
+
+(* --- final pass ----------------------------------------------------------- *)
+
+type final = {
+  res_at : res_entry list array;
+  accesses : heap_access list;
+  verdicts : (int * branch_verdict) list;
+  redundant_masks : (int * int64) list;
+}
+
+(* Re-run each reached block once from its fixpoint entry state, recording
+   resource locations before each instruction — plus the semantic facts
+   the lint pass consumes: branch verdicts (an edge the abstract semantics
+   never delivers a state to is dead) and no-op masks (an [And] that
+   provably cannot clear any possibly-set bit). With [snapshots], also
+   store a copy of each instruction's pre-state there. *)
+let final_pass ?snapshots env prog cfg entries =
+  let res_at = Array.make (Prog.length prog) [] in
+  let verdicts = ref [] in
+  let redundant_masks = ref [] in
+  let accesses = ref [] in
+  Array.iteri
+    (fun b entry ->
+      match entry with
+      | None -> ()
+      | Some entry ->
+          let blk = (Cfg.blocks cfg).(b) in
+          let st = State.copy entry in
+          let entries = ref (locate st) in
+          let rec step pc =
+            (match snapshots with
+            | Some a -> a.(pc) <- Some (State.copy st)
+            | None -> ());
+            res_at.(pc) <- !entries;
+            let insn = Prog.get prog pc in
+            (* the compiler materialises mask constants into registers, so
+               accept both immediate and known-constant register operands *)
+            (match insn with
+            | Insn.Alu (Insn.And, d, src) -> (
+                let mask =
+                  match src with
+                  | Insn.Imm m -> Some m
+                  | Insn.Reg s -> (
+                      match State.get st s with
+                      | Value.Scalar r -> Range.is_const r
+                      | _ -> None)
+                in
+                match (mask, State.get st d) with
+                | Some m, Value.Scalar r when Range.within_mask r m ->
+                    redundant_masks := (pc, m) :: !redundant_masks
+                | _ -> ())
+            | _ -> ());
+            match transfer env (Some accesses) ~pc st insn with
+            | Fall ->
+                if State.take_moved st then entries := locate st;
+                if pc < blk.Cfg.last then step (pc + 1)
+            | Jump | Stop -> ()
+            | Branch (taken, fall) -> (
+                match (taken, fall) with
+                | Some _, false -> verdicts := (pc, Always_taken) :: !verdicts
+                | None, true -> verdicts := (pc, Never_taken) :: !verdicts
+                | _ -> ())
+          in
+          step blk.Cfg.first)
+    entries;
+  let by_pc (a, _) (b, _) = Int.compare a b in
+  {
+    res_at;
+    (* the final pass visits each block exactly once, so no dedup needed *)
+    accesses = List.sort (fun a b -> Int.compare a.pc b.pc) !accesses;
+    verdicts = List.sort by_pc !verdicts;
+    redundant_masks = List.sort by_pc !redundant_masks;
+  }
 
 (* --- fixpoint engine --------------------------------------------------- *)
 
@@ -648,10 +747,11 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
     let enqueue b = Queue.push b workset in
     in_states.(0) <- Some (State.init ~ctx_nullable:false);
     enqueue 0;
+    (* [st] is not written after it is delivered *)
     let merge_into ~from_back_edge succ st =
       match in_states.(succ) with
       | None ->
-          in_states.(succ) <- Some st;
+          in_states.(succ) <- Some (State.copy st);
           enqueue succ
       | Some old -> (
           match State.join old st with
@@ -666,17 +766,17 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
               in
               err ~pc:blocks.(succ).Cfg.first kind "%s" msg
           | Ok joined ->
-              (* [old] was checked when it arrived *)
-              (if State.objects_moved ~prev:old joined then
-                 match State.leaked joined with
-                 | [] -> ()
-                 | r :: _ ->
-                     err ~pc:blocks.(succ).Cfg.first E_leak
-                       "held %s (id %d) has no common location across the \
-                        paths joining here — the runtime could not release \
-                        it on cancellation (§4.3; the loader will retry with \
-                        spilled acquisitions)"
-                       r.State.klass r.State.id);
+              (* [old] was checked when it arrived: only an object the join
+                 took out of its locations can leak here *)
+              (match State.leaked joined with
+              | [] -> ()
+              | r :: _ ->
+                  err ~pc:blocks.(succ).Cfg.first E_leak
+                    "held %s (id %d) has no common location across the \
+                     paths joining here — the runtime could not release it \
+                     on cancellation (§4.3; the loader will retry with \
+                     spilled acquisitions)"
+                    r.State.klass r.State.id);
               incr joins;
               joins_at.(succ) <- joins_at.(succ) + 1;
               let joined =
@@ -691,46 +791,40 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
                 enqueue succ
               end)
     in
-    (* execute one block from its entry state, delivering successor states
-       via [deliver] *)
-    let exec_block b st ~deliver =
+    (* execute block [b] on a copy of its entry state, delivering successor
+       states via [deliver] *)
+    let exec_block b entry ~deliver =
       let blk = blocks.(b) in
-      let st = ref st in
-      let continue = ref true in
-      for pc = blk.Cfg.first to blk.Cfg.last do
-        if !continue then begin
-          let insn = Prog.get prog pc in
-          let prev = !st in
-          (match transfer env None ~pc prev insn with
-          | Fall s ->
-              check_leak ~pc ~prev s;
-              if pc = blk.Cfg.last then deliver (pc + 1) s else st := s
-          | Jump s ->
-              check_leak ~pc ~prev s;
-              (match insn with
-              | Insn.Ja off -> deliver (pc + 1 + off) s
-              | _ -> assert false);
-              continue := false
-          | Branch (taken, fall) ->
-              let toff =
-                match insn with
-                | Insn.Jcond (_, _, _, off) -> pc + 1 + off
-                | _ -> assert false
-              in
-              (match taken with
-              | Some s ->
-                  check_leak ~pc ~prev s;
-                  deliver toff s
-              | None -> ());
-              (match fall with
-              | Some s ->
-                  check_leak ~pc ~prev s;
-                  deliver (pc + 1) s
-              | None -> ());
-              continue := false
-          | Stop -> continue := false)
-        end
-      done
+      let st = State.copy entry in
+      let rec step pc =
+        let insn = Prog.get prog pc in
+        match transfer env None ~pc st insn with
+        | Fall ->
+            check_leak ~pc st;
+            if pc = blk.Cfg.last then deliver (pc + 1) st else step (pc + 1)
+        | Jump -> (
+            check_leak ~pc st;
+            match insn with
+            | Insn.Ja off -> deliver (pc + 1 + off) st
+            | _ -> assert false)
+        | Branch (taken, fall) ->
+            let toff =
+              match insn with
+              | Insn.Jcond (_, _, _, off) -> pc + 1 + off
+              | _ -> assert false
+            in
+            (match taken with
+            | Some s ->
+                check_leak ~pc s;
+                deliver toff s
+            | None -> ());
+            if fall then begin
+              check_leak ~pc st;
+              deliver (pc + 1) st
+            end
+        | Stop -> ()
+      in
+      step blk.Cfg.first
     in
     while not (Queue.is_empty workset) do
       let b = Queue.pop workset in
@@ -743,90 +837,31 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
               let from_back_edge = Cfg.dominates cfg succ b in
               merge_into ~from_back_edge succ s)
     done;
-    (* Final pass: per-pc pre-states for object tables and access reporting.
-       Re-run each reachable block once from its fixpoint state, recording
-       resource locations before each instruction — plus the semantic facts
-       the lint pass consumes: branch verdicts (an edge the abstract
-       semantics never delivers a state to is dead) and no-op masks (an
-       [And] that provably cannot clear any possibly-set bit). *)
-    let locate st =
-      List.filter_map
-        (fun (r : State.resource) ->
-          match State.find_obj st r.State.id with
-          | Some loc -> Some { res = r; loc }
-          | None -> None)
-        st.State.res
-    in
-    let res_at = Array.make (Prog.length prog) [] in
-    let states_at = Array.make (Prog.length prog) None in
-    let verdicts = ref [] in
-    let redundant_masks = ref [] in
-    let accesses = ref [] in
-    for b = 0 to nb - 1 do
-      match in_states.(b) with
-      | None -> ()
-      | Some st ->
-          let blk = blocks.(b) in
-          let stref = ref st in
-          let entries = ref (locate st) in
-          let continue = ref true in
-          for pc = blk.Cfg.first to blk.Cfg.last do
-            if !continue then begin
-              states_at.(pc) <- Some !stref;
-              res_at.(pc) <- !entries;
-              let insn = Prog.get prog pc in
-              (* the compiler materialises mask constants into registers, so
-                 accept both immediate and known-constant register operands *)
-              (match insn with
-              | Insn.Alu (Insn.And, d, src) -> (
-                  let mask =
-                    match src with
-                    | Insn.Imm m -> Some m
-                    | Insn.Reg s -> (
-                        match State.get !stref s with
-                        | Value.Scalar r -> Range.is_const r
-                        | _ -> None)
-                  in
-                  match (mask, State.get !stref d) with
-                  | Some m, Value.Scalar r
-                    when Tnum.within_mask (Range.bits r) m ->
-                      redundant_masks := (pc, m) :: !redundant_masks
-                  | _ -> ())
-              | _ -> ());
-              match transfer env (Some accesses) ~pc !stref insn with
-              | Fall s ->
-                  if State.objects_moved ~prev:!stref s then entries := locate s;
-                  stref := s
-              | Jump _ | Stop -> continue := false
-              | Branch (taken, fall) ->
-                  (match (taken, fall) with
-                  | Some _, None -> verdicts := (pc, Always_taken) :: !verdicts
-                  | None, Some _ -> verdicts := (pc, Never_taken) :: !verdicts
-                  | _ -> ());
-                  (match fall with Some s -> stref := s | None -> ());
-                  continue := false
-            end
-          done
-    done;
-    let heap_accesses =
-      List.sort (fun a b -> Int.compare a.pc b.pc) !accesses
-      (* the final pass visits each block exactly once, so no dedup needed *)
-    in
+    let final = final_pass env prog cfg in_states in
     Ok
       {
         prog;
         cfg;
-        heap_accesses;
+        heap_accesses = final.accesses;
         unbounded = (match mode with Ebpf -> [] | Kflex -> unbounded);
-        res_at;
-        states_at;
+        res_at = final.res_at;
         stack_used = Prog.stack_size - !(env.min_stack);
         insn_count = Prog.length prog;
         reached = Array.map Option.is_some in_states;
-        verdicts = List.sort (fun (a, _) (b, _) -> Int.compare a b) !verdicts;
-        redundant_masks =
-          List.sort (fun (a, _) (b, _) -> Int.compare a b) !redundant_masks;
+        verdicts = final.verdicts;
+        redundant_masks = final.redundant_masks;
         stats =
           { block_visits = !block_visits; joins = !joins; widenings = !widenings };
+        replay = { env; entries = in_states; states = Atomic.make None };
       }
   with Err e -> Error e
+
+let states_at a =
+  match Atomic.get a.replay.states with
+  | Some states -> states
+  | None ->
+      let states = Array.make a.insn_count None in
+      let env = { a.replay.env with min_stack = ref Prog.stack_size } in
+      ignore (final_pass ~snapshots:states env a.prog a.cfg a.replay.entries : final);
+      Atomic.set a.replay.states (Some states);
+      states

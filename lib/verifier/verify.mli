@@ -90,11 +90,6 @@ type analysis = {
   heap_accesses : heap_access list;  (** in increasing pc order *)
   unbounded : Kflex_bpf.Cfg.loop list;
   res_at : res_entry list array;  (** held resources before each pc *)
-  states_at : State.t option array;
-      (** final abstract pre-state per pc — the fixpoint facts the verifier
-          committed to at each instruction. [None] for unreached pcs. The
-          fuzzer's containment oracle checks every concrete register value
-          against these ([reg_bounds_sync] for whole programs). *)
   stack_used : int;  (** bytes of stack frame touched *)
   insn_count : int;
   reached : bool array;
@@ -109,7 +104,11 @@ type analysis = {
           their operand: all possibly-set bits already inside the mask —
           redundant hand-written sanitisation *)
   stats : stats;
+  replay : replay;  (** what {!states_at} is built from *)
 }
+
+and replay
+(** The fixpoint's block-entry states and the verification environment. *)
 
 val run :
   mode:mode ->
@@ -121,6 +120,16 @@ val run :
   (analysis, error) result
 (** Verify a program. [heap_size] must be a power of two when given; omitting
     it (or running in [Ebpf] mode) makes any heap access an error. *)
+
+val states_at : analysis -> State.t option array
+(** The final abstract pre-state per pc — the fixpoint facts the verifier
+    committed to at each instruction; [None] for unreached pcs. The
+    fuzzer's containment oracle checks every concrete register value
+    against these ([reg_bounds_sync] for whole programs), and lint and
+    the lifecycle analysis read them. {!run} keeps only the block-entry
+    states: the first call replays the final pass from them, and later
+    calls return the same array. Safe to call from several domains at
+    once. The states must not be written. *)
 
 val error_kind_name : error_kind -> string
 (** Stable lower-case name (["uninit"], ["bounds"], …) — part of the

@@ -19,8 +19,8 @@ let pr = Printf.bprintf
 
 let range b (r : Range.t) =
   let t = Range.bits r in
-  pr b "[%Lx,%Lx,%Lx,%Lx,%Lx/%Lx]" r.Range.umin r.Range.umax r.Range.smin
-    r.Range.smax t.Tnum.value t.Tnum.mask
+  pr b "[%Lx,%Lx,%Lx,%Lx,%Lx/%Lx]" (Range.umin r) (Range.umax r) (Range.smin r)
+    (Range.smax r) (Tnum.value t) (Tnum.mask t)
 
 let ptr_kind = function Value.Ctx -> "ctx" | Value.Stack -> "stack" | Value.Heap -> "heap"
 
@@ -38,22 +38,24 @@ let value b = function
 
 let resource b (r : State.resource) = pr b "%d:%s:%s" r.id r.klass r.destructor
 
+let regs = List.init 11 Reg.of_int
+
 let state b (st : State.t) =
   pr b " regs";
-  Array.iter (fun v -> pr b " "; value b v) st.regs;
+  List.iter (fun r -> pr b " "; value b (State.get st r)) regs;
   pr b " stack";
-  Array.iteri
-    (fun i -> function
-      | State.S_empty -> ()
-      | State.S_misc -> pr b " %d:m" i
-      | State.S_spill v ->
-          pr b " %d:" i;
-          value b v)
-    st.stack;
+  for i = 0 to State.nslots - 1 do
+    match State.slot st i with
+    | State.S_empty -> ()
+    | State.S_misc -> pr b " %d:m" i
+    | State.S_spill v ->
+        pr b " %d:" i;
+        value b v
+  done;
   pr b " res";
-  List.iter (fun r -> pr b " "; resource b r) st.res;
+  List.iter (fun r -> pr b " "; resource b r) (State.res st);
   pr b " origin";
-  Array.iter (pr b " %d") st.origin
+  List.iter (fun r -> pr b " %d" (State.origin st r)) regs
 
 let loc b = function
   | State.L_reg r -> pr b "r%d" (Reg.to_int r)
@@ -80,7 +82,7 @@ let analysis b (a : Verify.analysis) =
           loc b e.loc)
         a.res_at.(pc);
       pr b "\n")
-    a.states_at;
+    (Verify.states_at a);
   List.iter
     (fun (h : Verify.heap_access) ->
       pr b "access %d store=%b atomic=%b width=%d r%d elidable=%b formation=%b \

@@ -27,9 +27,9 @@ let arb_range2 =
    Using this in every soundness property below means the tnum half of each
    transfer function is checked by the same models as the interval half. *)
 let in_range v (r : Range.t) =
-  Int64.unsigned_compare r.Range.umin v <= 0
-  && Int64.unsigned_compare v r.Range.umax <= 0
-  && r.Range.smin <= v && v <= r.Range.smax
+  Int64.unsigned_compare (Range.umin r) v <= 0
+  && Int64.unsigned_compare v (Range.umax r) <= 0
+  && Range.smin r <= v && v <= Range.smax r
   && Tnum.contains (Range.bits r) v
 
 let ops : (string * (Range.t -> Range.t -> Range.t) * (int64 -> int64 -> int64)) list

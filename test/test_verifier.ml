@@ -1526,6 +1526,46 @@ let prop_sanitize_idempotent =
       | Some off -> off >= 0L && off < 65536L
       | None -> false)
 
+(* Admission's allocation, pinned: minor words of one [Verify.run] and one
+   [Kflex.admit] (a compiled-program cache hit) on the two cache programs
+   may exceed what they measured when the verifier came to write its
+   states in place, keep no per-pc state and store a range as one unboxed
+   block by at most 10%. A change that copies states per write again,
+   keeps the per-pc states at admission or boxes range words fails here. *)
+let t_admission_allocation () =
+  let module Hook = Kflex_kernel.Hook in
+  let words f =
+    let w = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w
+  in
+  List.iter
+    (fun (name, hook, src, verify_words, admit_words) ->
+      let prog =
+        (Kflex_eclang.Compile.compile_string ~name src).Kflex_eclang.Compile.prog
+      in
+      let heap_size = Int64.shift_left 1L 24 in
+      let verify () =
+        Verify.run ~mode:Verify.Kflex ~contracts:Kflex.contracts
+          ~ctx_size:Hook.ctx_size ~heap_size ~sleepable:(Hook.sleepable hook) prog
+      in
+      let admit () = Kflex.admit ~heap_size ~hook prog in
+      (* the first admission compiles into the cache *)
+      (match admit () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %a" name Verify.pp_error e);
+      let check what measured got =
+        if got > 1.1 *. measured then
+          Alcotest.failf "%s: %s allocated %.0f words, over %.0f + 10%%" name
+            what got measured
+      in
+      check "Verify.run" verify_words (words verify);
+      check "Kflex.admit" admit_words (words admit))
+    [
+      ("memcached", Hook.Xdp, Kflex_apps.Memcached.kflex_source, 20_472., 31_531.);
+      ("redis", Hook.Sk_skb, Kflex_apps.Redis.source, 113_845., 148_401.);
+    ]
+
 let () =
   Alcotest.run "verifier"
     [
@@ -1614,6 +1654,8 @@ let () =
           Alcotest.test_case "dead branch" `Quick t_dead_branch_not_explored;
           QCheck_alcotest.to_alcotest prop_verifier_total;
           QCheck_alcotest.to_alcotest prop_sanitize_idempotent;
+          Alcotest.test_case "admission allocation" `Quick
+            t_admission_allocation;
         ] );
       ( "tnum elision",
         [
