@@ -978,10 +978,13 @@ let setup_configs =
 let setup_steps = [| "create"; "attach"; "shutdown" |]
 
 (* One kbench set-up cycle ([OL.make_engine], then [Engine.shutdown]),
-   each step timed (ns). Also returns whether the engine ended with no
-   leaked ledger entry and no socket reference. *)
+   each step timed (ns). Also returns the minor words the calling domain
+   allocated, the minor collections the cycle saw (every domain's), and
+   whether the engine ended with no leaked ledger entry and no socket
+   reference. *)
 let setup_cycle cfg ~mode =
   let now () = Int64.to_int (Monotonic_clock.now ()) in
+  let w0 = Gc.minor_words () and c0 = (Gc.quick_stat ()).Gc.minor_collections in
   let t0 = now () in
   let eng =
     Engine.create ~shards:1 ~mode
@@ -993,10 +996,12 @@ let setup_cycle cfg ~mode =
   let t2 = now () in
   Engine.shutdown eng;
   let t3 = now () in
+  let words = Gc.minor_words () -. w0
+  and collections = (Gc.quick_stat ()).Gc.minor_collections - c0 in
   let clean =
     (Engine.totals eng).Engine.leaked = 0 && Engine.socket_refs eng = 0
   in
-  ([| t1 - t0; t2 - t1; t3 - t2 |], clean)
+  ([| t1 - t0; t2 - t1; t3 - t2 |], words, collections, clean)
 
 (* As in kbench, the threaded cycles of a configuration run back to back;
    its deterministic cycles follow. The wall-clock medians are reported,
@@ -1007,39 +1012,59 @@ let setup_bench ~smoke =
   hr "Set-up: Engine.create, attach_tenants, Engine.shutdown (wall clock)";
   let cycles = if smoke then 5 else 105 in
   let clean = ref true in
+  (* per mode: the median of each step, the median minor words, and how
+     many cycles saw 0, 1, 2, ... minor collections *)
   let medians cfg ~mode =
     let recs = Array.map (fun _ -> Stats.create ()) setup_steps in
+    let words = Stats.create () and seen = Array.make 16 0 in
     for _ = 1 to cycles do
-      let ns, ok = setup_cycle cfg ~mode in
+      let ns, w, collections, ok = setup_cycle cfg ~mode in
       clean := !clean && ok;
-      Array.iteri (fun i x -> Stats.add recs.(i) (float_of_int x /. 1e6)) ns
+      Array.iteri (fun i x -> Stats.add recs.(i) (float_of_int x /. 1e6)) ns;
+      Stats.add words w;
+      let c = min collections (Array.length seen - 1) in
+      seen.(c) <- seen.(c) + 1
     done;
-    Array.map (fun r -> Stats.percentile r 0.5) recs
+    let last = ref 0 in
+    Array.iteri (fun i n -> if n > 0 then last := i) seen;
+    ( Array.map (fun r -> Stats.percentile r 0.5) recs,
+      Stats.percentile words 0.5,
+      Array.sub seen 0 (!last + 1) )
   in
   let rows =
     List.map
       (fun (name, cfg) ->
-        let thr = medians cfg ~mode:`Threaded in
-        let det = medians cfg ~mode:`Deterministic in
-        pf "  %-15s threaded %.3f / %.3f / %.3f ms, deterministic %.3f / \
-            %.3f / %.3f ms@."
-          name thr.(0) thr.(1) thr.(2) det.(0) det.(1) det.(2);
-        (name, cfg, thr, det))
+        let ((thr, thr_w, thr_c) as t) = medians cfg ~mode:`Threaded in
+        let ((det, det_w, det_c) as d) = medians cfg ~mode:`Deterministic in
+        let counts c =
+          String.concat "/" (Array.to_list (Array.map string_of_int c))
+        in
+        pf "  %-15s threaded %.3f / %.3f / %.3f ms, %.0f w, collections \
+            %s; deterministic %.3f / %.3f / %.3f ms, %.0f w, collections %s@."
+          name thr.(0) thr.(1) thr.(2) thr_w (counts thr_c) det.(0) det.(1)
+          det.(2) det_w (counts det_c);
+        (name, cfg, t, d))
       setup_configs
   in
   let oc = open_out "BENCH_setup.json" in
   let p fmt = Printf.fprintf oc fmt in
-  let steps m =
+  let steps (m, words, seen) =
     String.concat ", "
       (List.mapi
          (fun i step -> Printf.sprintf "\"%s_ms\": %.4f" step m.(i))
          (Array.to_list setup_steps))
+    ^ Printf.sprintf ",\n       \"minor_words\": %.0f, \"minor_collections\": [%s]"
+        words
+        (String.concat ", " (Array.to_list (Array.map string_of_int seen)))
   in
   p "{\n  \"smoke\": %b,\n  \"cycles\": %d,\n" smoke cycles;
   p "  \"note\": \"median wall-clock ms of each step of kbench's set-up \
      cycle on a one-shard engine: Engine.create, Open_loop.attach_tenants, \
      Engine.shutdown; a configuration's threaded cycles run back to back, \
-     then its deterministic cycles\",\n";
+     then its deterministic cycles. minor_words: the median minor words a \
+     cycle allocates on the calling domain; minor_collections: element i is \
+     the number of cycles that saw i minor collections (of any domain; the \
+     last element counts 15 or more)\",\n";
   p "  \"configs\": [\n";
   List.iteri
     (fun i (name, cfg, thr, det) ->
@@ -1062,11 +1087,12 @@ let setup_bench ~smoke =
 (* ---- Verify: admission stage by stage (BENCH_verify.json) ------------- *)
 
 (* Every kbench tenant source (at the memcached workloads' hook) and every
-   example, as the engine admits them: eclang compile, Verify.run, Kie,
-   and the compiled-program cache lookup (a hit after the first rep). Each
-   stage's wall time is the median over the reps, timed beside an idle
-   threaded engine with a deadline, as kbench's set-up cycles run beside
-   its watchdog; each stage's minor words are the median too. A rejected
+   example, as the engine admits them: eclang's parse (lexing included) and
+   code generation, Verify.run, Kie, and the compiled-program cache lookup
+   (a hit after the first rep). Each stage's wall time is the median over
+   the reps, timed beside an idle threaded engine with a deadline, as
+   kbench's set-up cycles run beside its watchdog; each stage's minor
+   words are the median too. A rejected
    example (ratelimit_buggy.ec) stops after its verify stage. The gate is
    the verifier's outcome: the same Verify.stats, or the same rejection,
    on every rep. CI compares those with the committed file; times and
@@ -1097,7 +1123,7 @@ let verify_programs () =
   ]
   @ examples
 
-let verify_stages = [| "compile"; "verify"; "kie"; "jit" |]
+let verify_stages = [| "parse"; "codegen"; "verify"; "kie"; "jit" |]
 
 let json_num fmt x = if Float.is_nan x then "null" else Printf.sprintf fmt x
 
@@ -1125,15 +1151,15 @@ let verify_bench ~smoke =
             Stats.add ns.(i) (float_of_int (t' - t));
             r
           in
+          let ast = stage 0 (fun () -> Kflex_eclang.Parser.parse src) in
           let prog =
-            stage 0 (fun () ->
-                (Kflex_eclang.Compile.compile_string ~name src)
-                  .Kflex_eclang.Compile.prog)
+            stage 1 (fun () ->
+                (Kflex_eclang.Compile.compile ~name ast).Kflex_eclang.Compile.prog)
           in
           insns := Kflex_bpf.Prog.length prog;
           let verified =
             match
-              stage 1 (fun () ->
+              stage 2 (fun () ->
                   Kflex_verifier.Verify.run ~mode:Kflex_verifier.Verify.Kflex
                     ~contracts:Kflex.contracts
                     ~ctx_size:Kflex_kernel.Hook.ctx_size
@@ -1146,9 +1172,9 @@ let verify_bench ~smoke =
                      (Kflex_verifier.Verify.error_kind_name e.kind)
                      (match e.pc with Some pc -> string_of_int pc | None -> "-"))
             | Ok a ->
-                let kie = stage 2 (fun () -> Kflex_kie.Instrument.run a) in
+                let kie = stage 3 (fun () -> Kflex_kie.Instrument.run a) in
                 ignore
-                  (stage 3 (fun () ->
+                  (stage 4 (fun () ->
                        Kflex.compile_cached ~key:(Kflex.jit_cache_key kie) kie)
                     : Kflex_runtime.Jit.t);
                 Ok
@@ -1183,9 +1209,11 @@ let verify_bench ~smoke =
   p "  \"note\": \"per program: the verifier's work (insns, blocks, block \
      visits, joins, widenings) or its rejection, gated: identical on every \
      rep; the median wall-clock ms and minor words of each admission stage, \
-     timed beside an idle threaded engine with a deadline (compile: eclang; \
+     timed beside an idle threaded engine with a deadline (parse: eclang's \
+     lexer and parser; codegen: eclang's code generation and assembly; \
      verify: Verify.run; kie: Instrument.run; jit: the compiled-program \
-     cache lookup, a hit after the first rep)\",\n";
+     cache lookup, Kflex.jit_cache_key then Kflex.compile_cached, a hit \
+     after the first rep)\",\n";
   p "  \"programs\": [\n";
   List.iteri
     (fun i (name, insns, outcome, ms, words) ->

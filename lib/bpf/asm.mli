@@ -15,9 +15,38 @@ type item =
 exception Error of string
 
 val assemble : ?allow_instrumentation:bool -> name:string -> item list -> Prog.t
-(** Resolve labels and validate.
+(** Resolve labels and validate, through a {!Buf}.
     @raise Error on duplicate or undefined labels.
     @raise Prog.Malformed if the resolved program is invalid. *)
+
+(** Emitting in place: instructions written into a growing array, labels
+    as ints placed at a pc, and each jump to a label not yet placed
+    patched by {!Buf.finish}. {!assemble} and the eclang code generator
+    write through it. *)
+module Buf : sig
+  type t
+
+  val create : unit -> t
+  val emit : t -> Insn.t -> unit
+
+  val label : t -> int
+  (** A new label, not yet placed. *)
+
+  val placed : t -> int -> bool
+
+  val place : t -> int -> unit
+  (** Place a label at the next instruction. *)
+
+  val ja : t -> int -> unit
+  (** Emit an unconditional jump to a label. *)
+
+  val jcond : t -> Insn.cond -> Reg.t -> Insn.src -> int -> unit
+  (** Emit a conditional jump to a label. *)
+
+  val finish : t -> Insn.t array
+  (** Patch the jumps; the instructions, for {!Prog.create}.
+      @raise Error when a jump's label was never placed. *)
+end
 
 (** Convenience constructors, so assembly reads close to eBPF mnemonics. *)
 

@@ -4,8 +4,11 @@ type t = {
   blocks : block array;
   pc_block : int array;  (* pc -> block id, or -1 *)
   preds : int list array;
-  (* dom.(b) = sorted list of dominator block ids; [] for unreachable b <> 0 *)
-  dom : int list array;
+  (* the dominator sets, [words] ints per block: block [a] dominates [b]
+     when bit [a mod int_size] of [dom.(b * words + a / int_size)] is set;
+     empty for an unreachable [b <> 0] *)
+  dom : int array;
+  words : int;
   reach : bool array;
 }
 
@@ -16,48 +19,53 @@ type loop = {
   body : int list;
 }
 
-let successors_of_pc insns pc =
-  let insn = insns.(pc) in
-  let t = Insn.jump_targets pc insn in
-  if Insn.falls_through insn then (pc + 1) :: t else t
+(* The target of a jump at [pc], or -1. *)
+let target pc = function
+  | Insn.Ja off | Insn.Jcond (_, _, _, off) -> pc + 1 + off
+  | _ -> -1
 
 let build prog =
   let insns = Prog.insns prog in
   let n = Array.length insns in
-  let leader = Array.make n false in
-  leader.(0) <- true;
+  let leader = Bytes.make n '\000' in
+  let lead pc = if pc < n then Bytes.unsafe_set leader pc '\001' in
+  lead 0;
   Array.iteri
     (fun pc insn ->
       match insn with
       | Insn.Ja _ | Insn.Jcond _ | Insn.Exit ->
-          List.iter (fun t -> leader.(t) <- true) (Insn.jump_targets pc insn);
-          if pc + 1 < n then leader.(pc + 1) <- true
+          let t = target pc insn in
+          if t >= 0 then lead t;
+          lead (pc + 1)
       | _ -> ())
     insns;
-  let starts = ref [] in
-  for pc = n - 1 downto 0 do
-    if leader.(pc) then starts := pc :: !starts
-  done;
-  let starts = Array.of_list !starts in
-  let nb = Array.length starts in
   let pc_block = Array.make n (-1) in
-  let bounds =
-    Array.mapi
-      (fun i first ->
-        let last = if i + 1 < nb then starts.(i + 1) - 1 else n - 1 in
-        for pc = first to last do
-          pc_block.(pc) <- i
-        done;
-        (first, last))
-      starts
-  in
+  let nb = ref 0 in
+  for pc = 0 to n - 1 do
+    if Bytes.unsafe_get leader pc = '\001' then incr nb;
+    pc_block.(pc) <- !nb - 1
+  done;
+  let nb = !nb in
+  let first = Array.make nb 0 in
+  for pc = n - 1 downto 0 do
+    first.(pc_block.(pc)) <- pc
+  done;
   let blocks =
-    Array.mapi
-      (fun i (first, last) ->
-        let succ_pcs = successors_of_pc insns last in
-        let succs = List.sort_uniq Int.compare (List.map (fun pc -> pc_block.(pc)) succ_pcs) in
-        { id = i; first; last; succs })
-      bounds
+    Array.init nb (fun i ->
+        let last = if i + 1 < nb then first.(i + 1) - 1 else n - 1 in
+        let insn = insns.(last) in
+        let t = target last insn in
+        let t = if t >= 0 then pc_block.(t) else -1 in
+        let f = if Insn.falls_through insn then pc_block.(last + 1) else -1 in
+        (* sorted, without duplicates *)
+        let succs =
+          if t < 0 && f < 0 then []
+          else if t < 0 || t = f then [ f ]
+          else if f < 0 then [ t ]
+          else if t < f then [ t; f ]
+          else [ f; t ]
+        in
+        { id = i; first = first.(i); last; succs })
   in
   let preds = Array.make nb [] in
   Array.iter
@@ -66,74 +74,56 @@ let build prog =
   (* Reachability from entry. *)
   let reach = Array.make nb false in
   let rec dfs b =
-    if not reach.(b) then (
+    if not reach.(b) then begin
       reach.(b) <- true;
-      List.iter dfs blocks.(b).succs)
+      List.iter dfs blocks.(b).succs
+    end
   in
   dfs 0;
-  (* Iterative dominator computation over bitsets: block [j] is bit
-     [j mod w] of word [j / w]. *)
+  (* Iterative dominator computation over the bitsets. *)
   let w = Sys.int_size in
   let words = (nb + w - 1) / w in
-  let full =
-    Array.init words (fun k -> if k < nb / w then -1 else (1 lsl (nb mod w)) - 1)
-  in
-  let add set j = set.(j / w) <- set.(j / w) lor (1 lsl (j mod w)) in
-  let dom =
-    Array.init nb (fun i ->
-        if i = 0 then begin
-          let s = Array.make words 0 in
-          add s 0;
-          s
-        end
-        else if reach.(i) then Array.copy full
-        else Array.make words 0)
-  in
+  let top k = if k < nb / w then -1 else (1 lsl (nb mod w)) - 1 in
+  let dom = Array.make (nb * words) 0 in
+  dom.(0) <- 1;
+  for b = 1 to nb - 1 do
+    if reach.(b) then
+      for k = 0 to words - 1 do
+        dom.((b * words) + k) <- top k
+      done
+  done;
   let changed = ref true in
-  (* one working set, copied only when a block's dominators change *)
+  (* one working set, written back only when a block's dominators change *)
   let inter = Array.make words 0 in
   while !changed do
     changed := false;
     for b = 1 to nb - 1 do
       if reach.(b) then begin
-        Array.blit full 0 inter 0 words;
+        for k = 0 to words - 1 do
+          inter.(k) <- top k
+        done;
         let has_pred = ref false in
         List.iter
           (fun p ->
             if reach.(p) then begin
               has_pred := true;
-              let dp = dom.(p) in
               for k = 0 to words - 1 do
-                inter.(k) <- inter.(k) land dp.(k)
+                inter.(k) <- inter.(k) land dom.((p * words) + k)
               done
             end)
           preds.(b);
         if not !has_pred then Array.fill inter 0 words 0;
-        add inter b;
-        if not (Array.for_all2 Int.equal inter dom.(b)) then begin
-          dom.(b) <- Array.copy inter;
-          changed := true
-        end
+        inter.(b / w) <- inter.(b / w) lor (1 lsl (b mod w));
+        for k = 0 to words - 1 do
+          if inter.(k) <> dom.((b * words) + k) then begin
+            dom.((b * words) + k) <- inter.(k);
+            changed := true
+          end
+        done
       end
     done
   done;
-  let dom_lists =
-    Array.mapi
-      (fun b set ->
-        if (not reach.(b)) && b <> 0 then []
-        else
-          let l = ref [] in
-          for k = words - 1 downto 0 do
-            let word = set.(k) in
-            if word <> 0 then
-              for bit = w - 1 downto 0 do
-                if (word lsr bit) land 1 = 1 then l := ((k * w) + bit) :: !l
-              done
-          done;
-          !l)
-      dom
-  in
-  { blocks; pc_block; preds; dom = dom_lists; reach }
+  { blocks; pc_block; preds; dom; words; reach }
 
 let blocks g = g.blocks
 
@@ -143,25 +133,35 @@ let block_of_pc g pc =
   else g.blocks.(g.pc_block.(pc))
 
 let preds g b = g.preds.(b)
-let dominators g b = g.dom.(b)
-let dominates g a b = List.exists (Int.equal a) g.dom.(b)
+
+let dominates g a b =
+  let w = Sys.int_size in
+  (g.dom.((b * g.words) + (a / w)) lsr (a mod w)) land 1 = 1
+
+let dominators g b =
+  let l = ref [] in
+  for a = Array.length g.blocks - 1 downto 0 do
+    if dominates g a b then l := a :: !l
+  done;
+  !l
+
 let reachable g b = g.reach.(b)
 
 let natural_loop g ~header ~src =
   (* Nodes that reach [src] without passing through [header], plus both. *)
   let nb = Array.length g.blocks in
-  let in_loop = Array.make nb false in
-  in_loop.(header) <- true;
+  let in_loop = Bytes.make nb '\000' in
+  Bytes.set in_loop header '\001';
   let rec add b =
-    if not in_loop.(b) then begin
-      in_loop.(b) <- true;
+    if Bytes.get in_loop b = '\000' then begin
+      Bytes.set in_loop b '\001';
       List.iter add g.preds.(b)
     end
   in
   add src;
   let body = ref [] in
   for b = nb - 1 downto 0 do
-    if in_loop.(b) then body := b :: !body
+    if Bytes.get in_loop b = '\001' then body := b :: !body
   done;
   !body
 

@@ -32,12 +32,14 @@ val preds : t -> int -> int list
 (** Predecessor block ids. *)
 
 val dominators : t -> int -> int list
-(** [dominators g b] is the list of block ids dominating block [b]
-    (including [b] itself). Unreachable blocks dominate nothing. *)
+(** [dominators g b] is the ascending list of block ids dominating block
+    [b] (including [b] itself), read off its dominator set. An unreachable
+    block other than the entry has none. *)
 
 val dominates : t -> int -> int -> bool
 (** [dominates g a b] holds when every path from the entry to [b] passes
-    through [a]. *)
+    through [a]: one bit test in [b]'s dominator set, which {!build}
+    computes as a packed bitset. *)
 
 val loops : t -> loop list
 (** Natural loops, one per back edge, innermost first. *)

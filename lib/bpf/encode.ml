@@ -112,18 +112,12 @@ let atomic_of_code = function
   | 9 -> Insn.Cmpxchg
   | c -> fail "bad atomic code %d" c
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+(* Multi-byte fields are little-endian; a 32-bit field holds the low 32
+   bits of its value. *)
+let put_u8 b v = Buffer.add_char b (Char.unsafe_chr (v land 0xff))
 let put_reg b r = put_u8 b (Reg.to_int r)
-
-let put_i32 b v =
-  for i = 0 to 3 do
-    put_u8 b ((v lsr (8 * i)) land 0xff)
-  done
-
-let put_i64 b (v : int64) =
-  for i = 0 to 7 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
-  done
+let put_i32 b v = Buffer.add_int32_le b (Int32.of_int v)
+let put_i64 b (v : int64) = Buffer.add_int64_le b v
 
 let put_str b s =
   put_i32 b (String.length s);

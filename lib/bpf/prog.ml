@@ -38,7 +38,9 @@ let validate ~allow_instrumentation insns =
       | _ -> ());
       if (not allow_instrumentation) && Insn.is_instrumentation insn then
         fail "insn %d: instrumentation instruction in input program" pc;
-      List.iter (check_target pc) (Insn.jump_targets pc insn);
+      (match insn with
+      | Insn.Ja off | Insn.Jcond (_, _, _, off) -> check_target pc (pc + 1 + off)
+      | _ -> ());
       if Insn.falls_through insn && pc = n - 1 then
         fail "insn %d: control falls off the end of the program" pc)
     insns

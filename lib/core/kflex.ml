@@ -22,10 +22,11 @@ type admitted = {
    stream (instrumentation options are already baked into it, so programs
    differing in options hash apart) and on each pc's unwind locations
    ({!Jit.unwind_locs}: the registers and frame slots of its object table),
-   whose liveness decides which writes it drops. The key digests both, and
-   a hit compares both structurally: a digest collision counts as a miss
-   and compiles, so an entry compiled against another program's object
-   tables is never returned.
+   whose liveness decides which writes it drops. Both go into one canonical
+   byte form (see [canonical]); the key is its MD5, and a hit compares the
+   entry's form with the program's byte for byte: a digest collision
+   counts as a miss and compiles, so an entry compiled against another
+   program's object tables is never returned.
 
    The cache is LRU-bounded: entries carry a logical-clock stamp bumped on
    every hit, and an insert past capacity evicts the stalest entry. The
@@ -42,12 +43,7 @@ type cache_stats = {
   capacity : int;
 }
 
-type cached = {
-  c_insns : Kflex_bpf.Insn.t array;
-  c_unwind : int array;
-  c_jit : Jit.t;
-  c_stamp : int ref;
-}
+type cached = { c_form : string; c_jit : Jit.t; c_stamp : int ref }
 
 let jit_cache : (string, cached) Hashtbl.t = Hashtbl.create 16
 let jit_hits = ref 0
@@ -83,39 +79,89 @@ let jit_cache_stats () =
         capacity = jit_capacity;
       })
 
-let jit_key_of insns unwind =
-  Digest.string (Marshal.to_string (insns, unwind) [])
-let insns_of kie = Kflex_bpf.Prog.insns kie.Kflex_kie.Instrument.prog
-let jit_cache_key kie = jit_key_of (insns_of kie) (Jit.unwind_locs kie)
+(* The canonical form: the instruction count, each instruction's binary
+   encoding ({!Kflex_bpf.Encode.encode_insn}), then every unwind word; the
+   count and the words are unsigned LEB128. It depends on the values only,
+   never on how they share memory. The encoding is injective within
+   [Prog.create]'s limits (16-bit memory offsets, jump offsets inside the
+   program, length-prefixed helper names); only checkpoint ids past 32 bits
+   alias, and the fused form does not read them. It is built in [form],
+   the scratch buffer the cache mutex guards, and copied out only into a
+   new entry. *)
+let buf = Buffer.create 4096
+let form = ref (Bytes.create 4096)
 
-let lookup key insns unwind kie =
-  Mutex.protect jit_cache_mutex (fun () ->
-      incr jit_clock;
-      match Hashtbl.find_opt jit_cache key with
-      | Some c when c.c_insns = insns && c.c_unwind = unwind ->
-          incr jit_hits;
-          c.c_stamp := !jit_clock;
-          c.c_jit
-      | found ->
-          incr jit_misses;
-          let t = Jit.compile kie in
-          if Option.is_none found && Hashtbl.length jit_cache >= jit_capacity
-          then evict_one ();
-          Hashtbl.replace jit_cache key
-            {
-              c_insns = insns;
-              c_unwind = unwind;
-              c_jit = t;
-              c_stamp = ref !jit_clock;
-            };
-          t)
+(* writes [v] at [at], at most 9 bytes; returns the offset past it *)
+let rec leb128 f at v =
+  if v lsr 7 = 0 then begin
+    Bytes.unsafe_set f at (Char.unsafe_chr v);
+    at + 1
+  end
+  else begin
+    Bytes.unsafe_set f at (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    leb128 f (at + 1) (v lsr 7)
+  end
+
+let canonical kie =
+  let insns = Kflex_bpf.Prog.insns kie.Kflex_kie.Instrument.prog in
+  Buffer.clear buf;
+  Array.iter (Kflex_bpf.Encode.encode_insn buf) insns;
+  let unwind = Jit.unwind_locs kie in
+  let n = Buffer.length buf in
+  let most = 9 + n + (9 * Array.length unwind) in
+  if Bytes.length !form < most then form := Bytes.create most;
+  let f = !form in
+  let at = leb128 f 0 (Array.length insns) in
+  Buffer.blit buf 0 f at n;
+  let at = ref (at + n) in
+  for i = 0 to Array.length unwind - 1 do
+    at := leb128 f !at unwind.(i)
+  done;
+  !at
+
+(* whether [s] equals [f]'s first [len] bytes, from byte [i], eight at a
+   time *)
+let rec same_from s f len i =
+  if i + 8 <= len then
+    Int64.equal (String.get_int64_ne s i) (Bytes.get_int64_ne f i)
+    && same_from s f len (i + 8)
+  else i = len || (String.get s i = Bytes.get f i && same_from s f len (i + 1))
+
+let same_form s len = String.length s = len && same_from s !form len 0
+
+let digest len = Digest.subbytes !form 0 len
+
+let jit_cache_key kie =
+  Mutex.protect jit_cache_mutex (fun () -> digest (canonical kie))
+
+(* under the mutex, with the program's form of length [len] in [form] *)
+let lookup key len kie =
+  incr jit_clock;
+  match Hashtbl.find_opt jit_cache key with
+  | Some c when same_form c.c_form len ->
+      incr jit_hits;
+      c.c_stamp := !jit_clock;
+      c.c_jit
+  | found ->
+      incr jit_misses;
+      let t = Jit.compile kie in
+      if Option.is_none found && Hashtbl.length jit_cache >= jit_capacity then
+        evict_one ();
+      Hashtbl.replace jit_cache key
+        {
+          c_form = Bytes.sub_string !form 0 len;
+          c_jit = t;
+          c_stamp = ref !jit_clock;
+        };
+      t
 
 let compile_cached ~key kie =
-  lookup key (insns_of kie) (Jit.unwind_locs kie) kie
+  Mutex.protect jit_cache_mutex (fun () -> lookup key (canonical kie) kie)
 
 let compiled_for kie =
-  let insns = insns_of kie and unwind = Jit.unwind_locs kie in
-  lookup (jit_key_of insns unwind) insns unwind kie
+  Mutex.protect jit_cache_mutex (fun () ->
+      let len = canonical kie in
+      lookup (digest len) len kie)
 
 let contracts = Kflex_verifier.Contract.registry Kflex_verifier.Contract.kflex_base
 

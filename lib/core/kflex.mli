@@ -49,15 +49,18 @@ val jit_cache_stats : unit -> cache_stats
     stay under it. *)
 
 val jit_cache_key : Kflex_kie.Instrument.t -> string
-(** A digest of everything the fused form depends on: the instrumented
-    instructions and each pc's unwind locations, the registers and frame
-    slots of its object table ({!Kflex_runtime.Jit.unwind_locs}). *)
+(** The MD5 of a canonical byte form of everything the fused form depends
+    on: the instrumented instructions, in their binary encoding
+    ({!Kflex_bpf.Encode.encode_insn}), and each pc's unwind locations, the
+    registers and frame slots of its object table
+    ({!Kflex_runtime.Jit.unwind_locs}). Equal programs get equal keys,
+    however their values share memory. *)
 
 val compile_cached :
   key:string -> Kflex_kie.Instrument.t -> Kflex_runtime.Jit.t
 (** The cache lookup admission performs, under [key] (normally
-    {!jit_cache_key}). A hit also compares the cached entry's instructions
-    and unwind locations with the program's; on a mismatch (a key
+    {!jit_cache_key}). A hit also compares the cached entry's canonical
+    form with the program's, byte for byte; on a mismatch (a key
     collision) it counts a miss, compiles, and replaces the entry. *)
 
 val admit :

@@ -3,6 +3,15 @@ open Kflex_bpf
 
 exception Error of string
 
+(* Names are compared with [String.equal], never the polymorphic compare. *)
+module Stbl = Hashtbl.Make (String)
+
+let rec assoc k = function
+  | [] -> None
+  | (k', v) :: rest -> if String.equal k k' then Some v else assoc k rest
+
+let rec mem_name k = function [] -> false | k' :: rest -> String.equal k k' || mem_name k rest
+
 let fail fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 type layout = {
@@ -54,42 +63,68 @@ type binding =
   | B_buf of int * int  (** stack buffer: offset below fp, size *)
   | B_ctx
 
-type ret_target = R_entry | R_inline of { slot : int option; end_lbl : string }
+type ret_target = R_entry | R_inline of { slot : int option; end_lbl : int }
 
+(* Code is emitted in place through an assembler buffer, with int labels.
+   A register stack is an int, 4 bits per register (its number plus one),
+   the top in the low bits. *)
 type cg = {
-  mutable items : Asm.item list;  (** reversed *)
-  mutable pool : Reg.t list;  (** free registers *)
-  mutable live : Reg.t list;  (** allocated registers *)
+  asm : Asm.Buf.t;
+  mutable pool : int;  (** free registers *)
+  mutable live : int;  (** allocated registers, the latest on top *)
   mutable next_slot : int;  (** next free byte offset below fp (multiple of 8) *)
-  mutable labelc : int;
-  structs : (string, (string * (int * field_ty)) list * int) Hashtbl.t;
-  globals : (string, int * field_ty) Hashtbl.t;
-  fns : (string, fn_decl) Hashtbl.t;
+  structs : ((string * (int * field_ty)) list * int) Stbl.t;
+  globals : (int * field_ty) Stbl.t;
+  fns : fn_decl Stbl.t;
   use_heap : bool;
   mutable inline_stack : string list;
 }
 
-let all_pool = [ Reg.R1; Reg.R2; Reg.R3; Reg.R4; Reg.R5; Reg.R7; Reg.R8 ]
+let push s r = (s lsl 4) lor (Reg.to_int r + 1)
+let top s = Reg.of_int ((s land 15) - 1)
+let pop s = s lsr 4
+let rec mem s r = s <> 0 && (s land 15 = Reg.to_int r + 1 || mem (pop s) r)
 
-let emit cg i = cg.items <- i :: cg.items
-let emiti cg insn = emit cg (Asm.I insn)
+let rec remove s r =
+  if s = 0 then 0
+  else if s land 15 = Reg.to_int r + 1 then pop s
+  else push (remove (pop s) r) (top s)
 
-let fresh_label cg prefix =
-  cg.labelc <- cg.labelc + 1;
-  Printf.sprintf "%s_%d" prefix cg.labelc
+(* R1 on top *)
+let all_pool =
+  List.fold_left push 0 [ Reg.R8; Reg.R7; Reg.R5; Reg.R4; Reg.R3; Reg.R2; Reg.R1 ]
+
+(* one shared register operand per register *)
+let reg_srcs = Array.of_list (List.map (fun r -> Insn.Reg r) Reg.all)
+let reg_src r = reg_srcs.(Reg.to_int r)
+
+let emit cg insn = Asm.Buf.emit cg.asm insn
+let mov cg d s = emit cg (Insn.Mov (d, reg_src s))
+let movi cg d i = emit cg (Insn.Mov (d, Insn.Imm i))
+let alu cg op d s = emit cg (Insn.Alu (op, d, reg_src s))
+let alui cg op d i = emit cg (Insn.Alu (op, d, Insn.Imm i))
+let ldx cg sz d s off = emit cg (Insn.Ldx (sz, d, s, off))
+let stx cg sz d off s = emit cg (Insn.Stx (sz, d, off, s))
+let sti cg sz d off i = emit cg (Insn.St (sz, d, off, i))
+let call cg h = emit cg (Insn.Call h)
+let exit_ cg = emit cg Insn.Exit
+let fresh_label cg = Asm.Buf.label cg.asm
+let place cg l = Asm.Buf.place cg.asm l
+let ja cg l = Asm.Buf.ja cg.asm l
+let jmp cg c a b l = Asm.Buf.jcond cg.asm c a (reg_src b) l
+let jmpi cg c a i l = Asm.Buf.jcond cg.asm c a (Insn.Imm i) l
 
 let alloc_reg cg =
-  match cg.pool with
-  | r :: rest ->
-      cg.pool <- rest;
-      cg.live <- r :: cg.live;
-      r
-  | [] -> fail "expression too deep: out of registers"
+  if cg.pool = 0 then fail "expression too deep: out of registers";
+  let r = top cg.pool in
+  cg.pool <- pop cg.pool;
+  cg.live <- push cg.live r;
+  r
 
 let free_reg cg r =
-  if List.exists (Reg.equal r) cg.live then begin
-    cg.live <- List.filter (fun x -> not (Reg.equal x r)) cg.live;
-    cg.pool <- r :: cg.pool
+  if mem cg.live r then begin
+    cg.live <- remove cg.live r;
+    cg.pool <- push cg.pool r
   end
 
 let alloc_slot cg =
@@ -104,6 +139,21 @@ let alloc_bytes cg n =
   cg.next_slot <- cg.next_slot + n;
   if cg.next_slot > Prog.stack_size then fail "stack frame overflow (512 bytes)";
   s + n (* buffer occupies [r10 - (s+n), r10 - s) *)
+
+(* Stores the registers of stack [s], the top first, to fresh slots. *)
+let rec spill cg s =
+  if s <> 0 then begin
+    let slot = alloc_slot cg in
+    stx cg Insn.U64 Reg.R10 (-slot) (top s);
+    spill cg (pop s)
+  end
+
+(* Reloads what [spill cg s] stored, from [slot] on. *)
+let rec reload cg s slot =
+  if s <> 0 then begin
+    ldx cg Insn.U64 (top s) Reg.R10 (-slot);
+    reload cg (pop s) (slot + 8)
+  end
 
 (* temps inside one statement: save/restore the slot watermark *)
 let with_watermark cg f =
@@ -173,21 +223,21 @@ let heap_helpers =
 
 type env = (string * binding) list
 
-let lookup_binding env n = List.assoc_opt n env
+let lookup_binding env n = assoc n env
 
 let load_global_addr cg rd off =
   if not cg.use_heap then fail "global used in a heap-less (eBPF-mode) program";
-  emit cg (Asm.mov rd Reg.R9);
-  if off <> 0 then emit cg (Asm.alui Insn.Add rd (Int64.of_int off))
+  mov cg rd Reg.R9;
+  if off <> 0 then alui cg Insn.Add rd (Int64.of_int off)
 
 let emit_mem_load cg rd rbase off width =
   if off >= -32768 && off <= 32767 then
-    emit cg (Asm.ldx (size_insn width) rd rbase off)
+    ldx cg (size_insn width) rd rbase off
   else begin
-    if not (Reg.equal rd rbase) then emit cg (Asm.mov rd rbase)
+    if not (Reg.equal rd rbase) then mov cg rd rbase
     else ();
-    emit cg (Asm.alui Insn.Add rd (Int64.of_int off));
-    emit cg (Asm.ldx (size_insn width) rd rd 0)
+    alui cg Insn.Add rd (Int64.of_int off);
+    ldx cg (size_insn width) rd rd 0
   end
 
 let binop_alu = function
@@ -228,22 +278,22 @@ let rec eval cg env e : Reg.t * ty =
   match e with
   | E_int i ->
       let rd = alloc_reg cg in
-      emit cg (Asm.movi rd i);
+      movi cg rd i;
       (rd, Tu64)
   | E_null ->
       let rd = alloc_reg cg in
-      emit cg (Asm.movi rd 0L);
+      movi cg rd 0L;
       (rd, Tu64)
   | E_var n -> (
       match lookup_binding env n with
       | Some (B_local (slot, t)) ->
           let rd = alloc_reg cg in
-          emit cg (Asm.ldx Insn.U64 rd Reg.R10 (-slot));
+          ldx cg Insn.U64 rd Reg.R10 (-slot);
           (rd, t)
       | Some B_ctx -> (Reg.R6, Tctx)
       | Some (B_buf _) -> fail "buffer %s used as a value (use &%s)" n n
       | None -> (
-          match Hashtbl.find_opt cg.globals n with
+          match Stbl.find_opt cg.globals n with
           | Some (off, fty) -> (
               match fty with
               | Farr _ -> fail "global array %s used without an index" n
@@ -256,41 +306,41 @@ let rec eval cg env e : Reg.t * ty =
           | None -> fail "unbound variable %s" n))
   | E_unop (Neg, e) ->
       let r, t = eval_scalar cg env e in
-      emiti cg (Insn.Neg r);
+      emit cg (Insn.Neg r);
       (r, t)
   | E_unop (BNot, e) ->
       let r, _ = eval_scalar cg env e in
-      emit cg (Asm.alui Insn.Xor r (-1L));
+      alui cg Insn.Xor r (-1L);
       (r, Tu64)
   | E_unop (LNot, e) ->
       let r, _ = eval_scalar cg env e in
-      let l = fresh_label cg "lnot" in
+      let l = fresh_label cg in
       let rd = alloc_reg cg in
-      emit cg (Asm.movi rd 1L);
-      emit cg (Asm.jmpi Insn.Eq r 0L l);
-      emit cg (Asm.movi rd 0L);
-      emit cg (Asm.label l);
+      movi cg rd 1L;
+      jmpi cg Insn.Eq r 0L l;
+      movi cg rd 0L;
+      place cg l;
       free_reg cg r;
       (rd, Tu64)
   | E_binop ((LAnd | LOr), _, _) ->
       (* value context: materialise 0/1 through branches *)
-      let l_false = fresh_label cg "bfalse" in
-      let l_end = fresh_label cg "bend" in
+      let l_false = fresh_label cg in
+      let l_end = fresh_label cg in
       branch_false cg env e l_false;
       let rd = alloc_reg cg in
-      emit cg (Asm.movi rd 1L);
-      emit cg (Asm.ja l_end);
-      emit cg (Asm.label l_false);
-      emit cg (Asm.movi rd 0L);
-      emit cg (Asm.label l_end);
+      movi cg rd 1L;
+      ja cg l_end;
+      place cg l_false;
+      movi cg rd 0L;
+      place cg l_end;
       (rd, Tu64)
   | E_binop (op, a, b) -> (
       match binop_alu op with
-      | Some alu ->
+      | Some aop ->
           let ra, ta = eval cg env a in
           let ra = own cg ra in
           let rb, tb = eval cg env b in
-          emit cg (Asm.alu alu ra rb);
+          alu cg aop ra rb;
           free_reg cg rb;
           let t =
             match (ta, tb, op) with
@@ -305,12 +355,12 @@ let rec eval cg env e : Reg.t * ty =
               let ra, _ = eval cg env a in
               let ra = own cg ra in
               let rb, _ = eval cg env b in
-              let l = fresh_label cg "cmp" in
+              let l = fresh_label cg in
               let rd = alloc_reg cg in
-              emit cg (Asm.movi rd 1L);
-              emit cg (Asm.jmp c ra rb l);
-              emit cg (Asm.movi rd 0L);
-              emit cg (Asm.label l);
+              movi cg rd 1L;
+              jmp cg c ra rb l;
+              movi cg rd 0L;
+              place cg l;
               free_reg cg ra;
               free_reg cg rb;
               (rd, Tu64)
@@ -327,23 +377,23 @@ let rec eval cg env e : Reg.t * ty =
       (match fty with
       | Farr _ -> fail "nested arrays are not supported"
       | _ -> ());
-      emit cg (Asm.ldx (size_insn (width_of_fty fty)) addr addr 0);
+      ldx cg (size_insn (width_of_fty fty)) addr addr 0;
       (addr, ty_of_fty fty)
   | E_addr n -> (
       match lookup_binding env n with
       | Some (B_local (slot, _)) ->
           let rd = alloc_reg cg in
-          emit cg (Asm.mov rd Reg.R10);
-          emit cg (Asm.alui Insn.Add rd (Int64.of_int (-slot)));
+          mov cg rd Reg.R10;
+          alui cg Insn.Add rd (Int64.of_int (-slot));
           (rd, Tu64)
       | Some (B_buf (bytes_end, _)) ->
           let rd = alloc_reg cg in
-          emit cg (Asm.mov rd Reg.R10);
-          emit cg (Asm.alui Insn.Add rd (Int64.of_int (-bytes_end)));
+          mov cg rd Reg.R10;
+          alui cg Insn.Add rd (Int64.of_int (-bytes_end));
           (rd, Tu64)
       | Some B_ctx -> fail "cannot take the address of the context"
       | None -> (
-          match Hashtbl.find_opt cg.globals n with
+          match Stbl.find_opt cg.globals n with
           | Some (off, _) ->
               let rd = alloc_reg cg in
               load_global_addr cg rd off;
@@ -364,7 +414,7 @@ and eval_scalar cg env e =
 and own cg r =
   if Reg.equal r Reg.R6 then begin
     let rd = alloc_reg cg in
-    emit cg (Asm.mov rd Reg.R6);
+    mov cg rd Reg.R6;
     rd
   end
   else r
@@ -373,14 +423,14 @@ and field_of cg tp f =
   match tp with
   | Tptr s ->
       let fields, _ = struct_of cg s in
-      (match List.assoc_opt f fields with
+      (match assoc f fields with
       | Some (off, fty) -> (off, fty)
       | None -> fail "struct %s has no field %s" s f)
   | Tu64 -> fail "field access .%s on a non-pointer value" f
   | Tctx -> fail "field access on the context (use pkt_* helpers)"
 
 and struct_of cg s =
-  match Hashtbl.find_opt cg.structs s with
+  match Stbl.find_opt cg.structs s with
   | Some x -> x
   | None -> fail "unknown struct %s" s
 
@@ -392,18 +442,18 @@ and eval_index_addr cg env base idx =
     | E_int i ->
         (* constant index: fold into one offset *)
         let off = base_off + (Int64.to_int i * esize) in
-        if off <> 0 then emit cg (Asm.alui Insn.Add rbase (Int64.of_int off))
+        if off <> 0 then alui cg Insn.Add rbase (Int64.of_int off)
     | _ ->
         if base_off <> 0 then
-          emit cg (Asm.alui Insn.Add rbase (Int64.of_int base_off));
+          alui cg Insn.Add rbase (Int64.of_int base_off);
         let ri, _ = eval cg env idx in
         let ri = own cg ri in
         let rec log2 n k = if n = 1 then Some k else if n land 1 = 1 then None else log2 (n / 2) (k + 1) in
         (match log2 esize 0 with
         | Some 0 -> ()
-        | Some k -> emit cg (Asm.alui Insn.Lsh ri (Int64.of_int k))
-        | None -> emit cg (Asm.alui Insn.Mul ri (Int64.of_int esize)));
-        emit cg (Asm.alu Insn.Add rbase ri);
+        | Some k -> alui cg Insn.Lsh ri (Int64.of_int k)
+        | None -> alui cg Insn.Mul ri (Int64.of_int esize));
+        alu cg Insn.Add rbase ri;
         free_reg cg ri);
     (rbase, elt_fty)
   in
@@ -417,13 +467,13 @@ and eval_index_addr cg env base idx =
               let i = Int64.to_int i in
               if i < 0 || i >= size then fail "buffer index %d out of bounds" i;
               let rd = alloc_reg cg in
-              emit cg (Asm.mov rd Reg.R10);
-              emit cg (Asm.alui Insn.Add rd (Int64.of_int (-bytes_end + i)));
+              mov cg rd Reg.R10;
+              alui cg Insn.Add rd (Int64.of_int (-bytes_end + i));
               (rd, Fu8)
           | _ -> fail "stack buffer %s requires a constant index" n)
       | Some _ -> fail "%s is not indexable" n
       | None -> (
-          match Hashtbl.find_opt cg.globals n with
+          match Stbl.find_opt cg.globals n with
           | Some (off, Farr (elt, _)) ->
               let rd = alloc_reg cg in
               load_global_addr cg rd 0;
@@ -440,10 +490,10 @@ and eval_index_addr cg env base idx =
   | _ -> fail "only globals, buffers and struct fields can be indexed"
 
 and eval_call cg env name args =
-  match List.assoc_opt name signed_builtins with
+  match assoc name signed_builtins with
   | Some op -> eval cg env (E_binop (op, List.nth args 0, List.nth args 1))
   | None -> (
-      match List.assoc_opt name mem_builtins with
+      match assoc name mem_builtins with
       | Some (width, is_store) ->
           let nargs = if is_store then 3 else 2 in
           if List.length args <> nargs then
@@ -457,30 +507,30 @@ and eval_call cg env name args =
           let ra = own cg ra in
           if is_store then begin
             let rv, _ = eval cg env (List.nth args 2) in
-            emit cg (Asm.stx (size_insn width) ra off rv);
+            stx cg (size_insn width) ra off rv;
             free_reg cg rv;
-            emit cg (Asm.movi ra 0L);
+            movi cg ra 0L;
             (ra, Tu64)
           end
           else begin
-            emit cg (Asm.ldx (size_insn width) ra ra off);
+            ldx cg (size_insn width) ra ra off;
             (ra, Tu64)
           end
       | None -> (
-          match List.assoc_opt name helper_sigs with
+          match assoc name helper_sigs with
           | Some _ -> emit_helper_call cg env name args
           | None -> (
-              match Hashtbl.find_opt cg.fns name with
+              match Stbl.find_opt cg.fns name with
               | Some fn -> inline_call cg env fn args
               | None -> fail "unknown function or helper %s" name)))
 
 and emit_helper_call cg env name args =
   let kinds, _has_ret =
-    match List.assoc_opt name helper_sigs with
+    match assoc name helper_sigs with
     | Some s -> s
     | None -> fail "unknown helper %s" name
   in
-  if (not cg.use_heap) && List.mem name heap_helpers then
+  if (not cg.use_heap) && mem_name name heap_helpers then
     fail "%s requires a KFlex heap (eBPF-mode program)" name;
   if List.length args <> List.length kinds then
     fail "%s expects %d arguments, got %d" name (List.length kinds)
@@ -497,39 +547,30 @@ and emit_helper_call cg env name args =
         | K_u64 ->
             let r, _ = eval cg env arg in
             let slot = alloc_slot cg in
-            emit cg (Asm.stx Insn.U64 Reg.R10 (-slot) r);
+            stx cg Insn.U64 Reg.R10 (-slot) r;
             free_reg cg r;
             `Slot slot)
       kinds args
   in
   (* spill live registers *)
-  let spilled =
-    List.map
-      (fun r ->
-        let slot = alloc_slot cg in
-        emit cg (Asm.stx Insn.U64 Reg.R10 (-slot) r);
-        (r, slot))
-      cg.live
-  in
+  let spilled = cg.live and first = cg.next_slot + 8 in
+  spill cg spilled;
   (* load arguments *)
   List.iteri
     (fun i p ->
       let dst = Reg.of_int (i + 1) in
       match p with
-      | `Ctx -> emit cg (Asm.mov dst Reg.R6)
-      | `Slot s -> emit cg (Asm.ldx Insn.U64 dst Reg.R10 (-s)))
+      | `Ctx -> mov cg dst Reg.R6
+      | `Slot s -> ldx cg Insn.U64 dst Reg.R10 (-s))
     prepared;
-  emit cg (Asm.call name);
+  call cg name;
   let rd = alloc_reg cg in
-  emit cg (Asm.mov rd Reg.R0);
-  (* restore spilled *)
-  List.iter
-    (fun (r, slot) -> emit cg (Asm.ldx Insn.U64 r Reg.R10 (-slot)))
-    spilled;
+  mov cg rd Reg.R0;
+  reload cg spilled first;
   (rd, Tu64)
 
 and inline_call cg env fn args =
-  if List.mem fn.fname cg.inline_stack then
+  if mem_name fn.fname cg.inline_stack then
     fail "recursive call to %s cannot be inlined" fn.fname;
   if List.length args <> List.length fn.params then
     fail "%s expects %d arguments, got %d" fn.fname (List.length fn.params)
@@ -548,42 +589,34 @@ and inline_call cg env fn args =
         | _ ->
             let r, _ = eval cg env arg in
             let slot = alloc_slot cg in
-            emit cg (Asm.stx Insn.U64 Reg.R10 (-slot) r);
+            stx cg Insn.U64 Reg.R10 (-slot) r;
             free_reg cg r;
             (pname, B_local (slot, pty)))
       fn.params args
   in
   let ret_slot = if fn.ret then Some (alloc_slot cg) else None in
-  let end_lbl = fresh_label cg ("end_" ^ fn.fname) in
+  let end_lbl = fresh_label cg in
   (* default return value 0 *)
   (match ret_slot with
-  | Some s -> emit cg (Asm.sti Insn.U64 Reg.R10 (-s) 0L)
+  | Some s -> sti cg Insn.U64 Reg.R10 (-s) 0L
   | None -> ());
   (* The inlined body manages the register pool statement by statement, so
      live caller registers must survive in stack slots across it. *)
-  let spilled =
-    List.map
-      (fun r ->
-        let slot = alloc_slot cg in
-        emit cg (Asm.stx Insn.U64 Reg.R10 (-slot) r);
-        (r, slot))
-      cg.live
-  in
-  let saved_pool = cg.pool and saved_live = cg.live in
+  let spilled = cg.live and first = cg.next_slot + 8 in
+  spill cg spilled;
+  let saved_pool = cg.pool in
   cg.pool <- all_pool;
-  cg.live <- [];
+  cg.live <- 0;
   compile_block cg callee_env ~ret:(R_inline { slot = ret_slot; end_lbl })
     ~brk:None ~cont:None fn.body;
-  emit cg (Asm.label end_lbl);
+  place cg end_lbl;
   cg.pool <- saved_pool;
-  cg.live <- saved_live;
-  List.iter
-    (fun (r, slot) -> emit cg (Asm.ldx Insn.U64 r Reg.R10 (-slot)))
-    spilled;
+  cg.live <- spilled;
+  reload cg spilled first;
   let rd = alloc_reg cg in
   (match ret_slot with
-  | Some s -> emit cg (Asm.ldx Insn.U64 rd Reg.R10 (-s))
-  | None -> emit cg (Asm.movi rd 0L));
+  | Some s -> ldx cg Insn.U64 rd Reg.R10 (-s)
+  | None -> movi cg rd 0L);
   cg.next_slot <- saved_slot;
   cg.inline_stack <- List.tl cg.inline_stack;
   (rd, if fn.ret then Tu64 else Tu64)
@@ -596,10 +629,10 @@ and branch_false cg env e lbl =
       branch_false cg env a lbl;
       branch_false cg env b lbl
   | E_binop (LOr, a, b) ->
-      let l_true = fresh_label cg "or_true" in
+      let l_true = fresh_label cg in
       branch_true cg env a l_true;
       branch_false cg env b lbl;
-      emit cg (Asm.label l_true)
+      place cg l_true
   | E_unop (LNot, e) -> branch_true cg env e lbl
   | E_binop (op, a, b) when binop_cond op <> None ->
       let c = Option.get (binop_cond op) in
@@ -607,13 +640,13 @@ and branch_false cg env e lbl =
       let ra, _ = eval cg env a in
       let ra = own cg ra in
       let rb, _ = eval cg env b in
-      emit cg (Asm.jmp neg ra rb lbl);
+      jmp cg neg ra rb lbl;
       free_reg cg ra;
       free_reg cg rb
   | _ ->
       let r, _ = eval cg env e in
       let r = own cg r in
-      emit cg (Asm.jmpi Insn.Eq r 0L lbl);
+      jmpi cg Insn.Eq r 0L lbl;
       free_reg cg r
 
 and branch_true cg env e lbl =
@@ -622,23 +655,23 @@ and branch_true cg env e lbl =
       branch_true cg env a lbl;
       branch_true cg env b lbl
   | E_binop (LAnd, a, b) ->
-      let l_false = fresh_label cg "and_false" in
+      let l_false = fresh_label cg in
       branch_false cg env a l_false;
       branch_true cg env b lbl;
-      emit cg (Asm.label l_false)
+      place cg l_false
   | E_unop (LNot, e) -> branch_false cg env e lbl
   | E_binop (op, a, b) when binop_cond op <> None ->
       let c = Option.get (binop_cond op) in
       let ra, _ = eval cg env a in
       let ra = own cg ra in
       let rb, _ = eval cg env b in
-      emit cg (Asm.jmp c ra rb lbl);
+      jmp cg c ra rb lbl;
       free_reg cg ra;
       free_reg cg rb
   | _ ->
       let r, _ = eval cg env e in
       let r = own cg r in
-      emit cg (Asm.jmpi Insn.Ne r 0L lbl);
+      jmpi cg Insn.Ne r 0L lbl;
       free_reg cg r
 
 (* --- statements ------------------------------------------------------------ *)
@@ -646,7 +679,7 @@ and branch_true cg env e lbl =
 and compile_stmt cg env ~ret ~brk ~cont stmt : env =
   let reset_regs () =
     cg.pool <- all_pool;
-    cg.live <- []
+    cg.live <- 0
   in
   match stmt with
   | S_var (n, ty, e) ->
@@ -655,7 +688,7 @@ and compile_stmt cg env ~ret ~brk ~cont stmt : env =
       with_watermark cg (fun () ->
           let r, t = eval cg env e in
           inferred := t;
-          emit cg (Asm.stx Insn.U64 Reg.R10 (-slot) r));
+          stx cg Insn.U64 Reg.R10 (-slot) r);
       reset_regs ();
       let t = match ty with Some t -> t | None -> !inferred in
       (n, B_local (slot, t)) :: env
@@ -664,7 +697,7 @@ and compile_stmt cg env ~ret ~brk ~cont stmt : env =
       (* zero-initialise so the verifier sees defined stack bytes *)
       let words = align_up size 8 / 8 in
       for i = 0 to words - 1 do
-        emit cg (Asm.sti Insn.U64 Reg.R10 (-bytes_end + (8 * i)) 0L)
+        sti cg Insn.U64 Reg.R10 (-bytes_end + (8 * i)) 0L
       done;
       (n, B_buf (bytes_end, size)) :: env
   | S_assign (lv, e) ->
@@ -674,22 +707,22 @@ and compile_stmt cg env ~ret ~brk ~cont stmt : env =
               match lookup_binding env n with
               | Some (B_local (slot, _)) ->
                   let r, _ = eval cg env e in
-                  emit cg (Asm.stx Insn.U64 Reg.R10 (-slot) r)
+                  stx cg Insn.U64 Reg.R10 (-slot) r
               | Some B_ctx -> fail "cannot assign to the context"
               | Some (B_buf _) -> fail "cannot assign to a buffer (use st8)"
               | None -> (
-                  match Hashtbl.find_opt cg.globals n with
+                  match Stbl.find_opt cg.globals n with
                   | Some (off, fty) ->
                       if not cg.use_heap then
                         fail "global %s in a heap-less program" n;
                       let r, _ = eval cg env e in
                       let r = own cg r in
                       if off >= -32768 && off <= 32767 then
-                        emit cg (Asm.stx (size_insn (width_of_fty fty)) Reg.R9 off r)
+                        stx cg (size_insn (width_of_fty fty)) Reg.R9 off r
                       else begin
                         let ra = alloc_reg cg in
                         load_global_addr cg ra off;
-                        emit cg (Asm.stx (size_insn (width_of_fty fty)) ra 0 r);
+                        stx cg (size_insn (width_of_fty fty)) ra 0 r;
                         free_reg cg ra
                       end
                   | None -> fail "unbound variable %s" n))
@@ -698,49 +731,49 @@ and compile_stmt cg env ~ret ~brk ~cont stmt : env =
               let rp = own cg rp in
               let off, fty = field_of cg tp f in
               let rv, _ = eval cg env e in
-              emit cg (Asm.stx (size_insn (width_of_fty fty)) rp off rv)
+              stx cg (size_insn (width_of_fty fty)) rp off rv
           | L_index (base, idx) ->
               let addr, fty = eval_index_addr cg env base idx in
               let rv, _ = eval cg env e in
-              emit cg (Asm.stx (size_insn (width_of_fty fty)) addr 0 rv)));
+              stx cg (size_insn (width_of_fty fty)) addr 0 rv));
       reset_regs ();
       env
   | S_if (c, then_, else_) ->
-      let l_else = fresh_label cg "else" in
-      let l_end = fresh_label cg "endif" in
+      let l_else = fresh_label cg in
+      let l_end = fresh_label cg in
       with_watermark cg (fun () -> branch_false cg env c l_else);
       reset_regs ();
       compile_block cg env ~ret ~brk ~cont then_;
-      emit cg (Asm.ja l_end);
-      emit cg (Asm.label l_else);
+      ja cg l_end;
+      place cg l_else;
       compile_block cg env ~ret ~brk ~cont else_;
-      emit cg (Asm.label l_end);
+      place cg l_end;
       env
   | S_while (c, body) ->
-      let l_head = fresh_label cg "while" in
-      let l_end = fresh_label cg "wend" in
-      emit cg (Asm.label l_head);
+      let l_head = fresh_label cg in
+      let l_end = fresh_label cg in
+      place cg l_head;
       with_watermark cg (fun () -> branch_false cg env c l_end);
       reset_regs ();
       compile_block cg env ~ret ~brk:(Some l_end) ~cont:(Some l_head) body;
-      emit cg (Asm.ja l_head);
-      emit cg (Asm.label l_end);
+      ja cg l_head;
+      place cg l_end;
       env
   | S_for (init, c, step, body) ->
       (* the induction variable scopes over the loop only *)
       let saved_slot = cg.next_slot in
       let env' = compile_stmt cg env ~ret ~brk:None ~cont:None init in
-      let l_head = fresh_label cg "for" in
-      let l_step = fresh_label cg "fstep" in
-      let l_end = fresh_label cg "fend" in
-      emit cg (Asm.label l_head);
+      let l_head = fresh_label cg in
+      let l_step = fresh_label cg in
+      let l_end = fresh_label cg in
+      place cg l_head;
       with_watermark cg (fun () -> branch_false cg env' c l_end);
       reset_regs ();
       compile_block cg env' ~ret ~brk:(Some l_end) ~cont:(Some l_step) body;
-      emit cg (Asm.label l_step);
+      place cg l_step;
       ignore (compile_stmt cg env' ~ret ~brk:None ~cont:None step);
-      emit cg (Asm.ja l_head);
-      emit cg (Asm.label l_end);
+      ja cg l_head;
+      place cg l_end;
       cg.next_slot <- saved_slot;
       env
   | S_return eo ->
@@ -750,29 +783,29 @@ and compile_stmt cg env ~ret ~brk ~cont stmt : env =
               (match eo with
               | Some e ->
                   let r, _ = eval cg env e in
-                  emit cg (Asm.mov Reg.R0 r)
-              | None -> emit cg (Asm.movi Reg.R0 0L));
-              emit cg Asm.exit_
+                  mov cg Reg.R0 r
+              | None -> movi cg Reg.R0 0L);
+              exit_ cg
           | R_inline { slot; end_lbl } ->
               (match (eo, slot) with
               | Some e, Some s ->
                   let r, _ = eval cg env e in
-                  emit cg (Asm.stx Insn.U64 Reg.R10 (-s) r)
+                  stx cg Insn.U64 Reg.R10 (-s) r
               | None, _ -> ()
               | Some _, None -> fail "return with a value in a void function");
-              emit cg (Asm.ja end_lbl));
+              ja cg end_lbl);
       reset_regs ();
       env
   | S_break -> (
       match brk with
       | Some l ->
-          emit cg (Asm.ja l);
+          ja cg l;
           env
       | None -> fail "break outside a loop")
   | S_continue -> (
       match cont with
       | Some l ->
-          emit cg (Asm.ja l);
+          ja cg l;
           env
       | None -> fail "continue outside a loop")
   | S_expr e ->
@@ -794,43 +827,42 @@ and compile_block cg env ~ret ~brk ~cont stmts =
 (* --- top level -------------------------------------------------------------- *)
 
 let compile ?(entry = "prog") ?(use_heap = true) ?name (p : program) =
-  let structs = Hashtbl.create 16 in
+  let structs = Stbl.create 16 in
   List.iter
     (fun sd ->
-      if Hashtbl.mem structs sd.sname then fail "duplicate struct %s" sd.sname;
-      Hashtbl.replace structs sd.sname (layout_struct structs sd))
+      if Stbl.mem structs sd.sname then fail "duplicate struct %s" sd.sname;
+      Stbl.replace structs sd.sname (layout_struct structs sd))
     p.structs;
-  let globals = Hashtbl.create 16 in
+  let globals = Stbl.create 16 in
   let goff = ref globals_base in
   let glist =
     List.map
       (fun g ->
-        if Hashtbl.mem globals g.gname then fail "duplicate global %s" g.gname;
+        if Stbl.mem globals g.gname then fail "duplicate global %s" g.gname;
         goff := align_up !goff 8;
         let off = !goff in
         goff := !goff + align_up (fty_size structs g.gty) 8;
-        Hashtbl.replace globals g.gname (off, g.gty);
+        Stbl.replace globals g.gname (off, g.gty);
         (g.gname, (Int64.of_int off, g.gty)))
       p.globals
   in
-  let fns = Hashtbl.create 16 in
+  let fns = Stbl.create 16 in
   List.iter
     (fun f ->
-      if Hashtbl.mem fns f.fname then fail "duplicate function %s" f.fname;
-      Hashtbl.replace fns f.fname f)
+      if Stbl.mem fns f.fname then fail "duplicate function %s" f.fname;
+      Stbl.replace fns f.fname f)
     p.fns;
   let entry_fn =
-    match Hashtbl.find_opt fns entry with
+    match Stbl.find_opt fns entry with
     | Some f -> f
     | None -> fail "entry function %s not found" entry
   in
   let cg =
     {
-      items = [];
+      asm = Asm.Buf.create ();
       pool = all_pool;
-      live = [];
+      live = 0;
       next_slot = 0;
-      labelc = 0;
       structs;
       globals;
       fns;
@@ -842,26 +874,26 @@ let compile ?(entry = "prog") ?(use_heap = true) ?name (p : program) =
   let env =
     match entry_fn.params with
     | [ (n, Tctx) ] ->
-        emit cg (Asm.mov Reg.R6 Reg.R1);
+        mov cg Reg.R6 Reg.R1;
         [ (n, B_ctx) ]
     | [] -> []
     | _ -> fail "entry %s must take a single ctx parameter (or none)" entry
   in
   if use_heap then begin
-    emit cg (Asm.call "kflex_heap_base");
-    emit cg (Asm.mov Reg.R9 Reg.R0)
+    call cg "kflex_heap_base";
+    mov cg Reg.R9 Reg.R0
   end;
   compile_block cg env ~ret:R_entry ~brk:None ~cont:None entry_fn.body;
-  emit cg (Asm.movi Reg.R0 0L);
-  emit cg Asm.exit_;
+  movi cg Reg.R0 0L;
+  exit_ cg;
   let name = match name with Some n -> n | None -> entry in
-  let prog = Asm.assemble ~name (List.rev cg.items) in
+  let prog = Prog.create ~name (Asm.Buf.finish cg.asm) in
   let layout =
     {
       globals = glist;
       globals_size = Int64.of_int (!goff - globals_base);
       struct_layouts =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) structs []
+        Stbl.fold (fun k v acc -> (k, v) :: acc) structs []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b);
     }
   in

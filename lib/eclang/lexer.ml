@@ -1,49 +1,72 @@
 type token = INT of int64 | IDENT of string | KW of string | PUNCT of string | EOF
 
-type t = { tok : token; line : int }
+type t = { toks : token array; lines : int array; count : int }
 
 exception Error of { line : int; msg : string }
 
-let is_keyword = function
-  | "struct" | "global" | "fn" | "var" | "if" | "else" | "while" | "for"
-  | "return" | "break" | "continue" | "null" | "new" | "free" | "bytes" ->
-      true
-  | _ -> false
+(* Every keyword and operator token below is one shared constant, so
+   lexing allocates only the arrays, identifiers and integer literals. *)
+
+(* Whether [k] is spelled by src.[i .. i + len), from its [j]th byte. *)
+let rec spells k src i len j =
+  j = len || (String.unsafe_get k j = String.unsafe_get src (i + j) && spells k src i len (j + 1))
+
+(* The keyword spelled by src.[i .. i + len), or [EOF]: the one keyword
+   of that length and first letter (and second, for "b"), if it matches. *)
+let keyword src i len =
+  let candidate =
+    match (len, String.unsafe_get src i) with
+    | 2, 'f' -> KW "fn"
+    | 2, 'i' -> KW "if"
+    | 3, 'v' -> KW "var"
+    | 3, 'f' -> KW "for"
+    | 3, 'n' -> KW "new"
+    | 4, 'e' -> KW "else"
+    | 4, 'n' -> KW "null"
+    | 4, 'f' -> KW "free"
+    | 5, 'w' -> KW "while"
+    | 5, 'b' -> if String.unsafe_get src (i + 1) = 'r' then KW "break" else KW "bytes"
+    | 6, 's' -> KW "struct"
+    | 6, 'g' -> KW "global"
+    | 6, 'r' -> KW "return"
+    | 8, 'c' -> KW "continue"
+    | _ -> EOF
+  in
+  match candidate with KW k when spells k src i len 1 -> candidate | _ -> EOF
 
 (* The operator or delimiter starting with [c], given the two characters
-   after it ('\000' past the end): the longest match, or [None]. *)
+   after it ('\000' past the end): the longest match, or [EOF]. *)
 let punct c c1 c2 =
-  let with_eq one two = Some (if c1 = '=' then two else one) in
   match c with
-  | '<' when c1 = '<' -> Some (if c2 = '=' then "<<=" else "<<")
-  | '>' when c1 = '>' -> Some (if c2 = '=' then ">>=" else ">>")
-  | '-' when c1 = '>' -> Some "->"
-  | '&' when c1 = '&' -> Some "&&"
-  | '|' when c1 = '|' -> Some "||"
-  | '+' -> with_eq "+" "+="
-  | '-' -> with_eq "-" "-="
-  | '*' -> with_eq "*" "*="
-  | '/' -> with_eq "/" "/="
-  | '%' -> with_eq "%" "%="
-  | '&' -> with_eq "&" "&="
-  | '|' -> with_eq "|" "|="
-  | '^' -> with_eq "^" "^="
-  | '<' -> with_eq "<" "<="
-  | '>' -> with_eq ">" ">="
-  | '=' -> with_eq "=" "=="
-  | '!' -> with_eq "!" "!="
-  | '~' -> Some "~"
-  | '(' -> Some "("
-  | ')' -> Some ")"
-  | '{' -> Some "{"
-  | '}' -> Some "}"
-  | '[' -> Some "["
-  | ']' -> Some "]"
-  | ';' -> Some ";"
-  | ':' -> Some ":"
-  | ',' -> Some ","
-  | '.' -> Some "."
-  | _ -> None
+  | '<' when c1 = '<' -> if c2 = '=' then PUNCT "<<=" else PUNCT "<<"
+  | '>' when c1 = '>' -> if c2 = '=' then PUNCT ">>=" else PUNCT ">>"
+  | '-' when c1 = '>' -> PUNCT "->"
+  | '&' when c1 = '&' -> PUNCT "&&"
+  | '|' when c1 = '|' -> PUNCT "||"
+  | '+' -> if c1 = '=' then PUNCT "+=" else PUNCT "+"
+  | '-' -> if c1 = '=' then PUNCT "-=" else PUNCT "-"
+  | '*' -> if c1 = '=' then PUNCT "*=" else PUNCT "*"
+  | '/' -> if c1 = '=' then PUNCT "/=" else PUNCT "/"
+  | '%' -> if c1 = '=' then PUNCT "%=" else PUNCT "%"
+  | '&' -> if c1 = '=' then PUNCT "&=" else PUNCT "&"
+  | '|' -> if c1 = '=' then PUNCT "|=" else PUNCT "|"
+  | '^' -> if c1 = '=' then PUNCT "^=" else PUNCT "^"
+  | '<' -> if c1 = '=' then PUNCT "<=" else PUNCT "<"
+  | '>' -> if c1 = '=' then PUNCT ">=" else PUNCT ">"
+  | '=' -> if c1 = '=' then PUNCT "==" else PUNCT "="
+  | '!' -> if c1 = '=' then PUNCT "!=" else PUNCT "!"
+  | '~' -> PUNCT "~"
+  | '(' -> PUNCT "("
+  | ')' -> PUNCT ")"
+  | '{' -> PUNCT "{"
+  | '}' -> PUNCT "}"
+  | '[' -> PUNCT "["
+  | ']' -> PUNCT "]"
+  | ';' -> PUNCT ";"
+  | ':' -> PUNCT ":"
+  | ',' -> PUNCT ","
+  | '.' -> PUNCT "."
+  | _ -> EOF
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_ident_start c || (c >= '0' && c <= '9')
@@ -57,22 +80,25 @@ let hex_value c =
   | _ -> -1
 
 (* The digits of src.[i..j), '_' separators skipped, as an unsigned 64-bit
-   value; [None] when there are none or the value needs more than 64 bits. *)
+   [INT]; [EOF] when there are none or the value needs more than 64 bits. *)
 let parse_digits src i j ~base =
   let b = Int64.of_int base in
   let limit = Int64.unsigned_div (-1L) b in
-  let rec go k acc any =
-    if k = j then if any then Some acc else None
-    else if src.[k] = '_' then go (k + 1) acc any
-    else
-      let d = Int64.of_int (hex_value src.[k]) in
-      if
-        Int64.unsigned_compare acc limit > 0
-        || Int64.unsigned_compare d (Int64.sub (-1L) (Int64.mul acc b)) > 0
-      then None
-      else go (k + 1) (Int64.add (Int64.mul acc b) d) true
-  in
-  go i 0L false
+  let acc = ref 0L and any = ref false and fits = ref true and k = ref i in
+  while !fits && !k < j do
+    (if src.[!k] <> '_' then
+       let d = Int64.of_int (hex_value src.[!k]) in
+       if
+         Int64.unsigned_compare !acc limit > 0
+         || Int64.unsigned_compare d (Int64.sub (-1L) (Int64.mul !acc b)) > 0
+       then fits := false
+       else begin
+         acc := Int64.add (Int64.mul !acc b) d;
+         any := true
+       end);
+    incr k
+  done;
+  if !fits && !any then INT !acc else EOF
 
 let pp_token ppf = function
   | INT i -> Format.fprintf ppf "%Ld" i
@@ -84,10 +110,26 @@ let pp_token ppf = function
 let tokenize src =
   let n = String.length src in
   let line = ref 1 in
-  let toks = ref [] in
+  (* about one token per five source bytes; doubled when full *)
+  let toks = ref (Array.make ((n / 5) + 16) EOF) in
+  let lines = ref (Array.make ((n / 5) + 16) 0) in
+  let count = ref 0 in
   let i = ref 0 in
   let fail msg = raise (Error { line = !line; msg }) in
-  let push tok = toks := { tok; line = !line } :: !toks in
+  let push tok =
+    if !count = Array.length !toks then begin
+      let grow a fill =
+        let a' = Array.make (2 * !count) fill in
+        Array.blit a 0 a' 0 !count;
+        a'
+      in
+      toks := grow !toks EOF;
+      lines := grow !lines 0
+    end;
+    !toks.(!count) <- tok;
+    !lines.(!count) <- !line;
+    incr count
+  in
   let peek k = if !i + k < n then src.[!i + k] else '\000' in
   while !i < n do
     let c = src.[!i] in
@@ -115,12 +157,17 @@ let tokenize src =
       let start = !i in
       let hex = c = '0' && (peek 1 = 'x' || peek 1 = 'X') in
       let digits = if hex then start + 2 else start in
-      let is_digit = if hex then fun c -> hex_value c >= 0 else is_digit in
       i := digits;
-      while !i < n && (is_digit src.[!i] || src.[!i] = '_') do incr i done;
+      while
+        !i < n
+        && ((if hex then hex_value src.[!i] >= 0 else is_digit src.[!i])
+           || src.[!i] = '_')
+      do
+        incr i
+      done;
       match parse_digits src digits !i ~base:(if hex then 16 else 10) with
-      | Some v -> push (INT v)
-      | None ->
+      | INT _ as tok -> push tok
+      | _ ->
           let s = String.sub src start (!i - start) in
           let s = String.concat "" (String.split_on_char '_' s) in
           fail ((if hex then "bad hex literal " else "bad integer literal ") ^ s)
@@ -128,15 +175,16 @@ let tokenize src =
     else if is_ident_start c then begin
       let start = !i in
       while !i < n && is_ident src.[!i] do incr i done;
-      let s = String.sub src start (!i - start) in
-      push (if is_keyword s then KW s else IDENT s)
+      match keyword src start (!i - start) with
+      | EOF -> push (IDENT (String.sub src start (!i - start)))
+      | kw -> push kw
     end
     else
       match punct c (peek 1) (peek 2) with
-      | Some p ->
-          push (PUNCT p);
+      | PUNCT p as tok ->
+          push tok;
           i := !i + String.length p
-      | None -> fail (Printf.sprintf "unexpected character %C" c)
+      | _ -> fail (Printf.sprintf "unexpected character %C" c)
   done;
   push EOF;
-  List.rev !toks
+  { toks = !toks; lines = !lines; count = !count }

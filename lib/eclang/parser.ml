@@ -2,23 +2,26 @@ open Ast
 
 exception Error of { line : int; msg : string }
 
-type st = { mutable toks : Lexer.t list }
+(* An index into the lexer's arrays, which never passes the [EOF] at
+   [last]. *)
+type st = { toks : Lexer.token array; lines : int array; last : int; mutable pos : int }
 
 let fail st fmt =
-  let line = match st.toks with { Lexer.line; _ } :: _ -> line | [] -> 0 in
+  let line = st.lines.(st.pos) in
   Format.kasprintf (fun msg -> raise (Error { line; msg })) fmt
 
-let peek st =
-  match st.toks with { Lexer.tok; _ } :: _ -> tok | [] -> Lexer.EOF
+let peek st = st.toks.(st.pos)
+let advance st = if st.pos < st.last then st.pos <- st.pos + 1
 
-let advance st =
-  match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
+(* Tokens are compared by matching, not with the polymorphic [=]. *)
+let at_punct st p = match peek st with Lexer.PUNCT q -> String.equal q p | _ -> false
+let at_kw st k = match peek st with Lexer.KW q -> String.equal q k | _ -> false
 
-let eat st tok =
-  if peek st = tok then advance st
-  else fail st "expected %a, found %a" Lexer.pp_token tok Lexer.pp_token (peek st)
+let expected st tok =
+  fail st "expected %a, found %a" Lexer.pp_token tok Lexer.pp_token (peek st)
 
-let eat_punct st p = eat st (Lexer.PUNCT p)
+let eat_punct st p = if at_punct st p then advance st else expected st (Lexer.PUNCT p)
+let eat_kw st k = if at_kw st k then advance st else expected st (Lexer.KW k)
 
 let ident st =
   match peek st with
@@ -170,9 +173,9 @@ and atom st =
       | Lexer.PUNCT "(" ->
           advance st;
           let args = ref [] in
-          if peek st <> Lexer.PUNCT ")" then begin
+          if not (at_punct st ")") then begin
             args := [ expr st ];
-            while peek st = Lexer.PUNCT "," do
+            while at_punct st "," do
               advance st;
               args := expr st :: !args
             done
@@ -184,9 +187,18 @@ and atom st =
 
 (* --- statements ------------------------------------------------------- *)
 
-let compound_ops =
-  [ ("+=", Add); ("-=", Sub); ("*=", Mul); ("/=", Div); ("%=", Mod);
-    ("&=", BAnd); ("|=", BOr); ("^=", BXor); ("<<=", Shl); (">>=", Shr) ]
+let compound_op = function
+  | "+=" -> Some Add
+  | "-=" -> Some Sub
+  | "*=" -> Some Mul
+  | "/=" -> Some Div
+  | "%=" -> Some Mod
+  | "&=" -> Some BAnd
+  | "|=" -> Some BOr
+  | "^=" -> Some BXor
+  | "<<=" -> Some Shl
+  | ">>=" -> Some Shr
+  | _ -> None
 
 let expr_of_lvalue = function
   | L_var v -> E_var v
@@ -233,9 +245,9 @@ let rec stmt st =
       eat_punct st ")";
       let then_ = block st in
       let else_ =
-        if peek st = Lexer.KW "else" then begin
+        if at_kw st "else" then begin
           advance st;
-          if peek st = Lexer.KW "if" then [ stmt st ] else block st
+          if at_kw st "if" then [ stmt st ] else block st
         end
         else []
       in
@@ -264,10 +276,10 @@ let rec stmt st =
             let lv = lvalue_of_expr st e in
             advance st;
             S_assign (lv, expr st)
-        | Lexer.PUNCT p when List.mem_assoc p compound_ops ->
+        | Lexer.PUNCT p when Option.is_some (compound_op p) ->
             let lv = lvalue_of_expr st e in
             advance st;
-            S_assign (lv, E_binop (List.assoc p compound_ops, expr_of_lvalue lv, expr st))
+            S_assign (lv, E_binop (Option.get (compound_op p), expr_of_lvalue lv, expr st))
         | _ -> S_expr e
       in
       eat_punct st ")";
@@ -275,7 +287,7 @@ let rec stmt st =
       S_for (init, c, step, body)
   | Lexer.KW "return" ->
       advance st;
-      if peek st = Lexer.PUNCT ";" then begin
+      if at_punct st ";" then begin
         advance st;
         S_return None
       end
@@ -306,7 +318,7 @@ let rec stmt st =
           let rhs = expr st in
           eat_punct st ";";
           S_assign (lv, rhs)
-      | Lexer.PUNCT p when List.mem_assoc p compound_ops ->
+      | Lexer.PUNCT p when Option.is_some (compound_op p) ->
           let lv = lvalue_of_expr st e in
           advance st;
           let rhs = expr st in
@@ -314,7 +326,7 @@ let rec stmt st =
           (* x op= e desugars to x = x op e (the lvalue base is
              re-evaluated; bases with side effects are the author's
              problem, as in C macros) *)
-          S_assign (lv, E_binop (List.assoc p compound_ops, expr_of_lvalue lv, rhs))
+          S_assign (lv, E_binop (Option.get (compound_op p), expr_of_lvalue lv, rhs))
       | _ ->
           eat_punct st ";";
           S_expr e)
@@ -322,7 +334,7 @@ let rec stmt st =
 and block st =
   eat_punct st "{";
   let stmts = ref [] in
-  while peek st <> Lexer.PUNCT "}" do
+  while not (at_punct st "}") do
     stmts := stmt st :: !stmts
   done;
   advance st;
@@ -331,11 +343,11 @@ and block st =
 (* --- declarations ------------------------------------------------------ *)
 
 let struct_decl st =
-  eat st (Lexer.KW "struct");
+  eat_kw st "struct";
   let sname = ident st in
   eat_punct st "{";
   let fields = ref [] in
-  while peek st <> Lexer.PUNCT "}" do
+  while not (at_punct st "}") do
     let f = ident st in
     eat_punct st ":";
     let t = field_ty st in
@@ -346,7 +358,7 @@ let struct_decl st =
   { sname; sfields = List.rev !fields }
 
 let global_decl st =
-  eat st (Lexer.KW "global");
+  eat_kw st "global";
   let gname = ident st in
   eat_punct st ":";
   let t = field_ty st in
@@ -354,11 +366,11 @@ let global_decl st =
   { gname; gty = t }
 
 let fn_decl st =
-  eat st (Lexer.KW "fn");
+  eat_kw st "fn";
   let fname = ident st in
   eat_punct st "(";
   let params = ref [] in
-  if peek st <> Lexer.PUNCT ")" then begin
+  if not (at_punct st ")") then begin
     let param () =
       let n = ident st in
       eat_punct st ":";
@@ -366,14 +378,14 @@ let fn_decl st =
       (n, t)
     in
     params := [ param () ];
-    while peek st = Lexer.PUNCT "," do
+    while at_punct st "," do
       advance st;
       params := param () :: !params
     done
   end;
   eat_punct st ")";
   let ret =
-    if peek st = Lexer.PUNCT "->" then begin
+    if at_punct st "->" then begin
       advance st;
       (match peek st with
       | Lexer.IDENT "u64" -> advance st
@@ -391,7 +403,8 @@ let fn_decl st =
   { fname; params = List.rev !params; ret; body }
 
 let parse src =
-  let st = { toks = Lexer.tokenize src } in
+  let { Lexer.toks; lines; count } = Lexer.tokenize src in
+  let st = { toks; lines; last = count - 1; pos = 0 } in
   let structs = ref [] and globals = ref [] and fns = ref [] in
   let continue = ref true in
   while !continue do

@@ -20,47 +20,35 @@ let forced_guards = { default_options with no_elision = true }
 
 type obj_entry = { klass : string; destructor : string; loc : State.loc }
 
-type cp_kind = C1 | C2
-
-type cp = {
-  cp_id : int;
-  kind : cp_kind;
-  orig_pc : int;
-  new_pc : int;
-  table : obj_entry list;
-}
-
 type t = {
   prog : Prog.t;
-  cps : cp array;
   report : Report.t;
   pc_map : int array;
   orig_of_new : int array;
   tables : obj_entry list array;
 }
 
-let table_of_res_at (analysis : Verify.analysis) pc =
-  List.map
-    (fun (e : Verify.res_entry) ->
-      {
-        klass = e.Verify.res.State.klass;
-        destructor = e.Verify.res.State.destructor;
-        loc = e.Verify.loc;
-      })
-    analysis.Verify.res_at.(pc)
+let entry (e : Verify.res_entry) =
+  {
+    klass = e.Verify.res.State.klass;
+    destructor = e.Verify.res.State.destructor;
+    loc = e.Verify.loc;
+  }
 
 let run ?(options = default_options) (analysis : Verify.analysis) =
   let prog = analysis.Verify.prog in
   let n = Prog.length prog in
-  let access_at = Hashtbl.create 64 in
+  let access_at = Array.make n None in
   List.iter
-    (fun (a : Verify.heap_access) -> Hashtbl.replace access_at a.Verify.pc a)
+    (fun (a : Verify.heap_access) -> access_at.(a.Verify.pc) <- Some a)
     analysis.Verify.heap_accesses;
-  let c1_at = Hashtbl.create 8 in
-  List.iter
-    (fun (l : Cfg.loop) -> Hashtbl.replace c1_at l.Cfg.back_edge_pc ())
-    analysis.Verify.unbounded;
-  (* Pass 1: decide insertions and replacements per original pc. *)
+  let c1 = Bytes.make n '\000' in
+  if not options.kmod_baseline then
+    List.iter
+      (fun (l : Cfg.loop) -> Bytes.set c1 l.Cfg.back_edge_pc '\001')
+      analysis.Verify.unbounded;
+  (* Pass 1: decide, per original pc, the C1 checkpoint, the guard ('r',
+     'w' or none) and the translate-on-store rewrite, and lay out. *)
   let counted = ref 0
   and elided = ref 0
   and emitted = ref 0
@@ -68,128 +56,92 @@ let run ?(options = default_options) (analysis : Verify.analysis) =
   and unguarded_reads = ref 0
   and checkpoints = ref 0
   and xlates = ref 0 in
-  let next_cp = ref 0 in
-  (* (inserted insns in order, was_checkpoint flag per insertion) *)
-  let inserted = Array.make n [] in
-  let replacement = Array.make n None in
-  for pc = 0 to n - 1 do
-    let ins = ref [] in
-    if Hashtbl.mem c1_at pc && not options.kmod_baseline then begin
-      let id = !next_cp in
-      incr next_cp;
-      incr checkpoints;
-      ins := Insn.Checkpoint id :: !ins
-    end;
-    (match (if options.kmod_baseline then None else Hashtbl.find_opt access_at pc) with
-    | None -> ()
-    | Some a ->
-        let writeish = a.Verify.is_store || a.Verify.is_atomic in
-        if a.Verify.formation then begin
-          if options.performance_mode && not writeish then
-            incr unguarded_reads
-          else begin
-            incr formation;
-            ins :=
-              Insn.Guard
-                ((if writeish then Insn.Gwrite else Insn.Gread), a.Verify.addr_reg)
-              :: !ins
-          end
-        end
-        else begin
-          incr counted;
-          if a.Verify.elidable && not options.no_elision then incr elided
-          else if options.performance_mode && not writeish then
-            incr unguarded_reads
-          else begin
-            incr emitted;
-            ins :=
-              Insn.Guard
-                ((if writeish then Insn.Gwrite else Insn.Gread), a.Verify.addr_reg)
-              :: !ins
-          end
-        end;
-        if writeish && a.Verify.stored_ptr && options.translate_on_store then
-          match Prog.get prog pc with
-          | Insn.Stx (sz, d, off, s) ->
-              incr xlates;
-              replacement.(pc) <- Some (Insn.Xstore (sz, d, off, s))
-          | _ -> ());
-    inserted.(pc) <- List.rev !ins
-  done;
-  (* Pass 2: layout. *)
+  let guard = Bytes.make n '\000' and xlate = Bytes.make n '\000' in
   let pc_map = Array.make n 0 in
   let pos = ref 0 in
   for pc = 0 to n - 1 do
     pc_map.(pc) <- !pos;
-    pos := !pos + List.length inserted.(pc) + 1
+    if Bytes.get c1 pc = '\001' then begin
+      incr checkpoints;
+      incr pos
+    end;
+    (match (if options.kmod_baseline then None else access_at.(pc)) with
+    | None -> ()
+    | Some a ->
+        let writeish = a.Verify.is_store || a.Verify.is_atomic in
+        let guarded =
+          if a.Verify.formation then
+            if options.performance_mode && not writeish then begin
+              incr unguarded_reads;
+              false
+            end
+            else begin
+              incr formation;
+              true
+            end
+          else begin
+            incr counted;
+            if a.Verify.elidable && not options.no_elision then begin
+              incr elided;
+              false
+            end
+            else if options.performance_mode && not writeish then begin
+              incr unguarded_reads;
+              false
+            end
+            else begin
+              incr emitted;
+              true
+            end
+          end
+        in
+        if guarded then begin
+          Bytes.set guard pc (if writeish then 'w' else 'r');
+          incr pos
+        end;
+        if writeish && a.Verify.stored_ptr && options.translate_on_store then
+          match Prog.get prog pc with
+          | Insn.Stx _ ->
+              incr xlates;
+              Bytes.set xlate pc '\001'
+          | _ -> ());
+    incr pos
   done;
   let total = !pos in
-  let new_pos_of_orig pc = pc_map.(pc) + List.length inserted.(pc) in
+  (* Pass 2: emit. A checkpoint's id counts the cancellation points before
+     it: the C1 checkpoints and the C2 heap accesses (whose page may be
+     unpopulated), in program order. *)
   let out = Array.make total Insn.Exit in
-  for pc = 0 to n - 1 do
-    List.iteri (fun i insn -> out.(pc_map.(pc) + i) <- insn) inserted.(pc);
-    let body =
-      match replacement.(pc) with Some r -> r | None -> Prog.get prog pc
-    in
-    let body =
-      match body with
-      | Insn.Ja off ->
-          let target = pc + 1 + off in
-          Insn.Ja (pc_map.(target) - new_pos_of_orig pc - 1)
-      | Insn.Jcond (c, r, s, off) ->
-          let target = pc + 1 + off in
-          Insn.Jcond (c, r, s, pc_map.(target) - new_pos_of_orig pc - 1)
-      | i -> i
-    in
-    out.(new_pos_of_orig pc) <- body
-  done;
-  (* Pass 3: cancellation points. C1 = inserted checkpoints; C2 = every heap
-     access (its page may be unpopulated). *)
-  let cps = ref [] in
-  let cp_counter = ref 0 in
-  for pc = 0 to n - 1 do
-    List.iteri
-      (fun i insn ->
-        match insn with
-        | Insn.Checkpoint _ ->
-            let id = !cp_counter in
-            incr cp_counter;
-            cps :=
-              {
-                cp_id = id;
-                kind = C1;
-                orig_pc = pc;
-                new_pc = pc_map.(pc) + i;
-                table = table_of_res_at analysis pc;
-              }
-              :: !cps
-        | _ -> ())
-      inserted.(pc);
-    if Hashtbl.mem access_at pc then begin
-      let id = !cp_counter in
-      incr cp_counter;
-      cps :=
-        {
-          cp_id = id;
-          kind = C2;
-          orig_pc = pc;
-          new_pc = new_pos_of_orig pc;
-          table = table_of_res_at analysis pc;
-        }
-        :: !cps
-    end
-  done;
-  let cps =
-    Array.of_list (List.sort (fun a b -> Int.compare a.cp_id b.cp_id) !cps)
+  let orig_of_new = Array.make total 0 in
+  let sites = ref 0 and at = ref 0 in
+  let put pc insn =
+    out.(!at) <- insn;
+    orig_of_new.(!at) <- pc;
+    incr at
   in
-  (* Renumber Checkpoint instructions to their cp ids. *)
-  Array.iter
-    (fun cp ->
-      match (cp.kind, out.(cp.new_pc)) with
-      | C1, Insn.Checkpoint _ -> out.(cp.new_pc) <- Insn.Checkpoint cp.cp_id
-      | C1, _ -> assert false
-      | C2, _ -> ())
-    cps;
+  (* jumps land on the first instruction of their target's group *)
+  let rel target = pc_map.(target) - !at - 1 in
+  for pc = 0 to n - 1 do
+    if Bytes.get c1 pc = '\001' then begin
+      put pc (Insn.Checkpoint !sites);
+      incr sites
+    end;
+    (match access_at.(pc) with
+    | Some a ->
+        incr sites;
+        (match Bytes.get guard pc with
+        | 'r' -> put pc (Insn.Guard (Insn.Gread, a.Verify.addr_reg))
+        | 'w' -> put pc (Insn.Guard (Insn.Gwrite, a.Verify.addr_reg))
+        | _ -> ())
+    | None -> ());
+    put pc
+      (match Prog.get prog pc with
+      | Insn.Stx (sz, d, off, s) when Bytes.get xlate pc = '\001' ->
+          Insn.Xstore (sz, d, off, s)
+      | Insn.Ja off -> Insn.Ja (rel (pc + 1 + off))
+      | Insn.Jcond (c, r, s, off) -> Insn.Jcond (c, r, s, rel (pc + 1 + off))
+      | i -> i)
+  done;
   let report =
     {
       Report.counted_sites = !counted;
@@ -206,15 +158,13 @@ let run ?(options = default_options) (analysis : Verify.analysis) =
       ~name:(Prog.name prog ^ ".kie")
       out
   in
-  let orig_of_new = Array.make total 0 in
+  (* consecutive pcs share their resource list while nothing moves, and
+     then share one table *)
+  let res_at = analysis.Verify.res_at in
+  let tables = Array.make n [] in
   for pc = 0 to n - 1 do
-    let first = pc_map.(pc) in
-    let last = if pc + 1 < n then pc_map.(pc + 1) - 1 else total - 1 in
-    for i = first to last do
-      orig_of_new.(i) <- pc
-    done
+    tables.(pc) <-
+      (if pc > 0 && res_at.(pc) == res_at.(pc - 1) then tables.(pc - 1)
+       else List.map entry res_at.(pc))
   done;
-  let tables = Array.init n (fun pc -> table_of_res_at analysis pc) in
-  { prog = prog'; cps; report; pc_map; orig_of_new; tables }
-
-let cp_of_pc t pc = Array.find_opt (fun cp -> cp.new_pc = pc) t.cps
+  { prog = prog'; report; pc_map; orig_of_new; tables }

@@ -17,8 +17,9 @@
       destructor the runtime must invoke to release each (§3.3/§4.3).
 
     Every heap access is also a C2 cancellation point (the accessed page may
-    be unpopulated); [cp_of_pc] maps any faulting instrumented pc to its
-    object table. *)
+    be unpopulated). A checkpoint's id counts the C1 and C2 points before it
+    in program order. Whichever point faults, the unwinder reads the object
+    table of its original pc, [tables.(orig_of_new.(pc))]. *)
 
 type options = {
   performance_mode : bool;  (** do not guard reads (§3.2) *)
@@ -49,19 +50,8 @@ type obj_entry = {
           {e instrumented}-program coordinates *)
 }
 
-type cp_kind = C1 | C2
-
-type cp = {
-  cp_id : int;
-  kind : cp_kind;
-  orig_pc : int;  (** pc in the un-instrumented program *)
-  new_pc : int;  (** pc of the Checkpoint / access in the output program *)
-  table : obj_entry list;
-}
-
 type t = {
   prog : Kflex_bpf.Prog.t;  (** the instrumented program *)
-  cps : cp array;
   report : Report.t;
   pc_map : int array;  (** original pc -> first instrumented pc of its group *)
   orig_of_new : int array;  (** instrumented pc -> original pc *)
@@ -72,6 +62,3 @@ type t = {
 }
 
 val run : ?options:options -> Kflex_verifier.Verify.analysis -> t
-
-val cp_of_pc : t -> int -> cp option
-(** The cancellation point covering a faulting instrumented pc. *)

@@ -824,21 +824,21 @@ let net_effect (irs : ir list) ~live ~frame =
 let unwind_locs (kie : Kflex_kie.Instrument.t) =
   let orig = kie.Kflex_kie.Instrument.orig_of_new in
   let u = Array.make (2 * Array.length orig) 0 in
-  Array.iteri
-    (fun pc o ->
-      List.iter
-        (fun (e : Kflex_kie.Instrument.obj_entry) ->
-          let k, bits =
-            match e.Kflex_kie.Instrument.loc with
-            | Kflex_verifier.State.L_reg r -> (2 * pc, 1 lsl ri r)
-            | Kflex_verifier.State.L_slot i when i >= 0 && i < 64 ->
-                ((2 * pc) + 1, slots (8 * i) 8)
-            | Kflex_verifier.State.L_slot _ ->
-                invalid_arg "Jit: object-table slot outside the frame"
-          in
-          u.(k) <- u.(k) lor bits)
-        kie.Kflex_kie.Instrument.tables.(o))
-    orig;
+  let rec add pc = function
+    | [] -> ()
+    | (e : Kflex_kie.Instrument.obj_entry) :: rest ->
+        (match e.Kflex_kie.Instrument.loc with
+        | Kflex_verifier.State.L_reg r ->
+            u.(2 * pc) <- u.(2 * pc) lor (1 lsl ri r)
+        | Kflex_verifier.State.L_slot i when i >= 0 && i < 64 ->
+            u.((2 * pc) + 1) <- u.((2 * pc) + 1) lor slots (8 * i) 8
+        | Kflex_verifier.State.L_slot _ ->
+            invalid_arg "Jit: object-table slot outside the frame");
+        add pc rest
+  in
+  for pc = 0 to Array.length orig - 1 do
+    add pc kie.Kflex_kie.Instrument.tables.(orig.(pc))
+  done;
   u
 
 (* What some later read may observe on entry to each pc. [regs.(pc)]: the

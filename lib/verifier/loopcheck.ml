@@ -2,45 +2,40 @@ open Kflex_bpf
 
 type verdict = Bounded | Unbounded
 
-let loop_pcs cfg (l : Cfg.loop) =
-  let blocks = Cfg.blocks cfg in
-  List.concat_map
-    (fun bid ->
-      let b = blocks.(bid) in
-      List.init (b.Cfg.last - b.Cfg.first + 1) (fun i -> b.Cfg.first + i))
-    l.Cfg.body
-
-(* Registers written by an instruction (conservatively). *)
-let written = function
-  | Insn.Alu (_, d, _) | Insn.Neg d | Insn.Mov (d, _) | Insn.Ldx (_, d, _, _) ->
-      [ d ]
-  | Insn.Atomic (op, _, _, _, s) -> (
-      match op with
-      | Insn.Fetch_add | Insn.Fetch_or | Insn.Fetch_and | Insn.Fetch_xor
-      | Insn.Xchg ->
-          [ s ]
-      | Insn.Cmpxchg -> [ Reg.R0 ]
-      | _ -> [])
-  | Insn.Call _ -> Reg.caller_saved
-  | Insn.Guard (_, r) -> [ r ]
-  | _ -> []
+(* Whether an instruction writes [r] (conservatively). *)
+let writes r = function
+  | Insn.Alu (_, d, _) | Insn.Neg d | Insn.Mov (d, _) | Insn.Ldx (_, d, _, _)
+  | Insn.Guard (_, d) ->
+      Reg.equal d r
+  | Insn.Atomic
+      ( ( Insn.Fetch_add | Insn.Fetch_or | Insn.Fetch_and | Insn.Fetch_xor
+        | Insn.Xchg ),
+        _, _, _, s ) ->
+      Reg.equal s r
+  | Insn.Atomic (Insn.Cmpxchg, _, _, _, _) -> Reg.equal r Reg.R0
+  | Insn.Call _ -> List.mem r Reg.caller_saved
+  | _ -> false
 
 (* The unique [r += k] / [r -= k] step for [r] in the loop, if [r] is written
    exactly once and only by such an instruction. *)
-let step_of prog pcs r =
-  let steps = ref [] in
-  let other_writes = ref false in
+let step_of prog cfg (l : Cfg.loop) r =
+  let blocks = Cfg.blocks cfg in
+  let steps = ref 0 and step = ref 0L and other_writes = ref false in
   List.iter
-    (fun pc ->
-      let insn = Prog.get prog pc in
-      match insn with
-      | Insn.Alu (Insn.Add, d, Insn.Imm k) when Reg.equal d r ->
-          steps := k :: !steps
-      | Insn.Alu (Insn.Sub, d, Insn.Imm k) when Reg.equal d r ->
-          steps := Int64.neg k :: !steps
-      | _ -> if List.exists (Reg.equal r) (written insn) then other_writes := true)
-    pcs;
-  match (!steps, !other_writes) with [ k ], false -> Some k | _ -> None
+    (fun bid ->
+      let b = blocks.(bid) in
+      for pc = b.Cfg.first to b.Cfg.last do
+        match Prog.get prog pc with
+        | Insn.Alu (Insn.Add, d, Insn.Imm k) when Reg.equal d r ->
+            incr steps;
+            step := k
+        | Insn.Alu (Insn.Sub, d, Insn.Imm k) when Reg.equal d r ->
+            incr steps;
+            step := Int64.neg k
+        | insn -> if writes r insn then other_writes := true
+      done)
+    l.Cfg.body;
+  if !steps = 1 && not !other_writes then Some !step else None
 
 (* Whether staying in the loop under [cond r, c] with step [k] per iteration
    must eventually fail. The stay condition holds on the in-loop edge. *)
@@ -56,9 +51,7 @@ let progresses (stay : Insn.cond) (c : int64) (k : int64) =
   | _ -> false
 
 let classify prog cfg (l : Cfg.loop) =
-  let pcs = loop_pcs cfg l in
   let in_loop bid = List.mem bid l.Cfg.body in
-  let blocks = Cfg.blocks cfg in
   let bounded_exit pc =
     match Prog.get prog pc with
     | Insn.Jcond (cond, r, Insn.Imm c, off) -> (
@@ -70,25 +63,22 @@ let classify prog cfg (l : Cfg.loop) =
         match (taken_in, fall_in) with
         | true, false ->
             (* stay condition = cond *)
-            (match step_of prog pcs r with
+            (match step_of prog cfg l r with
             | Some k -> progresses cond c k
             | None -> false)
         | false, true ->
             (* stay condition = not cond *)
-            (match step_of prog pcs r with
+            (match step_of prog cfg l r with
             | Some k -> progresses (Range.negate_cond cond) c k
             | None -> false)
         | _ -> false)
     | _ -> false
   in
-  let found = ref false in
-  List.iter
-    (fun bid ->
-      let b = blocks.(bid) in
-      (* exit branches sit at block terminators *)
-      if (not !found) && bounded_exit b.Cfg.last then found := true)
-    l.Cfg.body;
-  if !found then Bounded else Unbounded
+  let blocks = Cfg.blocks cfg in
+  (* exit branches sit at block terminators *)
+  if List.exists (fun bid -> bounded_exit blocks.(bid).Cfg.last) l.Cfg.body
+  then Bounded
+  else Unbounded
 
 let unbounded_loops prog cfg =
   List.filter (fun l -> classify prog cfg l = Unbounded) (Cfg.loops cfg)

@@ -28,6 +28,10 @@ let own_origin = 2
 let own_chunks = 4
 let[@inline] own_chunk c = 8 lsl c
 
+(* the chunk of every slot no write has reached: never written in place,
+   as no state owns it *)
+let empty_chunk = Array.make 8 S_empty
+
 let init ~ctx_nullable =
   let regs = Array.make 11 Value.Uninit in
   regs.(1) <-
@@ -36,7 +40,7 @@ let init ~ctx_nullable =
   {
     regs;
     origin = Array.make 11 (-1);
-    chunks = Array.make nchunks (Array.make 8 S_empty);
+    chunks = Array.make nchunks empty_chunk;
     res = [];
     owned = 0;
     moved = false;
@@ -150,24 +154,22 @@ let equal a b =
    unchanged: a join or widening that changes nothing allocates nothing, and
    the equality test that follows it short-cuts. [f x x] must be [x], so
    elements [a] and [b] share are skipped. *)
-let map2_shared f a b =
-  let n = Array.length a in
-  let rec go i =
-    if i = n then a
-    else if b.(i) == a.(i) then go (i + 1)
-    else
-      let v = f a.(i) b.(i) in
-      if v == a.(i) then go (i + 1)
-      else begin
-        let r = Array.copy a in
-        r.(i) <- v;
-        for j = i + 1 to n - 1 do
-          r.(j) <- f a.(j) b.(j)
-        done;
-        r
-      end
-  in
-  go 0
+let rec map2_shared_from f a b i =
+  if i = Array.length a then a
+  else if b.(i) == a.(i) then map2_shared_from f a b (i + 1)
+  else
+    let v = f a.(i) b.(i) in
+    if v == a.(i) then map2_shared_from f a b (i + 1)
+    else begin
+      let r = Array.copy a in
+      r.(i) <- v;
+      for j = i + 1 to Array.length a - 1 do
+        r.(j) <- f a.(j) b.(j)
+      done;
+      r
+    end
+
+let map2_shared f a b = map2_shared_from f a b 0
 
 (* [slot_join s s = s]: a spilled value is never [Uninit] *)
 let slot_join a b =
@@ -243,16 +245,23 @@ let holds id = function Value.Obj o -> o.id = id | _ -> false
 let spills id = function S_spill v -> holds id v | _ -> false
 
 (* The first register, else the first slot, holding object [id], or -1: a
-   plain scan that allocates nothing. *)
+   plain scan that allocates and calls nothing. *)
 let rec reg_holding st id i =
   if i = Array.length st.regs then -1
-  else if holds id st.regs.(i) then i
-  else reg_holding st id (i + 1)
+  else
+    match st.regs.(i) with
+    | Value.Obj o when o.id = id -> i
+    | _ -> reg_holding st id (i + 1)
 
 let rec slot_holding st id i =
   if i = nslots then -1
-  else if spills id (slot st i) then i
-  else slot_holding st id (i + 1)
+  else
+    let chunk = st.chunks.(i lsr 3) in
+    if chunk == empty_chunk then slot_holding st id ((i lor 7) + 1)
+    else
+      match chunk.(i land 7) with
+      | S_spill (Value.Obj o) when o.id = id -> i
+      | _ -> slot_holding st id (i + 1)
 
 let find_obj st id =
   let r = reg_holding st id 0 in

@@ -747,8 +747,8 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
     let enqueue b = Queue.push b workset in
     in_states.(0) <- Some (State.init ~ctx_nullable:false);
     enqueue 0;
-    (* [st] is not written after it is delivered *)
-    let merge_into ~from_back_edge succ st =
+    (* [st], delivered from block [from], is not written after that *)
+    let merge_into ~from succ st =
       match in_states.(succ) with
       | None ->
           in_states.(succ) <- Some (State.copy st);
@@ -756,6 +756,7 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
       | Some old -> (
           match State.join old st with
           | Error msg ->
+              let from_back_edge = Cfg.dominates cfg succ from in
               let kind = if from_back_edge then E_loop else E_resource in
               let msg =
                 if from_back_edge then
@@ -767,8 +768,9 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
               err ~pc:blocks.(succ).Cfg.first kind "%s" msg
           | Ok joined ->
               (* [old] was checked when it arrived: only an object the join
-                 took out of its locations can leak here *)
-              (match State.leaked joined with
+                 took out of its locations can leak here, and a join that
+                 changes nothing returns [old] itself *)
+              (match if joined == old then [] else State.leaked joined with
               | [] -> ()
               | r :: _ ->
                   err ~pc:blocks.(succ).Cfg.first E_leak
@@ -791,9 +793,10 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
                 enqueue succ
               end)
     in
+    let deliver b pc st = merge_into ~from:b (Cfg.block_of_pc cfg pc).Cfg.id st in
     (* execute block [b] on a copy of its entry state, delivering successor
-       states via [deliver] *)
-    let exec_block b entry ~deliver =
+       states *)
+    let exec_block b entry =
       let blk = blocks.(b) in
       let st = State.copy entry in
       let rec step pc =
@@ -801,11 +804,11 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
         match transfer env None ~pc st insn with
         | Fall ->
             check_leak ~pc st;
-            if pc = blk.Cfg.last then deliver (pc + 1) st else step (pc + 1)
+            if pc = blk.Cfg.last then deliver b (pc + 1) st else step (pc + 1)
         | Jump -> (
             check_leak ~pc st;
             match insn with
-            | Insn.Ja off -> deliver (pc + 1 + off) st
+            | Insn.Ja off -> deliver b (pc + 1 + off) st
             | _ -> assert false)
         | Branch (taken, fall) ->
             let toff =
@@ -816,11 +819,11 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
             (match taken with
             | Some s ->
                 check_leak ~pc s;
-                deliver toff s
+                deliver b toff s
             | None -> ());
             if fall then begin
               check_leak ~pc st;
-              deliver (pc + 1) st
+              deliver b (pc + 1) st
             end
         | Stop -> ()
       in
@@ -832,10 +835,7 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
       | None -> ()
       | Some st ->
           incr block_visits;
-          exec_block b st ~deliver:(fun pc s ->
-              let succ = (Cfg.block_of_pc cfg pc).Cfg.id in
-              let from_back_edge = Cfg.dominates cfg succ b in
-              merge_into ~from_back_edge succ s)
+          exec_block b st
     done;
     let final = final_pass env prog cfg in_states in
     Ok

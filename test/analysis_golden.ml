@@ -1,6 +1,8 @@
 (* Pins every verifier analysis: one MD5 per program over a canonical text
-   rendering of its compiled instructions and of every field of
-   [Verify.analysis] (or of its rejection). The output is diffed against
+   rendering of its compiled instructions, of every field of
+   [Verify.analysis] (or of its rejection), and of what Kie makes of an
+   accepted program with its default options: the instrumented
+   instructions, [pc_map], [orig_of_new] and the object tables. The output is diffed against
    analysis_golden.txt in [dune runtest]; a mismatch names the program whose
    analysis changed. After a deliberate change, review the diff and refresh
    the golden with [dune promote], as for the lint golden.
@@ -107,7 +109,30 @@ let analysis b (a : Verify.analysis) =
   pr b "stats visits=%d joins=%d widenings=%d\n" a.stats.block_visits
     a.stats.joins a.stats.widenings
 
-(* One program: its instructions, then its analysis or rejection. *)
+let kie b (k : Kflex_kie.Instrument.t) =
+  Array.iteri
+    (fun pc i -> pr b "kie %d %s\n" pc (Format.asprintf "%a" Insn.pp i))
+    (Prog.insns k.prog);
+  pr b "pc_map";
+  Array.iter (pr b " %d") k.pc_map;
+  pr b "\norig_of_new";
+  Array.iter (pr b " %d") k.orig_of_new;
+  pr b "\n";
+  Array.iteri
+    (fun pc (t : Kflex_kie.Instrument.obj_entry list) ->
+      if t <> [] then begin
+        pr b "table %d" pc;
+        List.iter
+          (fun (e : Kflex_kie.Instrument.obj_entry) ->
+            pr b " %s:%s@" e.klass e.destructor;
+            loc b e.loc)
+          t;
+        pr b "\n"
+      end)
+    k.tables
+
+(* One program: its instructions, then its analysis and instrumentation,
+   or its rejection. *)
 let digest ~mode ~heap_size ~sleepable prog =
   let b = Buffer.create 65536 in
   Array.iteri (fun pc i -> pr b "%d %s\n" pc (Format.asprintf "%a" Insn.pp i))
@@ -116,7 +141,9 @@ let digest ~mode ~heap_size ~sleepable prog =
      Verify.run ~mode ~contracts:Kflex.contracts ~ctx_size:Hook.ctx_size
        ?heap_size ~sleepable prog
    with
-  | Ok a -> analysis b a
+  | Ok a ->
+      analysis b a;
+      kie b (Kflex_kie.Instrument.run a)
   | Error e ->
       pr b "rejected pc=%s kind=%s msg=%s\n"
         (match e.pc with Some pc -> string_of_int pc | None -> "-")

@@ -208,6 +208,93 @@ let test_cfg_unreachable () =
   Alcotest.(check bool) "b0 reachable" true (Cfg.reachable g 0);
   Alcotest.(check bool) "b1 unreachable" false (Cfg.reachable g 1)
 
+(* Random well-formed control flow: moves, jumps, conditional jumps and
+   exits, jumping anywhere, ending in an exit. *)
+let arb_cfg_prog =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 2 30 >>= fun n ->
+      let insn pc =
+        if pc = n - 1 then return Insn.Exit
+        else
+          int_range 0 3 >>= fun kind ->
+          int_range 0 (n - 1) >|= fun t ->
+          match kind with
+          | 0 -> Insn.Mov (Reg.R0, Insn.Imm 1L)
+          | 1 -> Insn.Ja (t - pc - 1)
+          | 2 -> Insn.Jcond (Insn.Eq, Reg.R0, Insn.Imm 0L, t - pc - 1)
+          | _ -> Insn.Exit
+      in
+      flatten_l (List.init n insn) >|= fun l ->
+      Prog.create ~name:"cfg" (Array.of_list l))
+  in
+  make ~print:(fun p -> Format.asprintf "%a" Prog.pp p) gen
+
+(* The reference: [a] dominates a reachable [b] when [a = b] or [b] cannot
+   be reached from the entry once [a] is removed; natural loops follow
+   their definition over lists, in [Cfg.loops]' order. *)
+let prop_cfg_reference =
+  QCheck.Test.make ~count:500 ~name:"dominance and loops = list reference"
+    arb_cfg_prog (fun p ->
+      let g = Cfg.build p in
+      let blocks = Array.to_list (Cfg.blocks g) in
+      let nb = List.length blocks in
+      let succs b = (Cfg.blocks g).(b).Cfg.succs in
+      let preds b =
+        List.filter_map
+          (fun (x : Cfg.block) -> if List.mem b x.Cfg.succs then Some x.Cfg.id else None)
+          blocks
+      in
+      let rec reach seen next = function
+        | [] -> seen
+        | b :: rest ->
+            if List.mem b seen then reach seen next rest
+            else reach (b :: seen) next (next b @ rest)
+      in
+      let reachable = reach [] succs [ 0 ] in
+      let dom a b =
+        List.mem b reachable
+        && (a = b
+           || not (List.mem b (reach [] (fun x -> List.filter (( <> ) a) (succs x))
+                                (if a = 0 then [] else [ 0 ]))))
+      in
+      let doms_agree =
+        List.for_all
+          (fun a -> List.for_all (fun b -> Cfg.dominates g a b = dom a b) (List.init nb Fun.id))
+          (List.init nb Fun.id)
+        && List.for_all
+             (fun b ->
+               Cfg.dominators g b = List.filter (fun a -> dom a b) (List.init nb Fun.id))
+             (List.init nb Fun.id)
+      in
+      let loops =
+        List.concat_map
+          (fun (b : Cfg.block) ->
+            if not (List.mem b.Cfg.id reachable) then []
+            else
+              List.filter_map
+                (fun h ->
+                  if not (dom h b.Cfg.id) then None
+                  else
+                    let inside =
+                      h :: reach [] (fun x -> if x = h then [] else preds x) [ b.Cfg.id ]
+                    in
+                    Some
+                      {
+                        Cfg.header = h;
+                        back_edge_src = b.Cfg.id;
+                        back_edge_pc = b.Cfg.last;
+                        body = List.sort_uniq compare inside;
+                      })
+                b.Cfg.succs)
+          blocks
+        |> List.rev
+        |> List.stable_sort (fun x y ->
+               compare (List.length x.Cfg.body) (List.length y.Cfg.body))
+      in
+      doms_agree && Cfg.loops g = loops)
+
 (* --- encoding ----------------------------------------------------------------- *)
 
 let arb_insn =
@@ -327,6 +414,7 @@ let () =
           Alcotest.test_case "loop" `Quick test_cfg_loop;
           Alcotest.test_case "nested loops" `Quick test_cfg_nested_loops;
           Alcotest.test_case "unreachable" `Quick test_cfg_unreachable;
+          QCheck_alcotest.to_alcotest prop_cfg_reference;
         ] );
       ( "encode",
         [

@@ -4,28 +4,33 @@ open Kflex_eclang
 
 (* --- lexer ----------------------------------------------------------------- *)
 
+(* the tokens of [src] with their lines, in order *)
+let tokenize src =
+  let t = Lexer.tokenize src in
+  List.init t.Lexer.count (fun i -> (t.Lexer.toks.(i), t.Lexer.lines.(i)))
+
 let t_lexer_tokens () =
-  let toks = Lexer.tokenize "fn f() { return 0x10 + 2_000; } // c" in
-  let kinds = List.map (fun t -> t.Lexer.tok) toks in
+  let toks = tokenize "fn f() { return 0x10 + 2_000; } // c" in
+  let kinds = List.map fst toks in
   Alcotest.(check bool) "kw fn" true (List.mem (Lexer.KW "fn") kinds);
   Alcotest.(check bool) "hex" true (List.mem (Lexer.INT 16L) kinds);
   Alcotest.(check bool) "underscore" true (List.mem (Lexer.INT 2000L) kinds);
   Alcotest.(check bool) "eof" true (List.mem Lexer.EOF kinds)
 
 let t_lexer_comments () =
-  let toks = Lexer.tokenize "/* multi \n line */ 1 // eol\n 2" in
+  let toks = tokenize "/* multi \n line */ 1 // eol\n 2" in
   let ints =
     List.filter_map
-      (fun t -> match t.Lexer.tok with Lexer.INT i -> Some i | _ -> None)
+      (fun (t, _) -> match t with Lexer.INT i -> Some i | _ -> None)
       toks
   in
   Alcotest.(check (list int64)) "ints" [ 1L; 2L ] ints
 
 let t_lexer_line_numbers () =
-  let toks = Lexer.tokenize "1\n2\n3" in
+  let toks = tokenize "1\n2\n3" in
   let lines =
     List.filter_map
-      (fun t -> match t.Lexer.tok with Lexer.INT _ -> Some t.Lexer.line | _ -> None)
+      (fun (t, line) -> match t with Lexer.INT _ -> Some line | _ -> None)
       toks
   in
   Alcotest.(check (list int)) "lines" [ 1; 2; 3 ] lines
@@ -50,8 +55,8 @@ let t_lexer_errors () =
 let t_lexer_punctuation () =
   let puncts src =
     List.filter_map
-      (fun t -> match t.Lexer.tok with Lexer.PUNCT p -> Some p | _ -> None)
-      (Lexer.tokenize src)
+      (fun (t, _) -> match t with Lexer.PUNCT p -> Some p | _ -> None)
+      (tokenize src)
   in
   let all =
     [ "<<="; ">>="; "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^="; "<<"; ">>";
@@ -68,8 +73,8 @@ let t_lexer_punctuation () =
 (* Decimal literals cover the whole u64 range, like hex ones. *)
 let t_lexer_u64_literals () =
   let int src =
-    match Lexer.tokenize src with
-    | [ { Lexer.tok = Lexer.INT i; _ }; { Lexer.tok = Lexer.EOF; _ } ] -> i
+    match tokenize src with
+    | [ (Lexer.INT i, _); (Lexer.EOF, _) ] -> i
     | _ -> Alcotest.failf "not one integer: %s" src
   in
   Alcotest.(check int64) "2^63" Int64.min_int (int "9223372036854775808");

@@ -295,6 +295,100 @@ let t_jit_cache_collision () =
     s2.Kflex.misses;
   Alcotest.(check bool) "a fresh form" false (t2' == t2)
 
+(* The key depends on the program, not on how its values share memory:
+   Memcached compiled from source, whose instructions share constants, and
+   the same program decoded from its encoding, which shares nothing, make
+   one entry, and the second admission hits it. *)
+let t_jit_cache_decoded () =
+  let prog =
+    (Kflex_eclang.Compile.compile_string ~name:"memcached"
+       Kflex_apps.Memcached.kflex_source).Kflex_eclang.Compile.prog
+  in
+  let decoded = Kflex_bpf.Encode.decode (Kflex_bpf.Encode.encode prog) in
+  let admit p =
+    match Kflex.admit ~heap_size:(Int64.shift_left 1L 26) ~hook:Hook.Xdp p with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "admit: %a" Kflex_verifier.Verify.pp_error e
+  in
+  admit prog;
+  let s1 = Kflex.jit_cache_stats () in
+  admit decoded;
+  let s2 = Kflex.jit_cache_stats () in
+  Alcotest.(check int) "no second compile" s1.Kflex.misses s2.Kflex.misses;
+  Alcotest.(check int) "the decoded program hits" (s1.Kflex.hits + 1) s2.Kflex.hits;
+  Alcotest.(check int) "no second entry"
+    (s1.Kflex.entries + s1.Kflex.evictions)
+    (s2.Kflex.entries + s2.Kflex.evictions)
+
+(* The cache compares encodings, so [Encode] must be injective on what it
+   compares: every app and example program, instrumented, decodes back to
+   the same instructions. *)
+let t_encode_roundtrip_instrumented () =
+  let module A = Kflex_apps in
+  let dir = "../examples/ec" in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ec")
+    |> List.map (fun f ->
+           (f, Hook.Xdp, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+  in
+  let ds =
+    List.concat_map
+      (fun k ->
+        let n = A.Datastructs.name k in
+        [ (n, Hook.Xdp, A.Datastructs.source k);
+          (n ^ ".chain", Hook.Xdp, A.Datastructs.chain_source k);
+          (n ^ ".update", Hook.Xdp, A.Datastructs.op_source k `Update);
+          (n ^ ".lookup", Hook.Xdp, A.Datastructs.op_source k `Lookup);
+          (n ^ ".delete", Hook.Xdp, A.Datastructs.op_source k `Delete) ])
+      A.Datastructs.all
+  in
+  let programs =
+    [
+      ("memcached", Hook.Xdp, A.Memcached.kflex_source);
+      ("redis", Hook.Sk_skb, A.Redis.source);
+      ("ratelimit", Hook.Xdp,
+        A.Ratelimit.bucket_source ~pass:2L ~drop:1L ~capacity:64 ~window_ns:1_000_000L);
+      ("conntrack", Hook.Xdp, A.Ratelimit.conntrack_source ~pass:2L ~drop:1L);
+    ]
+    @ ds @ examples
+  in
+  let instrumented = ref 0 in
+  (* BMC is the one plain-eBPF app: no heap *)
+  let bmc = ("memcached.bmc", Hook.Xdp, A.Memcached.bmc_source) in
+  List.iter
+    (fun ((name, hook, src) as p) ->
+      let ebpf = p == bmc in
+      let prog =
+        (Kflex_eclang.Compile.compile_string ~name ~use_heap:(not ebpf) src)
+          .Kflex_eclang.Compile.prog
+      in
+      match
+        Kflex_verifier.Verify.run
+          ~mode:(if ebpf then Kflex_verifier.Verify.Ebpf else Kflex_verifier.Verify.Kflex)
+          ~contracts:Kflex.contracts ~ctx_size:Hook.ctx_size
+          ?heap_size:(if ebpf then None else Some (Int64.shift_left 1L 24))
+          ~sleepable:(Hook.sleepable hook) prog
+      with
+      | Error _ -> () (* a rejected example has no instrumented form *)
+      | Ok a ->
+          incr instrumented;
+          let p = (Kflex_kie.Instrument.run a).Kflex_kie.Instrument.prog in
+          let d = Kflex_bpf.Encode.decode (Kflex_bpf.Encode.encode p) in
+          let insns = Kflex_bpf.Prog.insns in
+          if
+            not
+              (Kflex_bpf.Prog.name d = Kflex_bpf.Prog.name p
+              && Kflex_bpf.Prog.is_instrumented d = Kflex_bpf.Prog.is_instrumented p
+              && Array.length (insns d) = Array.length (insns p)
+              && Array.for_all2 Kflex_bpf.Insn.equal (insns d) (insns p))
+          then Alcotest.failf "%s: the instrumented program does not round-trip" name)
+    (bmc :: programs);
+  Alcotest.(check bool) "examples read" true (List.length examples >= 3);
+  Alcotest.(check bool) "every program but the buggy example instrumented"
+    true
+    (!instrumented >= List.length programs)
+
 (* kbench's set-up cycle: the tenants of an overload engine, created and
    shut down twice; the second cycle compiles nothing. *)
 let t_jit_cache_repeat_attach () =
@@ -1039,6 +1133,9 @@ let () =
           Alcotest.test_case "repeat attaches hit" `Quick
             t_jit_cache_repeat_attach;
           Alcotest.test_case "key covers unwind slots" `Quick t_jit_cache_slots;
+          Alcotest.test_case "decoded program hits" `Quick t_jit_cache_decoded;
+          Alcotest.test_case "encode round-trips instrumented programs" `Quick
+            t_encode_roundtrip_instrumented;
         ] );
       ( "shards",
         [

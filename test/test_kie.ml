@@ -170,19 +170,22 @@ let t_object_table_c2 () =
     ]
   in
   let k = Instrument.run ~options:(opts ()) (analyse items) in
-  let c2s =
-    Array.to_list k.Instrument.cps
-    |> List.filter (fun c -> c.Instrument.kind = Instrument.C2)
+  (* the table the unwinder reads when the load faults *)
+  let insns = Prog.insns k.Instrument.prog in
+  let loads =
+    List.filter
+      (fun pc -> match insns.(pc) with Insn.Ldx _ -> true | _ -> false)
+      (List.init (Array.length insns) Fun.id)
   in
-  match c2s with
-  | [ cp ] -> (
-      match cp.Instrument.table with
+  match loads with
+  | [ pc ] -> (
+      match k.Instrument.tables.(k.Instrument.orig_of_new.(pc)) with
       | [ e ] ->
           Alcotest.(check string) "lock" "kflex_lock" e.Instrument.klass;
           Alcotest.(check string) "destructor" "kflex_spin_unlock"
             e.Instrument.destructor
       | t -> Alcotest.failf "expected 1 entry, got %d" (List.length t))
-  | l -> Alcotest.failf "expected 1 C2 cp, got %d" (List.length l)
+  | l -> Alcotest.failf "expected 1 heap load, got %d" (List.length l)
 
 let t_pc_maps_consistent () =
   let k = Instrument.run ~options:(opts ()) (analyse unsafe_rw) in

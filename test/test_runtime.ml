@@ -1448,7 +1448,6 @@ let t_region_frame_atomic () =
     {
       base with
       Kflex_kie.Instrument.prog;
-      cps = [||];
       pc_map = Array.init n Fun.id;
       orig_of_new = Array.init n Fun.id;
       tables = Array.make n [];
@@ -1869,7 +1868,6 @@ let t_jit_access_edges () =
     {
       base with
       Kflex_kie.Instrument.prog;
-      cps = [||];
       pc_map = Array.init n Fun.id;
       orig_of_new = Array.init n Fun.id;
       tables = Array.make n regs;

@@ -1526,12 +1526,15 @@ let prop_sanitize_idempotent =
       | Some off -> off >= 0L && off < 65536L
       | None -> false)
 
-(* Admission's allocation, pinned: minor words of one [Verify.run] and one
-   [Kflex.admit] (a compiled-program cache hit) on the two cache programs
-   may exceed what they measured when the verifier came to write its
-   states in place, keep no per-pc state and store a range as one unboxed
-   block by at most 10%. A change that copies states per write again,
-   keeps the per-pc states at admission or boxes range words fails here. *)
+(* Admission's allocation, pinned: the minor words of each stage on the
+   two cache programs — one [Compile.compile_string], one [Verify.run], one
+   [Kflex.admit] (a compiled-program cache hit) and one cache hit through
+   [Kflex.jit_cache_key] and [Kflex.compile_cached] — may exceed what they
+   measured when admission came to allocate only for its output by at most
+   10%. A change that lexes into a list again, emits code through a list of
+   items, copies states per write, keeps the per-pc states at admission,
+   boxes range words, keeps pc-keyed tables in Kie, or marshals the cache
+   key fails here. *)
 let t_admission_allocation () =
   let module Hook = Kflex_kernel.Hook in
   let words f =
@@ -1540,10 +1543,9 @@ let t_admission_allocation () =
     Gc.minor_words () -. w
   in
   List.iter
-    (fun (name, hook, src, verify_words, admit_words) ->
-      let prog =
-        (Kflex_eclang.Compile.compile_string ~name src).Kflex_eclang.Compile.prog
-      in
+    (fun (name, hook, src, compile_words, verify_words, admit_words, hit_words) ->
+      let compile () = Kflex_eclang.Compile.compile_string ~name src in
+      let prog = (compile ()).Kflex_eclang.Compile.prog in
       let heap_size = Int64.shift_left 1L 24 in
       let verify () =
         Verify.run ~mode:Verify.Kflex ~contracts:Kflex.contracts
@@ -1554,16 +1556,26 @@ let t_admission_allocation () =
       (match admit () with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "%s: %a" name Verify.pp_error e);
+      let kie =
+        match verify () with
+        | Ok a -> Kflex_kie.Instrument.run a
+        | Error e -> Alcotest.failf "%s: %a" name Verify.pp_error e
+      in
+      let hit () = Kflex.compile_cached ~key:(Kflex.jit_cache_key kie) kie in
       let check what measured got =
         if got > 1.1 *. measured then
           Alcotest.failf "%s: %s allocated %.0f words, over %.0f + 10%%" name
             what got measured
       in
+      check "Compile.compile_string" compile_words (words compile);
       check "Verify.run" verify_words (words verify);
-      check "Kflex.admit" admit_words (words admit))
+      check "Kflex.admit" admit_words (words admit);
+      check "a Jit-cache hit" hit_words (words hit))
     [
-      ("memcached", Hook.Xdp, Kflex_apps.Memcached.kflex_source, 20_472., 31_531.);
-      ("redis", Hook.Sk_skb, Kflex_apps.Redis.source, 113_845., 148_401.);
+      ("memcached", Hook.Xdp, Kflex_apps.Memcached.kflex_source,
+        7_287., 16_174., 16_766., 35.);
+      ("redis", Hook.Sk_skb, Kflex_apps.Redis.source,
+        18_569., 84_483., 86_151., 35.);
     ]
 
 let () =
