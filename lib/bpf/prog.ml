@@ -5,6 +5,19 @@ exception Malformed of string
 let stack_size = 512
 let max_insns = 1_000_000
 
+(* Frame bytes count from [r10 - stack_size]; slot [s] is bytes [8s, 8s+8). *)
+let slot_of_full_store disp width =
+  let b = stack_size + disp in
+  if width = 8 && b >= 0 && b + 8 <= stack_size && b land 7 = 0 then
+    Some (b / 8)
+  else None
+
+let overlapping_slots disp width =
+  let lo = max 0 (stack_size + disp)
+  and hi = min stack_size (stack_size + disp + width) in
+  if lo >= hi then []
+  else List.init (((hi - 1) / 8) - (lo / 8) + 1) (fun i -> (lo / 8) + i)
+
 let fail fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
 let check_off_16 pc off =

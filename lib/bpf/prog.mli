@@ -44,6 +44,15 @@ val pp_with_notes :
 val stack_size : int
 (** Size in bytes of the per-invocation extension stack (512, as in eBPF). *)
 
+val slot_of_full_store : int -> int -> int option
+(** [slot_of_full_store disp width] is the 8-byte frame slot that [width]
+    bytes at [r10 + disp] fill exactly, if they fill one. Slot 0 starts at
+    [r10 - stack_size]. *)
+
+val overlapping_slots : int -> int -> int list
+(** The frame slots, ascending, that [width] bytes at [r10 + disp] overlap.
+    Bytes outside the frame overlap no slot. *)
+
 val max_insns : int
 (** Maximum program length accepted by [create] (1,000,000, matching the
     post-5.2 eBPF limit for privileged loads). *)

@@ -192,18 +192,7 @@ let admit ?(mode = Kflex_verifier.Verify.Kflex) ?options ?heap_size ~hook
   match result with
   | Error e -> Error e
   | Ok analysis ->
-      let options =
-        match options with
-        | Some o -> o
-        | None ->
-            {
-              Kflex_kie.Instrument.performance_mode = false;
-              translate_on_store = false;
-              kmod_baseline = false;
-              no_elision = false;
-            }
-      in
-      let kie = Kflex_kie.Instrument.run ~options analysis in
+      let kie = Kflex_kie.Instrument.run ?options analysis in
       (* the admission-time compile: chain reloads hit the cache, and every
          instance of this admission shares the compiled form *)
       Ok
@@ -250,10 +239,8 @@ let load ?mode ?options ?heap ?globals_size ?quantum ~kernel ~hook prog =
         Option.map
           (fun h ->
             {
-              Kflex_kie.Instrument.performance_mode = false;
+              Kflex_kie.Instrument.default_options with
               translate_on_store = Heap.is_shared h;
-              kmod_baseline = false;
-              no_elision = false;
             })
           heap
   in

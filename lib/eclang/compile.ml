@@ -183,37 +183,15 @@ let ty_of_fty = function
 
 (* --- helper signatures --------------------------------------------------- *)
 
-type hkind = K_ctx | K_u64
-
-let helper_sigs : (string * (hkind list * bool)) list =
-  [
-    ("pkt_len", ([ K_ctx ], true));
-    ("pkt_read_u8", ([ K_ctx; K_u64 ], true));
-    ("pkt_read_u16", ([ K_ctx; K_u64 ], true));
-    ("pkt_read_u32", ([ K_ctx; K_u64 ], true));
-    ("pkt_read_u64", ([ K_ctx; K_u64 ], true));
-    ("pkt_write_u8", ([ K_ctx; K_u64; K_u64 ], false));
-    ("pkt_write_u16", ([ K_ctx; K_u64; K_u64 ], false));
-    ("pkt_write_u32", ([ K_ctx; K_u64; K_u64 ], false));
-    ("pkt_write_u64", ([ K_ctx; K_u64; K_u64 ], false));
-    ("bpf_sk_lookup_udp", ([ K_ctx; K_u64; K_u64; K_u64; K_u64 ], true));
-    ("bpf_sk_lookup_tcp", ([ K_ctx; K_u64; K_u64; K_u64; K_u64 ], true));
-    ("bpf_sk_release", ([ K_u64 ], false));
-    ("kflex_malloc", ([ K_u64 ], true));
-    ("kflex_free", ([ K_u64 ], false));
-    ("kflex_spin_lock", ([ K_u64 ], true));
-    ("kflex_spin_unlock", ([ K_u64 ], false));
-    ("kflex_heap_base", ([], true));
-    ("bpf_ktime_get_ns", ([], true));
-    ("bpf_get_prandom_u32", ([], true));
-    ("bpf_get_smp_processor_id", ([], true));
-    ("bpf_map_lookup", ([ K_u64; K_u64; K_u64 ], true));
-    ("bpf_map_update", ([ K_u64; K_u64; K_u64 ], true));
-    ("bpf_map_delete", ([ K_u64; K_u64 ], true));
-    ("bpf_map_lock", ([ K_u64; K_u64 ], true));
-    ("bpf_map_unlock", ([ K_u64 ], false));
-    ("bpf_map_sum", ([ K_u64; K_u64; K_u64 ], true));
-  ]
+(* A helper's arity comes from its contract: an [A_ctx] argument must be the
+   context, every other one is a value. *)
+let helper_contract name =
+  let rec go = function
+    | [] -> None
+    | (c : Kflex_verifier.Contract.t) :: rest ->
+        if String.equal c.name name then Some c else go rest
+  in
+  go Kflex_verifier.Contract.kflex_base
 
 let heap_helpers =
   [ "kflex_malloc"; "kflex_free"; "kflex_spin_lock"; "kflex_spin_unlock";
@@ -517,7 +495,7 @@ and eval_call cg env name args =
             (ra, Tu64)
           end
       | None -> (
-          match assoc name helper_sigs with
+          match helper_contract name with
           | Some _ -> emit_helper_call cg env name args
           | None -> (
               match Stbl.find_opt cg.fns name with
@@ -525,9 +503,9 @@ and eval_call cg env name args =
               | None -> fail "unknown function or helper %s" name)))
 
 and emit_helper_call cg env name args =
-  let kinds, _has_ret =
-    match assoc name helper_sigs with
-    | Some s -> s
+  let kinds =
+    match helper_contract name with
+    | Some c -> c.args
     | None -> fail "unknown helper %s" name
   in
   if (not cg.use_heap) && mem_name name heap_helpers then
@@ -540,11 +518,11 @@ and emit_helper_call cg env name args =
     List.map2
       (fun kind arg ->
         match kind with
-        | K_ctx -> (
+        | Kflex_verifier.Contract.A_ctx -> (
             match arg with
             | E_var n when lookup_binding env n = Some B_ctx -> `Ctx
             | _ -> fail "%s: this argument must be the context" name)
-        | K_u64 ->
+        | _ ->
             let r, _ = eval cg env arg in
             let slot = alloc_slot cg in
             stx cg Insn.U64 Reg.R10 (-slot) r;

@@ -14,6 +14,7 @@ type handle = {
   aname : string;
   ahook : Hook.kind;
   instances : Kflex.loaded array; (* one per shard *)
+  lowered : bool; (* the instances' quantum is the engine's [budget] *)
 }
 
 type run_result = {
@@ -37,8 +38,6 @@ type shard = {
   mutable leaked : int;
   small_verdicts : int array; (* counts of verdicts 0–255 *)
   verdicts : (int64, int) Hashtbl.t; (* counts of every other verdict *)
-  vclock : Float.Array.t;
-      (* one unboxed float: the cost-derived timeline (ns) for the reaper *)
   seen_gen : int Atomic.t; (* last registry generation this shard observed *)
   (* threaded mode; every mutable field below is guarded by [m] *)
   queue : job Queue.t;
@@ -56,8 +55,9 @@ type shard = {
 type t = {
   nshards : int;
   mode : mode;
-  quantum : int option; (* default per-invocation cost quantum *)
-  deadline_ns : float option; (* reaper deadline per invocation *)
+  quantum : int; (* default per-invocation cost quantum *)
+  deadline_ns : float option; (* deadline per invocation *)
+  budget : int; (* a deterministic deadline's cost budget, else max_int *)
   shards : shard array;
   reaper : Reaper.t;
   reg_m : Mutex.t; (* serialises attach/detach/replace *)
@@ -90,7 +90,6 @@ let make_shard ~seed sid =
     leaked = 0;
     small_verdicts = Array.make 256 0;
     verdicts = Hashtbl.create 8;
-    vclock = Float.Array.make 1 0.0;
     seen_gen = Atomic.make 0;
     queue = Queue.create ();
     pushes = Atomic.make 0;
@@ -123,59 +122,39 @@ let run_plain shard (inst : Kflex.loaded) pkt =
   Kflex.run_packet_into inst ~ctx:shard.ctx ~cpu:shard.sid ~stats:shard.stats
     pkt
 
-(* Deterministic watchdog: the shard itself polls the reaper at every
-   cancellation site of the reference interpreter, with "now" derived from
-   the cost charged so far — byte-identical schedules across runs. *)
-let run_polled t shard (inst : Kflex.loaded) pkt ~start_cost =
-  let vclock = Float.Array.get shard.vclock 0 in
-  let on_site () =
-    let spent = float_of_int (Vm.total_cost shard.stats - start_cost) in
-    Reaper.scan t.reaper ~now:(vclock +. (spent *. Cost.insn_ns));
-    Vm.cancelled inst.Kflex.ext
-  in
-  Vm.Ref_interp.exec inst.Kflex.ext ~ctx:shard.ctx ~pkt:pkt.Packet.payload
-    ~cpu:shard.sid ~stats:shard.stats ~on_site ()
-
 (* Run one chain entry on a shard against its context block (filled once
-   per event). With a deadline the entry runs in the shard's reaper slot:
-   on the virtual clock, polled from the reference interpreter's
-   cancellation-site hook, in deterministic mode; on the wall clock in
-   threaded mode, where the watchdog domain flips the extension's cancel
-   flag asynchronously, like a sibling CPU would. Outside the polled mode
-   the entry allocates nothing. *)
-let exec_entry t shard (inst : Kflex.loaded) pkt =
-  let start_cost = Vm.total_cost shard.stats in
+   per event). A threaded engine with a deadline runs the entry in the
+   shard's reaper slot, on the wall clock: the watchdog domain flips the
+   extension's cancel flag asynchronously, like a sibling CPU would. A
+   deterministic engine's deadline is the instances' quantum, so its
+   entries run unwatched. The entry allocates nothing unless it is
+   cancelled. *)
+let exec_entry t shard h pkt =
+  let inst = h.instances.(shard.sid) in
   let outcome =
     match t.deadline_ns with
-    | None -> run_plain shard inst pkt
-    | Some dl -> (
+    | Some dl when t.mode = `Threaded -> (
         let slot = Reaper.slot t.reaper shard.sid in
-        let polled = t.mode = `Deterministic in
-        let now =
-          if polled then Float.Array.get shard.vclock 0
-          else Unix.gettimeofday () *. 1e9
-        in
-        Reaper.arm slot inst.Kflex.ext ~deadline:(now +. dl);
-        match
-          if polled then run_polled t shard inst pkt ~start_cost
-          else run_plain shard inst pkt
-        with
+        Reaper.arm slot inst.Kflex.ext
+          ~deadline:((Unix.gettimeofday () *. 1e9) +. dl);
+        match run_plain shard inst pkt with
         | o ->
             Reaper.disarm t.reaper slot ~finished:(finished o);
             o
         | exception e ->
             Reaper.disarm t.reaper slot ~finished:true;
             raise e)
+    | _ -> run_plain shard inst pkt
   in
-  Float.Array.set shard.vclock 0
-    (Float.Array.get shard.vclock 0
-    +. (float_of_int (Vm.total_cost shard.stats - start_cost) *. Cost.insn_ns));
   (* Re-arm after a cancellation the VM raised itself (quantum, stall; the
      reaper's own flag is cleared at disarm). The facade leaves the flag
      set and the paper's runtime unloads the extension; a multi-tenant
      engine instead treats cancellation as per-invocation. *)
   if Vm.cancelled inst.Kflex.ext then Vm.reset_cancel inst.Kflex.ext;
-  outcome
+  match outcome with
+  | Vm.Cancelled ({ reason = Vm.Quantum_expired; _ } as c) when h.lowered ->
+      Vm.Cancelled { c with reason = Vm.Ext_cancelled }
+  | o -> o
 
 (* Event boundary = quiescent state: this shard holds no reference into
    any shared RCU snapshot between events, so announce the epoch and let
@@ -195,7 +174,7 @@ let verdict_of = function
 let rec run_chain t shard chain ~hook pkt i =
   if i >= Array.length chain then []
   else begin
-    let o = exec_entry t shard chain.(i).instances.(shard.sid) pkt in
+    let o = exec_entry t shard chain.(i) pkt in
     (match o with
     | Vm.Cancelled { ledger_leaked; _ } ->
         shard.cancelled <- shard.cancelled + 1;
@@ -371,15 +350,28 @@ let watched t = t.mode = `Threaded && t.deadline_ns <> None
 
 (* --- lifecycle ---------------------------------------------------------- *)
 
-let create ?(shards = 1) ?(mode = `Deterministic) ?quantum ?deadline_ns
-    ?(seed = 0x6b666c6578L) () =
+let create ?(shards = 1) ?(mode = `Deterministic)
+    ?(quantum = Vm.default_quantum) ?deadline_ns ?(seed = 0x6b666c6578L) () =
   if shards < 1 then invalid_arg "Engine.create: shards < 1";
+  let budget =
+    match deadline_ns with
+    | Some dl when not (Float.is_finite dl && dl > 0.0) ->
+        invalid_arg "Engine.create: deadline_ns not finite and positive"
+    | Some dl when mode = `Deterministic ->
+        (* one invocation per shard at a time: "cost-derived now past the
+           deadline" is "cost spent > ⌊dl / insn_ns⌋", which the Jit checks
+           at every checkpoint as the quantum *)
+        let b = dl /. Cost.insn_ns in
+        if b >= 0x1p62 then max_int else int_of_float b
+    | _ -> max_int
+  in
   let t =
     {
       nshards = shards;
       mode;
       quantum;
       deadline_ns;
+      budget;
       shards = Array.init shards (make_shard ~seed);
       reaper = Reaper.create ~slots:shards ();
       reg_m = Mutex.create ();
@@ -473,7 +465,7 @@ let build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
       let aname =
         match name with Some n -> n | None -> Printf.sprintf "ext%d" aid
       in
-      let quantum = match quantum with Some q -> Some q | None -> t.quantum in
+      let q = Option.value quantum ~default:t.quantum in
       let instances =
         Array.map
           (fun shard ->
@@ -486,7 +478,7 @@ let build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
                 ignore (Map_.register (Helpers.maps kernel) m : int64))
               t.shared;
             let inst =
-              Kflex.instantiate ?heap ?globals_size ?quantum
+              Kflex.instantiate ?heap ?globals_size ~quantum:(min q t.budget)
                 ~extra_helpers:(shard_helpers shard) ~kernel admitted
             in
             (match configure with
@@ -495,7 +487,7 @@ let build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
             inst)
           t.shards
       in
-      Ok { aid; aname; ahook = hook; instances }
+      Ok { aid; aname; ahook = hook; instances; lowered = t.budget < q }
 
 let attach t ?name ?mode ?options ?globals_size ?quantum ?heap_size ?kbase
     ?configure ~hook prog =

@@ -6,18 +6,17 @@
     PRNG/clock streams; per-hook {e chains} of attached extensions with
     tail-call verdict composition; an {e admission pipeline}
     (verify → instrument → compile, via {!Kflex.admit} and the shared
-    compiled-program cache) run once per attach; and a central cancellation
-    {e reaper} ({!Reaper}) that injects cancellation into invocations past
-    their deadline.
+    compiled-program cache) run once per attach; and a deadline that
+    cancels an invocation at a checkpoint, as the paper's watchdog does.
 
-    Two execution modes:
+    Two execution modes, both on the compiled form:
     - [`Deterministic] (default): events run synchronously on their flow
       shard in the caller's thread — single-shard runs are bit-identical to
       the facade; the sim and tests use this.
     - [`Threaded]: one OCaml 5 domain per shard consuming a per-shard queue.
       A worker that empties its queue polls for new work for 1 ms before
       it parks, so a request arriving within that window is taken without
-      a wake-up. With a deadline configured, the engine's reaper is
+      a wake-up. With a deadline configured, the engine's {!Reaper} is
       scanned on the wall clock by the process's one watchdog domain,
       shared by every threaded engine, as a kernel runs one watchdog for
       all of its programs.
@@ -44,12 +43,15 @@ val create :
   t
 (** [shards] defaults to 1; [quantum] is the default per-invocation cost
     budget for attached programs (unset = the VM default); [deadline_ns]
-    arms the reaper with a per-invocation deadline in (virtual or wall)
-    nanoseconds; [seed] derives each shard's [bpf_get_prandom_u32] stream.
-    A deterministic engine with a deadline runs every entry on
-    {!Kflex_runtime.Vm.Ref_interp}, which polls the reaper at each
-    cancellation site on a clock derived from the cost charged so far;
-    every other engine runs the compiled form.
+    is a per-invocation deadline, which cancels an invocation at its first
+    checkpoint past it with [Ext_cancelled]; [seed] derives each shard's
+    [bpf_get_prandom_u32] stream. A threaded engine reads the deadline on
+    the wall clock, through its reaper. A deterministic engine reads it as
+    a budget of [⌊deadline_ns / Cost.insn_ns⌋] cost units: each instance
+    gets the smaller of that budget and its quantum, and reports a spent
+    budget as [Ext_cancelled].
+    @raise Invalid_argument if [shards < 1] or [deadline_ns] is not finite
+    and positive.
     Threaded engines spawn their worker domains here — call {!shutdown}
     when done. A new worker parks until its first event; after each batch
     it spins for at most the 1 ms poll window, so a shard costs at most one
@@ -206,7 +208,8 @@ val socket_refs : t -> int
     events (cancellation unwinding guarantees it). *)
 
 val reaper : t -> Reaper.t
-(** The engine's reaper — tests register §4.4 time-slices on it. *)
+(** The engine's reaper (threaded engines with a deadline scan it) — tests
+    register §4.4 time-slices on it. *)
 
 val epoch : t -> int
 (** Current registry generation. *)

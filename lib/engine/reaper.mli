@@ -20,11 +20,11 @@
     cancelling waits for the reaper's next store, then clears the flag it
     set — before the shard can arm the slot again.
 
-    In the engine's threaded mode the process's one watchdog domain calls
-    {!scan} on the wall clock, every 500 µs, on the reaper of each
-    registered engine; in deterministic mode the executing shard calls it
-    from the VM's cancellation-site hook with cost-derived virtual time, so
-    tests and the fuzzer replay byte-identical schedules. *)
+    The engine uses a reaper in threaded mode only: the process's one
+    watchdog domain calls {!scan} on the wall clock, every 500 µs, on the
+    reaper of each threaded engine with a deadline. A deterministic engine
+    lowers its deadline onto each instance's quantum instead
+    ({!Engine.create}). *)
 
 type t
 

@@ -182,8 +182,10 @@ let verdict_of = function Vm.Finished v -> v | Vm.Cancelled c -> c.ret
 let quiet budget = { budget; on_insn = (fun _ _ _ -> ()); on_site = ignore }
 
 (* Runs that must end on their own are bounded generously: instrumentation
-   puts a Checkpoint on every loop back edge, so the quantum ends any loop
-   long before this. *)
+   puts a Checkpoint on the back edge of every loop Loopcheck calls
+   unbounded, so the quantum ends such a loop long before this. A loop it
+   calls bounded gets no checkpoint, and its trip count has no limit, so
+   only this budget ends it. *)
 let safety_budget cfg = (4 * cfg.quantum) + 1_000_000
 let safe cfg = quiet (safety_budget cfg)
 

@@ -26,7 +26,6 @@ exception Fault of { addr : int64; reason : string }
 let page_size = 4096
 let page_size64 = 4096L
 let page_shift = 12
-let guard_bytes = 32768
 let guard64 = 32768L
 
 (* Flat page arrays are capped at 256 MiB of heap (64 Ki pages = one 512 KB
@@ -136,10 +135,6 @@ let populate h ~off ~len =
     | Some _ -> ()
     | None -> set_page h idx (Bytes.make page_size '\000')
   done
-
-let page_populated h off =
-  let idx = Int64.to_int (Int64.div off page_size64) in
-  idx >= 0 && idx < h.npages && get_page h idx <> None
 
 let populated_bytes h = Int64.of_int (h.npop * page_size)
 

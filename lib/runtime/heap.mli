@@ -20,9 +20,6 @@ exception Fault of { addr : int64; reason : string }
 val page_size : int
 (** 4096. *)
 
-val guard_bytes : int
-(** 32 KB on each side (2{^15}, the instruction displacement range, §4.1). *)
-
 val create : ?shared:bool -> ?kbase:int64 -> size:int64 -> unit -> t
 (** Create a heap. [size] must be a power of two between one page and 2{^40}
     bytes; physical backing is allocated lazily per page. [shared] also maps
@@ -57,9 +54,6 @@ val offset_of_addr : t -> int64 -> int64 option
 
 val populate : t -> off:int64 -> len:int64 -> unit
 (** Back all pages covering [off, off+len) (allocator / mmap path). *)
-
-val page_populated : t -> int64 -> bool
-(** Whether the page containing this offset is populated (in-range only). *)
 
 val populated_bytes : t -> int64
 (** Physical memory currently backing the heap (the cgroup accounting of

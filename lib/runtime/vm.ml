@@ -181,11 +181,13 @@ type ext = {
       (* compiled form + helper table linked against [helpers] *)
 }
 
+let default_quantum = 100_000_000
+
 (* The Jit compiles a native builtin's call without consulting the helper
    table, so an override would run in the reference interpreter only; it
    is refused instead. *)
-let create ?heap ?alloc ?(quantum = 100_000_000) ?(default_ret = 0L) ?on_cancel
-    ~helpers kie =
+let create ?heap ?alloc ?(quantum = default_quantum) ?(default_ret = 0L)
+    ?on_cancel ~helpers kie =
   List.iter
     (fun (n, _) ->
       if List.mem n native_builtins then

@@ -141,6 +141,10 @@ val pkt_write : Bytes.t -> width:int -> int64 -> int64 -> unit
 type ext
 (** A loaded (instrumented) extension ready to run. *)
 
+val default_quantum : int
+(** 100 million cost units (seconds of real execution, §4.3): the quantum
+    of an extension created without one. *)
+
 val create :
   ?heap:Heap.t ->
   ?alloc:Alloc.t ->
@@ -151,7 +155,7 @@ val create :
   Kflex_kie.Instrument.t ->
   ext
 (** [quantum] is the watchdog budget in cost units per invocation (default
-    100 million ≈ seconds of real execution, §4.3). [on_cancel] is the §4.3
+    {!default_quantum}). [on_cancel] is the §4.3
     user callback that may rewrite the default return code. [helpers] extend
     (and may shadow) {!builtin_helpers}, except the {!native_builtins}: the
     compiled form never consults the table for those, so shadowing one
@@ -204,8 +208,8 @@ val exec :
     unless {!precompile} or {!set_compiled} installed one. A run that needs
     observers takes {!Ref_interp.exec}. *)
 
-(** The executor of every observed run, and the ground truth the
-    differential oracles hold the compiled form to: a boxed [int64 array]
+(** The reference the differential oracles hold the compiled form to, and
+    the executor of their observed runs: a boxed [int64 array]
     register file with [Stdlib.Int64] arithmetic everywhere (including the
     stdlib's unsigned division) and the width-dispatched generic memory
     path. Shares no ALU/comparison/accessor code with {!Jit}, so a
@@ -238,7 +242,7 @@ module Ref_interp : sig
       [Ldx]/[Stx]/[St]/[Xstore]/[Atomic] whose address leaves the
       stack/ctx windows, after the access is charged and before it
       executes. Returning [true] injects an asynchronous cancellation
-      ({!Ext_cancelled}) at that site, exercising object-table unwinding;
-      the deterministic engine's reaper polls here, with its clock derived
-      from the cost charged so far. *)
+      ({!Ext_cancelled}) at that site, exercising object-table unwinding.
+      The fuzzer's oracles record the sites and inject cancellations
+      there. *)
 end

@@ -33,8 +33,6 @@ let kind_name = function
   | Chain_unreachable -> "chain-unreachable"
   | Gave_up -> "analysis-gave-up"
 
-let pp_kind fmt k = Format.pp_print_string fmt (kind_name k)
-
 let pp_finding fmt f =
   Format.fprintf fmt "pc %d: %s: %s (site pc %d; witness %a)" f.pc
     (kind_name f.kind) f.msg f.site
@@ -250,25 +248,6 @@ let deref (emit : emitter) ~pc p base =
           drop_site p site
       | _ -> p)
 
-(* stack slots: byte 0 of the frame is r10 - 512 *)
-let frame_size = Prog.stack_size
-
-let nslots = frame_size / 8
-
-let slot_of_full_store disp width =
-  let b = frame_size + disp in
-  if width = 8 && b >= 0 && b + 8 <= frame_size && b mod 8 = 0 then Some (b / 8)
-  else None
-
-let overlapping_slots disp width =
-  let b = frame_size + disp in
-  let lo = max 0 b and hi = min frame_size (b + width) in
-  let rec go s acc =
-    if s * 8 >= hi || s >= nslots then List.rev acc
-    else go (s + 1) (if ((s + 1) * 8) > lo then s :: acc else acc)
-  in
-  go (max 0 (lo / 8)) []
-
 let rnum = Reg.to_int
 
 let is_fp r = Reg.equal r Reg.fp
@@ -391,7 +370,7 @@ let call_step rules (a : Verify.analysis) (emit : emitter) pc name p =
       else p
 
 let stack_store (emit : emitter) ~pc p disp width (src : Reg.t option) =
-  match (src, slot_of_full_store disp width) with
+  match (src, Prog.slot_of_full_store disp width) with
   | Some s, Some slot when bound p (C_reg (rnum s)) <> None ->
       let site = Option.get (bound p (C_reg (rnum s))) in
       add_bind (kill_cell emit ~pc p (C_slot slot)) (C_slot slot) site
@@ -400,7 +379,7 @@ let stack_store (emit : emitter) ~pc p disp width (src : Reg.t option) =
       List.fold_left
         (fun p s -> kill_cell emit ~pc p (C_slot s))
         p
-        (overlapping_slots disp width)
+        (Prog.overlapping_slots disp width)
 
 let step rules (a : Verify.analysis) (emit : emitter) pc insn p =
   let p =
@@ -422,7 +401,7 @@ let step rules (a : Verify.analysis) (emit : emitter) pc insn p =
     | Insn.Ldx (sz, dst, src, off) ->
         if is_fp src then (
           let reload =
-            match slot_of_full_store off (Insn.size_bytes sz) with
+            match Prog.slot_of_full_store off (Insn.size_bytes sz) with
             | Some slot -> bound p (C_slot slot)
             | None -> None
           in

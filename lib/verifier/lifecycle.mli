@@ -73,8 +73,6 @@ val kind_name : kind -> string
 (** Stable machine-readable name ([leak], [double-release], ...) used by
     [kflexc lint --json] — part of the documented schema, do not repurpose. *)
 
-val pp_kind : Format.formatter -> kind -> unit
-
 val pp_finding : Format.formatter -> finding -> unit
 
 val run : contracts:Contract.registry -> Verify.analysis -> finding list

@@ -146,17 +146,6 @@ let redundant_mask_diags (a : Verify.analysis) =
       })
     a.Verify.redundant_masks
 
-let slot_of_full_store disp width =
-  let byte = disp + Prog.stack_size in
-  if width = 8 && byte mod 8 = 0 && byte >= 0 && byte + 8 <= Prog.stack_size
-  then Some (byte / 8)
-  else None
-
-let overlapping_slots disp width =
-  let first = disp + Prog.stack_size and last = disp + Prog.stack_size + width - 1 in
-  let lo = max 0 (first / 8) and hi = min (Prog.stack_size / 8 - 1) (last / 8) in
-  List.init (max 0 (hi - lo + 1)) (fun i -> lo + i)
-
 (* --- slot liveness on the fixpoint engine --------------------------------
 
    Dead-store detection is backward liveness over the 64 stack slots: a
@@ -215,10 +204,7 @@ let call_slot_gen ~contracts (a : Verify.analysis) pc name =
               -> (
                 match Range.is_const off with
                 | Some o ->
-                    let byte = Int64.to_int o + Prog.stack_size in
-                    let lo = max 0 (byte / 8)
-                    and hi = min (Prog.stack_size / 8 - 1) ((byte + n - 1) / 8) in
-                    let slots = List.init (max 0 (hi - lo + 1)) (fun k -> lo + k) in
+                    let slots = Prog.overlapping_slots (Int64.to_int o) n in
                     go (i + 1) (slots @ acc) tl
                 | None -> None)
             | Contract.A_stack_ptr _, _ -> None
@@ -232,13 +218,13 @@ let slot_transfer ~contracts (a : Verify.analysis) pc insn f =
   match insn with
   | Insn.Stx (sz, d, disp, _) | Insn.St (sz, d, disp, _)
     when Reg.equal d Reg.fp -> (
-      match slot_of_full_store disp (Insn.size_bytes sz) with
+      match Prog.slot_of_full_store disp (Insn.size_bytes sz) with
       | Some slot -> sl_kill f slot
       | None -> f (* partial: neither reads nor fully overwrites *))
   | Insn.Ldx (sz, _, s, disp) when Reg.equal s Reg.fp ->
-      sl_gen f (overlapping_slots disp (Insn.size_bytes sz))
+      sl_gen f (Prog.overlapping_slots disp (Insn.size_bytes sz))
   | Insn.Atomic (_, sz, d, disp, _) when Reg.equal d Reg.fp ->
-      sl_gen f (overlapping_slots disp (Insn.size_bytes sz))
+      sl_gen f (Prog.overlapping_slots disp (Insn.size_bytes sz))
   | Insn.Call name -> (
       match call_slot_gen ~contracts a pc name with
       | Some slots -> sl_gen f slots
@@ -255,14 +241,15 @@ let overwrite_pc ~contracts (a : Verify.analysis) pc slot =
       match insns.(pc') with
       | Insn.Stx (sz, d, disp, _) | Insn.St (sz, d, disp, _)
         when Reg.equal d Reg.fp
-             && slot_of_full_store disp (Insn.size_bytes sz) = Some slot ->
+             && Prog.slot_of_full_store disp (Insn.size_bytes sz) = Some slot ->
           Some pc'
       | insn ->
           (* anything that could read the slot ends the scan *)
           let keeps_looking =
             match insn with
             | Insn.Ldx (sz, _, s, disp) when Reg.equal s Reg.fp ->
-                not (List.mem slot (overlapping_slots disp (Insn.size_bytes sz)))
+                let slots = Prog.overlapping_slots disp (Insn.size_bytes sz) in
+                not (List.mem slot slots)
             | Insn.Call name ->
                 call_slot_gen ~contracts a pc' name = Some []
             | Insn.Exit -> false
@@ -309,7 +296,8 @@ let dead_store_diags ~contracts (a : Verify.analysis) =
             match insn with
             | Insn.Stx (sz, d, disp, _) | Insn.St (sz, d, disp, _)
               when Reg.equal d Reg.fp -> (
-                match (slot_of_full_store disp (Insn.size_bytes sz), post.(pc)) with
+                let full = Prog.slot_of_full_store disp (Insn.size_bytes sz) in
+                match (full, post.(pc)) with
                 | Some slot, Some f when not (sl_mem f slot) ->
                     let where =
                       match overwrite_pc ~contracts a pc slot with

@@ -59,7 +59,6 @@ let[@inline] copy r = fresh (umin r) (umax r) (smin r) (smax r) (tv r) (tm r)
    domain degenerates to the seed's pure interval analysis. *)
 let tnum_enabled = ref true
 let set_tnum enabled = tnum_enabled := enabled
-let tnum_on () = !tnum_enabled
 
 let[@inline] fresh_top () = fresh 0L u64_max Int64.min_int Int64.max_int 0L (-1L)
 let top = fresh_top ()

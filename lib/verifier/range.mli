@@ -67,9 +67,6 @@ val set_tnum : bool -> unit
     ablation switch behind the bench's elision-delta column. Restore to
     [true] after measuring; the setting is global. *)
 
-val tnum_on : unit -> bool
-(** Current state of the {!set_tnum} switch. *)
-
 (** Abstract transfer functions, mirroring eBPF ALU semantics (64-bit;
     unsigned division and modulo; division by zero yields 0). All are sound
     over-approximations, exact when both operands are singletons. Each

@@ -80,6 +80,26 @@ let test_prog_accessors () =
   insns.(0) <- Insn.Exit;
   Alcotest.check insn "copied" (Insn.Mov (Reg.R0, Insn.Imm 7L)) (Prog.get p 0)
 
+(* Frame slots at the edges: r10 - 512 is byte 0 of slot 0, r10 - 8 starts
+   slot 63, and bytes outside the frame belong to no slot. *)
+let test_prog_frame_slots () =
+  let slots = Alcotest.(list int) and slot = Alcotest.(option int) in
+  let check name disp width ~full ~over =
+    Alcotest.check slot (name ^ ": full store") full
+      (Prog.slot_of_full_store disp width);
+    Alcotest.check slots (name ^ ": overlapped") over
+      (Prog.overlapping_slots disp width)
+  in
+  check "wholly below" (-520) 8 ~full:None ~over:[];
+  check "one byte below" (-513) 1 ~full:None ~over:[];
+  check "straddling the bottom" (-516) 8 ~full:None ~over:[ 0 ];
+  check "bottom slot" (-512) 8 ~full:(Some 0) ~over:[ 0 ];
+  check "unaligned" (-508) 8 ~full:None ~over:[ 0; 1 ];
+  check "narrow" (-512) 4 ~full:None ~over:[ 0 ];
+  check "top slot" (-8) 8 ~full:(Some 63) ~over:[ 63 ];
+  check "straddling the top" (-4) 8 ~full:None ~over:[ 63 ];
+  check "wholly above" 0 8 ~full:None ~over:[]
+
 (* --- assembler ------------------------------------------------------------ *)
 
 let test_asm_labels () =
@@ -399,6 +419,8 @@ let () =
           Alcotest.test_case "instrumentation" `Quick
             test_prog_instrumentation_rejected;
           Alcotest.test_case "accessors" `Quick test_prog_accessors;
+          Alcotest.test_case "frame slots at the edges" `Quick
+            test_prog_frame_slots;
         ] );
       ( "asm",
         [

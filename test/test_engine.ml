@@ -923,6 +923,127 @@ let t_watchdog_churn () =
   check_reaped "long-lived" long ~runaways:100 cancelled;
   Engine.shutdown long
 
+(* --- one deadline in both modes ------------------------------------------- *)
+
+(* One event: synchronously on a deterministic engine, through [submit] and
+   [drain] on a threaded one. *)
+let run_one eng p =
+  match Engine.mode eng with
+  | `Deterministic -> Engine.run_packet eng p
+  | `Threaded -> (
+      let r = ref None in
+      Engine.submit eng ~on_done:(fun res -> r := Some res) p;
+      Engine.drain eng;
+      match !r with Some r -> r | None -> Alcotest.fail "event never completed")
+
+(* Open_loop's burner, set to loop for seconds: key 7 burns, others return. *)
+let burner =
+  compile "burner"
+    (Kflex_serve.Open_loop.burner_source ~pass:(Hook.pass_verdict Hook.Xdp)
+       ~iters:1_000_000_000)
+
+let key_pkt k =
+  let payload = Bytes.make 17 '\000' in
+  Bytes.set_int64_le payload 1 k;
+  pkt ~payload ()
+
+let burner_engine ?quantum ?deadline_ns mode =
+  let eng = Engine.create ~mode ?quantum ?deadline_ns () in
+  ignore
+    (attach_exn ~name:"burner" ~heap_size:4096L eng (prog_of burner)
+      : Engine.handle);
+  eng
+
+let deadline_cancel_pc (r : Engine.run_result) =
+  match r.Engine.outcomes with
+  | [ Vm.Cancelled { reason = Vm.Ext_cancelled; orig_pc; _ } ] -> orig_pc
+  | _ -> Alcotest.fail "the burner was not cancelled by its deadline"
+
+(* A 200 us deadline cancels the burner at the same checkpoint on the
+   cost budget and on the wall clock. *)
+let t_burner_both_modes () =
+  let run mode =
+    let eng = burner_engine ~quantum:max_int ~deadline_ns:2e5 mode in
+    let r = run_one eng (key_pkt 7L) in
+    Engine.shutdown eng;
+    r
+  in
+  let det = run `Deterministic and thr = run `Threaded in
+  Alcotest.(check int) "same cancellation point" (deadline_cancel_pc det)
+    (deadline_cancel_pc thr);
+  List.iter
+    (fun (r : Engine.run_result) ->
+      Alcotest.(check int64) "pass verdict" (Hook.pass_verdict Hook.Xdp)
+        r.Engine.verdict)
+    [ det; thr ];
+  Alcotest.(check int) "deterministic cost: the budget, then its checkpoint"
+    50_001 det.Engine.cost
+
+(* A deterministic deadline D is the quantum ⌊D / insn_ns⌋: the same
+   outcomes, costs and stats, the reason aside. *)
+let t_deadline_is_quantum () =
+  let d = 2e5 in
+  let run eng =
+    let rs = List.map (fun k -> run_one eng (key_pkt k)) [ 7L; 8L; 7L ] in
+    (rs, Engine.totals eng)
+  in
+  let by_deadline, t1 = run (burner_engine ~deadline_ns:d `Deterministic)
+  and by_quantum, t2 =
+    run
+      (burner_engine ~quantum:(int_of_float (d /. Cost.insn_ns)) `Deterministic)
+  in
+  List.iter2
+    (fun (a : Engine.run_result) (b : Engine.run_result) ->
+      Alcotest.(check int64) "verdict" a.Engine.verdict b.Engine.verdict;
+      Alcotest.(check int) "cost" a.Engine.cost b.Engine.cost;
+      Alcotest.(check int) "cancelled" a.Engine.cancelled b.Engine.cancelled;
+      match (a.Engine.outcomes, b.Engine.outcomes) with
+      | [ Vm.Finished x ], [ Vm.Finished y ] ->
+          Alcotest.(check int64) "finished" x y
+      | [ Vm.Cancelled x ], [ Vm.Cancelled y ] ->
+          Alcotest.(check bool) "reasons" true
+            (x.reason = Vm.Ext_cancelled && y.reason = Vm.Quantum_expired);
+          Alcotest.(check int) "orig_pc" x.orig_pc y.orig_pc;
+          Alcotest.(check bool) "released" true (x.released = y.released);
+          Alcotest.(check int64) "ret" x.ret y.ret
+      | _ -> Alcotest.fail "outcomes differ")
+    by_deadline by_quantum;
+  Alcotest.(check bool) "stats" true (t1.Engine.stats = t2.Engine.stats);
+  Alcotest.(check int) "events cancelled" 2 t1.Engine.cancelled;
+  Alcotest.(check int) "same tally" t1.Engine.cancelled t2.Engine.cancelled
+
+(* A loop Loopcheck calls bounded gets no checkpoint, so no deadline can
+   land in it, whatever it reads: both modes must agree on the verdict and
+   on the cancellations. Today both run it to its end. *)
+let t_bounded_heap_loop_both_modes () =
+  let prog =
+    let open Kflex_bpf in
+    Asm.(
+      assemble ~name:"bounded_heap_loop"
+        [
+          call "kflex_heap_base";
+          mov Reg.R6 Reg.R0;
+          movi Reg.R1 0L;
+          label "loop";
+          ldx Insn.U64 Reg.R2 Reg.R6 8;
+          alui Insn.Add Reg.R1 1L;
+          jmpi Insn.Lt Reg.R1 1_000_000L "loop";
+          movi Reg.R0 7L;
+          exit_;
+        ])
+  in
+  let run mode =
+    let eng = Engine.create ~mode ~deadline_ns:2e5 () in
+    ignore (attach_exn ~name:"loop" ~heap_size:4096L eng prog : Engine.handle);
+    let r = run_one eng (pkt ()) in
+    Engine.shutdown eng;
+    r
+  in
+  let det = run `Deterministic and thr = run `Threaded in
+  Alcotest.(check int64) "same verdict" det.Engine.verdict thr.Engine.verdict;
+  Alcotest.(check int) "same cancellations" det.Engine.cancelled
+    thr.Engine.cancelled
+
 (* --- hand-off: poll before parking ----------------------------------------- *)
 
 let wait_for counter n =
@@ -1155,6 +1276,11 @@ let () =
             t_watchdog_after_shutdown;
           Alcotest.test_case "register under live scans" `Quick
             t_watchdog_churn;
+          Alcotest.test_case "burner in both modes" `Quick t_burner_both_modes;
+          Alcotest.test_case "deadline is a quantum" `Quick
+            t_deadline_is_quantum;
+          Alcotest.test_case "bounded heap loop in both modes" `Quick
+            t_bounded_heap_loop_both_modes;
         ] );
       ( "hand-off",
         [

@@ -385,7 +385,8 @@ let t_quantum_cancellation () =
    it. The reaper must (a) forcibly preempt the holder once the slice
    expires ([should_preempt]/[force_preempt]) and (b) inject cancellation
    into the spinning extension at its deadline — kernel forward progress
-   beats waiting out a faulty application. *)
+   beats waiting out a faulty application. Only a threaded engine's
+   watchdog scans the reaper, so the test runs one, on the wall clock. *)
 let t_engine_reaper_contention () =
   let module Engine = Kflex_engine.Engine in
   let module Reaper = Kflex_engine.Reaper in
@@ -405,7 +406,9 @@ fn prog(c: ctx) -> u64 {
   let lock_off = Kflex_eclang.Compile.global_offset compiled "lock" in
   (* deadline chosen past the 50 us slice: the holder is preempted first,
      the spinner is reaped after *)
-  let eng = Engine.create ~shards:1 ~deadline_ns:150_000.0 () in
+  let eng =
+    Engine.create ~shards:1 ~mode:`Threaded ~deadline_ns:150_000.0 ()
+  in
   let ts = Timeslice.create () in
   Timeslice.lock_acquired ts ~now:0.0;
   Reaper.watch (Engine.reaper eng) ts;
@@ -429,7 +432,13 @@ fn prog(c: ctx) -> u64 {
     Kflex_kernel.Packet.make ~proto:Kflex_kernel.Packet.Udp ~src_port:1
       ~dst_port:2 (Bytes.make 16 '\000')
   in
-  let r = Engine.run_packet eng pkt in
+  let run () =
+    let r = ref None in
+    Engine.submit eng ~on_done:(fun res -> r := Some res) pkt;
+    Engine.drain eng;
+    match !r with Some r -> r | None -> Alcotest.fail "event never completed"
+  in
+  let r = run () in
   (match r.Engine.outcomes with
   | [ Vm.Cancelled { reason = Vm.Ext_cancelled; _ } ] -> ()
   | [ Vm.Cancelled { reason = _; _ } ] ->
@@ -444,9 +453,10 @@ fn prog(c: ctx) -> u64 {
   Alcotest.(check int) "no leaked resources" 0 t.Engine.leaked;
   (* a second event on the same (still-contended) chain is reaped again:
      the cancel flag was rearmed, not left sticky *)
-  let r2 = Engine.run_packet eng pkt in
+  let r2 = run () in
   Alcotest.(check int) "second event reaped too" 1 r2.Engine.cancelled;
-  Reaper.unwatch (Engine.reaper eng) ts
+  Reaper.unwatch (Engine.reaper eng) ts;
+  Engine.shutdown eng
 
 let t_cancel_cross_cpu () =
   let _, ext = with_heap [ movi R0 7L; exit_ ] in
